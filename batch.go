@@ -83,7 +83,7 @@ func (s *System) LabelBatchWith(ctx context.Context, policy Policy, agent *Agent
 					continue // dispatched before the cancel landed: slot stays nil
 				}
 				res := s.runSchedule(ex, indices[idx], private, b)
-				results[idx] = s.buildResult(ex, indices[idx], items[idx], res)
+				results[idx] = s.buildResult(ex, items[idx], res)
 			}
 		}(w)
 	}

@@ -329,12 +329,12 @@ func TestSubmitWaitCancelledUnderBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	// Occupy the worker and fill the one-slot queue.
+	// Occupy the worker and fill the one-slot queue: the second submit
+	// gets in once the worker has dequeued the first.
 	if _, err := srv.Submit(testSys.TestItem(3)); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond)
-	if _, err := srv.Submit(testSys.TestItem(3)); err != nil {
+	if _, err := srv.SubmitWait(bg, testSys.TestItem(3)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)

@@ -58,12 +58,12 @@ func (l *Lab) ExtBatching() BatchingExtResult {
 		Modes:       []string{"unbatched", "batched", "batched+aware"},
 	}
 	base := serve.Config{
-		MemoryBudgetMB: res.MemGB * 1024,
-		QueueCap:       2 * res.Workers,
-		TimeScale:      0.002,
+		QueueCap:  2 * res.Workers,
+		TimeScale: 0.002,
 	}
 	base.Workers = res.Workers
 	base.DeadlineSec = res.DeadlineSec
+	base.MemoryBudgetMB = res.MemGB * 1024
 	for _, mode := range res.Modes {
 		cfg := base
 		aware := false

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"ams/internal/metrics"
@@ -98,20 +99,21 @@ type trajPoint struct {
 	recall    float64
 }
 
-// trajectory runs the policy to exhaustion on one scene and records the
-// cumulative (time, recall) after every execution.
+// runAll runs the policy serially on one scene with no budgets, until it
+// declines or every model has run.
+func runAll(st *oracle.Store, scene int, p sim.Policy) sim.Result {
+	return sim.Execute(sim.NewVirtual(0), st, scene, p, sim.Limits{DeadlineMS: math.Inf(1), InFlight: 1})
+}
+
+// trajectory runs the policy to exhaustion on one scene and replays the
+// schedule for the cumulative (time, recall) after every execution.
 func trajectory(st *oracle.Store, scene int, p sim.Policy) []trajPoint {
-	p.Reset(scene)
+	executed := runAll(st, scene, p).Executed
 	t := oracle.NewTracker(st, scene)
-	pts := make([]trajPoint, 0, st.NumModels())
+	pts := make([]trajPoint, 0, len(executed))
 	var cum float64
-	for t.ExecutedCount() < st.NumModels() {
-		m := p.Next(t, sim.Unconstrained())
-		if m < 0 {
-			break
-		}
+	for _, m := range executed {
 		t.Execute(m)
-		p.Observe(m, st.Output(scene, m))
 		cum += st.Zoo.Models[m].TimeMS
 		pts = append(pts, trajPoint{cumTimeMS: cum, recall: t.Recall()})
 	}
@@ -300,18 +302,11 @@ func (l *Lab) Fig7() Fig7Result {
 		}
 	}
 
-	policy := sched.NewQGreedy(agent, l.Zoo)
-	policy.Reset(best)
 	t := oracle.NewTracker(st, best)
 	res := Fig7Result{Dataset: dataset, Scene: best}
-	for t.Recall() < 1-1e-9 && t.ExecutedCount() < st.NumModels() {
-		m := policy.Next(t, sim.Unconstrained())
-		if m < 0 {
-			break
-		}
-		fresh := t.Execute(m)
+	for _, m := range sim.RunToRecall(st, best, sched.NewQGreedy(agent, l.Zoo), 1).Executed {
 		step := Fig7Step{Model: st.Zoo.Models[m].Name}
-		for _, lc := range fresh {
+		for _, lc := range t.Execute(m) {
 			if lc.Conf >= zoo.ValuableThreshold {
 				step.Labels = append(step.Labels,
 					fmt.Sprintf("%s (%.2f)", l.Vocab.Label(lc.ID).Name, lc.Conf))
@@ -455,8 +450,7 @@ func (l *Lab) Fig9() Fig9Result {
 			policy := sched.NewQGreedy(agent, l.Zoo)
 			var orderSum, timeSum float64
 			for i := 0; i < st.NumScenes(); i++ {
-				pts := fullOrder(st, i, policy)
-				orderSum += float64(position(pts, faceModel.ID))
+				orderSum += float64(position(runAll(st, i, policy).Executed, faceModel.ID))
 				_, tm := metricsAt(trajectory(st, i, policy), 1.0)
 				timeSum += tm / 1000
 			}
@@ -473,32 +467,13 @@ func (l *Lab) Fig9() Fig9Result {
 	random := sched.NewRandom(l.Zoo, rng)
 	var orderSum, timeSum float64
 	for i := 0; i < st.NumScenes(); i++ {
-		pts := fullOrder(st, i, random)
-		orderSum += float64(position(pts, faceModel.ID))
+		orderSum += float64(position(runAll(st, i, random).Executed, faceModel.ID))
 		_, tm := metricsAt(trajectory(st, i, random), 1.0)
 		timeSum += tm / 1000
 	}
 	res.Random.AvgOrder = orderSum / float64(st.NumScenes())
 	res.Random.AvgTime = timeSum / float64(st.NumScenes())
 	return res
-}
-
-// fullOrder runs the policy to exhaustion and returns the executed model
-// IDs in order.
-func fullOrder(st *oracle.Store, scene int, p sim.Policy) []int {
-	p.Reset(scene)
-	t := oracle.NewTracker(st, scene)
-	var order []int
-	for t.ExecutedCount() < st.NumModels() {
-		m := p.Next(t, sim.Unconstrained())
-		if m < 0 {
-			break
-		}
-		t.Execute(m)
-		p.Observe(m, st.Output(scene, m))
-		order = append(order, m)
-	}
-	return order
 }
 
 // position returns the 1-based position of model in the order (len+1 when

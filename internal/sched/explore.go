@@ -18,14 +18,14 @@ type ExploreExploitConfig struct {
 // stream, returning one result per image. During exploration every model
 // runs; the union of models that produced valuable output becomes the
 // exploitation subset for the rest of the chunk.
-func RunExploreExploit(st *oracle.Store, cfg ExploreExploitConfig) []sim.SerialResult {
+func RunExploreExploit(st *oracle.Store, cfg ExploreExploitConfig) []sim.Result {
 	if cfg.ChunkLen <= 0 {
 		panic("sched: explore-exploit chunk length must be positive")
 	}
 	if cfg.ExploreN <= 0 || cfg.ExploreN > cfg.ChunkLen {
 		panic("sched: explore count must be in [1, chunk length]")
 	}
-	results := make([]sim.SerialResult, 0, st.NumScenes())
+	results := make([]sim.Result, 0, st.NumScenes())
 	var subset []int
 	for i := 0; i < st.NumScenes(); i++ {
 		pos := i % cfg.ChunkLen
@@ -33,7 +33,7 @@ func RunExploreExploit(st *oracle.Store, cfg ExploreExploitConfig) []sim.SerialR
 			subset = nil
 		}
 		t := oracle.NewTracker(st, i)
-		var res sim.SerialResult
+		var res sim.Result
 		if pos < cfg.ExploreN {
 			// Explore: run everything, remember who was valuable.
 			valuable := map[int]bool{}

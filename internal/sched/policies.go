@@ -8,7 +8,8 @@
 // Every policy implements the single sim.Policy contract: Next receives
 // the labeling state plus the sim.Constraints in force (remaining time,
 // available memory) and returns one model, so the same implementation
-// runs under the unconstrained, deadline, and parallel executors alike.
+// runs under every limit of the one executor (sim.Execute): unconstrained,
+// deadline, and deadline+memory with overlapping launches.
 package sched
 
 import (
@@ -28,10 +29,10 @@ type Predictor interface {
 }
 
 // flight tracks the models a policy has returned whose completion has
-// not been observed yet. The parallel executor launches selections
-// immediately and reports completions later, so every policy keeps this
-// set to honor the contract's never-return-twice rule; under the serial
-// executors it is always empty.
+// not been observed yet. The executor launches selections immediately
+// and reports completions later, so every policy keeps this set to honor
+// the contract's never-return-twice rule; with one model in flight it
+// is always empty at each ask.
 type flight struct{ m map[int]bool }
 
 func (f *flight) reset()         { f.m = nil }

@@ -5,14 +5,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"ams/internal/oracle"
 	"ams/internal/sched"
 	"ams/internal/service"
 	"ams/internal/sim"
 	"ams/internal/tensor"
-	"ams/internal/vtime"
 	"ams/internal/zoo"
 )
 
@@ -145,7 +143,7 @@ func TestBatchingStress(t *testing.T) {
 func TestMustReservePanicNamesPolicy(t *testing.T) {
 	s := &Server{
 		acct: newAccountant(500),
-		cfg:  Config{MemoryBudgetMB: 500},
+		cfg:  Config{Config: service.Config{MemoryBudgetMB: 500}},
 	}
 	oversized := &zoo.Model{TimeMS: 100, MemMB: 9999}
 	defer func() {
@@ -159,52 +157,4 @@ func TestMustReservePanicNamesPolicy(t *testing.T) {
 		}
 	}()
 	s.mustReserve(&fixedPolicy{}, 7, oversized)
-}
-
-// repeatLauncher misbehaves on purpose: it keeps returning the same
-// model without tracking its own in-flight selections — the contract
-// violation sim.RunParallel panics on, which the server's parallel path
-// must catch identically.
-type repeatLauncher struct{ model int }
-
-func (p *repeatLauncher) Name() string { return "repeat-launcher" }
-func (p *repeatLauncher) Reset(int)    {}
-func (p *repeatLauncher) Next(t *oracle.Tracker, c sim.Constraints) int {
-	if !t.Executed(p.model) && c.Allows(z.Models[p.model]) {
-		return p.model
-	}
-	return -1
-}
-func (p *repeatLauncher) Observe(int, zoo.Output) {}
-
-// TestParallelDoubleLaunchPanics is the regression test for the ported
-// double-launch contract check: before it, a policy that re-selected an
-// in-flight model got it executed (and its memory reserved) twice for
-// one item.
-func TestParallelDoubleLaunchPanics(t *testing.T) {
-	s := &Server{
-		ex: store,
-		cfg: Config{
-			Config:         service.Config{Workers: 1, DeadlineSec: 0.8},
-			TimeScale:      0.001,
-			MemoryBudgetMB: 8000,
-			ItemParallel:   true,
-		},
-		acct:  newAccountant(8000),
-		wheel: vtime.NewWheel(),
-		start: time.Now(),
-	}
-	defer s.wheel.Stop()
-	tk := &Ticket{image: 0, arrival: time.Now(), done: make(chan struct{})}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("the parallel path executed an in-flight model twice without panicking")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "repeat-launcher") || !strings.Contains(msg, "twice") {
-			t.Fatalf("panic %v does not name the policy and the double launch", r)
-		}
-	}()
-	s.processParallel(&repeatLauncher{model: 6}, tk)
 }

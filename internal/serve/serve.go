@@ -16,19 +16,19 @@
 // current headroom — including one bigger than the whole budget — is
 // simply skipped by the policy, which keeps scheduling the remaining
 // feasible models. When a policy declines while other items still hold
-// memory, the worker waits for a release and asks again rather than
-// ending the item's schedule on a transient shortage.
+// memory, the machine waits for a release and the executor asks again
+// rather than ending the item's schedule on a transient shortage.
 //
-// Two per-item execution modes exist. The default runs Algorithm 1's
-// serial loop: one worker executes its item's models one at a time. With
-// Config.ItemParallel the server instead mirrors sim.RunParallel per
-// item: the worker that dequeues an item coordinates its schedule,
-// launching the policy's selections concurrently (each execution sleeps
-// in its own goroutine while holding its reservation) and committing
-// completions in nominal-finish order, so an uncontended item reproduces
-// the virtual-time parallel schedule — and its recall — exactly. As in
-// sim.RunParallel, per-item parallelism is bounded by the memory budget,
-// not the worker count.
+// A worker labels an item by running the one schedule executor,
+// sim.Execute, on its own machine (see machine): the same loop the
+// virtual-time simulators run, with memory answered by the shared
+// accountant and executions sleeping on the timer wheel. By default one
+// model is in flight at a time (Algorithm 1). With Config.ItemParallel
+// the in-flight set is bounded by the memory budget instead of the
+// worker count (Algorithm 2): the policy's selections sleep concurrently,
+// each holding its reservation, and commit in nominal-finish order, so
+// an uncontended item reproduces the virtual-time parallel schedule —
+// and its recall — exactly.
 //
 // Admission control is explicit: Submit rejects with ErrQueueFull when
 // the bounded queue is saturated, SubmitWait blocks until space frees,
@@ -89,31 +89,16 @@ var (
 )
 
 // Config parameterizes a server. The embedded service.Config supplies
-// Workers and DeadlineSec to the server itself; ArrivalRateHz, Items and
-// Seed describe an arrival trace when the caller replays one (the ams
-// layer's Serve does, sharing the shape with the virtual-time sim).
+// Workers, DeadlineSec, MemoryBudgetMB and ItemParallel to the server
+// itself; ArrivalRateHz, Items and Seed describe an arrival trace when
+// the caller replays one (the ams layer's Serve does, sharing the shape
+// with the virtual-time sim).
 type Config struct {
 	service.Config
 
 	// QueueCap bounds the admission queue (default 2*Workers). Together
 	// with the worker pool it caps in-flight items at QueueCap+Workers.
 	QueueCap int
-
-	// MemoryBudgetMB, when positive, is the GPU memory shared by ALL
-	// workers: the sum of in-flight model footprints never exceeds it.
-	// Zero disables the memory constraint. Policies see the live
-	// availability through sim.Constraints, so a model that cannot fit —
-	// including one bigger than the whole budget — is skipped by the
-	// policy while the rest of the item's schedule continues.
-	MemoryBudgetMB float64
-
-	// ItemParallel, when set, runs each item's schedule with the
-	// parallel executor semantics of sim.RunParallel (Algorithm 2 per
-	// item): the dequeuing worker launches the policy's selections
-	// concurrently under the shared accountant and commits completions
-	// in nominal-finish order. Requires a memory budget, which is what
-	// bounds the per-item parallelism.
-	ItemParallel bool
 
 	// BatchSize, when positive, turns on cross-item batching: same-model
 	// demand from the whole worker pool is coalesced into batched
@@ -214,11 +199,12 @@ type ItemResult struct {
 
 // Ticket tracks one submitted item to completion.
 type Ticket struct {
-	image   int
-	tag     string
-	arrival time.Time
-	done    chan struct{}
-	res     ItemResult
+	image    int
+	tag      string
+	arrival  time.Time
+	dequeued time.Time // when a worker took the item off the queue
+	done     chan struct{}
+	res      ItemResult
 }
 
 // Done is closed when the item has been labeled.
@@ -236,18 +222,21 @@ func (t *Ticket) Wait() ItemResult {
 // Server is a running labeling server. Create one with New, feed it with
 // Submit/SubmitWait, and stop it with Close, which drains the queue.
 type Server struct {
-	ex          oracle.Executor
-	cfg         Config
-	factory     service.PolicyFactory
-	acct        *accountant    // nil when no memory budget is configured
-	wheel       *vtime.Wheel   // all simulated executions sleep on it
-	batcher     *batch.Batcher // nil when batching is not configured
-	queue       chan *Ticket
-	stop        chan struct{} // closed by Close to wake blocked SubmitWait senders
-	workersDone chan struct{} // closed by Close after the pool drains
-	start       time.Time
-	wg          sync.WaitGroup // workers
-	senders     sync.WaitGroup // in-flight SubmitWait sends; drained before queue close
+	ex      oracle.Executor
+	cfg     Config
+	factory service.PolicyFactory
+	acct    *accountant    // nil when no memory budget is configured
+	wheel   *vtime.Wheel   // all simulated executions sleep on it
+	batcher *batch.Batcher // nil when batching is not configured
+	// batchOwnsMem: serial schedules on a batched, budgeted server leave
+	// the footprint reservation to the batch (see machine.Start).
+	batchOwnsMem bool
+	queue        chan *Ticket
+	stop         chan struct{} // closed by Close to wake blocked SubmitWait senders
+	workersDone  chan struct{} // closed by Close after the pool drains
+	start        time.Time
+	wg           sync.WaitGroup // workers
+	senders      sync.WaitGroup // in-flight SubmitWait sends; drained before queue close
 
 	mu        sync.Mutex // guards closed, records, counters; held across Submit's send
 	closed    bool
@@ -346,6 +335,7 @@ func New(ex oracle.Executor, factory service.PolicyFactory, cfg Config) (*Server
 		start:       start,
 	}
 	if cfg.BatchSize > 0 {
+		s.batchOwnsMem = acct != nil && !cfg.ItemParallel
 		models := make([]*zoo.Model, ex.NumModels())
 		for m := range models {
 			models[m] = ex.Model(m)
@@ -540,17 +530,63 @@ func (s *Server) forwardOne() bool {
 }
 
 // worker owns one policy instance (and, through the factory, one private
-// agent clone) and labels queued items until the queue closes.
+// agent clone) and labels queued items until the queue closes: each item
+// is one run of the shared executor, sim.Execute, on this worker's
+// machine, under the configured limits.
 func (s *Server) worker(w int) {
 	defer s.wg.Done()
-	policy := s.factory(w)
-	for tk := range s.queue {
-		if s.cfg.ItemParallel {
-			s.processParallel(policy, tk)
-		} else {
-			s.process(policy, tk)
-		}
+	mach := &machine{s: s}
+	sel := &selector{Policy: s.factory(w), mach: mach}
+	mach.policy = sel
+	lim := s.cfg.Limits()
+	if s.batcher != nil {
+		lim.BatchQueued = s.batcher.Queued
 	}
+	for tk := range s.queue {
+		tk.dequeued = time.Now()
+		trace := s.cfg.Tracer.Begin(tk.image, tk.tag)
+		trace.SetShard(s.cfg.Shard)
+		root := trace.Root(tk.arrival)
+		trace.SpanBetween(obs.SpanQueueWait, root, -1, tk.arrival, tk.dequeued)
+		mach.trace, sel.selectSec = trace, 0
+		res := sim.Execute(mach, s.ex, tk.image, sel, lim)
+		trace.Add(obs.TraceEvent{Kind: obs.TraceCommit, Model: -1, RemainingMS: lim.DeadlineMS - res.MakespanMS})
+		s.observeQuality(sel.Policy, res)
+		s.finish(tk, res, sel.selectSec, trace)
+	}
+}
+
+// selector is the worker's policy as the executor sees it: a sim.Policy
+// decorator that times every Next — the paper's Table III selection
+// overhead — and records the select span and the selected/skipped
+// decision events, so the executor itself knows nothing of telemetry.
+// It records around — never inside — the policy, so tracing cannot
+// perturb scheduling.
+type selector struct {
+	sim.Policy
+	mach      *machine
+	selectSec float64 // real seconds inside Next for the current item
+}
+
+func (p *selector) Next(t *oracle.Tracker, c sim.Constraints) int {
+	t0 := time.Now()
+	m := p.Policy.Next(t, c)
+	p.selectSec += obs.SinceSeconds(t0)
+	trace := p.mach.trace
+	if trace == nil {
+		return m
+	}
+	trace.SpanBetween(obs.SpanSelect, 0, -1, t0, time.Now())
+	switch {
+	case m >= 0:
+		trace.Add(obs.TraceEvent{Kind: obs.TraceSelected, Model: m,
+			RemainingMS: c.RemainingMS, AvailMemMB: c.AvailMemMB})
+	case len(t.Unexecuted()) > len(p.mach.flying):
+		trace.Add(obs.TraceEvent{Kind: obs.TraceSkipped, Model: -1,
+			RemainingMS: c.RemainingMS, AvailMemMB: c.AvailMemMB,
+			Note: "declined with models unexecuted"})
+	}
+	return m
 }
 
 // acctMemory adapts the shared accountant to the batch.Memory contract
@@ -559,126 +595,6 @@ type acctMemory struct{ a *accountant }
 
 func (m acctMemory) Reserve(mb float64) bool { return m.a.reserve(mb) }
 func (m acctMemory) Release(mb float64)      { m.a.release(mb) }
-
-// constraints snapshots the limits for one selection: the item's
-// remaining schedule time, the accountant's live availability, and —
-// when batching is on — the live cross-item demand per model lane.
-func (s *Server) constraints(remainingMS float64) sim.Constraints {
-	avail := math.Inf(1)
-	if s.acct != nil {
-		avail = s.acct.available()
-	}
-	c := sim.Constraints{RemainingMS: remainingMS, AvailMemMB: avail}
-	if s.batcher != nil {
-		c.BatchQueued = s.batcher.Queued
-	}
-	return c
-}
-
-// memStalled reports whether the policy's decline may be transient
-// memory pressure: some unexecuted model fits the remaining time and
-// the whole budget, but not the availability the policy just saw. When
-// it returns false the decline is final — the item is out of time, out
-// of candidates, or the policy chose to stop — so waiting for a memory
-// release could never change the answer.
-func (s *Server) memStalled(tr *oracle.Tracker, remainingMS, observedAvailMB float64) bool {
-	if s.acct == nil {
-		return false
-	}
-	for _, m := range tr.Unexecuted() {
-		mod := s.ex.Model(m)
-		if mod.TimeMS <= remainingMS+1e-9 &&
-			mod.MemMB <= s.cfg.MemoryBudgetMB+1e-9 &&
-			mod.MemMB > observedAvailMB+1e-9 {
-			return true
-		}
-	}
-	return false
-}
-
-// checkSelection panics when the policy violated the constraints it was
-// handed — the executor-level contract checks sim's loops also apply.
-func checkSelection(policy sim.Policy, m int, mod *zoo.Model, c sim.Constraints) {
-	if mod.TimeMS > c.RemainingMS+1e-9 {
-		panic(fmt.Sprintf("serve: policy %s exceeded the deadline (model %d needs %v, %v left)",
-			policy.Name(), m, mod.TimeMS, c.RemainingMS))
-	}
-	if mod.MemMB > c.AvailMemMB+1e-9 {
-		panic(fmt.Sprintf("serve: policy %s ignored the memory constraint (model %d needs %v MB, %v MB available)",
-			policy.Name(), m, mod.MemMB, c.AvailMemMB))
-	}
-}
-
-// process runs one item's schedule: Algorithm 1's serial deadline loop,
-// with every model execution gated by the global memory accountant. The
-// policy sees the live availability, so an unfittable model is skipped
-// by the policy itself; a decline while other items hold memory only
-// pauses the schedule until a release frees headroom.
-func (s *Server) process(policy sim.Policy, tk *Ticket) {
-	startWall := time.Now()
-	trace := s.cfg.Tracer.Begin(tk.image, tk.tag)
-	trace.SetShard(s.cfg.Shard)
-	root := trace.Root(tk.arrival)
-	trace.SpanBetween(obs.SpanQueueWait, root, -1, tk.arrival, startWall)
-	policy.Reset(tk.image)
-	tr := oracle.NewTracker(s.ex, tk.image)
-	remaining := s.cfg.DeadlineSec * 1000
-	var (
-		executed  []int
-		outputs   []zoo.Output
-		schedMS   float64
-		selectSec float64
-	)
-	for remaining > 0 && tr.ExecutedCount() < s.ex.NumModels() {
-		c := s.constraints(remaining)
-		if c.AvailMemMB <= 0 {
-			// Never ask with a depleted headroom: a zero constraint
-			// field means "unconstrained" to the policy. Treat it as
-			// the fully-stalled case instead.
-			if s.memStalled(tr, remaining, 0) && s.acct.awaitMore(0) {
-				trace.Add(obs.TraceEvent{Kind: obs.TraceMemStall, Model: -1,
-					RemainingMS: remaining, AvailMemMB: 0})
-				continue
-			}
-			break
-		}
-		t0 := time.Now()
-		m := policy.Next(tr, c)
-		selectSec += obs.SinceSeconds(t0)
-		trace.SpanBetween(obs.SpanSelect, root, -1, t0, trace.Stamp())
-		if m < 0 {
-			// Retry only when the decline can be blamed on memory that
-			// concurrent items hold right now; a final decline (out of
-			// time, out of candidates) ends the schedule immediately.
-			if s.memStalled(tr, remaining, c.AvailMemMB) && s.acct.awaitMore(c.AvailMemMB) {
-				trace.Add(obs.TraceEvent{Kind: obs.TraceMemStall, Model: -1,
-					RemainingMS: remaining, AvailMemMB: c.AvailMemMB, Note: "memory"})
-				continue
-			}
-			if trace != nil && len(tr.Unexecuted()) > 0 {
-				trace.Add(obs.TraceEvent{Kind: obs.TraceSkipped, Model: -1,
-					RemainingMS: remaining, AvailMemMB: c.AvailMemMB,
-					Note: "declined with models unexecuted"})
-			}
-			break
-		}
-		mod := s.ex.Model(m)
-		checkSelection(policy, m, mod, c)
-		trace.Add(obs.TraceEvent{Kind: obs.TraceSelected, Model: m,
-			RemainingMS: remaining, AvailMemMB: c.AvailMemMB})
-		s.executeSerial(policy, m, mod, trace)
-		tr.Execute(m)
-		out := s.ex.Output(tk.image, m)
-		policy.Observe(m, out)
-		executed = append(executed, m)
-		outputs = append(outputs, out)
-		schedMS += mod.TimeMS
-		remaining -= mod.TimeMS
-	}
-	trace.Add(obs.TraceEvent{Kind: obs.TraceCommit, Model: -1, RemainingMS: remaining})
-	s.observeQuality(policy, tr, outputs)
-	s.finish(tk, startWall, executed, outputs, schedMS, selectSec, tr.Recall(), tr.HasTruth(), trace)
-}
 
 // residualValuer is implemented by the predictor-backed policies
 // (internal/sched): the agent's estimate of the value still available
@@ -694,73 +610,161 @@ type residualValuer interface {
 // valuable-label confidence mass the schedule banked against the
 // agent's predicted residual value at schedule end. Runs only when
 // telemetry is enabled.
-func (s *Server) observeQuality(policy sim.Policy, tr *oracle.Tracker, outputs []zoo.Output) {
-	if s.cfg.Metrics == nil || tr.HasTruth() {
+func (s *Server) observeQuality(policy sim.Policy, res sim.Result) {
+	if s.cfg.Metrics == nil || res.HasRecall {
 		return
 	}
 	mass := 0.0
-	for _, out := range outputs {
+	for _, out := range res.Outputs {
 		mass += out.Value(zoo.ValuableThreshold)
 	}
 	residual := 0.0
 	if rv, ok := policy.(residualValuer); ok {
-		residual = rv.ResidualValue(tr)
+		residual = rv.ResidualValue(res.State)
 	}
 	s.cfg.Metrics.quality(mass, residual)
 }
 
-// executeSerial runs one model for a serially scheduled item: through
-// the batching runtime when batching is on (the batch owns the item's
-// footprint reservation — that is the coalescing), directly on the
-// timer wheel otherwise. Tracing records the stage spans: batch-hold
-// (enqueue → seal) and exec (seal → wake) on the batched path, using
-// the seal stamp the batcher publishes through the BatchRef before the
-// done channel closes; reserve-wait and exec on the direct path.
-func (s *Server) executeSerial(policy sim.Policy, m int, mod *zoo.Model, trace *obs.ItemTrace) {
-	t0 := s.cfg.Metrics.execStart(m)
-	if s.batcher != nil {
-		var ref *obs.BatchRef
-		enq := trace.Stamp()
-		if trace != nil {
-			trace.Add(obs.TraceEvent{Kind: obs.TraceBatched, Model: m, Queued: s.batcher.Queued(m)})
-			ref = &obs.BatchRef{}
-		}
-		done := make(chan struct{})
-		s.batcher.Enqueue(m, s.acct != nil, done, ref)
-		<-done
-		if ref != nil {
-			hold := trace.SpanBetween(obs.SpanBatchHold, 0, m, enq, ref.Seal)
-			trace.AnnotateBatch(hold, ref.Batch, ref.N, ref.Flush)
-			exec := trace.SpanBetween(obs.SpanExec, 0, m, ref.Seal, trace.Stamp())
-			trace.AnnotateBatch(exec, ref.Batch, ref.N, ref.Flush)
-		}
-		s.cfg.Metrics.execDone(m, t0, s.cfg.TimeScale)
-		return
+// flight is one model execution in progress on a machine.
+type flight struct {
+	model    int
+	done     chan struct{} // closed when the execution ends; nil when it took no time
+	started  time.Time     // metrics stamp at launch (zero when disabled)
+	launched time.Time     // trace stamp at launch (zero when tracing is off)
+	ref      *obs.BatchRef // batched fan-in identity (nil unbatched/untraced)
+}
+
+// machine is the real sim.Machine, one per worker: memory is the shared
+// accountant's, executions sleep on the timer wheel or in a batch lane,
+// and the reserve-wait, batch-hold and exec spans of the item in hand
+// are recorded here. The schedule clock stays nominal (sim.Execute
+// commits in nominal-finish order and the footprint is held from Start
+// to Finish, not just for the sleep), so the headroom a launch phase
+// observes is exactly what the virtual machine would compute and an
+// uncontended item reproduces the virtual-time schedule bit for bit.
+type machine struct {
+	s      *Server
+	policy sim.Policy     // named when a reservation can never be granted
+	trace  *obs.ItemTrace // the item in hand (nil when tracing is off)
+	flying []flight
+}
+
+// FreeMB is the accountant's live availability.
+func (mc *machine) FreeMB() float64 {
+	if mc.s.acct == nil {
+		return math.Inf(1)
 	}
-	trace.Add(obs.TraceEvent{Kind: obs.TraceExec, Model: m})
-	if s.acct != nil {
-		// Another worker may have claimed the observed headroom in the
-		// meantime; reserve blocks until the footprint fits again.
+	return mc.s.acct.available()
+}
+
+// Start reserves the model's footprint and starts its simulated
+// execution: through the batching runtime when batching is on, as a
+// plain timer on the wheel otherwise. The one difference between the two
+// execution modes lives here. With batching on, a serially scheduled
+// item lets the *batch* own its reservation — one per batch, the memory
+// coalescing that buys throughput — so the machine reserves nothing; a
+// parallel item's machine keeps each reservation until commit, as the
+// virtual machine accounts memory, and the batch only shares the sleep.
+func (mc *machine) Start(m int, mod *zoo.Model) {
+	s, trace := mc.s, mc.trace
+	f := flight{model: m, started: s.cfg.Metrics.execStart(m)}
+	if s.acct != nil && !s.batchOwnsMem {
+		// Another item may have claimed the observed headroom in the
+		// meantime; reserve blocks until the footprint fits again, while
+		// this machine may hold reservations of its own. That cannot
+		// deadlock: a blocked reserve implies a later successful
+		// reservation by another machine, so the globally last reserver
+		// is never blocked, always drains its commits (which need no
+		// reservation), and its releases wake the blocked one — a
+		// selection always fits the budget minus its own holdings.
 		rw := trace.StartSpan(obs.SpanReserveWait, 0, m)
-		s.mustReserve(policy, m, mod)
+		s.mustReserve(mc.policy, m, mod)
 		trace.EndSpan(rw)
 	}
-	exec := trace.StartSpan(obs.SpanExec, 0, m)
-	s.wheel.Sleep(s.scaled(mod.TimeMS))
-	trace.EndSpan(exec)
-	if s.acct != nil {
+	f.launched = trace.Stamp()
+	if s.batcher != nil {
+		if trace != nil {
+			trace.Add(obs.TraceEvent{Kind: obs.TraceBatched, Model: m, Queued: s.batcher.Queued(m)})
+			f.ref = &obs.BatchRef{}
+		}
+		f.done = make(chan struct{})
+		s.batcher.Enqueue(m, s.batchOwnsMem, f.done, f.ref)
+	} else {
+		trace.Add(obs.TraceEvent{Kind: obs.TraceExec, Model: m})
+		if d := s.scaled(mod.TimeMS); d > 0 {
+			done := make(chan struct{})
+			s.wheel.AfterFunc(d, func() { close(done) })
+			f.done = done
+		}
+	}
+	mc.flying = append(mc.flying, f)
+}
+
+// Finish waits out model m's execution, records its spans — the worker
+// owns the trace; sleeps never write — and releases its footprint. A
+// batched flight splits into hold (launch → seal) and exec (seal → wake)
+// from the BatchRef the batcher filled before closing done.
+func (mc *machine) Finish(m int, mod *zoo.Model) {
+	s, trace := mc.s, mc.trace
+	i := 0
+	for mc.flying[i].model != m {
+		i++
+	}
+	f := mc.flying[i]
+	mc.flying = append(mc.flying[:i], mc.flying[i+1:]...)
+	if f.done != nil {
+		<-f.done
+	}
+	if f.ref != nil && f.ref.Batch != 0 {
+		hold := trace.SpanBetween(obs.SpanBatchHold, 0, m, f.launched, f.ref.Seal)
+		trace.AnnotateBatch(hold, f.ref.Batch, f.ref.N, f.ref.Flush)
+		exec := trace.SpanBetween(obs.SpanExec, 0, m, f.ref.Seal, trace.Stamp())
+		trace.AnnotateBatch(exec, f.ref.Batch, f.ref.N, f.ref.Flush)
+	} else {
+		trace.SpanBetween(obs.SpanExec, 0, m, f.launched, trace.Stamp())
+	}
+	if s.acct != nil && !s.batchOwnsMem {
 		s.acct.release(mod.MemMB)
 	}
-	s.cfg.Metrics.execDone(m, t0, s.cfg.TimeScale)
+	s.cfg.Metrics.execDone(m, f.started, s.cfg.TimeScale)
+}
+
+// Stalled reports whether the policy's decline may be transient memory
+// pressure — some unexecuted model fits the remaining time and the whole
+// budget, but not the availability the policy just saw — and if so waits
+// for the availability to change. Otherwise the decline is final: the
+// item is out of time, out of candidates, or the policy chose to stop,
+// and waiting for a memory release could never change the answer.
+func (mc *machine) Stalled(t *oracle.Tracker, remainingMS, freeMB float64) bool {
+	s := mc.s
+	if s.acct == nil {
+		return false
+	}
+	blocked := false
+	for _, m := range t.Unexecuted() {
+		mod := s.ex.Model(m)
+		if mod.TimeMS <= remainingMS+1e-9 &&
+			mod.MemMB <= s.cfg.MemoryBudgetMB+1e-9 &&
+			mod.MemMB > freeMB+1e-9 {
+			blocked = true
+			break
+		}
+	}
+	if !blocked || !s.acct.awaitMore(freeMB) {
+		return false
+	}
+	mc.trace.Add(obs.TraceEvent{Kind: obs.TraceMemStall, Model: -1,
+		RemainingMS: remainingMS, AvailMemMB: freeMB, Note: "memory"})
+	return true
 }
 
 // mustReserve claims a model's footprint, panicking when the accountant
 // reports it could never fit the whole budget. A selection that passed
-// checkSelection always fits (the observed availability never exceeds
-// the budget), so a false return here means the policy's selection and
-// the constraints it was handed disagree — a contract violation, not a
-// transient stall, and silently ignoring it would let the execution
-// proceed without any reservation at all.
+// the executor's headroom check always fits (the observed availability
+// never exceeds the budget), so a false return here means the policy's
+// selection and the constraints it was handed disagree — a contract
+// violation, not a transient stall, and silently ignoring it would let
+// the execution proceed without any reservation at all.
 func (s *Server) mustReserve(policy sim.Policy, m int, mod *zoo.Model) {
 	if !s.acct.reserve(mod.MemMB) {
 		panic(fmt.Sprintf("serve: policy %s selected model %d whose footprint (%v MB) exceeds the whole memory budget (%v MB)",
@@ -773,187 +777,17 @@ func (s *Server) scaled(ms float64) time.Duration {
 	return time.Duration(ms * s.cfg.TimeScale * float64(time.Millisecond))
 }
 
-// parallelFlight is one in-flight model execution of a parallel item.
-type parallelFlight struct {
-	model    int
-	finishMS float64       // nominal finish on the item's schedule clock
-	done     chan struct{} // closed when the scaled sleep has elapsed
-	started  time.Time     // metrics stamp at launch (zero when disabled)
-	launched time.Time     // trace stamp at launch (zero when tracing is off)
-	ref      *obs.BatchRef // batched fan-in identity (nil unbatched/untraced)
-}
-
-// flightHas reports whether model m is in the in-flight set.
-func flightHas(inFly []parallelFlight, m int) bool {
-	for _, f := range inFly {
-		if f.model == m {
-			return true
-		}
-	}
-	return false
-}
-
-// launch starts one parallel-mode execution: through the batching
-// runtime when batching is on — non-owned, because the coordinator
-// keeps the per-flight reservation until commit, exactly as the
-// virtual-time executor accounts memory; the batch only shares the
-// execution sleep — or as a plain timer on the wheel otherwise.
-func (s *Server) launch(m int, mod *zoo.Model, done chan struct{}, ref *obs.BatchRef) {
-	if s.batcher != nil {
-		s.batcher.Enqueue(m, false, done, ref)
-		return
-	}
-	s.wheel.AfterFunc(s.scaled(mod.TimeMS), func() { close(done) })
-}
-
-// processParallel runs one item with sim.RunParallel's semantics under
-// real concurrency: the worker coordinates launch phases and completion
-// commits on the item's nominal schedule clock while each launched model
-// sleeps in its own goroutine. Reservations are released at commit (not
-// when the sleep ends), so the availability a launch phase observes is
-// exactly what the virtual-time executor would compute — an uncontended
-// item therefore reproduces the sim.RunParallel schedule bit for bit.
-func (s *Server) processParallel(policy sim.Policy, tk *Ticket) {
-	startWall := time.Now()
-	trace := s.cfg.Tracer.Begin(tk.image, tk.tag)
-	trace.SetShard(s.cfg.Shard)
-	root := trace.Root(tk.arrival)
-	trace.SpanBetween(obs.SpanQueueWait, root, -1, tk.arrival, startWall)
-	policy.Reset(tk.image)
-	tr := oracle.NewTracker(s.ex, tk.image)
-	deadlineMS := s.cfg.DeadlineSec * 1000
-	var (
-		inFly     []parallelFlight
-		nowMS     float64 // the item's nominal schedule clock
-		executed  []int
-		outputs   []zoo.Output
-		selectSec float64
-	)
-	for {
-		// Launch phase: one selection per ask until the policy declines.
-		// stalledAt records the availability at which launching stopped
-		// short of the budget, so an empty schedule can wait for a
-		// release instead of ending on another item's transient usage.
-		stalledAt := -1.0
-		for {
-			remaining := deadlineMS - nowMS
-			if remaining <= 0 {
-				break
-			}
-			c := s.constraints(remaining)
-			if c.AvailMemMB <= 0 {
-				stalledAt = 0
-				break
-			}
-			t0 := time.Now()
-			m := policy.Next(tr, c)
-			selectSec += obs.SinceSeconds(t0)
-			trace.SpanBetween(obs.SpanSelect, root, -1, t0, trace.Stamp())
-			if m < 0 {
-				stalledAt = c.AvailMemMB
-				if trace != nil && len(tr.Unexecuted()) > len(inFly) {
-					trace.Add(obs.TraceEvent{Kind: obs.TraceSkipped, Model: -1,
-						RemainingMS: remaining, AvailMemMB: c.AvailMemMB,
-						Note: "declined with models unexecuted"})
-				}
-				break
-			}
-			mod := s.ex.Model(m)
-			checkSelection(policy, m, mod, c)
-			trace.Add(obs.TraceEvent{Kind: obs.TraceSelected, Model: m,
-				RemainingMS: remaining, AvailMemMB: c.AvailMemMB})
-			// The double-launch contract of sim.RunParallel: an in-flight
-			// model's output is not visible yet, so a policy that returns
-			// it again is reading state it was told to track itself.
-			if tr.Executed(m) || flightHas(inFly, m) {
-				panic(fmt.Sprintf("serve: policy %s launched model %d twice", policy.Name(), m))
-			}
-			// This reserve can briefly block when another item claims
-			// the observed headroom first, while this coordinator holds
-			// its own in-flight reservations. That cannot deadlock: a
-			// blocked reserve implies a later successful reservation by
-			// another coordinator, so the globally last reserver is
-			// never blocked, always drains its commits (which need no
-			// reservation), and its releases wake the blocked one — a
-			// selection always fits the budget minus its own holdings.
-			rw := trace.StartSpan(obs.SpanReserveWait, root, m)
-			s.mustReserve(policy, m, mod)
-			trace.EndSpan(rw)
-			f := parallelFlight{model: m, finishMS: nowMS + mod.TimeMS,
-				done: make(chan struct{}), started: s.cfg.Metrics.execStart(m),
-				launched: trace.Stamp()}
-			if s.batcher != nil && trace != nil {
-				trace.Add(obs.TraceEvent{Kind: obs.TraceBatched, Model: m, Queued: s.batcher.Queued(m)})
-				f.ref = &obs.BatchRef{}
-			}
-			inFly = append(inFly, f)
-			s.launch(m, mod, f.done, f.ref)
-		}
-		if len(inFly) == 0 {
-			// Nothing running and nothing launchable. As in the serial
-			// loop, a decline under another item's memory pressure only
-			// pauses the schedule; a final decline ends it.
-			if stalledAt >= 0 && s.memStalled(tr, deadlineMS-nowMS, stalledAt) &&
-				s.acct.awaitMore(stalledAt) {
-				trace.Add(obs.TraceEvent{Kind: obs.TraceMemStall, Model: -1,
-					RemainingMS: deadlineMS - nowMS, AvailMemMB: stalledAt, Note: "memory"})
-				continue
-			}
-			break
-		}
-		// Commit the earliest nominal completion (ties: launch order),
-		// matching sim.RunParallel's event loop regardless of real
-		// wall-clock jitter between the sleeps.
-		ei := 0
-		for i, f := range inFly {
-			if f.finishMS < inFly[ei].finishMS {
-				ei = i
-			}
-		}
-		f := inFly[ei]
-		inFly = append(inFly[:ei], inFly[ei+1:]...)
-		<-f.done
-		// The coordinator records the flight's spans at commit (it owns
-		// the trace; sleeps never write). A batched flight splits into
-		// hold (launch → seal) and exec (seal → wake) from the BatchRef
-		// the batcher filled before closing done.
-		if f.ref != nil && f.ref.Batch != 0 {
-			hold := trace.SpanBetween(obs.SpanBatchHold, root, f.model, f.launched, f.ref.Seal)
-			trace.AnnotateBatch(hold, f.ref.Batch, f.ref.N, f.ref.Flush)
-			exec := trace.SpanBetween(obs.SpanExec, root, f.model, f.ref.Seal, trace.Stamp())
-			trace.AnnotateBatch(exec, f.ref.Batch, f.ref.N, f.ref.Flush)
-		} else {
-			trace.SpanBetween(obs.SpanExec, root, f.model, f.launched, trace.Stamp())
-		}
-		mod := s.ex.Model(f.model)
-		s.acct.release(mod.MemMB)
-		s.cfg.Metrics.execDone(f.model, f.started, s.cfg.TimeScale)
-		nowMS = f.finishMS
-		tr.Execute(f.model)
-		out := s.ex.Output(tk.image, f.model)
-		policy.Observe(f.model, out)
-		executed = append(executed, f.model)
-		outputs = append(outputs, out)
-	}
-	// The coordinating worker is occupied for the whole makespan, so
-	// that — not the summed model time, which can exceed it — is the
-	// busy time charged to utilization.
-	trace.Add(obs.TraceEvent{Kind: obs.TraceCommit, Model: -1, RemainingMS: deadlineMS - nowMS})
-	s.observeQuality(policy, tr, outputs)
-	s.finish(tk, startWall, executed, outputs, nowMS, selectSec, tr.Recall(), tr.HasTruth(), trace)
-}
-
 // finish commits and records one completed item, then resolves its
-// ticket. schedMS is the item's schedule length — the worker time the
-// item occupied, which is also what utilization charges: summed model
-// time serially, the makespan in parallel mode. The corpus commit (the
-// item's explicit lifetime boundary) happens first: the outputs are
-// already captured by value, so the corpus may evict the item's memo the
-// moment the commit is journaled, before any reader wakes.
-func (s *Server) finish(tk *Ticket, startWall time.Time, executed []int, outputs []zoo.Output, schedMS, selectSec float64, recall float64, hasRecall bool, trace *obs.ItemTrace) {
+// ticket. The schedule length charged to the worker — and to
+// utilization — is the makespan: the summed model time of a serial
+// schedule, less when models overlapped. The corpus commit (the item's
+// explicit lifetime boundary) happens first: the outputs are already
+// captured by value, so the corpus may evict the item's memo the moment
+// the commit is journaled, before any reader wakes.
+func (s *Server) finish(tk *Ticket, res sim.Result, selectSec float64, trace *obs.ItemTrace) {
 	commit := trace.StartSpan(obs.SpanCommit, 0, -1)
 	if s.cfg.Corpus != nil {
-		s.cfg.Corpus.CommitItem(tk.image, executed, schedMS)
+		s.cfg.Corpus.CommitItem(tk.image, res.Executed, res.MakespanMS)
 	}
 	trace.EndSpan(commit)
 	finishWall := time.Now()
@@ -962,21 +796,21 @@ func (s *Server) finish(tk *Ticket, startWall time.Time, executed []int, outputs
 	scale := s.cfg.TimeScale
 	rec := service.Record{
 		ArrivalSec: tk.arrival.Sub(s.start).Seconds() / scale,
-		StartSec:   startWall.Sub(s.start).Seconds() / scale,
+		StartSec:   tk.dequeued.Sub(s.start).Seconds() / scale,
 		FinishSec:  finishWall.Sub(s.start).Seconds() / scale,
-		BusySec:    schedMS / 1000,
-		Recall:     recall,
-		HasRecall:  hasRecall,
+		BusySec:    res.MakespanMS / 1000,
+		Recall:     res.Recall,
+		HasRecall:  res.HasRecall,
 		SelectSec:  selectSec, // real seconds, deliberately unscaled
 	}
 	tk.res = ItemResult{
 		Image:      tk.image,
 		Tag:        tk.tag,
-		Executed:   executed,
-		Outputs:    outputs,
-		ScheduleMS: schedMS,
-		Recall:     recall,
-		HasRecall:  hasRecall,
+		Executed:   res.Executed,
+		Outputs:    res.Outputs,
+		ScheduleMS: res.MakespanMS,
+		Recall:     res.Recall,
+		HasRecall:  res.HasRecall,
 		WaitSec:    rec.StartSec - rec.ArrivalSec,
 		LatencySec: rec.FinishSec - rec.ArrivalSec,
 	}
@@ -1038,31 +872,10 @@ func (s *Server) Stats() RunStats {
 	resDropped := s.resDropped
 	s.mu.Unlock()
 	rs := RunStats{
-		Stats:          service.Summarize(records, s.cfg.Workers),
+		Stats:          service.SummarizeWindow(records, s.cfg.Workers, completed),
 		Completed:      completed,
 		Rejected:       rejected,
 		ResultsDropped: resDropped,
-	}
-	if completed > int64(rs.Items) && rs.Items > 0 {
-		// The ring has wrapped: Summarize's throughput/utilization
-		// denominator (horizon since server start) would decay toward
-		// zero as old records drop, so re-derive both over the
-		// retained window's own span.
-		minArr, maxFin := records[0].ArrivalSec, records[0].FinishSec
-		var busy float64
-		for _, r := range records {
-			if r.ArrivalSec < minArr {
-				minArr = r.ArrivalSec
-			}
-			if r.FinishSec > maxFin {
-				maxFin = r.FinishSec
-			}
-			busy += r.BusySec
-		}
-		if span := maxFin - minArr; span > 0 {
-			rs.ThroughputHz = float64(rs.Items) / span
-			rs.Utilization = busy / (float64(s.cfg.Workers) * span)
-		}
 	}
 	if s.acct != nil {
 		rs.PeakMemMB = s.acct.peak()

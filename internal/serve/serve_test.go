@@ -330,10 +330,8 @@ func TestOversizedModelSkippedScheduleContinues(t *testing.T) {
 // per-item parallel (Algorithm 2) serving tests.
 func itemParallelConfig(workers int) Config {
 	return Config{
-		Config:         service.Config{Workers: workers, DeadlineSec: 0.8},
-		TimeScale:      0.001,
-		MemoryBudgetMB: 8000,
-		ItemParallel:   true,
+		Config:    service.Config{Workers: workers, DeadlineSec: 0.8, MemoryBudgetMB: 8000, ItemParallel: true},
+		TimeScale: 0.001,
 	}
 }
 

@@ -1,11 +1,12 @@
 // Package service simulates a data-labeling service facing an arriving
 // stream: images arrive with exponential interarrival times, wait in a
 // FIFO queue, and are scheduled onto a pool of GPU workers, each of which
-// labels its item under a per-item deadline using a pluggable scheduling
-// policy. The simulation runs in virtual time (discrete events), so it
-// measures queueing behaviour — waiting time, end-to-end latency,
-// utilization, recall under load — deterministically and without real
-// sleeping.
+// labels its item by running the shared schedule executor (sim.Execute)
+// on the virtual machine, in the mode and under the deadline and memory
+// budget the Config carries. The simulation runs in virtual time
+// (discrete events), so it measures queueing behaviour — waiting time,
+// end-to-end latency, utilization, recall under load — deterministically
+// and without real sleeping.
 //
 // This is the serving-system view of the paper's motivation ("limited
 // computing resources and stringent delay" for a data stream): the same
@@ -41,6 +42,7 @@ func Run(ex oracle.Executor, factory PolicyFactory, cfg Config) Stats {
 		policies[w] = factory(w)
 	}
 	workerFree := make([]float64, cfg.Workers)
+	lim := cfg.Limits()
 
 	records := make([]Record, 0, cfg.Items)
 	for i := 0; i < cfg.Items; i++ {
@@ -53,8 +55,11 @@ func Run(ex oracle.Executor, factory PolicyFactory, cfg Config) Stats {
 		}
 		start := math.Max(arrivals[i], workerFree[w])
 		img := i % ex.NumItems()
-		res := sim.RunDeadline(ex, img, policies[w], cfg.DeadlineSec*1000)
-		dur := res.TimeMS / 1000
+		// The worker is occupied for the whole makespan — not the summed
+		// model time, which exceeds it when models overlapped — so that
+		// is the busy time charged to utilization.
+		res := sim.Execute(sim.NewVirtual(cfg.MemoryBudgetMB), ex, img, policies[w], lim)
+		dur := res.MakespanMS / 1000
 		workerFree[w] = start + dur
 		records = append(records, Record{
 			ArrivalSec: arrivals[i],

@@ -21,6 +21,32 @@ type Config struct {
 	DeadlineSec   float64 // per-item scheduling budget
 	Items         int     // stream length; images cycle through the store
 	Seed          uint64
+
+	// MemoryBudgetMB, when positive, is the GPU memory budget. The real
+	// server shares it across ALL workers: the sum of in-flight model
+	// footprints never exceeds it, and policies see the live availability
+	// through sim.Constraints, so a model that cannot fit — including one
+	// bigger than the whole budget — is skipped by the policy while the
+	// rest of the item's schedule continues. The virtual-time sim gives
+	// each item the whole budget (it models no cross-item contention).
+	// Zero disables the memory constraint.
+	MemoryBudgetMB float64
+
+	// ItemParallel, when set, runs each item's schedule as Algorithm 2:
+	// the policy's selections launch concurrently, bounded by the memory
+	// budget (which it therefore requires) instead of one at a time, and
+	// completions commit in nominal-finish order.
+	ItemParallel bool
+}
+
+// Limits is the per-item schedule bound the configuration describes:
+// the deadline, and one model in flight unless ItemParallel.
+func (c Config) Limits() sim.Limits {
+	lim := sim.Limits{DeadlineMS: c.DeadlineSec * 1000, InFlight: 1}
+	if c.ItemParallel {
+		lim.InFlight = 0
+	}
+	return lim
 }
 
 // Stats summarizes a run.
@@ -103,6 +129,30 @@ func Summarize(records []Record, workers int) Stats {
 	if stats.HorizonSec > 0 {
 		stats.ThroughputHz = n / stats.HorizonSec
 		stats.Utilization = busy / (float64(workers) * stats.HorizonSec)
+	}
+	return stats
+}
+
+// SummarizeWindow is Summarize for a server that retains only its most
+// recent records: once completed exceeds them the ring has wrapped, and
+// Summarize's throughput/utilization denominator (the horizon since
+// server start) would decay toward zero as old records drop, so both are
+// re-derived over the retained window's own span.
+func SummarizeWindow(records []Record, workers int, completed int64) Stats {
+	stats := Summarize(records, workers)
+	if completed <= int64(stats.Items) || stats.Items == 0 {
+		return stats
+	}
+	minArr, maxFin := records[0].ArrivalSec, records[0].FinishSec
+	var busy float64
+	for _, r := range records {
+		minArr = math.Min(minArr, r.ArrivalSec)
+		maxFin = math.Max(maxFin, r.FinishSec)
+		busy += r.BusySec
+	}
+	if span := maxFin - minArr; span > 0 {
+		stats.ThroughputHz = float64(stats.Items) / span
+		stats.Utilization = busy / (float64(workers) * span)
 	}
 	return stats
 }

@@ -690,25 +690,6 @@ func (r *Router) Stats() Stats {
 			merged.Batching.LargestBatch = rs.Batching.LargestBatch
 		}
 	}
-	merged.Stats = service.Summarize(records, workers)
-	if merged.Completed > int64(merged.Items) && merged.Items > 0 {
-		// Some shard's ring wrapped: re-derive throughput/utilization
-		// over the retained records' own span (mirrors serve.Stats).
-		minArr, maxFin := records[0].ArrivalSec, records[0].FinishSec
-		var busy float64
-		for _, rec := range records {
-			if rec.ArrivalSec < minArr {
-				minArr = rec.ArrivalSec
-			}
-			if rec.FinishSec > maxFin {
-				maxFin = rec.FinishSec
-			}
-			busy += rec.BusySec
-		}
-		if span := maxFin - minArr; span > 0 {
-			merged.ThroughputHz = float64(merged.Items) / span
-			merged.Utilization = busy / (float64(workers) * span)
-		}
-	}
+	merged.Stats = service.SummarizeWindow(records, workers, merged.Completed)
 	return Stats{Merged: merged, PerShard: per, Steals: totalSteals, Failures: failures}
 }

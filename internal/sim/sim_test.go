@@ -49,16 +49,6 @@ func (seqDeadline) Next(t *oracle.Tracker, c Constraints) int {
 }
 func (seqDeadline) Observe(int, zoo.Output) {}
 
-// badDeadline ignores the budget — the executor must panic.
-type badDeadline struct{}
-
-func (badDeadline) Name() string { return "bad" }
-func (badDeadline) Reset(int)    {}
-func (badDeadline) Next(t *oracle.Tracker, _ Constraints) int {
-	return t.Unexecuted()[0]
-}
-func (badDeadline) Observe(int, zoo.Output) {}
-
 // greedyPacker launches every model that fits (for event-loop tests),
 // tracking its in-flight selections as the parallel contract requires.
 type greedyPacker struct{ fly map[int]bool }
@@ -76,20 +66,6 @@ func (p *greedyPacker) Next(t *oracle.Tracker, c Constraints) int {
 	return -1
 }
 func (p *greedyPacker) Observe(m int, _ zoo.Output) { delete(p.fly, m) }
-
-// doubleLauncher returns the same model twice in one launch phase — the
-// executor must panic.
-type doubleLauncher struct{}
-
-func (doubleLauncher) Name() string { return "double" }
-func (doubleLauncher) Reset(int)    {}
-func (doubleLauncher) Next(t *oracle.Tracker, _ Constraints) int {
-	if t.ExecutedCount() == 0 {
-		return 0
-	}
-	return -1
-}
-func (doubleLauncher) Observe(int, zoo.Output) {}
 
 func TestRunToRecallStopsAtThreshold(t *testing.T) {
 	res := RunToRecall(store, 0, &seqPolicy{}, 0.5)
@@ -120,15 +96,6 @@ func TestRunToRecallZeroThreshold(t *testing.T) {
 	if len(res.Executed) != 0 {
 		t.Fatalf("zero threshold should execute nothing, got %d", len(res.Executed))
 	}
-}
-
-func TestRunDeadlinePanicsOnViolation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("budget violation did not panic")
-		}
-	}()
-	RunDeadline(store, 0, badDeadline{}, 10) // 10 ms < any model
 }
 
 func TestRunDeadlineZeroBudget(t *testing.T) {
@@ -176,15 +143,6 @@ func TestRunParallelMemorySerializes(t *testing.T) {
 	if len(res.Executed) != store.NumModels() {
 		t.Fatalf("ran %d models", len(res.Executed))
 	}
-}
-
-func TestRunParallelPanicsOnDoubleLaunch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double launch did not panic")
-		}
-	}()
-	RunParallel(store, 0, doubleLauncher{}, 10000, 1<<20)
 }
 
 func TestRunParallelBadBudgetsPanic(t *testing.T) {

@@ -77,7 +77,7 @@ type Budget struct {
 // Validate checks the budget's shape. Every labeling surface (Label,
 // LabelRandom, LabelWith, LabelBatch, OptimalStarRecall) applies it, so
 // the rules live in exactly one place: budgets must be non-negative, and
-// a memory budget needs a deadline — the parallel executor packs model
+// a memory budget needs a deadline — Algorithm 2 packs model
 // time x memory rectangles into the deadline x memory area, which is
 // unbounded without one.
 func (b Budget) Validate() error {
@@ -164,16 +164,6 @@ func (s *System) LabelRandom(ctx context.Context, item Item, b Budget, seed uint
 	return s.LabelWith(ctx, PolicyRandom.WithSeed(seed), nil, item, b)
 }
 
-// LabelImage is the deprecated index-based surface: it labels held-out
-// image i exactly as Label(context.Background(), agent, s.TestItem(i), b)
-// does.
-//
-// Deprecated: use Label with TestItem.
-func (s *System) LabelImage(agent *Agent, image int, b Budget) (*Result, error) {
-	//amsvet:allow ctxflow documented convenience wrapper: LabelImage is specified as Label with a Background ctx
-	return s.Label(context.Background(), agent, s.TestItem(image), b)
-}
-
 // OptimalStarRecall returns the relaxed optimal* reference recall for a
 // held-out image under the budget (§V-C) — the yardstick the paper
 // compares its heuristics against. It is inherently oracle-backed: the
@@ -194,26 +184,19 @@ func (s *System) OptimalStarRecall(image int, b Budget) (float64, error) {
 	return sched.OptimalStarDeadline(s.testStore, image, b.DeadlineSec*1000), nil
 }
 
-// buildResult converts an execution trace into the public Result,
-// reading the executed models' (memoized) outputs back from the
-// executor. The serving layer instead captures outputs by value at
-// commit time and goes straight to assembleResult — after commit an
-// item's memo may already be evicted.
-func (s *System) buildResult(ex oracle.Executor, idx int, item Item, res sim.SerialResult) *Result {
+// buildResult converts an executed schedule into the public Result.
+func (s *System) buildResult(ex oracle.Executor, item Item, res sim.Result) *Result {
 	names := make([]string, len(res.Executed))
-	outputs := make([]zoo.Output, len(res.Executed))
 	for i, m := range res.Executed {
 		names[i] = ex.Model(m).Name
-		outputs[i] = ex.Output(idx, m)
 	}
-	return s.assembleResult(item, names, outputs, res.TimeMS, res.Recall, res.HasRecall)
+	return s.assembleResult(item, names, res.Outputs, res.MakespanMS, res.Recall, res.HasRecall)
 }
 
 // assembleResult reduces an executed schedule — model names and their
 // outputs, by value — to the public Result: labels deduplicated at their
 // best confidence, in first-emission order. It is the shared tail of
-// the lazy (buildResult) and captured-output (server, corpus recovery)
-// paths.
+// the library (buildResult), server and corpus-recovery paths.
 func (s *System) assembleResult(item Item, modelNames []string, outputs []zoo.Output, timeMS, recall float64, hasRecall bool) *Result {
 	out := &Result{
 		Image:     item.image,

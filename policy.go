@@ -159,14 +159,13 @@ func DefaultPolicy(b Budget) Policy {
 }
 
 // runSchedule is the one budget dispatch shared by every labeling
-// surface: it picks the executor loop from the budget shape and runs the
-// policy under it, over any oracle.Executor (precomputed or on-demand).
-// The budget must already be validated.
-func (s *System) runSchedule(ex oracle.Executor, idx int, p sim.Policy, b Budget) sim.SerialResult {
+// surface: it picks the executor's limits from the budget shape and runs
+// the policy under them, over any oracle.Executor (precomputed or
+// on-demand). The budget must already be validated.
+func (s *System) runSchedule(ex oracle.Executor, idx int, p sim.Policy, b Budget) sim.Result {
 	switch {
 	case b.MemoryGB > 0:
-		pr := sim.RunParallel(ex, idx, p, b.DeadlineSec*1000, b.MemoryGB*1024)
-		return sim.SerialResult{Executed: pr.Executed, TimeMS: pr.MakespanMS, Recall: pr.Recall, HasRecall: pr.HasRecall}
+		return sim.RunParallel(ex, idx, p, b.DeadlineSec*1000, b.MemoryGB*1024)
 	case b.DeadlineSec > 0:
 		return sim.RunDeadline(ex, idx, p, b.DeadlineSec*1000)
 	default:
@@ -205,5 +204,5 @@ func (s *System) LabelWith(ctx context.Context, policy Policy, agent *Agent, ite
 		return nil, err
 	}
 	res := s.runSchedule(ex, idx, withCancel(ctx, sp), b)
-	return s.buildResult(ex, idx, item, res), ctx.Err()
+	return s.buildResult(ex, item, res), ctx.Err()
 }

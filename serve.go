@@ -646,21 +646,21 @@ func (s *System) newShard(sv *Server, cfg ServeConfig, policy Policy, seg *corpu
 	}
 	inner, err := serve.New(ex, factory, serve.Config{
 		Config: service.Config{
-			Workers:     workers,
-			DeadlineSec: cfg.DeadlineSec,
+			Workers:        workers,
+			DeadlineSec:    cfg.DeadlineSec,
+			MemoryBudgetMB: memoryGB * 1024,
+			ItemParallel:   policy.parallel,
 		},
-		QueueCap:       queueCap,
-		MemoryBudgetMB: memoryGB * 1024,
-		BatchSize:      cfg.BatchSize,
-		BatchHoldMS:    cfg.BatchHoldMS,
-		TimeScale:      cfg.TimeScale,
-		StatsWindow:    cfg.StatsWindow,
-		ItemParallel:   policy.parallel,
-		Corpus:         corpusHook,
-		Epoch:          epoch,
-		Metrics:        sv.metrics,
-		Tracer:         sv.tracer,
-		Shard:          shardIdx,
+		QueueCap:    queueCap,
+		BatchSize:   cfg.BatchSize,
+		BatchHoldMS: cfg.BatchHoldMS,
+		TimeScale:   cfg.TimeScale,
+		StatsWindow: cfg.StatsWindow,
+		Corpus:      corpusHook,
+		Epoch:       epoch,
+		Metrics:     sv.metrics,
+		Tracer:      sv.tracer,
+		Shard:       shardIdx,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ams: %w", err)
@@ -912,14 +912,6 @@ func (sv *Server) Checkpoint() error {
 	return sv.corpus.Snapshot()
 }
 
-// SubmitImage is the deprecated index-based surface: it submits held-out
-// image i exactly as Submit(TestItem(i)) does.
-//
-// Deprecated: use Submit with TestItem.
-func (sv *Server) SubmitImage(image int) (*ServeTicket, error) {
-	return sv.Submit(sv.sys.TestItem(image))
-}
-
 // Results subscribes to the server's completion stream: every item
 // finished after the call is delivered in completion order, without the
 // caller holding tickets. The channel closes after Close once all
@@ -1136,36 +1128,35 @@ func (s *System) Serve(ctx context.Context, agent *Agent, cfg ServeConfig, trace
 // SimulateServe runs the virtual-time discrete-event simulation of the
 // same workload — same Config and policy wiring as Serve, no real
 // concurrency or sleeping — so the two can be compared side by side.
-// The simulation replays the built-in test split (virtual time cannot
-// consume a live external source); the memory budget and queue bound do
-// not apply: the sim models an unbounded FIFO queue with serial per-item
-// execution.
+// Each item runs in the mode the configuration selects (Algorithm 2's
+// per-item parallel execution for PolicyAlgorithm2, serial otherwise)
+// under the memory budget of one shard. The simulation replays the
+// built-in test split (virtual time cannot consume a live external
+// source) and models an unbounded FIFO queue with no contention between
+// items: every item sees its shard's whole memory budget, and the queue
+// bound and batching do not apply.
 func (s *System) SimulateServe(agent *Agent, cfg ServeConfig, trace ServeTrace) (ServeStats, error) {
-	factory, _, _, err := s.serveFactory(agent, cfg)
+	factory, policy, _, err := s.serveFactory(agent, cfg)
 	if err != nil {
 		return ServeStats{}, err
 	}
-	svcCfg := s.traceConfig(cfg, trace)
+	svcCfg := service.Config{
+		Workers:        cfg.Workers,
+		ArrivalRateHz:  trace.ArrivalRateHz,
+		DeadlineSec:    cfg.DeadlineSec,
+		Items:          trace.Items,
+		Seed:           trace.Seed,
+		MemoryBudgetMB: cfg.MemoryGB * 1024 / float64(max(cfg.Shards, 1)),
+		ItemParallel:   policy.parallel,
+	}
 	if svcCfg.Workers <= 0 {
 		return ServeStats{}, fmt.Errorf("ams: need at least one worker, got %d", svcCfg.Workers)
 	}
-	if svcCfg.ArrivalRateHz <= 0 || svcCfg.DeadlineSec <= 0 || svcCfg.Items <= 0 {
+	if svcCfg.ArrivalRateHz <= 0 || svcCfg.DeadlineSec <= 0 || svcCfg.Items <= 0 || svcCfg.MemoryBudgetMB < 0 {
 		return ServeStats{}, fmt.Errorf("ams: invalid serve trace %+v", svcCfg)
 	}
 	st := service.Run(s.testStore, factory, svcCfg)
 	return fromRunStats(serve.RunStats{Stats: st, Completed: int64(st.Items)}), nil
-}
-
-// traceConfig merges the server and trace parameters into the shared
-// service.Config.
-func (s *System) traceConfig(cfg ServeConfig, trace ServeTrace) service.Config {
-	return service.Config{
-		Workers:       cfg.Workers,
-		ArrivalRateHz: trace.ArrivalRateHz,
-		DeadlineSec:   cfg.DeadlineSec,
-		Items:         trace.Items,
-		Seed:          trace.Seed,
-	}
 }
 
 // serveFactory resolves cfg.Policy (defaulting to Algorithm 1, the

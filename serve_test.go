@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -24,33 +25,44 @@ func mustWait(t testing.TB, tk *ServeTicket) *Result {
 	return res
 }
 
+// TestServerLabelsLikeLabel: at one worker nothing contends, so the
+// server — the executor on the real machine — must reproduce the library
+// — the same executor on the virtual machine — exactly, for every
+// registry policy over the whole test split. The reference is one
+// LabelBatchWith worker, which like the server's worker 0 carries one
+// policy instance (and its RNG stream) across the items in order.
 func TestServerLabelsLikeLabel(t *testing.T) {
-	srv, err := testSys.NewServer(testAgent, serveCfg(2))
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
+	items := make([]Item, testSys.NumTestImages())
+	for i := range items {
+		items[i] = testSys.TestItem(i)
 	}
-	tk, err := srv.Submit(testSys.TestItem(3))
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	got := mustWait(t, tk)
-	if err := srv.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	// The server's per-item schedule is the same Algorithm-1 loop Label
-	// runs, so an uncontended item must reproduce Label exactly.
-	want, err := testSys.Label(bg, testAgent, testSys.TestItem(3), Budget{DeadlineSec: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Recall != want.Recall || got.TimeSec != want.TimeSec ||
-		len(got.ModelsRun) != len(want.ModelsRun) {
-		t.Fatalf("server result diverges from Label: %+v vs %+v", got, want)
-	}
-	for i := range got.ModelsRun {
-		if got.ModelsRun[i] != want.ModelsRun[i] {
-			t.Fatalf("schedule diverges at %d: %v vs %v", i, got.ModelsRun, want.ModelsRun)
-		}
+	for _, pol := range registryPolicies() {
+		t.Run(pol.Name(), func(t *testing.T) {
+			cfg := serveCfg(1)
+			cfg.Policy, cfg.MemoryGB = pol, 8
+			b := Budget{DeadlineSec: cfg.DeadlineSec}
+			if pol.parallel {
+				b.MemoryGB = cfg.MemoryGB
+			}
+			want, _, err := testSys.LabelBatchWith(bg, pol, testAgent, items, b, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := testSys.NewServer(testAgent, cfg)
+			if err != nil {
+				t.Fatalf("NewServer: %v", err)
+			}
+			defer srv.Close()
+			for i, item := range items {
+				tk, err := srv.SubmitWait(bg, item)
+				if err != nil {
+					t.Fatalf("SubmitWait: %v", err)
+				}
+				if got := mustWait(t, tk); !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("item %d: server result diverges from the library's:\n%+v\nvs\n%+v", i, got, want[i])
+				}
+			}
+		})
 	}
 }
 
@@ -113,24 +125,29 @@ func TestServerConcurrentSubmits(t *testing.T) {
 // images, so average recall must agree to float precision even though
 // one run is real concurrent execution and the other is virtual time.
 func TestServeMatchesSimulateServe(t *testing.T) {
-	cfg := serveCfg(2)
-	trace := ServeTrace{ArrivalRateHz: 1000, Items: 40, Seed: 5}
-	real, err := testSys.Serve(bg, testAgent, cfg, trace, nil)
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	sim, err := testSys.SimulateServe(testAgent, cfg, trace)
-	if err != nil {
-		t.Fatalf("SimulateServe: %v", err)
-	}
-	if real.Items != sim.Items {
-		t.Fatalf("items %d vs %d", real.Items, sim.Items)
-	}
-	if math.Abs(real.AvgRecall-sim.AvgRecall) > 1e-9 {
-		t.Fatalf("real recall %v diverges from sim %v", real.AvgRecall, sim.AvgRecall)
-	}
-	if real.ThroughputHz <= 0 || sim.ThroughputHz <= 0 {
-		t.Fatalf("throughput %v / %v", real.ThroughputHz, sim.ThroughputHz)
+	// Algorithm 2 runs per-item parallel in both; at one worker no other
+	// item holds memory, so its schedules are deterministic too.
+	alg2 := serveCfg(1)
+	alg2.Policy, alg2.MemoryGB = PolicyAlgorithm2, 8
+	for _, cfg := range []ServeConfig{serveCfg(2), alg2} {
+		trace := ServeTrace{ArrivalRateHz: 1000, Items: 40, Seed: 5}
+		real, err := testSys.Serve(bg, testAgent, cfg, trace, nil)
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+		sim, err := testSys.SimulateServe(testAgent, cfg, trace)
+		if err != nil {
+			t.Fatalf("SimulateServe: %v", err)
+		}
+		if real.Items != sim.Items {
+			t.Fatalf("items %d vs %d", real.Items, sim.Items)
+		}
+		if math.Abs(real.AvgRecall-sim.AvgRecall) > 1e-9 {
+			t.Fatalf("real recall %v diverges from sim %v", real.AvgRecall, sim.AvgRecall)
+		}
+		if real.ThroughputHz <= 0 || sim.ThroughputHz <= 0 {
+			t.Fatalf("throughput %v / %v", real.ThroughputHz, sim.ThroughputHz)
+		}
 	}
 }
 
