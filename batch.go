@@ -29,10 +29,9 @@ func (s *System) LabelBatch(ctx context.Context, agent *Agent, items []Item, b B
 
 // LabelBatchWith labels many items concurrently with worker goroutines,
 // each running the given policy. Policies are instantiated once per
-// worker, so the agent's network is cloned per worker (a forward pass
-// caches activations, so a single network must not be shared), while the
-// execution substrate — precomputed for test-split items, on-demand for
-// external ones — is shared read-only. Results are returned in the order
+// worker: each owns a fork of the agent (its scratch and memo), while the
+// agent's frozen network and the execution substrate — precomputed for
+// test-split items, on-demand for external ones — are shared read-only. Results are returned in the order
 // of the items slice.
 //
 // Cancelling ctx aborts the batch: items already labeled keep their
@@ -72,7 +71,7 @@ func (s *System) LabelBatchWith(ctx context.Context, policy Policy, agent *Agent
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Per-worker private policy (and agent clone).
+			// Per-worker private policy (and agent fork).
 			private, err := policy.instantiate(s, agent, uint64(w))
 			if err != nil {
 				return // unreachable: validated above

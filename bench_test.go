@@ -244,6 +244,7 @@ func BenchmarkAgentSelection(b *testing.B) {
 		b.Fatal(err)
 	}
 	state := []int{3, 99, 450, 801, 1100}
+	_ = agent.PredictValues(state) // the first prediction freezes the network
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = agent.PredictValues(state)
@@ -480,7 +481,7 @@ func benchmarkSelectOverhead(b *testing.B, cached bool) {
 		// bypasses it to measure the raw forward-pass cost.
 		policy = Policy{name: "algorithm2-uncached", parallel: true, needsAgent: true,
 			build: func(s *System, ag *Agent, _ uint64, _ *sched.SharedCache) sim.Policy {
-				return sched.NewMemoryPacker(ag.cloneInner(), s.Zoo)
+				return sched.NewMemoryPacker(ag.inner.Fork(), s.Zoo)
 			}}
 	}
 	cfg := ServeConfig{

@@ -3,8 +3,8 @@
 // virtual-time service simulation, so the two can be compared side by
 // side (-compare prints both).
 //
-// The server executes items with a pool of worker goroutines, each
-// holding a private clone of the agent's network, and enforces a global
+// The server executes items with a pool of worker goroutines, all
+// reading one frozen copy of the agent's network, and enforces a global
 // GPU-memory budget (-memory) shared by all workers via the Algorithm-2
 // accountant. Model executions sleep their nominal duration scaled by
 // -timescale; the default 0.05 replays the trace twenty times faster

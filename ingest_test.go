@@ -266,7 +266,7 @@ func TestLabelCancelledMidScheduleReturnsPartial(t *testing.T) {
 	probe := Policy{name: "cancel-probe", needsAgent: true,
 		build: func(s *System, agent *Agent, _ uint64, _ *sched.SharedCache) sim.Policy {
 			return &cancelAfter{
-				Policy: sched.NewQGreedy(agent.clonePredictor(nil), s.Zoo),
+				Policy: sched.NewQGreedy(agent.workerPredictor(nil), s.Zoo),
 				n:      before,
 				cancel: cancel,
 			}

@@ -231,3 +231,53 @@ func TestEndIndexAndDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// A keyed-literal agent predicts with no constructor call, forks share its
+// frozen view while owning their scratch, and every one of them returns
+// the training network's Q-values bit for bit.
+func TestAgentForksShareOneFrozenView(t *testing.T) {
+	ds := synth.NewDataset(vocab, synth.MSCOCO(), 10, 97)
+	cfg := tinyTrainConfig(rl.DuelingDQN)
+	cfg.Epochs = 1
+	trained := Train(oracle.Build(z, ds.Scenes), cfg)
+	agent := &Agent{Net: trained.Net.Clone(), NumModels: trained.NumModels, Algo: trained.Algo, Dataset: trained.Dataset}
+	fork := agent.Fork()
+	if fork.view() != agent.view() {
+		t.Fatal("a fork froze its own copy of the network")
+	}
+	a, b := []int{3, 50, 200}, []int{7}
+	qa := agent.Predict(a)
+	qb := fork.Predict(b) // must not disturb qa: the scratches are separate
+	for _, c := range []struct {
+		state []int
+		got   []float64
+	}{{a, qa}, {b, qb}} {
+		want := trained.Net.Forward(c.state)
+		for i := range want {
+			if math.Float64bits(c.got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("state %v, action %d: predicted %v, Net.Forward %v", c.state, i, c.got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestLoadAgentRejectsNonFiniteWeights(t *testing.T) {
+	ds := synth.NewDataset(vocab, synth.MSCOCO(), 10, 101)
+	cfg := tinyTrainConfig(rl.DQN)
+	cfg.Epochs = 1
+	agent := Train(oracle.Build(z, ds.Scenes), cfg)
+	agent.Net.Params()[0].Val[5] = math.Inf(1)
+	var buf bytes.Buffer
+	if err := agent.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadAgent(&buf); err == nil {
+		t.Fatal("LoadAgent accepted a network with an infinite weight")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Predict on a network with an infinite weight did not panic")
+		}
+	}()
+	agent.Predict([]int{1})
+}

@@ -92,19 +92,13 @@ func (l *Lab) ExtBatching() BatchingExtResult {
 }
 
 // runBatchTrace saturates one server configuration with items cycling
-// the store and reduces the completed run. Each worker gets a private
-// network clone (real goroutines, unlike service.Run's single-threaded
+// the store and reduces the completed run. Each worker gets its own fork
+// of the agent (real goroutines, unlike service.Run's single-threaded
 // loop) behind the per-schedule prediction memo.
 func (l *Lab) runBatchTrace(st *oracle.Store, agent *core.Agent, cfg serve.Config, aware bool, items int) serve.RunStats {
 	cfg.StatsWindow = items
 	factory := func(int) sim.Policy {
-		clone := &core.Agent{
-			Net:       agent.Net.Clone(),
-			NumModels: agent.NumModels,
-			Algo:      agent.Algo,
-			Dataset:   agent.Dataset,
-		}
-		return sched.NewCostQGreedy(sched.NewCachedPredictor(clone), l.Zoo).SetBatchAware(aware)
+		return sched.NewCostQGreedy(sched.NewCachedPredictor(agent.Fork()), l.Zoo).SetBatchAware(aware)
 	}
 	srv, err := serve.New(st, factory, cfg)
 	if err != nil {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"ams/internal/tensor"
 )
 
 // netBlob is the gob wire format for a Net: architecture plus every
@@ -37,8 +35,7 @@ func Load(r io.Reader) (*Net, error) {
 	if err := gob.NewDecoder(r).Decode(&blob); err != nil {
 		return nil, fmt.Errorf("nn: load network: %w", err)
 	}
-	n := NewNet(Config{In: blob.In, Hidden: blob.Hidden, Out: blob.Out, Dueling: blob.Dueling},
-		tensor.NewRNG(0))
+	n := NewNet(Config{In: blob.In, Hidden: blob.Hidden, Out: blob.Out, Dueling: blob.Dueling}, nil)
 	params := n.Params()
 	if len(params) != len(blob.Values) {
 		return nil, fmt.Errorf("nn: load network: expected %d parameter tensors, got %d",

@@ -7,6 +7,11 @@
 // The labeling state that feeds the network is a high-dimensional binary
 // vector with very few active bits, so the first layer exposes a sparse
 // forward/backward fast path indexed by the active positions.
+//
+// Layout rule: training (Net) keeps output-major weights, which is what
+// the AddOuter gradient update wants; inference (Frozen) reads an
+// input-major copy, so each active input or non-zero activation adds one
+// contiguous row.
 package nn
 
 import (
@@ -26,7 +31,8 @@ type Linear struct {
 }
 
 // NewLinear returns a layer with He-uniform initialised weights, the
-// standard choice for ReLU networks.
+// standard choice for ReLU networks. A nil rng leaves the weights zero,
+// for a layer whose weights are about to be overwritten.
 func NewLinear(in, out int, rng *tensor.RNG) *Linear {
 	if in <= 0 || out <= 0 {
 		panic(fmt.Sprintf("nn: invalid linear dimensions %dx%d", in, out))
@@ -39,9 +45,11 @@ func NewLinear(in, out int, rng *tensor.RNG) *Linear {
 		GW:  tensor.NewMat(out, in),
 		GB:  tensor.NewVec(out),
 	}
-	bound := math.Sqrt(6.0 / float64(in))
-	for i := range l.W.Data {
-		l.W.Data[i] = rng.Range(-bound, bound)
+	if rng != nil {
+		bound := math.Sqrt(6.0 / float64(in))
+		for i := range l.W.Data {
+			l.W.Data[i] = rng.Range(-bound, bound)
+		}
 	}
 	return l
 }

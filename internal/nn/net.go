@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"ams/internal/tensor"
 )
@@ -11,9 +12,9 @@ import (
 // head or by a dueling pair of heads (state-value V and per-action
 // advantage A) combined as Q = V + A - mean(A), per Wang et al. (2015).
 //
-// A Net is not safe for concurrent use: forward passes cache activations
-// for the subsequent backward pass. Clone the network (or use separate
-// instances) for parallel evaluation.
+// A Net is the training form and is not safe for concurrent use: forward
+// passes cache activations for the subsequent backward pass. Inference
+// runs on the immutable view Freeze builds, which goroutines share.
 type Net struct {
 	in, out int
 	hidden  []int
@@ -32,8 +33,9 @@ type Net struct {
 	active  []int // sparse input of the last forward
 
 	// backward scratch
-	dacts []tensor.Vec
-	dadv  tensor.Vec
+	dacts  []tensor.Vec
+	dadv   tensor.Vec
+	dadvIn tensor.Vec // advantage head's share of the top-layer gradient
 }
 
 // Config describes a Q-network architecture.
@@ -44,7 +46,8 @@ type Config struct {
 	Dueling bool  // use the dueling value/advantage decomposition
 }
 
-// NewNet builds a network from cfg with weights drawn from rng.
+// NewNet builds a network from cfg with weights drawn from rng; a nil rng
+// leaves them zero, for a network about to be overwritten (Clone, Load).
 func NewNet(cfg Config, rng *tensor.RNG) *Net {
 	if cfg.In <= 0 || cfg.Out <= 0 {
 		panic(fmt.Sprintf("nn: invalid net dims in=%d out=%d", cfg.In, cfg.Out))
@@ -71,6 +74,7 @@ func NewNet(cfg Config, rng *tensor.RNG) *Net {
 	if cfg.Dueling {
 		n.valHead = NewLinear(prev, 1, rng)
 		n.val = tensor.NewVec(1)
+		n.dadvIn = tensor.NewVec(prev)
 	}
 	return n
 }
@@ -134,9 +138,8 @@ func (n *Net) Backward(dQ tensor.Vec) {
 		}
 		n.valHead.BackwardDense(dTop, tensor.Vec{sum}, top)
 		// advHead gradient adds into dTop as well.
-		advIn := tensor.NewVec(len(top))
-		n.advHead.BackwardDense(advIn, n.dadv, top)
-		dTop.Add(advIn)
+		n.advHead.BackwardDense(n.dadvIn, n.dadv, top)
+		dTop.Add(n.dadvIn)
 	} else {
 		n.advHead.BackwardDense(dTop, dQ, top)
 	}
@@ -195,7 +198,7 @@ func (n *Net) NumParams() int {
 
 // Clone returns a deep copy sharing no storage with the receiver.
 func (n *Net) Clone() *Net {
-	c := NewNet(Config{In: n.in, Hidden: n.hidden, Out: n.out, Dueling: n.dueling}, tensor.NewRNG(0))
+	c := NewNet(Config{In: n.in, Hidden: n.hidden, Out: n.out, Dueling: n.dueling}, nil)
 	c.CopyWeightsFrom(n)
 	return c
 }
@@ -230,12 +233,17 @@ func (n *Net) SoftUpdateFrom(src *Net, tau float64) {
 	}
 }
 
+// relu stores max(x, 0) — x where x > 0, else +0, NaN included — into out.
+// The sign of a pre-activation is a coin flip the branch predictor loses,
+// so the test runs on the bit pattern, where it compiles to a conditional
+// move: x > 0 exactly when the pattern lies in (+0, +Inf].
 func relu(out, in tensor.Vec) {
+	out = out[:len(in)]
 	for i, x := range in {
-		if x > 0 {
-			out[i] = x
-		} else {
-			out[i] = 0
+		b := math.Float64bits(x)
+		if b-1 >= math.Float64bits(math.Inf(1)) {
+			b = 0
 		}
+		out[i] = math.Float64frombits(b)
 	}
 }

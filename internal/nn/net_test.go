@@ -329,3 +329,18 @@ func TestInvalidConfigsPanic(t *testing.T) {
 		}()
 	}
 }
+
+func TestReluKeepsOnlyPositives(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	in := tensor.Vec{1.5, -1.5, 0, negZero, math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64}
+	want := tensor.Vec{1.5, 0, 0, 0, 0, 0, math.Inf(1), 0, math.SmallestNonzeroFloat64, 0, math.MaxFloat64}
+	got := tensor.NewVec(len(in))
+	got.Fill(7)
+	relu(got, in)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("relu(%v) = %v, want %v", in[i], got[i], want[i])
+		}
+	}
+}

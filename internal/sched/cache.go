@@ -20,13 +20,12 @@ import "encoding/binary"
 // memoization across items and workers: concurrently served items visit
 // overlapping labeling states — most schedules start from the empty
 // state and early states recur constantly on a hot trace — and every
-// worker's clone shares the same frozen weights, so one worker's forward
-// pass is every worker's answer. Hits fill the private memo, misses
+// worker reads the same frozen weights, so one worker's forward pass is
+// every worker's answer. Hits fill the private memo, misses
 // publish to the shared tier.
 //
-// Not safe for concurrent use — it follows the same one-per-worker
-// cloning rule as the predictor it wraps (the SharedCache itself is
-// concurrency-safe).
+// Not safe for concurrent use — like the predictor it wraps, there is
+// one per worker (the SharedCache itself is concurrency-safe).
 type CachedPredictor struct {
 	pred   Predictor
 	memo   map[string][]float64
@@ -41,8 +40,8 @@ func NewCachedPredictor(pred Predictor) *CachedPredictor {
 
 // NewSharedCachedPredictor wraps pred with the per-schedule memo backed
 // by a cross-item shared cache. All predictors sharing one cache must
-// wrap clones with identical weights — the cache stores values, not
-// which network produced them. A nil shared is equivalent to
+// compute from identical weights — the cache stores values, not which
+// network produced them. A nil shared is equivalent to
 // NewCachedPredictor.
 func NewSharedCachedPredictor(pred Predictor, shared *SharedCache) *CachedPredictor {
 	return &CachedPredictor{pred: pred, memo: make(map[string][]float64), shared: shared}

@@ -4,16 +4,15 @@ import "sync"
 
 // DefaultSharedCacheSize bounds a SharedCache built with capacity <= 0.
 // At ~30 float64s plus a short key per entry, the default tops out
-// around 20 MB — small next to the per-worker network clones it saves
-// forward passes on.
+// around 20 MB.
 const DefaultSharedCacheSize = 1 << 16
 
 // SharedCache is the cross-item, cross-worker tier of the Q-prediction
 // memo: a bounded, concurrency-safe map from labeling state to the
 // frozen network's Q-values. It is valid because serving never trains —
-// every worker's clone computes identical values for identical states,
-// so a state any worker has visited is an answer for all of them, on
-// this item or the next. Keys are the injective uvarint encoding of the
+// every worker reads the same weights and computes identical values for
+// identical states, so a state any worker has visited is an answer for
+// all of them, on this item or the next. Keys are the injective uvarint encoding of the
 // sorted emitted-label IDs (stateKey).
 //
 // The bound is enforced by dropping one arbitrary resident entry per

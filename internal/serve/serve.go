@@ -3,7 +3,7 @@
 // work instead of simulating it in virtual time. Items are admitted
 // onto a bounded queue and dispatched to a pool of workers; each worker
 // owns one scheduling policy (built by the shared service.PolicyFactory,
-// mirroring LabelBatch's one-clone-per-worker rule) and labels its item
+// one per worker as in LabelBatch) and labels its item
 // under the per-item deadline. The joint deadline + GPU-memory setting
 // of Algorithm 2 is enforced globally: all workers reserve model
 // footprints against one shared memory accountant before executing, so
@@ -529,8 +529,8 @@ func (s *Server) forwardOne() bool {
 	return true
 }
 
-// worker owns one policy instance (and, through the factory, one private
-// agent clone) and labels queued items until the queue closes: each item
+// worker owns one policy instance (and, through the factory, one agent
+// fork) and labels queued items until the queue closes: each item
 // is one run of the shared executor, sim.Execute, on this worker's
 // machine, under the configured limits.
 func (s *Server) worker(w int) {

@@ -209,3 +209,75 @@ func TestMatSparseDenseProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func randomMat(r *RNG, rows, cols int) *Mat {
+	m := NewMat(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = r.Norm()
+	}
+	return m
+}
+
+func sameBits(a, b Vec) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// The input-major kernels sum every output in the order the output-major
+// ones do, so the results are the same bits, not merely close — for any
+// number of addends around the four-row groups and the 64-input blocks.
+func TestInputMajorKernelsMatchOutputMajorBitForBit(t *testing.T) {
+	r := NewRNG(13)
+	for _, in := range []int{1, 3, 4, 5, 63, 64, 65, 130, 200} {
+		for _, outs := range []int{1, 7, 32} {
+			m := randomMat(r, outs, in) // output-major
+			mt := m.Transpose()
+			for trial := 0; trial < 6; trial++ {
+				x := NewVec(in)
+				var active []int
+				for j := range x {
+					if r.Bool(float64(trial) / 5) {
+						x[j] = r.Norm()
+						active = append(active, j)
+					}
+				}
+				want, got := NewVec(outs), NewVec(outs)
+				got.Fill(99) // the kernels must overwrite, not accumulate
+				m.MulVecInto(want, x)
+				mt.MulVecTransInto(got, x)
+				if !sameBits(got, want) {
+					t.Fatalf("in=%d out=%d: MulVecTransInto %v, MulVecInto %v", in, outs, got, want)
+				}
+				r.Shuffle(active) // the sparse sum follows active's order
+				m.SumColsSparseInto(want, active)
+				mt.SumRowsSparseInto(got, active)
+				if !sameBits(got, want) {
+					t.Fatalf("in=%d out=%d: SumRowsSparseInto %v, SumColsSparseInto %v", in, outs, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestMatSumRowsSparsePanicsLikeSumCols(t *testing.T) {
+	m := NewMat(3, 5)
+	for _, bad := range []int{-1, 5} {
+		var msgs [2]any
+		for k, f := range []func(){
+			func() { m.SumColsSparseInto(NewVec(3), []int{0, 1, 2, 3, bad}) },
+			func() { m.Transpose().SumRowsSparseInto(NewVec(3), []int{0, 1, 2, 3, bad}) },
+		} {
+			func() {
+				defer func() { msgs[k] = recover() }()
+				f()
+			}()
+		}
+		if msgs[0] == nil || msgs[0] != msgs[1] {
+			t.Fatalf("index %d: SumColsSparseInto panics with %v, SumRowsSparseInto with %v", bad, msgs[0], msgs[1])
+		}
+	}
+}

@@ -2,6 +2,11 @@
 // deterministic random-number generator used throughout the AMS
 // reproduction. Everything is float64 and allocation-conscious: the hot
 // paths (network forward/backward) reuse caller-provided buffers.
+//
+// Layout rule: training keeps output-major weights (Rows outputs x Cols
+// inputs), which AddOuter's gradient update walks row by row; inference
+// reads an input-major copy (Transpose), where SumRowsSparseInto and
+// MulVecTransInto add one contiguous row per active input.
 package tensor
 
 import "math"

@@ -34,31 +34,20 @@ func LoadAgent(path string) (*Agent, error) {
 	return &Agent{inner: inner}, nil
 }
 
-// cloneInner returns a private copy of the agent's predictor for one
-// worker: a forward pass caches activations in the network, so
-// concurrent workers must never share one. Both LabelBatch and the
-// serving layer build their per-worker agents through this rule.
-func (a *Agent) cloneInner() *core.Agent {
-	return &core.Agent{
-		Net:       a.inner.Net.Clone(),
-		NumModels: a.inner.NumModels,
-		Algo:      a.inner.Algo,
-		Dataset:   a.inner.Dataset,
-	}
-}
-
-// clonePredictor wraps a private network clone in the per-schedule
-// Q-prediction memo: repeated policy asks on an unchanged labeling state
-// replay the cached forward pass instead of re-running it. A non-nil
-// shared cache additionally spans the memo across items and workers —
-// valid because every clone carries identical frozen weights, so one
-// worker's forward pass answers the same labeling state anywhere.
-func (a *Agent) clonePredictor(shared *sched.SharedCache) sched.Predictor {
-	return sched.NewSharedCachedPredictor(a.cloneInner(), shared)
+// workerPredictor returns one worker's predictor: a fork of the agent —
+// the shared frozen network, a private scratch — behind the per-schedule
+// Q-prediction memo, so repeated policy asks on an unchanged labeling
+// state replay the cached forward pass instead of re-running it. A
+// non-nil shared cache additionally spans the memo across items and
+// workers — valid because every fork reads the same frozen weights, so
+// one worker's forward pass answers the same labeling state anywhere.
+func (a *Agent) workerPredictor(shared *sched.SharedCache) sched.Predictor {
+	return sched.NewSharedCachedPredictor(a.inner.Fork(), shared)
 }
 
 // PredictValues returns the agent's current value estimate for every
-// model given the set of label IDs already emitted for the item.
+// model given the set of label IDs already emitted for the item. It runs
+// on the agent's own scratch: concurrent callers need separate agents.
 func (a *Agent) PredictValues(emittedLabelIDs []int) []float64 {
 	q := a.inner.Predict(emittedLabelIDs)
 	return append([]float64(nil), q[:a.inner.NumModels]...)

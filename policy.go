@@ -45,7 +45,7 @@ var (
 		name:       "algorithm1",
 		needsAgent: true,
 		build: func(s *System, agent *Agent, _ uint64, cache *sched.SharedCache) sim.Policy {
-			return sched.NewCostQGreedy(agent.clonePredictor(cache), s.Zoo)
+			return sched.NewCostQGreedy(agent.workerPredictor(cache), s.Zoo)
 		},
 	}
 	// PolicyAlgorithm2 is the paper's Algorithm 2: deadline+memory batch
@@ -57,7 +57,7 @@ var (
 		parallel:   true,
 		needsAgent: true,
 		build: func(s *System, agent *Agent, _ uint64, cache *sched.SharedCache) sim.Policy {
-			return sched.NewMemoryPacker(agent.clonePredictor(cache), s.Zoo)
+			return sched.NewMemoryPacker(agent.workerPredictor(cache), s.Zoo)
 		},
 	}
 	// PolicyQGreedy picks the feasible model with the highest predicted
@@ -66,7 +66,7 @@ var (
 		name:       "qgreedy",
 		needsAgent: true,
 		build: func(s *System, agent *Agent, _ uint64, cache *sched.SharedCache) sim.Policy {
-			return sched.NewQGreedy(agent.clonePredictor(cache), s.Zoo)
+			return sched.NewQGreedy(agent.workerPredictor(cache), s.Zoo)
 		},
 	}
 	// PolicyRandom executes uniformly random feasible models — the
@@ -96,9 +96,8 @@ func (p Policy) WithSeed(seed uint64) Policy {
 // valid reports whether the policy came from the registry.
 func (p Policy) valid() bool { return p.build != nil }
 
-// check validates the policy configuration without building anything —
-// instantiation clones the agent's network, so surfaces that only need
-// to fail fast call this instead.
+// check validates the policy configuration without building anything,
+// for surfaces that only need to fail fast.
 func (p Policy) check(agent *Agent) error {
 	if !p.valid() {
 		return fmt.Errorf("ams: zero Policy value; use PolicyByName or a Policy* variable")

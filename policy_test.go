@@ -1,8 +1,13 @@
 package ams
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"ams/internal/sched"
+	"ams/internal/sim"
 )
 
 func TestPolicyRegistry(t *testing.T) {
@@ -214,5 +219,70 @@ func TestServeReportsSelectOverhead(t *testing.T) {
 	}
 	if sim.AvgSelectSec != 0 {
 		t.Fatalf("sim AvgSelectSec %v, want 0", sim.AvgSelectSec)
+	}
+}
+
+// recordingPredictor notes every labeling state a policy asks about.
+type recordingPredictor struct {
+	sched.Predictor
+	states *[][]int
+}
+
+func (r recordingPredictor) Predict(state []int) []float64 {
+	*r.states = append(*r.states, slices.Clone(state))
+	return r.Predictor.Predict(state)
+}
+
+// TestPredictValuesMatchesNetForward: the frozen kernel behind every
+// serving prediction returns, bit for bit, what the training network's
+// forward pass returns, on every labeling state the paper's two
+// algorithms visit while labeling the test split.
+func TestPredictValuesMatchesNetForward(t *testing.T) {
+	for _, tc := range []struct {
+		policy Policy
+		budget Budget
+		wrap   func(sched.Predictor, *System) sim.Policy
+	}{
+		{PolicyAlgorithm1, Budget{DeadlineSec: 0.5},
+			func(p sched.Predictor, s *System) sim.Policy { return sched.NewCostQGreedy(p, s.Zoo) }},
+		{PolicyAlgorithm2, Budget{DeadlineSec: 0.8, MemoryGB: 8},
+			func(p sched.Predictor, s *System) sim.Policy { return sched.NewMemoryPacker(p, s.Zoo) }},
+	} {
+		var states [][]int
+		recorded := Policy{name: tc.policy.name + "-recorded", parallel: tc.policy.parallel, needsAgent: true,
+			build: func(s *System, ag *Agent, _ uint64, cache *sched.SharedCache) sim.Policy {
+				return tc.wrap(recordingPredictor{ag.workerPredictor(cache), &states}, s)
+			}}
+		for i := 0; i < testSys.NumTestImages(); i++ {
+			got, err := testSys.LabelWith(bg, recorded, testAgent, testSys.TestItem(i), tc.budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := testSys.LabelWith(bg, tc.policy, testAgent, testSys.TestItem(i), tc.budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.ModelsRun, want.ModelsRun) {
+				t.Fatalf("%s, image %d: the recorded policy ran %v, the registry policy %v",
+					tc.policy.name, i, got.ModelsRun, want.ModelsRun)
+			}
+		}
+		if len(states) < testSys.NumTestImages() {
+			t.Fatalf("%s: recorded only %d states", tc.policy.name, len(states))
+		}
+		net := testAgent.inner.Net.Clone()
+		for _, state := range states {
+			want := net.Forward(state)[:testAgent.inner.NumModels]
+			got := testAgent.PredictValues(state)
+			if len(got) != len(want) {
+				t.Fatalf("PredictValues returned %d values, want %d", len(got), len(want))
+			}
+			for m := range want {
+				if math.Float64bits(got[m]) != math.Float64bits(want[m]) {
+					t.Fatalf("%s, state %v, model %d: PredictValues %v, Net.Forward %v",
+						tc.policy.name, state, m, got[m], want[m])
+				}
+			}
+		}
 	}
 }

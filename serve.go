@@ -30,8 +30,8 @@ var (
 // ServeConfig parameterizes a labeling server.
 type ServeConfig struct {
 	// Workers is the number of concurrent labeling workers. Each worker
-	// owns a private clone of the agent's network (LabelBatch's cloning
-	// rule) driving one scheduling policy.
+	// owns one scheduling policy over its own fork of the agent; the
+	// frozen network behind the forks is shared.
 	Workers int
 	// Policy selects the per-worker scheduling policy; the zero value
 	// means PolicyAlgorithm1, the server's historical default. With
@@ -65,7 +65,7 @@ type ServeConfig struct {
 	// Zero uses the server's default (10 ms) when batching is on.
 	BatchHoldMS float64
 	// PredictorCache, when set, shares one bounded Q-prediction cache
-	// across all workers and items: every clone carries the same frozen
+	// across all workers and items: every worker reads the same frozen
 	// weights, so any worker's forward pass for a labeling state answers
 	// that state everywhere. ServeStats reports its hit rate.
 	PredictorCache bool
@@ -436,7 +436,7 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 		if cfg.Corpus != nil {
 			seg = cfg.Corpus.segs[i]
 		}
-		// Offset the worker indices so every clone across the fleet
+		// Offset the worker indices so every worker across the fleet
 		// seeds its policy differently, exactly as one big pool would.
 		offset := 0
 		for j := 0; j < i; j++ {
@@ -1161,8 +1161,8 @@ func (s *System) SimulateServe(agent *Agent, cfg ServeConfig, trace ServeTrace) 
 
 // serveFactory resolves cfg.Policy (defaulting to Algorithm 1, the
 // server's historical behavior) and builds the per-worker policy
-// factory: each worker gets a private instantiation — and through it a
-// private clone of the agent's network, LabelBatch's cloning rule.
+// factory: each worker gets a private instantiation — and through it
+// its own fork of the agent, as in LabelBatch.
 func (s *System) serveFactory(agent *Agent, cfg ServeConfig) (service.PolicyFactory, Policy, *sched.SharedCache, error) {
 	policy := cfg.Policy
 	if !policy.valid() {
