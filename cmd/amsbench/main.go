@@ -16,14 +16,13 @@ import (
 	"strings"
 
 	"ams/internal/experiments"
-	"ams/internal/shardbench"
 )
 
 var order = []string{
 	"table1", "table2", "fig1", "fig2", "fig4", "fig5", "fig6", "fig7",
 	"fig8", "fig9", "fig10", "fig11", "fig12", "table3", "headline",
 	"ablation-end", "ablation-gamma", "ablation-reward", "ext-graph",
-	"ext-service", "ext-batching", "ext-sharding",
+	"ext-service", "ext-batching",
 }
 
 func main() {
@@ -138,8 +137,6 @@ func run(lab *experiments.Lab, id string) (string, error) {
 		return lab.ExtService().Format(), nil
 	case "ext-batching":
 		return lab.ExtBatching().Format(), nil
-	case "ext-sharding":
-		return shardbench.ExtSharding(lab.Cfg, lab.Logf).Format(), nil
 	default:
 		return "", fmt.Errorf("unknown experiment %q (use -list)", id)
 	}

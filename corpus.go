@@ -297,7 +297,7 @@ func (s *System) ReplayCorpus(ctx context.Context, agent *Agent, cfg ServeConfig
 	var submitErr error
 	for _, p := range pending {
 		pub := Item{id: p.st.Tag, image: -1, valid: true}
-		tk, err := srv.submitSeg(ctx, p.seg, srv.shards[p.seg].src.Index(p.st.Seq), pub)
+		tk, err := srv.submit(ctx, pub, true, p.seg, srv.shards[p.seg].src.Index(p.st.Seq))
 		if err != nil {
 			submitErr = err
 			break

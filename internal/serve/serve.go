@@ -197,26 +197,58 @@ type ItemResult struct {
 	LatencySec float64 // submit -> completion on the simulated clock
 }
 
-// Ticket tracks one submitted item to completion.
+// Ticket tracks one submitted item to completion. It is the serving
+// path's only ticket: a shard router creates it where the caller's submit
+// enters, queues it, and hands the same object to the executing server
+// (AdmitWait), so arrival — and with it WaitSec, LatencySec, the
+// queue_wait span and the SLOs — covers router-pending and resolution time.
 type Ticket struct {
+	// Shard and Stolen are the router's annotation, written before
+	// admission and read after Done: where the item ran, and whether
+	// that is other than its placed home. Zero on a bare server.
+	Shard  int
+	Stolen bool
+
 	image    int
 	tag      string
 	arrival  time.Time
 	dequeued time.Time // when a worker took the item off the queue
 	done     chan struct{}
 	res      ItemResult
+	err      error // why the item never ran (Fail)
 }
 
-// Done is closed when the item has been labeled.
+// NewTicket stamps an item's arrival. The ticket resolves exactly once:
+// through the server that admits it, or through Fail.
+func NewTicket(tag string) *Ticket {
+	return &Ticket{tag: tag, arrival: time.Now(), done: make(chan struct{})}
+}
+
+// Done is closed when the item has been labeled or has failed.
 func (t *Ticket) Done() <-chan struct{} { return t.done }
 
-// Wait blocks until the item has been labeled and returns its result.
-// The result is committed before Done closes: its Outputs are captured
-// by value, so Wait never reads the executor and is unaffected by a
-// corpus evicting the item's memo after commit.
+// Wait blocks until the ticket resolves and returns its result,
+// meaningful when Err is nil. The result is committed before Done
+// closes: its Outputs are captured by value, so Wait never reads the
+// executor and is unaffected by a corpus evicting the item's memo after
+// commit.
 func (t *Ticket) Wait() ItemResult {
 	<-t.done
 	return t.res
+}
+
+// Err blocks like Wait and reports why the item never ran; nil for every
+// ticket a server's own Submit or SubmitWait returned.
+func (t *Ticket) Err() error {
+	<-t.done
+	return t.err
+}
+
+// Fail resolves a ticket no server admitted: a router's dispatch-time
+// resolution failed, or the executing server had closed.
+func (t *Ticket) Fail(err error) {
+	t.err = err
+	close(t.done)
 }
 
 // Server is a running labeling server. Create one with New, feed it with
@@ -236,9 +268,10 @@ type Server struct {
 	workersDone  chan struct{} // closed by Close after the pool drains
 	start        time.Time
 	wg           sync.WaitGroup // workers
-	senders      sync.WaitGroup // in-flight SubmitWait sends; drained before queue close
+	senders      sync.WaitGroup // in-flight admissions; drained before queue close
+	onFinish     func()         // completion hook (nil on a bare server)
 
-	mu        sync.Mutex // guards closed, records, counters; held across Submit's send
+	mu        sync.Mutex // guards closed, records, counters
 	closed    bool
 	records   []service.Record // ring of the most recent StatsWindow completions
 	recHead   int              // next overwrite position once the ring is full
@@ -367,13 +400,68 @@ func New(ex oracle.Executor, factory service.PolicyFactory, cfg Config) (*Server
 // when the bounded queue is saturated (the caller's backpressure signal)
 // and ErrClosed after Close.
 func (s *Server) Submit(item int, tag string) (*Ticket, error) {
-	tk, err := s.ticket(item, tag)
-	if err != nil {
+	tk := NewTicket(tag)
+	if err := s.begin(tk, item); err != nil {
 		return nil, err
 	}
-	// Register the in-flight schedule with the corpus before the item
-	// can reach a worker, so a commit can never observe a missing
-	// reference; a failed admission releases it again.
+	defer s.senders.Done()
+	select {
+	case s.queue <- tk:
+		s.cfg.Metrics.admitted()
+		return tk, nil
+	default:
+		s.mu.Lock()
+		s.rejected++
+		s.mu.Unlock()
+		s.cfg.Metrics.shed()
+		s.abortItem(item)
+		return nil, ErrQueueFull
+	}
+}
+
+// SubmitWait admits one item, blocking while the queue is full until
+// space frees, the context is cancelled, or the server closes.
+func (s *Server) SubmitWait(ctx context.Context, item int, tag string) (*Ticket, error) {
+	tk := NewTicket(tag)
+	if err := s.AdmitWait(ctx, tk, item); err != nil {
+		return nil, err
+	}
+	return tk, nil
+}
+
+// AdmitWait is SubmitWait for a ticket that already exists: the one a
+// shard router created at the caller's submit. On an error the ticket is
+// unresolved and the caller's to Fail.
+func (s *Server) AdmitWait(ctx context.Context, tk *Ticket, item int) error {
+	if err := s.begin(tk, item); err != nil {
+		return err
+	}
+	defer s.senders.Done()
+	var err error
+	select {
+	case s.queue <- tk:
+		s.cfg.Metrics.admitted()
+		return nil
+	case <-s.stop:
+		err = ErrClosed
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	s.abortItem(item)
+	return err
+}
+
+// begin opens an admission. It registers the in-flight schedule with the
+// corpus before the item can reach a worker, so a commit can never
+// observe a missing reference (a failed admission releases it again),
+// and enters the senders group before the caller touches the queue:
+// Close drains the group before closing the channel, so a send can never
+// hit a closed queue. The caller owes senders.Done when begin succeeds.
+func (s *Server) begin(tk *Ticket, item int) error {
+	if item < 0 || item >= s.ex.NumItems() {
+		return fmt.Errorf("serve: item %d out of range [0,%d)", item, s.ex.NumItems())
+	}
+	tk.image = item
 	if s.cfg.Corpus != nil {
 		s.cfg.Corpus.BeginItem(item)
 	}
@@ -381,20 +469,11 @@ func (s *Server) Submit(item int, tag string) (*Ticket, error) {
 	if s.closed {
 		s.mu.Unlock()
 		s.abortItem(item)
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	select {
-	case s.queue <- tk:
-		s.mu.Unlock()
-		s.cfg.Metrics.admitted()
-		return tk, nil
-	default:
-		s.rejected++
-		s.mu.Unlock()
-		s.cfg.Metrics.shed()
-		s.abortItem(item)
-		return nil, ErrQueueFull
-	}
+	s.senders.Add(1)
+	s.mu.Unlock()
+	return nil
 }
 
 // abortItem releases a BeginItem'd corpus reference after a failed
@@ -405,47 +484,11 @@ func (s *Server) abortItem(item int) {
 	}
 }
 
-// SubmitWait admits one item, blocking while the queue is full until
-// space frees, the context is cancelled, or the server closes.
-func (s *Server) SubmitWait(ctx context.Context, item int, tag string) (*Ticket, error) {
-	tk, err := s.ticket(item, tag)
-	if err != nil {
-		return nil, err
-	}
-	if s.cfg.Corpus != nil {
-		s.cfg.Corpus.BeginItem(item)
-	}
-	// Register as a sender before touching the queue: Close drains the
-	// senders group before closing the channel, so a blocked send can
-	// never hit a closed queue.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.abortItem(item)
-		return nil, ErrClosed
-	}
-	s.senders.Add(1)
-	s.mu.Unlock()
-	defer s.senders.Done()
-	select {
-	case s.queue <- tk:
-		s.cfg.Metrics.admitted()
-		return tk, nil
-	case <-s.stop:
-		s.abortItem(item)
-		return nil, ErrClosed
-	case <-ctx.Done():
-		s.abortItem(item)
-		return nil, ctx.Err()
-	}
-}
-
-func (s *Server) ticket(item int, tag string) (*Ticket, error) {
-	if item < 0 || item >= s.ex.NumItems() {
-		return nil, fmt.Errorf("serve: item %d out of range [0,%d)", item, s.ex.NumItems())
-	}
-	return &Ticket{image: item, tag: tag, arrival: time.Now(), done: make(chan struct{})}, nil
-}
+// OnFinish installs the completion hook, before the first admission: fn
+// runs on the finishing worker for every labeled item, after its result
+// is recorded and before its ticket's Done closes. It is how a shard
+// router learns of completions without a goroutine parked per ticket.
+func (s *Server) OnFinish(fn func()) { s.onFinish = fn }
 
 // Close stops admission, drains the queue, and waits for in-flight items
 // to complete. It is safe to call once; later calls return ErrClosed.
@@ -846,6 +889,9 @@ func (s *Server) finish(tk *Ticket, res sim.Result, selectSec float64, trace *ob
 		case s.resSig <- struct{}{}:
 		default: // a wake-up is already pending
 		}
+	}
+	if s.onFinish != nil {
+		s.onFinish()
 	}
 	close(tk.done)
 }

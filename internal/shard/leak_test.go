@@ -7,7 +7,7 @@ import (
 )
 
 // TestMain fails the package when router dispatchers, steal loops, or
-// completion forwarders outlive the tests.
+// the shard servers' goroutines outlive the tests.
 func TestMain(m *testing.M) {
 	leaktest.VerifyTestMain(m)
 }

@@ -19,16 +19,16 @@ func (r *Router) RegisterViews(reg *obs.Registry) {
 		s := s
 		reg.CounterFunc("ams_shard_assigned_total",
 			"Items placed on this shard as their home",
-			func() int64 { r.mu.Lock(); defer r.mu.Unlock(); return r.assigned[s] }, label)
+			func() int64 { r.mu.Lock(); defer r.mu.Unlock(); return r.per[s].Assigned }, label)
 		reg.CounterFunc("ams_shard_steals_total",
 			"Items this shard stole from a loaded sibling",
-			func() int64 { r.mu.Lock(); defer r.mu.Unlock(); return r.steals[s] }, label)
+			func() int64 { r.mu.Lock(); defer r.mu.Unlock(); return r.per[s].Steals }, label)
 		reg.CounterFunc("ams_shard_stolen_from_total",
 			"Items stolen away from this shard",
-			func() int64 { r.mu.Lock(); defer r.mu.Unlock(); return r.stolenFrom[s] }, label)
+			func() int64 { r.mu.Lock(); defer r.mu.Unlock(); return r.per[s].StolenFrom }, label)
 		reg.CounterFunc("ams_shard_rejected_total",
 			"Placements refused with a full pending queue",
-			func() int64 { r.mu.Lock(); defer r.mu.Unlock(); return r.rejected[s] }, label)
+			func() int64 { r.mu.Lock(); defer r.mu.Unlock(); return r.per[s].Rejected }, label)
 		reg.GaugeFunc("ams_shard_pending",
 			"Items placed on this shard, not yet dispatched",
 			func() float64 { r.mu.Lock(); defer r.mu.Unlock(); return float64(len(r.queues[s])) }, label)

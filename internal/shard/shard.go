@@ -109,37 +109,13 @@ type Item struct {
 	Pin int
 }
 
-// Ticket tracks one routed item to completion.
-type Ticket struct {
-	key     uint64
-	hint    []int
-	tag     string
-	index   int
-	resolve func(shard int) (int, error)
-	pinned  bool
-	home    int // placed home shard, for steal provenance
-
-	done chan struct{}
-	res  Result
-	err  error
-}
-
-// Done is closed when the item has completed (or failed to dispatch).
-func (t *Ticket) Done() <-chan struct{} { return t.done }
-
-// Result blocks until completion. The error is non-nil when the item
-// could not be dispatched (resolution failed or the router closed
-// mid-flight); the Result is meaningful only when the error is nil.
-func (t *Ticket) Result() (Result, error) {
-	<-t.done
-	return t.res, t.err
-}
-
-// Result is one completed item, annotated with where it ran.
-type Result struct {
-	serve.ItemResult
-	Shard  int
-	Stolen bool // executed by a shard other than its placed home
+// placed is one queued submission: the item, where placement put it
+// (steal provenance), and the caller's ticket — the same object the
+// executing server admits and the caller waits on.
+type placed struct {
+	Item
+	home int
+	tk   *serve.Ticket
 }
 
 // Config parameterizes a Router.
@@ -174,25 +150,21 @@ type Router struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queues   [][]*Ticket   // pending per shard, oldest first
+	queues   [][]placed    // pending per shard, oldest first
 	space    chan struct{} // closed and replaced whenever a queue drains a slot
 	closed   bool
 	inflight []int // dispatched, not yet completed, per shard
 
-	assigned   []int64 // placements per shard (home assignments)
-	steals     []int64 // items this shard stole
-	stolenFrom []int64 // items stolen away from this shard
-	rejected   []int64 // submits refused with a full pending queue
-	failures   int64   // tickets failed at resolution/dispatch
+	// per holds each shard's live routing counters — Assigned, Steals,
+	// StolenFrom and the router's share of Rejected (non-blocking submits
+	// refused at a full pending queue) — in the record Stats reports.
+	per      []ShardStats
+	failures int64 // tickets failed at resolution/dispatch
 
 	heat    [][]float64 // [shard][model] affinity heat
 	heatSum float64
 
 	dispWG sync.WaitGroup // dispatchers
-	fwdWG  sync.WaitGroup // per-ticket completion forwarders
-
-	resOnce sync.Once
-	resCh   chan Result
 }
 
 // New builds a router over the given shard servers. The servers must
@@ -215,22 +187,23 @@ func New(servers []*serve.Server, cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("shard: %d servers but %d capacities", n, len(cfg.Capacity))
 	}
 	r := &Router{
-		servers:    servers,
-		cfg:        cfg,
-		queues:     make([][]*Ticket, n),
-		space:      make(chan struct{}),
-		inflight:   make([]int, n),
-		assigned:   make([]int64, n),
-		steals:     make([]int64, n),
-		stolenFrom: make([]int64, n),
-		rejected:   make([]int64, n),
-		heat:       make([][]float64, n),
+		servers:  servers,
+		cfg:      cfg,
+		queues:   make([][]placed, n),
+		space:    make(chan struct{}),
+		inflight: make([]int, n),
+		per:      make([]ShardStats, n),
+		heat:     make([][]float64, n),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	for s := range r.heat {
 		r.heat[s] = make([]float64, cfg.Models)
+		r.per[s].Shard = s
 	}
 	for s := 0; s < n; s++ {
+		// The router learns of completions from the finishing worker
+		// itself: no goroutine waits on a routed ticket.
+		servers[s].OnFinish(func() { r.retire(s, false) })
 		// One dispatcher per inner worker: resolution (which may journal
 		// an admission and block on a residency watermark) and the
 		// inner-queue handoff then pipeline with service instead of
@@ -339,10 +312,11 @@ func (r *Router) credit(s int, hint []int) {
 	}
 }
 
-// Submit places one item without blocking. It returns
-// serve.ErrQueueFull when the home shard's pending queue is at capacity
-// and serve.ErrClosed after Close.
-func (r *Router) Submit(it Item) (*Ticket, error) {
+// enqueue places one item and queues its ticket on the home shard. When
+// that shard's pending queue is at capacity it returns
+// serve.ErrQueueFull with the channel that closes once a slot frees —
+// counted as a shed only for a caller that will not wait for it.
+func (r *Router) enqueue(it Item, tk *serve.Ticket, wait bool) (<-chan struct{}, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -353,40 +327,47 @@ func (r *Router) Submit(it Item) (*Ticket, error) {
 		return nil, fmt.Errorf("shard: pin to nonexistent shard %d", s)
 	}
 	if len(r.queues[s]) >= r.queueCap(s) {
-		r.rejected[s]++
-		return nil, serve.ErrQueueFull
+		if !wait {
+			r.per[s].Rejected++
+		}
+		return r.space, serve.ErrQueueFull
 	}
-	tk := &Ticket{
-		key:     it.Key,
-		hint:    it.Hint,
-		tag:     it.Tag,
-		index:   it.Index,
-		resolve: it.Resolve,
-		pinned:  it.Pin > 0,
-		home:    s,
-		done:    make(chan struct{}),
-	}
-	r.queues[s] = append(r.queues[s], tk)
-	r.assigned[s]++
+	r.queues[s] = append(r.queues[s], placed{Item: it, home: s, tk: tk})
+	r.per[s].Assigned++
 	r.credit(s, it.Hint)
 	r.cond.Broadcast()
+	return nil, nil
+}
+
+// Submit places one item without blocking. It returns
+// serve.ErrQueueFull when the home shard's pending queue is at capacity
+// and serve.ErrClosed after Close. The ticket's arrival is stamped here,
+// so the item's queue wait and latency include its time pending in the
+// router and in dispatch-time resolution.
+func (r *Router) Submit(it Item) (*serve.Ticket, error) {
+	tk := serve.NewTicket(it.Tag)
+	if _, err := r.enqueue(it, tk, false); err != nil {
+		return nil, err
+	}
 	return tk, nil
 }
 
 // SubmitWait places one item, blocking while the home shard's pending
 // queue is full until a slot frees, the context is cancelled, or the
-// router closes.
-func (r *Router) SubmitWait(ctx context.Context, it Item) (*Ticket, error) {
+// router closes. The wait is backpressure, not a shed, and the ticket's
+// arrival is stamped before it.
+func (r *Router) SubmitWait(ctx context.Context, it Item) (*serve.Ticket, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	tk := serve.NewTicket(it.Tag)
 	for {
-		r.mu.Lock()
-		space := r.space
-		r.mu.Unlock()
-		tk, err := r.Submit(it)
+		space, err := r.enqueue(it, tk, true)
+		if err == nil {
+			return tk, nil
+		}
 		if err != serve.ErrQueueFull {
-			return tk, err
+			return nil, err
 		}
 		select {
 		case <-space:
@@ -411,42 +392,42 @@ func (r *Router) wake() {
 func (r *Router) dispatch(s int) {
 	defer r.dispWG.Done()
 	for {
-		tk, stolen, ok := r.next(s)
+		p, ok := r.next(s)
 		if !ok {
 			return
 		}
-		r.run(s, tk, stolen)
+		r.run(s, p)
 	}
 }
 
 // next blocks until shard s has an item to execute (own queue first,
 // then a steal) or the router has closed with nothing left anywhere.
-func (r *Router) next(s int) (tk *Ticket, stolen bool, ok bool) {
+func (r *Router) next(s int) (p placed, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
 		if q := r.queues[s]; len(q) > 0 {
-			tk, r.queues[s] = q[0], q[1:]
+			p, r.queues[s] = q[0], q[1:]
 			r.inflight[s]++
 			r.wake()
-			return tk, false, true
+			return p, true
 		}
 		if r.cfg.Steal && r.inflight[s] < r.cfg.Capacity[s] {
 			if v, i := r.stealTarget(s); v >= 0 {
-				tk = r.queues[v][i]
+				p = r.queues[v][i]
 				r.queues[v] = append(r.queues[v][:i], r.queues[v][i+1:]...)
 				r.inflight[s]++
-				r.steals[s]++
-				r.stolenFrom[v]++
+				r.per[s].Steals++
+				r.per[v].StolenFrom++
 				// The thief becomes the item's de-facto home: heat
 				// follows it so like items can follow too.
-				r.credit(s, tk.hint)
+				r.credit(s, p.Hint)
 				r.wake()
-				return tk, true, true
+				return p, true
 			}
 		}
 		if r.closed && r.pendingTotal() == 0 {
-			return nil, false, false
+			return placed{}, false
 		}
 		r.cond.Wait()
 	}
@@ -460,8 +441,8 @@ func (r *Router) stealTarget(thief int) (victim, idx int) {
 		if v == thief {
 			continue
 		}
-		for i, tk := range r.queues[v] {
-			if tk.pinned {
+		for i := range r.queues[v] {
+			if r.queues[v][i].Pin > 0 {
 				continue
 			}
 			if victim < 0 || len(r.queues[v]) > len(r.queues[victim]) {
@@ -482,61 +463,50 @@ func (r *Router) pendingTotal() int {
 	return total
 }
 
-// run resolves and executes one dequeued ticket on shard s, forwarding
-// completion asynchronously so the dispatcher can move on.
-func (r *Router) run(s int, tk *Ticket, stolen bool) {
-	idx := tk.index
-	if tk.resolve != nil {
-		i, err := tk.resolve(s)
-		if err != nil {
-			r.fail(s, tk, err)
-			return
+// run resolves one dequeued item on shard s and hands its ticket to the
+// shard's server; the server's completion hook retires it. A resolution
+// error or a refused admission (the server closed underneath the router)
+// fails the ticket instead, exactly once, here.
+func (r *Router) run(s int, p placed) {
+	stolen := p.home != s
+	idx := p.Index
+	var err error
+	if p.Resolve != nil {
+		idx, err = p.Resolve(s)
+	}
+	if err == nil {
+		if stolen && p.Tag != "" {
+			// Record provenance before the admission: the handoff into the
+			// executing server's queue is the happens-before edge that orders
+			// this note ahead of the serve loop's Tracer.Begin for the tag.
+			r.cfg.Tracer.NoteSteal(p.Tag, p.home, s)
 		}
-		idx = i
+		p.tk.Shard, p.tk.Stolen = s, stolen
+		//amsvet:allow ctxflow the dispatcher outlives any submitter ctx; Router.Close is its cancellation scope
+		err = r.servers[s].AdmitWait(context.Background(), p.tk, idx)
 	}
-	if stolen && tk.tag != "" {
-		// Record provenance before the inner submit: the handoff into the
-		// executing server's queue is the happens-before edge that orders
-		// this note ahead of the serve loop's Tracer.Begin for the tag.
-		r.cfg.Tracer.NoteSteal(tk.tag, tk.home, s)
-	}
-	//amsvet:allow ctxflow the dispatcher outlives any submitter ctx; Router.Close is its cancellation scope
-	in, err := r.servers[s].SubmitWait(context.Background(), idx, tk.tag)
 	if err != nil {
-		r.fail(s, tk, err)
-		return
+		p.tk.Fail(err)
+		r.retire(s, true)
 	}
-	r.fwdWG.Add(1)
-	go func() {
-		defer r.fwdWG.Done()
-		res := in.Wait()
-		tk.res = Result{ItemResult: res, Shard: s, Stolen: stolen}
-		r.complete(s)
-		close(tk.done)
-	}()
 }
 
-// fail resolves a ticket with a dispatch error.
-func (r *Router) fail(s int, tk *Ticket, err error) {
-	tk.err = err
-	close(tk.done)
-	r.mu.Lock()
-	r.failures++
-	r.mu.Unlock()
-	r.complete(s)
-}
-
-// complete retires one in-flight item on shard s, re-opening its steal
-// gate and re-checking every dispatcher's exit/steal condition.
-func (r *Router) complete(s int) {
+// retire takes one dispatched item off shard s's in-flight count —
+// completed, or failed at dispatch — re-opening the shard's steal gate
+// and re-checking every dispatcher's exit/steal condition.
+func (r *Router) retire(s int, failed bool) {
 	r.mu.Lock()
 	r.inflight[s]--
+	if failed {
+		r.failures++
+	}
 	r.cond.Broadcast()
 	r.mu.Unlock()
 }
 
 // Close stops admission, drains every pending queue through the shard
-// servers, closes them, and waits for all completions to resolve.
+// servers, and closes them — which waits for every admitted ticket to
+// resolve.
 func (r *Router) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -544,7 +514,6 @@ func (r *Router) Close() error {
 		return serve.ErrClosed
 	}
 	r.closed = true
-	r.cond.Broadcast()
 	r.wake()
 	r.mu.Unlock()
 	r.dispWG.Wait() // every placed item has been handed to a server
@@ -554,32 +523,7 @@ func (r *Router) Close() error {
 			firstErr = err
 		}
 	}
-	r.fwdWG.Wait() // every ticket has resolved
 	return firstErr
-}
-
-// Results merges every shard's completion stream into one channel,
-// annotated with the executing shard. Subscribe before submitting; the
-// channel closes after Close once all shards' streams drain.
-func (r *Router) Results() <-chan Result {
-	r.resOnce.Do(func() {
-		r.resCh = make(chan Result)
-		var wg sync.WaitGroup
-		for s, sv := range r.servers {
-			wg.Add(1)
-			go func(s int, ch <-chan serve.ItemResult) {
-				defer wg.Done()
-				for ir := range ch {
-					r.resCh <- Result{ItemResult: ir, Shard: s}
-				}
-			}(s, sv.Results())
-		}
-		go func() {
-			wg.Wait()
-			close(r.resCh)
-		}()
-	})
-	return r.resCh
 }
 
 // ShardStats is one shard's slice of the merged picture.
@@ -616,8 +560,8 @@ func (r *Router) RejectedTotal() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var total int64
-	for _, n := range r.rejected {
-		total += n
+	for s := range r.per {
+		total += r.per[s].Rejected
 	}
 	return total
 }
@@ -628,8 +572,8 @@ func (r *Router) StealsTotal() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var total int64
-	for _, n := range r.steals {
-		total += n
+	for s := range r.per {
+		total += r.per[s].Steals
 	}
 	return total
 }
@@ -638,47 +582,34 @@ func (r *Router) StealsTotal() int64 {
 // reduction — valid because the servers share a clock epoch — and
 // reports the per-shard breakdown beside it.
 func (r *Router) Stats() Stats {
-	n := len(r.servers)
+	st := Stats{PerShard: make([]ShardStats, len(r.servers))}
+	r.mu.Lock()
+	copy(st.PerShard, r.per)
+	for s := range st.PerShard {
+		st.PerShard[s].Pending = len(r.queues[s])
+		st.Steals += r.per[s].Steals
+	}
+	st.Failures = r.failures
+	r.mu.Unlock()
 	workers := 0
 	var records []service.Record
-	per := make([]ShardStats, n)
-	var totalSteals int64
-	r.mu.Lock()
-	pending := make([]int, n)
-	for s := range pending {
-		pending[s] = len(r.queues[s])
-	}
-	assigned := append([]int64(nil), r.assigned...)
-	steals := append([]int64(nil), r.steals...)
-	stolenFrom := append([]int64(nil), r.stolenFrom...)
-	rejected := append([]int64(nil), r.rejected...)
-	failures := r.failures
-	r.mu.Unlock()
-	merged := serve.RunStats{}
+	merged := &st.Merged
 	for s, sv := range r.servers {
-		rs := sv.Stats()
+		rs, ps := sv.Stats(), &st.PerShard[s]
 		records = append(records, sv.Records()...)
 		workers += r.cfg.Workers[s]
-		per[s] = ShardStats{
-			Shard:        s,
-			Items:        rs.Items,
-			Completed:    rs.Completed,
-			ThroughputHz: rs.ThroughputHz,
-			Utilization:  rs.Utilization,
-			AvgRecall:    rs.AvgRecall,
-			PeakMemMB:    rs.PeakMemMB,
-			MemWaits:     rs.MemWaits,
-			Pending:      pending[s],
-			Assigned:     assigned[s],
-			Steals:       steals[s],
-			StolenFrom:   stolenFrom[s],
-			Rejected:     rejected[s] + rs.Rejected,
-		}
-		totalSteals += steals[s]
+		ps.Items = rs.Items
+		ps.Completed = rs.Completed
+		ps.ThroughputHz = rs.ThroughputHz
+		ps.Utilization = rs.Utilization
+		ps.AvgRecall = rs.AvgRecall
+		ps.PeakMemMB = rs.PeakMemMB
+		ps.MemWaits = rs.MemWaits
+		ps.Rejected += rs.Rejected
 		merged.Completed += rs.Completed
 		merged.PeakMemMB += rs.PeakMemMB // summed per-shard peaks: the footprint bound
 		merged.MemWaits += rs.MemWaits
-		merged.Rejected += rejected[s] + rs.Rejected
+		merged.Rejected += ps.Rejected
 		merged.ResultsDropped += rs.ResultsDropped
 		merged.Batching.Batches += rs.Batching.Batches
 		merged.Batching.Requests += rs.Batching.Requests
@@ -691,5 +622,5 @@ func (r *Router) Stats() Stats {
 		}
 	}
 	merged.Stats = service.SummarizeWindow(records, workers, merged.Completed)
-	return Stats{Merged: merged, PerShard: per, Steals: totalSteals, Failures: failures}
+	return st
 }

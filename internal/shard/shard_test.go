@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -152,7 +153,7 @@ func TestHashPlacementMatchesShardFor(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		tickets := make([]*Ticket, 80)
+		tickets := make([]*serve.Ticket, 80)
 		for i := range tickets {
 			tk, err := r.SubmitWait(context.Background(), Item{Key: uint64(i), Index: i % ds.Len()})
 			if err != nil {
@@ -164,14 +165,14 @@ func TestHashPlacementMatchesShardFor(t *testing.T) {
 			t.Fatalf("Close: %v", err)
 		}
 		for i, tk := range tickets {
-			res, err := tk.Result()
+			err := tk.Err()
 			if err != nil {
 				t.Fatalf("item %d: %v", i, err)
 			}
-			if want := ShardFor(uint64(i), n); res.Shard != want {
-				t.Errorf("rebuild %d: key %d ran on shard %d, want %d", rebuild, i, res.Shard, want)
+			if want := ShardFor(uint64(i), n); tk.Shard != want {
+				t.Errorf("rebuild %d: key %d ran on shard %d, want %d", rebuild, i, tk.Shard, want)
 			}
-			if res.Stolen {
+			if tk.Stolen {
 				t.Errorf("key %d reported stolen with stealing disabled", i)
 			}
 		}
@@ -194,7 +195,7 @@ func TestAffinityGroupsHotTraffic(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	keyA, keyB := keyOn(0, n, 0), keyOn(1, n, 0)
-	var ticketsA, ticketsB []*Ticket
+	var ticketsA, ticketsB []*serve.Ticket
 	for i := 0; i < 20; i++ {
 		tkA, err := r.SubmitWait(context.Background(), Item{Key: keyA, Hint: []int{3}, Index: i % ds.Len()})
 		if err != nil {
@@ -210,13 +211,13 @@ func TestAffinityGroupsHotTraffic(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	for i, tk := range ticketsA {
-		if res, err := tk.Result(); err != nil || res.Shard != 0 {
-			t.Errorf("family A item %d: shard %d, err %v; want shard 0", i, res.Shard, err)
+		if err := tk.Err(); err != nil || tk.Shard != 0 {
+			t.Errorf("family A item %d: shard %d, err %v; want shard 0", i, tk.Shard, err)
 		}
 	}
 	for i, tk := range ticketsB {
-		if res, err := tk.Result(); err != nil || res.Shard != 1 {
-			t.Errorf("family B item %d: shard %d, err %v; want shard 1", i, res.Shard, err)
+		if err := tk.Err(); err != nil || tk.Shard != 1 {
+			t.Errorf("family B item %d: shard %d, err %v; want shard 1", i, tk.Shard, err)
 		}
 	}
 }
@@ -234,7 +235,7 @@ func TestStealDrainsIdleShard(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	key := keyOn(0, n, 0)
-	tickets := make([]*Ticket, 60)
+	tickets := make([]*serve.Ticket, 60)
 	for i := range tickets {
 		tk, err := r.SubmitWait(context.Background(), Item{Key: key, Index: i % ds.Len()})
 		if err != nil {
@@ -247,14 +248,14 @@ func TestStealDrainsIdleShard(t *testing.T) {
 	}
 	stolen := 0
 	for i, tk := range tickets {
-		res, err := tk.Result()
+		err := tk.Err()
 		if err != nil {
 			t.Fatalf("item %d: %v", i, err)
 		}
-		if res.Stolen != (res.Shard != 0) {
-			t.Errorf("item %d: shard %d stolen=%v is inconsistent with home 0", i, res.Shard, res.Stolen)
+		if tk.Stolen != (tk.Shard != 0) {
+			t.Errorf("item %d: shard %d stolen=%v is inconsistent with home 0", i, tk.Shard, tk.Stolen)
 		}
-		if res.Stolen {
+		if tk.Stolen {
 			stolen++
 		}
 	}
@@ -282,7 +283,7 @@ func TestPinBypassesPlacementAndSteal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	tickets := make([]*Ticket, 30)
+	tickets := make([]*serve.Ticket, 30)
 	for i := range tickets {
 		tk, err := r.SubmitWait(context.Background(), Item{Key: uint64(i), Index: i % ds.Len(), Pin: 2})
 		if err != nil {
@@ -294,12 +295,12 @@ func TestPinBypassesPlacementAndSteal(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	for i, tk := range tickets {
-		res, err := tk.Result()
+		err := tk.Err()
 		if err != nil {
 			t.Fatalf("item %d: %v", i, err)
 		}
-		if res.Shard != 1 || res.Stolen {
-			t.Errorf("pinned item %d ran on shard %d (stolen=%v), want its pin 1", i, res.Shard, res.Stolen)
+		if tk.Shard != 1 || tk.Stolen {
+			t.Errorf("pinned item %d ran on shard %d (stolen=%v), want its pin 1", i, tk.Shard, tk.Stolen)
 		}
 	}
 	if st := r.Stats(); st.Steals != 0 {
@@ -320,7 +321,7 @@ func TestOneShardParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			var tickets []*Ticket
+			var tickets []*serve.Ticket
 			for i := 0; i < 12; i++ {
 				tk, err := r.SubmitWait(context.Background(), Item{Key: uint64(i), Index: i, Tag: fmt.Sprintf("scene-%d", i)})
 				if err != nil {
@@ -332,11 +333,11 @@ func TestOneShardParity(t *testing.T) {
 				t.Fatalf("Close: %v", err)
 			}
 			for _, tk := range tickets {
-				res, err := tk.Result()
+				res, err := tk.Wait(), tk.Err()
 				if err != nil {
 					t.Fatalf("Result: %v", err)
 				}
-				out[res.Tag] = res.ItemResult
+				out[res.Tag] = res
 			}
 			return out
 		}
@@ -410,7 +411,7 @@ func TestShardStress(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := tk.Result(); err != nil {
+				if err := tk.Err(); err != nil {
 					errs <- err
 					return
 				}
@@ -438,5 +439,180 @@ func TestShardStress(t *testing.T) {
 	}
 	if assigned != goroutines*each {
 		t.Errorf("assigned %d of %d", assigned, goroutines*each)
+	}
+}
+
+// TestDispatchFailuresResolveOnce covers the two ways a placed ticket
+// never reaches a worker — its dispatch-time Resolve fails, or the
+// executing shard's server has closed underneath the router — and checks
+// each resolves exactly once with that error (a second resolution would
+// panic on the closed Done), is counted as a failure, and releases the
+// shard's in-flight slot so the steal gate reopens. The package's
+// TestMain checks no goroutine is left behind.
+func TestDispatchFailuresResolveOnce(t *testing.T) {
+	const n = 2
+	boom := errors.New("resolve failed")
+	for _, tc := range []struct {
+		name       string
+		item       Item
+		closeShard bool // close shard 0's server before submitting
+		want       error
+	}{
+		{"resolve error", Item{Pin: 1, Resolve: func(int) (int, error) { return 0, boom }}, false, boom},
+		{"shard closed before admission", Item{Pin: 1, Index: 1}, true, serve.ErrClosed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			servers := newShardServers(t, n, 1)
+			r, err := New(servers, Config{Steal: true, Workers: workerCounts(n, 1)})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			if tc.closeShard {
+				if err := servers[0].Close(); err != nil {
+					t.Fatalf("closing shard 0: %v", err)
+				}
+			}
+			bad, err := r.SubmitWait(context.Background(), tc.item)
+			if err != nil {
+				t.Fatalf("SubmitWait: %v", err)
+			}
+			if err := bad.Err(); !errors.Is(err, tc.want) {
+				t.Fatalf("failed ticket resolved with %v, want %v", err, tc.want)
+			}
+			// The sibling still serves, and the failure held no slot.
+			good, err := r.SubmitWait(context.Background(), Item{Pin: 2, Index: 2})
+			if err != nil {
+				t.Fatalf("SubmitWait after the failure: %v", err)
+			}
+			if err := good.Err(); err != nil {
+				t.Fatalf("sibling item: %v", err)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			st := r.Stats()
+			if st.Failures != 1 || st.Merged.Completed != 1 {
+				t.Errorf("failures %d, completed %d; want 1 and 1", st.Failures, st.Merged.Completed)
+			}
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			for s, held := range r.inflight {
+				if held != 0 {
+					t.Errorf("shard %d still counts %d in flight", s, held)
+				}
+			}
+		})
+	}
+}
+
+// TestCloseRacesSubmitters closes the router while submitters are still
+// feeding it: every ticket a SubmitWait handed out — pending, being
+// dispatched or executing when Close ran — resolves exactly once, and
+// the results and errors the callers saw are the completions and
+// failures the router counted.
+func TestCloseRacesSubmitters(t *testing.T) {
+	const n, goroutines, each = 2, 4, 40
+	r, err := New(newShardServers(t, n, 1), Config{Steal: true, Workers: workerCounts(n, 1), QueueCap: 4})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	tickets := make(chan *serve.Ticket, goroutines*each)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tk, err := r.SubmitWait(context.Background(), Item{Key: uint64(g*each + i), Index: i % ds.Len()})
+				if err != nil {
+					if err != serve.ErrClosed {
+						t.Errorf("SubmitWait: %v", err)
+					}
+					return
+				}
+				tickets <- tk
+			}
+		}(g)
+	}
+	for len(tickets) < goroutines { // let some items get in before the close
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	wg.Wait()
+	close(tickets)
+	var completed, failed int64
+	for tk := range tickets {
+		if err := tk.Err(); err != nil {
+			failed++
+		} else {
+			completed++
+		}
+	}
+	if st := r.Stats(); st.Merged.Completed != completed || st.Failures != failed {
+		t.Errorf("callers saw %d results and %d errors; router counted %d and %d",
+			completed, failed, st.Merged.Completed, st.Failures)
+	}
+}
+
+// TestSubmitWaitCountsNoReject pushes more closed-loop submissions
+// through a router than its pending queues hold: waiting for a slot is
+// backpressure, so every item completes and nothing is counted as shed.
+func TestSubmitWaitCountsNoReject(t *testing.T) {
+	const n, items = 2, 60
+	r, err := New(newShardServers(t, n, 1), Config{Workers: workerCounts(n, 1), QueueCap: 2})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	tickets := make([]*serve.Ticket, items)
+	for i := range tickets {
+		tk, err := r.SubmitWait(context.Background(), Item{Key: uint64(i), Index: i % ds.Len()})
+		if err != nil {
+			t.Fatalf("SubmitWait: %v", err)
+		}
+		tickets[i] = tk
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for i, tk := range tickets {
+		if err := tk.Err(); err != nil {
+			t.Fatalf("item %d: %v", i, err)
+		}
+	}
+	if st := r.Stats(); st.Merged.Completed != items || st.Merged.Rejected != 0 {
+		t.Errorf("completed %d of %d with %d rejects; SubmitWait sheds nothing", st.Merged.Completed, items, st.Merged.Rejected)
+	}
+}
+
+// TestWaitSecCoversDispatchResolve blocks an item's dispatch-time
+// Resolve for a known wall interval and checks the interval shows up in
+// the item's queue wait: the ticket's arrival is stamped at the caller's
+// submit, not when the executing server admits it.
+func TestWaitSecCoversDispatchResolve(t *testing.T) {
+	const block = 30 * time.Millisecond
+	const scale = 0.001 // newShardServers' TimeScale
+	r, err := New(newShardServers(t, 2, 1), Config{Workers: workerCounts(2, 1)})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	tk, err := r.SubmitWait(context.Background(), Item{Key: 1, Resolve: func(int) (int, error) {
+		time.Sleep(block)
+		return 3, nil
+	}})
+	if err != nil {
+		t.Fatalf("SubmitWait: %v", err)
+	}
+	res, err := tk.Wait(), tk.Err()
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if want := block.Seconds() / scale; res.WaitSec < want || res.LatencySec < res.WaitSec {
+		t.Errorf("WaitSec %.1f, LatencySec %.1f: want the %.0f simulated seconds Resolve blocked inside both",
+			res.WaitSec, res.LatencySec, want)
 	}
 }

@@ -47,8 +47,13 @@ type ServeConfig struct {
 	// sum of in-flight model footprints across the pool never exceeds
 	// it. Workers block when the budget is saturated.
 	MemoryGB float64
-	// QueueCap bounds the admission queue (default 2*Workers). Submit
-	// rejects with ErrQueueFull when it is saturated.
+	// QueueCap bounds the admission queue (default 2*Workers); Submit
+	// rejects with ErrQueueFull when it is saturated. A sharded server
+	// divides it evenly (at least 1 per shard), and that share bounds each
+	// of a shard's two queues — the router's pending queue, which is where
+	// Submit sheds, and the shard server's admission queue — so one shard
+	// holds at most 2*share queued items plus two per worker (one being
+	// dispatched, one executing).
 	QueueCap int
 	// BatchSize, when positive, turns on cross-item dynamic batching:
 	// same-model demand from the whole worker pool coalesces into
@@ -91,8 +96,8 @@ type ServeConfig struct {
 	// corpus, its own journal segment (the corpus must have been opened
 	// with OpenCorpusDir at the same segment count) — fronted by a
 	// router that places items per ShardPlacement. One shard (or zero,
-	// the default) is the single-budget server, byte-for-byte the
-	// pre-sharding behavior.
+	// the default) is the single-budget server: the same construction
+	// with no router in front.
 	Shards int
 	// ShardPlacement picks the router's placement policy: "hash"
 	// (default; consistent hash of the item identity, stable across
@@ -165,9 +170,13 @@ type ServeTrace struct {
 // the simulated clock (wall-clock divided by TimeScale) so real and
 // simulated runs compare field by field.
 type ServeStats struct {
-	Items           int     // items in the summarized window
-	Completed       int64   // total completions (exceeds Items once the window wraps)
-	AvgQueueWaitSec float64 // submit -> execution start
+	Items     int   // items in the summarized window
+	Completed int64 // total completions (exceeds Items once the window wraps)
+	// AvgQueueWaitSec is the caller's submit -> execution start. On a
+	// sharded server the clock starts where Submit/SubmitWait enters the
+	// router, so it (and every latency below, the queue_wait span and the
+	// SLOs) includes router-pending and dispatch-time resolution time.
+	AvgQueueWaitSec float64
 	AvgLatencySec   float64 // submit -> completion
 	P95LatencySec   float64
 	AvgRecall       float64 // over ground-truth-backed items only
@@ -178,7 +187,7 @@ type ServeStats struct {
 
 	PeakMemMB float64 // maximum simultaneous GPU reservation (real server)
 	MemWaits  int64   // executions that blocked on the memory budget
-	Rejected  int64   // submits rejected with ErrQueueFull
+	Rejected  int64   // non-blocking Submits rejected with ErrQueueFull; SubmitWait never counts
 
 	// Cross-item batching counters (zero unless ServeConfig.BatchSize
 	// is set). SavedGPUMS is simulated GPU time avoided versus unbatched
@@ -223,21 +232,7 @@ type ServeStats struct {
 }
 
 // ShardServeStats is one shard's slice of a sharded run.
-type ShardServeStats struct {
-	Shard        int
-	Items        int     // completions in the shard's stats window
-	Completed    int64   // total completions on this shard
-	ThroughputHz float64 // over the shard's own records
-	Utilization  float64 // of the shard's own workers
-	AvgRecall    float64 // over the shard's ground-truth-backed items
-	PeakMemMB    float64 // the shard accountant's observed peak
-	MemWaits     int64
-	Pending      int   // placed on this shard, not yet dispatched
-	Assigned     int64 // home placements routed to this shard
-	Steals       int64 // items this shard stole from siblings
-	StolenFrom   int64 // items siblings stole from this shard
-	Rejected     int64 // submits shed at this shard's queue cap
-}
+type ShardServeStats = shard.ShardStats
 
 // Server is a running concurrent labeling server. Create one with
 // NewServer, feed it with Submit or SubmitWait — held-out test images
@@ -249,10 +244,10 @@ type Server struct {
 	corpus *Corpus            // durable ingestion, when configured
 	cache  *sched.SharedCache // shared Q-prediction cache (nil unless configured)
 
-	// shards always holds at least one entry. Unsharded (Shards <= 1)
-	// the router is nil and every call goes straight through shards[0]
-	// — exactly the pre-sharding code path. Sharded, the router owns
-	// placement, stealing, and merged stats across all entries.
+	// shards always holds at least one entry, all built by the same
+	// loop. With two or more a router fronts them and owns placement,
+	// stealing and the merged stats; with one the router is nil and
+	// admission, stats and Close go to shards[0] directly.
 	shards    []*serverShard
 	router    *shard.Router
 	placement shard.Placement
@@ -299,25 +294,24 @@ type serverShard struct {
 	admitting map[*oracle.ExternalItem]chan struct{}
 }
 
-// ServeTicket tracks one submitted item to completion.
+// ServeTicket tracks one submitted item to completion. It wraps the
+// serving path's one ticket — created where Submit/SubmitWait entered,
+// queued by the router when there is one, resolved by the executing
+// shard's server — with the item it was submitted for.
 type ServeTicket struct {
 	sys  *System
 	item Item
-	in   *serve.Ticket // unsharded
-	rt   *shard.Ticket // sharded
+	tk   *serve.Ticket
 }
 
-// Done is closed when the item has been labeled.
-func (t *ServeTicket) Done() <-chan struct{} {
-	if t.rt != nil {
-		return t.rt.Done()
-	}
-	return t.in.Done()
-}
+// Done is closed when the item has been labeled or has failed to
+// dispatch.
+func (t *ServeTicket) Done() <-chan struct{} { return t.tk.Done() }
 
 // Wait blocks until the item has been labeled — or ctx is cancelled,
 // which abandons the wait (not the item: the server still finishes it)
-// and returns ctx.Err().
+// and returns ctx.Err(). An item a sharded server could not dispatch
+// (its resolution failed, or its shard closed first) returns that error.
 //
 // Commit-of-result is the item's explicit lifetime boundary: by the time
 // Wait returns, the result's outputs have been captured by value (and,
@@ -332,14 +326,10 @@ func (t *ServeTicket) Wait(ctx context.Context) (*Result, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	if t.rt != nil {
-		res, err := t.rt.Result()
-		if err != nil {
-			return nil, err
-		}
-		return t.sys.serveResult(t.item, res.ItemResult), nil
+	if err := t.tk.Err(); err != nil {
+		return nil, err
 	}
-	return t.sys.serveResult(t.item, t.in.Wait()), nil
+	return t.sys.serveResult(t.item, t.tk.Wait()), nil
 }
 
 // serveResult converts a server completion — which carries its executed
@@ -388,85 +378,80 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 		sv.metrics = serve.NewMetrics(sv.reg, s.Zoo.Models)
 	}
 
-	if cfg.Shards <= 1 {
-		// The single-budget server: one shard, no router in the path.
-		var seg *corpus.Corpus
-		if cfg.Corpus != nil {
-			if n := cfg.Corpus.Segments(); n != 1 {
-				return nil, fmt.Errorf("ams: unsharded server needs a single-segment corpus, got %d segments", n)
-			}
-			seg = cfg.Corpus.segs[0]
-		}
-		sh, err := s.newShard(sv, cfg, policy, seg, factory, 0, cfg.Workers, cfg.MemoryGB, cfg.QueueCap, time.Time{})
-		if err != nil {
-			return nil, err
-		}
-		sv.shards = []*serverShard{sh}
-		return sv.finishTelemetry(cfg)
-	}
-
-	n := cfg.Shards
+	n := max(cfg.Shards, 1)
 	if cfg.Workers < n {
-		return nil, fmt.Errorf("ams: %d shards need at least %d workers, got %d", n, n, cfg.Workers)
+		return nil, fmt.Errorf("ams: need at least one worker per shard, got %d for %d shard(s)", cfg.Workers, n)
 	}
 	if cfg.Corpus != nil && cfg.Corpus.Segments() != n {
-		return nil, fmt.Errorf("ams: %d shards need a corpus with %d journal segments (OpenCorpusDir), got %d",
-			n, n, cfg.Corpus.Segments())
+		return nil, fmt.Errorf("ams: %d shard(s) need a corpus with as many journal segments (OpenCorpusDir), got %d",
+			n, cfg.Corpus.Segments())
 	}
-	// All shards share one clock epoch so their completion records merge
-	// into a single coherent timeline in Stats.
-	epoch := time.Now()
+	// What every shard's server is built with, but for its own Workers
+	// and Shard index.
+	shardCfg := serve.Config{
+		Config: service.Config{
+			DeadlineSec:    cfg.DeadlineSec,
+			MemoryBudgetMB: cfg.MemoryGB / float64(n) * 1024,
+			ItemParallel:   policy.parallel,
+		},
+		QueueCap:    cfg.QueueCap,
+		BatchSize:   cfg.BatchSize,
+		BatchHoldMS: cfg.BatchHoldMS,
+		TimeScale:   cfg.TimeScale,
+		StatsWindow: cfg.StatsWindow,
+		// One clock epoch, so the shards' completion records merge into a
+		// single coherent timeline in Stats.
+		Epoch:   time.Now(),
+		Metrics: sv.metrics,
+		Tracer:  sv.tracer,
+	}
+	if cfg.QueueCap > 0 {
+		shardCfg.QueueCap = max(cfg.QueueCap/n, 1)
+	}
 	workerSplit := make([]int, n)
+	inners := make([]*serve.Server, 0, n)
+	closeBuilt := func() {
+		for _, inner := range inners {
+			inner.Close()
+		}
+	}
+	offset := 0
 	for i := range workerSplit {
 		workerSplit[i] = cfg.Workers / n
 		if i < cfg.Workers%n {
 			workerSplit[i]++
 		}
-	}
-	queuePer := 0
-	if cfg.QueueCap > 0 {
-		if queuePer = cfg.QueueCap / n; queuePer == 0 {
-			queuePer = 1
-		}
-	}
-	sv.shards = make([]*serverShard, n)
-	inners := make([]*serve.Server, n)
-	for i := 0; i < n; i++ {
+		shardCfg.Workers, shardCfg.Shard = workerSplit[i], i
 		var seg *corpus.Corpus
 		if cfg.Corpus != nil {
 			seg = cfg.Corpus.segs[i]
 		}
 		// Offset the worker indices so every worker across the fleet
 		// seeds its policy differently, exactly as one big pool would.
-		offset := 0
-		for j := 0; j < i; j++ {
-			offset += workerSplit[j]
-		}
-		shardFactory := func(w int) sim.Policy { return factory(offset + w) }
-		sh, err := s.newShard(sv, cfg, policy, seg, shardFactory, i, workerSplit[i], cfg.MemoryGB/float64(n), queuePer, epoch)
+		base := offset
+		offset += workerSplit[i]
+		sh, err := s.newShard(seg, func(w int) sim.Policy { return factory(base + w) }, shardCfg)
 		if err != nil {
-			for _, prev := range sv.shards[:i] {
-				prev.inner.Close()
-			}
+			closeBuilt()
 			return nil, err
 		}
-		sv.shards[i] = sh
-		inners[i] = sh.inner
+		sv.shards = append(sv.shards, sh)
+		inners = append(inners, sh.inner)
 	}
-	router, err := shard.New(inners, shard.Config{
-		Placement: placement,
-		Steal:     cfg.ShardSteal,
-		Models:    len(s.Zoo.Models),
-		Workers:   workerSplit,
-		Tracer:    sv.tracer,
-	})
-	if err != nil {
-		for _, sh := range sv.shards {
-			sh.inner.Close()
+	if n > 1 {
+		sv.router, err = shard.New(inners, shard.Config{
+			Placement: placement,
+			Steal:     cfg.ShardSteal,
+			QueueCap:  shardCfg.QueueCap,
+			Models:    len(s.Zoo.Models),
+			Workers:   workerSplit,
+			Tracer:    sv.tracer,
+		})
+		if err != nil {
+			closeBuilt()
+			return nil, fmt.Errorf("ams: %w", err)
 		}
-		return nil, fmt.Errorf("ams: %w", err)
 	}
-	sv.router = router
 	return sv.finishTelemetry(cfg)
 }
 
@@ -621,21 +606,16 @@ func (sv *Server) armFlightRecorder(dir string) {
 
 // newShard builds one shard: a serve.Server over either the shard's
 // corpus segment or a private on-demand executor.
-func (s *System) newShard(sv *Server, cfg ServeConfig, policy Policy, seg *corpus.Corpus, factory service.PolicyFactory,
-	shardIdx, workers int, memoryGB float64, queueCap int, epoch time.Time) (*serverShard, error) {
+func (s *System) newShard(seg *corpus.Corpus, factory service.PolicyFactory, cfg serve.Config) (*serverShard, error) {
 	sh := &serverShard{
 		sys:       s,
 		ingested:  make(map[*oracle.ExternalItem]int),
 		admitting: make(map[*oracle.ExternalItem]chan struct{}),
 	}
-	var (
-		ex         oracle.Executor
-		corpusHook serve.Corpus
-	)
+	var ex oracle.Executor
 	if seg != nil {
 		sh.src = seg.Source(s.testStore)
-		ex = sh.src
-		corpusHook = sh.src
+		ex, cfg.Corpus = sh.src, sh.src
 		// History already committed in the journal was delivered before:
 		// reclaim its memos so a reopened corpus does not pin them.
 		// ReplayCorpus recovers those results *before* building a server.
@@ -644,28 +624,10 @@ func (s *System) newShard(sv *Server, cfg ServeConfig, policy Policy, seg *corpu
 		sh.ingest = oracle.NewOnDemand(s.Zoo, s.testStore)
 		ex = sh.ingest
 	}
-	inner, err := serve.New(ex, factory, serve.Config{
-		Config: service.Config{
-			Workers:        workers,
-			DeadlineSec:    cfg.DeadlineSec,
-			MemoryBudgetMB: memoryGB * 1024,
-			ItemParallel:   policy.parallel,
-		},
-		QueueCap:    queueCap,
-		BatchSize:   cfg.BatchSize,
-		BatchHoldMS: cfg.BatchHoldMS,
-		TimeScale:   cfg.TimeScale,
-		StatsWindow: cfg.StatsWindow,
-		Corpus:      corpusHook,
-		Epoch:       epoch,
-		Metrics:     sv.metrics,
-		Tracer:      sv.tracer,
-		Shard:       shardIdx,
-	})
-	if err != nil {
+	var err error
+	if sh.inner, err = serve.New(ex, factory, cfg); err != nil {
 		return nil, fmt.Errorf("ams: %w", err)
 	}
-	sh.inner = inner
 	return sh, nil
 }
 
@@ -831,74 +793,57 @@ func (sv *Server) routedItem(item Item) (shard.Item, error) {
 // (the shard's dispatcher waits for an eviction) rather than as
 // ErrCorpusFull here.
 func (sv *Server) Submit(item Item) (*ServeTicket, error) {
-	if sv.router != nil {
-		it, err := sv.routedItem(item)
-		if err != nil {
-			return nil, err
-		}
-		rt, err := sv.router.Submit(it)
-		if err != nil {
-			return nil, err
-		}
-		return &ServeTicket{sys: sv.sys, item: item, rt: rt}, nil
-	}
-	sh := sv.shards[0]
 	//amsvet:allow ctxflow Submit is the non-blocking API: resolve uses TryAdmit, so this ctx is never waited on
-	idx, err := sh.resolve(context.Background(), item, false)
-	if err != nil {
-		return nil, err
-	}
-	tk, err := sh.inner.Submit(idx, item.id)
-	if err != nil {
-		return nil, err
-	}
-	return &ServeTicket{sys: sv.sys, item: item, in: tk}, nil
+	return sv.submit(context.Background(), item, false, -1, 0)
 }
 
 // SubmitWait admits one item, blocking under backpressure — a full
 // queue, or a corpus at its resident watermark — until space frees or
 // the context is cancelled (returning ctx.Err()).
 func (sv *Server) SubmitWait(ctx context.Context, item Item) (*ServeTicket, error) {
-	if sv.router != nil {
-		it, err := sv.routedItem(item)
-		if err != nil {
-			return nil, err
-		}
-		rt, err := sv.router.SubmitWait(ctx, it)
-		if err != nil {
-			return nil, err
-		}
-		return &ServeTicket{sys: sv.sys, item: item, rt: rt}, nil
-	}
-	sh := sv.shards[0]
-	idx, err := sh.resolve(ctx, item, true)
-	if err != nil {
-		return nil, err
-	}
-	tk, err := sh.inner.SubmitWait(ctx, idx, item.id)
-	if err != nil {
-		return nil, err
-	}
-	return &ServeTicket{sys: sv.sys, item: item, in: tk}, nil
+	return sv.submit(ctx, item, true, -1, 0)
 }
 
-// submitSeg re-submits an item that already holds a slot in segment
-// seg's corpus — ReplayCorpus's path. On a sharded server the item is
-// pinned to that segment's shard, so its relabeling journals into the
-// segment that already knows it.
-func (sv *Server) submitSeg(ctx context.Context, seg, idx int, item Item) (*ServeTicket, error) {
+// submit is the one admission path. seg < 0 is a fresh submission, to be
+// resolved to an executor index (at dispatch on the router's executing
+// shard; here on the only shard). seg >= 0 is ReplayCorpus re-submitting
+// an item that already holds slot idx in that corpus segment: a sharded
+// server pins it to the segment's shard, so its relabeling journals into
+// the segment that already knows it. wait picks SubmitWait over Submit.
+func (sv *Server) submit(ctx context.Context, item Item, wait bool, seg, idx int) (*ServeTicket, error) {
+	var (
+		tk  *serve.Ticket
+		err error
+	)
 	if sv.router != nil {
-		rt, err := sv.router.SubmitWait(ctx, shard.Item{Tag: item.id, Index: idx, Pin: seg + 1})
-		if err != nil {
-			return nil, err
+		it := shard.Item{Tag: item.id, Index: idx, Pin: seg + 1}
+		if seg < 0 {
+			it, err = sv.routedItem(item)
 		}
-		return &ServeTicket{sys: sv.sys, item: item, rt: rt}, nil
+		switch {
+		case err != nil:
+		case wait:
+			tk, err = sv.router.SubmitWait(ctx, it)
+		default:
+			tk, err = sv.router.Submit(it)
+		}
+	} else {
+		sh := sv.shards[0]
+		if seg < 0 {
+			idx, err = sh.resolve(ctx, item, wait)
+		}
+		switch {
+		case err != nil:
+		case wait:
+			tk, err = sh.inner.SubmitWait(ctx, idx, item.id)
+		default:
+			tk, err = sh.inner.Submit(idx, item.id)
+		}
 	}
-	tk, err := sv.shards[0].inner.SubmitWait(ctx, idx, item.id)
 	if err != nil {
 		return nil, err
 	}
-	return &ServeTicket{sys: sv.sys, item: item, in: tk}, nil
+	return &ServeTicket{sys: sv.sys, item: item, tk: tk}, nil
 }
 
 // Checkpoint compacts the server's corpus immediately: the previous
@@ -921,8 +866,8 @@ func (sv *Server) Checkpoint() error {
 // internally up to ServeConfig.StatsWindow undelivered entries, beyond
 // which the oldest are dropped (ServeStats.ResultsDropped counts them).
 // Like time.Tick, a subscription that is never drained holds its
-// bounded buffer and two forwarding goroutines until the process exits;
-// a consumer should read until the channel closes.
+// bounded buffers and forwarding goroutines (two per shard) until the
+// process exits; a consumer should read until the channel closes.
 //
 // Every delivered result was committed first — commit-of-result is the
 // item's lifetime boundary: the result's labels and outputs are captured
@@ -931,33 +876,26 @@ func (sv *Server) Checkpoint() error {
 // items they came from.
 func (sv *Server) Results() <-chan *Result {
 	sv.resOnce.Do(func() {
-		ch := make(chan *Result)
-		convert := func(ir serve.ItemResult) *Result {
-			item := Item{id: ir.Tag, image: ir.Image, valid: true}
-			if ir.Image >= sv.sys.testStore.NumScenes() {
-				// Ingested item: no test-split index to report.
-				item.image = -1
-			}
-			return sv.sys.serveResult(item, ir)
-		}
-		if sv.router != nil {
-			inner := sv.router.Results()
-			go func() {
-				defer close(ch)
-				for res := range inner {
-					ch <- convert(res.ItemResult)
-				}
-			}()
-		} else {
-			inner := sv.shards[0].inner.Results()
-			go func() {
-				defer close(ch)
+		sv.res = make(chan *Result)
+		var pumps sync.WaitGroup
+		for _, sh := range sv.shards {
+			pumps.Add(1)
+			go func(inner <-chan serve.ItemResult) {
+				defer pumps.Done()
 				for ir := range inner {
-					ch <- convert(ir)
+					item := Item{id: ir.Tag, image: ir.Image, valid: true}
+					if ir.Image >= sv.sys.testStore.NumScenes() {
+						// Ingested item: no test-split index to report.
+						item.image = -1
+					}
+					sv.res <- sv.sys.serveResult(item, ir)
 				}
-			}()
+			}(sh.inner.Results())
 		}
-		sv.res = ch
+		go func() {
+			pumps.Wait()
+			close(sv.res)
+		}()
 	})
 	return sv.res
 }
@@ -970,30 +908,12 @@ func (sv *Server) Stats() ServeStats {
 	if sv.router != nil {
 		rst := sv.router.Stats()
 		st = fromRunStats(rst.Merged)
-		st.Shards = len(sv.shards)
 		st.Steals = rst.Steals
-		st.PerShard = make([]ShardServeStats, len(rst.PerShard))
-		for i, ps := range rst.PerShard {
-			st.PerShard[i] = ShardServeStats{
-				Shard:        ps.Shard,
-				Items:        ps.Items,
-				Completed:    ps.Completed,
-				ThroughputHz: ps.ThroughputHz,
-				Utilization:  ps.Utilization,
-				AvgRecall:    ps.AvgRecall,
-				PeakMemMB:    ps.PeakMemMB,
-				MemWaits:     ps.MemWaits,
-				Pending:      ps.Pending,
-				Assigned:     ps.Assigned,
-				Steals:       ps.Steals,
-				StolenFrom:   ps.StolenFrom,
-				Rejected:     ps.Rejected,
-			}
-		}
+		st.PerShard = rst.PerShard
 	} else {
 		st = fromRunStats(sv.shards[0].inner.Stats())
-		st.Shards = 1
 	}
+	st.Shards = len(sv.shards)
 	if sv.cache != nil {
 		st.PredCacheHits, st.PredCacheMisses, st.PredCacheEntries = sv.cache.Stats()
 	}

@@ -201,3 +201,61 @@ func TestShardedConfigValidation(t *testing.T) {
 		t.Error("NewServer accepted a 2-segment corpus for a 4-shard server")
 	}
 }
+
+// TestShardedQueueCapBoundsTheRouter checks ServeConfig.QueueCap reaches
+// the layer that sheds on a sharded server: with 32 pending slots per
+// shard, a non-blocking burst of 40 items is admitted whole. (With the
+// router left on its 2-per-worker default the same burst sheds.)
+func TestShardedQueueCapBoundsTheRouter(t *testing.T) {
+	cfg := corpusCfg(2)
+	cfg.Shards = 2
+	cfg.QueueCap = 64
+	srv, err := testSys.NewServer(testAgent, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := srv.Submit(testSys.TestItem(i)); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.Completed != 40 || st.Rejected != 0 {
+		t.Errorf("completed %d of 40 with %d rejects", st.Completed, st.Rejected)
+	}
+}
+
+// TestShardedDispatchFailureReachesWait makes an item's dispatch-time
+// resolution fail — its shard's journal segment has closed — and checks
+// the error comes back from the caller's own ticket while the server
+// keeps serving and closes cleanly.
+func TestShardedDispatchFailureReachesWait(t *testing.T) {
+	c, err := testSys.OpenCorpusDir(filepath.Join(t.TempDir(), "corpus.d"), 2, CorpusOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := shardedCfg(2, 2)
+	cfg.Corpus = c
+	srv, err := testSys.NewServer(testAgent, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tk, err := srv.SubmitWait(bg, testSys.GenerateItems(1, 3)[0])
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if res, err := tk.Wait(bg); err == nil {
+		t.Fatalf("Wait returned %+v for an item whose admission could not be journaled", res)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.Completed != 0 {
+		t.Errorf("completed %d items, want 0", st.Completed)
+	}
+}
