@@ -26,7 +26,7 @@ type chromeEvent struct {
 
 // chromeDoc is the top-level object Perfetto and chrome://tracing load.
 type chromeDoc struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
+	Events          []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
@@ -55,8 +55,8 @@ func (t *Tracer) WriteChrome(w io.Writer, n int, tag string) error {
 	} else {
 		traces = t.Recent(n)
 	}
-	doc := chromeDoc{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
-	emit := func(ev chromeEvent) { doc.TraceEvents = append(doc.TraceEvents, ev) }
+	doc := chromeDoc{Events: []chromeEvent{}, DisplayTimeUnit: "ms"}
+	emit := func(ev chromeEvent) { doc.Events = append(doc.Events, ev) }
 
 	seenPid := map[int]bool{}
 	process := func(pid int, name string) {
@@ -107,6 +107,15 @@ func (t *Tracer) WriteChrome(w io.Writer, n int, tag string) error {
 			if sp.Batch != 0 {
 				args["batch"] = sp.Batch
 				args["batch_n"] = sp.BatchN
+			}
+			if sp.RemainingMS != 0 {
+				args["remaining_ms"] = sp.RemainingMS
+			}
+			if sp.AvailMemMB != 0 {
+				args["avail_mem_mb"] = sp.AvailMemMB
+			}
+			if sp.Queued != 0 {
+				args["queued"] = sp.Queued
 			}
 			ts := tr.BeginUnixUS + sp.StartUS
 			dur := sp.EndUS - sp.StartUS

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestExporterEndToEnd(t *testing.T) {
@@ -13,7 +14,7 @@ func TestExporterEndToEnd(t *testing.T) {
 	reg.Histogram("ams_wait_seconds", "waits").Observe(3e-6)
 	tracer := NewTracer(8)
 	it := tracer.Begin(0, "img-0")
-	it.Add(TraceEvent{Kind: TraceSelected, Model: 2, RemainingMS: 400, AvailMemMB: 1024})
+	it.Annotate(it.StartSpan(SpanSelect, it.Root(time.Time{}), 2), SpanAttrs{RemainingMS: 400, AvailMemMB: 1024})
 	tracer.End(it)
 
 	exp, err := NewExporter("127.0.0.1:0", reg, tracer, func() any {
@@ -54,8 +55,8 @@ func TestExporterEndToEnd(t *testing.T) {
 		}
 	}
 	tracez := get("/tracez")
-	if !strings.Contains(tracez, `"kind": "selected"`) {
-		t.Fatalf("/tracez missing events:\n%s", tracez)
+	if !strings.Contains(tracez, `"name": "select"`) || !strings.Contains(tracez, `"avail_mem_mb": 1024`) {
+		t.Fatalf("/tracez missing the select span's decision attributes:\n%s", tracez)
 	}
 	byTag := get("/tracez?tag=img-0")
 	if !strings.Contains(byTag, `"tag": "img-0"`) {

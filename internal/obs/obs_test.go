@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -137,18 +138,16 @@ func TestNilInstrumentsAllocFree(t *testing.T) {
 		t0 := Started(h)
 		h.ObserveSince(t0)
 		h.ObserveScaledSince(t0, 0.001)
-		tr.NoteSteal("x", 0, 1)
 		it = tr.Begin(1, "x")
-		it.Add(TraceEvent{Kind: TraceSelected})
 		if !it.Stamp().IsZero() {
 			panic("nil ItemTrace.Stamp must not read the clock")
 		}
-		it.SetShard(2)
+		it.SetShards(0, 2)
 		_ = it.Root(time.Time{})
 		sp := it.StartSpan(SpanExec, 0, 1)
 		it.EndSpan(sp)
 		_ = it.SpanBetween(SpanQueueWait, 0, -1, time.Time{}, time.Time{})
-		it.AnnotateBatch(sp, 1, 2, "size")
+		it.Annotate(sp, SpanAttrs{Batch: 1, BatchN: 2, Note: "size"})
 		tr.End(it)
 		var slo *SLO
 		slo.Observe(0.5)
@@ -280,8 +279,7 @@ func TestTracerRing(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 10; i++ {
 		it := tr.Begin(i, fmt.Sprintf("item-%d", i))
-		it.Add(TraceEvent{Kind: TraceSelected, Model: i})
-		it.Add(TraceEvent{Kind: TraceCommit, Model: -1})
+		it.Annotate(it.StartSpan(SpanSelect, it.Root(time.Now()), i), SpanAttrs{RemainingMS: 400})
 		tr.End(it)
 	}
 	if tr.Total() != 10 {
@@ -304,19 +302,41 @@ func TestTracerRing(t *testing.T) {
 	if err := tr.WriteJSON(&sb, 2, ""); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), `"kind": "selected"`) {
-		t.Fatalf("trace JSON missing events:\n%s", sb.String())
+	if !strings.Contains(sb.String(), `"remaining_ms": 400`) || strings.Contains(sb.String(), `"events"`) {
+		t.Fatalf("trace JSON must carry decisions as span attributes only:\n%s", sb.String())
 	}
 }
 
-func TestTraceEventCap(t *testing.T) {
+// TestTraceCapSingleCounter: a trace has one list, one cap and one drop
+// counter. Decision-carrying spans past the cap are counted like any
+// other, annotating their -1 id is a no-op, and the tracer's total (the
+// ams_trace_dropped_total series) sums every published trace's drops.
+func TestTraceCapSingleCounter(t *testing.T) {
 	tr := NewTracer(2)
-	it := tr.Begin(0, "big")
-	for i := 0; i < maxTraceEvents+10; i++ {
-		it.Add(TraceEvent{Kind: TraceMemStall})
+	for n := 0; n < 2; n++ {
+		it := tr.Begin(n, "big")
+		root := it.Root(time.Now())
+		for i := 0; i < maxTraceSpans+9; i++ { // the root took one slot
+			id := it.SpanBetween(SpanReserveWait, root, -1, time.Time{}, time.Time{})
+			it.Annotate(id, SpanAttrs{RemainingMS: 100, AvailMemMB: 64, Note: "stall"})
+		}
+		if len(it.Spans) != maxTraceSpans || it.DroppedSpans != 10 {
+			t.Fatalf("cap not enforced: spans=%d dropped=%d", len(it.Spans), it.DroppedSpans)
+		}
+		if last := it.Spans[maxTraceSpans-1]; last.Note != "stall" || last.AvailMemMB != 64 {
+			t.Fatalf("last span under the cap lost its attributes: %+v", last)
+		}
+		tr.End(it)
 	}
-	if len(it.Events) != maxTraceEvents || it.Dropped != 10 {
-		t.Fatalf("cap not enforced: events=%d dropped=%d", len(it.Events), it.Dropped)
+	if tr.DroppedTotal() != 20 {
+		t.Fatalf("tracer dropped total = %d, want 20", tr.DroppedTotal())
+	}
+	raw, err := json.Marshal(tr.Recent(1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"dropped_spans":10`) || strings.Contains(string(raw), "dropped_events") {
+		t.Fatalf("trace JSON must carry the one drop counter:\n%.300s", raw)
 	}
 }
 
@@ -324,16 +344,17 @@ func TestTraceEventCap(t *testing.T) {
 // verbatim it would make every trace unmarshalable (encoding/json
 // rejects non-finite values — the bug that silently broke /tracez and
 // flight bundles on servers without a memory budget).
-func TestTraceEventClampsNonFinite(t *testing.T) {
+func TestSpanAttrsClampNonFinite(t *testing.T) {
 	tr := NewTracer(1)
 	it := tr.Begin(0, "inf")
-	it.Add(TraceEvent{Kind: TraceSelected, Model: 1,
-		RemainingMS: math.Inf(1), AvailMemMB: math.Inf(1)})
-	it.Add(TraceEvent{Kind: TraceCommit, Model: -1,
-		RemainingMS: math.NaN(), AvailMemMB: math.NaN()})
-	for _, ev := range it.Events {
-		if ev.RemainingMS != -1 || ev.AvailMemMB != -1 {
-			t.Fatalf("non-finite constraint not clamped: %+v", ev)
+	root := it.Root(time.Now())
+	it.Annotate(it.SpanBetween(SpanSelect, root, 1, time.Time{}, time.Time{}),
+		SpanAttrs{RemainingMS: math.Inf(1), AvailMemMB: math.Inf(-1)})
+	it.Annotate(it.SpanBetween(SpanCommit, root, -1, time.Time{}, time.Time{}),
+		SpanAttrs{RemainingMS: math.NaN(), AvailMemMB: math.NaN()})
+	for _, sp := range it.Spans[1:] {
+		if sp.RemainingMS != -1 || sp.AvailMemMB != -1 {
+			t.Fatalf("non-finite constraint not clamped: %+v", sp)
 		}
 	}
 	tr.End(it)
@@ -341,8 +362,12 @@ func TestTraceEventClampsNonFinite(t *testing.T) {
 	if err := tr.WriteJSON(&sb, 1, ""); err != nil {
 		t.Fatalf("trace with unbounded constraints must stay marshalable: %v", err)
 	}
-	if !strings.Contains(sb.String(), `"avail_mem_mb": -1`) {
+	if !strings.Contains(sb.String(), `"avail_mem_mb": -1`) || !strings.Contains(sb.String(), `"remaining_ms": -1`) {
 		t.Fatalf("clamped sentinel missing from JSON:\n%s", sb.String())
+	}
+	sb.Reset()
+	if err := tr.WriteChrome(&sb, 1, ""); err != nil {
+		t.Fatalf("chrome export of unbounded constraints: %v", err)
 	}
 }
 

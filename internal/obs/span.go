@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"fmt"
+	"io"
+	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -30,30 +33,31 @@ type BatchRef struct {
 // (admission → queue wait → per-round select → reserve wait →
 // batch-lane hold → model exec → commit), all parented under the item's
 // root span, so a trace answers "where did this item's deadline budget
-// go" stage by stage.
+// go" stage by stage. It records them around — never inside — the
+// policy, so tracing can't perturb scheduling.
 const (
 	SpanItem        = "item"         // root: admission → publish
 	SpanQueueWait   = "queue-wait"   // arrival → dequeue by a worker
-	SpanSelect      = "select"       // one policy.Next decision round
-	SpanReserveWait = "reserve-wait" // blocking on the memory accountant
+	SpanSelect      = "select"       // one policy.Next ask: Model is the pick, -1 a decline
+	SpanReserveWait = "reserve-wait" // blocking on the memory accountant (Note "stall": a declined ask waiting for a release)
 	SpanBatchHold   = "batch-hold"   // enqueued on a batch lane → seal
 	SpanExec        = "exec"         // model execution (direct or batched)
 	SpanCommit      = "commit"       // corpus commit incl. journal append/fsync
 	SpanOther       = "other"        // CriticalPath: root time no child covers
 )
 
-// maxTraceSpans bounds one item's span list the same way maxTraceEvents
-// bounds its event list; overflow is counted in DroppedSpans.
+// maxTraceSpans bounds one item's trace so a pathological schedule (many
+// memory stalls) cannot grow it without limit; overflow is counted in
+// DroppedSpans, not silently dropped.
 const maxTraceSpans = 192
 
-// A SpanLink is a causality edge that crosses item or shard boundaries
-// — steal provenance (victim shard → thief shard) and batch fan-in
-// (waiter span → shared batched execution).
+// A SpanLink is a causality edge that crosses shard boundaries: steal
+// provenance, home shard → executing shard. (Batch fan-in needs no link:
+// every coalesced waiter's spans share SpanAttrs.Batch.)
 type SpanLink struct {
-	Kind string `json:"kind"` // "steal" | "batch"
+	Kind string `json:"kind"` // "steal"
 	From int    `json:"from"`
 	To   int    `json:"to"`
-	ID   int64  `json:"id,omitempty"` // batch id for "batch" links
 }
 
 // A Span is one timed stage of an item's lifecycle. Offsets are
@@ -72,10 +76,26 @@ type Span struct {
 	EndUS    int64      `json:"end_us"`
 	VStartMS float64    `json:"vstart_ms"`
 	VEndMS   float64    `json:"vend_ms"`
-	Batch    int64      `json:"batch,omitempty"`   // batch id for batched exec
-	BatchN   int        `json:"batch_n,omitempty"` // coalesced batch size
 	Links    []SpanLink `json:"links,omitempty"`
-	Note     string     `json:"note,omitempty"`
+	SpanAttrs
+}
+
+// SpanAttrs is what a stage knew beyond its timing, set with Annotate.
+// RemainingMS and AvailMemMB are the two numbers Algorithms 1 and 2
+// decide from — the deadline budget left and the accountant's headroom —
+// as the policy saw them on a select ask (also on the stall that follows
+// a decline; commit records the budget the schedule left unspent). An
+// unbounded constraint (no deadline, no memory budget: +Inf inside the
+// scheduler) records as -1, because encoding/json rejects non-finite
+// values and every trace consumer marshals spans. Zero values are left
+// out of the JSON, so on those spans an absent field reads as 0.
+type SpanAttrs struct {
+	RemainingMS float64 `json:"remaining_ms,omitempty"`
+	AvailMemMB  float64 `json:"avail_mem_mb,omitempty"`
+	Queued      int     `json:"queued,omitempty"`  // batch-hold: lane occupancy at enqueue
+	Batch       int64   `json:"batch,omitempty"`   // batch id shared by every coalesced waiter
+	BatchN      int     `json:"batch_n,omitempty"` // coalesced batch size
+	Note        string  `json:"note,omitempty"`    // flush cause, "stall", or why a select declined
 }
 
 // Stamp returns the wall clock now — and the zero time on a nil trace,
@@ -88,23 +108,21 @@ func (t *ItemTrace) Stamp() time.Time {
 	return time.Now()
 }
 
-// SetShard records the executing shard. For non-stolen items the home
-// shard is the executing shard; stolen items keep the victim Home that
-// Begin adopted from the router's steal note.
-func (t *ItemTrace) SetShard(shard int) {
+// SetShards records provenance before Root: the shard the router placed
+// the item on and the one executing it. They differ exactly when the
+// item was stolen.
+func (t *ItemTrace) SetShards(home, shard int) {
 	if t == nil {
 		return
 	}
-	t.Shard = shard
-	if !t.Stolen {
-		t.Home = shard
-	}
+	t.Home, t.Shard, t.Stolen = home, shard, home != shard
 }
 
 // Root opens span 0 ("item") with the trace origin set to arrival (the
 // admission instant); a zero or future arrival falls back to now.
 // Idempotent: a second call returns the existing root. Returns -1 on a
-// nil trace. A stolen trace's root span carries the victim→thief link.
+// nil trace. A stolen trace's root span carries the home→executing-shard
+// link.
 func (t *ItemTrace) Root(arrival time.Time) int {
 	if t == nil {
 		return -1
@@ -191,18 +209,20 @@ func (t *ItemTrace) SpanBetween(name string, parent, model int, start, end time.
 	return id
 }
 
-// AnnotateBatch stamps a span with its batch-lane fan-in identity: the
-// batch id shared by every waiter coalesced into one execution, the
-// batch size, and a note (the flush cause). No-op on nil or invalid id.
-func (t *ItemTrace) AnnotateBatch(id int, batch int64, n int, note string) {
+// Annotate sets span id's attributes, clamping non-finite constraint
+// values to -1. No-op on nil or an invalid id (a -1 from a capped
+// StartSpan is safe).
+func (t *ItemTrace) Annotate(id int, a SpanAttrs) {
 	if t == nil || id < 0 || id >= len(t.Spans) {
 		return
 	}
-	t.Spans[id].Batch = batch
-	t.Spans[id].BatchN = n
-	if note != "" {
-		t.Spans[id].Note = note
+	if math.IsInf(a.RemainingMS, 0) || math.IsNaN(a.RemainingMS) {
+		a.RemainingMS = -1
 	}
+	if math.IsInf(a.AvailMemMB, 0) || math.IsNaN(a.AvailMemMB) {
+		a.AvailMemMB = -1
+	}
+	t.Spans[id].SpanAttrs = a
 }
 
 // addSpan appends one span, assigning its id (caps at maxTraceSpans).
@@ -225,14 +245,7 @@ func (t *ItemTrace) closeOpenSpans() {
 	}
 	now := time.Now()
 	for i := range t.Spans {
-		if t.Spans[i].EndUS < 0 {
-			t.Spans[i].EndUS = t.us(now)
-			t.Spans[i].VEndMS = t.vms(now)
-			if t.Spans[i].EndUS < t.Spans[i].StartUS {
-				t.Spans[i].EndUS = t.Spans[i].StartUS
-				t.Spans[i].VEndMS = t.Spans[i].VStartMS
-			}
-		}
+		t.EndSpanAt(i, now) // no-op on a closed span
 	}
 }
 
@@ -250,7 +263,7 @@ func (t *ItemTrace) vms(at time.Time) float64 {
 	if t.origin.IsZero() {
 		return 0
 	}
-	scale := t.Scale
+	scale := t.TimeScale
 	if scale <= 0 {
 		scale = 1
 	}
@@ -269,17 +282,17 @@ type PathStage struct {
 }
 
 // CriticalPath attributes an item's end-to-end latency to its stages —
-// the answer to "why did this item take 900 ms". Every instant of the
-// root span is attributed to the latest-started depth-1 child covering
-// it (so a reserve-wait nested inside an execution round wins over the
-// round), and instants no child covers go to "other" (scheduler CPU,
-// loop overhead). Stages aggregate by (name, model) and sort by
-// descending wall time. Returns nil for a trace with no spans.
-func CriticalPath(tr ItemTrace) []PathStage {
-	if len(tr.Spans) == 0 {
+// the answer to "where did this item's deadline budget go". Every
+// instant of the root span is attributed to the latest-started depth-1
+// child covering it (so a reserve-wait nested inside an execution round
+// wins over the round), and instants no child covers go to "other"
+// (scheduler CPU, loop overhead). Stages aggregate by (name, model) and
+// sort by descending wall time. Returns nil for a trace with no spans.
+func (t ItemTrace) CriticalPath() []PathStage {
+	if len(t.Spans) == 0 {
 		return nil
 	}
-	root := tr.Spans[0]
+	root := t.Spans[0]
 	if root.EndUS <= root.StartUS {
 		return nil
 	}
@@ -290,11 +303,17 @@ func CriticalPath(tr ItemTrace) []PathStage {
 		model      int
 	}
 	var children []iv
-	for _, sp := range tr.Spans[1:] {
+	for _, sp := range t.Spans[1:] {
 		if sp.Parent != root.ID || sp.EndUS < sp.StartUS {
 			continue
 		}
 		c := iv{start: max(sp.StartUS, root.StartUS), end: min(sp.EndUS, root.EndUS), name: sp.Name, model: sp.Model}
+		if sp.Name == SpanSelect {
+			// A select span's Model is the ask's answer, not a stage
+			// identity: the item's selection overhead (the paper's
+			// Table III number) is one stage.
+			c.model = -1
+		}
 		if c.end >= c.start {
 			children = append(children, c)
 		}
@@ -340,7 +359,7 @@ func CriticalPath(tr ItemTrace) []PathStage {
 		}
 	}
 	total := root.EndUS - root.StartUS
-	scale := tr.Scale
+	scale := t.TimeScale
 	if scale <= 0 {
 		scale = 1
 	}
@@ -357,4 +376,35 @@ func CriticalPath(tr ItemTrace) []PathStage {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].WallUS > out[j].WallUS })
 	return out
+}
+
+// WriteCriticalPath renders the critical-path attribution, the block
+// examples/labelserver prints for its slowest traced item. Silent when
+// the trace carries no spans.
+func (t ItemTrace) WriteCriticalPath(w io.Writer, title string) {
+	stages := t.CriticalPath()
+	if len(stages) == 0 {
+		return
+	}
+	label := t.Tag
+	if label == "" {
+		label = fmt.Sprintf("item %d", t.Item)
+	}
+	fmt.Fprintf(w, "%s (%s", title, label)
+	if t.Stolen {
+		fmt.Fprintf(w, ", stolen shard %d → %d", t.Home, t.Shard)
+	}
+	fmt.Fprintf(w, "):\n")
+	var totalMS float64
+	for _, st := range stages {
+		totalMS += st.VirtMS
+	}
+	fmt.Fprintf(w, "  %-18s %8.1f ms simulated end to end\n", "total", totalMS)
+	for _, st := range stages {
+		name := st.Name
+		if st.Model >= 0 {
+			name = fmt.Sprintf("%s[m%d]", st.Name, st.Model)
+		}
+		fmt.Fprintf(w, "  %-18s %8.1f ms (%5.1f %%)\n", name, st.VirtMS, 100*st.Frac)
+	}
 }

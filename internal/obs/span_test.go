@@ -203,23 +203,39 @@ func TestSpanCap(t *testing.T) {
 // TestCriticalPathAttribution checks the sweep-line rules: the
 // latest-started covering child wins each sub-interval, uncovered root
 // time becomes "other", and stages aggregate then sort by wall time.
+// Select spans carry the model each ask picked, but the item's selection
+// overhead (the paper's Table III number) stays one stage.
 func TestCriticalPathAttribution(t *testing.T) {
-	trace := ItemTrace{Scale: 1, Spans: []Span{
+	trace := ItemTrace{TimeScale: 1, Spans: []Span{
 		{ID: 0, Parent: -1, Name: SpanItem, Model: -1, StartUS: 0, EndUS: 1000},
-		{ID: 1, Parent: 0, Name: SpanQueueWait, Model: -1, StartUS: 0, EndUS: 100},
-		{ID: 2, Parent: 0, Name: SpanExec, Model: 3, StartUS: 100, EndUS: 600},
-		{ID: 3, Parent: 0, Name: SpanReserveWait, Model: 3, StartUS: 200, EndUS: 400},
-		{ID: 4, Parent: 0, Name: SpanCommit, Model: -1, StartUS: 600, EndUS: 900},
+		{ID: 1, Parent: 0, Name: SpanQueueWait, Model: -1, StartUS: 0, EndUS: 60},
+		{ID: 2, Parent: 0, Name: SpanSelect, Model: 3, StartUS: 60, EndUS: 80},
+		{ID: 3, Parent: 0, Name: SpanSelect, Model: 5, StartUS: 80, EndUS: 90},
+		{ID: 4, Parent: 0, Name: SpanSelect, Model: -1, StartUS: 90, EndUS: 100},
+		{ID: 5, Parent: 0, Name: SpanExec, Model: 3, StartUS: 100, EndUS: 600},
+		{ID: 6, Parent: 0, Name: SpanReserveWait, Model: 3, StartUS: 200, EndUS: 400},
+		{ID: 7, Parent: 0, Name: SpanCommit, Model: -1, StartUS: 600, EndUS: 900},
 	}}
-	stages := CriticalPath(trace)
+	stages := trace.CriticalPath()
 	got := map[string]int64{}
 	var total int64
+	selectStages := 0
 	for _, st := range stages {
 		got[st.Name] += st.WallUS
 		total += st.WallUS
+		if st.Name == SpanSelect {
+			selectStages++
+			if st.Model != -1 {
+				t.Fatalf("select stage keyed by model %d, want -1", st.Model)
+			}
+		}
+	}
+	if selectStages != 1 {
+		t.Fatalf("got %d select stages for 3 asks, want one per item: %+v", selectStages, stages)
 	}
 	want := map[string]int64{
-		SpanQueueWait:   100,
+		SpanQueueWait:   60,
+		SpanSelect:      40,
 		SpanExec:        300, // 100–200 and 400–600; reserve-wait owns 200–400
 		SpanReserveWait: 200,
 		SpanCommit:      300,
@@ -245,7 +261,7 @@ func TestCriticalPathAttribution(t *testing.T) {
 	if fracs < 0.999 || fracs > 1.001 {
 		t.Fatalf("fractions sum to %g, want 1", fracs)
 	}
-	if CriticalPath(ItemTrace{}) != nil {
+	if (ItemTrace{}).CriticalPath() != nil {
 		t.Fatal("no spans must yield a nil critical path")
 	}
 }
@@ -256,18 +272,16 @@ func TestCriticalPathAttribution(t *testing.T) {
 func TestChromeExportShape(t *testing.T) {
 	tr := NewTracer(4)
 	tr.SetModelNames([]string{"m0", "m1"})
-	tr.NoteSteal("stolen-item", 0, 1)
 	batch := NextBatchID()
 	for i := 0; i < 2; i++ {
-		tag := "plain-item"
-		if i == 1 {
-			tag = "stolen-item"
-		}
-		it := tr.Begin(i, tag)
-		it.SetShard(1)
+		it := tr.Begin(i, "") // untagged: provenance must not need a tag
+		it.SetShards(i, 1)    // item 0 was stolen from shard 0, item 1 ran at home
 		root := it.Root(time.Now().Add(-time.Millisecond))
+		sel := it.StartSpan(SpanSelect, root, 1)
+		it.EndSpan(sel)
+		it.Annotate(sel, SpanAttrs{RemainingMS: 400, AvailMemMB: -1})
 		exec := it.StartSpan(SpanExec, root, 1)
-		it.AnnotateBatch(exec, batch, 2, "size")
+		it.Annotate(exec, SpanAttrs{Batch: batch, BatchN: 2, Note: "size"})
 		it.EndSpan(exec)
 		tr.End(it)
 	}
@@ -281,7 +295,7 @@ func TestChromeExportShape(t *testing.T) {
 	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
 		t.Fatalf("chrome doc unparseable: %v", err)
 	}
-	var slices, stealFlows, batchSlices int
+	var slices, stealFlows, batchSlices, selectArgs int
 	for _, ev := range doc.TraceEvents {
 		for _, key := range []string{"ph", "ts", "pid", "tid"} {
 			if _, ok := ev[key]; !ok {
@@ -297,12 +311,19 @@ func TestChromeExportShape(t *testing.T) {
 			}
 		case ev["ph"] == "X":
 			slices++
+			if args, _ := ev["args"].(map[string]any); strings.HasPrefix(name, SpanSelect) &&
+				args["remaining_ms"] == 400.0 && args["avail_mem_mb"] == -1.0 {
+				selectArgs++
+			}
 		case ev["cat"] == "steal" && (ev["ph"] == "s" || ev["ph"] == "f"):
 			stealFlows++
 		}
 	}
-	if slices < 4 { // 2 traces × (root + exec)
-		t.Fatalf("want ≥4 span slices, got %d", slices)
+	if slices < 6 { // 2 traces × (root + select + exec)
+		t.Fatalf("want ≥6 span slices, got %d", slices)
+	}
+	if selectArgs != 2 {
+		t.Fatalf("want the budget each ask saw in both select slices' args, got %d", selectArgs)
 	}
 	if stealFlows != 2 {
 		t.Fatalf("want one steal flow pair, got %d arrows", stealFlows)
@@ -312,26 +333,27 @@ func TestChromeExportShape(t *testing.T) {
 	}
 }
 
-// TestStealProvenance: a noted steal is consumed by the next Begin with
-// that tag — once — and marks Home/Shard; SetShard then must not
-// clobber the victim Home.
+// TestStealProvenance: provenance is stamped from the ticket's shards,
+// tag or no tag — Stolen exactly when home and executing shard differ,
+// with the home → executing-shard link on the root span — and two
+// in-flight items sharing a tag keep their own.
 func TestStealProvenance(t *testing.T) {
-	tr := NewTracer(2)
-	tr.NoteSteal("tag-a", 2, 0)
-	it := tr.Begin(1, "tag-a")
-	if !it.Stolen || it.Home != 2 || it.Shard != 0 {
-		t.Fatalf("steal note not adopted: %+v", it)
-	}
-	it.SetShard(0)
-	if it.Home != 2 {
-		t.Fatal("SetShard must preserve the stolen Home")
-	}
-	it.Root(time.Now())
-	if len(it.Spans[0].Links) != 1 || it.Spans[0].Links[0].From != 2 || it.Spans[0].Links[0].To != 0 {
-		t.Fatalf("root steal link wrong: %+v", it.Spans[0].Links)
-	}
-	if again := tr.Begin(1, "tag-a"); again.Stolen {
-		t.Fatal("a steal note must be consumed exactly once")
+	tr := NewTracer(4)
+	for _, tag := range []string{"", "dup"} {
+		stolen, local := tr.Begin(1, tag), tr.Begin(2, tag)
+		stolen.SetShards(2, 0)
+		local.SetShards(1, 1)
+		stolen.Root(time.Now())
+		local.Root(time.Now())
+		if !stolen.Stolen || stolen.Home != 2 || stolen.Shard != 0 {
+			t.Fatalf("tag %q: stolen provenance wrong: %+v", tag, stolen)
+		}
+		if ln := stolen.Spans[0].Links; len(ln) != 1 || ln[0] != (SpanLink{Kind: "steal", From: 2, To: 0}) {
+			t.Fatalf("tag %q: root steal link wrong: %+v", tag, ln)
+		}
+		if local.Stolen || local.Home != 1 || local.Shard != 1 || len(local.Spans[0].Links) != 0 {
+			t.Fatalf("tag %q: a home-run item must carry no steal: %+v", tag, local)
+		}
 	}
 }
 

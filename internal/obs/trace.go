@@ -3,98 +3,35 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"math"
 	"sync"
 	"time"
 )
 
-// maxTraceEvents bounds one item's event list so a pathological
-// schedule (many memory stalls) cannot grow a trace without limit;
-// overflow is counted, not silently dropped.
-const maxTraceEvents = 64
-
-// Trace event kinds. The serve layer records these around — never
-// inside — the policy, so tracing can't perturb scheduling.
-const (
-	TraceSelected = "selected"            // policy picked a model
-	TraceSkipped  = "skipped-over-budget" // policy declined with work remaining
-	TraceMemStall = "mem-stall"           // waiting for memory to free before retrying
-	TraceBatched  = "deferred-to-batch"   // execution handed to a batch lane
-	TraceExec     = "exec"                // direct (unbatched) execution
-	TraceCommit   = "commit"              // schedule finalized
-)
-
-// A TraceEvent is one structured scheduling decision with the
-// constraint values the policy saw at decision time. An unbounded
-// constraint (no deadline, no memory budget — +Inf inside the
-// scheduler) records as -1: encoding/json rejects non-finite values,
-// and every trace consumer (/tracez, flight bundles) marshals events.
-type TraceEvent struct {
-	Kind        string  `json:"kind"`
-	Model       int     `json:"model"`            // -1 when not model-specific
-	RemainingMS float64 `json:"remaining_ms"`     // deadline budget left; -1 = unbounded
-	AvailMemMB  float64 `json:"avail_mem_mb"`     // accountant headroom; -1 = unbounded
-	Queued      int     `json:"queued,omitempty"` // batch-lane occupancy
-	Note        string  `json:"note,omitempty"`   // e.g. "deadline", "memory"
-}
-
-// An ItemTrace accumulates one item's decision events and lifecycle
-// spans. It is built by a single worker goroutine and published to the
-// Tracer's ring at finish; a nil ItemTrace (tracing disabled) no-ops
-// every method.
+// An ItemTrace is one item's trace record: the span tree of its
+// lifecycle stages, with each scheduling decision's constraint values
+// carried as attributes of the span that timed it (see span.go). It is
+// built by a single worker goroutine and published to the Tracer's ring
+// at finish; a nil ItemTrace (tracing disabled) no-ops every method.
 type ItemTrace struct {
-	Item    int          `json:"item"`
-	Tag     string       `json:"tag,omitempty"`
-	Seq     int64        `json:"seq"`
-	Events  []TraceEvent `json:"events"`
-	Dropped int          `json:"dropped_events,omitempty"`
+	Item int    `json:"item"`
+	Tag  string `json:"tag,omitempty"`
+	Seq  int64  `json:"seq"`
 
-	// Span-tree fields (see span.go). Shard is the shard that executed
-	// the item; Home is where the router first placed it — they differ
-	// exactly when the item was stolen, and the root span then carries
-	// a victim→thief causality link.
+	// Shard is the shard that executed the item; Home is where the router
+	// first placed it — they differ exactly when the item was stolen, and
+	// the root span then carries a home→executing-shard causality link.
 	Shard        int     `json:"shard"`
 	Home         int     `json:"home"`
 	Stolen       bool    `json:"stolen,omitempty"`
 	BeginUnixUS  int64   `json:"begin_unix_us,omitempty"`
-	Scale        float64 `json:"time_scale,omitempty"`
+	TimeScale    float64 `json:"time_scale,omitempty"`
 	Spans        []Span  `json:"spans,omitempty"`
-	DroppedSpans int     `json:"dropped_spans,omitempty"`
+	DroppedSpans int     `json:"dropped_spans,omitempty"` // spans past maxTraceSpans
 
 	// origin is the wall-clock zero every span offset is measured from
 	// (the item's arrival); it survives the by-value publish into the
 	// ring but is deliberately kept out of the JSON payload.
 	origin time.Time
-}
-
-// Add appends one event (no-op on nil; counts overflow past the cap).
-func (t *ItemTrace) Add(ev TraceEvent) {
-	if t == nil {
-		return
-	}
-	if len(t.Events) >= maxTraceEvents {
-		t.Dropped++
-		return
-	}
-	if math.IsInf(ev.RemainingMS, 0) || math.IsNaN(ev.RemainingMS) {
-		ev.RemainingMS = -1
-	}
-	if math.IsInf(ev.AvailMemMB, 0) || math.IsNaN(ev.AvailMemMB) {
-		ev.AvailMemMB = -1
-	}
-	t.Events = append(t.Events, ev)
-}
-
-// maxPendingSteals bounds the steal-provenance map so a storm of stolen
-// tickets whose traces never Begin (e.g. context-cancelled mid-flight)
-// cannot grow it without limit.
-const maxPendingSteals = 1024
-
-// stealNote is pending provenance for one stolen ticket, keyed by tag
-// until the thief shard Begins the item's trace.
-type stealNote struct {
-	victim int
-	thief  int
 }
 
 // Tracer is a bounded ring of completed item traces. Begin hands out a
@@ -108,10 +45,9 @@ type Tracer struct {
 	seq     int64
 	total   int64
 	evicted int64 // ring overwrites: traces lost to capacity
-	dropped int64 // events+spans dropped inside published traces
+	dropped int64 // spans dropped inside published traces
 	scale   float64
 	models  []string
-	steals  map[string]stealNote
 }
 
 // NewTracer returns a tracer retaining the most recent capacity traces
@@ -159,29 +95,7 @@ func (t *Tracer) modelName(m int) string {
 	return ""
 }
 
-// NoteSteal records steal provenance for a ticket about to be executed
-// by a thief shard: the next Begin carrying tag adopts it as a
-// victim→thief causality link on its root span. The router calls this
-// before handing the ticket to the thief's serve loop, so the channel
-// handoff orders it before Begin. No-op on nil tracer or empty tag.
-func (t *Tracer) NoteSteal(tag string, victim, thief int) {
-	if t == nil || tag == "" {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.steals == nil {
-		t.steals = make(map[string]stealNote)
-	}
-	if len(t.steals) >= maxPendingSteals {
-		return
-	}
-	t.steals[tag] = stealNote{victim: victim, thief: thief}
-}
-
-// Begin starts a trace for one item (nil when the tracer is nil). A
-// pending steal note for tag is consumed into the trace's provenance
-// fields.
+// Begin starts a trace for one item (nil when the tracer is nil).
 func (t *Tracer) Begin(item int, tag string) *ItemTrace {
 	if t == nil {
 		return nil
@@ -190,18 +104,8 @@ func (t *Tracer) Begin(item int, tag string) *ItemTrace {
 	t.seq++
 	seq := t.seq
 	scale := t.scale
-	note, stolen := t.steals[tag]
-	if stolen {
-		delete(t.steals, tag)
-	}
 	t.mu.Unlock()
-	tr := &ItemTrace{Item: item, Tag: tag, Seq: seq, Scale: scale, Events: make([]TraceEvent, 0, 8)}
-	if stolen {
-		tr.Stolen = true
-		tr.Home = note.victim
-		tr.Shard = note.thief
-	}
-	return tr
+	return &ItemTrace{Item: item, Tag: tag, Seq: seq, TimeScale: scale}
 }
 
 // End publishes a completed trace into the ring (no-op when either side
@@ -215,7 +119,7 @@ func (t *Tracer) End(tr *ItemTrace) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.total++
-	t.dropped += int64(tr.Dropped + tr.DroppedSpans)
+	t.dropped += int64(tr.DroppedSpans)
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, *tr)
 		return
@@ -236,8 +140,8 @@ func (t *Tracer) Evicted() int64 {
 	return t.evicted
 }
 
-// DroppedTotal reports the cumulative events and spans dropped to the
-// per-trace caps across all published traces (0 on nil).
+// DroppedTotal reports the cumulative spans dropped to the per-trace cap
+// across all published traces (0 on nil).
 func (t *Tracer) DroppedTotal() int64 {
 	if t == nil {
 		return 0

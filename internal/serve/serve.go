@@ -147,16 +147,10 @@ type Config struct {
 	// every hook degrades to one nil check.
 	Metrics *Metrics
 
-	// Tracer, when non-nil, records a bounded structured decision trace
-	// and causal span tree per item (selection, budget skips, memory
-	// stalls, batching, commit) retrievable by ticket tag. Nil disables
-	// tracing.
+	// Tracer, when non-nil, records a bounded span tree per item
+	// (selection asks with the budget they saw, memory stalls, batching,
+	// execution, commit) retrievable by ticket tag. Nil disables tracing.
 	Tracer *obs.Tracer
-
-	// Shard is this server's shard index, stamped into every trace so
-	// exports attribute spans to the executing shard (0 when the server
-	// is not sharded).
-	Shard int
 }
 
 // Corpus is the narrow contract a durable ingestion corpus exposes to
@@ -203,9 +197,11 @@ type ItemResult struct {
 // (AdmitWait), so arrival — and with it WaitSec, LatencySec, the
 // queue_wait span and the SLOs — covers router-pending and resolution time.
 type Ticket struct {
-	// Shard and Stolen are the router's annotation, written before
-	// admission and read after Done: where the item ran, and whether
-	// that is other than its placed home. Zero on a bare server.
+	// Home, Shard and Stolen are the router's annotation, written before
+	// admission and read by the worker's trace and after Done: where
+	// placement put the item, where it ran, and whether the two differ.
+	// Zero on a bare server.
+	Home   int
 	Shard  int
 	Stolen bool
 
@@ -588,12 +584,11 @@ func (s *Server) worker(w int) {
 	for tk := range s.queue {
 		tk.dequeued = time.Now()
 		trace := s.cfg.Tracer.Begin(tk.image, tk.tag)
-		trace.SetShard(s.cfg.Shard)
+		trace.SetShards(tk.Home, tk.Shard)
 		root := trace.Root(tk.arrival)
 		trace.SpanBetween(obs.SpanQueueWait, root, -1, tk.arrival, tk.dequeued)
 		mach.trace, sel.selectSec = trace, 0
 		res := sim.Execute(mach, s.ex, tk.image, sel, lim)
-		trace.Add(obs.TraceEvent{Kind: obs.TraceCommit, Model: -1, RemainingMS: lim.DeadlineMS - res.MakespanMS})
 		s.observeQuality(sel.Policy, res)
 		s.finish(tk, res, sel.selectSec, trace)
 	}
@@ -601,10 +596,10 @@ func (s *Server) worker(w int) {
 
 // selector is the worker's policy as the executor sees it: a sim.Policy
 // decorator that times every Next — the paper's Table III selection
-// overhead — and records the select span and the selected/skipped
-// decision events, so the executor itself knows nothing of telemetry.
-// It records around — never inside — the policy, so tracing cannot
-// perturb scheduling.
+// overhead — and records the select span with the pick and the budget
+// the ask saw, so the executor itself knows nothing of telemetry. It
+// records around — never inside — the policy, so tracing cannot perturb
+// scheduling.
 type selector struct {
 	sim.Policy
 	mach      *machine
@@ -619,16 +614,11 @@ func (p *selector) Next(t *oracle.Tracker, c sim.Constraints) int {
 	if trace == nil {
 		return m
 	}
-	trace.SpanBetween(obs.SpanSelect, 0, -1, t0, time.Now())
-	switch {
-	case m >= 0:
-		trace.Add(obs.TraceEvent{Kind: obs.TraceSelected, Model: m,
-			RemainingMS: c.RemainingMS, AvailMemMB: c.AvailMemMB})
-	case len(t.Unexecuted()) > len(p.mach.flying):
-		trace.Add(obs.TraceEvent{Kind: obs.TraceSkipped, Model: -1,
-			RemainingMS: c.RemainingMS, AvailMemMB: c.AvailMemMB,
-			Note: "declined with models unexecuted"})
+	attrs := obs.SpanAttrs{RemainingMS: c.RemainingMS, AvailMemMB: c.AvailMemMB}
+	if m < 0 && len(t.Unexecuted()) > len(p.mach.flying) {
+		attrs.Note = "declined with models unexecuted"
 	}
+	trace.Annotate(trace.SpanBetween(obs.SpanSelect, 0, m, t0, time.Now()), attrs)
 	return m
 }
 
@@ -675,6 +665,7 @@ type flight struct {
 	started  time.Time     // metrics stamp at launch (zero when disabled)
 	launched time.Time     // trace stamp at launch (zero when tracing is off)
 	ref      *obs.BatchRef // batched fan-in identity (nil unbatched/untraced)
+	queued   int           // lane occupancy at enqueue (read only when traced)
 }
 
 // machine is the real sim.Machine, one per worker: memory is the shared
@@ -727,18 +718,14 @@ func (mc *machine) Start(m int, mod *zoo.Model) {
 	f.launched = trace.Stamp()
 	if s.batcher != nil {
 		if trace != nil {
-			trace.Add(obs.TraceEvent{Kind: obs.TraceBatched, Model: m, Queued: s.batcher.Queued(m)})
-			f.ref = &obs.BatchRef{}
+			f.ref, f.queued = &obs.BatchRef{}, s.batcher.Queued(m)
 		}
 		f.done = make(chan struct{})
 		s.batcher.Enqueue(m, s.batchOwnsMem, f.done, f.ref)
-	} else {
-		trace.Add(obs.TraceEvent{Kind: obs.TraceExec, Model: m})
-		if d := s.scaled(mod.TimeMS); d > 0 {
-			done := make(chan struct{})
-			s.wheel.AfterFunc(d, func() { close(done) })
-			f.done = done
-		}
+	} else if d := s.scaled(mod.TimeMS); d > 0 {
+		done := make(chan struct{})
+		s.wheel.AfterFunc(d, func() { close(done) })
+		f.done = done
 	}
 	mc.flying = append(mc.flying, f)
 }
@@ -759,10 +746,10 @@ func (mc *machine) Finish(m int, mod *zoo.Model) {
 		<-f.done
 	}
 	if f.ref != nil && f.ref.Batch != 0 {
-		hold := trace.SpanBetween(obs.SpanBatchHold, 0, m, f.launched, f.ref.Seal)
-		trace.AnnotateBatch(hold, f.ref.Batch, f.ref.N, f.ref.Flush)
-		exec := trace.SpanBetween(obs.SpanExec, 0, m, f.ref.Seal, trace.Stamp())
-		trace.AnnotateBatch(exec, f.ref.Batch, f.ref.N, f.ref.Flush)
+		fanIn := obs.SpanAttrs{Batch: f.ref.Batch, BatchN: f.ref.N, Note: f.ref.Flush, Queued: f.queued}
+		trace.Annotate(trace.SpanBetween(obs.SpanBatchHold, 0, m, f.launched, f.ref.Seal), fanIn)
+		fanIn.Queued = 0
+		trace.Annotate(trace.SpanBetween(obs.SpanExec, 0, m, f.ref.Seal, trace.Stamp()), fanIn)
 	} else {
 		trace.SpanBetween(obs.SpanExec, 0, m, f.launched, trace.Stamp())
 	}
@@ -793,11 +780,15 @@ func (mc *machine) Stalled(t *oracle.Tracker, remainingMS, freeMB float64) bool 
 			break
 		}
 	}
-	if !blocked || !s.acct.awaitMore(freeMB) {
+	if !blocked {
 		return false
 	}
-	mc.trace.Add(obs.TraceEvent{Kind: obs.TraceMemStall, Model: -1,
-		RemainingMS: remainingMS, AvailMemMB: freeMB, Note: "memory"})
+	t0 := mc.trace.Stamp()
+	if !s.acct.awaitMore(freeMB) {
+		return false
+	}
+	mc.trace.Annotate(mc.trace.SpanBetween(obs.SpanReserveWait, 0, -1, t0, mc.trace.Stamp()),
+		obs.SpanAttrs{RemainingMS: remainingMS, AvailMemMB: freeMB, Note: "stall"})
 	return true
 }
 
@@ -829,6 +820,7 @@ func (s *Server) scaled(ms float64) time.Duration {
 // the commit is journaled, before any reader wakes.
 func (s *Server) finish(tk *Ticket, res sim.Result, selectSec float64, trace *obs.ItemTrace) {
 	commit := trace.StartSpan(obs.SpanCommit, 0, -1)
+	trace.Annotate(commit, obs.SpanAttrs{RemainingMS: s.cfg.Limits().DeadlineMS - res.MakespanMS})
 	if s.cfg.Corpus != nil {
 		s.cfg.Corpus.CommitItem(tk.image, res.Executed, res.MakespanMS)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ams/internal/labels"
+	"ams/internal/obs"
 	"ams/internal/oracle"
 	"ams/internal/sched"
 	"ams/internal/service"
@@ -712,5 +713,77 @@ func TestSubmitAfterCloseAborts(t *testing.T) {
 	defer rc.mu.Unlock()
 	if rc.begins[0] != rc.aborts[0] || rc.begins[0] == 0 {
 		t.Fatalf("closed-server admissions: %d begins, %d aborts", rc.begins[0], rc.aborts[0])
+	}
+}
+
+// TestStallIsAReserveWaitSpan: under Algorithm 2 with the accountant
+// contended, a declined ask that waits for a release is recorded as a
+// timed reserve-wait span noted "stall" — so the item's critical path
+// attributes the wait to reserve-wait, not "other", the span count
+// agrees with ams_mem_reserve_wait_seconds, and the select and commit
+// spans carry the budget each decision saw.
+func TestStallIsAReserveWaitSpan(t *testing.T) {
+	reg := obs.NewRegistry()
+	tracer := obs.NewTracer(4)
+	tracer.SetTimeScale(0.001)
+	cfg := itemParallelConfig(1)
+	cfg.Metrics = NewMetrics(reg, z.Models)
+	cfg.Tracer = tracer
+	// Decline, then facedet-blaze (50 ms, 500 MB), then decline for good.
+	policy := func(int) sim.Policy { return &scriptPolicy{script: []int{-1, 6}} }
+	s, err := New(store, policy, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Another tenant holds all but 200 MB, so the first ask is declined.
+	const held = 7800
+	s.acct.reserve(held)
+	tk, err := s.SubmitWait(context.Background(), 0, "stalled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s.acct.waitCount() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(5 * time.Millisecond)
+	s.acct.release(held)
+	if res := tk.Wait(); len(res.Executed) != 1 || res.Executed[0] != 6 {
+		t.Fatalf("executed %v, want [6] once the memory freed", res.Executed)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, ok := tracer.ByTag("stalled")
+	if !ok {
+		t.Fatal("no trace published")
+	}
+	var stalls int
+	var asks []obs.Span
+	for _, sp := range tr.Spans {
+		switch {
+		case sp.Name == obs.SpanReserveWait && sp.Note == "stall":
+			stalls++
+			if sp.AvailMemMB != 200 || sp.RemainingMS != 800 || sp.EndUS-sp.StartUS < 4000 {
+				t.Errorf("stall span must time the wait and carry what the declined ask saw: %+v", sp)
+			}
+		case sp.Name == obs.SpanSelect:
+			asks = append(asks, sp)
+		case sp.Name == obs.SpanCommit && sp.RemainingMS != 750:
+			t.Errorf("commit span remaining_ms = %v, want the 750 ms the schedule left", sp.RemainingMS)
+		}
+	}
+	if waits := cfg.Metrics.ReserveWait.Count(); stalls != 1 || waits != 1 {
+		t.Fatalf("%d stall spans vs %d reserve-wait observations, want 1 and 1", stalls, waits)
+	}
+	// Four asks: declined at 200 MB, model 6 at the freed 8000 MB, then
+	// declined beside its own 500 MB reservation and again after it.
+	if len(asks) != 4 || asks[0].Model != -1 || asks[0].AvailMemMB != 200 || asks[0].Note == "" ||
+		asks[1].Model != 6 || asks[1].AvailMemMB != 8000 || asks[1].RemainingMS != 800 ||
+		asks[2].Model != -1 || asks[2].AvailMemMB != 7500 || asks[3].RemainingMS != 750 {
+		t.Fatalf("select spans must carry each ask's pick and budget: %+v", asks)
+	}
+	stages := tr.CriticalPath()
+	if top := stages[0]; top.Name != obs.SpanReserveWait || top.Model != -1 || top.WallUS < 4000 {
+		t.Fatalf("critical path must attribute the stall to reserve-wait: %+v", stages)
 	}
 }

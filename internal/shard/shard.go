@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"sync"
 
-	"ams/internal/obs"
 	"ams/internal/serve"
 	"ams/internal/service"
 )
@@ -136,11 +135,6 @@ type Config struct {
 	// Capacity is each shard's steal gate: a shard steals only while its
 	// in-flight count is below its capacity. Default: its worker count.
 	Capacity []int
-	// Tracer, when non-nil, receives steal provenance: before a stolen
-	// ticket is handed to the executing shard's server, the router notes
-	// (tag, home, thief) so the item's span trace carries the
-	// victim→thief causality link. Nil disables the hook entirely.
-	Tracer *obs.Tracer
 }
 
 // Router fans submissions out to shards. Safe for concurrent use.
@@ -475,13 +469,10 @@ func (r *Router) run(s int, p placed) {
 		idx, err = p.Resolve(s)
 	}
 	if err == nil {
-		if stolen && p.Tag != "" {
-			// Record provenance before the admission: the handoff into the
-			// executing server's queue is the happens-before edge that orders
-			// this note ahead of the serve loop's Tracer.Begin for the tag.
-			r.cfg.Tracer.NoteSteal(p.Tag, p.home, s)
-		}
-		p.tk.Shard, p.tk.Stolen = s, stolen
+		// Provenance rides the ticket: the handoff into the executing
+		// server's queue orders these writes ahead of the worker that
+		// stamps them into the item's trace.
+		p.tk.Home, p.tk.Shard, p.tk.Stolen = p.home, s, stolen
 		//amsvet:allow ctxflow the dispatcher outlives any submitter ctx; Router.Close is its cancellation scope
 		err = r.servers[s].AdmitWait(context.Background(), p.tk, idx)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ams/internal/labels"
+	"ams/internal/obs"
 	"ams/internal/oracle"
 	"ams/internal/serve"
 	"ams/internal/service"
@@ -49,6 +50,13 @@ func fixedFactory(models ...int) service.PolicyFactory {
 // newShardServers builds n identical shard servers on one clock epoch.
 func newShardServers(t *testing.T, n, workers int) []*serve.Server {
 	t.Helper()
+	return newTracedShardServers(t, n, workers, nil)
+}
+
+// newTracedShardServers is newShardServers with every shard publishing
+// its item traces into one tracer, as the root server wires them.
+func newTracedShardServers(t *testing.T, n, workers int, tracer *obs.Tracer) []*serve.Server {
+	t.Helper()
 	epoch := time.Now()
 	servers := make([]*serve.Server, n)
 	for s := range servers {
@@ -56,6 +64,7 @@ func newShardServers(t *testing.T, n, workers int) []*serve.Server {
 			Config:    service.Config{Workers: workers, DeadlineSec: 0.5},
 			TimeScale: 0.001,
 			Epoch:     epoch,
+			Tracer:    tracer,
 		})
 		if err != nil {
 			t.Fatalf("serve.New: %v", err)
@@ -223,10 +232,14 @@ func TestAffinityGroupsHotTraffic(t *testing.T) {
 }
 
 // TestStealDrainsIdleShard hashes every item to shard 0 and checks the
-// otherwise-idle shard 1 steals a share of them.
+// otherwise-idle shard 1 steals a share of them — and that every stolen
+// item's trace says so. Provenance rides the ticket, so it needs no tag
+// (the even items carry none) and survives in-flight items sharing one
+// (the odd items all do).
 func TestStealDrainsIdleShard(t *testing.T) {
 	const n = 2
-	r, err := New(newShardServers(t, n, 2), Config{
+	tracer := obs.NewTracer(64)
+	r, err := New(newTracedShardServers(t, n, 2, tracer), Config{
 		Steal:    true,
 		Workers:  workerCounts(n, 2),
 		QueueCap: 8,
@@ -237,7 +250,7 @@ func TestStealDrainsIdleShard(t *testing.T) {
 	key := keyOn(0, n, 0)
 	tickets := make([]*serve.Ticket, 60)
 	for i := range tickets {
-		tk, err := r.SubmitWait(context.Background(), Item{Key: key, Index: i % ds.Len()})
+		tk, err := r.SubmitWait(context.Background(), Item{Key: key, Index: i % ds.Len(), Tag: []string{"", "dup"}[i%2]})
 		if err != nil {
 			t.Fatalf("SubmitWait: %v", err)
 		}
@@ -252,8 +265,8 @@ func TestStealDrainsIdleShard(t *testing.T) {
 		if err != nil {
 			t.Fatalf("item %d: %v", i, err)
 		}
-		if tk.Stolen != (tk.Shard != 0) {
-			t.Errorf("item %d: shard %d stolen=%v is inconsistent with home 0", i, tk.Shard, tk.Stolen)
+		if tk.Home != 0 || tk.Stolen != (tk.Shard != 0) {
+			t.Errorf("item %d: home %d shard %d stolen=%v is inconsistent with home 0", i, tk.Home, tk.Shard, tk.Stolen)
 		}
 		if tk.Stolen {
 			stolen++
@@ -268,6 +281,34 @@ func TestStealDrainsIdleShard(t *testing.T) {
 	}
 	if st.PerShard[1].Steals != st.Steals || st.PerShard[0].StolenFrom != st.Steals {
 		t.Errorf("per-shard steal accounting: %+v", st.PerShard)
+	}
+	traces := tracer.Recent(len(tickets))
+	if len(traces) != len(tickets) {
+		t.Fatalf("%d traces for %d items", len(traces), len(tickets))
+	}
+	tracedSteals := map[string]int{}
+	for _, tr := range traces {
+		links := tr.Spans[0].Links
+		if tr.Home != 0 || tr.Stolen != (tr.Shard != 0) {
+			t.Errorf("trace %d: home %d shard %d stolen=%v links=%v", tr.Seq, tr.Home, tr.Shard, tr.Stolen, links)
+		}
+		if tr.Stolen {
+			tracedSteals[tr.Tag]++
+			if len(links) != 1 || links[0] != (obs.SpanLink{Kind: "steal", From: 0, To: 1}) {
+				t.Errorf("trace %d: stolen item's root span links %v, want steal 0 → 1", tr.Seq, links)
+			}
+		} else if len(links) != 0 {
+			t.Errorf("trace %d: home-run item carries links %v", tr.Seq, links)
+		}
+	}
+	var wantSteals [2]int
+	for i, tk := range tickets {
+		if tk.Stolen {
+			wantSteals[i%2]++
+		}
+	}
+	if tracedSteals[""] != wantSteals[0] || tracedSteals["dup"] != wantSteals[1] {
+		t.Errorf("traces record steals %v, tickets %v (untagged, shared tag)", tracedSteals, wantSteals)
 	}
 }
 

@@ -242,21 +242,21 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if trs := srv.Traces(4); len(trs) != 4 {
 		t.Fatalf("Traces(4) returned %d", len(trs))
 	} else {
-		ev := trs[0].Events
-		if len(ev) == 0 || ev[len(ev)-1].Kind != "commit" {
-			t.Fatalf("trace does not end in commit: %+v", ev)
+		spans := trs[0].Spans
+		if len(spans) == 0 || spans[len(spans)-1].Name != "commit" {
+			t.Fatalf("trace does not end in a commit span: %+v", spans)
 		}
-		sawSelect := false
-		for _, e := range ev {
-			if e.Kind == "selected" {
-				sawSelect = true
-				if e.RemainingMS <= 0 {
-					t.Errorf("selected event carries no deadline budget: %+v", e)
+		sawPick := false
+		for _, sp := range spans {
+			if sp.Name == "select" && sp.Model >= 0 {
+				sawPick = true
+				if sp.RemainingMS <= 0 {
+					t.Errorf("select span carries no deadline budget: %+v", sp)
 				}
 			}
 		}
-		if !sawSelect {
-			t.Fatalf("trace has no selected event: %+v", ev)
+		if !sawPick {
+			t.Fatalf("trace has no select span that picked a model: %+v", spans)
 		}
 	}
 	if tr, ok := srv.TraceFor("ext-2"); !ok || tr.Tag != "ext-2" {

@@ -146,10 +146,15 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := parseChrome(t, []byte(sb.String()))
-	var slices, batchExec int
+	var slices, batchExec, budgeted int
 	for _, ev := range doc.TraceEvents {
 		if ev["ph"] == "X" {
 			slices++
+			if args, _ := ev["args"].(map[string]any); strings.HasPrefix(ev["name"].(string), "select") {
+				if ms, ok := args["remaining_ms"].(float64); ok && ms > 0 && args["avail_mem_mb"] != nil {
+					budgeted++
+				}
+			}
 			if strings.HasPrefix(ev["name"].(string), "batch-exec") {
 				batchExec++
 				if ev["pid"].(float64) < 1000 {
@@ -163,6 +168,9 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 	}
 	if batchExec == 0 {
 		t.Fatal("batched server exported no batch-exec slice")
+	}
+	if budgeted < items {
+		t.Fatalf("%d select slices carry remaining_ms and avail_mem_mb in args, want one or more per item (%d)", budgeted, items)
 	}
 
 	// SLO accounting: both objectives (implicit deadline + configured

@@ -63,38 +63,6 @@ func (s ServeStats) WriteSummary(w io.Writer, name string, memBudgetMB float64) 
 	}
 }
 
-// WriteCriticalPath renders one item's critical-path attribution — the
-// shared block cmd/amsserve and examples/labelserver print for the
-// slowest traced item, so both binaries explain latency identically.
-// Silent when the trace carries no spans (telemetry off).
-func (t DecisionTrace) WriteCriticalPath(w io.Writer, title string) {
-	stages := t.CriticalPath()
-	if len(stages) == 0 {
-		return
-	}
-	label := t.Tag
-	if label == "" {
-		label = fmt.Sprintf("item %d", t.Item)
-	}
-	fmt.Fprintf(w, "%s (%s", title, label)
-	if t.Stolen {
-		fmt.Fprintf(w, ", stolen shard %d → %d", t.Home, t.Shard)
-	}
-	fmt.Fprintf(w, "):\n")
-	var totalMS float64
-	for _, st := range stages {
-		totalMS += st.VirtMS
-	}
-	fmt.Fprintf(w, "  %-18s %8.1f ms simulated end to end\n", "total", totalMS)
-	for _, st := range stages {
-		name := st.Name
-		if st.Model >= 0 {
-			name = fmt.Sprintf("%s[m%d]", st.Name, st.Model)
-		}
-		fmt.Fprintf(w, "  %-18s %8.1f ms (%5.1f %%)\n", name, st.VirtMS, 100*st.Frac)
-	}
-}
-
 // WriteSummary renders the corpus retention block both binaries print:
 // how many ingested items the corpus tracks, how many still hold
 // memory, and what the journal costs.

@@ -108,10 +108,11 @@ type ServeConfig struct {
 	// ShardSteal lets a shard whose queue idles steal pending items from
 	// its most loaded sibling (never items pinned by replay).
 	ShardSteal bool
-	// Telemetry turns on the server's live metric registry and decision
+	// Telemetry turns on the server's live metric registry and item
 	// tracer: per-stage latency histograms, per-model execution counters,
-	// per-shard live gauges, and a bounded ring of per-item scheduling
-	// traces, snapshotted through ServeStats.Telemetry, Traces, and
+	// per-shard live gauges, and a bounded ring of per-item span trees
+	// (each decision's deadline and memory budget on the span that timed
+	// it), snapshotted through ServeStats.Telemetry, Traces, and
 	// TraceFor. Instruments only observe — schedules are bit-identical
 	// with telemetry on or off — and when this is unset (and MetricsAddr
 	// is empty) the whole path is inert: no registry exists and the hot
@@ -124,9 +125,9 @@ type ServeConfig struct {
 	// and /debug/pprof. Implies Telemetry. The listener shuts down with
 	// Close. MetricsAddr reports the bound address.
 	MetricsAddr string
-	// TraceCapacity sets how many completed item traces the decision
-	// tracer retains in its ring (default 256). Ring evictions and
-	// per-trace event/span drops are surfaced as ams_trace_* series.
+	// TraceCapacity sets how many completed item traces the tracer
+	// retains in its ring (default 256). Ring evictions and spans dropped
+	// past the per-trace cap are surfaced as ams_trace_* series.
 	TraceCapacity int
 	// SLOs lists latency objectives the server accounts every completed
 	// item against, each spec "p99<250ms" or "name:p95<1s" (quantile is
@@ -421,7 +422,7 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 		if i < cfg.Workers%n {
 			workerSplit[i]++
 		}
-		shardCfg.Workers, shardCfg.Shard = workerSplit[i], i
+		shardCfg.Workers = workerSplit[i]
 		var seg *corpus.Corpus
 		if cfg.Corpus != nil {
 			seg = cfg.Corpus.segs[i]
@@ -445,7 +446,6 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 			QueueCap:  shardCfg.QueueCap,
 			Models:    len(s.Zoo.Models),
 			Workers:   workerSplit,
-			Tracer:    sv.tracer,
 		})
 		if err != nil {
 			closeBuilt()
@@ -489,14 +489,14 @@ func (sv *Server) finishTelemetry(cfg ServeConfig) (*Server, error) {
 			"Entries resident in the shared Q-prediction cache",
 			func() float64 { _, _, n := sv.cache.Stats(); return float64(n) })
 	}
-	// Tracer health: ring evictions (traces lost to capacity) and
-	// event/span drops inside published traces, so silent trace loss is
-	// itself observable.
+	// Tracer health: ring evictions (traces lost to capacity) and span
+	// drops inside published traces, so silent trace loss is itself
+	// observable.
 	sv.reg.CounterFunc("ams_trace_evicted_total",
 		"Completed traces overwritten by ring wraparound",
 		sv.tracer.Evicted)
 	sv.reg.CounterFunc("ams_trace_dropped_total",
-		"Events and spans dropped inside published traces (per-item caps)",
+		"Spans dropped inside published traces (per-item cap)",
 		sv.tracer.DroppedTotal)
 	sv.reg.GaugeFunc("ams_trace_capacity",
 		"Trace-ring capacity (ServeConfig.TraceCapacity)",
@@ -917,9 +917,7 @@ func (sv *Server) Stats() ServeStats {
 	if sv.cache != nil {
 		st.PredCacheHits, st.PredCacheMisses, st.PredCacheEntries = sv.cache.Stats()
 	}
-	if sv.reg != nil {
-		st.Telemetry = telemetryFromObs(sv.reg.Snapshot())
-	}
+	st.Telemetry = sv.reg.Snapshot()
 	return st
 }
 
