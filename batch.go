@@ -69,14 +69,10 @@ func (s *System) LabelBatchWith(ctx context.Context, policy Policy, agent *Agent
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			// Per-worker private policy (and agent fork).
-			private, err := policy.instantiate(s, agent, uint64(w))
-			if err != nil {
-				return // unreachable: validated above
-			}
-			private = withCancel(ctx, private)
+			private := withCancel(ctx, policy.instantiate(s, agent, nil))
 			for idx := range jobs {
 				if ctx.Err() != nil {
 					continue // dispatched before the cancel landed: slot stays nil
@@ -84,7 +80,7 @@ func (s *System) LabelBatchWith(ctx context.Context, policy Policy, agent *Agent
 				res := s.runSchedule(ex, indices[idx], private, b)
 				results[idx] = s.buildResult(ex, items[idx], res)
 			}
-		}(w)
+		}()
 	}
 dispatch:
 	for idx := range items {

@@ -1,6 +1,10 @@
 package ams
 
-import "testing"
+import (
+	"reflect"
+	"slices"
+	"testing"
+)
 
 func TestLabelBatchMatchesSequential(t *testing.T) {
 	images := []int{0, 1, 2, 3, 4, 5, 6, 7}
@@ -99,6 +103,52 @@ func TestLabelBatchManyWorkers(t *testing.T) {
 			if res[i].Recall != seq.Recall {
 				t.Fatalf("budget %+v image %d recall %v diverges from sequential %v",
 					b, images[i], res[i].Recall, seq.Recall)
+			}
+		}
+	}
+}
+
+// TestLabelBatchRandomIndependentOfWorkers: the random baseline restarts
+// its stream at every item from (seed, the item's scene seed), so a batch
+// — test-split and external items mixed — is labeled identically at any
+// worker count and in any order, and every item, external ones included
+// (slot 0 of a private executor there, a slot after the test split here),
+// identically to a lone LabelWith.
+func TestLabelBatchRandomIndependentOfWorkers(t *testing.T) {
+	items := append(testSys.TestItems(0, 1, 2, 3, 4, 5, 6, 7, 0, 3), testSys.GenerateItems(4, 77)...)
+	pol := PolicyRandom.WithSeed(5)
+	for _, b := range []Budget{{DeadlineSec: 0.5}, {DeadlineSec: 0.5, MemoryGB: 8}} {
+		want, _, err := testSys.LabelBatchWith(bg, pol, nil, items, b, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 4, 16} {
+			got, _, err := testSys.LabelBatchWith(bg, pol, nil, items, b, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("budget %+v: %d workers labeled the batch differently from one worker", b, workers)
+			}
+		}
+		if !reflect.DeepEqual(want[0], want[8]) || reflect.DeepEqual(want[0].ModelsRun, want[1].ModelsRun) {
+			t.Fatalf("budget %+v: streams are not keyed by item: %v / %v / %v",
+				b, want[0].ModelsRun, want[8].ModelsRun, want[1].ModelsRun)
+		}
+		reversed := slices.Clone(items)
+		slices.Reverse(reversed)
+		back, _, err := testSys.LabelBatchWith(bg, pol, nil, reversed, b, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, item := range items {
+			lone, err := testSys.LabelWith(bg, pol, nil, item, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(lone, want[i]) || !reflect.DeepEqual(back[len(items)-1-i], want[i]) {
+				t.Fatalf("budget %+v item %d (external %v): LabelWith ran %v, the batch %v, the reversed batch %v",
+					b, i, item.External(), lone.ModelsRun, want[i].ModelsRun, back[len(items)-1-i].ModelsRun)
 			}
 		}
 	}

@@ -335,6 +335,9 @@ func TestSourceIndexing(t *testing.T) {
 	if src.Truth(0) == nil {
 		t.Fatal("base item lost its ground truth")
 	}
+	if src.Seed(idx) != ds.Scenes[5].Seed || src.Seed(0) != ds.Scenes[0].Seed {
+		t.Fatalf("item identities: corpus item %#x, base item %#x, want the scenes' seeds", src.Seed(idx), src.Seed(0))
+	}
 	src.BeginItem(idx)
 	out := src.Output(idx, 1)
 	src.CommitItem(idx, []int{1}, 5)

@@ -85,6 +85,14 @@ func (s *Source) Output(i, m int) zoo.Output {
 	return s.item(i).Output(m)
 }
 
+// Seed implements oracle.Executor.
+func (s *Source) Seed(i int) uint64 {
+	if i < s.baseLen() {
+		return s.base.Seed(i)
+	}
+	return s.item(i).Scene().Seed
+}
+
 // Truth implements oracle.Executor: known for base items, never for
 // corpus items (ingested production data has no ground truth).
 func (s *Source) Truth(i int) *oracle.Truth {

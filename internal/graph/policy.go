@@ -6,12 +6,6 @@ import (
 	"ams/internal/zoo"
 )
 
-// flight tracks selections whose completion has not been observed yet,
-// the bookkeeping sim.Policy requires for parallel execution.
-type flight map[int]bool
-
-func (f flight) has(m int) bool { return f[m] }
-
 // ValuePolicy schedules models by descending expected value under the
 // graph belief — a DRL-free counterpart of the Q-greedy policy. It
 // implements sim.Policy.
@@ -19,7 +13,6 @@ type ValuePolicy struct {
 	g      *Graph
 	z      *zoo.Zoo
 	belief *Belief
-	fly    flight
 }
 
 // NewValuePolicy returns a fresh graph-driven policy.
@@ -29,16 +22,13 @@ func NewValuePolicy(g *Graph, z *zoo.Zoo) *ValuePolicy { return &ValuePolicy{g: 
 func (p *ValuePolicy) Name() string { return "Graph" }
 
 // Reset implements sim.Policy.
-func (p *ValuePolicy) Reset(int) {
-	p.belief = p.g.NewBelief()
-	p.fly = flight{}
-}
+func (p *ValuePolicy) Reset(int) { p.belief = p.g.NewBelief() }
 
 // Next implements sim.Policy.
 func (p *ValuePolicy) Next(t *oracle.Tracker, c sim.Constraints) int {
 	best, bestV := -1, 0.0
-	for _, m := range t.Unexecuted() {
-		if p.fly.has(m) || !c.Allows(p.z.Models[m]) {
+	for _, m := range t.Candidates() {
+		if !c.Allows(p.z.Models[m]) {
 			continue
 		}
 		v := p.belief.ExpectedValue(m)
@@ -46,16 +36,12 @@ func (p *ValuePolicy) Next(t *oracle.Tracker, c sim.Constraints) int {
 			best, bestV = m, v
 		}
 	}
-	if best >= 0 {
-		p.fly[best] = true
-	}
 	return best
 }
 
 // Observe implements sim.Policy: the model was valuable when it
 // emitted any label at or above the threshold.
 func (p *ValuePolicy) Observe(m int, out zoo.Output) {
-	delete(p.fly, m)
 	p.belief.Observe(m, out.Value(zoo.ValuableThreshold) > 0)
 }
 
@@ -66,7 +52,6 @@ type DensityPolicy struct {
 	g      *Graph
 	z      *zoo.Zoo
 	belief *Belief
-	fly    flight
 }
 
 // NewDensityPolicy returns the graph-driven cost-aware policy.
@@ -78,18 +63,12 @@ func NewDensityPolicy(g *Graph, z *zoo.Zoo) *DensityPolicy {
 func (p *DensityPolicy) Name() string { return "Graph" }
 
 // Reset implements sim.Policy.
-func (p *DensityPolicy) Reset(int) {
-	p.belief = p.g.NewBelief()
-	p.fly = flight{}
-}
+func (p *DensityPolicy) Reset(int) { p.belief = p.g.NewBelief() }
 
 // Next implements sim.Policy.
 func (p *DensityPolicy) Next(t *oracle.Tracker, c sim.Constraints) int {
 	best, bestD := -1, 0.0
-	for _, m := range t.Unexecuted() {
-		if p.fly.has(m) {
-			continue
-		}
+	for _, m := range t.Candidates() {
 		mod := p.z.Models[m]
 		if !c.Allows(mod) {
 			continue
@@ -99,14 +78,10 @@ func (p *DensityPolicy) Next(t *oracle.Tracker, c sim.Constraints) int {
 			best, bestD = m, d
 		}
 	}
-	if best >= 0 {
-		p.fly[best] = true
-	}
 	return best
 }
 
 // Observe implements sim.Policy.
 func (p *DensityPolicy) Observe(m int, out zoo.Output) {
-	delete(p.fly, m)
 	p.belief.Observe(m, out.Value(zoo.ValuableThreshold) > 0)
 }

@@ -233,6 +233,14 @@ func (o *OnDemand) Output(i, m int) zoo.Output {
 	return o.item(i).Output(m)
 }
 
+// Seed implements Executor.
+func (o *OnDemand) Seed(i int) uint64 {
+	if i < o.baseLen() {
+		return o.base.Seed(i)
+	}
+	return o.item(i).scene.Seed
+}
+
 // Truth implements Executor: known for base items, usually nil for
 // ingested ones.
 func (o *OnDemand) Truth(i int) *Truth {

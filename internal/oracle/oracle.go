@@ -51,6 +51,9 @@ type Executor interface {
 	Output(i, m int) zoo.Output
 	// Truth returns item i's ground truth, or nil when it is unknown.
 	Truth(i int) *Truth
+	// Seed returns item i's scene noise seed — the item's identity: the
+	// same in whatever executor and slot the item is ingested.
+	Seed(i int) uint64
 }
 
 // Store holds the precomputed execution results for one scene collection.
@@ -109,6 +112,9 @@ func (st *Store) Output(i, m int) zoo.Output { return st.outputs[i][m] }
 // Truth implements Executor: the store knows every scene's ground truth.
 func (st *Store) Truth(i int) *Truth { return &st.truths[i] }
 
+// Seed implements Executor.
+func (st *Store) Seed(i int) uint64 { return st.Scenes[i].Seed }
+
 // TotalValue returns the summed truth value of every valuable label of
 // scene i (the denominator of the recall rate).
 func (st *Store) TotalValue(i int) float64 { return st.truths[i].TotalValue }
@@ -163,23 +169,35 @@ func (st *Store) OptimalTimeMS(i int) float64 {
 	return t
 }
 
-// Tracker tracks the labeling state of one item while models execute:
-// which labels have been emitted (at any confidence — this binary vector
-// is the DRL observation), which models ran, and — when the item's ground
-// truth is known — how much valuable value has been recalled.
+// Tracker is the labeling state of one item while models execute, the
+// one per-item state scheduling decisions are made from: which labels
+// have been emitted (at any confidence — this sorted set is the DRL
+// observation), which models ran, which are in flight (Algorithm 2 takes
+// a model out of the candidate set M at launch), and — when the item's
+// ground truth is known — how much valuable value has been recalled.
 type Tracker struct {
 	ex    Executor
 	item  int
 	truth *Truth // nil when the item's ground truth is unknown
 
-	emitted  map[int]bool // label emitted at any confidence
 	recalled map[int]bool // valuable label emitted at >= threshold
-	executed []bool
+	status   []modelStatus
 	state    []int // sorted emitted label IDs (the sparse DRL state)
 
 	recalledValue float64
 	executedCount int
+	inFlightCount int
 }
+
+// modelStatus is where one model stands in an item's schedule, in the
+// order a model passes through (before relies on it).
+type modelStatus uint8
+
+const (
+	idle     modelStatus = iota // a candidate
+	inFlight                    // launched, output not visible yet
+	executed
+)
 
 // NewTracker starts an empty labeling state for item i of the executor.
 func NewTracker(ex Executor, i int) *Tracker {
@@ -190,42 +208,69 @@ func NewTracker(ex Executor, i int) *Tracker {
 		ex:       ex,
 		item:     i,
 		truth:    ex.Truth(i),
-		emitted:  make(map[int]bool),
 		recalled: make(map[int]bool),
-		executed: make([]bool, ex.NumModels()),
+		status:   make([]modelStatus, ex.NumModels()),
 	}
 }
 
 // Scene returns the tracked item index.
 func (t *Tracker) Scene() int { return t.item }
 
+// Seed returns the tracked item's identity (Executor.Seed).
+func (t *Tracker) Seed() uint64 { return t.ex.Seed(t.item) }
+
 // HasTruth reports whether the item's ground truth is known, i.e.
 // whether Recall, RecalledValue and MarginalValue are meaningful.
 func (t *Tracker) HasTruth() bool { return t.truth != nil }
 
 // Executed reports whether model m has run.
-func (t *Tracker) Executed(m int) bool { return t.executed[m] }
+func (t *Tracker) Executed(m int) bool { return t.status[m] == executed }
 
 // ExecutedCount returns how many models have run.
 func (t *Tracker) ExecutedCount() int { return t.executedCount }
 
+// Launch records that the executor started model m; false when m has
+// already run or is in flight. An executor that runs one model at a time
+// may skip Launch and call Execute directly.
+func (t *Tracker) Launch(m int) bool {
+	if t.status[m] != idle {
+		return false
+	}
+	t.status[m] = inFlight
+	t.inFlightCount++
+	return true
+}
+
+// Candidate reports whether a policy may pick model m next: it has
+// neither run nor been launched.
+func (t *Tracker) Candidate(m int) bool { return t.status[m] == idle }
+
+// InFlightCount returns how many models are in flight.
+func (t *Tracker) InFlightCount() int { return t.inFlightCount }
+
+// CandidateCount returns how many models are candidates.
+func (t *Tracker) CandidateCount() int {
+	return len(t.status) - t.executedCount - t.inFlightCount
+}
+
 // Execute runs (or replays) model m on the item, folds its output into
 // the state, and returns the newly emitted labels — O'(m,d) in the
 // paper: labels not previously output by any executed model, at any
-// confidence. Executing a model twice panics; the scheduler must never
-// do that.
+// confidence. A launched model is no longer in flight afterwards.
+// Executing a model twice panics; the scheduler must never do that.
 func (t *Tracker) Execute(m int) []zoo.LabelConf {
-	if t.executed[m] {
+	switch t.status[m] {
+	case executed:
 		panic(fmt.Sprintf("oracle: model %d executed twice on item %d", m, t.item))
+	case inFlight:
+		t.inFlightCount--
 	}
-	t.executed[m] = true
+	t.status[m] = executed
 	t.executedCount++
 	out := t.ex.Output(t.item, m)
 	var fresh []zoo.LabelConf
 	for _, lc := range out.Labels {
-		if !t.emitted[lc.ID] {
-			t.emitted[lc.ID] = true
-			t.insertState(lc.ID)
+		if t.insertState(lc.ID) {
 			fresh = append(fresh, lc)
 		}
 		if t.truth != nil && lc.Conf >= zoo.ValuableThreshold && !t.recalled[lc.ID] {
@@ -236,13 +281,18 @@ func (t *Tracker) Execute(m int) []zoo.LabelConf {
 	return fresh
 }
 
-// insertState keeps the sparse state sorted for deterministic hashing and
-// network input.
-func (t *Tracker) insertState(id int) {
+// insertState adds a label to the sparse state, kept sorted for
+// deterministic comparison and network input, and reports whether it was
+// new.
+func (t *Tracker) insertState(id int) bool {
 	pos := sort.SearchInts(t.state, id)
+	if pos < len(t.state) && t.state[pos] == id {
+		return false
+	}
 	t.state = append(t.state, 0)
 	copy(t.state[pos+1:], t.state[pos:])
 	t.state[pos] = id
+	return true
 }
 
 // State returns the sorted emitted-label indices (the DRL observation).
@@ -284,12 +334,22 @@ func (t *Tracker) MarginalValue(m int) float64 {
 	return v
 }
 
-// Unexecuted returns the indices of models that have not run, in model-ID
-// order.
+// Unexecuted returns the indices of models that have not run — in flight
+// or not — in model-ID order, as a fresh slice the caller owns.
 func (t *Tracker) Unexecuted() []int {
-	var ms []int
-	for m, done := range t.executed {
-		if !done {
+	return t.before(executed, len(t.status)-t.executedCount)
+}
+
+// Candidates returns the models a policy may pick next — neither run nor
+// in flight — in model-ID order, as a fresh slice the caller owns.
+func (t *Tracker) Candidates() []int { return t.before(inFlight, t.CandidateCount()) }
+
+// before lists the n models whose status precedes limit, in model-ID
+// order, in a fresh slice sized once.
+func (t *Tracker) before(limit modelStatus, n int) []int {
+	ms := make([]int, 0, n)
+	for m, st := range t.status {
+		if st < limit {
 			ms = append(ms, m)
 		}
 	}

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -231,6 +232,29 @@ func TestMarginalValueAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// TestSeedIsTheItemsIdentity: an item answers the same seed — its
+// scene's — from the store, from an on-demand executor's base, and from
+// whatever slot it is ingested into.
+func TestSeedIsTheItemsIdentity(t *testing.T) {
+	od := NewOnDemand(store.Zoo, store)
+	od.Add(NewExternalItem(store.Zoo, store.Scenes[0]))
+	twin := od.Add(NewExternalItem(store.Zoo, store.Scenes[2]))
+	lone := NewOnDemand(store.Zoo, nil)
+	lone.Add(NewExternalItem(store.Zoo, store.Scenes[2]))
+	want := store.Scenes[2].Seed
+	for name, got := range map[string]uint64{
+		"store": store.Seed(2), "base": od.Seed(2), "ingested": od.Seed(twin),
+		"lone": lone.Seed(0), "tracker": NewTracker(od, twin).Seed(),
+	} {
+		if got != want {
+			t.Errorf("%s: seed %#x, want the scene's %#x", name, got, want)
+		}
+	}
+	if store.Seed(0) == want {
+		t.Fatal("two test scenes share a seed; the check above proves nothing")
+	}
+}
+
 func TestUnexecutedShrinks(t *testing.T) {
 	tr := NewTracker(store, 1)
 	if len(tr.Unexecuted()) != store.NumModels() {
@@ -245,6 +269,72 @@ func TestUnexecutedShrinks(t *testing.T) {
 		if m == 5 {
 			t.Fatal("executed model still listed")
 		}
+	}
+}
+
+// TestTrackerCarriesInFlightSet: a launched model leaves the candidates
+// but stays unexecuted until it commits; Launch refuses a model that is
+// not a candidate; Execute works with or without a preceding Launch; and
+// both views are one exactly-sized allocation.
+func TestTrackerCarriesInFlightSet(t *testing.T) {
+	tr := NewTracker(store, 1)
+	n := store.NumModels()
+	if !tr.Launch(5) || !tr.Launch(9) {
+		t.Fatal("Launch refused a candidate")
+	}
+	if tr.Launch(5) {
+		t.Fatal("Launch accepted a model already in flight")
+	}
+	if tr.Candidate(5) || tr.Executed(5) || !tr.Candidate(6) || tr.InFlightCount() != 2 || tr.CandidateCount() != n-2 {
+		t.Fatalf("in-flight bookkeeping: Candidate(5)=%v Executed(5)=%v in flight %d, candidates %d",
+			tr.Candidate(5), tr.Executed(5), tr.InFlightCount(), tr.CandidateCount())
+	}
+	if un, cand := tr.Unexecuted(), tr.Candidates(); len(un) != n || len(cand) != n-2 || cap(un) != n || cap(cand) != n-2 {
+		t.Fatalf("views: %d unexecuted (cap %d), %d candidates (cap %d), want %d and %d exactly sized",
+			len(un), cap(un), len(cand), cap(cand), n, n-2)
+	}
+	for _, m := range tr.Candidates() {
+		if m == 5 || m == 9 {
+			t.Fatalf("in-flight model %d listed as a candidate", m)
+		}
+	}
+	tr.Execute(5) // commits a launched model
+	tr.Execute(7) // an executor that never calls Launch
+	if tr.Candidate(5) || !tr.Executed(5) || !tr.Executed(7) || tr.InFlightCount() != 1 || tr.ExecutedCount() != 2 || tr.CandidateCount() != n-3 {
+		t.Fatalf("after commits: Candidate(5)=%v in flight %d, executed %d, candidates %d",
+			tr.Candidate(5), tr.InFlightCount(), tr.ExecutedCount(), tr.CandidateCount())
+	}
+	if tr.Launch(7) {
+		t.Fatal("Launch accepted an executed model")
+	}
+	if un, cand := tr.Unexecuted(), tr.Candidates(); len(un) != n-2 || len(cand) != n-3 {
+		t.Fatalf("views after commits: %d unexecuted, %d candidates", len(un), len(cand))
+	}
+	if a := testing.AllocsPerRun(20, func() { tr.Unexecuted(); tr.Candidates() }); a != 2 {
+		t.Fatalf("Unexecuted+Candidates allocated %v times, want one each", a)
+	}
+}
+
+// TestExecuteReportsFreshLabelsOnce: the sorted state is the emitted-label
+// set — a label is fresh exactly when it was not in it.
+func TestExecuteReportsFreshLabelsOnce(t *testing.T) {
+	tr := NewTracker(store, 1)
+	seen := map[int]bool{}
+	for m := 0; m < store.NumModels(); m++ {
+		fresh := tr.Execute(m)
+		want := 0
+		for _, lc := range store.Output(1, m).Labels {
+			if !seen[lc.ID] {
+				seen[lc.ID] = true
+				want++
+			}
+		}
+		if len(fresh) != want {
+			t.Fatalf("model %d: %d fresh labels, want %d", m, len(fresh), want)
+		}
+	}
+	if st := tr.State(); len(st) != len(seen) || !sort.IntsAreSorted(st) {
+		t.Fatalf("state has %d labels (sorted=%v), want %d", len(st), sort.IntsAreSorted(st), len(seen))
 	}
 }
 

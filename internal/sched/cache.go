@@ -1,41 +1,48 @@
 package sched
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
-// CachedPredictor memoizes Q predictions keyed by the emitted-label set.
-// Within one item's schedule the predictor-driven policies ask for the
-// same state's values repeatedly — every launch of one parallel
-// scheduling point, every serial re-ask after a memory stall, and every
-// completion that emitted no fresh labels re-run Next on an unchanged
-// state — and the Q network's forward pass is the dominant selection
-// cost (the paper's Table III overhead). The cache turns those repeats
-// into map hits.
+// CachedPredictor memoizes the Q prediction of the labeling state it
+// was last asked about. Within one item's schedule the predictor-driven
+// policies ask for the same state's values repeatedly — every launch of
+// one parallel scheduling point, every serial re-ask after a memory
+// stall, and every completion that emitted no fresh labels re-run Next
+// on an unchanged state — and the Q network's forward pass is the
+// dominant selection cost (the paper's Table III overhead).
 //
-// The private memo is invalidated by the owning policy's Reset, so it
-// spans exactly one item's schedule: at most one entry per distinct
-// labeling state the schedule visits (≤ one per executed model plus the
-// empty state), which bounds memory without any eviction policy.
+// One remembered state is all the memo needs: a labeling state only
+// grows within an item, so a state that was left never comes back and
+// repeats are always consecutive asks. The owning policy's Reset drops
+// it, so it never spans two items. States are compared directly and the
+// values live in one reused buffer, so the private memo allocates nothing.
 //
 // An optional SharedCache (NewSharedCachedPredictor) extends the
 // memoization across items and workers: concurrently served items visit
 // overlapping labeling states — most schedules start from the empty
 // state and early states recur constantly on a hot trace — and every
 // worker reads the same frozen weights, so one worker's forward pass is
-// every worker's answer. Hits fill the private memo, misses
-// publish to the shared tier.
+// every worker's answer. It is consulted only when the remembered state
+// does not match; misses publish to it.
 //
 // Not safe for concurrent use — like the predictor it wraps, there is
 // one per worker (the SharedCache itself is concurrency-safe).
 type CachedPredictor struct {
-	pred   Predictor
-	memo   map[string][]float64
-	key    []byte // scratch buffer for key encoding
+	pred  Predictor
+	valid bool  // a state is remembered
+	state []int // the remembered labeling state (a copy)
+	// q holds its values: this predictor's reused buffer, or — shared is
+	// fixed at construction — always a shared-tier slice, never written.
+	q      []float64
+	key    []byte // scratch buffer for the shared tier's key
 	shared *SharedCache
 }
 
 // NewCachedPredictor wraps pred with a per-schedule memo.
 func NewCachedPredictor(pred Predictor) *CachedPredictor {
-	return &CachedPredictor{pred: pred, memo: make(map[string][]float64)}
+	return &CachedPredictor{pred: pred}
 }
 
 // NewSharedCachedPredictor wraps pred with the per-schedule memo backed
@@ -44,14 +51,15 @@ func NewCachedPredictor(pred Predictor) *CachedPredictor {
 // network produced them. A nil shared is equivalent to
 // NewCachedPredictor.
 func NewSharedCachedPredictor(pred Predictor, shared *SharedCache) *CachedPredictor {
-	return &CachedPredictor{pred: pred, memo: make(map[string][]float64), shared: shared}
+	return &CachedPredictor{pred: pred, shared: shared}
 }
 
-// stateKey encodes a labeling state into buf as a byte key. State slices
-// are sorted label IDs and uvarints are self-delimiting, so the encoding
-// is injective for any vocabulary size. (An earlier fixed two-byte
-// encoding truncated IDs to 16 bits, silently colliding states — and so
-// serving wrong Q-values — once label IDs reached 65536.)
+// stateKey encodes a labeling state into buf as the shared tier's byte
+// key. State slices are sorted label IDs and uvarints are
+// self-delimiting, so the encoding is injective for any vocabulary size.
+// (An earlier fixed two-byte encoding truncated IDs to 16 bits, silently
+// colliding states — and so serving wrong Q-values — once label IDs
+// reached 65536.)
 func stateKey(buf []byte, state []int) []byte {
 	buf = buf[:0]
 	for _, id := range state {
@@ -60,27 +68,30 @@ func stateKey(buf []byte, state []int) []byte {
 	return buf
 }
 
-// Predict implements Predictor. The returned slice is owned by the cache
-// and must not be mutated (policies only read it).
+// Predict implements Predictor. The returned slice is owned by the cache:
+// read-only, and valid until the next Predict (policies read it within
+// one Next).
 func (c *CachedPredictor) Predict(state []int) []float64 {
+	if c.valid && slices.Equal(c.state, state) {
+		return c.q
+	}
+	c.state, c.valid = append(c.state[:0], state...), true
+	if c.shared == nil {
+		// The wrapped predictor's slice aliases network storage and is
+		// invalidated by its next forward pass; the memo keeps a copy.
+		c.q = append(c.q[:0], c.pred.Predict(state)...)
+		return c.q
+	}
 	c.key = stateKey(c.key, state)
 	k := string(c.key)
-	if q, ok := c.memo[k]; ok {
-		return q
-	}
-	if c.shared != nil {
-		if q, ok := c.shared.lookup(k); ok {
-			c.memo[k] = q
-			return q
-		}
-	}
-	// The wrapped predictor's slice aliases network storage and is
-	// invalidated by its next forward pass; the memo keeps a copy.
-	q := append([]float64(nil), c.pred.Predict(state)...)
-	c.memo[k] = q
-	if c.shared != nil {
+	q, ok := c.shared.lookup(k)
+	if !ok {
+		// Published values outlive this predictor's next pass and are
+		// read by other workers: a copy of their own.
+		q = slices.Clone(c.pred.Predict(state))
 		c.shared.store(k, q)
 	}
+	c.q = q
 	return q
 }
 
@@ -88,7 +99,7 @@ func (c *CachedPredictor) Predict(state []int) []float64 {
 // per-item state never leaks across items. The shared tier deliberately
 // survives — its values are valid as long as the shared weights are
 // (call SharedCache.Invalidate after retraining).
-func (c *CachedPredictor) Invalidate() { clear(c.memo) }
+func (c *CachedPredictor) Invalidate() { c.valid = false }
 
 // invalidatePrediction resets pred's memo when it carries one. Policies
 // call this from Reset, so wrapping a policy's predictor in a

@@ -22,12 +22,15 @@ func (p *countingPredictor) Predict(state []int) []float64 {
 	return p.buf
 }
 
+// TestCachedPredictorMemoizesPerState: the memo holds the one state it
+// was last asked about — all a schedule needs, since a labeling state
+// only grows — in storage of its own.
 func TestCachedPredictorMemoizesPerState(t *testing.T) {
 	raw := &countingPredictor{}
 	c := NewCachedPredictor(raw)
 
-	a := c.Predict([]int{1, 5, 9})
-	b := c.Predict([]int{1, 5, 9})
+	a := c.Predict([]int{1, 5})
+	b := c.Predict([]int{1, 5})
 	if raw.calls != 1 {
 		t.Fatalf("repeated ask on an unchanged state ran %d forward passes, want 1", raw.calls)
 	}
@@ -35,27 +38,53 @@ func TestCachedPredictorMemoizesPerState(t *testing.T) {
 		t.Fatalf("cache returned different slices for the same state")
 	}
 	for i := range a {
-		if a[i] != float64(3*10+i) {
-			t.Fatalf("cached value %v at %d, want %v", a[i], i, float64(3*10+i))
+		if a[i] != float64(2*10+i) {
+			t.Fatalf("cached value %v at %d, want %v", a[i], i, float64(2*10+i))
 		}
 	}
-
-	// A different state is a miss — and must not clobber the first
-	// entry's values (the raw predictor reuses its buffer; the cache
-	// must have copied).
-	d := c.Predict([]int{1, 5})
-	if raw.calls != 2 {
-		t.Fatalf("distinct state ran %d forward passes, want 2", raw.calls)
+	// The raw predictor reuses its buffer; the memo must have copied, and
+	// must compare the caller's state by value, not by slice identity.
+	raw.Predict([]int{1, 2, 3, 4})
+	passes := raw.calls
+	if got := c.Predict(append([]int(nil), 1, 5)); raw.calls != passes || got[0] != 20 {
+		t.Fatalf("memo aliased the predictor's buffer or the state slice: %d new passes, value %v", raw.calls-passes, got[0])
 	}
-	if d[0] != 20 || a[0] != 30 {
-		t.Fatalf("cache aliased the predictor's buffer: first %v, second %v", a[0], d[0])
+
+	// The state grew: a miss, whose values replace the remembered ones.
+	d := c.Predict([]int{1, 5, 9})
+	if raw.calls != passes+1 || d[0] != 30 {
+		t.Fatalf("grown state ran %d forward passes (want 1) and read %v (want 30)", raw.calls-passes, d[0])
+	}
+	// A state that was left is forgotten — within an item it cannot recur.
+	c.Predict([]int{1, 5})
+	if raw.calls != passes+2 {
+		t.Fatalf("the memo holds more than one state: %d forward passes, want 2", raw.calls-passes)
 	}
 
 	// Invalidate drops the memo: the same state recomputes.
 	c.Invalidate()
-	c.Predict([]int{1, 5, 9})
-	if raw.calls != 3 {
-		t.Fatalf("post-invalidate ask ran %d forward passes, want 3", raw.calls)
+	c.Predict([]int{1, 5})
+	if raw.calls != passes+3 {
+		t.Fatalf("post-invalidate ask ran %d forward passes, want 3", raw.calls-passes)
+	}
+}
+
+// TestCachedPredictorAllocatesNothing pins the private tier's cost: once
+// its two buffers have grown to the schedule's longest state, neither a
+// repeated nor a new state allocates.
+func TestCachedPredictorAllocatesNothing(t *testing.T) {
+	c := NewCachedPredictor(&countingPredictor{})
+	states := [][]int{{1, 5, 9, 12}, {1, 5, 9}, {1, 5}}
+	c.Predict(states[0])
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		i++
+		c.Predict(states[i%len(states)]) // a new state every call
+	}); n != 0 {
+		t.Fatalf("Predict on a new state allocated %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Predict(states[0]) }); n != 0 {
+		t.Fatalf("Predict on a repeated state allocated %v times, want 0", n)
 	}
 }
 
@@ -95,24 +124,30 @@ func (p *echoPredictor) Predict(state []int) []float64 {
 }
 
 // TestCacheKeysDistinguishHighLabelIDs is the regression test for the
-// key encoding: the old fixed two-byte encoding truncated label IDs to
-// 16 bits, so the states {65536} and {0} collided and the second ask
+// shared tier's key encoding (the private tier compares states directly
+// and has no key): the old fixed two-byte encoding truncated label IDs
+// to 16 bits, so the states {65536} and {0} collided and the second ask
 // silently returned the first state's Q-values.
 func TestCacheKeysDistinguishHighLabelIDs(t *testing.T) {
+	shared := NewSharedCache(0)
 	raw := &echoPredictor{}
-	c := NewCachedPredictor(raw)
-	high := c.Predict([]int{65536})
-	low := c.Predict([]int{0})
+	// A fresh predictor per ask, so every ask misses the private tier and
+	// is answered by the shared one.
+	ask := func(state ...int) float64 { return NewSharedCachedPredictor(raw, shared).Predict(state)[0] }
+	high, low := ask(65536), ask(0)
 	if raw.calls != 2 {
 		t.Fatalf("states {65536} and {0} shared a cache key: %d forward passes, want 2", raw.calls)
 	}
-	if high[0] != 65536 || low[0] != 0 {
-		t.Fatalf("colliding keys served wrong Q-values: got %v and %v", high[0], low[0])
+	if high != 65536 || low != 0 {
+		t.Fatalf("colliding keys served wrong Q-values: got %v and %v", high, low)
+	}
+	if ask(65536) != 65536 || ask(0) != 0 || raw.calls != 2 {
+		t.Fatalf("shared tier did not answer the repeated states: %d forward passes", raw.calls)
 	}
 	// Multi-ID states stay unambiguous too (uvarints are self-delimiting;
 	// echoPredictor sums IDs, so compare forward-pass counts, not values).
-	c.Predict([]int{1, 65537})
-	c.Predict([]int{65538})
+	ask(1, 65537)
+	ask(65538)
 	if raw.calls != 4 {
 		t.Fatalf("a multi-ID state collided with a single-ID state: %d forward passes, want 4", raw.calls)
 	}

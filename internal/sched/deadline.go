@@ -28,7 +28,6 @@ import (
 type CostQGreedy struct {
 	pred Predictor
 	z    *zoo.Zoo
-	fly  flight
 
 	batchAware bool // see SetBatchAware
 }
@@ -62,20 +61,14 @@ func (p *CostQGreedy) effectiveCostMS(m int, mod *zoo.Model, c sim.Constraints) 
 }
 
 // Reset implements sim.Policy.
-func (p *CostQGreedy) Reset(int) {
-	p.fly.reset()
-	invalidatePrediction(p.pred)
-}
+func (p *CostQGreedy) Reset(int) { invalidatePrediction(p.pred) }
 
 // Next implements sim.Policy.
 func (p *CostQGreedy) Next(t *oracle.Tracker, c sim.Constraints) int {
 	q := p.pred.Predict(t.State())
 	bestRatio, bestRatioM := 0.0, -1
 	bestQ, bestQM := 0.0, -1
-	for _, m := range t.Unexecuted() {
-		if p.fly.has(m) {
-			continue
-		}
+	for _, m := range t.Candidates() {
 		mod := p.z.Models[m]
 		if !c.Allows(mod) {
 			continue
@@ -89,18 +82,14 @@ func (p *CostQGreedy) Next(t *oracle.Tracker, c sim.Constraints) int {
 			bestQ, bestQM = q[m], m
 		}
 	}
-	best := bestQM
 	if bestRatioM >= 0 {
-		best = bestRatioM
+		return bestRatioM
 	}
-	if best >= 0 {
-		p.fly.mark(best)
-	}
-	return best
+	return bestQM
 }
 
 // Observe implements sim.Policy.
-func (p *CostQGreedy) Observe(m int, _ zoo.Output) { p.fly.done(m) }
+func (p *CostQGreedy) Observe(int, zoo.Output) {}
 
 // --- Relaxed optimal* upper bound (§V-C) --------------------------------
 

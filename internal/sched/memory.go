@@ -21,7 +21,6 @@ import (
 type MemoryPacker struct {
 	pred Predictor
 	z    *zoo.Zoo
-	fly  flight
 
 	packing    bool    // this scheduling point's anchor has launched
 	horizonMS  float64 // anchor duration: followers must finish within it
@@ -46,7 +45,6 @@ func (p *MemoryPacker) Name() string { return "Agent" }
 
 // Reset implements sim.Policy.
 func (p *MemoryPacker) Reset(int) {
-	p.fly.reset()
 	p.packing = false
 	invalidatePrediction(p.pred)
 }
@@ -54,6 +52,7 @@ func (p *MemoryPacker) Reset(int) {
 // Next implements sim.Policy.
 func (p *MemoryPacker) Next(t *oracle.Tracker, c sim.Constraints) int {
 	q := p.pred.Predict(t.State())
+	candidates := t.Candidates()
 	if !p.packing {
 		// Anchor: highest value per resource area within the budgets.
 		// When batch-aware, a model whose batch lane has cross-item
@@ -61,8 +60,8 @@ func (p *MemoryPacker) Next(t *oracle.Tracker, c sim.Constraints) int {
 		// density uses that effective cost. The packing horizon below
 		// stays the nominal TimeMS — commits happen on the nominal clock.
 		anchor, bestDensity := -1, 0.0
-		for _, m := range t.Unexecuted() {
-			if p.fly.has(m) || q[m] <= 0 {
+		for _, m := range candidates {
+			if q[m] <= 0 {
 				continue
 			}
 			mod := p.z.Models[m]
@@ -81,17 +80,16 @@ func (p *MemoryPacker) Next(t *oracle.Tracker, c sim.Constraints) int {
 		if anchor >= 0 {
 			p.packing = true
 			p.horizonMS = p.z.Models[anchor].TimeMS
-			p.fly.mark(anchor)
 			return anchor
 		}
 		// No positive-value model fits; while something is running,
 		// wait for its completion. On an idle GPU, fall back to the
 		// least-bad feasible model so the budget is not wasted.
-		if p.fly.count() > 0 {
+		if t.InFlightCount() > 0 {
 			return -1
 		}
 		fallback, bestQ := -1, 0.0
-		for _, m := range t.Unexecuted() {
+		for _, m := range candidates {
 			if !c.Allows(p.z.Models[m]) {
 				continue
 			}
@@ -102,14 +100,13 @@ func (p *MemoryPacker) Next(t *oracle.Tracker, c sim.Constraints) int {
 		if fallback >= 0 {
 			p.packing = true
 			p.horizonMS = 0 // nothing packs behind a fallback
-			p.fly.mark(fallback)
 		}
 		return fallback
 	}
 	// Pack by Q/mem under the temporary deadline (Algorithm 2 lines 8-12).
 	best, bestRatio := -1, 0.0
-	for _, m := range t.Unexecuted() {
-		if p.fly.has(m) || q[m] <= 0 {
+	for _, m := range candidates {
+		if q[m] <= 0 {
 			continue
 		}
 		mod := p.z.Models[m]
@@ -121,18 +118,12 @@ func (p *MemoryPacker) Next(t *oracle.Tracker, c sim.Constraints) int {
 			best, bestRatio = m, ratio
 		}
 	}
-	if best >= 0 {
-		p.fly.mark(best)
-	}
 	return best
 }
 
 // Observe implements sim.Policy: a completion opens the next scheduling
 // point, so the anchor selection runs again.
-func (p *MemoryPacker) Observe(m int, _ zoo.Output) {
-	p.fly.done(m)
-	p.packing = false
-}
+func (p *MemoryPacker) Observe(int, zoo.Output) { p.packing = false }
 
 // RandomPacker is the random baseline of §VI-G: it launches randomly
 // chosen models that fit in memory and finish by the deadline, keeping
@@ -141,7 +132,6 @@ func (p *MemoryPacker) Observe(m int, _ zoo.Output) {
 type RandomPacker struct {
 	z   *zoo.Zoo
 	rng *tensor.RNG
-	fly flight
 
 	order []int // this scheduling point's shuffled candidates
 	drawn bool
@@ -156,10 +146,7 @@ func NewRandomPacker(z *zoo.Zoo, rng *tensor.RNG) *RandomPacker {
 func (p *RandomPacker) Name() string { return "Random" }
 
 // Reset implements sim.Policy.
-func (p *RandomPacker) Reset(int) {
-	p.fly.reset()
-	p.drawn = false
-}
+func (p *RandomPacker) Reset(int) { p.drawn = false }
 
 // Next implements sim.Policy.
 func (p *RandomPacker) Next(t *oracle.Tracker, c sim.Constraints) int {
@@ -169,17 +156,13 @@ func (p *RandomPacker) Next(t *oracle.Tracker, c sim.Constraints) int {
 		p.drawn = true
 	}
 	for _, m := range p.order {
-		if t.Executed(m) || p.fly.has(m) || !c.Allows(p.z.Models[m]) {
+		if !t.Candidate(m) || !c.Allows(p.z.Models[m]) {
 			continue
 		}
-		p.fly.mark(m)
 		return m
 	}
 	return -1
 }
 
 // Observe implements sim.Policy.
-func (p *RandomPacker) Observe(m int, _ zoo.Output) {
-	p.fly.done(m)
-	p.drawn = false
-}
+func (p *RandomPacker) Observe(int, zoo.Output) { p.drawn = false }

@@ -6,7 +6,8 @@
 // chunked (video-like) streams sketched in the paper's introduction.
 //
 // Every policy implements the single sim.Policy contract: Next receives
-// the labeling state plus the sim.Constraints in force (remaining time,
+// the labeling state — whose Candidates are the models neither run nor
+// in flight — plus the sim.Constraints in force (remaining time,
 // available memory) and returns one model, so the same implementation
 // runs under every limit of the one executor (sim.Execute): unconstrained,
 // deadline, and deadline+memory with overlapping launches.
@@ -28,24 +29,6 @@ type Predictor interface {
 	Predict(state []int) []float64
 }
 
-// flight tracks the models a policy has returned whose completion has
-// not been observed yet. The executor launches selections immediately
-// and reports completions later, so every policy keeps this set to honor
-// the contract's never-return-twice rule; with one model in flight it
-// is always empty at each ask.
-type flight struct{ m map[int]bool }
-
-func (f *flight) reset()         { f.m = nil }
-func (f *flight) has(m int) bool { return f.m[m] }
-func (f *flight) count() int     { return len(f.m) }
-func (f *flight) mark(m int) {
-	if f.m == nil {
-		f.m = make(map[int]bool)
-	}
-	f.m[m] = true
-}
-func (f *flight) done(m int) { delete(f.m, m) }
-
 // --- Baseline and serial policies ---------------------------------------
 
 // Random executes a uniformly random feasible model — the paper's
@@ -54,7 +37,6 @@ func (f *flight) done(m int) { delete(f.m, m) }
 type Random struct {
 	z   *zoo.Zoo
 	rng *tensor.RNG
-	fly flight
 }
 
 // NewRandom returns a random policy with its own RNG stream.
@@ -64,34 +46,33 @@ func NewRandom(z *zoo.Zoo, rng *tensor.RNG) *Random { return &Random{z: z, rng: 
 func (p *Random) Name() string { return "Random" }
 
 // Reset implements sim.Policy.
-func (p *Random) Reset(int) { p.fly.reset() }
+func (p *Random) Reset(int) {}
+
+// Seed restarts the policy's stream at seed.
+func (p *Random) Seed(seed uint64) { p.rng.Seed(seed) }
 
 // Next implements sim.Policy.
 func (p *Random) Next(t *oracle.Tracker, c sim.Constraints) int {
 	var feasible []int
-	for _, m := range t.Unexecuted() {
-		if p.fly.has(m) || !c.Allows(p.z.Models[m]) {
-			continue
+	for _, m := range t.Candidates() {
+		if c.Allows(p.z.Models[m]) {
+			feasible = append(feasible, m)
 		}
-		feasible = append(feasible, m)
 	}
 	if len(feasible) == 0 {
 		return -1
 	}
-	m := feasible[p.rng.Intn(len(feasible))]
-	p.fly.mark(m)
-	return m
+	return feasible[p.rng.Intn(len(feasible))]
 }
 
 // Observe implements sim.Policy.
-func (p *Random) Observe(m int, _ zoo.Output) { p.fly.done(m) }
+func (p *Random) Observe(int, zoo.Output) {}
 
 // Optimal executes models in descending order of their true output
 // value — the paper's "optimal policy", which needs ground truth.
 type Optimal struct {
 	st    *oracle.Store
 	order []int
-	fly   flight
 }
 
 // NewOptimal returns the optimal policy over the store.
@@ -101,25 +82,21 @@ func NewOptimal(st *oracle.Store) *Optimal { return &Optimal{st: st} }
 func (p *Optimal) Name() string { return "Optimal" }
 
 // Reset implements sim.Policy.
-func (p *Optimal) Reset(scene int) {
-	p.order = p.st.OptimalOrder(scene)
-	p.fly.reset()
-}
+func (p *Optimal) Reset(scene int) { p.order = p.st.OptimalOrder(scene) }
 
 // Next implements sim.Policy.
 func (p *Optimal) Next(t *oracle.Tracker, c sim.Constraints) int {
 	for _, m := range p.order {
-		if t.Executed(m) || p.fly.has(m) || !c.Allows(p.st.Zoo.Models[m]) {
+		if !t.Candidate(m) || !c.Allows(p.st.Zoo.Models[m]) {
 			continue
 		}
-		p.fly.mark(m)
 		return m
 	}
 	return -1
 }
 
 // Observe implements sim.Policy.
-func (p *Optimal) Observe(m int, _ zoo.Output) { p.fly.done(m) }
+func (p *Optimal) Observe(int, zoo.Output) {}
 
 // QGreedy executes the feasible model with the maximal predicted Q
 // value — the paper's "Q-value greedy policy" ("Q Greedy" in Fig. 10
@@ -127,7 +104,6 @@ func (p *Optimal) Observe(m int, _ zoo.Output) { p.fly.done(m) }
 type QGreedy struct {
 	pred Predictor
 	z    *zoo.Zoo
-	fly  flight
 }
 
 // NewQGreedy returns a Q-greedy policy over the zoo's models.
@@ -139,31 +115,25 @@ func NewQGreedy(pred Predictor, z *zoo.Zoo) *QGreedy {
 func (p *QGreedy) Name() string { return "Q-Greedy" }
 
 // Reset implements sim.Policy.
-func (p *QGreedy) Reset(int) {
-	p.fly.reset()
-	invalidatePrediction(p.pred)
-}
+func (p *QGreedy) Reset(int) { invalidatePrediction(p.pred) }
 
 // Next implements sim.Policy.
 func (p *QGreedy) Next(t *oracle.Tracker, c sim.Constraints) int {
 	q := p.pred.Predict(t.State())
 	best, bestQ := -1, 0.0
-	for _, m := range t.Unexecuted() {
-		if p.fly.has(m) || !c.Allows(p.z.Models[m]) {
+	for _, m := range t.Candidates() {
+		if !c.Allows(p.z.Models[m]) {
 			continue
 		}
 		if best < 0 || q[m] > bestQ {
 			best, bestQ = m, q[m]
 		}
 	}
-	if best >= 0 {
-		p.fly.mark(best)
-	}
 	return best
 }
 
 // Observe implements sim.Policy.
-func (p *QGreedy) Observe(m int, _ zoo.Output) { p.fly.done(m) }
+func (p *QGreedy) Observe(int, zoo.Output) {}
 
 // Rule is the handcrafted-rule policy. Models start with equal
 // weights; fired rules multiply their targets' weights. Selection takes a
@@ -176,7 +146,6 @@ type Rule struct {
 	engine *rules.Engine
 	z      *zoo.Zoo
 	rng    *tensor.RNG
-	fly    flight
 }
 
 // NewRule returns the rule-based policy.
@@ -188,19 +157,15 @@ func NewRule(engine *rules.Engine, z *zoo.Zoo, rng *tensor.RNG) *Rule {
 func (p *Rule) Name() string { return "Rule" }
 
 // Reset implements sim.Policy.
-func (p *Rule) Reset(int) {
-	p.engine.Reset()
-	p.fly.reset()
-}
+func (p *Rule) Reset(int) { p.engine.Reset() }
 
 // Next implements sim.Policy.
 func (p *Rule) Next(t *oracle.Tracker, c sim.Constraints) int {
 	var feasible []int
-	for _, m := range t.Unexecuted() {
-		if p.fly.has(m) || !c.Allows(p.z.Models[m]) {
-			continue
+	for _, m := range t.Candidates() {
+		if c.Allows(p.z.Models[m]) {
+			feasible = append(feasible, m)
 		}
-		feasible = append(feasible, m)
 	}
 	if len(feasible) == 0 {
 		return -1
@@ -218,13 +183,10 @@ func (p *Rule) Next(t *oracle.Tracker, c sim.Constraints) int {
 			top = append(top, m)
 		}
 	}
-	m := top[p.rng.Intn(len(top))]
-	p.fly.mark(m)
-	return m
+	return top[p.rng.Intn(len(top))]
 }
 
 // Observe implements sim.Policy.
 func (p *Rule) Observe(m int, out zoo.Output) {
-	p.fly.done(m)
 	p.engine.ObserveOutput(p.z.Models[m], out.Labels)
 }

@@ -496,3 +496,35 @@ func TestMemoryPackerSerialUnderDeadline(t *testing.T) {
 		}
 	}
 }
+
+// TestScheduleAllocationBudget pins what one schedule allocates on the
+// virtual machine, so the per-item state cannot quietly grow a copy
+// again: the labeling state (tracker, recalled-label map, sorted state),
+// one candidates slice per ask, and the result's growing slices — no
+// per-policy in-flight set, no memo map, no key strings. The budgets are
+// the measured counts (Algorithm 1: 8 models, 65; Algorithm 2: 19 models,
+// 111 — with those copies it was 140 and 365) plus a tenth for
+// map-growth variation across Go releases.
+func TestScheduleAllocationBudget(t *testing.T) {
+	q := make([]float64, store.NumModels()+1)
+	for m := range store.NumModels() {
+		q[m] = store.ModelValue(0, m)
+	}
+	alg1 := NewCostQGreedy(NewCachedPredictor(fixedPredictor{q}), z)
+	alg2 := NewMemoryPacker(NewCachedPredictor(fixedPredictor{q}), z)
+	for _, tc := range []struct {
+		name   string
+		run    func() sim.Result
+		budget float64
+	}{
+		{"algorithm1", func() sim.Result { return sim.RunDeadline(store, 0, alg1, 1000) }, 72},
+		{"algorithm2", func() sim.Result { return sim.RunParallel(store, 0, alg2, 1000, 8*1024) }, 122},
+	} {
+		if len(tc.run().Executed) < 3 {
+			t.Fatalf("%s: schedule too short to measure: %v", tc.name, tc.run().Executed)
+		}
+		if n := testing.AllocsPerRun(20, func() { tc.run() }); n > tc.budget {
+			t.Errorf("%s: one schedule allocated %v times, budget %v (ran %v)", tc.name, n, tc.budget, tc.run().Executed)
+		}
+	}
+}

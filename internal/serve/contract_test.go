@@ -33,6 +33,23 @@ func (p *scriptPolicy) Next(*oracle.Tracker, sim.Constraints) int {
 }
 func (p *scriptPolicy) Observe(int, zoo.Output) {}
 
+// firstFit launches the first candidate that fits and remembers nothing:
+// the labeling state carries the in-flight set, so a policy with no
+// bookkeeping of its own is legal under overlapping launches.
+type firstFit struct{}
+
+func (firstFit) Name() string { return "first-fit" }
+func (firstFit) Reset(int)    {}
+func (firstFit) Next(t *oracle.Tracker, c sim.Constraints) int {
+	for _, m := range t.Candidates() {
+		if c.Allows(store.Zoo.Models[m]) {
+			return m
+		}
+	}
+	return -1
+}
+func (firstFit) Observe(int, zoo.Output) {}
+
 // TestExecutorContract is the one table of the executor's contract with
 // its policy, run over both machines: the virtual one and the server's
 // real one, uncontended. Every violation must panic naming the policy
@@ -44,7 +61,8 @@ func TestExecutorContract(t *testing.T) {
 	inf := math.Inf(1)
 	for _, tc := range []struct {
 		name     string
-		script   []int
+		script   []int      // asked through a scriptPolicy ...
+		policy   sim.Policy // ... unless the row brings its own
 		lim      sim.Limits
 		memMB    float64
 		panics   string // substring of the violation; "" when the schedule is legal
@@ -68,6 +86,9 @@ func TestExecutorContract(t *testing.T) {
 			lim: sim.Limits{DeadlineMS: inf, InFlight: 1}, memMB: 8000, executed: []int{6, 1}},
 		{name: "parallel commits in finish order", script: []int{1, 6},
 			lim: sim.Limits{DeadlineMS: 800}, memMB: 8000, executed: []int{6, 1}},
+		{name: "no bookkeeping under overlapping launches", policy: firstFit{},
+			lim: sim.Limits{DeadlineMS: 800}, memMB: 8000,
+			executed: []int{0, 2, 6, 3, 8, 15, 4, 16, 17, 7, 1, 10, 19, 18, 20, 29, 11, 26, 5, 14, 23, 28, 25}},
 	} {
 		machines := map[string]func() (sim.Machine, func()){
 			"virtual": func() (sim.Machine, func()) { return sim.NewVirtual(tc.memMB), func() {} },
@@ -101,7 +122,11 @@ func TestExecutorContract(t *testing.T) {
 						}
 					}
 				}()
-				res := sim.Execute(mach, store, 0, &scriptPolicy{script: tc.script}, tc.lim)
+				var p sim.Policy = &scriptPolicy{script: tc.script}
+				if tc.policy != nil {
+					p = tc.policy
+				}
+				res := sim.Execute(mach, store, 0, p, tc.lim)
 				if !reflect.DeepEqual(res.Executed, tc.executed) {
 					t.Fatalf("executed %v, want %v", res.Executed, tc.executed)
 				}

@@ -615,7 +615,7 @@ func (p *selector) Next(t *oracle.Tracker, c sim.Constraints) int {
 		return m
 	}
 	attrs := obs.SpanAttrs{RemainingMS: c.RemainingMS, AvailMemMB: c.AvailMemMB}
-	if m < 0 && len(t.Unexecuted()) > len(p.mach.flying) {
+	if m < 0 && t.CandidateCount() > 0 {
 		attrs.Note = "declined with models unexecuted"
 	}
 	trace.Annotate(trace.SpanBetween(obs.SpanSelect, 0, m, t0, time.Now()), attrs)

@@ -1,8 +1,9 @@
 // Package sim owns the scheduling contract of the AMS reproduction and
 // the one executor that runs it. Policy picks the next model from the
-// current labeling state under the Constraints in force; Execute is the
-// loop around it — ask, check the selection, launch, commit the earliest
-// finish, reveal the output — written once and run over a Machine.
+// current labeling state (the in-flight set included) under the
+// Constraints in force; Execute is the loop around it — ask, check the
+// selection, launch, commit the earliest finish, reveal the output —
+// written once and run over a Machine.
 // Algorithm 1 (§VI-F) is that loop with one model in flight, Algorithm 2
 // (§VI-G) with the in-flight set bounded by shared GPU memory, and the
 // §VI-B recall-threshold evaluation is Algorithm 1 with no budgets and a
@@ -90,10 +91,10 @@ func (c Constraints) Allows(m *zoo.Model) bool {
 // one model in flight, asks again (at the same labeling state, with the
 // memory headroom reduced) until the policy declines; a launched model's
 // output becomes visible only when Observe is called at its completion.
-// A policy must therefore remember its own in-flight selections — models
-// it returned whose Observe has not arrived yet — and never return one
-// of them again. With one model in flight Observe directly follows every
-// selection, so that bookkeeping is invisible there.
+// The labeling state carries the in-flight set — Execute records every
+// launch on the Tracker, whose Candidates are the models neither run nor
+// in flight — so a policy keeps no launch bookkeeping of its own: it
+// picks among the candidates and never returns anything else.
 type Policy interface {
 	Name() string
 	// Reset is called once before each image.
@@ -241,10 +242,9 @@ func Execute(mach Machine, ex oracle.Executor, item int, p Policy, lim Limits) R
 				panic(fmt.Sprintf("sim: policy %s exceeded the memory headroom (model %d needs %v MB, %v free)",
 					p.Name(), m, mod.MemMB, free))
 			}
-			// An in-flight model's output is not visible yet, so a policy
-			// that returns it again is reading state it was told to track
-			// itself.
-			if t.Executed(m) || isRunning(inFly, m) {
+			// An in-flight model's output is not visible yet; it stays out
+			// of the candidate set until it commits.
+			if !t.Launch(m) {
 				panic(fmt.Sprintf("sim: policy %s launched model %d twice", p.Name(), m))
 			}
 			mach.Start(m, mod)
@@ -278,16 +278,6 @@ func Execute(mach Machine, ex oracle.Executor, item int, p Policy, lim Limits) R
 	res.Recall = t.Recall()
 	res.HasRecall = t.HasTruth()
 	return res
-}
-
-// isRunning reports whether model m is in the in-flight set.
-func isRunning(inFly []running, m int) bool {
-	for _, r := range inFly {
-		if r.model == m {
-			return true
-		}
-	}
-	return false
 }
 
 // untilRecall makes a policy stop once the recall of valuable value

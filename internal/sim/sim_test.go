@@ -49,23 +49,20 @@ func (seqDeadline) Next(t *oracle.Tracker, c Constraints) int {
 }
 func (seqDeadline) Observe(int, zoo.Output) {}
 
-// greedyPacker launches every model that fits (for event-loop tests),
-// tracking its in-flight selections as the parallel contract requires.
-type greedyPacker struct{ fly map[int]bool }
+// greedyPacker launches every candidate that fits (for event-loop tests).
+type greedyPacker struct{}
 
-func (p *greedyPacker) Name() string { return "greedy" }
-func (p *greedyPacker) Reset(int)    { p.fly = map[int]bool{} }
-func (p *greedyPacker) Next(t *oracle.Tracker, c Constraints) int {
-	for _, m := range t.Unexecuted() {
-		if p.fly[m] || !c.Allows(store.Zoo.Models[m]) {
-			continue
+func (*greedyPacker) Name() string { return "greedy" }
+func (*greedyPacker) Reset(int)    {}
+func (*greedyPacker) Next(t *oracle.Tracker, c Constraints) int {
+	for _, m := range t.Candidates() {
+		if c.Allows(store.Zoo.Models[m]) {
+			return m
 		}
-		p.fly[m] = true
-		return m
 	}
 	return -1
 }
-func (p *greedyPacker) Observe(m int, _ zoo.Output) { delete(p.fly, m) }
+func (*greedyPacker) Observe(int, zoo.Output) {}
 
 func TestRunToRecallStopsAtThreshold(t *testing.T) {
 	res := RunToRecall(store, 0, &seqPolicy{}, 0.5)

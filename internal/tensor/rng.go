@@ -25,6 +25,14 @@ type RNG struct {
 // NewRNG returns a generator seeded deterministically from seed.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed restarts the generator, in place, at the stream NewRNG(seed)
+// would produce.
+func (r *RNG) Seed(seed uint64) {
+	*r = RNG{}
 	// splitmix64 expansion of the seed into the xoshiro state.
 	x := seed
 	for i := 0; i < 4; i++ {
@@ -34,7 +42,6 @@ func NewRNG(seed uint64) *RNG {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		r.s[i] = z ^ (z >> 31)
 	}
-	return r
 }
 
 // Split derives an independent child generator. Useful for handing each

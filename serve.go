@@ -416,7 +416,6 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 			inner.Close()
 		}
 	}
-	offset := 0
 	for i := range workerSplit {
 		workerSplit[i] = cfg.Workers / n
 		if i < cfg.Workers%n {
@@ -427,11 +426,7 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 		if cfg.Corpus != nil {
 			seg = cfg.Corpus.segs[i]
 		}
-		// Offset the worker indices so every worker across the fleet
-		// seeds its policy differently, exactly as one big pool would.
-		base := offset
-		offset += workerSplit[i]
-		sh, err := s.newShard(seg, func(w int) sim.Policy { return factory(base + w) }, shardCfg)
+		sh, err := s.newShard(seg, factory, shardCfg)
 		if err != nil {
 			closeBuilt()
 			return nil, err
@@ -1098,13 +1093,7 @@ func (s *System) serveFactory(agent *Agent, cfg ServeConfig) (service.PolicyFact
 	if cfg.PredictorCache {
 		cache = sched.NewSharedCache(0)
 	}
-	return func(worker int) sim.Policy {
-		p, err := policy.instantiateShared(s, agent, uint64(worker), cache)
-		if err != nil {
-			panic(err) // unreachable: validated above
-		}
-		return p
-	}, policy, cache, nil
+	return func(int) sim.Policy { return policy.instantiate(s, agent, cache) }, policy, cache, nil
 }
 
 func fromRunStats(rs serve.RunStats) ServeStats {

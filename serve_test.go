@@ -28,14 +28,15 @@ func mustWait(t testing.TB, tk *ServeTicket) *Result {
 // TestServerLabelsLikeLabel: at one worker nothing contends, so the
 // server — the executor on the real machine — must reproduce the library
 // — the same executor on the virtual machine — exactly, for every
-// registry policy over the whole test split. The reference is one
-// LabelBatchWith worker, which like the server's worker 0 carries one
-// policy instance (and its RNG stream) across the items in order.
+// registry policy over the whole test split and a few external items.
+// The reference is one LabelBatchWith worker, which like the server's
+// worker 0 carries one policy instance across the items in order.
 func TestServerLabelsLikeLabel(t *testing.T) {
 	items := make([]Item, testSys.NumTestImages())
 	for i := range items {
 		items[i] = testSys.TestItem(i)
 	}
+	items = append(items, testSys.GenerateItems(4, 9)...)
 	for _, pol := range registryPolicies() {
 		t.Run(pol.Name(), func(t *testing.T) {
 			cfg := serveCfg(1)
