@@ -7,7 +7,8 @@ package ams
 //
 //	go test -bench=. -benchmem
 //
-// For paper-style output series, use `go run ./cmd/amsbench -exp all`.
+// For paper-style output series, use `go run ./cmd/amsbench -exp all`;
+// serving performance is measured by the ledger, `bash bench/run.sh`.
 
 import (
 	"context"
@@ -16,8 +17,6 @@ import (
 	"testing"
 
 	"ams/internal/experiments"
-	"ams/internal/sched"
-	"ams/internal/sim"
 )
 
 var (
@@ -210,16 +209,6 @@ func BenchmarkAblationReward(b *testing.B) {
 	}
 }
 
-func BenchmarkExtService(b *testing.B) {
-	l := warm(b, func(l *experiments.Lab) { l.ExtService() })
-	for i := 0; i < b.N; i++ {
-		r := l.ExtService()
-		if len(r.ArrivalRates) == 0 {
-			b.Fatal("service shape")
-		}
-	}
-}
-
 func BenchmarkExtGraph(b *testing.B) {
 	l := warm(b, func(l *experiments.Lab) { l.ExtGraph() })
 	for i := 0; i < b.N; i++ {
@@ -316,60 +305,14 @@ func serveBench(b *testing.B) (*System, *Agent) {
 	return serveBenchSys, serveBenchAgent
 }
 
-// benchmarkServe measures submit→complete round trips against a running
-// server: concurrent client goroutines submit and wait, so the reported
-// per-op time is the end-to-end item latency under load at the given
-// worker count. TimeScale is tiny so dispatch, policy, and accountant
-// overhead dominate the (near-zero) model sleeps.
-func benchmarkServe(b *testing.B, workers int) {
-	sys, agent := serveBench(b)
-	srv, err := sys.NewServer(agent, ServeConfig{
-		Workers:     workers,
-		DeadlineSec: 0.5,
-		MemoryGB:    16,
-		QueueCap:    4 * workers,
-		TimeScale:   1e-6,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var next atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			img := int(next.Add(1)) % sys.NumTestImages()
-			tk, err := srv.SubmitWait(context.Background(), sys.TestItem(img))
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			res, err := tk.Wait(context.Background())
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			if res.Recall < 0 {
-				b.Error("bad recall")
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	if err := srv.Close(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkServe1Worker(b *testing.B)  { benchmarkServe(b, 1) }
-func BenchmarkServe4Workers(b *testing.B) { benchmarkServe(b, 4) }
-func BenchmarkServe8Workers(b *testing.B) { benchmarkServe(b, 8) }
-
-// benchmarkServeTelemetry is benchmarkServe with the telemetry switch
-// exposed: the Uninstrumented/Instrumented pair measures what the obs
-// layer costs per item. The bound on that cost is a count, not this
-// pair's wall-clock ratio: TestTelemetryAllocationOverhead. ReportAllocs
-// shows the disabled path's allocation profile (every obs call no-ops on
-// nil before touching a clock or the heap).
+// benchmarkServeTelemetry measures submit→complete round trips under
+// concurrent clients with near-zero model sleeps (TimeScale 1e-6), with
+// the telemetry switch exposed — the one serving measurement the ledger
+// has no workload pair for. The Uninstrumented/Instrumented pair shows
+// what the obs layer costs per item; the bound on that cost is a count,
+// not this pair's wall-clock ratio: TestTelemetryAllocationOverhead.
+// ReportAllocs shows the disabled path's allocation profile (every obs
+// call no-ops on nil before touching a clock or the heap).
 func benchmarkServeTelemetry(b *testing.B, telemetry bool) {
 	sys, agent := serveBench(b)
 	srv, err := sys.NewServer(agent, ServeConfig{
@@ -413,100 +356,6 @@ func benchmarkServeTelemetry(b *testing.B, telemetry bool) {
 
 func BenchmarkServeUninstrumented(b *testing.B) { benchmarkServeTelemetry(b, false) }
 func BenchmarkServeInstrumented(b *testing.B)   { benchmarkServeTelemetry(b, true) }
-
-// benchmarkServeBatching measures whole-trace throughput on the
-// memory-bound hot-model workload where cross-item batching is the
-// lever: a tight budget (one-ish footprint at a time), a short deadline
-// concentrating every item on the same top-ratio models, and a pool of
-// saturating clients. One bench iteration serves a wave of items; the
-// items/s metric is the number to compare across the pair. TimeScale is
-// 1e-3 — large enough that reservations are held for real, so the
-// memory contention batching removes actually exists.
-func benchmarkServeBatching(b *testing.B, batch int) {
-	sys, agent := serveBench(b)
-	srv, err := sys.NewServer(agent, ServeConfig{
-		Workers:     8,
-		DeadlineSec: 0.2,
-		MemoryGB:    1,
-		QueueCap:    64,
-		TimeScale:   1e-3,
-		BatchSize:   batch,
-		BatchHoldMS: 600,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const wave = 64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tickets := make([]*ServeTicket, wave)
-		for j := range tickets {
-			img := (i*wave + j) % sys.NumTestImages()
-			if tickets[j], err = srv.SubmitWait(context.Background(), sys.TestItem(img)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for _, tk := range tickets {
-			if _, err := tk.Wait(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(wave*b.N)/b.Elapsed().Seconds(), "items/s")
-	if err := srv.Close(); err != nil {
-		b.Fatal(err)
-	}
-	if batch > 0 {
-		if st := srv.Stats(); st.Batches == 0 {
-			b.Fatal("batching path never exercised")
-		}
-	}
-}
-
-func BenchmarkServeUnbatched(b *testing.B) { benchmarkServeBatching(b, 0) }
-func BenchmarkServeBatched(b *testing.B)   { benchmarkServeBatching(b, 8) }
-
-// BenchmarkSelectOverhead quantifies the Q-prediction memo: the same
-// Algorithm-2 serving workload with and without the per-schedule cache,
-// reporting the real per-item selection overhead (ServeStats.AvgSelectSec,
-// the paper's Table III number) as select-ms/item. The parallel packer
-// re-asks the policy at every launch of a scheduling point, so the
-// cached variant's forward passes collapse to one per distinct labeling
-// state.
-func benchmarkSelectOverhead(b *testing.B, cached bool) {
-	sys, agent := serveBench(b)
-	policy := PolicyAlgorithm2
-	if !cached {
-		// The registry policy wraps the agent in the memo; this variant
-		// bypasses it to measure the raw forward-pass cost.
-		policy = Policy{name: "algorithm2-uncached", parallel: true, needsAgent: true,
-			build: func(s *System, ag *Agent, _ uint64, _ *sched.SharedCache) sim.Policy {
-				return sched.NewMemoryPacker(ag.inner.Fork(), s.Zoo)
-			}}
-	}
-	cfg := ServeConfig{
-		Workers:     2,
-		Policy:      policy,
-		DeadlineSec: 0.8,
-		MemoryGB:    8,
-		TimeScale:   1e-6,
-	}
-	trace := ServeTrace{ArrivalRateHz: 1e6, Items: 40, Seed: 3}
-	b.ResetTimer()
-	var selectSec float64
-	for i := 0; i < b.N; i++ {
-		stats, err := sys.Serve(context.Background(), agent, cfg, trace, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		selectSec += stats.AvgSelectSec
-	}
-	b.ReportMetric(selectSec/float64(b.N)*1e3, "select-ms/item")
-}
-
-func BenchmarkSelectOverheadCached(b *testing.B)   { benchmarkSelectOverhead(b, true) }
-func BenchmarkSelectOverheadUncached(b *testing.B) { benchmarkSelectOverhead(b, false) }
 
 // BenchmarkTrainEpoch measures one DRL training epoch.
 func BenchmarkTrainEpoch(b *testing.B) {

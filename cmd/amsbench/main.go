@@ -18,16 +18,71 @@ import (
 	"ams/internal/experiments"
 )
 
-var order = []string{
-	"table1", "table2", "fig1", "fig2", "fig4", "fig5", "fig6", "fig7",
-	"fig8", "fig9", "fig10", "fig11", "fig12", "table3", "headline",
-	"ablation-end", "ablation-gamma", "ablation-reward", "ext-graph",
-	"ext-service", "ext-batching",
+// experiment is one row of the table that feeds -list, -exp all, the
+// usage string and dispatch.
+type experiment struct {
+	id  string
+	run func(*experiments.Lab) string
+}
+
+// experimentTable lists every experiment in the order -exp all runs them.
+var experimentTable = []experiment{
+	{"table1", (*experiments.Lab).TableI},
+	{"table2", (*experiments.Lab).TableII},
+	{"fig1", func(l *experiments.Lab) string { return l.Fig1().Format() }},
+	{"fig2", func(l *experiments.Lab) string { return l.Fig2().Format() }},
+	{"fig4", func(l *experiments.Lab) string { return panels(l.Fig4(), (*experiments.SweepResult).FormatCounts) }},
+	{"fig5", func(l *experiments.Lab) string { return panels(l.Fig5(), (*experiments.SweepResult).FormatTimes) }},
+	{"fig6", func(l *experiments.Lab) string {
+		r := l.Fig6()
+		return r.FormatCounts() + "\n" + r.FormatTimes()
+	}},
+	{"fig7", func(l *experiments.Lab) string { return l.Fig7().Format() }},
+	{"fig8", func(l *experiments.Lab) string { return l.Fig8().Format() }},
+	{"fig9", func(l *experiments.Lab) string { return l.Fig9().Format() }},
+	{"fig10", func(l *experiments.Lab) string { return panels(l.Fig10(), experiments.DeadlineResult.Format) }},
+	{"fig11", func(l *experiments.Lab) string { return panels(l.Fig11(), experiments.MemoryResult.Format) }},
+	{"fig12", func(l *experiments.Lab) string { return l.Fig12().Format() }},
+	{"table3", func(l *experiments.Lab) string { return l.TableIII().Format() }},
+	{"headline", func(l *experiments.Lab) string { return l.Headline().Format() }},
+	{"ablation-end", func(l *experiments.Lab) string { return l.AblationEND().Format() }},
+	{"ablation-gamma", func(l *experiments.Lab) string { return l.AblationGamma().Format() }},
+	{"ablation-reward", func(l *experiments.Lab) string { return l.AblationReward().Format() }},
+	{"ext-graph", func(l *experiments.Lab) string { return l.ExtGraph().Format() }},
+}
+
+// panels renders a per-dataset figure, one panel after another.
+func panels[T any](rs []T, format func(T) string) string {
+	var b strings.Builder
+	for _, r := range rs {
+		b.WriteString(format(r))
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// ids returns the experiment ids in table order.
+func ids() []string {
+	out := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		out[i] = e.id
+	}
+	return out
+}
+
+// lookup resolves one experiment id.
+func lookup(id string) (experiment, error) {
+	for _, e := range experimentTable {
+		if e.id == id {
+			return e, nil
+		}
+	}
+	return experiment{}, fmt.Errorf("unknown experiment %q (use -list)", id)
 }
 
 func main() {
 	var (
-		exp   = flag.String("exp", "all", "experiment id or comma list ("+strings.Join(order, ",")+") or all")
+		exp   = flag.String("exp", "all", "experiment id or comma list ("+strings.Join(ids(), ",")+") or all")
 		scale = flag.String("scale", "quick", "quick or full")
 		list  = flag.Bool("list", false, "list experiments and exit")
 		quiet = flag.Bool("q", false, "suppress progress output")
@@ -35,7 +90,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, id := range order {
+		for _, id := range ids() {
 			fmt.Println(id)
 		}
 		return
@@ -57,87 +112,15 @@ func main() {
 		}
 	}
 
-	var ids []string
-	if *exp == "all" {
-		ids = order
-	} else {
-		ids = strings.Split(*exp, ",")
+	want := ids()
+	if *exp != "all" {
+		want = strings.Split(*exp, ",")
 	}
-	for _, id := range ids {
-		out, err := run(lab, strings.TrimSpace(id))
+	for _, id := range want {
+		e, err := lookup(strings.TrimSpace(id))
 		if err != nil {
 			log.Fatalf("amsbench: %v", err)
 		}
-		fmt.Println(out)
-	}
-}
-
-func run(lab *experiments.Lab, id string) (string, error) {
-	switch id {
-	case "table1":
-		return lab.TableI(), nil
-	case "table2":
-		return lab.TableII(), nil
-	case "table3":
-		return lab.TableIII().Format(), nil
-	case "fig1":
-		return lab.Fig1().Format(), nil
-	case "fig2":
-		return lab.Fig2().Format(), nil
-	case "fig4":
-		var b strings.Builder
-		for _, r := range lab.Fig4() {
-			b.WriteString(r.FormatCounts())
-			b.WriteString("\n")
-		}
-		return b.String(), nil
-	case "fig5":
-		var b strings.Builder
-		for _, r := range lab.Fig5() {
-			b.WriteString(r.FormatTimes())
-			b.WriteString("\n")
-		}
-		return b.String(), nil
-	case "fig6":
-		r := lab.Fig6()
-		return r.FormatCounts() + "\n" + r.FormatTimes(), nil
-	case "fig7":
-		return lab.Fig7().Format(), nil
-	case "fig8":
-		return lab.Fig8().Format(), nil
-	case "fig9":
-		return lab.Fig9().Format(), nil
-	case "fig10":
-		var b strings.Builder
-		for _, r := range lab.Fig10() {
-			b.WriteString(r.Format())
-			b.WriteString("\n")
-		}
-		return b.String(), nil
-	case "fig11":
-		var b strings.Builder
-		for _, r := range lab.Fig11() {
-			b.WriteString(r.Format())
-			b.WriteString("\n")
-		}
-		return b.String(), nil
-	case "fig12":
-		return lab.Fig12().Format(), nil
-	case "headline":
-		return lab.Headline().Format(), nil
-	case "ablation-end":
-		return lab.AblationEND().Format(), nil
-	case "ablation-gamma":
-		return lab.AblationGamma().Format(), nil
-	case "ablation-reward":
-		return lab.AblationReward().Format(), nil
-	case "ext-graph":
-		return lab.ExtGraph().Format(), nil
-	case "ext-service":
-		return lab.ExtService().Format(), nil
-	case "ext-batching":
-		return lab.ExtBatching().Format(), nil
-	default:
-		return "", fmt.Errorf("unknown experiment %q (use -list)", id)
+		fmt.Println(e.run(lab))
 	}
 }

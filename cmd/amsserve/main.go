@@ -115,6 +115,21 @@ func main() {
 	if (*replay || *maxResident > 0 || *snapEvery > 0 || *syncEvery > 0 || *syncMS > 0) && *journalPath == "" {
 		log.Fatal("amsserve: -replay, -max-resident, -snapshot-every and -sync-* require -journal")
 	}
+	// Everything checkable from the flags alone is checked before the
+	// quick agent trains, so a typo fails at once.
+	policy, err := ams.PolicyByName(*policyName)
+	if err != nil {
+		log.Fatalf("amsserve: %v", err)
+	}
+	var slos []string
+	if *sloSpecs != "" {
+		slos = strings.Split(*sloSpecs, ",")
+	}
+	for _, spec := range slos {
+		if _, err := ams.ParseSLO(spec); err != nil {
+			log.Fatalf("amsserve: %v", err)
+		}
+	}
 
 	sys, err := ams.New(ams.Config{Dataset: *dataset, NumImages: *images, Seed: *seed})
 	if err != nil {
@@ -137,10 +152,6 @@ func main() {
 		}
 	}
 
-	policy, err := ams.PolicyByName(*policyName)
-	if err != nil {
-		log.Fatalf("amsserve: %v", err)
-	}
 	cfg := ams.ServeConfig{
 		Workers:        *workers,
 		Policy:         policy.WithSeed(*seed),
@@ -158,9 +169,7 @@ func main() {
 		TraceOut:       *traceOut,
 		TraceCapacity:  *traceCap,
 		FlightDir:      *flightDir,
-	}
-	if *sloSpecs != "" {
-		cfg.SLOs = strings.Split(*sloSpecs, ",")
+		SLOs:           slos,
 	}
 	trace := ams.ServeTrace{ArrivalRateHz: float64(*rate), Items: *items, Seed: *seed, OpenLoop: *openLoop}
 

@@ -68,32 +68,6 @@ func TestAblationReward(t *testing.T) {
 	}
 }
 
-func TestExtService(t *testing.T) {
-	l := newMicroLab(t)
-	r := l.ExtService()
-	if len(r.ArrivalRates) != 3 {
-		t.Fatalf("rates: %v", r.ArrivalRates)
-	}
-	for i := range r.ArrivalRates {
-		// Matched budgets: the agent's advantage is recall per item.
-		if r.AgentRecall[i] <= r.RandomRecall[i] {
-			t.Fatalf("rate %v: agent recall %v not above random %v",
-				r.ArrivalRates[i], r.AgentRecall[i], r.RandomRecall[i])
-		}
-		if r.AgentUtil[i] <= 0 || r.AgentUtil[i] > 1+1e-9 {
-			t.Fatalf("utilization out of range: %v", r.AgentUtil[i])
-		}
-	}
-	// Heavier load must not reduce p95 latency.
-	last := len(r.ArrivalRates) - 1
-	if r.RandomP95Sec[last] < r.RandomP95Sec[0]-1e-9 {
-		t.Fatalf("p95 fell with load: %v -> %v", r.RandomP95Sec[0], r.RandomP95Sec[last])
-	}
-	if !strings.Contains(r.Format(), "labeling service") {
-		t.Fatal("format header wrong")
-	}
-}
-
 func TestExtGraph(t *testing.T) {
 	l := newMicroLab(t)
 	r := l.ExtGraph()

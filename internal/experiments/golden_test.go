@@ -61,7 +61,7 @@ func goldenSchedules(l *Lab) string {
 // scheduling policies feed — Fig. 6 (Rule), Fig. 10 (Cost-Q Greedy,
 // Q-Greedy, Random), Fig. 11 (MemoryPacker, RandomPacker), the headline
 // and the graph extension — plus raw parallel schedules, at microConfig
-// scale. Table III and ext-batching time the wall clock and stay out.
+// scale. Table III times the wall clock and stays out.
 // Regenerate with `go test ./internal/experiments -run TestGoldenFigures
 // -update` only when a figure is meant to move.
 func TestGoldenFigures(t *testing.T) {

@@ -15,21 +15,11 @@ import (
 // least-bad action, mirroring how a Q/time ratio over positive values
 // behaves. Feasibility covers both constraint dimensions, so under a
 // live memory cap the policy skips models that do not fit right now and
-// keeps scheduling the ones that do.
-//
-// The policy can be made batching-aware (SetBatchAware): when the
-// execution layer batches across items (sim.Constraints.BatchQueued), a
-// model with waiters pending in its batch lane costs the GPU only its
-// per-item marginal time to join, so the ratio scores it with that
-// effective cost — an extension of the paper's cost model to coalesced
-// serving. Awareness is off by default so enabling batching alone never
-// changes a schedule; feasibility always uses the nominal TimeMS (the
-// schedule clock charges it) either way.
+// keeps scheduling the ones that do. The cost is always the nominal
+// TimeMS, so a batched run reproduces the unbatched schedule exactly.
 type CostQGreedy struct {
 	pred Predictor
 	z    *zoo.Zoo
-
-	batchAware bool // see SetBatchAware
 }
 
 // NewCostQGreedy returns Algorithm 1.
@@ -39,26 +29,6 @@ func NewCostQGreedy(pred Predictor, z *zoo.Zoo) *CostQGreedy {
 
 // Name implements sim.Policy.
 func (p *CostQGreedy) Name() string { return "Cost-Q Greedy" }
-
-// SetBatchAware toggles the batching-aware cost (default off) and
-// returns p for chaining. Off, the ratio always charges nominal TimeMS,
-// so a batched run reproduces the unbatched schedule exactly; on, the
-// policy herds items onto models with live batch lanes — a genuine
-// scheduling extension whose effect internal/experiments isolates.
-func (p *CostQGreedy) SetBatchAware(on bool) *CostQGreedy {
-	p.batchAware = on
-	return p
-}
-
-// effectiveCostMS is the GPU time a selection would actually add: the
-// per-item marginal when the model's batch lane already has waiters (the
-// launch overhead is theirs to share), the nominal time otherwise.
-func (p *CostQGreedy) effectiveCostMS(m int, mod *zoo.Model, c sim.Constraints) float64 {
-	if p.batchAware && mod.BatchMarginalMS > 0 && c.Queued(m) > 0 {
-		return mod.BatchMarginalMS
-	}
-	return mod.TimeMS
-}
 
 // Reset implements sim.Policy.
 func (p *CostQGreedy) Reset(int) { invalidatePrediction(p.pred) }
@@ -74,7 +44,7 @@ func (p *CostQGreedy) Next(t *oracle.Tracker, c sim.Constraints) int {
 			continue
 		}
 		if q[m] > 0 {
-			if ratio := q[m] / p.effectiveCostMS(m, mod, c); bestRatioM < 0 || ratio > bestRatio {
+			if ratio := q[m] / mod.TimeMS; bestRatioM < 0 || ratio > bestRatio {
 				bestRatio, bestRatioM = ratio, m
 			}
 		}

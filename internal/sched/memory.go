@@ -22,22 +22,13 @@ type MemoryPacker struct {
 	pred Predictor
 	z    *zoo.Zoo
 
-	packing    bool    // this scheduling point's anchor has launched
-	horizonMS  float64 // anchor duration: followers must finish within it
-	batchAware bool    // see SetBatchAware
+	packing   bool    // this scheduling point's anchor has launched
+	horizonMS float64 // anchor duration: followers must finish within it
 }
 
 // NewMemoryPacker returns Algorithm 2.
 func NewMemoryPacker(pred Predictor, z *zoo.Zoo) *MemoryPacker {
 	return &MemoryPacker{pred: pred, z: z}
-}
-
-// SetBatchAware toggles the batching-aware anchor density (default off)
-// and returns p for chaining — the same switch, with the same contract,
-// as CostQGreedy.SetBatchAware.
-func (p *MemoryPacker) SetBatchAware(on bool) *MemoryPacker {
-	p.batchAware = on
-	return p
 }
 
 // Name implements sim.Policy.
@@ -55,10 +46,6 @@ func (p *MemoryPacker) Next(t *oracle.Tracker, c sim.Constraints) int {
 	candidates := t.Candidates()
 	if !p.packing {
 		// Anchor: highest value per resource area within the budgets.
-		// When batch-aware, a model whose batch lane has cross-item
-		// waiters adds only its per-item marginal GPU time, so its
-		// density uses that effective cost. The packing horizon below
-		// stays the nominal TimeMS — commits happen on the nominal clock.
 		anchor, bestDensity := -1, 0.0
 		for _, m := range candidates {
 			if q[m] <= 0 {
@@ -68,11 +55,7 @@ func (p *MemoryPacker) Next(t *oracle.Tracker, c sim.Constraints) int {
 			if !c.Allows(mod) {
 				continue
 			}
-			costMS := mod.TimeMS
-			if p.batchAware && mod.BatchMarginalMS > 0 && c.Queued(m) > 0 {
-				costMS = mod.BatchMarginalMS
-			}
-			d := q[m] / (costMS * mod.MemMB)
+			d := q[m] / (mod.TimeMS * mod.MemMB)
 			if anchor < 0 || d > bestDensity {
 				anchor, bestDensity = m, d
 			}

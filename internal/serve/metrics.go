@@ -16,8 +16,9 @@ import (
 // per-shard live state is exposed separately through RegisterViews.
 //
 // A nil *Metrics disables instrumentation: every helper method no-ops,
-// no clock is read, and nothing allocates — the disabled fast path the
-// root package's benchmark pair holds to zero allocations.
+// no clock is read, and nothing allocates (obs.TestNilInstrumentsAllocFree);
+// what the enabled path may add per item is bounded by the root
+// package's TestTelemetryAllocationOverhead.
 type Metrics struct {
 	Admitted    *obs.Counter     // items accepted onto the queue
 	Shed        *obs.Counter     // items rejected with ErrQueueFull

@@ -41,23 +41,21 @@
 // pool into one batched execution with sub-linear cost, reserving the
 // model's footprint once per batch instead of once per request — the
 // memory coalescing that buys throughput on hot-model, memory-bound
-// traces. Policies see the live batching demand through
-// sim.Constraints.BatchQueued; the built-in ones only act on it when
-// explicitly made batch-aware (sched's SetBatchAware), so by default
-// batching is pure execution-layer mechanics. Deadline accounting stays
-// nominal (a batched execution still charges the item TimeMS), so
-// schedules — and recall — are unchanged by batching; with BatchSize 1
-// the runtime reproduces the unbatched reserve → sleep → release
-// sequence exactly.
+// traces. Batching is pure execution-layer mechanics: policies never
+// see it, and deadline accounting stays nominal (a batched execution
+// still charges the item TimeMS), so schedules — and recall — are
+// unchanged by batching; with BatchSize 1 the runtime reproduces the
+// unbatched reserve → sleep → release sequence exactly.
 //
 // Model execution is simulated by sleeping the model's nominal duration
 // scaled by Config.TimeScale, so tests and benchmarks can run the real
 // concurrent machinery thousands of times faster than production pacing
 // while keeping every scheduling decision, reservation, and statistic
 // identical. All sleeps share one timer wheel (internal/vtime) instead
-// of parking a goroutine per execution in the runtime timer heap. All reported statistics are on the simulated clock
-// (wall-clock divided by TimeScale), making them directly comparable to
-// the virtual-time sim's output — both reduce through service.Summarize.
+// of parking a goroutine per execution in the runtime timer heap. All
+// reported statistics are on the simulated clock (wall-clock divided by
+// TimeScale), making them directly comparable to the virtual-time sim's
+// output — both reduce through service.Summarize.
 // One caveat: the scheduler's real CPU work (the agent's Q-network
 // forward passes — the paper's Table III selection overhead) is not
 // scaled, so very small TimeScale values magnify it relative to model
@@ -578,9 +576,6 @@ func (s *Server) worker(w int) {
 	sel := &selector{Policy: s.factory(w), mach: mach}
 	mach.policy = sel
 	lim := s.cfg.Limits()
-	if s.batcher != nil {
-		lim.BatchQueued = s.batcher.Queued
-	}
 	for tk := range s.queue {
 		tk.dequeued = time.Now()
 		trace := s.cfg.Tracer.Begin(tk.image, tk.tag)
@@ -932,12 +927,4 @@ func (s *Server) Records() []service.Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]service.Record(nil), s.records...)
-}
-
-// PeakMemMB returns the accountant's observed peak (0 when unbudgeted).
-func (s *Server) PeakMemMB() float64 {
-	if s.acct == nil {
-		return 0
-	}
-	return s.acct.peak()
 }

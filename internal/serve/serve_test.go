@@ -384,7 +384,7 @@ func TestItemParallelMatchesRunParallel(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if peak := s.PeakMemMB(); peak <= 0 || peak > memMB+1e-9 {
+	if peak := s.Stats().PeakMemMB; peak <= 0 || peak > memMB+1e-9 {
 		t.Fatalf("peak memory %v MB outside (0, %v]", peak, memMB)
 	}
 }

@@ -130,11 +130,10 @@ type Config struct {
 	// Affinity placement.
 	Models int
 	// Workers is each shard's worker count, parallel to the servers
-	// handed to New. Required: it weights the merged utilization.
+	// handed to New. Required: it weights the merged utilization and is
+	// each shard's steal gate — a shard steals only while its in-flight
+	// count is below its worker count.
 	Workers []int
-	// Capacity is each shard's steal gate: a shard steals only while its
-	// in-flight count is below its capacity. Default: its worker count.
-	Capacity []int
 }
 
 // Router fans submissions out to shards. Safe for concurrent use.
@@ -173,12 +172,6 @@ func New(servers []*serve.Server, cfg Config) (*Router, error) {
 	}
 	if cfg.Placement == Affinity && cfg.Models <= 0 {
 		return nil, fmt.Errorf("shard: affinity placement needs the model count")
-	}
-	if cfg.Capacity == nil {
-		cfg.Capacity = append([]int(nil), cfg.Workers...)
-	}
-	if len(cfg.Capacity) != n {
-		return nil, fmt.Errorf("shard: %d servers but %d capacities", n, len(cfg.Capacity))
 	}
 	r := &Router{
 		servers:  servers,
@@ -406,7 +399,7 @@ func (r *Router) next(s int) (p placed, ok bool) {
 			r.wake()
 			return p, true
 		}
-		if r.cfg.Steal && r.inflight[s] < r.cfg.Capacity[s] {
+		if r.cfg.Steal && r.inflight[s] < r.cfg.Workers[s] {
 			if v, i := r.stealTarget(s); v >= 0 {
 				p = r.queues[v][i]
 				r.queues[v] = append(r.queues[v][:i], r.queues[v][i+1:]...)

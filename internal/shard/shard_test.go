@@ -140,7 +140,6 @@ func TestNewValidation(t *testing.T) {
 		{"no servers", nil, Config{}, "no servers"},
 		{"worker count mismatch", servers, Config{Workers: []int{1}}, "worker counts"},
 		{"affinity without models", servers, Config{Workers: []int{1, 1}, Placement: Affinity}, "model count"},
-		{"capacity mismatch", servers, Config{Workers: []int{1, 1}, Capacity: []int{1}}, "capacities"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := New(tc.srv, tc.cfg)

@@ -44,26 +44,6 @@ type Constraints struct {
 	// the current headroom is simply not selectable — the policy skips
 	// it and keeps scheduling the remaining feasible models.
 	AvailMemMB float64
-
-	// BatchQueued, when non-nil, exposes the execution layer's
-	// cross-item batching demand: BatchQueued(m) is how many requests
-	// from concurrently served items are waiting, unsealed, in model
-	// m's batch lane. Joining such a batch costs only the model's
-	// per-item marginal time on the GPU, so a policy may score the
-	// model as effectively cheaper (see Queued); feasibility is
-	// unchanged — the nominal TimeMS still bounds the schedule clock,
-	// which is what Allows checks. Nil means the execution layer does
-	// no batching (the virtual machine, and the server with batching off).
-	BatchQueued func(m int) int
-}
-
-// Queued returns the cross-item batching demand pending for model m,
-// zero when the execution layer does no batching.
-func (c Constraints) Queued(m int) int {
-	if c.BatchQueued == nil {
-		return 0
-	}
-	return c.BatchQueued(m)
 }
 
 // AllowsTime reports whether a model taking ms milliseconds fits the
@@ -133,8 +113,6 @@ type Limits struct {
 	// InFlight caps how many models run at once: 1 is Algorithm 1's
 	// serial loop, 0 leaves the cap to the machine's memory (Algorithm 2).
 	InFlight int
-	// BatchQueued is handed to the policy as Constraints.BatchQueued.
-	BatchQueued func(m int) int
 }
 
 // Machine is what a schedule executes on. The virtual one (Virtual) only
@@ -228,7 +206,7 @@ func Execute(mach Machine, ex oracle.Executor, item int, p Policy, lim Limits) R
 				stalledAt = 0
 				break
 			}
-			m := p.Next(t, Constraints{RemainingMS: remaining, AvailMemMB: free, BatchQueued: lim.BatchQueued})
+			m := p.Next(t, Constraints{RemainingMS: remaining, AvailMemMB: free})
 			if m < 0 {
 				stalledAt = free
 				break

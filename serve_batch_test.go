@@ -19,41 +19,57 @@ func registryPolicies() []Policy {
 // the unbatched server bit for bit — schedules, labels, recall, and
 // nominal times — for every registry policy, in both execution modes
 // (Algorithm 2 serves per-item parallel, the rest serial).
+//
+// The serial policies are then held to the same equality under real
+// coalescing — BatchSize 4 across 4 workers with no memory budget (the
+// 100 ms hold lets same-model demand from concurrent items meet):
+// deadline accounting is nominal and nothing about the batch lanes
+// reaches a policy, so with no live memory headroom to read either,
+// batching cannot move a schedule, a label or recall.
 func TestBatchSizeOneBitIdenticalAcrossPolicies(t *testing.T) {
 	const items = 8
 	for _, pol := range registryPolicies() {
 		t.Run(pol.Name(), func(t *testing.T) {
-			run := func(batchSize int) []*Result {
+			run := func(workers int, memoryGB float64, batchSize int) []*Result {
 				srv, err := testSys.NewServer(testAgent, ServeConfig{
-					Workers:     1,
+					Workers:     workers,
 					Policy:      pol,
 					DeadlineSec: 0.5,
-					MemoryGB:    8,
+					MemoryGB:    memoryGB,
 					TimeScale:   0.001,
 					BatchSize:   batchSize,
+					BatchHoldMS: 100,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer srv.Close()
-				out := make([]*Result, items)
-				for i := 0; i < items; i++ {
-					tk, err := srv.SubmitWait(bg, testSys.TestItem(i))
-					if err != nil {
+				tickets := make([]*ServeTicket, items)
+				for i := range tickets {
+					if tickets[i], err = srv.SubmitWait(bg, testSys.TestItem(i)); err != nil {
 						t.Fatal(err)
 					}
+				}
+				out := make([]*Result, items)
+				for i, tk := range tickets {
 					if out[i], err = tk.Wait(bg); err != nil {
 						t.Fatal(err)
 					}
 				}
 				return out
 			}
-			plain, one := run(0), run(1)
-			for i := range plain {
-				if !reflect.DeepEqual(one[i], plain[i]) {
-					t.Fatalf("item %d: batch=1 result diverges from unbatched:\n%+v\nvs\n%+v",
-						i, one[i], plain[i])
+			same := func(what string, got, want []*Result) {
+				t.Helper()
+				for i := range want {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Fatalf("item %d: %s result diverges from unbatched:\n%+v\nvs\n%+v",
+							i, what, got[i], want[i])
+					}
 				}
+			}
+			same("batch=1", run(1, 8, 1), run(1, 8, 0))
+			if !pol.parallel {
+				same("batch=4 across 4 workers", run(4, 0, 4), run(4, 0, 0))
 			}
 		})
 	}
