@@ -5,7 +5,10 @@
 //amsvet:importpath ams/internal/sim
 package sim
 
-import "time"
+import (
+	"syscall"
+	"time"
+)
 
 type wheel struct{}
 
@@ -26,6 +29,10 @@ func rawTimer() *time.Timer {
 func rawTicker() {
 	t := time.NewTicker(time.Second) // want "time.NewTicker in simulated-execution package"
 	t.Stop()
+}
+
+func rawSelect() {
+	syscall.Select(0, nil, nil, nil, &syscall.Timeval{Usec: 100}) // want "syscall.Select in simulated-execution package"
 }
 
 func wheelSleep(w *wheel) {

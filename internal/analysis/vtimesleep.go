@@ -20,15 +20,24 @@ var simulatedPackages = map[string]bool{
 	"ams/internal/shard": true,
 }
 
-// timerFuncs are the package-level time functions that park a goroutine
-// or arm a per-call OS timer.
-var timerFuncs = map[string]bool{
-	"Sleep":     true,
-	"After":     true,
-	"AfterFunc": true,
-	"NewTimer":  true,
-	"NewTicker": true,
-	"Tick":      true,
+// pauseFuncs are the package-level functions that park the caller or arm
+// a per-call OS timer: the stdlib timers, and the raw hrtimer sleeps the
+// wheel's own dispatcher is built on (internal/vtime/wheel_linux.go),
+// which block a whole OS thread and belong nowhere else.
+var pauseFuncs = map[string]map[string]bool{
+	"time": {
+		"Sleep":     true,
+		"After":     true,
+		"AfterFunc": true,
+		"NewTimer":  true,
+		"NewTicker": true,
+		"Tick":      true,
+	},
+	"syscall": {
+		"Nanosleep": true,
+		"Pselect":   true,
+		"Select":    true,
+	},
 }
 
 // VtimeSleep enforces the simulated-time discipline.
@@ -36,9 +45,11 @@ var VtimeSleep = &Analyzer{
 	Name: "vtimesleep",
 	Doc: "In simulated-execution packages (internal/sim, internal/batch, " +
 		"internal/serve, internal/shard), pauses must run on the " +
-		"internal/vtime wheel, not raw time.Sleep/After/NewTimer: " +
-		"per-execution stdlib timers drown the runtime in timer churn at " +
-		"small TimeScale values, which is the bug the wheel was built to fix.",
+		"internal/vtime wheel, not raw time.Sleep/After/NewTimer or " +
+		"syscall.Nanosleep/Pselect/Select: per-execution stdlib timers " +
+		"drown the runtime in timer churn at small TimeScale values, which " +
+		"is the bug the wheel was built to fix, and a raw nanosleep parks " +
+		"an OS thread per sleeper where the wheel parks one.",
 	Run: runVtimeSleep,
 }
 
@@ -56,9 +67,9 @@ func runVtimeSleep(pass *Pass) error {
 				return true
 			}
 			if fn := calleeFunc(pass.Info, call); fn != nil &&
-				fn.Pkg() != nil && fn.Pkg().Path() == "time" && timerFuncs[fn.Name()] {
-				pass.Reportf(call.Pos(), "time.%s in simulated-execution package %s: pace on the internal/vtime wheel instead",
-					fn.Name(), pass.Pkg.Path())
+				fn.Pkg() != nil && pauseFuncs[fn.Pkg().Path()][fn.Name()] {
+				pass.Reportf(call.Pos(), "%s.%s in simulated-execution package %s: pace on the internal/vtime wheel instead",
+					fn.Pkg().Path(), fn.Name(), pass.Pkg.Path())
 			}
 			return true
 		})

@@ -31,31 +31,42 @@ func TestZeroSleepAndAfterFuncAreImmediate(t *testing.T) {
 
 // TestManyConcurrentSleepers is the wheel's reason to exist: hundreds of
 // concurrent sleeps share one dispatcher, every one of them completes,
-// and none returns early.
+// and none returns early — on the runtime-timer range (1–25 ms) and on
+// the precise range (50–900 µs), where a nanosleep cut short by a signal
+// must not fire anything ahead of its deadline.
 func TestManyConcurrentSleepers(t *testing.T) {
-	w := NewWheel()
-	defer w.Stop()
-	const n = 400
-	var wg sync.WaitGroup
-	var early atomic.Int64
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		d := time.Duration(1+i%25) * time.Millisecond
-		go func(d time.Duration) {
-			defer wg.Done()
-			w.Sleep(d)
-			if time.Since(start) < d {
-				early.Add(1)
+	for _, tc := range []struct {
+		name string
+		d    func(i int) time.Duration
+	}{
+		{"1-25ms", func(i int) time.Duration { return time.Duration(1+i%25) * time.Millisecond }},
+		{"50-900us", func(i int) time.Duration { return time.Duration(50+i%18*50) * time.Microsecond }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWheel()
+			defer w.Stop()
+			const n = 400
+			var wg sync.WaitGroup
+			var early atomic.Int64
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(d time.Duration) {
+					defer wg.Done()
+					start := time.Now()
+					w.Sleep(d)
+					if time.Since(start) < d {
+						early.Add(1)
+					}
+				}(tc.d(i))
 			}
-		}(d)
-	}
-	wg.Wait()
-	if early.Load() != 0 {
-		t.Fatalf("%d sleeps returned early", early.Load())
-	}
-	if w.pending() != 0 {
-		t.Fatalf("%d waiters left after all sleeps returned", w.pending())
+			wg.Wait()
+			if early.Load() != 0 {
+				t.Fatalf("%d sleeps returned early", early.Load())
+			}
+			if w.pending() != 0 {
+				t.Fatalf("%d waiters left after all sleeps returned", w.pending())
+			}
+		})
 	}
 }
 
@@ -102,5 +113,27 @@ func TestStopDropsPending(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if fired.Load() {
 		t.Fatal("callback fired after Stop")
+	}
+}
+
+// TestSleepAllocations pins what one Sleep costs the whole process,
+// dispatcher included: the done channel, the callback closure and the
+// waiter — and, only where the dispatcher arms a runtime timer (below
+// preciseFloor, beyond preciseLead), that timer's three. A precise wait
+// allocates nothing, however many slices it takes.
+func TestSleepAllocations(t *testing.T) {
+	w := NewWheel()
+	defer w.Stop()
+	for _, tc := range []struct {
+		d    time.Duration
+		want float64
+	}{
+		{preciseSlice / 2, 3},    // one slice
+		{4 * preciseSlice, 3},    // several slices
+		{2 * preciseLead, 3 + 3}, // runtime timer, then slices
+	} {
+		if got := testing.AllocsPerRun(20, func() { w.Sleep(tc.d) }); got > tc.want {
+			t.Errorf("Sleep(%v) allocates %v times, want at most %v", tc.d, got, tc.want)
+		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"ams/internal/service"
 	"ams/internal/shard"
 	"ams/internal/sim"
+	"ams/internal/vtime"
 )
 
 // Admission errors surfaced by Server. ErrQueueFull is the backpressure
@@ -999,6 +1000,13 @@ func (s *System) Serve(ctx context.Context, agent *Agent, cfg ServeConfig, trace
 	if scale == 0 {
 		scale = 1.0 // the server's own default; keep arrival pacing on it
 	}
+	// The arrival process paces itself on a wheel of its own, like the
+	// executions it feeds: a raw runtime timer rounds the sub-millisecond
+	// gaps of a scaled or kilohertz trace up to the millisecond.
+	pace := vtime.NewWheel()
+	defer pace.Stop()
+	due := make(chan struct{}, 1) // one arrival is waited for at a time
+	arrive := func() { due <- struct{}{} }
 	start := time.Now()
 	arrivals := service.Arrivals(trace.Items, trace.ArrivalRateHz, trace.Seed)
 	var submitErr error
@@ -1008,8 +1016,9 @@ func (s *System) Serve(ctx context.Context, agent *Agent, cfg ServeConfig, trace
 			break // source exhausted: serve what arrived
 		}
 		if d := time.Duration(at*scale*float64(time.Second)) - time.Since(start); d > 0 {
+			pace.AfterFunc(d, arrive)
 			select {
-			case <-time.After(d):
+			case <-due:
 			case <-ctx.Done():
 			}
 		}
