@@ -24,9 +24,12 @@
 // -batch enables cross-item dynamic batching: same-model demand from
 // the whole pool coalesces into batched executions (sub-linear GPU
 // cost, one footprint reservation per batch instead of one per item),
-// raising throughput on hot-model memory-bound traces without changing
-// any schedule or recall. -batch-hold bounds how long a lone request
-// waits for batch-mates; -pred-cache shares one Q-prediction cache
+// raising throughput on hot-model memory-bound traces. Without -memory
+// no schedule or recall changes; with it, a serial policy sees the whole
+// budget and each batch waits for its memory in the accountant's
+// ordered line, sealing the moment it is granted. -batch-hold bounds how
+// long a lone request waits for batch-mates where no batch holds memory
+// (no -memory, or algorithm2); -pred-cache shares one Q-prediction cache
 // across all workers and items.
 //
 // Ingestion can be made durable with -journal: every admitted external
@@ -85,7 +88,7 @@ func main() {
 		timescale  = flag.Float64("timescale", 0.05, "real seconds per simulated second of model time")
 		policyName = flag.String("policy", "algorithm1", "scheduling policy: algorithm1, algorithm2 (needs -memory; per-item parallel), qgreedy, random")
 		batchSize  = flag.Int("batch", 0, "cross-item batching: coalesce up to this many same-model requests per execution (0 = off, 1 = batching machinery without coalescing)")
-		batchHold  = flag.Float64("batch-hold", 0, "max simulated ms a lone request waits for batch-mates (0 = server default)")
+		batchHold  = flag.Float64("batch-hold", 0, "max simulated ms a lone request waits for batch-mates when no batch holds memory: no -memory, or algorithm2 (0 = server default)")
 		predCache  = flag.Bool("pred-cache", false, "share one bounded Q-prediction cache across all workers and items")
 
 		shards    = flag.Int("shards", 0, "split the server into this many shards (own worker pool, memory accountant, and journal segment each; 0/1 = unsharded)")
@@ -238,11 +241,27 @@ func main() {
 	if *metricsAddr != "" {
 		fmt.Printf("telemetry: http://%s/metrics /statusz /tracez /debug/pprof\n", *metricsAddr)
 	}
-	real, err := sys.Serve(context.Background(), agent, cfg, trace, src)
+	cfg.StatsWindow = max(*items, 0) // summarize the whole trace
+	srv, err := sys.NewServer(agent, cfg)
 	if err != nil {
 		log.Fatalf("amsserve: %v", err)
 	}
-	real.WriteSummary(os.Stdout, "real server", *memory*1024)
+	err = srv.Replay(context.Background(), trace, src)
+	if cerr := srv.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		log.Fatalf("amsserve: %v", err)
+	}
+	srv.Stats().WriteSummary(os.Stdout, "real server", *memory*1024)
+	// With telemetry on (-metrics, -trace-out, -slo or -flight-dir): the
+	// slowest item stage by stage, then where the whole run's time went.
+	if tr, ok := srv.SlowestTrace(); ok {
+		fmt.Println()
+		tr.WriteCriticalPath(os.Stdout, "slowest item")
+		fmt.Println()
+		srv.SumCriticalPaths().Write(os.Stdout, "critical path, every resident trace")
+	}
 	if *traceOut != "" {
 		fmt.Printf("\nspan trace written to %s (load in https://ui.perfetto.dev or chrome://tracing)\n", *traceOut)
 	}

@@ -3,9 +3,9 @@
 // durability invariants. Each analyzer is grounded in a bug class that
 // has already appeared in this repo and been hand-fixed once:
 //
-//   - reservepair: every memory-accountant Reserve result is checked and
-//     every successful reserve reaches a Release (the PR-6 ignored
-//     Reserve booleans).
+//   - reservepair: every memory-accountant Reserve and Grant result is
+//     checked and every successful reserve reaches a Release (the PR-6
+//     ignored Reserve booleans; a grant releases in its callback).
 //   - vtimesleep: simulated-execution packages pace themselves on the
 //     vtime wheel, never on raw time.Sleep/time.After (the PR-6
 //     migration off per-execution sleeps).

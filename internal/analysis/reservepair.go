@@ -17,7 +17,10 @@ var ReservePair = &Analyzer{
 		"Functions named mustReserve/MustReserve are sanctioned " +
 		"panic-on-refusal wrappers (their caller owns the release), and a " +
 		"function that returns the Reserve result forwards the whole " +
-		"obligation to its caller.",
+		"obligation to its caller. A Grant/grant call with a single bool " +
+		"result (the accountant's ordered line) must be checked the same " +
+		"way; its release happens later, in the completion callback the " +
+		"grant arms, so it is pinned by tests, not by this analyzer.",
 	Run: runReservePair,
 }
 
@@ -48,28 +51,37 @@ func checkFuncReserves(pass *Pass, funcName string, body *ast.BlockStmt) {
 			return true
 		}
 		stack = append(stack, n)
-		if call, ok := n.(*ast.CallExpr); ok && isReserveCall(pass.Info, call) {
-			checkReserveSite(pass, funcName, call, append([]ast.Node(nil), stack...))
+		if call, ok := n.(*ast.CallExpr); ok {
+			if claim, grant := claimCall(pass.Info, call); claim {
+				checkReserveSite(pass, funcName, call, append([]ast.Node(nil), stack...), grant)
+			}
 		}
 		return true
 	})
 }
 
-// isReserveCall reports whether call invokes a method named
-// Reserve/reserve with a single bool result — the accountant protocol's
-// shape, whether on the concrete accountant or the batcher's
-// MemoryReserver interface.
-func isReserveCall(info *types.Info, call *ast.CallExpr) bool {
+// claimCall reports whether call invokes a method named Reserve/reserve
+// or Grant/grant with a single bool result — the accountant protocol's
+// shape, whether on the concrete accountant or the batcher's Memory
+// interface — and whether it is a grant.
+func claimCall(info *types.Info, call *ast.CallExpr) (claim, grant bool) {
 	fn := calleeFunc(info, call)
-	if fn == nil || (fn.Name() != "Reserve" && fn.Name() != "reserve") {
-		return false
+	if fn == nil {
+		return false, false
+	}
+	switch fn.Name() {
+	case "Reserve", "reserve":
+	case "Grant", "grant":
+		grant = true
+	default:
+		return false, false
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil || sig.Results().Len() != 1 {
-		return false
+		return false, false
 	}
 	basic, ok := sig.Results().At(0).Type().Underlying().(*types.Basic)
-	return ok && basic.Kind() == types.Bool
+	return ok && basic.Kind() == types.Bool, grant
 }
 
 func isReleaseCall(info *types.Info, call *ast.CallExpr) bool {
@@ -81,10 +93,16 @@ func isReleaseCall(info *types.Info, call *ast.CallExpr) bool {
 	return ok && sig.Recv() != nil
 }
 
-// checkReserveSite classifies how one Reserve call's result is consumed
-// and, for checked calls, verifies the success path reaches a Release.
+// checkReserveSite classifies how one Reserve or Grant call's result is
+// consumed and, for checked reserves, verifies the success path reaches
+// a Release (a grant's release is in its callback, out of reach here).
 // stack is the ancestor chain from the function body down to the call.
-func checkReserveSite(pass *Pass, funcName string, call *ast.CallExpr, stack []ast.Node) {
+func checkReserveSite(pass *Pass, funcName string, call *ast.CallExpr, stack []ast.Node, grant bool) {
+	paired := func(guard *ast.IfStmt, positive bool) {
+		if !grant {
+			checkSuccessPath(pass, funcName, call, stack, guard, positive)
+		}
+	}
 	parent := parentOf(stack, len(stack)-1)
 	switch p := parent.(type) {
 	case *ast.ExprStmt:
@@ -113,18 +131,18 @@ func checkReserveSite(pass *Pass, funcName string, call *ast.CallExpr, stack []a
 			pass.Reportf(call.Pos(), "result of %s is stored in %s but never checked", calleeName(pass.Info, call), lhs.Name)
 			return
 		}
-		checkSuccessPath(pass, funcName, call, stack, guard.ifStmt, guard.positive)
+		paired(guard.ifStmt, guard.positive)
 		return
 	}
 	// The call sits inside an expression — most commonly an if condition,
 	// `if ok := r.Reserve(x); ok`, or a && chain. Find the guarding if.
 	if ifStmt, positive := enclosingIf(pass, stack); ifStmt != nil {
-		checkSuccessPath(pass, funcName, call, stack, ifStmt, positive)
+		paired(ifStmt, positive)
 		return
 	}
 	// Consumed some other way (stored in a struct, passed along): treat
 	// as checked but still require a reachable Release.
-	checkSuccessPath(pass, funcName, call, stack, nil, true)
+	paired(nil, true)
 }
 
 func calleeName(info *types.Info, call *ast.CallExpr) string {

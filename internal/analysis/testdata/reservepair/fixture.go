@@ -14,6 +14,10 @@ type acct struct{ used float64 }
 func (a *acct) Reserve(mb float64) bool { a.used += mb; return true }
 func (a *acct) Release(mb float64)      { a.used -= mb }
 
+// Grant is the ordered-line claim: fn runs once mb is claimed and owns
+// the release.
+func (a *acct) Grant(mb float64, fn func()) bool { a.used += mb; fn(); return true }
+
 func work() bool { return true }
 
 // --- seeded violations ---
@@ -54,7 +58,31 @@ func initGuardLeak(a *acct) {
 	}
 }
 
+func grantDiscarded(a *acct) {
+	a.Grant(5, func() { a.Release(5) }) // want "result of Grant is discarded"
+}
+
+func grantDeferred(a *acct) {
+	defer a.Grant(5, func() { a.Release(5) }) // want "result of Grant is discarded by go/defer"
+}
+
+func grantStoredButNeverChecked(a *acct) {
+	queued := a.Grant(5, func() {}) // want "result of Grant is stored in queued but never checked"
+	_ = queued
+}
+
 // --- sanctioned shapes: no diagnostics ---
+
+// grantChecked: a checked grant needs no Release in its own function —
+// the release is in the completion the callback arms.
+func grantChecked(a *acct, onGrant func()) {
+	if !a.Grant(5, onGrant) {
+		panic("over budget: policies only select models that fit")
+	}
+}
+
+// Grant forwards the result, like a forwarding Reserve.
+func (w *wrapped) Grant(mb float64, fn func()) bool { return w.a.Grant(mb, fn) }
 
 // mustReserve is the panic-on-refusal wrapper; its callers release.
 func mustReserve(a *acct) {
@@ -96,9 +124,9 @@ func pairedAcrossGuard(a *acct) {
 }
 
 func conditionalPairing(a *acct, reservedMB float64) {
-	// The internal/batch shape: the reserve and the release share a
-	// flow-sensitive guard the analyzer cannot correlate; the optimistic
-	// join accepts the branch release.
+	// The reserve and the release share a flow-sensitive guard the
+	// analyzer cannot correlate; the optimistic join accepts the branch
+	// release.
 	if reservedMB > 0 {
 		if !a.Reserve(reservedMB) {
 			panic("over budget")

@@ -1,6 +1,11 @@
 package batch
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,16 +24,31 @@ func testModels() []*zoo.Model {
 	}
 }
 
-// recMem records reservation traffic.
+// recMem records grant traffic. Grants run at once unless held is set;
+// then they wait, in order, until the test serves them with grantNext —
+// the accountant's line with the releases in the test's hands.
 type recMem struct {
-	mu     sync.Mutex
-	events []float64 // +mb on reserve, -mb on release
+	mu      sync.Mutex
+	events  []float64 // +mb on grant, -mb on release
+	held    bool
+	pending []func()
 }
 
-func (r *recMem) Reserve(mb float64) bool {
+func (r *recMem) Grant(mb float64, fn func()) bool {
+	granted := func() {
+		r.mu.Lock()
+		r.events = append(r.events, mb)
+		r.mu.Unlock()
+		fn()
+	}
 	r.mu.Lock()
-	r.events = append(r.events, mb)
+	if r.held {
+		r.pending = append(r.pending, granted)
+		r.mu.Unlock()
+		return true
+	}
 	r.mu.Unlock()
+	granted()
 	return true
 }
 
@@ -36,6 +56,27 @@ func (r *recMem) Release(mb float64) {
 	r.mu.Lock()
 	r.events = append(r.events, -mb)
 	r.mu.Unlock()
+}
+
+// grantNext serves the oldest held grant on the caller.
+func (r *recMem) grantNext(t *testing.T) {
+	t.Helper()
+	r.mu.Lock()
+	if len(r.pending) == 0 {
+		r.mu.Unlock()
+		t.Fatal("no grant is waiting")
+	}
+	g := r.pending[0]
+	r.pending = r.pending[1:]
+	r.mu.Unlock()
+	g()
+}
+
+// waiting reports how many held grants wait to be served.
+func (r *recMem) waiting() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.pending)
 }
 
 func (r *recMem) trace() []float64 {
@@ -51,33 +92,131 @@ func newBatcher(t *testing.T, mem Memory, cfg Config) (*Batcher, *vtime.Wheel) {
 	return New(testModels(), mem, w, cfg), w
 }
 
+// closed reports whether done is closed, without blocking.
+func closed(done chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
+// TestSizeFlushCoalescesDemand: an owned lane's demand coalesces into
+// one footprint claim. Three requests wait in the lane while its one
+// grant waits in line; the grant seals all three — MaxBatch caps the
+// batch — and the batch claims the footprint once.
 func TestSizeFlushCoalescesDemand(t *testing.T) {
-	mem := &recMem{}
+	mem := &recMem{held: true}
 	b, _ := newBatcher(t, mem, Config{MaxBatch: 3, MaxHoldMS: 1e6, TimeScale: 0.01})
 	dones := make([]chan struct{}, 3)
 	for i := range dones {
 		dones[i] = make(chan struct{})
 		b.Enqueue(0, true, dones[i], nil)
 	}
+	if n := mem.waiting(); n != 1 {
+		t.Fatalf("%d grants asked for one lane, want 1", n)
+	}
+	mem.grantNext(t)
 	for _, d := range dones {
-		<-d // the size flush must fire well before the enormous hold
+		<-d // the grant must seal well before the enormous hold
 	}
 	st := b.Stats()
-	if st.Batches != 1 || st.Requests != 3 || st.SizeFlushes != 1 || st.LargestBatch != 3 {
-		t.Fatalf("stats %+v, want one size-flushed batch of 3", st)
+	if st.Batches != 1 || st.Requests != 3 || st.GrantFlushes != 1 || st.LargestBatch != 3 {
+		t.Fatalf("stats %+v, want one grant-sealed batch of 3", st)
 	}
 	// Saved GPU time: 3*100 - (70 + 3*30) = 140 = (n-1)*launch.
 	if st.SavedGPUMS != 140 {
 		t.Fatalf("saved %v GPU-ms, want 140", st.SavedGPUMS)
 	}
-	// Memory coalescing: three owned requests, ONE reservation.
+	// Memory coalescing: three owned requests, ONE claim.
 	want := []float64{1000, -1000}
 	got := mem.trace()
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("reservation trace %v, want %v", got, want)
+		t.Fatalf("grant trace %v, want %v", got, want)
 	}
 	if st.SavedMemMB != 2000 {
 		t.Fatalf("saved %v MB of reservations, want 2000", st.SavedMemMB)
+	}
+}
+
+// TestOwnedLaneSealsAtGrant: a lane whose requests own their footprint
+// holds no timer — not even a zero hold, which would flush a lane with
+// no owned request at once — and keeps accepting requests until its
+// grant arrives, then seals them all as one batch with flush cause
+// "grant".
+func TestOwnedLaneSealsAtGrant(t *testing.T) {
+	mem := &recMem{held: true}
+	b, _ := newBatcher(t, mem, Config{MaxBatch: 8, MaxHoldMS: 0, TimeScale: 0.01})
+	first := make(chan struct{})
+	b.Enqueue(1, true, first, nil)
+	time.Sleep(20 * time.Millisecond)
+	if closed(first) || b.Queued(1) != 1 {
+		t.Fatalf("owned lane flushed before its grant (queued %d)", b.Queued(1))
+	}
+	refs := make([]*obs.BatchRef, 4)
+	dones := []chan struct{}{first}
+	for i := range refs {
+		refs[i] = &obs.BatchRef{}
+		dones = append(dones, make(chan struct{}))
+		b.Enqueue(1, true, dones[i+1], refs[i])
+	}
+	if n := mem.waiting(); n != 1 || b.Queued(1) != 5 {
+		t.Fatalf("%d grants waiting, %d queued; want one grant for 5 requests", n, b.Queued(1))
+	}
+	mem.grantNext(t)
+	if b.Queued(1) != 0 {
+		t.Fatalf("%d requests left unsealed by the grant", b.Queued(1))
+	}
+	for _, d := range dones {
+		<-d
+	}
+	for i, ref := range refs {
+		if ref.Batch == 0 || ref.Batch != refs[0].Batch || ref.N != 5 || ref.Flush != "grant" {
+			t.Fatalf("ref[%d] = %+v, want the shared batch of 5 sealed by grant", i, ref)
+		}
+	}
+	st := b.Stats()
+	if st.Batches != 1 || st.GrantFlushes != 1 || st.HoldFlushes != 0 || st.SizeFlushes != 0 {
+		t.Fatalf("stats %+v, want one grant-sealed batch", st)
+	}
+}
+
+// TestGrantLeftoversAskAgain: a grant seals at most MaxBatch requests;
+// the rest ask again, at the back of the line, one grant at a time.
+func TestGrantLeftoversAskAgain(t *testing.T) {
+	mem := &recMem{held: true}
+	b, _ := newBatcher(t, mem, Config{MaxBatch: 2, MaxHoldMS: 1e6, TimeScale: 0.01})
+	dones := make([]chan struct{}, 5)
+	for i := range dones {
+		dones[i] = make(chan struct{})
+		b.Enqueue(0, true, dones[i], nil)
+	}
+	for _, left := range []int{3, 1, 0} {
+		mem.grantNext(t)
+		if b.Queued(0) != left {
+			t.Fatalf("%d requests unsealed after a grant, want %d", b.Queued(0), left)
+		}
+		if want := min(left, 1); mem.waiting() != want {
+			t.Fatalf("%d grants waiting with %d leftovers, want %d", mem.waiting(), left, want)
+		}
+	}
+	for _, d := range dones {
+		<-d
+	}
+	st := b.Stats()
+	if st.Batches != 3 || st.GrantFlushes != 3 || st.LargestBatch != 2 || st.Requests != 5 {
+		t.Fatalf("stats %+v, want grant-sealed batches of 2, 2 and 1", st)
+	}
+	claims, sum := 0, 0.0
+	for _, e := range mem.trace() {
+		if e > 0 {
+			claims++
+		}
+		sum += e
+	}
+	if claims != 3 || sum != 0 {
+		t.Fatalf("grant trace %v: want three balanced claims", mem.trace())
 	}
 }
 
@@ -100,14 +239,16 @@ func TestHoldFlushNeverStarvesALoneRequest(t *testing.T) {
 }
 
 // TestBatchOfOneMatchesUnbatchedSequence pins the MaxBatch=1 parity
-// contract: one reserve of the full footprint, a sleep of exactly the
-// nominal TimeMS (BatchCostMS(1) == TimeMS), one release.
+// contract: one claim of the full footprint, a sleep of exactly the
+// nominal TimeMS (BatchCostMS(1) == TimeMS) from the grant on, one
+// release.
 func TestBatchOfOneMatchesUnbatchedSequence(t *testing.T) {
-	mem := &recMem{}
+	mem := &recMem{held: true}
 	b, _ := newBatcher(t, mem, Config{MaxBatch: 1, MaxHoldMS: 10, TimeScale: 0.1})
-	start := time.Now()
 	done := make(chan struct{})
 	b.Enqueue(0, true, done, nil)
+	start := time.Now()
+	mem.grantNext(t)
 	<-done
 	// 100 simulated ms at TimeScale 0.1 = 10 ms real.
 	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
@@ -115,11 +256,11 @@ func TestBatchOfOneMatchesUnbatchedSequence(t *testing.T) {
 	}
 	got := mem.trace()
 	if len(got) != 2 || got[0] != 1000 || got[1] != -1000 {
-		t.Fatalf("reservation trace %v, want [1000 -1000]", got)
+		t.Fatalf("grant trace %v, want [1000 -1000]", got)
 	}
 	st := b.Stats()
-	if st.SizeFlushes != 1 {
-		t.Fatalf("stats %+v: a MaxBatch=1 enqueue must seal by size immediately", st)
+	if st.Batches != 1 || st.GrantFlushes != 1 {
+		t.Fatalf("stats %+v: a MaxBatch=1 owned request must run alone at its grant", st)
 	}
 }
 
@@ -171,7 +312,7 @@ func TestConcurrentEnqueues(t *testing.T) {
 	if b.Queued(0) != 0 || b.Queued(1) != 0 {
 		t.Fatalf("demand left after drain: %d/%d", b.Queued(0), b.Queued(1))
 	}
-	// Reservation traffic must balance to zero.
+	// Grant traffic must balance to zero.
 	var sum float64
 	for _, e := range mem.trace() {
 		sum += e
@@ -222,5 +363,31 @@ func TestBatchRefHoldFlush(t *testing.T) {
 	<-done
 	if ref.Batch == 0 || ref.N != 1 || ref.Flush != "hold" {
 		t.Fatalf("hold-flushed ref = %+v, want n=1 flush=hold", ref)
+	}
+}
+
+// TestPackageStartsNoGoroutine: every batch runs as a callback on the
+// shared wheel, so the package has no go statement — nothing to leak,
+// and nothing to schedule behind the workers.
+func TestPackageStartsNoGoroutine(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s: go statement", fset.Position(g.Pos()))
+			}
+			return true
+		})
 	}
 }

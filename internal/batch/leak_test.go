@@ -6,8 +6,8 @@ import (
 	"ams/internal/leaktest"
 )
 
-// TestMain fails the package when sealed-batch runners or lane hold
-// timers outlive the tests.
+// TestMain fails the package when a test's timer wheel (and with it any
+// pending batch execution or lane hold timer) outlives the tests.
 func TestMain(m *testing.M) {
 	leaktest.VerifyTestMain(m)
 }

@@ -14,11 +14,14 @@ type Metrics struct {
 	// histogram's geometric buckets are unitless here).
 	Size *obs.Histogram
 	// Hold distributes, in simulated seconds, how long each sealed
-	// batch's oldest request waited for batch-mates.
+	// batch's oldest request waited for batch-mates — or, on an owned
+	// lane, for the batch's memory grant.
 	Hold *obs.Histogram
-	// SizeFlush / HoldFlush split sealed batches by flush cause.
-	SizeFlush *obs.Counter
-	HoldFlush *obs.Counter
+	// SizeFlush / HoldFlush / GrantFlush split sealed batches by flush
+	// cause.
+	SizeFlush  *obs.Counter
+	HoldFlush  *obs.Counter
+	GrantFlush *obs.Counter
 }
 
 // NewMetrics registers the batching instruments (nil on a nil
@@ -27,15 +30,17 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	if reg == nil {
 		return nil
 	}
+	flushes := func(cause string) *obs.Counter {
+		return reg.Counter("ams_batch_flush_total", "Sealed batches by flush cause", obs.L("cause", cause))
+	}
 	return &Metrics{
 		Size: reg.Histogram("ams_batch_size",
 			"Sealed batch sizes in requests (buckets are unitless)"),
 		Hold: reg.Histogram("ams_batch_hold_seconds",
-			"Simulated seconds a sealed batch's oldest request waited for batch-mates"),
-		SizeFlush: reg.Counter("ams_batch_flush_total",
-			"Sealed batches by flush cause", obs.L("cause", "size")),
-		HoldFlush: reg.Counter("ams_batch_flush_total",
-			"Sealed batches by flush cause", obs.L("cause", "hold")),
+			"Simulated seconds a sealed batch's oldest request waited for batch-mates or its memory grant"),
+		SizeFlush:  flushes(flushSize),
+		HoldFlush:  flushes(flushHold),
+		GrantFlush: flushes(flushGrant),
 	}
 }
 
@@ -51,15 +56,18 @@ func (m *Metrics) holdStart() time.Time {
 
 // sealed records one sealed batch: size, flush cause, and the oldest
 // request's hold converted onto the simulated clock.
-func (m *Metrics) sealed(n int, sizeFlush bool, heldSince time.Time, scale float64) {
+func (m *Metrics) sealed(n int, flush string, heldSince time.Time, scale float64) {
 	if m == nil {
 		return
 	}
 	m.Size.Observe(float64(n))
-	if sizeFlush {
+	switch flush {
+	case flushSize:
 		m.SizeFlush.Inc()
-	} else {
+	case flushHold:
 		m.HoldFlush.Inc()
+	case flushGrant:
+		m.GrantFlush.Inc()
 	}
 	m.Hold.ObserveScaledSince(heldSince, scale)
 }

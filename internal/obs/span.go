@@ -26,7 +26,7 @@ type BatchRef struct {
 	Batch int64     // shared batch identity
 	N     int       // coalesced size
 	Seal  time.Time // lane sealed → execution began
-	Flush string    // flush cause: "size" | "hold"
+	Flush string    // flush cause: "size" | "hold" | "grant" (memory granted)
 }
 
 // Span stage names. The serve layer opens one span per lifecycle stage
@@ -406,5 +406,67 @@ func (t ItemTrace) WriteCriticalPath(w io.Writer, title string) {
 			name = fmt.Sprintf("%s[m%d]", st.Name, st.Model)
 		}
 		fmt.Fprintf(w, "  %-18s %8.1f ms (%5.1f %%)\n", name, st.VirtMS, 100*st.Frac)
+	}
+}
+
+// A StageSum is one stage's part of many items' critical paths: the mean
+// wall microseconds it took per item, and its share of the items' summed
+// latency.
+type StageSum struct {
+	Name      string  `json:"name"`
+	USPerItem float64 `json:"us_per_item"`
+	Share     float64 `json:"share"`
+}
+
+// StageSums attributes a set of items' latency to stages — where a
+// workload's time goes, rather than one item's.
+type StageSums struct {
+	Items  int        `json:"items"` // traces with a critical path
+	Stages []StageSum `json:"stages"`
+}
+
+// SumCriticalPaths sums CriticalPath over traces by stage name (models
+// aggregated), sorted by descending time. Traces with no spans are
+// skipped.
+func SumCriticalPaths(traces []ItemTrace) StageSums {
+	var (
+		sums  StageSums
+		total int64
+		acc   = make(map[string]int64)
+	)
+	for _, tr := range traces {
+		stages := tr.CriticalPath()
+		if len(stages) == 0 {
+			continue
+		}
+		sums.Items++
+		for _, st := range stages {
+			acc[st.Name] += st.WallUS
+			total += st.WallUS
+		}
+	}
+	for name, us := range acc {
+		sums.Stages = append(sums.Stages, StageSum{
+			Name:      name,
+			USPerItem: float64(us) / float64(sums.Items),
+			Share:     float64(us) / float64(max(total, 1)),
+		})
+	}
+	sort.Slice(sums.Stages, func(i, j int) bool {
+		a, b := sums.Stages[i], sums.Stages[j]
+		return a.USPerItem > b.USPerItem || (a.USPerItem == b.USPerItem && a.Name < b.Name)
+	})
+	return sums
+}
+
+// Write renders the attribution, the block cmd/amsserve prints after
+// its slowest item. Silent when no trace had a critical path.
+func (s StageSums) Write(w io.Writer, title string) {
+	if s.Items == 0 {
+		return
+	}
+	fmt.Fprintf(w, "%s (%d items, wall clock):\n", title, s.Items)
+	for _, st := range s.Stages {
+		fmt.Fprintf(w, "  %-18s %8.1f µs/item (%5.1f %%)\n", st.Name, st.USPerItem, 100*st.Share)
 	}
 }

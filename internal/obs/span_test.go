@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -263,6 +264,43 @@ func TestCriticalPathAttribution(t *testing.T) {
 	}
 	if (ItemTrace{}).CriticalPath() != nil {
 		t.Fatal("no spans must yield a nil critical path")
+	}
+}
+
+// TestSumCriticalPaths: stage sums over many traces average per traced
+// item, merge a stage's per-model rows, share the summed latency, sort
+// by time, and skip traces with no spans.
+func TestSumCriticalPaths(t *testing.T) {
+	a := ItemTrace{TimeScale: 1, Spans: []Span{
+		{ID: 0, Parent: -1, Name: SpanItem, Model: -1, StartUS: 0, EndUS: 1000},
+		{ID: 1, Parent: 0, Name: SpanQueueWait, Model: -1, StartUS: 0, EndUS: 600},
+		{ID: 2, Parent: 0, Name: SpanExec, Model: 3, StartUS: 600, EndUS: 800},
+		{ID: 3, Parent: 0, Name: SpanExec, Model: 5, StartUS: 800, EndUS: 1000},
+	}}
+	b := ItemTrace{TimeScale: 1, Spans: []Span{
+		{ID: 0, Parent: -1, Name: SpanItem, Model: -1, StartUS: 0, EndUS: 1000},
+		{ID: 1, Parent: 0, Name: SpanBatchHold, Model: 3, StartUS: 0, EndUS: 200},
+		{ID: 2, Parent: 0, Name: SpanExec, Model: 3, StartUS: 200, EndUS: 1000},
+	}}
+	sums := SumCriticalPaths([]ItemTrace{a, {}, b})
+	want := []StageSum{
+		{Name: SpanExec, USPerItem: 600, Share: 0.6},
+		{Name: SpanQueueWait, USPerItem: 300, Share: 0.3},
+		{Name: SpanBatchHold, USPerItem: 100, Share: 0.1},
+	}
+	if sums.Items != 2 || !reflect.DeepEqual(sums.Stages, want) {
+		t.Fatalf("sums = %+v, want 2 items and %+v", sums, want)
+	}
+	var sb strings.Builder
+	sums.Write(&sb, "all items")
+	if out := sb.String(); !strings.Contains(out, "all items (2 items") ||
+		!strings.Contains(out, "exec") || !strings.Contains(out, "600.0 µs/item ( 60.0 %)") {
+		t.Fatalf("rendering incomplete:\n%s", out)
+	}
+	sb.Reset()
+	SumCriticalPaths(nil).Write(&sb, "none")
+	if sb.Len() != 0 {
+		t.Fatalf("empty sums rendered %q", sb.String())
 	}
 }
 

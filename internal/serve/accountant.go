@@ -9,31 +9,72 @@ import (
 )
 
 // accountant is the shared GPU-memory budget of Algorithm 2, lifted from
-// a per-item schedule to the whole server: every worker must reserve a
-// model's peak footprint before executing it and release it afterwards,
-// so the sum of in-flight footprints never exceeds the budget no matter
-// how many workers run concurrently. Reservations that cannot be granted
-// immediately block until running models release memory — this is the
-// server's execution-level backpressure.
+// a per-item schedule to the whole server: every execution must hold its
+// model's peak footprint while it runs, so the sum of in-flight
+// footprints never exceeds the budget no matter how many workers run
+// concurrently. It hands memory out two ways.
+//
+// A worker that executes its own models calls reserve, which blocks until
+// the footprint fits right now, and release. reserve (and awaitMore, the
+// stall of a declined ask) ignores the grant line below on purpose: their
+// callers may already hold reservations, and a strict line would deadlock
+// Algorithm 2. Say X holds 4 of 10 MB and waits, in line, for 5; Z holds
+// 3 and asks for 2, which fit now, but queues behind X. Neither can reach
+// the commit that would release what it holds. Fits-now never deadlocks:
+// the globally last reserver is never blocked (see machine.Start).
+//
+// A batch lane, which holds nothing until its batch runs, calls grant: an
+// ordered line. A grant that fits while nobody is queued runs its
+// callback at once; otherwise it joins the back of a FIFO line that
+// release serves strictly from the head, so a large footprint is never
+// passed over by smaller ones that arrived after it. Queued grants and
+// blocked reservations both count as waits.
 type accountant struct {
 	mu       sync.Mutex
-	cond     *sync.Cond
+	cond     *sync.Cond // reserve/awaitMore waiters
 	budgetMB float64
 	usedMB   float64
 	peakMB   float64
-	waits    int64 // reservations that had to block at least once
+	waits    int64       // reservations and grants that had to wait
+	line     []grantWait // queued grants, head first
+	lineHead int         // line[lineHead:] is the live line
 
 	// waitHist, when non-nil, receives the real seconds each blocked
-	// reservation (or selection retry) spent waiting — the server's
-	// memory-stall latency. Set once at construction, before any worker
-	// runs.
+	// reservation, queued grant (or selection retry) spent waiting — the
+	// server's memory-stall latency. Set once at construction, before any
+	// worker runs.
 	waitHist *obs.Histogram
+}
+
+// grantWait is one queued grant.
+type grantWait struct {
+	mb float64
+	fn func()
+	t0 time.Time // metrics stamp at queueing (zero when disabled)
 }
 
 func newAccountant(budgetMB float64) *accountant {
 	a := &accountant{budgetMB: budgetMB}
 	a.cond = sync.NewCond(&a.mu)
 	return a
+}
+
+// fits reports whether mb more megabytes fit the budget now. Called
+// with mu held.
+func (a *accountant) fits(mb float64) bool {
+	return a.usedMB+mb <= a.budgetMB+1e-9
+}
+
+// claim books mb megabytes. Called with mu held, after fits.
+func (a *accountant) claim(mb float64) {
+	a.usedMB += mb
+	if a.usedMB > a.peakMB {
+		a.peakMB = a.usedMB
+	}
+	if a.usedMB > a.budgetMB+1e-9 {
+		panic(fmt.Sprintf("serve: memory accountant over-committed: %v MB in use, budget %v MB",
+			a.usedMB, a.budgetMB))
+	}
 }
 
 // reserve blocks until mb megabytes are available and claims them. It
@@ -47,7 +88,7 @@ func (a *accountant) reserve(mb float64) bool {
 	}
 	waited := false
 	var t0 time.Time
-	for a.usedMB+mb > a.budgetMB+1e-9 {
+	for !a.fits(mb) {
 		if !waited {
 			waited = true
 			a.waits++
@@ -56,32 +97,81 @@ func (a *accountant) reserve(mb float64) bool {
 		a.cond.Wait()
 	}
 	a.waitHist.ObserveSince(t0) // no-op unless the reservation blocked
-	a.usedMB += mb
-	if a.usedMB > a.peakMB {
-		a.peakMB = a.usedMB
-	}
-	if a.usedMB > a.budgetMB+1e-9 {
-		panic(fmt.Sprintf("serve: memory accountant over-committed: %v MB in use, budget %v MB",
-			a.usedMB, a.budgetMB))
-	}
+	a.claim(mb)
 	return true
 }
 
-// release returns a reservation to the pool and wakes blocked reservers.
+// grant claims mb megabytes for fn, in line order, and runs fn once they
+// are claimed: at once on the caller when nobody is queued and mb fits,
+// otherwise on the goroutine whose release frees enough for it. fn owns
+// the claim and must release it. grant returns false, without running
+// fn, when mb exceeds the whole budget and so could never be granted.
+func (a *accountant) grant(mb float64, fn func()) bool {
+	a.mu.Lock()
+	if mb > a.budgetMB+1e-9 {
+		a.mu.Unlock()
+		return false
+	}
+	if a.lineHead == len(a.line) && a.fits(mb) { // nobody queued
+		a.claim(mb)
+		a.mu.Unlock()
+		fn()
+		return true
+	}
+	a.waits++
+	a.line = append(a.line, grantWait{mb: mb, fn: fn, t0: obs.Started(a.waitHist)})
+	a.mu.Unlock()
+	return true
+}
+
+// release returns a reservation to the pool, serves the grant line from
+// its head while the head fits — running those callbacks, in line
+// order, on the caller after unlocking — and wakes blocked reservers.
 func (a *accountant) release(mb float64) {
 	a.mu.Lock()
 	a.usedMB -= mb
 	if a.usedMB < -1e-9 {
 		panic(fmt.Sprintf("serve: memory accountant released more than reserved (%v MB in use)", a.usedMB))
 	}
+	// One release usually serves at most one grant; only further ones
+	// allocate.
+	var first grantWait
+	var more []grantWait
+	for a.lineHead < len(a.line) && a.fits(a.line[a.lineHead].mb) {
+		g := a.line[a.lineHead]
+		a.line[a.lineHead] = grantWait{} // do not pin the callback
+		a.lineHead++
+		a.claim(g.mb)
+		if first.fn == nil {
+			first = g
+		} else {
+			more = append(more, g)
+		}
+	}
+	if a.lineHead > 0 && 2*a.lineHead >= len(a.line) {
+		// Compact, so a line that never empties does not grow forever.
+		n := copy(a.line, a.line[a.lineHead:])
+		clear(a.line[n:])
+		a.line, a.lineHead = a.line[:n], 0
+	}
 	a.mu.Unlock()
 	a.cond.Broadcast()
+	if first.fn == nil {
+		return
+	}
+	a.waitHist.ObserveSince(first.t0)
+	first.fn()
+	for _, g := range more {
+		a.waitHist.ObserveSince(g.t0)
+		g.fn()
+	}
 }
 
 // available returns the megabytes a reservation could claim right now.
 // This is the live availability fed into policies as
-// sim.Constraints.AvailMemMB, so a policy only ever selects models that
-// fit the current headroom.
+// sim.Constraints.AvailMemMB on a server whose workers reserve for
+// themselves, so a policy only ever selects models that fit the current
+// headroom.
 func (a *accountant) available() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -127,7 +217,7 @@ func (a *accountant) inUse() float64 {
 	return a.usedMB
 }
 
-// waitCount returns how many reservations had to block.
+// waitCount returns how many reservations and grants had to wait.
 func (a *accountant) waitCount() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -1,0 +1,208 @@
+package serve
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"ams/internal/obs"
+)
+
+// grantLog records the order grant callbacks ran in.
+type grantLog struct {
+	mu  sync.Mutex
+	ran []int
+}
+
+func (l *grantLog) fn(id int) func() {
+	return func() {
+		l.mu.Lock()
+		l.ran = append(l.ran, id)
+		l.mu.Unlock()
+	}
+}
+
+func (l *grantLog) order() []int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]int(nil), l.ran...)
+}
+
+func sameOrder(got, want []int) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// mustGrant asks for a grant the test knows fits the budget.
+func mustGrant(t *testing.T, a *accountant, mb float64, fn func()) {
+	t.Helper()
+	if !a.grant(mb, fn) {
+		t.Fatalf("grant of %v MB refused by a %v MB budget", mb, a.budgetMB)
+	}
+}
+
+// TestGrantsServedInFIFOOrder: queued grants are served strictly from
+// the head of the line — a later grant that would fit waits behind an
+// earlier one that does not — and each counts as a wait with its time
+// observed.
+func TestGrantsServedInFIFOOrder(t *testing.T) {
+	a := newAccountant(1000)
+	a.waitHist = obs.NewRegistry().Histogram("wait", "test")
+	var log grantLog
+	mustGrant(t, a, 1000, log.fn(-1)) // the holder: nobody queued, fits, runs at once
+	for i, mb := range []float64{600, 300, 500, 200} {
+		mustGrant(t, a, mb, log.fn(i))
+	}
+	if got := log.order(); !sameOrder(got, []int{-1}) {
+		t.Fatalf("grants ran %v before any release, want only the holder", got)
+	}
+	a.release(1000)
+	// 600 and 300 fit; 500 does not, and 200 must not pass it.
+	if got := log.order(); !sameOrder(got, []int{-1, 0, 1}) {
+		t.Fatalf("after the first release grants ran %v, want [-1 0 1]", got)
+	}
+	a.release(600)
+	if got := log.order(); !sameOrder(got, []int{-1, 0, 1, 2, 3}) {
+		t.Fatalf("after the second release grants ran %v, want [-1 0 1 2 3]", got)
+	}
+	if a.inUse() != 1000 {
+		t.Fatalf("%v MB in use, want 1000 (300+500+200)", a.inUse())
+	}
+	if a.waitCount() != 4 || a.waitHist.Count() != 4 {
+		t.Fatalf("%d waits, %d observed, want 4 queued grants each way", a.waitCount(), a.waitHist.Count())
+	}
+}
+
+// TestGrantLineDoesNotStarveLargeFootprint: a 1 000 MB grant queued
+// behind a 500 MB holder is granted at the first release that fits it,
+// before a 520 MB grant that arrived later — although the 520 MB one
+// fit the headroom the whole time.
+func TestGrantLineDoesNotStarveLargeFootprint(t *testing.T) {
+	a := newAccountant(1024)
+	var log grantLog
+	mustGrant(t, a, 500, log.fn(0))
+	mustGrant(t, a, 1000, log.fn(1))
+	for i := 2; i < 6; i++ {
+		mustGrant(t, a, 520, log.fn(i)) // each fits 1024-500, none may jump the line
+	}
+	if got := log.order(); !sameOrder(got, []int{0}) {
+		t.Fatalf("grants ran %v while the large one waited, want [0]", got)
+	}
+	a.release(500)
+	if got := log.order(); !sameOrder(got, []int{0, 1}) {
+		t.Fatalf("first fitting release ran %v, want the 1000 MB grant next: [0 1]", got)
+	}
+	a.release(1000)
+	if got := log.order(); !sameOrder(got, []int{0, 1, 2}) {
+		t.Fatalf("grants ran %v, want [0 1 2]", got)
+	}
+}
+
+// TestGrantAboveBudgetRefused: a grant that could never fit returns
+// false, never runs its callback, and leaves the line untouched.
+func TestGrantAboveBudgetRefused(t *testing.T) {
+	a := newAccountant(1000)
+	ran := false
+	if a.grant(1000.5, func() { ran = true }) {
+		t.Fatal("grant above the whole budget accepted")
+	}
+	if ran || a.inUse() != 0 || a.waitCount() != 0 || len(a.line) != 0 {
+		t.Fatalf("refused grant left state: ran=%v inUse=%v waits=%d line=%d", ran, a.inUse(), a.waitCount(), len(a.line))
+	}
+}
+
+// TestReserveBypassesGrantLine is the deadlock case the accountant's
+// comment names: X holds 4 of 10 MB and its 5 MB grant waits in line; Z
+// holds 3 and reserves 2, which fit. A strict line would park Z behind
+// X and neither could release; fits-now grants Z at once.
+func TestReserveBypassesGrantLine(t *testing.T) {
+	a := newAccountant(10)
+	var log grantLog
+	mustGrant(t, a, 4, log.fn(0)) // X's holding
+	if !a.reserve(3) {            // Z's holding
+		t.Fatal("reserve refused")
+	}
+	mustGrant(t, a, 5, log.fn(1)) // X waits: 7+5 > 10
+	done := make(chan bool)
+	go func() { done <- a.reserve(2) }()
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("reserve refused")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a holder's fitting reserve queued behind the grant line")
+	}
+	a.release(3)
+	a.release(2)
+	if got := log.order(); !sameOrder(got, []int{0, 1}) {
+		t.Fatalf("grants ran %v once Z released, want [0 1]", got)
+	}
+	a.release(4)
+	a.release(5)
+	if a.inUse() != 0 {
+		t.Fatalf("%v MB still in use", a.inUse())
+	}
+}
+
+// TestGrantHammerNeverOvercommits (run with -race): goroutines mixing
+// grants and reservations of 200–1 000 MB against a 1 024 MB budget
+// never hold more than the budget between them, every grant is served,
+// and the accountant drains to zero with an empty line.
+func TestGrantHammerNeverOvercommits(t *testing.T) {
+	const budget = 1024
+	a := newAccountant(budget)
+	var held, peak atomic.Int64
+	hold := func(mb int64) {
+		if now := held.Add(mb); now > budget {
+			t.Errorf("%d MB held at once, budget %d", now, budget)
+		} else {
+			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				mb := int64(200 + (g*131+i*37)%801)
+				if (g+i)%4 == 0 {
+					if !a.reserve(float64(mb)) {
+						t.Errorf("reserve of %d MB refused", mb)
+						return
+					}
+					hold(mb)
+				} else {
+					granted := make(chan struct{})
+					if !a.grant(float64(mb), func() { hold(mb); close(granted) }) {
+						t.Errorf("grant of %d MB refused", mb)
+						return
+					}
+					<-granted
+				}
+				if i%8 == 0 {
+					time.Sleep(20 * time.Microsecond)
+				}
+				held.Add(-mb)
+				a.release(float64(mb))
+			}
+		}(g)
+	}
+	wg.Wait()
+	if a.inUse() != 0 || a.lineHead != len(a.line) {
+		t.Fatalf("%v MB in use, %d grants still queued after the hammer", a.inUse(), len(a.line)-a.lineHead)
+	}
+	if a.peak() > budget || peak.Load() > budget {
+		t.Fatalf("peak %v / %d MB over the %d MB budget", a.peak(), peak.Load(), budget)
+	}
+}

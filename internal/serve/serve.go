@@ -38,14 +38,19 @@
 // With Config.BatchSize the server coalesces demand across items:
 // workers hand their executions to a cross-item batching runtime
 // (internal/batch) that collects same-model requests from the whole
-// pool into one batched execution with sub-linear cost, reserving the
-// model's footprint once per batch instead of once per request — the
-// memory coalescing that buys throughput on hot-model, memory-bound
-// traces. Batching is pure execution-layer mechanics: policies never
-// see it, and deadline accounting stays nominal (a batched execution
-// still charges the item TimeMS), so schedules — and recall — are
-// unchanged by batching; with BatchSize 1 the runtime reproduces the
-// unbatched reserve → sleep → release sequence exactly.
+// pool into one batched execution with sub-linear cost. Deadline
+// accounting stays nominal (a batched execution still charges the item
+// TimeMS) and policies never see the lanes, so without a memory budget
+// schedules — and recall — are unchanged by batching. With a budget and
+// serial schedules the batch owns the footprint: one claim per batch
+// instead of one per request, granted in order by the accountant's line
+// — the memory coalescing that buys throughput on hot-model,
+// memory-bound traces. Those workers reserve nothing, so their policies
+// are shown the whole budget rather than live headroom, and a schedule
+// depends only on (agent, item, budget): the same on any worker count,
+// though it may differ from an unbatched multi-worker server's. With
+// BatchSize 1 on one worker the runtime reproduces the unbatched
+// reserve → sleep → release sequence exactly.
 //
 // Model execution is simulated by sleeping the model's nominal duration
 // scaled by Config.TimeScale, so tests and benchmarks can run the real
@@ -109,7 +114,9 @@ type Config struct {
 	// BatchHoldMS bounds, on the simulated clock, how long a lone
 	// request waits in its model's lane for batch-mates before its batch
 	// flushes anyway. Zero defaults to defaultBatchHoldMS when batching
-	// is on. Only meaningful with BatchSize > 1.
+	// is on. Only meaningful with BatchSize > 1, and only where no batch
+	// owns a footprint (no budget, or ItemParallel): a lane that holds
+	// its requests' footprint seals when the accountant grants it.
 	BatchHoldMS float64
 
 	// TimeScale is the real seconds slept per simulated second of model
@@ -255,7 +262,7 @@ type Server struct {
 	wheel   *vtime.Wheel   // all simulated executions sleep on it
 	batcher *batch.Batcher // nil when batching is not configured
 	// batchOwnsMem: serial schedules on a batched, budgeted server leave
-	// the footprint reservation to the batch (see machine.Start).
+	// the footprint to the batch's grant (see machine.Start and FreeMB).
 	batchOwnsMem bool
 	queue        chan *Ticket
 	stop         chan struct{} // closed by Close to wake blocked SubmitWait senders
@@ -617,12 +624,13 @@ func (p *selector) Next(t *oracle.Tracker, c sim.Constraints) int {
 	return m
 }
 
-// acctMemory adapts the shared accountant to the batch.Memory contract
-// so sealed batches can hold one footprint reservation per batch.
+// acctMemory adapts the shared accountant to the batch.Memory contract:
+// an owned lane takes a place in the accountant's grant line and its
+// batch holds one footprint claim.
 type acctMemory struct{ a *accountant }
 
-func (m acctMemory) Reserve(mb float64) bool { return m.a.reserve(mb) }
-func (m acctMemory) Release(mb float64)      { m.a.release(mb) }
+func (m acctMemory) Grant(mb float64, fn func()) bool { return m.a.grant(mb, fn) }
+func (m acctMemory) Release(mb float64)               { m.a.release(mb) }
 
 // residualValuer is implemented by the predictor-backed policies
 // (internal/sched): the agent's estimate of the value still available
@@ -678,22 +686,31 @@ type machine struct {
 	flying []flight
 }
 
-// FreeMB is the accountant's live availability.
+// FreeMB is the accountant's live availability — or the whole budget
+// when the batch owns the footprint. Such a machine reserves nothing, so
+// live headroom is not its to claim: its batch waits in the grant line
+// instead, and a decline never stalls. The schedule is then a function
+// of (agent, item, budget) alone, the same on any worker count.
 func (mc *machine) FreeMB() float64 {
-	if mc.s.acct == nil {
+	s := mc.s
+	switch {
+	case s.acct == nil:
 		return math.Inf(1)
+	case s.batchOwnsMem:
+		return s.cfg.MemoryBudgetMB
 	}
-	return mc.s.acct.available()
+	return s.acct.available()
 }
 
 // Start reserves the model's footprint and starts its simulated
 // execution: through the batching runtime when batching is on, as a
 // plain timer on the wheel otherwise. The one difference between the two
 // execution modes lives here. With batching on, a serially scheduled
-// item lets the *batch* own its reservation — one per batch, the memory
-// coalescing that buys throughput — so the machine reserves nothing; a
-// parallel item's machine keeps each reservation until commit, as the
-// virtual machine accounts memory, and the batch only shares the sleep.
+// item lets the *batch* own its footprint — one grant per batch, the
+// memory coalescing that buys throughput — so the machine reserves
+// nothing; a parallel item's machine keeps each reservation until
+// commit, as the virtual machine accounts memory, and the batch only
+// shares the sleep.
 func (mc *machine) Start(m int, mod *zoo.Model) {
 	s, trace := mc.s, mc.trace
 	f := flight{model: m, started: s.cfg.Metrics.execStart(m)}
@@ -759,10 +776,12 @@ func (mc *machine) Finish(m int, mod *zoo.Model) {
 // budget, but not the availability the policy just saw — and if so waits
 // for the availability to change. Otherwise the decline is final: the
 // item is out of time, out of candidates, or the policy chose to stop,
-// and waiting for a memory release could never change the answer.
+// and waiting for a memory release could never change the answer. A
+// machine whose batches own the footprint was shown the whole budget, so
+// its decline is always final.
 func (mc *machine) Stalled(t *oracle.Tracker, remainingMS, freeMB float64) bool {
 	s := mc.s
-	if s.acct == nil {
+	if s.acct == nil || s.batchOwnsMem {
 		return false
 	}
 	blocked := false

@@ -599,6 +599,7 @@ func (r *Router) Stats() Stats {
 		merged.Batching.Requests += rs.Batching.Requests
 		merged.Batching.SizeFlushes += rs.Batching.SizeFlushes
 		merged.Batching.HoldFlushes += rs.Batching.HoldFlushes
+		merged.Batching.GrantFlushes += rs.Batching.GrantFlushes
 		merged.Batching.SavedGPUMS += rs.Batching.SavedGPUMS
 		merged.Batching.SavedMemMB += rs.Batching.SavedMemMB
 		if rs.Batching.LargestBatch > merged.Batching.LargestBatch {

@@ -62,13 +62,19 @@ type ServeConfig struct {
 	// fixed launch overhead plus a per-item marginal instead of the full
 	// model time per item — and, under a memory budget, reserving the
 	// model's footprint once per batch instead of once per request.
-	// Schedules (and recall) are unchanged: deadlines charge the nominal
-	// model time. One runs every request alone, reproducing unbatched
-	// execution exactly; zero disables batching.
+	// Deadlines charge the nominal model time, so without a memory budget
+	// schedules (and recall) are unchanged. With one, a serial policy is
+	// shown the whole budget (the batch, not the worker, waits for
+	// memory), so each item's schedule is what a one-worker server would
+	// give it. One runs every request alone, reproducing unbatched
+	// execution exactly on one worker; zero disables batching.
 	BatchSize int
 	// BatchHoldMS bounds, on the simulated clock, how long a lone
 	// request waits in its model's lane for batch-mates before flushing.
-	// Zero uses the server's default (10 ms) when batching is on.
+	// Zero uses the server's default (10 ms) when batching is on. It
+	// applies only where no batch owns a footprint (no MemoryGB, or
+	// PolicyAlgorithm2): under a budget a serial lane seals the moment
+	// the memory accountant grants its batch, with no timer.
 	BatchHoldMS float64
 	// PredictorCache, when set, shares one bounded Q-prediction cache
 	// across all workers and items: every worker reads the same frozen
@@ -977,17 +983,12 @@ func (sv *Server) WriteChromeTrace(w io.Writer, n int) error {
 // cycled — and returns its statistics: the real-time counterpart of
 // SimulateServe. The replay ends after trace.Items arrivals or when the
 // source is exhausted; cancelling ctx stops admission early and returns
-// the statistics of the items completed, alongside ctx.Err().
+// the statistics of the items completed, alongside ctx.Err(). It is
+// NewServer, Replay and Close, for a caller that needs nothing else of
+// the server.
 func (s *System) Serve(ctx context.Context, agent *Agent, cfg ServeConfig, trace ServeTrace, src SceneSource) (ServeStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if trace.ArrivalRateHz <= 0 || trace.Items <= 0 {
-		return ServeStats{}, fmt.Errorf("ams: serve needs a positive arrival rate and item count, got %v Hz / %d items",
-			trace.ArrivalRateHz, trace.Items)
-	}
-	if src == nil {
-		src = s.TestSplitSource()
+	if err := trace.check(); err != nil {
+		return ServeStats{}, err
 	}
 	if cfg.StatsWindow == 0 {
 		cfg.StatsWindow = trace.Items // summarize the whole trace
@@ -996,9 +997,37 @@ func (s *System) Serve(ctx context.Context, agent *Agent, cfg ServeConfig, trace
 	if err != nil {
 		return ServeStats{}, err
 	}
-	scale := cfg.TimeScale
-	if scale == 0 {
-		scale = 1.0 // the server's own default; keep arrival pacing on it
+	err = srv.Replay(ctx, trace, src)
+	if cerr := srv.Close(); cerr != nil && err == nil {
+		err = cerr
+	}
+	return srv.Stats(), err
+}
+
+// check validates a trace's shape.
+func (trace ServeTrace) check() error {
+	if trace.ArrivalRateHz <= 0 || trace.Items <= 0 {
+		return fmt.Errorf("ams: serve needs a positive arrival rate and item count, got %v Hz / %d items",
+			trace.ArrivalRateHz, trace.Items)
+	}
+	return nil
+}
+
+// Replay submits a Poisson arrival trace to the server, pulling items
+// from src (nil: the built-in test split, cycled), paced on the server's
+// time scale, and returns once the last arrival is admitted — or shed,
+// with trace.OpenLoop — leaving the server open. It ends early when the
+// source is exhausted (nil error) or ctx is cancelled (ctx.Err()).
+// Close the server to wait for the admitted items.
+func (sv *Server) Replay(ctx context.Context, trace ServeTrace, src SceneSource) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := trace.check(); err != nil {
+		return err
+	}
+	if src == nil {
+		src = sv.sys.TestSplitSource()
 	}
 	// The arrival process paces itself on a wheel of its own, like the
 	// executions it feeds: a raw runtime timer rounds the sub-millisecond
@@ -1008,43 +1037,35 @@ func (s *System) Serve(ctx context.Context, agent *Agent, cfg ServeConfig, trace
 	due := make(chan struct{}, 1) // one arrival is waited for at a time
 	arrive := func() { due <- struct{}{} }
 	start := time.Now()
-	arrivals := service.Arrivals(trace.Items, trace.ArrivalRateHz, trace.Seed)
-	var submitErr error
-	for _, at := range arrivals {
+	for _, at := range service.Arrivals(trace.Items, trace.ArrivalRateHz, trace.Seed) {
 		item, ok := src.Next()
 		if !ok {
-			break // source exhausted: serve what arrived
+			return nil // source exhausted: serve what arrived
 		}
-		if d := time.Duration(at*scale*float64(time.Second)) - time.Since(start); d > 0 {
+		if d := time.Duration(at*sv.scale*float64(time.Second)) - time.Since(start); d > 0 {
 			pace.AfterFunc(d, arrive)
 			select {
 			case <-due:
 			case <-ctx.Done():
 			}
 		}
-		if ctx.Err() != nil {
-			submitErr = ctx.Err()
-			break
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		if trace.OpenLoop {
 			// Open loop: shed on backpressure, never block the arrival
 			// process. Sheds are already counted by the admission path.
-			if _, err := srv.Submit(item); err != nil &&
+			if _, err := sv.Submit(item); err != nil &&
 				err != ErrQueueFull && err != ErrCorpusFull {
-				submitErr = err
-				break
+				return err
 			}
 			continue
 		}
-		if _, err := srv.SubmitWait(ctx, item); err != nil {
-			submitErr = err
-			break
+		if _, err := sv.SubmitWait(ctx, item); err != nil {
+			return err
 		}
 	}
-	if err := srv.Close(); err != nil && submitErr == nil {
-		submitErr = err
-	}
-	return srv.Stats(), submitErr
+	return nil
 }
 
 // SimulateServe runs the virtual-time discrete-event simulation of the

@@ -145,3 +145,65 @@ func TestBatchedServingPreservesOutputs(t *testing.T) {
 		})
 	}
 }
+
+// TestBudgetedBatchingScheduleIndependentOfWorkers: under a memory
+// budget a serial item's batch owns its footprint and waits for it in
+// the accountant's grant line, so the policy is shown the whole budget
+// rather than live headroom. Each item's schedule is then a function of
+// (agent, item, budget) alone: eight workers contending for 1 GB through
+// batches of up to eight give every item the models, recall and time a
+// one-worker server gives it — in either submission order.
+func TestBudgetedBatchingScheduleIndependentOfWorkers(t *testing.T) {
+	n := testSys.NumTestImages()
+	for _, pol := range registryPolicies() {
+		if pol.parallel {
+			continue
+		}
+		t.Run(pol.Name(), func(t *testing.T) {
+			run := func(workers int, reverse bool) []*Result {
+				srv, err := testSys.NewServer(testAgent, ServeConfig{
+					Workers:     workers,
+					Policy:      pol,
+					DeadlineSec: 0.2,
+					MemoryGB:    1,
+					TimeScale:   0.001,
+					BatchSize:   8,
+					QueueCap:    n,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer srv.Close()
+				tickets := make([]*ServeTicket, n)
+				for k := range tickets {
+					i := k
+					if reverse {
+						i = n - 1 - k
+					}
+					if tickets[i], err = srv.SubmitWait(bg, testSys.TestItem(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				out := make([]*Result, n)
+				for i, tk := range tickets {
+					if out[i], err = tk.Wait(bg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return out
+			}
+			want := run(1, false)
+			for _, reverse := range []bool{false, true} {
+				got := run(8, reverse)
+				for i := range want {
+					if !reflect.DeepEqual(got[i].ModelsRun, want[i].ModelsRun) ||
+						got[i].Recall != want[i].Recall || got[i].TimeSec != want[i].TimeSec {
+						t.Fatalf("item %d (reverse %v): 8 workers ran %v (recall %v, %v s), one worker %v (recall %v, %v s)",
+							i, reverse, got[i].ModelsRun, got[i].Recall, got[i].TimeSec,
+							want[i].ModelsRun, want[i].Recall, want[i].TimeSec)
+					}
+				}
+			}
+		})
+	}
+}

@@ -130,3 +130,15 @@ func (sv *Server) SlowestTrace() (DecisionTrace, bool) {
 	}
 	return best, bestDur >= 0
 }
+
+// CriticalPathSum attributes many items' latency to stages: each stage's
+// mean wall microseconds per item and its share of the summed latency.
+// Write renders it.
+type CriticalPathSum = obs.StageSums
+
+// SumCriticalPaths sums the critical paths of every resident trace by
+// stage — where the run's time went, where SlowestTrace says where one
+// item's went. Empty when telemetry is off.
+func (sv *Server) SumCriticalPaths() CriticalPathSum {
+	return obs.SumCriticalPaths(sv.Traces(sv.tracer.Capacity()))
+}
