@@ -3,6 +3,7 @@ package ams
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -516,5 +517,106 @@ func TestServerResultsAbandonedConsumerDoesNotDeadlock(t *testing.T) {
 	}
 	if srv.Stats().ResultsDropped == 0 {
 		t.Fatal("no results shed despite a consumer 12 items behind a 4-item window")
+	}
+}
+
+// TestShardedResultsBoundIsServerWide: StatsWindow bounds the undelivered
+// results of the whole server, not of each shard — an abandoned
+// subscription on two shards retains at most the window plus the one
+// result the pump holds.
+func TestShardedResultsBoundIsServerWide(t *testing.T) {
+	const window, items = 4, 24
+	cfg := serveCfg(2)
+	cfg.Shards, cfg.ShardPlacement, cfg.StatsWindow = 2, "hash", window
+	srv, err := testSys.NewServer(testAgent, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = srv.Results() // subscribe and never read
+	for i := 0; i < items; i++ {
+		tk, err := srv.SubmitWait(bg, testSys.TestItem(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustWait(t, tk)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Stats()
+	for _, ps := range st.PerShard {
+		// Both shards overflow a window of their own, so a per-shard bound
+		// would retain more than the server-wide one allows.
+		if ps.Completed < window+2 {
+			t.Fatalf("shard %d completed %d items, want >= %d for the bound to bite", ps.Shard, ps.Completed, window+2)
+		}
+	}
+	if want := int64(items - (window + 1)); st.ResultsDropped < want {
+		t.Fatalf("dropped %d results, want >= %d: more than the window plus one in hand retained", st.ResultsDropped, want)
+	}
+}
+
+// TestResultsOneGoroutine: a subscription costs one pump goroutine at any
+// shard count, which exits once Close has drained the server and the
+// channel is read to its end. Results after Close returns a closed
+// channel, and repeated calls share one.
+func TestResultsOneGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := serveCfg(4)
+	cfg.Shards = 4
+	srv, err := testSys.NewServer(testAgent, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	results := srv.Results()
+	if again := srv.Results(); again != results {
+		t.Fatal("repeated Results() returned a different channel")
+	}
+	waitGoroutines(t, "after Results", base+1)
+	tk, err := srv.SubmitWait(bg, testSys.TestItem(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for range results {
+		n++
+	}
+	if n != 1 {
+		t.Fatalf("stream delivered %d results, want 1", n)
+	}
+	mustWait(t, tk)
+	waitGoroutines(t, "after Close and drain", before)
+
+	late, err := testSys.NewServer(testAgent, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := late.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case _, ok := <-late.Results():
+		if ok {
+			t.Fatal("Results after Close delivered a result")
+		}
+	default:
+		t.Fatal("Results after Close returned an open channel")
+	}
+}
+
+// waitGoroutines polls runtime.NumGoroutine until it is at most limit,
+// failing after a second.
+func waitGoroutines(t *testing.T, when string, limit int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for n := runtime.NumGoroutine(); n > limit; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, want at most %d", when, n, limit)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

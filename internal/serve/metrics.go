@@ -174,12 +174,6 @@ func (s *Server) RegisterViews(reg *obs.Registry, labels ...obs.Label) {
 	reg.CounterFunc("ams_items_completed_total",
 		"Items whose schedules have committed",
 		func() int64 { s.mu.Lock(); defer s.mu.Unlock(); return s.completed }, labels...)
-	reg.CounterFunc("ams_items_rejected_total",
-		"Admissions rejected with a full queue",
-		func() int64 { s.mu.Lock(); defer s.mu.Unlock(); return s.rejected }, labels...)
-	reg.CounterFunc("ams_results_dropped_total",
-		"Results-stream entries shed behind a lagging consumer",
-		func() int64 { s.mu.Lock(); defer s.mu.Unlock(); return s.resDropped }, labels...)
 	if s.acct != nil {
 		reg.GaugeFunc("ams_mem_inuse_mb",
 			"GPU megabytes currently reserved by in-flight executions",

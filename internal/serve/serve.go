@@ -171,8 +171,9 @@ type Corpus interface {
 	AbortItem(item int)
 }
 
-// defaultStatsWindow bounds retained per-item records (~40 B each).
-const defaultStatsWindow = 1 << 16
+// DefaultStatsWindow bounds retained per-item records (~40 B each) when
+// Config.StatsWindow is zero.
+const DefaultStatsWindow = 1 << 16
 
 // defaultBatchHoldMS is the flush hold applied when batching is enabled
 // without an explicit Config.BatchHoldMS: long enough for concurrent
@@ -266,11 +267,10 @@ type Server struct {
 	batchOwnsMem bool
 	queue        chan *Ticket
 	stop         chan struct{} // closed by Close to wake blocked SubmitWait senders
-	workersDone  chan struct{} // closed by Close after the pool drains
 	start        time.Time
-	wg           sync.WaitGroup // workers
-	senders      sync.WaitGroup // in-flight admissions; drained before queue close
-	onFinish     func()         // completion hook (nil on a bare server)
+	wg           sync.WaitGroup     // workers
+	senders      sync.WaitGroup     // in-flight admissions; drained before queue close
+	onFinish     []func(ItemResult) // completion hooks, in install order
 
 	mu        sync.Mutex // guards closed, records, counters
 	closed    bool
@@ -278,18 +278,6 @@ type Server struct {
 	recHead   int              // next overwrite position once the ring is full
 	completed int64
 	rejected  int64
-
-	// Results subscription (nil until Results is called). Workers append
-	// under mu and signal; the pump goroutine forwards to the subscriber
-	// channel, so a slow (or abandoned) consumer never blocks a worker
-	// or Close. The buffer of undelivered results is bounded at
-	// StatsWindow entries — beyond that the oldest are dropped and
-	// counted, so an abandoned subscription cannot grow memory for the
-	// server's lifetime.
-	resCh      chan ItemResult
-	resSig     chan struct{} // capacity 1: "new results buffered"
-	resBuf     []ItemResult
-	resDropped int64
 }
 
 // New validates the configuration and starts the worker pool.
@@ -319,7 +307,7 @@ func New(ex oracle.Executor, factory service.PolicyFactory, cfg Config) (*Server
 		return nil, fmt.Errorf("serve: negative stats window %d", cfg.StatsWindow)
 	}
 	if cfg.StatsWindow == 0 {
-		cfg.StatsWindow = defaultStatsWindow
+		cfg.StatsWindow = DefaultStatsWindow
 	}
 	var acct *accountant
 	if cfg.MemoryBudgetMB < 0 {
@@ -358,15 +346,14 @@ func New(ex oracle.Executor, factory service.PolicyFactory, cfg Config) (*Server
 		start = time.Now()
 	}
 	s := &Server{
-		ex:          ex,
-		cfg:         cfg,
-		factory:     factory,
-		acct:        acct,
-		wheel:       vtime.NewWheel(),
-		queue:       make(chan *Ticket, cfg.QueueCap),
-		stop:        make(chan struct{}),
-		workersDone: make(chan struct{}),
-		start:       start,
+		ex:      ex,
+		cfg:     cfg,
+		factory: factory,
+		acct:    acct,
+		wheel:   vtime.NewWheel(),
+		queue:   make(chan *Ticket, cfg.QueueCap),
+		stop:    make(chan struct{}),
+		start:   start,
 	}
 	if cfg.BatchSize > 0 {
 		s.batchOwnsMem = acct != nil && !cfg.ItemParallel
@@ -485,11 +472,13 @@ func (s *Server) abortItem(item int) {
 	}
 }
 
-// OnFinish installs the completion hook, before the first admission: fn
-// runs on the finishing worker for every labeled item, after its result
-// is recorded and before its ticket's Done closes. It is how a shard
-// router learns of completions without a goroutine parked per ticket.
-func (s *Server) OnFinish(fn func()) { s.onFinish = fn }
+// OnFinish adds a completion hook, before the first admission: every
+// hook runs, in install order, on the finishing worker for every labeled
+// item, after its result is committed and recorded and before its
+// ticket's Done closes. It is how a shard router learns of completions
+// and how a results stream collects them, without a goroutine parked per
+// ticket.
+func (s *Server) OnFinish(fn func(ItemResult)) { s.onFinish = append(s.onFinish, fn) }
 
 // Close stops admission, drains the queue, and waits for in-flight items
 // to complete. It is safe to call once; later calls return ErrClosed.
@@ -508,69 +497,7 @@ func (s *Server) Close() error {
 	// The pool has drained: no execution sleeps or hold timers can be
 	// armed anymore, so the wheel's dispatcher can go.
 	s.wheel.Stop()
-	close(s.workersDone) // tell the results pump to flush and finish
 	return nil
-}
-
-// Results subscribes to completed items: every item finished after the
-// call is delivered, in completion order, on the returned channel, which
-// closes once the server has closed and all buffered results are
-// consumed. Repeated calls return the same channel. Results lets a
-// caller consume a stream of completions without holding tickets —
-// submit-and-forget producers on one side, one consumer loop on the
-// other. Items completed before the first Results call are not
-// replayed; subscribe before submitting. Workers never block on the
-// subscriber: results are buffered internally (at most StatsWindow
-// undelivered entries — beyond that the oldest are dropped and counted
-// in RunStats.ResultsDropped) and forwarded by a pump goroutine, so an
-// abandoned subscription cannot stall labeling, deadlock Close, or grow
-// memory unboundedly.
-func (s *Server) Results() <-chan ItemResult {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.resCh == nil {
-		s.resCh = make(chan ItemResult)
-		s.resSig = make(chan struct{}, 1)
-		go s.pumpResults()
-	}
-	return s.resCh
-}
-
-// pumpResults forwards buffered completions one at a time — everything
-// not yet handed to the subscriber stays in resBuf, so finish's
-// shedding bound covers all undelivered results (plus at most the one
-// entry in flight) — until the workers have drained, then flushes what
-// remains and closes.
-func (s *Server) pumpResults() {
-	for {
-		if s.forwardOne() {
-			continue
-		}
-		select {
-		case <-s.resSig:
-		case <-s.workersDone:
-			// Workers are gone: drain anything racing in, then close.
-			for s.forwardOne() {
-			}
-			close(s.resCh)
-			return
-		}
-	}
-}
-
-// forwardOne pops one buffered result and delivers it (blocking on the
-// subscriber), reporting whether there was one.
-func (s *Server) forwardOne() bool {
-	s.mu.Lock()
-	if len(s.resBuf) == 0 {
-		s.mu.Unlock()
-		return false
-	}
-	r := s.resBuf[0]
-	s.resBuf = s.resBuf[1:]
-	s.mu.Unlock()
-	s.resCh <- r
-	return true
 }
 
 // worker owns one policy instance (and, through the factory, one agent
@@ -877,27 +804,9 @@ func (s *Server) finish(tk *Ticket, res sim.Result, selectSec float64, trace *ob
 		s.records[s.recHead] = rec
 		s.recHead = (s.recHead + 1) % s.cfg.StatsWindow
 	}
-	notify := s.resSig != nil
-	if notify {
-		if len(s.resBuf) >= s.cfg.StatsWindow {
-			// The consumer is at least a full stats window behind: treat
-			// the subscription as abandoned and shed the oldest results
-			// rather than retaining every completion forever.
-			drop := len(s.resBuf) - s.cfg.StatsWindow + 1
-			s.resBuf = append(s.resBuf[:0], s.resBuf[drop:]...)
-			s.resDropped += int64(drop)
-		}
-		s.resBuf = append(s.resBuf, tk.res)
-	}
 	s.mu.Unlock()
-	if notify {
-		select {
-		case s.resSig <- struct{}{}:
-		default: // a wake-up is already pending
-		}
-	}
-	if s.onFinish != nil {
-		s.onFinish()
+	for _, fn := range s.onFinish {
+		fn(tk.res)
 	}
 	close(tk.done)
 }
@@ -906,12 +815,11 @@ func (s *Server) finish(tk *Ticket, res sim.Result, selectSec float64, trace *ob
 // counters.
 type RunStats struct {
 	service.Stats
-	Completed      int64       // total completions (Stats.Items caps at StatsWindow)
-	PeakMemMB      float64     // maximum simultaneous reservation observed
-	MemWaits       int64       // reservations that blocked on the budget
-	Rejected       int64       // submits rejected with ErrQueueFull
-	ResultsDropped int64       // Results-stream entries shed behind a lagging consumer
-	Batching       batch.Stats // zero when batching is not configured
+	Completed int64       // total completions (Stats.Items caps at StatsWindow)
+	PeakMemMB float64     // maximum simultaneous reservation observed
+	MemWaits  int64       // reservations that blocked on the budget
+	Rejected  int64       // submits rejected with ErrQueueFull
+	Batching  batch.Stats // zero when batching is not configured
 }
 
 // Stats summarizes the most recent StatsWindow completed items through
@@ -921,13 +829,11 @@ func (s *Server) Stats() RunStats {
 	records := append([]service.Record(nil), s.records...)
 	completed := s.completed
 	rejected := s.rejected
-	resDropped := s.resDropped
 	s.mu.Unlock()
 	rs := RunStats{
-		Stats:          service.SummarizeWindow(records, s.cfg.Workers, completed),
-		Completed:      completed,
-		Rejected:       rejected,
-		ResultsDropped: resDropped,
+		Stats:     service.SummarizeWindow(records, s.cfg.Workers, completed),
+		Completed: completed,
+		Rejected:  rejected,
 	}
 	if s.acct != nil {
 		rs.PeakMemMB = s.acct.peak()

@@ -190,7 +190,7 @@ func New(servers []*serve.Server, cfg Config) (*Router, error) {
 	for s := 0; s < n; s++ {
 		// The router learns of completions from the finishing worker
 		// itself: no goroutine waits on a routed ticket.
-		servers[s].OnFinish(func() { r.retire(s, false) })
+		servers[s].OnFinish(func(serve.ItemResult) { r.retire(s, false) })
 		// One dispatcher per inner worker: resolution (which may journal
 		// an admission and block on a residency watermark) and the
 		// inner-queue handoff then pipeline with service instead of
@@ -594,7 +594,6 @@ func (r *Router) Stats() Stats {
 		merged.PeakMemMB += rs.PeakMemMB // summed per-shard peaks: the footprint bound
 		merged.MemWaits += rs.MemWaits
 		merged.Rejected += ps.Rejected
-		merged.ResultsDropped += rs.ResultsDropped
 		merged.Batching.Batches += rs.Batching.Batches
 		merged.Batching.Requests += rs.Batching.Requests
 		merged.Batching.SizeFlushes += rs.Batching.SizeFlushes

@@ -1,6 +1,7 @@
 package ams
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"hash/fnv"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ams/internal/corpus"
@@ -87,7 +89,9 @@ type ServeConfig struct {
 	TimeScale float64
 	// StatsWindow is how many completed items Stats retains (default
 	// 65536): a long-running server summarizes only the most recent
-	// window, while ServeStats.Completed keeps the total count.
+	// window, while ServeStats.Completed keeps the total count. It also
+	// bounds the results not yet delivered to a Results subscriber,
+	// server-wide across all shards.
 	StatsWindow int
 	// Corpus, when non-nil, makes ingestion durable and bounded: every
 	// external item the server admits is journaled (scene, each
@@ -277,8 +281,15 @@ type Server struct {
 	traceOut  string // Chrome trace dump path, written once at Close
 	traceOnce sync.Once
 
-	resOnce sync.Once
-	res     chan *Result
+	// The results stream: every shard's completion hook publishes into
+	// resBuf, which one pump goroutine drains onto res (see Results).
+	resMu      sync.Mutex
+	resCond    *sync.Cond         // signals the pump: a publish, or the end
+	resBuf     []serve.ItemResult // undelivered, oldest first, at most resWindow
+	resWindow  int
+	resDropped atomic.Int64
+	resEnd     bool         // the shards have drained; nothing more arrives
+	res        chan *Result // nil until Results
 }
 
 // serverShard is one shard of the server: one worker pool
@@ -370,7 +381,9 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 		return nil, fmt.Errorf("ams: corpus opened by a different System")
 	}
 	sv := &Server{sys: s, corpus: cfg.Corpus, cache: cache, placement: placement,
-		start: time.Now(), scale: cfg.TimeScale, traceOut: cfg.TraceOut}
+		start: time.Now(), scale: cfg.TimeScale, traceOut: cfg.TraceOut,
+		resWindow: cmp.Or(cfg.StatsWindow, serve.DefaultStatsWindow)}
+	sv.resCond = sync.NewCond(&sv.resMu)
 	if sv.scale <= 0 {
 		sv.scale = 1.0 // the serve layer's own default; keep the SLO clock on it
 	}
@@ -438,6 +451,7 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 			closeBuilt()
 			return nil, err
 		}
+		sh.inner.OnFinish(sv.publish)
 		sv.shards = append(sv.shards, sh)
 		inners = append(inners, sh.inner)
 	}
@@ -473,6 +487,9 @@ func (sv *Server) finishTelemetry(cfg ServeConfig) (*Server, error) {
 	if sv.router != nil {
 		sv.router.RegisterViews(sv.reg)
 	}
+	sv.reg.CounterFunc("ams_results_dropped_total",
+		"Results-stream entries shed behind a lagging consumer",
+		sv.resDropped.Load)
 	if sv.corpus != nil {
 		for i, seg := range sv.corpus.segs {
 			label := obs.L("seg", strconv.Itoa(i))
@@ -862,14 +879,15 @@ func (sv *Server) Checkpoint() error {
 // Results subscribes to the server's completion stream: every item
 // finished after the call is delivered in completion order, without the
 // caller holding tickets. The channel closes after Close once all
-// results are drained. Repeated calls share one subscription. Subscribe
-// before submitting — earlier completions are not replayed. A slow or
+// results are drained; called after Close, Results returns a closed
+// channel. Repeated calls share one subscription. Subscribe before
+// submitting — earlier completions are not replayed. A slow or
 // abandoned consumer never blocks labeling or Close: results buffer
 // internally up to ServeConfig.StatsWindow undelivered entries, beyond
 // which the oldest are dropped (ServeStats.ResultsDropped counts them).
-// Like time.Tick, a subscription that is never drained holds its
-// bounded buffers and forwarding goroutines (two per shard) until the
-// process exits; a consumer should read until the channel closes.
+// Like time.Tick, a subscription that is never drained holds its bounded
+// buffer and its one pump goroutine until the process exits; a consumer
+// should read until the channel closes.
 //
 // Every delivered result was committed first — commit-of-result is the
 // item's lifetime boundary: the result's labels and outputs are captured
@@ -877,29 +895,62 @@ func (sv *Server) Checkpoint() error {
 // after the corpus has evicted (or a journal has compacted away) the
 // items they came from.
 func (sv *Server) Results() <-chan *Result {
-	sv.resOnce.Do(func() {
+	sv.resMu.Lock()
+	defer sv.resMu.Unlock()
+	if sv.res == nil {
 		sv.res = make(chan *Result)
-		var pumps sync.WaitGroup
-		for _, sh := range sv.shards {
-			pumps.Add(1)
-			go func(inner <-chan serve.ItemResult) {
-				defer pumps.Done()
-				for ir := range inner {
-					item := Item{id: ir.Tag, image: ir.Image, valid: true}
-					if ir.Image >= sv.sys.testStore.NumScenes() {
-						// Ingested item: no test-split index to report.
-						item.image = -1
-					}
-					sv.res <- sv.sys.serveResult(item, ir)
-				}
-			}(sh.inner.Results())
-		}
-		go func() {
-			pumps.Wait()
+		if sv.resEnd {
 			close(sv.res)
-		}()
-	})
+		} else {
+			go sv.pumpResults()
+		}
+	}
 	return sv.res
+}
+
+// publish is every shard's completion hook: it buffers the result for
+// the subscriber, if there is one, shedding the oldest entry once the
+// consumer is a full stats window behind — an abandoned subscription
+// then cannot retain every completion for the server's lifetime.
+func (sv *Server) publish(ir serve.ItemResult) {
+	sv.resMu.Lock()
+	defer sv.resMu.Unlock()
+	if sv.res == nil {
+		return
+	}
+	if len(sv.resBuf) >= sv.resWindow {
+		sv.resBuf = sv.resBuf[1:]
+		sv.resDropped.Add(1)
+	}
+	sv.resBuf = append(sv.resBuf, ir)
+	sv.resCond.Signal()
+}
+
+// pumpResults delivers buffered results one at a time — everything not
+// yet handed over stays in resBuf, under publish's bound, so at most one
+// undelivered result is held outside it — until Close has ended the
+// stream and the buffer is empty, then closes the channel.
+func (sv *Server) pumpResults() {
+	for {
+		sv.resMu.Lock()
+		for len(sv.resBuf) == 0 && !sv.resEnd {
+			sv.resCond.Wait()
+		}
+		if len(sv.resBuf) == 0 {
+			sv.resMu.Unlock()
+			close(sv.res)
+			return
+		}
+		ir := sv.resBuf[0]
+		sv.resBuf = sv.resBuf[1:]
+		sv.resMu.Unlock()
+		item := Item{id: ir.Tag, image: ir.Image, valid: true}
+		if ir.Image >= sv.sys.testStore.NumScenes() {
+			// Ingested item: no test-split index to report.
+			item.image = -1
+		}
+		sv.res <- sv.sys.serveResult(item, ir)
+	}
 }
 
 // Stats summarizes the items completed so far. On a sharded server the
@@ -916,6 +967,7 @@ func (sv *Server) Stats() ServeStats {
 		st = fromRunStats(sv.shards[0].inner.Stats())
 	}
 	st.Shards = len(sv.shards)
+	st.ResultsDropped = sv.resDropped.Load()
 	if sv.cache != nil {
 		st.PredCacheHits, st.PredCacheMisses, st.PredCacheEntries = sv.cache.Stats()
 	}
@@ -939,6 +991,14 @@ func (sv *Server) Close() error {
 		err = sv.router.Close()
 	} else {
 		err = sv.shards[0].inner.Close()
+	}
+	if err != ErrServerClosed {
+		// This call drained every shard, so every publish has happened:
+		// let the pump flush what is buffered and close the stream.
+		sv.resMu.Lock()
+		sv.resEnd = true
+		sv.resCond.Signal()
+		sv.resMu.Unlock()
 	}
 	if sv.traceOut != "" && sv.tracer != nil {
 		// After the drain, so the dump holds every completed trace.
@@ -1141,7 +1201,6 @@ func fromRunStats(rs serve.RunStats) ServeStats {
 		PeakMemMB:       rs.PeakMemMB,
 		MemWaits:        rs.MemWaits,
 		Rejected:        rs.Rejected,
-		ResultsDropped:  rs.ResultsDropped,
 		Batches:         rs.Batching.Batches,
 		BatchedRequests: rs.Batching.Requests,
 		LargestBatch:    rs.Batching.LargestBatch,
