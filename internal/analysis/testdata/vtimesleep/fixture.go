@@ -43,6 +43,13 @@ func epochStamp() time.Time {
 	return time.Now() // reading the clock is not a pause
 }
 
+func laterOf(a, b time.Time) time.Time {
+	if b.After(a) { // the method Time.After compares instants; it is not a pause
+		return b
+	}
+	return a
+}
+
 func drainTimeout() {
 	//amsvet:allow vtimesleep genuine wall-clock drain timeout, not simulated pacing
 	<-time.After(time.Second)

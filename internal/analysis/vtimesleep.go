@@ -66,8 +66,10 @@ func runVtimeSleep(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			if fn := calleeFunc(pass.Info, call); fn != nil &&
-				fn.Pkg() != nil && pauseFuncs[fn.Pkg().Path()][fn.Name()] {
+			// Package-level functions only: Time.After is a comparison
+			// that shares a name with the pause time.After.
+			if fn := calleeFunc(pass.Info, call); fn != nil && fn.Pkg() != nil &&
+				fn.Type().(*types.Signature).Recv() == nil && pauseFuncs[fn.Pkg().Path()][fn.Name()] {
 				pass.Reportf(call.Pos(), "%s.%s in simulated-execution package %s: pace on the internal/vtime wheel instead",
 					fn.Pkg().Path(), fn.Name(), pass.Pkg.Path())
 			}

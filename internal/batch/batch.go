@@ -21,13 +21,24 @@
 // the line. A held grant is never idle, and no request waits on a timer
 // while the budget sits free.
 //
+// "The moment it frees" is an instant on the batches' own timeline, not
+// the moment the wheel's dispatcher notices, which is some 70 µs later.
+// A batch ends at its start plus its scaled cost, and its release
+// carries that end; the grant it serves starts there (or when that grant
+// queued, if later), so a chain of batches serialized by the budget runs
+// back to back instead of adding each wake-up's lateness. The timeline
+// is causal: a grant seals only the requests enqueued by its instant,
+// so no request rides a batch that started before the request arrived.
+// The rest ask again. For that, every owned request is stamped with the
+// clock when it is enqueued.
+//
 // A lane with no owned request (no budget, or the parallel path whose
 // items hold their own reservations) has nothing to wait for, so it
 // bounds how long a lone request can wait for batch-mates instead: it
 // seals when it reaches Config.MaxBatch requests, or when the oldest
 // request has waited Config.MaxHoldMS on the simulated clock, whichever
 // comes first — so a cold model's single request is delayed by at most
-// the hold, never starved.
+// the hold, never starved. Such a batch starts when it seals.
 //
 // Every sealed batch runs as one callback on the shared timer wheel,
 // which releases the grant (serving the next one in line), fills the
@@ -51,13 +62,16 @@ import (
 // by the server's shared accountant. Grant claims mb megabytes in line
 // order and runs fn once they are claimed: possibly at once on the
 // caller, otherwise on whichever goroutine's Release freed enough. fn
-// owns the claim and the batcher releases it when the batch's execution
-// ends. Grant returns false, without running fn, only when mb exceeds
-// the whole budget. A nil Memory disables the footprint (no budget
-// configured).
+// receives the instant the claim starts: the caller's now when it ran at
+// once; otherwise the later of the instant the grant queued and the at
+// of the Release that served it. fn owns the claim and the batcher
+// releases it when the batch's execution ends, passing the batch's
+// nominal end as at. Grant returns false, without running fn, only when
+// mb exceeds the whole budget. A nil Memory disables the footprint (no
+// budget configured).
 type Memory interface {
-	Grant(mb float64, fn func()) bool
-	Release(mb float64)
+	Grant(mb float64, fn func(at time.Time)) bool
+	Release(mb float64, at time.Time)
 }
 
 // Config parameterizes the coalescing runtime.
@@ -107,6 +121,7 @@ const (
 type request struct {
 	done  chan struct{}
 	owned bool          // the batch holds the model footprint for it
+	at    time.Time     // enqueue stamp of an owned request (zero otherwise)
 	ref   *obs.BatchRef // fan-in telemetry handoff; nil when the waiter isn't tracing
 }
 
@@ -115,10 +130,10 @@ type lane struct {
 	mu        sync.Mutex
 	gen       uint64 // bumped at each seal; stale hold timers check it
 	reqs      []request
-	queued    atomic.Int64 // lock-free mirror of len(reqs) for Queued
-	heldSince time.Time    // wall stamp of the oldest unsealed request (metrics only)
-	asked     bool         // a grant is outstanding: the lane seals when it arrives
-	onGrant   func()       // the grant callback, built once so asking allocates nothing
+	queued    atomic.Int64    // lock-free mirror of len(reqs) for Queued
+	heldSince time.Time       // wall stamp of the oldest unsealed request (metrics only)
+	asked     bool            // a grant is outstanding: the lane seals when it arrives
+	onGrant   func(time.Time) // the grant callback, built once so asking allocates nothing
 }
 
 // batch is one sealed batch on its way to the wheel.
@@ -127,7 +142,8 @@ type batch struct {
 	reqs  []request
 	flush string
 	memMB float64   // footprint the batch's grant claimed; released at the end
-	seal  time.Time // seal stamp, read only when some waiter is tracing
+	start time.Time // nominal start: the grant's instant, or the seal's
+	end   time.Time // nominal end: start plus the scaled batched cost
 }
 
 // Batcher is the coalescing runtime. Create one with New; it shares the
@@ -161,7 +177,7 @@ func New(models []*zoo.Model, mem Memory, wheel *vtime.Wheel, cfg Config) *Batch
 	}
 	b := &Batcher{models: models, cfg: cfg, mem: mem, wheel: wheel, lanes: make([]lane, len(models))}
 	for m := range b.lanes {
-		b.lanes[m].onGrant = func() { b.granted(m) }
+		b.lanes[m].onGrant = func(at time.Time) { b.granted(m, at) }
 	}
 	return b
 }
@@ -173,13 +189,18 @@ func New(models []*zoo.Model, mem Memory, wheel *vtime.Wheel, cfg Config) *Batch
 // request's caller keeps its own reservation (the parallel path, whose
 // coordinator releases at commit) and the batch only shares the
 // execution. ref, when non-nil, is filled with the batch's fan-in
-// identity (id, size, seal stamp, flush cause) before done closes, so
-// a tracing waiter can record its batch-hold and exec spans; nil keeps
-// the batcher clock-free for that request.
+// identity (id, size, nominal start, flush cause) before done closes,
+// so a tracing waiter can record its batch-hold and exec spans.
 func (b *Batcher) Enqueue(m int, owned bool, done chan struct{}, ref *obs.BatchRef) {
 	ln := &b.lanes[m]
 	ln.mu.Lock()
-	ln.reqs = append(ln.reqs, request{done: done, owned: owned, ref: ref})
+	r := request{done: done, owned: owned, ref: ref}
+	if owned && b.mem != nil {
+		// Stamped under the lane lock, so the stamps rise along the lane
+		// and a grant's causal prefix is a prefix.
+		r.at = time.Now()
+	}
+	ln.reqs = append(ln.reqs, r)
 	ln.queued.Add(1)
 	if len(ln.reqs) == 1 {
 		ln.heldSince = b.cfg.Metrics.holdStart()
@@ -188,7 +209,8 @@ func (b *Batcher) Enqueue(m int, owned bool, done chan struct{}, ref *obs.BatchR
 	ask := false
 	switch {
 	case ln.asked:
-		// The lane seals when its grant arrives; the request rides along.
+		// The lane seals when its grant arrives; the request rides along
+		// if it is in time for the grant's instant.
 	case owned && b.mem != nil:
 		ln.asked, ask = true, true
 	case len(ln.reqs) >= b.cfg.MaxBatch:
@@ -208,7 +230,7 @@ func (b *Batcher) Enqueue(m int, owned bool, done chan struct{}, ref *obs.BatchR
 				sealed = b.seal(m, len(ln.reqs), flushHold)
 			}
 			ln.mu.Unlock()
-			b.start(sealed)
+			b.startNow(sealed)
 		})
 	}
 	ln.mu.Unlock()
@@ -217,7 +239,7 @@ func (b *Batcher) Enqueue(m int, owned bool, done chan struct{}, ref *obs.BatchR
 	if ask {
 		b.ask(m)
 	}
-	b.start(sealed)
+	b.startNow(sealed)
 }
 
 // Queued reports how many requests are waiting, unsealed, in model m's
@@ -247,17 +269,24 @@ func (b *Batcher) ask(m int) {
 }
 
 // granted is the grant callback of model m's lane: the footprint is
-// claimed, so seal what the lane holds (at most MaxBatch) and start it.
-// Leftovers ask again, at the back of the line.
-func (b *Batcher) granted(m int) {
+// claimed from instant at on, so seal the requests enqueued by then (at
+// most MaxBatch) and start them at at. The rest ask again, at the back
+// of the line.
+func (b *Batcher) granted(m int, at time.Time) {
 	ln := &b.lanes[m]
 	ln.mu.Lock()
-	sealed := b.seal(m, min(len(ln.reqs), b.cfg.MaxBatch), flushGrant)
+	// The lane's first request was enqueued before the lane asked, and a
+	// grant starts no earlier than its ask, so it always rides.
+	n, most := 1, min(len(ln.reqs), b.cfg.MaxBatch)
+	for n < most && !ln.reqs[n].at.After(at) {
+		n++
+	}
+	sealed := b.seal(m, n, flushGrant)
 	sealed.memMB = b.models[m].MemMB
 	ln.asked = len(ln.reqs) > 0
 	again := ln.asked
 	ln.mu.Unlock()
-	b.start(sealed)
+	b.start(sealed, at)
 	if again {
 		b.ask(m)
 	}
@@ -278,42 +307,51 @@ func (b *Batcher) seal(m, n int, flush string) batch {
 	if len(ln.reqs) > 0 {
 		ln.heldSince = b.cfg.Metrics.holdStart()
 	}
-	for _, r := range bt.reqs {
-		if r.ref != nil {
-			// The seal instant: execution begins here. Read only when some
-			// waiter is tracing, so the disabled path stays clock-free.
-			bt.seal = time.Now()
-			break
-		}
-	}
 	return bt
 }
 
-// start arms a sealed batch's execution on the wheel: the sub-linear
-// batched cost later, finish runs on the dispatcher. No-op on an empty
-// batch.
-func (b *Batcher) start(bt batch) {
-	if len(bt.reqs) == 0 {
-		return
+// startNow starts a size- or hold-sealed batch from the wall clock.
+// No-op on an empty batch.
+func (b *Batcher) startNow(bt batch) {
+	if len(bt.reqs) > 0 {
+		b.start(bt, time.Now())
 	}
-	b.wheel.AfterFunc(b.scaled(b.models[bt.m].BatchCostMS(len(bt.reqs))), func() { b.finish(bt) })
 }
 
-// finish ends one batch's execution: release its footprint (which serves
-// the next grant in line, here on the dispatcher), count it, fill the
-// tracing waiters' BatchRefs, and wake every member. The refs are filled
-// before the done channels close — the close is the happens-before edge
-// that publishes a ref to its waiter.
+// start arms a sealed batch's execution on the wheel: finish runs on the
+// dispatcher at the nominal end, the batched cost after at. A
+// grant-sealed batch's at is usually already past — its predecessor's
+// end, which the dispatcher reached late — so the wait is shorter by
+// that lateness, or none.
+func (b *Batcher) start(bt batch, at time.Time) {
+	bt.start = at
+	bt.end = at.Add(b.scaled(b.models[bt.m].BatchCostMS(len(bt.reqs))))
+	b.wheel.At(bt.end, func() { b.finish(bt) })
+}
+
+// finish ends one batch's execution: release its footprint at the
+// batch's nominal end (which serves the next grant in line, here on the
+// dispatcher), count it, fill the tracing waiters' BatchRefs, and wake
+// every member. The refs are filled before the done channels close —
+// the close is the happens-before edge that publishes a ref to its
+// waiter.
 func (b *Batcher) finish(bt batch) {
 	mod := b.models[bt.m]
 	n := len(bt.reqs)
 	if bt.memMB > 0 {
-		b.mem.Release(bt.memMB)
+		b.mem.Release(bt.memMB, bt.end)
 	}
 	ownedReqs := 0
+	var id int64
 	for _, r := range bt.reqs {
 		if r.owned {
 			ownedReqs++
+		}
+		if r.ref != nil {
+			if id == 0 {
+				id = obs.NextBatchID()
+			}
+			*r.ref = obs.BatchRef{Batch: id, N: n, Seal: bt.start, Flush: bt.flush}
 		}
 	}
 	b.statMu.Lock()
@@ -335,14 +373,6 @@ func (b *Batcher) finish(bt batch) {
 		b.stats.SavedMemMB += float64(ownedReqs-1) * mod.MemMB
 	}
 	b.statMu.Unlock()
-	if !bt.seal.IsZero() {
-		id := obs.NextBatchID()
-		for _, r := range bt.reqs {
-			if r.ref != nil {
-				*r.ref = obs.BatchRef{Batch: id, N: n, Seal: bt.seal, Flush: bt.flush}
-			}
-		}
-	}
 	for _, r := range bt.reqs {
 		close(r.done)
 	}

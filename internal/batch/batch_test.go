@@ -24,42 +24,52 @@ func testModels() []*zoo.Model {
 	}
 }
 
-// recMem records grant traffic. Grants run at once unless held is set;
-// then they wait, in order, until the test serves them with grantNext —
-// the accountant's line with the releases in the test's hands.
+// recMem records grant traffic. Grants run at once, at the caller's now,
+// unless held is set; then they wait, in order, until the test serves
+// them with grantNext — the accountant's line with the releases in the
+// test's hands.
 type recMem struct {
 	mu      sync.Mutex
 	events  []float64 // +mb on grant, -mb on release
 	held    bool
-	pending []func()
+	pending []heldGrant
 }
 
-func (r *recMem) Grant(mb float64, fn func()) bool {
-	granted := func() {
+// heldGrant is one grant waiting in recMem's line.
+type heldGrant struct {
+	queued time.Time
+	fn     func(at time.Time)
+}
+
+func (r *recMem) Grant(mb float64, fn func(at time.Time)) bool {
+	granted := func(at time.Time) {
 		r.mu.Lock()
 		r.events = append(r.events, mb)
 		r.mu.Unlock()
-		fn()
+		fn(at)
 	}
+	now := time.Now()
 	r.mu.Lock()
 	if r.held {
-		r.pending = append(r.pending, granted)
+		r.pending = append(r.pending, heldGrant{queued: now, fn: granted})
 		r.mu.Unlock()
 		return true
 	}
 	r.mu.Unlock()
-	granted()
+	granted(now)
 	return true
 }
 
-func (r *recMem) Release(mb float64) {
+func (r *recMem) Release(mb float64, _ time.Time) {
 	r.mu.Lock()
 	r.events = append(r.events, -mb)
 	r.mu.Unlock()
 }
 
-// grantNext serves the oldest held grant on the caller.
-func (r *recMem) grantNext(t *testing.T) {
+// grantNext serves the oldest held grant on the caller, as the
+// accountant serves a release of memory freed at instant at: from the
+// later of at and the instant the grant queued.
+func (r *recMem) grantNext(t *testing.T, at time.Time) {
 	t.Helper()
 	r.mu.Lock()
 	if len(r.pending) == 0 {
@@ -69,7 +79,10 @@ func (r *recMem) grantNext(t *testing.T) {
 	g := r.pending[0]
 	r.pending = r.pending[1:]
 	r.mu.Unlock()
-	g()
+	if g.queued.After(at) {
+		at = g.queued
+	}
+	g.fn(at)
 }
 
 // waiting reports how many held grants wait to be served.
@@ -117,7 +130,7 @@ func TestSizeFlushCoalescesDemand(t *testing.T) {
 	if n := mem.waiting(); n != 1 {
 		t.Fatalf("%d grants asked for one lane, want 1", n)
 	}
-	mem.grantNext(t)
+	mem.grantNext(t, time.Now())
 	for _, d := range dones {
 		<-d // the grant must seal well before the enormous hold
 	}
@@ -164,7 +177,7 @@ func TestOwnedLaneSealsAtGrant(t *testing.T) {
 	if n := mem.waiting(); n != 1 || b.Queued(1) != 5 {
 		t.Fatalf("%d grants waiting, %d queued; want one grant for 5 requests", n, b.Queued(1))
 	}
-	mem.grantNext(t)
+	mem.grantNext(t, time.Now())
 	if b.Queued(1) != 0 {
 		t.Fatalf("%d requests left unsealed by the grant", b.Queued(1))
 	}
@@ -193,7 +206,7 @@ func TestGrantLeftoversAskAgain(t *testing.T) {
 		b.Enqueue(0, true, dones[i], nil)
 	}
 	for _, left := range []int{3, 1, 0} {
-		mem.grantNext(t)
+		mem.grantNext(t, time.Now())
 		if b.Queued(0) != left {
 			t.Fatalf("%d requests unsealed after a grant, want %d", b.Queued(0), left)
 		}
@@ -217,6 +230,44 @@ func TestGrantLeftoversAskAgain(t *testing.T) {
 	}
 	if claims != 3 || sum != 0 {
 		t.Fatalf("grant trace %v: want three balanced claims", mem.trace())
+	}
+}
+
+// TestGrantSealsCausalPrefix: a grant seals only the requests enqueued
+// by its instant. r1 asks, r2 joins the lane while the grant waits, and
+// the grant is served at an instant between the two enqueues: r1 runs
+// alone, and the lane asks again for r2 rather than let it ride a batch
+// that started before it arrived.
+func TestGrantSealsCausalPrefix(t *testing.T) {
+	mem := &recMem{held: true}
+	b, _ := newBatcher(t, mem, Config{MaxBatch: 8, TimeScale: 0.01})
+	refs := []*obs.BatchRef{{}, {}}
+	d1, d2 := make(chan struct{}), make(chan struct{})
+	b.Enqueue(0, true, d1, refs[0])
+	between := time.Now()
+	for !time.Now().After(between) { // r2's stamp is strictly later
+	}
+	b.Enqueue(0, true, d2, refs[1])
+	if mem.waiting() != 1 || b.Queued(0) != 2 {
+		t.Fatalf("%d grants waiting, %d queued; want one grant for 2 requests", mem.waiting(), b.Queued(0))
+	}
+	mem.grantNext(t, between)
+	if b.Queued(0) != 1 || mem.waiting() != 1 {
+		t.Fatalf("%d queued, %d grants waiting after the grant; want r2 left behind and asking again",
+			b.Queued(0), mem.waiting())
+	}
+	<-d1
+	if closed(d2) {
+		t.Fatal("r2 finished with a batch that started before it was enqueued")
+	}
+	mem.grantNext(t, time.Now())
+	<-d2
+	if refs[0].N != 1 || !refs[0].Seal.Equal(between) || refs[1].N != 1 || refs[1].Batch == refs[0].Batch {
+		t.Fatalf("refs %+v and %+v, want two batches of one, the first starting at the grant's instant %v",
+			*refs[0], *refs[1], between)
+	}
+	if st := b.Stats(); st.Batches != 2 || st.GrantFlushes != 2 {
+		t.Fatalf("stats %+v, want two grant-sealed batches", st)
 	}
 }
 
@@ -248,7 +299,7 @@ func TestBatchOfOneMatchesUnbatchedSequence(t *testing.T) {
 	done := make(chan struct{})
 	b.Enqueue(0, true, done, nil)
 	start := time.Now()
-	mem.grantNext(t)
+	mem.grantNext(t, start)
 	<-done
 	// 100 simulated ms at TimeScale 0.1 = 10 ms real.
 	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
@@ -325,7 +376,10 @@ func TestConcurrentEnqueues(t *testing.T) {
 // TestBatchRefFanIn: every tracing waiter's BatchRef is filled — with
 // one shared batch id, the coalesced size, a real seal stamp, and the
 // flush cause — before its done channel closes; a nil ref waiter in the
-// same batch is untouched and the disabled path stays clock-free.
+// same batch is untouched. On a grant-sealed batch Seal is the grant's
+// instant, the batch's nominal start, even when the grant is served
+// later; no member's launch follows it, and every member wakes at least
+// the batch's scaled cost after it.
 func TestBatchRefFanIn(t *testing.T) {
 	b, _ := newBatcher(t, nil, Config{MaxBatch: 3, MaxHoldMS: 1e6, TimeScale: 0.01})
 	refs := []*obs.BatchRef{{}, {}, nil}
@@ -349,6 +403,34 @@ func TestBatchRefFanIn(t *testing.T) {
 		}
 		if ref.Flush != "size" {
 			t.Fatalf("ref[%d].Flush = %q, want size", i, ref.Flush)
+		}
+	}
+
+	mem := &recMem{held: true}
+	gb, _ := newBatcher(t, mem, Config{MaxBatch: 3, TimeScale: 0.01})
+	launched := make([]time.Time, 3)
+	grefs := []*obs.BatchRef{{}, {}, {}}
+	for i := range dones {
+		dones[i] = make(chan struct{})
+		launched[i] = time.Now()
+		gb.Enqueue(0, true, dones[i], grefs[i])
+	}
+	at := time.Now()
+	for time.Since(at) < time.Millisecond { // serve the grant a millisecond late
+	}
+	mem.grantNext(t, at)
+	cost := gb.scaled(testModels()[0].BatchCostMS(3))
+	for i, d := range dones {
+		<-d
+		wake, ref := time.Now(), grefs[i]
+		if ref.N != 3 || ref.Flush != "grant" || !ref.Seal.Equal(at) {
+			t.Fatalf("grant ref[%d] = %+v, want a batch of 3 sealed by grant at its instant %v", i, ref, at)
+		}
+		if launched[i].After(ref.Seal) {
+			t.Fatalf("member %d launched %v after its batch's seal", i, launched[i].Sub(ref.Seal))
+		}
+		if wake.Sub(ref.Seal) < cost {
+			t.Fatalf("member %d woke %v after the seal, under the batch's cost %v", i, wake.Sub(ref.Seal), cost)
 		}
 	}
 }

@@ -20,12 +20,11 @@ func NextBatchID() int64 { return batchIDs.Add(1) }
 // the batcher: the batcher fills it before signalling the waiter's
 // done channel (the channel close is the happens-before edge), and the
 // waiter then records its batch-hold and exec spans from the sealed
-// timestamps. A waiter passes nil when tracing is off, so the batcher
-// reads no clocks on the disabled path.
+// timestamps. A waiter passes nil when tracing is off.
 type BatchRef struct {
 	Batch int64     // shared batch identity
 	N     int       // coalesced size
-	Seal  time.Time // lane sealed → execution began
+	Seal  time.Time // execution began: the batch's nominal start (grant-sealed: the grant's instant)
 	Flush string    // flush cause: "size" | "hold" | "grant" (memory granted)
 }
 

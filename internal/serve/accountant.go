@@ -29,6 +29,12 @@ import (
 // release serves strictly from the head, so a large footprint is never
 // passed over by smaller ones that arrived after it. Queued grants and
 // blocked reservations both count as waits.
+//
+// A grant's callback receives the instant its claim counts from. A
+// release carries the instant its memory was freed — a batch's nominal
+// end, which the timer wheel reaches some 70 µs late — and a grant it
+// serves starts at the later of that instant and the one the grant
+// queued at: on the freeing batch's timeline, but never before it asked.
 type accountant struct {
 	mu       sync.Mutex
 	cond     *sync.Cond // reserve/awaitMore waiters
@@ -48,9 +54,9 @@ type accountant struct {
 
 // grantWait is one queued grant.
 type grantWait struct {
-	mb float64
-	fn func()
-	t0 time.Time // metrics stamp at queueing (zero when disabled)
+	mb     float64
+	fn     func(at time.Time)
+	queued time.Time // when the grant joined the line: it starts no earlier
 }
 
 func newAccountant(budgetMB float64) *accountant {
@@ -103,23 +109,26 @@ func (a *accountant) reserve(mb float64) bool {
 
 // grant claims mb megabytes for fn, in line order, and runs fn once they
 // are claimed: at once on the caller when nobody is queued and mb fits,
-// otherwise on the goroutine whose release frees enough for it. fn owns
-// the claim and must release it. grant returns false, without running
-// fn, when mb exceeds the whole budget and so could never be granted.
-func (a *accountant) grant(mb float64, fn func()) bool {
+// otherwise on the goroutine whose release frees enough for it. fn gets
+// the instant the claim starts: now when it ran at once, otherwise as
+// release says. fn owns the claim and must release it. grant returns
+// false, without running fn, when mb exceeds the whole budget and so
+// could never be granted.
+func (a *accountant) grant(mb float64, fn func(at time.Time)) bool {
 	a.mu.Lock()
 	if mb > a.budgetMB+1e-9 {
 		a.mu.Unlock()
 		return false
 	}
+	now := time.Now()
 	if a.lineHead == len(a.line) && a.fits(mb) { // nobody queued
 		a.claim(mb)
 		a.mu.Unlock()
-		fn()
+		fn(now)
 		return true
 	}
 	a.waits++
-	a.line = append(a.line, grantWait{mb: mb, fn: fn, t0: obs.Started(a.waitHist)})
+	a.line = append(a.line, grantWait{mb: mb, fn: fn, queued: now})
 	a.mu.Unlock()
 	return true
 }
@@ -127,7 +136,8 @@ func (a *accountant) grant(mb float64, fn func()) bool {
 // release returns a reservation to the pool, serves the grant line from
 // its head while the head fits — running those callbacks, in line
 // order, on the caller after unlocking — and wakes blocked reservers.
-func (a *accountant) release(mb float64) {
+// at is the instant the memory was freed (zero: now).
+func (a *accountant) release(mb float64, at time.Time) {
 	a.mu.Lock()
 	a.usedMB -= mb
 	if a.usedMB < -1e-9 {
@@ -159,12 +169,23 @@ func (a *accountant) release(mb float64) {
 	if first.fn == nil {
 		return
 	}
-	a.waitHist.ObserveSince(first.t0)
-	first.fn()
-	for _, g := range more {
-		a.waitHist.ObserveSince(g.t0)
-		g.fn()
+	if at.IsZero() {
+		at = time.Now()
 	}
+	a.start(first, at)
+	for _, g := range more {
+		a.start(g, at)
+	}
+}
+
+// start runs a grant that release served, from the later of at (the
+// instant the memory was freed) and the instant the grant queued.
+func (a *accountant) start(g grantWait, at time.Time) {
+	a.waitHist.ObserveSince(g.queued)
+	if g.queued.After(at) {
+		at = g.queued
+	}
+	g.fn(at)
 }
 
 // available returns the megabytes a reservation could claim right now.

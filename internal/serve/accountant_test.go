@@ -15,8 +15,8 @@ type grantLog struct {
 	ran []int
 }
 
-func (l *grantLog) fn(id int) func() {
-	return func() {
+func (l *grantLog) fn(id int) func(time.Time) {
+	return func(time.Time) {
 		l.mu.Lock()
 		l.ran = append(l.ran, id)
 		l.mu.Unlock()
@@ -42,7 +42,7 @@ func sameOrder(got, want []int) bool {
 }
 
 // mustGrant asks for a grant the test knows fits the budget.
-func mustGrant(t *testing.T, a *accountant, mb float64, fn func()) {
+func mustGrant(t *testing.T, a *accountant, mb float64, fn func(time.Time)) {
 	t.Helper()
 	if !a.grant(mb, fn) {
 		t.Fatalf("grant of %v MB refused by a %v MB budget", mb, a.budgetMB)
@@ -64,12 +64,12 @@ func TestGrantsServedInFIFOOrder(t *testing.T) {
 	if got := log.order(); !sameOrder(got, []int{-1}) {
 		t.Fatalf("grants ran %v before any release, want only the holder", got)
 	}
-	a.release(1000)
+	a.release(1000, time.Time{})
 	// 600 and 300 fit; 500 does not, and 200 must not pass it.
 	if got := log.order(); !sameOrder(got, []int{-1, 0, 1}) {
 		t.Fatalf("after the first release grants ran %v, want [-1 0 1]", got)
 	}
-	a.release(600)
+	a.release(600, time.Time{})
 	if got := log.order(); !sameOrder(got, []int{-1, 0, 1, 2, 3}) {
 		t.Fatalf("after the second release grants ran %v, want [-1 0 1 2 3]", got)
 	}
@@ -78,6 +78,46 @@ func TestGrantsServedInFIFOOrder(t *testing.T) {
 	}
 	if a.waitCount() != 4 || a.waitHist.Count() != 4 {
 		t.Fatalf("%d waits, %d observed, want 4 queued grants each way", a.waitCount(), a.waitHist.Count())
+	}
+}
+
+// TestGrantStartInstants: a grant that fits at once starts at the
+// caller's now. One that a release serves starts at the later of the
+// release's instant and the instant the grant queued, so never before it
+// asked; a release at the zero instant means now.
+func TestGrantStartInstants(t *testing.T) {
+	a := newAccountant(1000)
+	var got [5]time.Time
+	record := func(i int) func(time.Time) { return func(at time.Time) { got[i] = at } }
+	inside := func(at, lo, hi time.Time) bool { return !at.Before(lo) && !at.After(hi) }
+	t0 := time.Now()
+	mustGrant(t, a, 1000, record(0)) // fits at once
+	t1 := time.Now()
+	mustGrant(t, a, 600, record(1)) // queues at some instant in [t1, t2]
+	t2 := time.Now()
+	mustGrant(t, a, 400, record(2)) // queues at some instant in [t2, t3]
+	t3 := time.Now()
+	if !inside(got[0], t0, t1) {
+		t.Fatalf("immediate grant started at %v, want the caller's now in [%v, %v]", got[0], t0, t1)
+	}
+	// Freed before either grant asked: each starts when it queued.
+	a.release(1000, t0)
+	if !inside(got[1], t1, t2) || !inside(got[2], t2, t3) {
+		t.Fatalf("grants started at %v and %v, want their queueing instants, in [%v, %v] and [%v, %v]",
+			got[1], got[2], t1, t2, t2, t3)
+	}
+	// Freed after the grant asked: it starts at the release's instant.
+	mustGrant(t, a, 600, record(3))
+	freed := time.Now()
+	a.release(600, freed)
+	if !got[3].Equal(freed) {
+		t.Fatalf("grant started at %v, want the release's instant %v", got[3], freed)
+	}
+	mustGrant(t, a, 400, record(4))
+	t4 := time.Now()
+	a.release(400, time.Time{})
+	if t5 := time.Now(); !inside(got[4], t4, t5) {
+		t.Fatalf("grant served by a zero-instant release started at %v, want now, in [%v, %v]", got[4], t4, t5)
 	}
 }
 
@@ -96,11 +136,11 @@ func TestGrantLineDoesNotStarveLargeFootprint(t *testing.T) {
 	if got := log.order(); !sameOrder(got, []int{0}) {
 		t.Fatalf("grants ran %v while the large one waited, want [0]", got)
 	}
-	a.release(500)
+	a.release(500, time.Time{})
 	if got := log.order(); !sameOrder(got, []int{0, 1}) {
 		t.Fatalf("first fitting release ran %v, want the 1000 MB grant next: [0 1]", got)
 	}
-	a.release(1000)
+	a.release(1000, time.Time{})
 	if got := log.order(); !sameOrder(got, []int{0, 1, 2}) {
 		t.Fatalf("grants ran %v, want [0 1 2]", got)
 	}
@@ -111,7 +151,7 @@ func TestGrantLineDoesNotStarveLargeFootprint(t *testing.T) {
 func TestGrantAboveBudgetRefused(t *testing.T) {
 	a := newAccountant(1000)
 	ran := false
-	if a.grant(1000.5, func() { ran = true }) {
+	if a.grant(1000.5, func(time.Time) { ran = true }) {
 		t.Fatal("grant above the whole budget accepted")
 	}
 	if ran || a.inUse() != 0 || a.waitCount() != 0 || len(a.line) != 0 {
@@ -141,13 +181,13 @@ func TestReserveBypassesGrantLine(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("a holder's fitting reserve queued behind the grant line")
 	}
-	a.release(3)
-	a.release(2)
+	a.release(3, time.Time{})
+	a.release(2, time.Time{})
 	if got := log.order(); !sameOrder(got, []int{0, 1}) {
 		t.Fatalf("grants ran %v once Z released, want [0 1]", got)
 	}
-	a.release(4)
-	a.release(5)
+	a.release(4, time.Time{})
+	a.release(5, time.Time{})
 	if a.inUse() != 0 {
 		t.Fatalf("%v MB still in use", a.inUse())
 	}
@@ -156,7 +196,9 @@ func TestReserveBypassesGrantLine(t *testing.T) {
 // TestGrantHammerNeverOvercommits (run with -race): goroutines mixing
 // grants and reservations of 200–1 000 MB against a 1 024 MB budget
 // never hold more than the budget between them, every grant is served,
-// and the accountant drains to zero with an empty line.
+// and the accountant drains to zero with an empty line. Grants release
+// at their start instant plus a nominal hold, as batches do, so queued
+// grants are served from instants both before and after they asked.
 func TestGrantHammerNeverOvercommits(t *testing.T) {
 	const budget = 1024
 	a := newAccountant(budget)
@@ -176,6 +218,7 @@ func TestGrantHammerNeverOvercommits(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				mb := int64(200 + (g*131+i*37)%801)
+				var end time.Time // zero (now) for a reservation
 				if (g+i)%4 == 0 {
 					if !a.reserve(float64(mb)) {
 						t.Errorf("reserve of %d MB refused", mb)
@@ -183,18 +226,18 @@ func TestGrantHammerNeverOvercommits(t *testing.T) {
 					}
 					hold(mb)
 				} else {
-					granted := make(chan struct{})
-					if !a.grant(float64(mb), func() { hold(mb); close(granted) }) {
+					granted := make(chan time.Time, 1)
+					if !a.grant(float64(mb), func(at time.Time) { hold(mb); granted <- at }) {
 						t.Errorf("grant of %d MB refused", mb)
 						return
 					}
-					<-granted
+					end = (<-granted).Add(10 * time.Microsecond)
 				}
 				if i%8 == 0 {
 					time.Sleep(20 * time.Microsecond)
 				}
 				held.Add(-mb)
-				a.release(float64(mb))
+				a.release(float64(mb), end)
 			}
 		}(g)
 	}

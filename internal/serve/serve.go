@@ -556,8 +556,8 @@ func (p *selector) Next(t *oracle.Tracker, c sim.Constraints) int {
 // batch holds one footprint claim.
 type acctMemory struct{ a *accountant }
 
-func (m acctMemory) Grant(mb float64, fn func()) bool { return m.a.grant(mb, fn) }
-func (m acctMemory) Release(mb float64)               { m.a.release(mb) }
+func (m acctMemory) Grant(mb float64, fn func(time.Time)) bool { return m.a.grant(mb, fn) }
+func (m acctMemory) Release(mb float64, at time.Time)          { m.a.release(mb, at) }
 
 // residualValuer is implemented by the predictor-backed policies
 // (internal/sched): the agent's estimate of the value still available
@@ -693,7 +693,9 @@ func (mc *machine) Finish(m int, mod *zoo.Model) {
 		trace.SpanBetween(obs.SpanExec, 0, m, f.launched, trace.Stamp())
 	}
 	if s.acct != nil && !s.batchOwnsMem {
-		s.acct.release(mod.MemMB)
+		// Freed now (the zero instant): machines that reserve share their
+		// server with no batch lane that asks for grants.
+		s.acct.release(mod.MemMB, time.Time{})
 	}
 	s.cfg.Metrics.execDone(m, f.started, s.cfg.TimeScale)
 }

@@ -746,7 +746,7 @@ func TestStallIsAReserveWaitSpan(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	time.Sleep(5 * time.Millisecond)
-	s.acct.release(held)
+	s.acct.release(held, time.Time{})
 	if res := tk.Wait(); len(res.Executed) != 1 || res.Executed[0] != 6 {
 		t.Fatalf("executed %v, want [6] once the memory freed", res.Executed)
 	}

@@ -4,7 +4,8 @@
 // holds its requests for a scaled MaxHoldMS; every such pause is one
 // waiter on a Wheel: a min-heap of deadlines and one dispatcher
 // goroutine that fires whatever is due and then waits for the earliest
-// deadline left. Expirations that land on the same instant are fired in
+// deadline left (AfterFunc and Sleep take a duration, At a deadline).
+// Expirations that land on the same instant are fired in
 // one wake-up, and no sleeper owns a timer of its own — which is what
 // keeps small TimeScale values (thousands of sub-millisecond sleeps per
 // simulated second) from drowning the runtime in timer churn.
@@ -23,7 +24,8 @@
 //   - under preciseFloor (10 µs): the runtime timer. nanosleep's fixed
 //     ≈70 µs would dwarf the wait, and a server asking for waits this
 //     short (TimeScale 1e-6) is CPU-bound: its Ps are busy, and a busy
-//     P fires a due timer within a microsecond.
+//     P fires a due timer within a microsecond. Chained deadlines (At,
+//     below) land here too, when the wake that armed them was late.
 //   - up to preciseLead (2 ms): nanosleep, in slices of at most
 //     preciseSlice (100 µs). The dispatcher cannot be woken inside a
 //     slice, so an earlier deadline pushed meanwhile, or Stop, is acted
@@ -32,6 +34,18 @@
 //   - beyond preciseLead: the runtime timer armed preciseLead short of
 //     the deadline (it may fire a millisecond late), and the rest on the
 //     precise path.
+//
+// The two runtime-timer ranges share one timer per wheel, re-armed for
+// each wait, so no wait allocates.
+//
+// Every wake-up is late, so a timeline built from wake-ups drifts: a
+// callback that arms its successor with AfterFunc(d) times it from its
+// own late wake, and each link adds the overshoot again. At takes an
+// absolute deadline instead. A chain that arms each link At(previous
+// deadline + d) stays on its nominal timeline: each link still wakes
+// ≈70 µs late, but the lateness no longer adds up. At never runs its
+// callback on the caller, even for a deadline already past, so such a
+// chain cannot recurse.
 //
 // There is no spin in any range. Spinning to the deadline would buy the
 // last ≈70 µs at the price of a core, and the server's workers need the
@@ -110,12 +124,24 @@ func (w *Wheel) AfterFunc(d time.Duration, fn func()) {
 		fn()
 		return
 	}
+	w.At(time.Now().Add(d), fn)
+}
+
+// At schedules fn to run on the dispatcher goroutine once the clock
+// reaches deadline. Unlike AfterFunc it never runs fn on the caller: a
+// deadline already past fires on the dispatcher's next pass, so a
+// callback that chains its successor through At — the batch lanes time
+// each batch from its predecessor's deadline, which the dispatcher
+// reaches late — returns before that successor runs, and a chain of any
+// length neither recurses nor grows the stack. Ordering, precision and
+// Stop are as for AfterFunc.
+func (w *Wheel) At(deadline time.Time, fn func()) {
 	w.mu.Lock()
 	if w.stopped {
 		w.mu.Unlock()
 		return
 	}
-	heap.Push(&w.waiters, &waiter{at: time.Now().Add(d), seq: w.seq, fn: fn})
+	heap.Push(&w.waiters, &waiter{at: deadline, seq: w.seq, fn: fn})
 	w.seq++
 	w.mu.Unlock()
 	select {
@@ -185,11 +211,16 @@ const (
 
 // dispatch pops due expirations and waits for the next deadline.
 // Callbacks run outside the wheel lock, so they may re-enter AfterFunc
-// (the batch lanes' hold timers do). The clock is re-read after every
-// wait, however it ended, and only waiters whose deadline that reading
-// has reached are fired: nothing fires early.
+// or At (the batch lanes' hold timers and chained batches do). The clock
+// is re-read after every wait, however it ended, and only waiters whose
+// deadline that reading has reached are fired: nothing fires early. The
+// runtime-timer ranges share one timer, re-armed with Reset: a fresh
+// time.NewTimer per wait cost three allocations, and chained deadlines
+// land under preciseFloor often. (Since Go 1.23 Stop and Reset leave no
+// stale tick in the channel, so the timer needs no draining.)
 func (w *Wheel) dispatch() {
-	var due []func() // reused across passes
+	var due []func()   // reused across passes
+	var tm *time.Timer // the runtime timer, made at its first use
 	for {
 		w.mu.Lock()
 		if w.stopped {
@@ -228,11 +259,15 @@ func (w *Wheel) dispatch() {
 			if wait > preciseLead {
 				wait -= preciseLead
 			}
-			t := time.NewTimer(wait)
+			if tm == nil {
+				tm = time.NewTimer(wait)
+			} else {
+				tm.Reset(wait)
+			}
 			select {
-			case <-t.C:
+			case <-tm.C:
 			case <-w.wake:
-				t.Stop()
+				tm.Stop()
 			}
 		}
 	}

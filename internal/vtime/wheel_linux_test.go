@@ -119,3 +119,73 @@ func TestStopDuringPreciseWait(t *testing.T) {
 		t.Fatalf("dispatchers outlived Stop:\n%s", leaked)
 	}
 }
+
+// TestAtChainKeepsItsTimeline: 200 callbacks, each arming the next
+// At(its own deadline + 100 µs), end within 200×100 µs + 2 ms of the
+// first deadline. Every link still wakes ≈70 µs late, but a link whose
+// deadline has already passed fires on the dispatcher's next pass, so
+// the lateness does not add up. The same chain through AfterFunc(100 µs)
+// times each link from its predecessor's late wake and takes ≈200×170 µs.
+func TestAtChainKeepsItsTimeline(t *testing.T) {
+	w := NewWheel()
+	defer w.Stop()
+	const links, d = 200, 100 * time.Microsecond
+	span := make([]time.Duration, 5)
+	for i := range span {
+		first := time.Now().Add(d)
+		done := make(chan time.Time)
+		var link func(i int, at time.Time) func()
+		link = func(i int, at time.Time) func() {
+			return func() {
+				now := time.Now()
+				if now.Before(at) {
+					t.Errorf("link %d fired %v early", i, at.Sub(now))
+				}
+				if i == links-1 {
+					done <- now
+					return
+				}
+				next := at.Add(d)
+				w.At(next, link(i+1, next))
+			}
+		}
+		w.At(first, link(0, first))
+		span[i] = (<-done).Sub(first)
+	}
+	if m, limit := median(span), links*d+2*time.Millisecond; m > limit {
+		t.Fatalf("median %d-link At chain took %v from its first deadline, want within %v", links, m, limit)
+	}
+}
+
+// TestAtPastRearmDoesNotRecurse: a callback that re-arms itself At(a
+// deadline already past) 10 000 times completes on the dispatcher. Each
+// re-arm fires on a later pass, not inside the call that armed it, so the
+// stack is as deep at the last call as at the first, and nothing fires
+// before its deadline.
+func TestAtPastRearmDoesNotRecurse(t *testing.T) {
+	w := NewWheel()
+	defer w.Stop()
+	const n = 10000
+	pcs := make([]uintptr, 512)
+	depth := make([]int, 0, n)
+	done := make(chan struct{})
+	var rearm func(at time.Time)
+	rearm = func(at time.Time) {
+		if now := time.Now(); now.Before(at) {
+			t.Errorf("call %d fired %v early", len(depth), at.Sub(now))
+		}
+		depth = append(depth, runtime.Callers(0, pcs))
+		if len(depth) == n {
+			close(done)
+			return
+		}
+		past := time.Now().Add(-time.Microsecond)
+		w.At(past, func() { rearm(past) })
+	}
+	start := time.Now()
+	w.At(start, func() { rearm(start) })
+	<-done
+	if depth[n-1] != depth[0] {
+		t.Fatalf("stack depth %d at the first call, %d at the last: At recursed", depth[0], depth[n-1])
+	}
+}

@@ -116,11 +116,31 @@ func TestStopDropsPending(t *testing.T) {
 	}
 }
 
+// TestAtPastDeadlineFiresOnDispatcher: At never runs its callback on
+// the caller, not even for a deadline already past; the dispatcher runs
+// it on its next pass.
+func TestAtPastDeadlineFiresOnDispatcher(t *testing.T) {
+	w := NewWheel()
+	defer w.Stop()
+	returned := make(chan struct{})
+	fired := make(chan struct{})
+	w.At(time.Now().Add(-time.Second), func() {
+		select {
+		case <-returned:
+		case <-time.After(time.Second):
+			t.Error("At ran its callback before returning to the caller")
+		}
+		close(fired)
+	})
+	close(returned)
+	<-fired
+}
+
 // TestSleepAllocations pins what one Sleep costs the whole process,
 // dispatcher included: the done channel, the callback closure and the
-// waiter — and, only where the dispatcher arms a runtime timer (below
-// preciseFloor, beyond preciseLead), that timer's three. A precise wait
-// allocates nothing, however many slices it takes.
+// waiter. The dispatcher's own waits allocate nothing: a precise wait
+// takes slices, however many, and the runtime-timer ranges (below
+// preciseFloor, beyond preciseLead) re-arm the wheel's one timer.
 func TestSleepAllocations(t *testing.T) {
 	w := NewWheel()
 	defer w.Stop()
@@ -128,9 +148,10 @@ func TestSleepAllocations(t *testing.T) {
 		d    time.Duration
 		want float64
 	}{
-		{preciseSlice / 2, 3},    // one slice
-		{4 * preciseSlice, 3},    // several slices
-		{2 * preciseLead, 3 + 3}, // runtime timer, then slices
+		{2 * preciseLead, 3},  // runtime timer, then slices
+		{preciseFloor / 2, 3}, // runtime timer alone
+		{preciseSlice / 2, 3}, // one slice
+		{4 * preciseSlice, 3}, // several slices
 	} {
 		if got := testing.AllocsPerRun(20, func() { w.Sleep(tc.d) }); got > tc.want {
 			t.Errorf("Sleep(%v) allocates %v times, want at most %v", tc.d, got, tc.want)
