@@ -93,7 +93,7 @@ func main() {
 
 		shards    = flag.Int("shards", 0, "split the server into this many shards (own worker pool, memory accountant, and journal segment each; 0/1 = unsharded)")
 		placement = flag.String("placement", "hash", "shard placement policy: hash, least, or affinity")
-		steal     = flag.Bool("steal", false, "let an idle shard steal pending items from a loaded sibling")
+		steal     = flag.Bool("steal", false, "let an idle shard steal queued items from a loaded sibling")
 
 		metricsAddr = flag.String("metrics", "", "serve live telemetry over HTTP at this host:port while the trace runs: /metrics (Prometheus), /statusz (JSON), /tracez (decision traces; ?format=chrome for Perfetto), /debug/pprof")
 		traceOut    = flag.String("trace-out", "", "write the span-trace ring as Chrome trace-event JSON (Perfetto-loadable) to this file at shutdown; implies telemetry")

@@ -170,7 +170,7 @@ func (s *Server) RegisterViews(reg *obs.Registry, labels ...obs.Label) {
 	}
 	reg.GaugeFunc("ams_queue_depth",
 		"Items waiting in the admission queue right now",
-		func() float64 { return float64(len(s.queue)) }, labels...)
+		func() float64 { return float64(s.Live().Queued) }, labels...)
 	reg.CounterFunc("ams_items_completed_total",
 		"Items whose schedules have committed",
 		func() int64 { s.mu.Lock(); defer s.mu.Unlock(); return s.completed }, labels...)

@@ -33,7 +33,10 @@
 // Admission control is explicit: Submit rejects with ErrQueueFull when
 // the bounded queue is saturated, SubmitWait blocks until space frees,
 // and New rejects configurations that could never make progress (no
-// workers, a memory budget below the smallest model).
+// workers, a memory budget below the smallest model). A shard router
+// (internal/shard) admits its own annotated tickets into the same queue
+// — it is the only queue an item waits in — and a worker whose queue is
+// empty asks the router to steal from a sibling before it parks.
 //
 // With Config.BatchSize the server coalesces demand across items:
 // workers hand their executions to a cross-item batching runtime
@@ -73,6 +76,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -100,7 +104,8 @@ type Config struct {
 	service.Config
 
 	// QueueCap bounds the admission queue (default 2*Workers). Together
-	// with the worker pool it caps in-flight items at QueueCap+Workers.
+	// with the worker pool it caps in-flight items at QueueCap+Workers,
+	// stolen items included: a worker runs one item at a time.
 	QueueCap int
 
 	// BatchSize, when positive, turns on cross-item batching: same-model
@@ -164,7 +169,8 @@ type Config struct {
 // completes — the item's explicit lifetime boundary: after commit the
 // corpus may evict the item's memoized outputs, which is safe because
 // every completion's outputs are captured into its ItemResult first —
-// and AbortItem when an admission fails after BeginItem.
+// and AbortItem when an admission fails after BeginItem, or a sibling
+// shard steals the admitted item (its worker begins it on its own).
 type Corpus interface {
 	BeginItem(item int)
 	CommitItem(item int, executed []int, scheduleMS float64)
@@ -199,29 +205,31 @@ type ItemResult struct {
 
 // Ticket tracks one submitted item to completion. It is the serving
 // path's only ticket: a shard router creates it where the caller's submit
-// enters, queues it, and hands the same object to the executing server
-// (AdmitWait), so arrival — and with it WaitSec, LatencySec, the
-// queue_wait span and the SLOs — covers router-pending and resolution time.
+// enters and admits it into the home shard's queue (Admit), so arrival —
+// and with it WaitSec, LatencySec, the queue_wait span and the SLOs —
+// covers queueing and resolution on whichever shard runs it.
 type Ticket struct {
-	// Home, Shard and Stolen are the router's annotation, written before
-	// admission and read by the worker's trace and after Done: where
-	// placement put the item, where it ran, and whether the two differ.
-	// Zero on a bare server.
-	Home   int
-	Shard  int
-	Stolen bool
+	// The router's annotation, written before admission (Shard and Stolen
+	// again by a steal) and read by the worker and after Done: where
+	// placement put the item and where it ran, whether it may be stolen,
+	// its affinity hint, and the resolution to an executor index that the
+	// worker taking it calls with Shard. Zero on a bare server.
+	Home, Shard    int
+	Stolen, Pinned bool
+	Hint           []int
+	Resolve        func(shard int) (int, error)
 
 	image    int
 	tag      string
 	arrival  time.Time
-	dequeued time.Time // when a worker took the item off the queue
+	dequeued time.Time // when a worker took the item and resolved it
 	done     chan struct{}
 	res      ItemResult
-	err      error // why the item never ran (Fail)
+	err      error // why the item never ran: its resolution failed
 }
 
-// NewTicket stamps an item's arrival. The ticket resolves exactly once:
-// through the server that admits it, or through Fail.
+// NewTicket stamps an item's arrival. The ticket resolves exactly once,
+// through the server whose worker takes it.
 func NewTicket(tag string) *Ticket {
 	return &Ticket{tag: tag, arrival: time.Now(), done: make(chan struct{})}
 }
@@ -246,13 +254,6 @@ func (t *Ticket) Err() error {
 	return t.err
 }
 
-// Fail resolves a ticket no server admitted: a router's dispatch-time
-// resolution failed, or the executing server had closed.
-func (t *Ticket) Fail(err error) {
-	t.err = err
-	close(t.done)
-}
-
 // Server is a running labeling server. Create one with New, feed it with
 // Submit/SubmitWait, and stop it with Close, which drains the queue.
 type Server struct {
@@ -265,18 +266,23 @@ type Server struct {
 	// batchOwnsMem: serial schedules on a batched, budgeted server leave
 	// the footprint to the batch's grant (see machine.Start and FreeMB).
 	batchOwnsMem bool
-	queue        chan *Ticket
-	stop         chan struct{} // closed by Close to wake blocked SubmitWait senders
+	slots        chan struct{} // one token per queued ticket: QueueCap bounds the queue
+	stop         chan struct{} // closed by Close to wake blocked AwaitSlot callers
 	start        time.Time
 	wg           sync.WaitGroup     // workers
-	senders      sync.WaitGroup     // in-flight admissions; drained before queue close
 	onFinish     []func(ItemResult) // completion hooks, in install order
+	steal        func() *Ticket     // the router's idle hook (OnIdle); nil on a bare server
 
-	mu        sync.Mutex // guards closed, records, counters
+	mu        sync.Mutex // guards closed, queue, records, counters
+	cond      *sync.Cond // on mu: idle workers park here
+	queue     []*Ticket  // the admission FIFO, oldest first
+	gen       uint64     // bumped by Nudge
+	running   int        // tickets taken by a worker, not yet finished
 	closed    bool
 	records   []service.Record // ring of the most recent StatsWindow completions
 	recHead   int              // next overwrite position once the ring is full
 	completed int64
+	failed    int64
 	rejected  int64
 }
 
@@ -351,10 +357,12 @@ func New(ex oracle.Executor, factory service.PolicyFactory, cfg Config) (*Server
 		factory: factory,
 		acct:    acct,
 		wheel:   vtime.NewWheel(),
-		queue:   make(chan *Ticket, cfg.QueueCap),
+		slots:   make(chan struct{}, cfg.QueueCap),
 		stop:    make(chan struct{}),
 		start:   start,
+		queue:   make([]*Ticket, 0, cfg.QueueCap),
 	}
+	s.cond = sync.NewCond(&s.mu)
 	if cfg.BatchSize > 0 {
 		s.batchOwnsMem = acct != nil && !cfg.ItemParallel
 		models := make([]*zoo.Model, ex.NumModels())
@@ -389,96 +397,182 @@ func New(ex oracle.Executor, factory service.PolicyFactory, cfg Config) (*Server
 // and ErrClosed after Close.
 func (s *Server) Submit(item int, tag string) (*Ticket, error) {
 	tk := NewTicket(tag)
-	if err := s.begin(tk, item); err != nil {
+	if err := s.Admit(tk, item, false); err != nil {
 		return nil, err
 	}
-	defer s.senders.Done()
-	select {
-	case s.queue <- tk:
-		s.cfg.Metrics.admitted()
-		return tk, nil
-	default:
-		s.mu.Lock()
-		s.rejected++
-		s.mu.Unlock()
-		s.cfg.Metrics.shed()
-		s.abortItem(item)
-		return nil, ErrQueueFull
-	}
+	return tk, nil
 }
 
 // SubmitWait admits one item, blocking while the queue is full until
 // space frees, the context is cancelled, or the server closes.
 func (s *Server) SubmitWait(ctx context.Context, item int, tag string) (*Ticket, error) {
 	tk := NewTicket(tag)
-	if err := s.AdmitWait(ctx, tk, item); err != nil {
+	err := s.AwaitSlot(ctx)
+	if err == nil {
+		err = s.Admit(tk, item, true)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return tk, nil
 }
 
-// AdmitWait is SubmitWait for a ticket that already exists: the one a
-// shard router created at the caller's submit. On an error the ticket is
-// unresolved and the caller's to Fail.
-func (s *Server) AdmitWait(ctx context.Context, tk *Ticket, item int) error {
-	if err := s.begin(tk, item); err != nil {
-		return err
-	}
-	defer s.senders.Done()
-	var err error
+// TakeSlot takes a free queue slot for a later Admit, without waiting.
+func (s *Server) TakeSlot() bool {
 	select {
-	case s.queue <- tk:
-		s.cfg.Metrics.admitted()
+	case s.slots <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+// AwaitSlot takes a queue slot for a later Admit, waiting until one
+// frees, ctx is cancelled, or the server closes.
+func (s *Server) AwaitSlot(ctx context.Context) error {
+	select {
+	case s.slots <- struct{}{}:
 		return nil
 	case <-s.stop:
-		err = ErrClosed
+		return ErrClosed
 	case <-ctx.Done():
-		err = ctx.Err()
+		return ctx.Err()
 	}
-	s.abortItem(item)
+}
+
+// ReleaseSlot gives back a slot taken and not used, or the one a ticket
+// leaving the queue held. It never blocks.
+func (s *Server) ReleaseSlot() {
+	select {
+	case <-s.slots:
+	default:
+	}
+}
+
+// Admit queues tk for item. With slot set the caller holds a queue slot
+// (TakeSlot, AwaitSlot), given back if admission fails; otherwise Admit
+// takes a free one or sheds: ErrQueueFull, counted. A Resolve ticket is
+// resolved and begun by the worker that takes it; any other is begun
+// here, before a worker can see it.
+func (s *Server) Admit(tk *Ticket, item int, slot bool) (err error) {
+	tk.image = item
+	if tk.Resolve == nil {
+		err = s.begin(tk)
+	}
+	if err == nil {
+		s.mu.Lock()
+		switch {
+		case s.closed:
+			err = ErrClosed
+		case !slot && !s.TakeSlot():
+			err = ErrQueueFull
+			s.rejected++
+			s.cfg.Metrics.shed()
+		default:
+			s.queue = append(s.queue, tk)
+			s.cond.Signal()
+			s.cfg.Metrics.admitted()
+		}
+		s.mu.Unlock()
+		if err != nil {
+			s.abort(tk)
+		}
+	}
+	if err != nil && slot {
+		s.ReleaseSlot()
+	}
 	return err
 }
 
-// begin opens an admission. It registers the in-flight schedule with the
-// corpus before the item can reach a worker, so a commit can never
-// observe a missing reference (a failed admission releases it again),
-// and enters the senders group before the caller touches the queue:
-// Close drains the group before closing the channel, so a send can never
-// hit a closed queue. The caller owes senders.Done when begin succeeds.
-func (s *Server) begin(tk *Ticket, item int) error {
-	if item < 0 || item >= s.ex.NumItems() {
-		return fmt.Errorf("serve: item %d out of range [0,%d)", item, s.ex.NumItems())
+// begin checks a ticket's executor index and registers its schedule
+// with the corpus, so a commit never observes a missing reference.
+func (s *Server) begin(tk *Ticket) error {
+	if tk.image < 0 || tk.image >= s.ex.NumItems() {
+		return fmt.Errorf("serve: item %d out of range [0,%d)", tk.image, s.ex.NumItems())
 	}
-	tk.image = item
 	if s.cfg.Corpus != nil {
-		s.cfg.Corpus.BeginItem(item)
+		s.cfg.Corpus.BeginItem(tk.image)
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.abortItem(item)
-		return ErrClosed
-	}
-	s.senders.Add(1)
-	s.mu.Unlock()
 	return nil
 }
 
-// abortItem releases a BeginItem'd corpus reference after a failed
-// admission.
-func (s *Server) abortItem(item int) {
-	if s.cfg.Corpus != nil {
-		s.cfg.Corpus.AbortItem(item)
+// abort releases the corpus reference Admit began for a ticket that
+// leaves this server without running: refused, or stolen by a sibling.
+func (s *Server) abort(tk *Ticket) {
+	if tk.Resolve == nil && s.cfg.Corpus != nil {
+		s.cfg.Corpus.AbortItem(tk.image)
 	}
 }
 
 // OnFinish adds a completion hook, before the first admission: every
 // hook runs, in install order, on the finishing worker for every labeled
 // item, after its result is committed and recorded and before its
-// ticket's Done closes. It is how a shard router learns of completions
-// and how a results stream collects them, without a goroutine parked per
-// ticket.
+// ticket's Done closes. It is how a results stream collects completions
+// without a goroutine parked per ticket.
 func (s *Server) OnFinish(fn func(ItemResult)) { s.onFinish = append(s.onFinish, fn) }
+
+// OnIdle installs a shard router's steal hook, before the first
+// admission: a worker whose queue is empty calls it before parking and
+// runs the ticket it returns, if any.
+func (s *Server) OnIdle(steal func() *Ticket) {
+	s.mu.Lock()
+	s.steal = steal
+	s.mu.Unlock()
+}
+
+// StealOldest removes the oldest queued ticket that is not pinned, or
+// returns nil. The ticket gives back its slot and corpus reference here;
+// the thief's worker begins it again.
+func (s *Server) StealOldest() *Ticket {
+	var tk *Ticket
+	s.mu.Lock()
+	if i := slices.IndexFunc(s.queue, func(tk *Ticket) bool { return !tk.Pinned }); i >= 0 {
+		tk = s.queue[i]
+		s.queue = slices.Delete(s.queue, i, i+1)
+		s.ReleaseSlot()
+	}
+	s.mu.Unlock()
+	if tk != nil {
+		s.abort(tk)
+	}
+	return tk
+}
+
+// Nudge tells the server a sibling has queued an item: a parked worker
+// wakes to try its steal hook. The generation count covers a worker
+// between a steal that found nothing and its park.
+func (s *Server) Nudge() {
+	s.mu.Lock()
+	s.gen++
+	s.cond.Signal()
+	s.mu.Unlock()
+}
+
+// Live is a server's instantaneous queue state: tickets queued (Stealable
+// of them unpinned), taken and not yet finished, and failed to resolve.
+type Live struct {
+	Queued, Stealable, Running int
+	Failed                     int64
+}
+
+// Live reads the queue state.
+func (s *Server) Live() Live {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l := Live{Queued: len(s.queue), Running: s.running, Failed: s.failed}
+	for _, tk := range s.queue {
+		if !tk.Pinned {
+			l.Stealable++
+		}
+	}
+	return l
+}
+
+// Load is the queued plus running count, LeastLoaded placement's measure.
+func (s *Server) Load() int {
+	l := s.Live()
+	return l.Queued + l.Running
+}
 
 // Close stops admission, drains the queue, and waits for in-flight items
 // to complete. It is safe to call once; later calls return ErrClosed.
@@ -489,10 +583,9 @@ func (s *Server) Close() error {
 		return ErrClosed
 	}
 	s.closed = true
+	s.cond.Broadcast() // parked workers drain the queue and exit
 	s.mu.Unlock()
-	close(s.stop)    // wake SubmitWait senders blocked on a full queue
-	s.senders.Wait() // after which no send can touch the queue
-	close(s.queue)   // let workers drain and exit
+	close(s.stop) // wake AwaitSlot callers blocked on a full queue
 	s.wg.Wait()
 	// The pool has drained: no execution sleeps or hold timers can be
 	// armed anymore, so the wheel's dispatcher can go.
@@ -501,16 +594,29 @@ func (s *Server) Close() error {
 }
 
 // worker owns one policy instance (and, through the factory, one agent
-// fork) and labels queued items until the queue closes: each item
-// is one run of the shared executor, sim.Execute, on this worker's
-// machine, under the configured limits.
+// fork) and labels items until the server closes with its queue drained:
+// each item is one run of the shared executor, sim.Execute, on this
+// worker's machine, under the configured limits.
 func (s *Server) worker(w int) {
 	defer s.wg.Done()
 	mach := &machine{s: s}
 	sel := &selector{Policy: s.factory(w), mach: mach}
 	mach.policy = sel
 	lim := s.cfg.Limits()
-	for tk := range s.queue {
+	for {
+		tk, stolen := s.next()
+		if tk == nil {
+			return
+		}
+		if err := s.resolve(tk, stolen); err != nil {
+			s.mu.Lock()
+			s.running--
+			s.failed++
+			s.mu.Unlock()
+			tk.err = err
+			close(tk.done)
+			continue
+		}
 		tk.dequeued = time.Now()
 		trace := s.cfg.Tracer.Begin(tk.image, tk.tag)
 		trace.SetShards(tk.Home, tk.Shard)
@@ -521,6 +627,49 @@ func (s *Server) worker(w int) {
 		s.observeQuality(sel.Policy, res)
 		s.finish(tk, res, sel.selectSec, trace)
 	}
+}
+
+// next blocks until the worker has a ticket — its queue's oldest, else
+// one the steal hook took from a sibling — or returns nil once the
+// server has closed with its queue drained.
+func (s *Server) next() (tk *Ticket, stolen bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	gen := s.gen - 1 // the generation the last steal looked at: none yet
+	for len(s.queue) == 0 && !s.closed && tk == nil {
+		if s.steal == nil || gen == s.gen {
+			s.cond.Wait()
+			continue
+		}
+		gen = s.gen
+		s.mu.Unlock()
+		tk = s.steal()
+		s.mu.Lock()
+	}
+	if stolen = tk != nil; !stolen && len(s.queue) > 0 {
+		tk = s.queue[0]
+		s.queue = slices.Delete(s.queue, 0, 1)
+		s.ReleaseSlot()
+	}
+	if tk != nil {
+		s.running++
+	}
+	return tk, stolen
+}
+
+// resolve readies a taken ticket to run here: a Resolve ticket gets its
+// index on this, the executing, shard; it and a stolen ticket (which its
+// victim released) are begun here. Any other was begun at admission.
+func (s *Server) resolve(tk *Ticket, stolen bool) (err error) {
+	if tk.Resolve != nil {
+		tk.image, err = tk.Resolve(tk.Shard)
+	} else if !stolen {
+		return nil
+	}
+	if err == nil {
+		err = s.begin(tk)
+	}
+	return err
 }
 
 // selector is the worker's policy as the executor sees it: a sim.Policy
@@ -798,6 +947,7 @@ func (s *Server) finish(tk *Ticket, res sim.Result, selectSec float64, trace *ob
 	s.cfg.Tracer.End(trace)
 	s.mu.Lock()
 	s.completed++
+	s.running--
 	if len(s.records) < s.cfg.StatsWindow {
 		s.records = append(s.records, rec)
 	} else {
@@ -821,6 +971,7 @@ type RunStats struct {
 	PeakMemMB float64     // maximum simultaneous reservation observed
 	MemWaits  int64       // reservations that blocked on the budget
 	Rejected  int64       // submits rejected with ErrQueueFull
+	Failed    int64       // taken tickets whose resolution failed
 	Batching  batch.Stats // zero when batching is not configured
 }
 
@@ -830,12 +981,13 @@ func (s *Server) Stats() RunStats {
 	s.mu.Lock()
 	records := append([]service.Record(nil), s.records...)
 	completed := s.completed
-	rejected := s.rejected
+	rejected, failed := s.rejected, s.failed
 	s.mu.Unlock()
 	rs := RunStats{
 		Stats:     service.SummarizeWindow(records, s.cfg.Workers, completed),
 		Completed: completed,
 		Rejected:  rejected,
+		Failed:    failed,
 	}
 	if s.acct != nil {
 		rs.PeakMemMB = s.acct.peak()

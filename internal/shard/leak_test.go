@@ -6,8 +6,8 @@ import (
 	"ams/internal/leaktest"
 )
 
-// TestMain fails the package when router dispatchers, steal loops, or
-// the shard servers' goroutines outlive the tests.
+// TestMain fails the package when the shard servers' workers — the
+// router starts no goroutine of its own — outlive the tests.
 func TestMain(m *testing.M) {
 	leaktest.VerifyTestMain(m)
 }

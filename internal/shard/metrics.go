@@ -8,15 +8,14 @@ import (
 
 // RegisterViews exposes the router's live routing state on reg as
 // per-shard labeled series — views over the very counters Stats reads
-// (no double bookkeeping), evaluated under r.mu at scrape time. No-op
-// on a nil registry.
+// (no double bookkeeping), evaluated at scrape time. A shard's queue
+// depth is its server's ams_queue_depth. No-op on a nil registry.
 func (r *Router) RegisterViews(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	for s := range r.servers {
 		label := obs.L("shard", strconv.Itoa(s))
-		s := s
 		reg.CounterFunc("ams_shard_assigned_total",
 			"Items placed on this shard as their home",
 			func() int64 { r.mu.Lock(); defer r.mu.Unlock(); return r.per[s].Assigned }, label)
@@ -26,17 +25,17 @@ func (r *Router) RegisterViews(reg *obs.Registry) {
 		reg.CounterFunc("ams_shard_stolen_from_total",
 			"Items stolen away from this shard",
 			func() int64 { r.mu.Lock(); defer r.mu.Unlock(); return r.per[s].StolenFrom }, label)
-		reg.CounterFunc("ams_shard_rejected_total",
-			"Placements refused with a full pending queue",
-			func() int64 { r.mu.Lock(); defer r.mu.Unlock(); return r.per[s].Rejected }, label)
-		reg.GaugeFunc("ams_shard_pending",
-			"Items placed on this shard, not yet dispatched",
-			func() float64 { r.mu.Lock(); defer r.mu.Unlock(); return float64(len(r.queues[s])) }, label)
 		reg.GaugeFunc("ams_shard_inflight",
-			"Items dispatched to this shard's server, not yet completed",
-			func() float64 { r.mu.Lock(); defer r.mu.Unlock(); return float64(r.inflight[s]) }, label)
+			"Items this shard's workers have taken, not yet finished",
+			func() float64 { return float64(r.servers[s].Live().Running) }, label)
 	}
 	reg.CounterFunc("ams_shard_failures_total",
-		"Tickets that failed at resolution or dispatch",
-		func() int64 { r.mu.Lock(); defer r.mu.Unlock(); return r.failures })
+		"Tickets whose resolution failed on the shard that took them",
+		func() int64 {
+			var n int64
+			for _, sv := range r.servers {
+				n += sv.Live().Failed
+			}
+			return n
+		})
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,18 +52,20 @@ func fixedFactory(models ...int) service.PolicyFactory {
 // newShardServers builds n identical shard servers on one clock epoch.
 func newShardServers(t *testing.T, n, workers int) []*serve.Server {
 	t.Helper()
-	return newTracedShardServers(t, n, workers, nil)
+	return shardServers(t, n, workers, 0, nil)
 }
 
-// newTracedShardServers is newShardServers with every shard publishing
-// its item traces into one tracer, as the root server wires them.
-func newTracedShardServers(t *testing.T, n, workers int, tracer *obs.Tracer) []*serve.Server {
+// shardServers is newShardServers with each shard's queue bound (0: the
+// server's default) and every shard publishing its item traces into one
+// tracer, as the root server wires them.
+func shardServers(t *testing.T, n, workers, queueCap int, tracer *obs.Tracer) []*serve.Server {
 	t.Helper()
 	epoch := time.Now()
 	servers := make([]*serve.Server, n)
 	for s := range servers {
 		sv, err := serve.New(store, fixedFactory(0, 1), serve.Config{
 			Config:    service.Config{Workers: workers, DeadlineSec: 0.5},
+			QueueCap:  queueCap,
 			TimeScale: 0.001,
 			Epoch:     epoch,
 			Tracer:    tracer,
@@ -193,11 +197,10 @@ func TestHashPlacementMatchesShardFor(t *testing.T) {
 // then captures the rest.
 func TestAffinityGroupsHotTraffic(t *testing.T) {
 	const n = 2
-	r, err := New(newShardServers(t, n, 2), Config{
+	r, err := New(shardServers(t, n, 2, 64, nil), Config{
 		Placement: Affinity,
 		Models:    len(z.Models),
 		Workers:   workerCounts(n, 2),
-		QueueCap:  64,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -234,22 +237,34 @@ func TestAffinityGroupsHotTraffic(t *testing.T) {
 // otherwise-idle shard 1 steals a share of them — and that every stolen
 // item's trace says so. Provenance rides the ticket, so it needs no tag
 // (the even items carry none) and survives in-flight items sharing one
-// (the odd items all do).
+// (the odd items all do). Every third item is external-style: its
+// Resolve runs exactly once, on the shard that executes it, stolen or
+// not.
 func TestStealDrainsIdleShard(t *testing.T) {
 	const n = 2
 	tracer := obs.NewTracer(64)
-	r, err := New(newTracedShardServers(t, n, 2, tracer), Config{
-		Steal:    true,
-		Workers:  workerCounts(n, 2),
-		QueueCap: 8,
+	r, err := New(shardServers(t, n, 2, 8, tracer), Config{
+		Steal:   true,
+		Workers: workerCounts(n, 2),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	key := keyOn(0, n, 0)
 	tickets := make([]*serve.Ticket, 60)
+	var mu sync.Mutex
+	resolvedOn := make([][]int, len(tickets)) // each Resolve call's shard argument
 	for i := range tickets {
-		tk, err := r.SubmitWait(context.Background(), Item{Key: key, Index: i % ds.Len(), Tag: []string{"", "dup"}[i%2]})
+		it := Item{Key: key, Index: i % ds.Len(), Tag: []string{"", "dup"}[i%2]}
+		if i%3 == 0 {
+			it.Resolve = func(shard int) (int, error) {
+				mu.Lock()
+				defer mu.Unlock()
+				resolvedOn[i] = append(resolvedOn[i], shard)
+				return i % ds.Len(), nil
+			}
+		}
+		tk, err := r.SubmitWait(context.Background(), it)
 		if err != nil {
 			t.Fatalf("SubmitWait: %v", err)
 		}
@@ -269,6 +284,9 @@ func TestStealDrainsIdleShard(t *testing.T) {
 		}
 		if tk.Stolen {
 			stolen++
+		}
+		if i%3 == 0 && (len(resolvedOn[i]) != 1 || resolvedOn[i][0] != tk.Shard) {
+			t.Errorf("item %d ran on shard %d (stolen=%v) but resolved on %v", i, tk.Shard, tk.Stolen, resolvedOn[i])
 		}
 	}
 	st := r.Stats()
@@ -315,10 +333,9 @@ func TestStealDrainsIdleShard(t *testing.T) {
 // replay path) and checks none run elsewhere even with stealing on.
 func TestPinBypassesPlacementAndSteal(t *testing.T) {
 	const n = 2
-	r, err := New(newShardServers(t, n, 2), Config{
-		Steal:    true,
-		Workers:  workerCounts(n, 2),
-		QueueCap: 64,
+	r, err := New(shardServers(t, n, 2, 64, nil), Config{
+		Steal:   true,
+		Workers: workerCounts(n, 2),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -425,12 +442,11 @@ func TestOneShardParity(t *testing.T) {
 // submitters; run under -race in CI.
 func TestShardStress(t *testing.T) {
 	const n, workers, goroutines, each = 4, 2, 8, 25
-	r, err := New(newShardServers(t, n, workers), Config{
+	r, err := New(shardServers(t, n, workers, 16, nil), Config{
 		Placement: Affinity,
 		Steal:     true,
 		Models:    len(z.Models),
 		Workers:   workerCounts(n, workers),
-		QueueCap:  16,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -482,26 +498,31 @@ func TestShardStress(t *testing.T) {
 	}
 }
 
-// TestDispatchFailuresResolveOnce covers the two ways a placed ticket
-// never reaches a worker — its dispatch-time Resolve fails, or the
-// executing shard's server has closed underneath the router — and checks
-// each resolves exactly once with that error (a second resolution would
-// panic on the closed Done), is counted as a failure, and releases the
-// shard's in-flight slot so the steal gate reopens. The package's
+// TestDispatchFailuresResolveOnce covers the two ways a placed item
+// never runs. Its Resolve fails on the worker that took it: the ticket
+// resolves exactly once with that error (a second resolution would panic
+// on the closed Done), the server counts one failure, and the failure
+// holds no slot. Or its shard's server has closed: SubmitWait refuses
+// the placement with serve.ErrClosed, handing out no ticket and counting
+// no failure. Either way the sibling still serves; the package's
 // TestMain checks no goroutine is left behind.
 func TestDispatchFailuresResolveOnce(t *testing.T) {
 	const n = 2
 	boom := errors.New("resolve failed")
+	var resolves atomic.Int64
 	for _, tc := range []struct {
 		name       string
 		item       Item
-		closeShard bool // close shard 0's server before submitting
-		want       error
+		closeShard bool  // close shard 0's server before submitting
+		wantSubmit error // SubmitWait's error
+		wantTicket error // the ticket's, when SubmitWait handed one out
+		failures   int64
 	}{
-		{"resolve error", Item{Pin: 1, Resolve: func(int) (int, error) { return 0, boom }}, false, boom},
-		{"shard closed before admission", Item{Pin: 1, Index: 1}, true, serve.ErrClosed},
+		{"resolve error", Item{Pin: 1, Resolve: func(int) (int, error) { resolves.Add(1); return 0, boom }}, false, nil, boom, 1},
+		{"shard closed before admission", Item{Pin: 1, Index: 1}, true, serve.ErrClosed, nil, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			resolves.Store(0)
 			servers := newShardServers(t, n, 1)
 			r, err := New(servers, Config{Steal: true, Workers: workerCounts(n, 1)})
 			if err != nil {
@@ -513,13 +534,15 @@ func TestDispatchFailuresResolveOnce(t *testing.T) {
 				}
 			}
 			bad, err := r.SubmitWait(context.Background(), tc.item)
-			if err != nil {
-				t.Fatalf("SubmitWait: %v", err)
+			if !errors.Is(err, tc.wantSubmit) || (err == nil) != (bad != nil) {
+				t.Fatalf("SubmitWait = %v, %v; want error %v", bad, err, tc.wantSubmit)
 			}
-			if err := bad.Err(); !errors.Is(err, tc.want) {
-				t.Fatalf("failed ticket resolved with %v, want %v", err, tc.want)
+			if bad != nil {
+				if err := bad.Err(); !errors.Is(err, tc.wantTicket) {
+					t.Fatalf("failed ticket resolved with %v, want %v", err, tc.wantTicket)
+				}
 			}
-			// The sibling still serves, and the failure held no slot.
+			// The sibling still serves.
 			good, err := r.SubmitWait(context.Background(), Item{Pin: 2, Index: 2})
 			if err != nil {
 				t.Fatalf("SubmitWait after the failure: %v", err)
@@ -531,17 +554,37 @@ func TestDispatchFailuresResolveOnce(t *testing.T) {
 				t.Fatalf("Close: %v", err)
 			}
 			st := r.Stats()
-			if st.Failures != 1 || st.Merged.Completed != 1 {
-				t.Errorf("failures %d, completed %d; want 1 and 1", st.Failures, st.Merged.Completed)
+			if st.Failures != tc.failures || st.Merged.Completed != 1 || resolves.Load() != tc.failures {
+				t.Errorf("failures %d, completed %d, resolves %d; want %d, 1 and %d",
+					st.Failures, st.Merged.Completed, resolves.Load(), tc.failures, tc.failures)
 			}
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			for s, held := range r.inflight {
-				if held != 0 {
-					t.Errorf("shard %d still counts %d in flight", s, held)
+			for s, sv := range servers {
+				if load := sv.Load(); load != 0 {
+					t.Errorf("shard %d still holds %d items", s, load)
 				}
 			}
 		})
+	}
+}
+
+// TestRouterStartsNoGoroutine: the router owns no queue, so building one
+// over running servers adds no goroutine; its servers' idle workers do
+// all the stealing.
+func TestRouterStartsNoGoroutine(t *testing.T) {
+	const n = 3
+	servers := shardServers(t, n, 2, 0, nil)
+	before := runtime.NumGoroutine()
+	r, err := New(servers, Config{Placement: Affinity, Steal: true, Models: len(z.Models), Workers: workerCounts(n, 2)})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	// Goroutines left by earlier tests may still be exiting, so only a
+	// rise counts.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("New started %d goroutines, want none", after-before)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
 
@@ -552,7 +595,7 @@ func TestDispatchFailuresResolveOnce(t *testing.T) {
 // failures the router counted.
 func TestCloseRacesSubmitters(t *testing.T) {
 	const n, goroutines, each = 2, 4, 40
-	r, err := New(newShardServers(t, n, 1), Config{Steal: true, Workers: workerCounts(n, 1), QueueCap: 4})
+	r, err := New(shardServers(t, n, 1, 4, nil), Config{Steal: true, Workers: workerCounts(n, 1)})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -597,11 +640,11 @@ func TestCloseRacesSubmitters(t *testing.T) {
 }
 
 // TestSubmitWaitCountsNoReject pushes more closed-loop submissions
-// through a router than its pending queues hold: waiting for a slot is
+// through a router than its shards' queues hold: waiting for a slot is
 // backpressure, so every item completes and nothing is counted as shed.
 func TestSubmitWaitCountsNoReject(t *testing.T) {
 	const n, items = 2, 60
-	r, err := New(newShardServers(t, n, 1), Config{Workers: workerCounts(n, 1), QueueCap: 2})
+	r, err := New(shardServers(t, n, 1, 2, nil), Config{Workers: workerCounts(n, 1)})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -626,10 +669,10 @@ func TestSubmitWaitCountsNoReject(t *testing.T) {
 	}
 }
 
-// TestWaitSecCoversDispatchResolve blocks an item's dispatch-time
-// Resolve for a known wall interval and checks the interval shows up in
-// the item's queue wait: the ticket's arrival is stamped at the caller's
-// submit, not when the executing server admits it.
+// TestWaitSecCoversDispatchResolve blocks an item's Resolve, on the
+// worker that took it, for a known wall interval and checks the interval
+// shows up in the item's queue wait: the worker stamps the dequeue after
+// resolution, and the ticket's arrival at the caller's submit.
 func TestWaitSecCoversDispatchResolve(t *testing.T) {
 	const block = 30 * time.Millisecond
 	const scale = 0.001 // newShardServers' TimeScale

@@ -195,6 +195,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		`ams_queue_depth{shard="1"}`,
 		`ams_items_completed_total{shard="0"}`,
 		"ams_shard_assigned_total",
+		`ams_shard_inflight{shard="1"}`,
 		"ams_batch_flush_total{cause=",
 		"ams_predcache_hits_total",
 		"ams_quality_conf_mass_count",
@@ -202,6 +203,13 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// A shard has one queue, its server's: no router-side duplicate of
+	// its depth or of its sheds.
+	for _, gone := range []string{"ams_shard_pending", "ams_shard_rejected_total"} {
+		if strings.Contains(metrics, gone) {
+			t.Errorf("/metrics still exposes %q", gone)
 		}
 	}
 

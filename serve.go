@@ -52,11 +52,9 @@ type ServeConfig struct {
 	MemoryGB float64
 	// QueueCap bounds the admission queue (default 2*Workers); Submit
 	// rejects with ErrQueueFull when it is saturated. A sharded server
-	// divides it evenly (at least 1 per shard), and that share bounds each
-	// of a shard's two queues — the router's pending queue, which is where
-	// Submit sheds, and the shard server's admission queue — so one shard
-	// holds at most 2*share queued items plus two per worker (one being
-	// dispatched, one executing).
+	// divides it evenly (at least 1 per shard) into each shard's one
+	// queue, so a shard holds at most its share queued plus one item per
+	// worker.
 	QueueCap int
 	// BatchSize, when positive, turns on cross-item dynamic batching:
 	// same-model demand from the whole worker pool coalesces into
@@ -112,12 +110,12 @@ type ServeConfig struct {
 	Shards int
 	// ShardPlacement picks the router's placement policy: "hash"
 	// (default; consistent hash of the item identity, stable across
-	// restarts), "least" (fewest pending+in-flight), or "affinity"
+	// restarts), "least" (fewest queued+in-flight), or "affinity"
 	// (items whose valuable labels map to a shard's hot models land
 	// together, keeping those models' working set stable per shard).
 	ShardPlacement string
-	// ShardSteal lets a shard whose queue idles steal pending items from
-	// its most loaded sibling (never items pinned by replay).
+	// ShardSteal lets a worker whose shard's queue is empty steal queued
+	// items from its most loaded sibling (never items pinned by replay).
 	ShardSteal bool
 	// Telemetry turns on the server's live metric registry and item
 	// tracer: per-stage latency histograms, per-model execution counters,
@@ -185,9 +183,9 @@ type ServeStats struct {
 	Items     int   // items in the summarized window
 	Completed int64 // total completions (exceeds Items once the window wraps)
 	// AvgQueueWaitSec is the caller's submit -> execution start. On a
-	// sharded server the clock starts where Submit/SubmitWait enters the
-	// router, so it (and every latency below, the queue_wait span and the
-	// SLOs) includes router-pending and dispatch-time resolution time.
+	// sharded server it (and every latency below, the queue_wait span and
+	// the SLOs) includes the resolution of an external item on the worker
+	// that takes it.
 	AvgQueueWaitSec float64
 	AvgLatencySec   float64 // submit -> completion
 	P95LatencySec   float64
@@ -315,7 +313,7 @@ type serverShard struct {
 
 // ServeTicket tracks one submitted item to completion. It wraps the
 // serving path's one ticket — created where Submit/SubmitWait entered,
-// queued by the router when there is one, resolved by the executing
+// placed by the router when there is one, resolved by the executing
 // shard's server — with the item it was submitted for.
 type ServeTicket struct {
 	sys  *System
@@ -324,13 +322,13 @@ type ServeTicket struct {
 }
 
 // Done is closed when the item has been labeled or has failed to
-// dispatch.
+// resolve.
 func (t *ServeTicket) Done() <-chan struct{} { return t.tk.Done() }
 
 // Wait blocks until the item has been labeled — or ctx is cancelled,
 // which abandons the wait (not the item: the server still finishes it)
-// and returns ctx.Err(). An item a sharded server could not dispatch
-// (its resolution failed, or its shard closed first) returns that error.
+// and returns ctx.Err(). An item a sharded server could not resolve
+// (its corpus admission failed) returns that error.
 //
 // Commit-of-result is the item's explicit lifetime boundary: by the time
 // Wait returns, the result's outputs have been captured by value (and,
@@ -459,7 +457,6 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 		sv.router, err = shard.New(inners, shard.Config{
 			Placement: placement,
 			Steal:     cfg.ShardSteal,
-			QueueCap:  shardCfg.QueueCap,
 			Models:    len(s.Zoo.Models),
 			Workers:   workerSplit,
 		})
@@ -578,15 +575,8 @@ func (sv *Server) buildSLOs(cfg ServeConfig) error {
 // scheduling.
 func (sv *Server) armFlightRecorder(dir string) {
 	fr := obs.NewFlightRecorder(dir, sv.reg, sv.tracer)
-	// Shed storm: total sheds (server queues + router-level rejects)
-	// growing faster than 5/s.
-	fr.AddTrigger("shed-storm", obs.RateTrigger(func() int64 {
-		n := sv.metrics.Shed.Value()
-		if sv.router != nil {
-			n += sv.router.RejectedTotal()
-		}
-		return n
-	}, 5))
+	// Shed storm: sheds at any shard's queue growing faster than 5/s.
+	fr.AddTrigger("shed-storm", obs.RateTrigger(sv.metrics.Shed.Value, 5))
 	// Deadline burn: any objective's fastest burn window at 8× budget —
 	// the classic page-level fast-burn threshold.
 	if len(sv.metrics.SLOs) > 0 {
@@ -776,7 +766,7 @@ func (s *System) affinityHint(item Item, ext *oracle.ExternalItem) []int {
 }
 
 // routedItem builds the router submission for an item. External items
-// resolve lazily, on the shard chosen to execute them, so their corpus
+// resolve lazily, on the worker that takes them, so their corpus
 // admission lands in the executing shard's own journal segment — also
 // when stolen.
 func (sv *Server) routedItem(item Item) (shard.Item, error) {
@@ -807,9 +797,9 @@ func (sv *Server) routedItem(item Item) (shard.Item, error) {
 // Submit admits one item without blocking; ErrQueueFull (server
 // saturated) and ErrCorpusFull (resident watermark reached) both mean
 // the caller should back off and retry. On a sharded server external
-// items are journaled at dispatch time, on the shard that executes
-// them, so a corpus at its watermark surfaces as queue backpressure
-// (the shard's dispatcher waits for an eviction) rather than as
+// items are journaled by the worker that takes them, on the shard that
+// executes them, so a corpus at its watermark surfaces as queue
+// backpressure (the shard's worker waits for an eviction) rather than as
 // ErrCorpusFull here.
 func (sv *Server) Submit(item Item) (*ServeTicket, error) {
 	//amsvet:allow ctxflow Submit is the non-blocking API: resolve uses TryAdmit, so this ctx is never waited on
@@ -824,8 +814,8 @@ func (sv *Server) SubmitWait(ctx context.Context, item Item) (*ServeTicket, erro
 }
 
 // submit is the one admission path. seg < 0 is a fresh submission, to be
-// resolved to an executor index (at dispatch on the router's executing
-// shard; here on the only shard). seg >= 0 is ReplayCorpus re-submitting
+// resolved to an executor index (by the router's executing shard's
+// worker; here on the only shard). seg >= 0 is ReplayCorpus re-submitting
 // an item that already holds slot idx in that corpus segment: a sharded
 // server pins it to the segment's shard, so its relabeling journals into
 // the segment that already knows it. wait picks SubmitWait over Submit.
@@ -976,9 +966,8 @@ func (sv *Server) Stats() ServeStats {
 }
 
 // Close stops admission, drains the queue (on a sharded server, every
-// shard's pending queue through its workers), waits for in-flight
-// items, and — with ServeConfig.TraceOut — dumps the final span-trace
-// ring as Chrome trace-event JSON.
+// shard's), waits for in-flight items, and — with ServeConfig.TraceOut —
+// dumps the final span-trace ring as Chrome trace-event JSON.
 func (sv *Server) Close() error {
 	// The exporter goes first so no scrape races the teardown; Close
 	// waits for its serve goroutine, keeping leak checks clean. The

@@ -203,9 +203,10 @@ func TestShardedConfigValidation(t *testing.T) {
 }
 
 // TestShardedQueueCapBoundsTheRouter checks ServeConfig.QueueCap reaches
-// the layer that sheds on a sharded server: with 32 pending slots per
-// shard, a non-blocking burst of 40 items is admitted whole. (With the
-// router left on its 2-per-worker default the same burst sheds.)
+// the queue that sheds on a sharded server, each shard server's own:
+// with 32 slots per shard, a non-blocking burst of 40 items is admitted
+// whole. (With the shards left on their 2-per-worker default the same
+// burst sheds.)
 func TestShardedQueueCapBoundsTheRouter(t *testing.T) {
 	cfg := corpusCfg(2)
 	cfg.Shards = 2
@@ -227,10 +228,36 @@ func TestShardedQueueCapBoundsTheRouter(t *testing.T) {
 	}
 }
 
-// TestShardedDispatchFailureReachesWait makes an item's dispatch-time
-// resolution fail — its shard's journal segment has closed — and checks
-// the error comes back from the caller's own ticket while the server
-// keeps serving and closes cleanly.
+// TestShardedShedsCountOnce overloads a two-shard server open-loop: a
+// shed at either shard's queue is the shard server's own Submit shed, so
+// ams_items_shed_total and ServeStats.Rejected are one count.
+func TestShardedShedsCountOnce(t *testing.T) {
+	cfg := corpusCfg(2)
+	cfg.Shards, cfg.QueueCap, cfg.Telemetry = 2, 2, true
+	cfg.TimeScale = 0.05
+	trace := ServeTrace{ArrivalRateHz: 200, Items: 120, Seed: 3, OpenLoop: true}
+	st, err := testSys.Serve(bg, testAgent, cfg, trace, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shed := -1.0
+	for _, m := range st.Telemetry {
+		if m.Name == "ams_items_shed_total" {
+			shed = m.Value
+		}
+	}
+	if st.Rejected == 0 || shed != float64(st.Rejected) {
+		t.Fatalf("ams_items_shed_total %v, ServeStats.Rejected %d: want one positive count", shed, st.Rejected)
+	}
+	if st.Completed+st.Rejected != int64(trace.Items) {
+		t.Errorf("completed %d + shed %d != %d arrivals", st.Completed, st.Rejected, trace.Items)
+	}
+}
+
+// TestShardedDispatchFailureReachesWait makes an item's resolution, on
+// the worker that takes it, fail — its shard's journal segment has
+// closed — and checks the error comes back from the caller's own ticket
+// while the server keeps serving and closes cleanly.
 func TestShardedDispatchFailureReachesWait(t *testing.T) {
 	c, err := testSys.OpenCorpusDir(filepath.Join(t.TempDir(), "corpus.d"), 2, CorpusOptions{})
 	if err != nil {
