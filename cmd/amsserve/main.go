@@ -91,7 +91,7 @@ func main() {
 		batchHold  = flag.Float64("batch-hold", 0, "max simulated ms a lone request waits for batch-mates when no batch holds memory: no -memory, or algorithm2 (0 = server default)")
 		predCache  = flag.Bool("pred-cache", false, "share one bounded Q-prediction cache across all workers and items")
 
-		shards    = flag.Int("shards", 0, "split the server into this many shards (own worker pool, memory accountant, and journal segment each; 0/1 = unsharded)")
+		shards    = flag.Int("shards", 0, "split the server into this many shards (own worker pool, memory accountant, and journal segment each; 0 = one shard)")
 		placement = flag.String("placement", "hash", "shard placement policy: hash, least, or affinity")
 		steal     = flag.Bool("steal", false, "let an idle shard steal queued items from a loaded sibling")
 

@@ -10,19 +10,13 @@ import (
 	"ams/internal/zoo"
 )
 
-// ErrCorpusFull is the corpus's admission backpressure signal: the
-// server already holds CorpusOptions.MaxResident resident items. Like
-// ErrQueueFull it means "back off and retry"; SubmitWait blocks through
-// it instead, waiting for an eviction to free a slot.
-var ErrCorpusFull = corpus.ErrFull
-
 // CorpusOptions parameterizes OpenCorpus and OpenCorpusDir.
 type CorpusOptions struct {
 	// MaxResident, when positive, bounds how many ingested items may
 	// hold memoized outputs in memory at once (per journal segment on a
-	// segmented corpus). New admissions past the watermark are refused
-	// (Submit returns ErrCorpusFull) or blocked (SubmitWait) until
-	// committed items are evicted. Zero = unbounded.
+	// segmented corpus). An admission past the watermark waits, on the
+	// worker that took the item, until committed items are evicted —
+	// backpressure on that shard's queue. Zero = unbounded.
 	MaxResident int
 	// SnapshotEvery, when positive, compacts the journal into a
 	// snapshot automatically after every N completed items. Zero
@@ -281,10 +275,7 @@ func (s *System) ReplayCorpus(ctx context.Context, agent *Agent, cfg ServeConfig
 		return report, nil
 	}
 
-	cfg.Corpus = c
-	if nseg > 1 {
-		cfg.Shards = nseg
-	}
+	cfg.Corpus, cfg.Shards = c, nseg
 	srv, err := s.NewServer(agent, cfg)
 	if err != nil {
 		return report, err
@@ -297,7 +288,7 @@ func (s *System) ReplayCorpus(ctx context.Context, agent *Agent, cfg ServeConfig
 	var submitErr error
 	for _, p := range pending {
 		pub := Item{id: p.st.Tag, image: -1, valid: true}
-		tk, err := srv.submit(ctx, pub, true, p.seg, srv.shards[p.seg].src.Index(p.st.Seq))
+		tk, err := srv.submit(ctx, pub, p.seg, srv.shards[p.seg].src.Index(p.st.Seq))
 		if err != nil {
 			submitErr = err
 			break

@@ -322,7 +322,7 @@ func TestSourceIndexing(t *testing.T) {
 	if src.NumItems() != base.NumItems() {
 		t.Fatalf("empty corpus source has %d items, want %d", src.NumItems(), base.NumItems())
 	}
-	idx, err := src.TryAdmit(ds.Scenes[5], "ext")
+	idx, err := src.AdmitWait(context.Background(), ds.Scenes[5], "ext")
 	if err != nil {
 		t.Fatal(err)
 	}

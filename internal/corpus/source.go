@@ -42,16 +42,6 @@ func (s *Source) baseLen() int {
 	return s.base.NumItems()
 }
 
-// TryAdmit journals one scene into the corpus and returns its executor
-// index. ErrFull signals the resident watermark.
-func (s *Source) TryAdmit(scene synth.Scene, tag string) (int, error) {
-	seq, err := s.c.TryAdmit(scene, tag)
-	if err != nil {
-		return 0, err
-	}
-	return s.baseLen() + seq, nil
-}
-
 // AdmitWait journals one scene, blocking on the resident watermark until
 // an eviction frees a slot or ctx is cancelled.
 func (s *Source) AdmitWait(ctx context.Context, scene synth.Scene, tag string) (int, error) {

@@ -978,6 +978,15 @@ type RunStats struct {
 // Stats summarizes the most recent StatsWindow completed items through
 // the same service.Summarize reduction the virtual-time sim uses.
 func (s *Server) Stats() RunStats {
+	rs, _ := s.Snapshot()
+	return rs
+}
+
+// Snapshot is Stats together with a copy of the per-item completion
+// records it summarized, both read under one lock so they agree — the
+// raw material a shard router merges across servers (with a shared
+// Config.Epoch) before one Summarize reduction.
+func (s *Server) Snapshot() (RunStats, []service.Record) {
 	s.mu.Lock()
 	records := append([]service.Record(nil), s.records...)
 	completed := s.completed
@@ -996,14 +1005,5 @@ func (s *Server) Stats() RunStats {
 	if s.batcher != nil {
 		rs.Batching = s.batcher.Stats()
 	}
-	return rs
-}
-
-// Records returns a copy of the retained per-item completion records —
-// the raw material a shard router merges across servers (with a shared
-// Config.Epoch) before one Summarize reduction.
-func (s *Server) Records() []service.Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]service.Record(nil), s.records...)
+	return rs, records
 }

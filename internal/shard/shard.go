@@ -390,7 +390,6 @@ type Stats struct {
 	Merged   serve.RunStats // all shards' records, one Summarize
 	PerShard []ShardStats
 	Steals   int64 // total stolen items
-	Failures int64 // tickets whose resolution failed
 }
 
 // StealsTotal is the total stolen items across all shards, cheap
@@ -417,11 +416,11 @@ func (r *Router) Stats() Stats {
 	var records []service.Record
 	merged := &st.Merged
 	for s, sv := range r.servers {
-		rs, ps := sv.Stats(), &st.PerShard[s]
+		rs, recs := sv.Snapshot()
+		ps := &st.PerShard[s]
 		ps.Pending = sv.Live().Queued
 		st.Steals += ps.Steals
-		st.Failures += rs.Failed
-		records = append(records, sv.Records()...)
+		records = append(records, recs...)
 		workers += r.cfg.Workers[s]
 		ps.Items = rs.Items
 		ps.Completed = rs.Completed
@@ -435,6 +434,7 @@ func (r *Router) Stats() Stats {
 		merged.PeakMemMB += rs.PeakMemMB // summed per-shard peaks: the footprint bound
 		merged.MemWaits += rs.MemWaits
 		merged.Rejected += rs.Rejected
+		merged.Failed += rs.Failed
 		merged.Batching.Batches += rs.Batching.Batches
 		merged.Batching.Requests += rs.Batching.Requests
 		merged.Batching.SizeFlushes += rs.Batching.SizeFlushes

@@ -451,6 +451,23 @@ func TestShardStress(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	// Stats polled while items complete stays self-consistent: the
+	// merged window never holds more records than were completed.
+	stop, polled := make(chan struct{}), make(chan error, 1)
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if st := r.Stats(); int64(st.Merged.Items) > st.Merged.Completed {
+				polled <- fmt.Errorf("stats window holds %d items of %d completed", st.Merged.Items, st.Merged.Completed)
+				return
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -475,6 +492,10 @@ func TestShardStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	close(stop)
+	if err := <-polled; err != nil {
+		t.Fatal(err)
+	}
 	close(errs)
 	for err := range errs {
 		t.Fatalf("submitter: %v", err)
@@ -486,8 +507,8 @@ func TestShardStress(t *testing.T) {
 	if st.Merged.Completed != goroutines*each {
 		t.Fatalf("completed %d of %d", st.Merged.Completed, goroutines*each)
 	}
-	if st.Failures != 0 {
-		t.Fatalf("%d dispatch failures", st.Failures)
+	if st.Merged.Failed != 0 {
+		t.Fatalf("%d dispatch failures", st.Merged.Failed)
 	}
 	var assigned int64
 	for _, ps := range st.PerShard {
@@ -554,9 +575,9 @@ func TestDispatchFailuresResolveOnce(t *testing.T) {
 				t.Fatalf("Close: %v", err)
 			}
 			st := r.Stats()
-			if st.Failures != tc.failures || st.Merged.Completed != 1 || resolves.Load() != tc.failures {
+			if st.Merged.Failed != tc.failures || st.Merged.Completed != 1 || resolves.Load() != tc.failures {
 				t.Errorf("failures %d, completed %d, resolves %d; want %d, 1 and %d",
-					st.Failures, st.Merged.Completed, resolves.Load(), tc.failures, tc.failures)
+					st.Merged.Failed, st.Merged.Completed, resolves.Load(), tc.failures, tc.failures)
 			}
 			for s, sv := range servers {
 				if load := sv.Load(); load != 0 {
@@ -633,9 +654,9 @@ func TestCloseRacesSubmitters(t *testing.T) {
 			completed++
 		}
 	}
-	if st := r.Stats(); st.Merged.Completed != completed || st.Failures != failed {
+	if st := r.Stats(); st.Merged.Completed != completed || st.Merged.Failed != failed {
 		t.Errorf("callers saw %d results and %d errors; router counted %d and %d",
-			completed, failed, st.Merged.Completed, st.Failures)
+			completed, failed, st.Merged.Completed, st.Merged.Failed)
 	}
 }
 

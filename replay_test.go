@@ -162,7 +162,29 @@ func TestCorpusCrashReplayBitIdentical(t *testing.T) {
 // bounded-MaxResident server fed 10x its watermark holds resident items
 // at the watermark (admission backpressure + eviction), and an item that
 // was committed and evicted remains servable with a bit-identical result.
+// The flood arrives through SubmitWait and through a non-blocking Submit
+// that retries only on ErrQueueFull: the watermark is queue backpressure
+// on the worker that admits the item, never a Submit error.
 func TestCorpusWatermarkUnderOverload(t *testing.T) {
+	t.Run("SubmitWait", func(t *testing.T) {
+		watermarkOverload(t, func(srv *Server, item Item) (*ServeTicket, error) { return srv.SubmitWait(bg, item) })
+	})
+	t.Run("Submit", func(t *testing.T) {
+		watermarkOverload(t, func(srv *Server, item Item) (*ServeTicket, error) {
+			for {
+				tk, err := srv.Submit(item)
+				if err != ErrQueueFull {
+					return tk, err
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		})
+	})
+}
+
+// watermarkOverload runs TestCorpusWatermarkUnderOverload's flood with
+// the given submission call.
+func watermarkOverload(t *testing.T, submit func(*Server, Item) (*ServeTicket, error)) {
 	const maxResident = 4
 	path := filepath.Join(t.TempDir(), "corpus.wal")
 	c, err := testSys.OpenCorpus(path, CorpusOptions{MaxResident: maxResident})
@@ -216,7 +238,7 @@ func TestCorpusWatermarkUnderOverload(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := p + 1; i < len(items); i += 4 {
-				tk, err := srv.SubmitWait(bg, items[i])
+				tk, err := submit(srv, items[i])
 				if err != nil {
 					t.Errorf("submit %d: %v", i, err)
 					return

@@ -50,11 +50,11 @@ type ServeConfig struct {
 	// sum of in-flight model footprints across the pool never exceeds
 	// it. Workers block when the budget is saturated.
 	MemoryGB float64
-	// QueueCap bounds the admission queue (default 2*Workers); Submit
-	// rejects with ErrQueueFull when it is saturated. A sharded server
-	// divides it evenly (at least 1 per shard) into each shard's one
-	// queue, so a shard holds at most its share queued plus one item per
-	// worker.
+	// QueueCap bounds the admission queues (default 2*Workers per
+	// shard); Submit rejects with ErrQueueFull when the item's home queue
+	// is saturated. It divides evenly (at least 1 per shard) into each
+	// shard's one queue, so a shard holds at most its share queued plus
+	// one item per worker.
 	QueueCap int
 	// BatchSize, when positive, turns on cross-item dynamic batching:
 	// same-model demand from the whole worker pool coalesces into
@@ -99,14 +99,13 @@ type ServeConfig struct {
 	// the memos of items already committed in the corpus's journal —
 	// replay first (ReplayCorpus) if those results are still wanted.
 	Corpus *Corpus
-	// Shards, when 2 or more, splits the server into that many
-	// independent shards — each one a worker pool with its own memory
-	// accountant (MemoryGB and Workers divide across them) and, with a
-	// corpus, its own journal segment (the corpus must have been opened
-	// with OpenCorpusDir at the same segment count) — fronted by a
-	// router that places items per ShardPlacement. One shard (or zero,
-	// the default) is the single-budget server: the same construction
-	// with no router in front.
+	// Shards splits the server into that many independent shards — each
+	// one a worker pool with its own memory accountant (MemoryGB and
+	// Workers divide across them) and, with a corpus, its own journal
+	// segment (the corpus must have been opened with OpenCorpusDir at the
+	// same segment count) — fronted by a router that places items per
+	// ShardPlacement. Zero, the default, means one shard: the
+	// single-budget server, routed like any other.
 	Shards int
 	// ShardPlacement picks the router's placement policy: "hash"
 	// (default; consistent hash of the item identity, stable across
@@ -166,12 +165,12 @@ type ServeTrace struct {
 	Items         int     // stream length
 	Seed          uint64
 	// OpenLoop submits without blocking: an item arriving into a
-	// saturated queue (or a corpus at its watermark) is shed — counted in
-	// ServeStats.Rejected — instead of applying backpressure to the
-	// arrival process. This is the overload configuration: arrivals keep
-	// their Poisson pacing no matter how far behind the server falls,
-	// which is what produces shed storms for the flight recorder to
-	// catch. The default (closed-loop) SubmitWait never sheds.
+	// saturated queue is shed — counted in ServeStats.Rejected — instead
+	// of applying backpressure to the arrival process. This is the
+	// overload configuration: arrivals keep their Poisson pacing no
+	// matter how far behind the server falls, which is what produces shed
+	// storms for the flight recorder to catch. The default (closed-loop)
+	// SubmitWait never sheds.
 	OpenLoop bool
 }
 
@@ -182,10 +181,9 @@ type ServeTrace struct {
 type ServeStats struct {
 	Items     int   // items in the summarized window
 	Completed int64 // total completions (exceeds Items once the window wraps)
-	// AvgQueueWaitSec is the caller's submit -> execution start. On a
-	// sharded server it (and every latency below, the queue_wait span and
-	// the SLOs) includes the resolution of an external item on the worker
-	// that takes it.
+	// AvgQueueWaitSec is the caller's submit -> execution start. It (and
+	// every latency below, the queue_wait span and the SLOs) includes the
+	// resolution of an external item on the worker that takes it.
 	AvgQueueWaitSec float64
 	AvgLatencySec   float64 // submit -> completion
 	P95LatencySec   float64
@@ -198,6 +196,7 @@ type ServeStats struct {
 	PeakMemMB float64 // maximum simultaneous GPU reservation (real server)
 	MemWaits  int64   // executions that blocked on the memory budget
 	Rejected  int64   // non-blocking Submits rejected with ErrQueueFull; SubmitWait never counts
+	Failed    int64   // taken items whose resolution failed (their tickets carry the error)
 
 	// Cross-item batching counters (zero unless ServeConfig.BatchSize
 	// is set). SavedGPUMS is simulated GPU time avoided versus unbatched
@@ -223,12 +222,11 @@ type ServeStats struct {
 	// sim, which models selection as free.
 	AvgSelectSec float64
 
-	// Sharding counters. Shards is 1 for the single-budget server; with
-	// ServeConfig.Shards >= 2 the top-level fields above merge every
-	// shard's records on one shared timeline (PeakMemMB sums the
-	// per-shard peaks — the footprint bound) and PerShard breaks the run
-	// out per shard. Steals counts items executed by a shard other than
-	// their placed home.
+	// Sharding counters. The top-level fields above merge every shard's
+	// records on one shared timeline (PeakMemMB sums the per-shard peaks
+	// — the footprint bound) and PerShard breaks the run out per shard,
+	// one entry for the single-budget server. Steals counts items
+	// executed by a shard other than their placed home.
 	Shards   int
 	Steals   int64
 	PerShard []ShardServeStats
@@ -254,10 +252,9 @@ type Server struct {
 	corpus *Corpus            // durable ingestion, when configured
 	cache  *sched.SharedCache // shared Q-prediction cache (nil unless configured)
 
-	// shards always holds at least one entry, all built by the same
-	// loop. With two or more a router fronts them and owns placement,
-	// stealing and the merged stats; with one the router is nil and
-	// admission, stats and Close go to shards[0] directly.
+	// shards holds at least one entry, all built by the same loop; the
+	// router in front of them owns admission, placement, stealing, the
+	// merged stats and Close, whatever their number.
 	shards    []*serverShard
 	router    *shard.Router
 	placement shard.Placement
@@ -295,17 +292,15 @@ type Server struct {
 // state — the on-demand executor or, with a corpus, its own journal
 // segment's Source.
 type serverShard struct {
-	sys    *System
 	ingest *oracle.OnDemand // test store + dynamically ingested items (no corpus)
 	src    *corpus.Source   // this shard's corpus segment view (nil without corpus)
 	inner  *serve.Server
 
 	// ingested memoizes each external item's executor index so repeated
-	// submissions of one item — including backoff-retries after
-	// ErrQueueFull — reuse the slot instead of growing the executor per
-	// attempt. admitting marks items whose (possibly blocking) corpus
-	// admission is in flight, so one item is never journaled twice; mu
-	// itself is never held across a wait.
+	// submissions of one item reuse the slot instead of growing the
+	// executor per submission. admitting marks items whose (possibly
+	// blocking) corpus admission is in flight, so one item is never
+	// journaled twice; mu itself is never held across a wait.
 	mu        sync.Mutex
 	ingested  map[*oracle.ExternalItem]int
 	admitting map[*oracle.ExternalItem]chan struct{}
@@ -313,8 +308,8 @@ type serverShard struct {
 
 // ServeTicket tracks one submitted item to completion. It wraps the
 // serving path's one ticket — created where Submit/SubmitWait entered,
-// placed by the router when there is one, resolved by the executing
-// shard's server — with the item it was submitted for.
+// placed by the router, resolved by the executing shard's server — with
+// the item it was submitted for.
 type ServeTicket struct {
 	sys  *System
 	item Item
@@ -327,8 +322,8 @@ func (t *ServeTicket) Done() <-chan struct{} { return t.tk.Done() }
 
 // Wait blocks until the item has been labeled — or ctx is cancelled,
 // which abandons the wait (not the item: the server still finishes it)
-// and returns ctx.Err(). An item a sharded server could not resolve
-// (its corpus admission failed) returns that error.
+// and returns ctx.Err(). An item the server could not resolve (its
+// corpus admission failed) returns that error.
 //
 // Commit-of-result is the item's explicit lifetime boundary: by the time
 // Wait returns, the result's outputs have been captured by value (and,
@@ -453,17 +448,15 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 		sv.shards = append(sv.shards, sh)
 		inners = append(inners, sh.inner)
 	}
-	if n > 1 {
-		sv.router, err = shard.New(inners, shard.Config{
-			Placement: placement,
-			Steal:     cfg.ShardSteal,
-			Models:    len(s.Zoo.Models),
-			Workers:   workerSplit,
-		})
-		if err != nil {
-			closeBuilt()
-			return nil, fmt.Errorf("ams: %w", err)
-		}
+	sv.router, err = shard.New(inners, shard.Config{
+		Placement: placement,
+		Steal:     cfg.ShardSteal,
+		Models:    len(s.Zoo.Models),
+		Workers:   workerSplit,
+	})
+	if err != nil {
+		closeBuilt()
+		return nil, fmt.Errorf("ams: %w", err)
 	}
 	return sv.finishTelemetry(cfg)
 }
@@ -481,9 +474,7 @@ func (sv *Server) finishTelemetry(cfg ServeConfig) (*Server, error) {
 	for i, sh := range sv.shards {
 		sh.inner.RegisterViews(sv.reg, obs.L("shard", strconv.Itoa(i)))
 	}
-	if sv.router != nil {
-		sv.router.RegisterViews(sv.reg)
-	}
+	sv.router.RegisterViews(sv.reg)
 	sv.reg.CounterFunc("ams_results_dropped_total",
 		"Results-stream entries shed behind a lagging consumer",
 		sv.resDropped.Load)
@@ -602,9 +593,7 @@ func (sv *Server) armFlightRecorder(dir string) {
 	}
 	// Steal storm: sustained stealing means placement is fighting the
 	// load instead of spreading it.
-	if sv.router != nil {
-		fr.AddTrigger("steal-storm", obs.RateTrigger(sv.router.StealsTotal, 20))
-	}
+	fr.AddTrigger("steal-storm", obs.RateTrigger(sv.router.StealsTotal, 20))
 	// Reserve stall: executions piling into the memory accountant's
 	// wait queue faster than 50/s.
 	fr.AddTrigger("reserve-stall", obs.RateTrigger(sv.metrics.ReserveWait.Count, 50))
@@ -617,7 +606,6 @@ func (sv *Server) armFlightRecorder(dir string) {
 // corpus segment or a private on-demand executor.
 func (s *System) newShard(seg *corpus.Corpus, factory service.PolicyFactory, cfg serve.Config) (*serverShard, error) {
 	sh := &serverShard{
-		sys:       s,
 		ingested:  make(map[*oracle.ExternalItem]int),
 		admitting: make(map[*oracle.ExternalItem]chan struct{}),
 	}
@@ -640,25 +628,20 @@ func (s *System) newShard(seg *corpus.Corpus, factory service.PolicyFactory, cfg
 	return sh, nil
 }
 
-// resolve maps an item onto the server's executor index, ingesting
-// external content. One external item occupies one executor slot no
-// matter how often it is submitted or how many admissions fail.
+// resolve maps an external item onto the shard's executor index,
+// ingesting its content. It runs on the worker that takes the item, so
+// a corpus admission lands in the executing shard's own journal segment.
+// One external item occupies one executor slot no matter how often it is
+// submitted or how many admissions fail.
 //
 // Without a corpus, ingested slots live as long as the server (results
 // carry their outputs by value, but the item's memo itself is never
 // reclaimed): a server on an unbounded external stream grows with its
 // distinct accepted items. With a corpus, admission journals the scene
 // first and committed items are evicted, bounding residency at
-// CorpusOptions.MaxResident — blocking admissions wait for an eviction,
-// non-blocking ones fail with ErrCorpusFull.
-func (sh *serverShard) resolve(ctx context.Context, item Item, blocking bool) (int, error) {
-	ext, err := sh.sys.checkItem(item)
-	if err != nil {
-		return 0, err
-	}
-	if ext == nil {
-		return item.image, nil
-	}
+// CorpusOptions.MaxResident: an admission at the watermark waits for an
+// eviction, which is backpressure on the shard's queue.
+func (sh *serverShard) resolve(ext *oracle.ExternalItem, tag string) (int, error) {
 	for {
 		sh.mu.Lock()
 		if idx, ok := sh.ingested[ext]; ok {
@@ -678,29 +661,16 @@ func (sh *serverShard) resolve(ctx context.Context, item Item, blocking bool) (i
 		}
 		sh.mu.Unlock()
 		if inFlight {
-			// Another goroutine is admitting this same item. Submit must
-			// not wait (the peer may be blocked on the watermark), so it
-			// reports transient backpressure; SubmitWait waits for the
-			// peer's outcome and re-checks the index map.
-			if !blocking {
-				return 0, ErrCorpusFull
-			}
-			select {
-			case <-pending:
-				continue
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			}
+			// Another worker is admitting this same item: wait for its
+			// outcome and re-check the index map.
+			<-pending
+			continue
 		}
-		// This goroutine owns the admission; mu is NOT held across the
-		// (possibly watermark-blocked) wait, so unrelated submissions —
-		// and their contexts — stay live.
-		var idx int
-		if blocking {
-			idx, err = sh.src.AdmitWait(ctx, *ext.Scene(), item.id)
-		} else {
-			idx, err = sh.src.TryAdmit(*ext.Scene(), item.id)
-		}
+		// This worker owns the admission; mu is NOT held across the
+		// (possibly watermark-blocked) wait, so the shard's other workers
+		// stay live.
+		//amsvet:allow ctxflow resolution runs on the executing worker, after the submitter's ctx has already returned
+		idx, err := sh.src.AdmitWait(context.Background(), *ext.Scene(), tag)
 		sh.mu.Lock()
 		if err == nil {
 			sh.ingested[ext] = idx
@@ -786,68 +756,48 @@ func (sv *Server) routedItem(item Item) (shard.Item, error) {
 	if ext == nil {
 		it.Index = item.image
 	} else {
-		it.Resolve = func(sh int) (int, error) {
-			//amsvet:allow ctxflow resolution runs at dispatch time on the executing shard, after the submitter's ctx has already returned
-			return sv.shards[sh].resolve(context.Background(), item, true)
-		}
+		it.Resolve = func(sh int) (int, error) { return sv.shards[sh].resolve(ext, item.id) }
 	}
 	return it, nil
 }
 
-// Submit admits one item without blocking; ErrQueueFull (server
-// saturated) and ErrCorpusFull (resident watermark reached) both mean
-// the caller should back off and retry. On a sharded server external
-// items are journaled by the worker that takes them, on the shard that
-// executes them, so a corpus at its watermark surfaces as queue
-// backpressure (the shard's worker waits for an eviction) rather than as
-// ErrCorpusFull here.
+// Submit admits one item without blocking; ErrQueueFull (the item's
+// home queue is saturated) means the caller should back off and retry.
+// External items are journaled by the worker that takes them, on the
+// shard that executes them, so a corpus at its watermark surfaces as
+// queue backpressure (the shard's worker waits for an eviction).
 func (sv *Server) Submit(item Item) (*ServeTicket, error) {
-	//amsvet:allow ctxflow Submit is the non-blocking API: resolve uses TryAdmit, so this ctx is never waited on
-	return sv.submit(context.Background(), item, false, -1, 0)
+	return sv.submit(nil, item, -1, 0)
 }
 
-// SubmitWait admits one item, blocking under backpressure — a full
-// queue, or a corpus at its resident watermark — until space frees or
-// the context is cancelled (returning ctx.Err()).
+// SubmitWait admits one item, blocking while its home queue is full
+// until space frees or the context is cancelled (returning ctx.Err()).
 func (sv *Server) SubmitWait(ctx context.Context, item Item) (*ServeTicket, error) {
-	return sv.submit(ctx, item, true, -1, 0)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return sv.submit(ctx, item, -1, 0)
 }
 
-// submit is the one admission path. seg < 0 is a fresh submission, to be
-// resolved to an executor index (by the router's executing shard's
-// worker; here on the only shard). seg >= 0 is ReplayCorpus re-submitting
-// an item that already holds slot idx in that corpus segment: a sharded
-// server pins it to the segment's shard, so its relabeling journals into
-// the segment that already knows it. wait picks SubmitWait over Submit.
-func (sv *Server) submit(ctx context.Context, item Item, wait bool, seg, idx int) (*ServeTicket, error) {
-	var (
-		tk  *serve.Ticket
-		err error
-	)
-	if sv.router != nil {
-		it := shard.Item{Tag: item.id, Index: idx, Pin: seg + 1}
-		if seg < 0 {
-			it, err = sv.routedItem(item)
+// submit is the one admission path: Submit when ctx is nil, SubmitWait
+// otherwise. seg < 0 is a fresh submission, to be resolved to an
+// executor index by the worker that takes it. seg >= 0 is ReplayCorpus
+// re-submitting an item that already holds slot idx in that corpus
+// segment: it is pinned to the segment's shard, so its relabeling
+// journals into the segment that already knows it.
+func (sv *Server) submit(ctx context.Context, item Item, seg, idx int) (*ServeTicket, error) {
+	it := shard.Item{Tag: item.id, Index: idx, Pin: seg + 1}
+	var err error
+	if seg < 0 {
+		if it, err = sv.routedItem(item); err != nil {
+			return nil, err
 		}
-		switch {
-		case err != nil:
-		case wait:
-			tk, err = sv.router.SubmitWait(ctx, it)
-		default:
-			tk, err = sv.router.Submit(it)
-		}
+	}
+	var tk *serve.Ticket
+	if ctx == nil {
+		tk, err = sv.router.Submit(it)
 	} else {
-		sh := sv.shards[0]
-		if seg < 0 {
-			idx, err = sh.resolve(ctx, item, wait)
-		}
-		switch {
-		case err != nil:
-		case wait:
-			tk, err = sh.inner.SubmitWait(ctx, idx, item.id)
-		default:
-			tk, err = sh.inner.Submit(idx, item.id)
-		}
+		tk, err = sv.router.SubmitWait(ctx, it)
 	}
 	if err != nil {
 		return nil, err
@@ -943,19 +893,14 @@ func (sv *Server) pumpResults() {
 	}
 }
 
-// Stats summarizes the items completed so far. On a sharded server the
-// top-level fields merge every shard's completion records on the shared
-// timeline and PerShard breaks out each shard.
+// Stats summarizes the items completed so far: the top-level fields
+// merge every shard's completion records on the shared timeline and
+// PerShard breaks out each shard.
 func (sv *Server) Stats() ServeStats {
-	var st ServeStats
-	if sv.router != nil {
-		rst := sv.router.Stats()
-		st = fromRunStats(rst.Merged)
-		st.Steals = rst.Steals
-		st.PerShard = rst.PerShard
-	} else {
-		st = fromRunStats(sv.shards[0].inner.Stats())
-	}
+	rst := sv.router.Stats()
+	st := fromRunStats(rst.Merged)
+	st.Steals = rst.Steals
+	st.PerShard = rst.PerShard
 	st.Shards = len(sv.shards)
 	st.ResultsDropped = sv.resDropped.Load()
 	if sv.cache != nil {
@@ -965,9 +910,9 @@ func (sv *Server) Stats() ServeStats {
 	return st
 }
 
-// Close stops admission, drains the queue (on a sharded server, every
-// shard's), waits for in-flight items, and — with ServeConfig.TraceOut —
-// dumps the final span-trace ring as Chrome trace-event JSON.
+// Close stops admission, drains every shard's queue, waits for
+// in-flight items, and — with ServeConfig.TraceOut — dumps the final
+// span-trace ring as Chrome trace-event JSON.
 func (sv *Server) Close() error {
 	// The exporter goes first so no scrape races the teardown; Close
 	// waits for its serve goroutine, keeping leak checks clean. The
@@ -975,12 +920,7 @@ func (sv *Server) Close() error {
 	// live at shutdown), then the shards drain.
 	_ = sv.exporter.Close()
 	_ = sv.flight.Close()
-	var err error
-	if sv.router != nil {
-		err = sv.router.Close()
-	} else {
-		err = sv.shards[0].inner.Close()
-	}
+	err := sv.router.Close()
 	if err != ErrServerClosed {
 		// This call drained every shard, so every publish has happened:
 		// let the pump flush what is buffered and close the stream.
@@ -1104,8 +1044,7 @@ func (sv *Server) Replay(ctx context.Context, trace ServeTrace, src SceneSource)
 		if trace.OpenLoop {
 			// Open loop: shed on backpressure, never block the arrival
 			// process. Sheds are already counted by the admission path.
-			if _, err := sv.Submit(item); err != nil &&
-				err != ErrQueueFull && err != ErrCorpusFull {
+			if _, err := sv.Submit(item); err != nil && err != ErrQueueFull {
 				return err
 			}
 			continue
@@ -1190,6 +1129,7 @@ func fromRunStats(rs serve.RunStats) ServeStats {
 		PeakMemMB:       rs.PeakMemMB,
 		MemWaits:        rs.MemWaits,
 		Rejected:        rs.Rejected,
+		Failed:          rs.Failed,
 		Batches:         rs.Batching.Batches,
 		BatchedRequests: rs.Batching.Requests,
 		LargestBatch:    rs.Batching.LargestBatch,

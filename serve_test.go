@@ -112,6 +112,10 @@ func TestServerConcurrentSubmits(t *testing.T) {
 	if stats.PeakMemMB <= 0 || stats.PeakMemMB > 8*1024+1e-9 {
 		t.Fatalf("peak memory %v MB outside (0, 8192]", stats.PeakMemMB)
 	}
+	// A one-shard server is routed like any other: one breakdown entry.
+	if stats.Shards != 1 || len(stats.PerShard) != 1 || stats.PerShard[0].Completed != stats.Completed {
+		t.Fatalf("one-shard server reports %d shards, breakdown %+v", stats.Shards, stats.PerShard)
+	}
 	for _, rs := range results {
 		for _, r := range rs {
 			if r.Recall < 0 || r.Recall > 1+1e-9 || r.TimeSec > 0.5+1e-9 {

@@ -1,6 +1,7 @@
 package ams
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -256,33 +257,39 @@ func TestShardedShedsCountOnce(t *testing.T) {
 
 // TestShardedDispatchFailureReachesWait makes an item's resolution, on
 // the worker that takes it, fail — its shard's journal segment has
-// closed — and checks the error comes back from the caller's own ticket
-// while the server keeps serving and closes cleanly.
+// closed — and checks the error comes back from the caller's own ticket,
+// is counted once in ServeStats.Failed, and the server keeps serving and
+// closes cleanly. A one-shard server resolves on the worker too, so its
+// SubmitWait admits the item instead of failing it.
 func TestShardedDispatchFailureReachesWait(t *testing.T) {
-	c, err := testSys.OpenCorpusDir(filepath.Join(t.TempDir(), "corpus.d"), 2, CorpusOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := shardedCfg(2, 2)
-	cfg.Corpus = c
-	srv, err := testSys.NewServer(testAgent, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	tk, err := srv.SubmitWait(bg, testSys.GenerateItems(1, 3)[0])
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if res, err := tk.Wait(bg); err == nil {
-		t.Fatalf("Wait returned %+v for an item whose admission could not be journaled", res)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := srv.Stats(); st.Completed != 0 {
-		t.Errorf("completed %d items, want 0", st.Completed)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c, err := testSys.OpenCorpusDir(filepath.Join(t.TempDir(), "corpus.d"), shards, CorpusOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := shardedCfg(shards, 2)
+			cfg.Corpus = c
+			srv, err := testSys.NewServer(testAgent, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tk, err := srv.SubmitWait(bg, testSys.GenerateItems(1, 3)[0])
+			if err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			if res, err := tk.Wait(bg); err == nil {
+				t.Fatalf("Wait returned %+v for an item whose admission could not be journaled", res)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st := srv.Stats(); st.Completed != 0 || st.Failed != 1 {
+				t.Errorf("completed %d and failed %d items, want 0 and 1", st.Completed, st.Failed)
+			}
+		})
 	}
 }
