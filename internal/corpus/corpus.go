@@ -109,6 +109,7 @@ type Corpus struct {
 	snapshots        int64
 	commitsSinceSnap int
 	closed           bool
+	buf              []byte        // reused frame buffer of writeRecord
 	err              error         // sticky journal write error
 	space            chan struct{} // closed and replaced on every eviction
 
@@ -150,7 +151,9 @@ type ItemState struct {
 // An existing snapshot (path + ".snap") is loaded first, then the
 // journal is replayed on top; a torn record at the journal's tail — the
 // signature of a crash mid-write — is discarded by truncating the file
-// to the last complete record, after which appending resumes there.
+// to the last complete record, after which appending resumes there. A
+// damaged record before the tail fails the open with ErrCorrupt. A
+// version-1 journal is replayed and then compacted into the snapshot.
 func Open(z *zoo.Zoo, path string, opts Options) (*Corpus, error) {
 	if z == nil {
 		return nil, errors.New("corpus: nil zoo")
@@ -186,15 +189,15 @@ func Open(z *zoo.Zoo, path string, opts Options) (*Corpus, error) {
 		_ = f.Close()
 		return nil, fmt.Errorf("corpus: read journal: %w", err)
 	}
-	if err := checkHeader(data, journalMagic, journalVersion, "journal "+path); err != nil {
+	recs, goodOffset, version, err := readJournal(data, "journal "+path)
+	if err != nil {
 		_ = f.Close()
 		return nil, err
 	}
-	recs, goodOffset := parseJournal(data[headerLen:])
 	for i := range recs {
 		c.apply(&recs[i])
 	}
-	end := int64(headerLen + goodOffset)
+	end := int64(goodOffset)
 	if end < info.Size() {
 		// Torn tail: drop it so appended records start on a clean frame.
 		if err := f.Truncate(end); err != nil {
@@ -207,6 +210,14 @@ func Open(z *zoo.Zoo, path string, opts Options) (*Corpus, error) {
 		return nil, fmt.Errorf("corpus: seek journal end: %w", err)
 	}
 	c.journalBytes = end
+	if version < journalVersion {
+		// An older journal is read, never appended to: fold it into the
+		// snapshot now, which restarts the journal at this version.
+		if err := c.snapshotLocked(); err != nil {
+			_ = f.Close()
+			return nil, fmt.Errorf("corpus: compact version %d journal: %w", version, err)
+		}
+	}
 	c.startFlusher()
 	return c, nil
 }
@@ -505,16 +516,13 @@ func (c *Corpus) ReclaimCommitted() {
 // admissions rather than silently degrading to memory-only.
 func (c *Corpus) writeRecord(rec *record) error {
 	t0 := c.metrics.appendStart()
-	frame, err := encodeRecord(rec)
-	if err == nil {
-		_, err = c.f.Write(frame)
-	}
-	if err != nil {
+	c.buf = appendRecord(c.buf[:0], rec)
+	if _, err := c.f.Write(c.buf); err != nil {
 		c.err = fmt.Errorf("corpus: journal write: %w", err)
 		return c.err
 	}
 	c.metrics.appendDone(t0)
-	c.journalBytes += int64(len(frame))
+	c.journalBytes += int64(len(c.buf))
 	c.journalRecords++
 	c.unsynced++
 	if c.opts.SyncEveryN > 0 && c.unsynced >= int64(c.opts.SyncEveryN) && c.syncReq != nil {

@@ -75,8 +75,11 @@ func (c *Corpus) snapshotLocked() error {
 			}
 		}
 	}
-	if data, err := os.ReadFile(c.path); err == nil && checkHeader(data, journalMagic, journalVersion, "journal") == nil {
-		recs, _ := parseJournal(data[headerLen:])
+	if data, err := os.ReadFile(c.path); err == nil {
+		recs, _, _, err := readJournal(data, "journal "+c.path)
+		if err != nil {
+			return err
+		}
 		for i := range recs {
 			if recs[i].Kind == kindOutput {
 				keep(recs[i].Seq, recs[i].Model, recs[i].Out)

@@ -13,7 +13,6 @@ package zoo
 
 import (
 	"fmt"
-	"sort"
 
 	"ams/internal/labels"
 	"ams/internal/synth"
@@ -111,39 +110,45 @@ func (z *Zoo) ModelsForTask(t labels.Task) []*Model {
 // SupportingModels returns up to k model IDs ranked by how much of the
 // given per-label value mass each model's supported set covers — the
 // "which models would labeling this item run" signal a shard router
-// uses for affinity placement. Ties break toward the lower model ID, so
-// the ranking is deterministic; models covering none of the labels are
-// omitted.
-func (z *Zoo) SupportingModels(weights map[int]float64, k int) []int {
-	if len(weights) == 0 || k <= 0 {
+// uses for affinity placement. weights is indexed by label ID and must
+// cover every label a model supports (labels.Total entries). Ties break
+// toward the lower model ID, so the ranking is deterministic; models
+// covering none of the labels are omitted. The result is the one
+// allocation.
+func (z *Zoo) SupportingModels(weights []float64, k int) []int {
+	if k <= 0 {
 		return nil
 	}
-	type scored struct {
-		id    int
-		score float64
-	}
-	var ss []scored
+	var ids []int
+	var scoreBuf [8]float64
+	scores := scoreBuf[:0]
 	for _, m := range z.Models {
 		score := 0.0
 		for _, l := range m.Supported {
 			score += weights[l]
 		}
-		if score > 0 {
-			ss = append(ss, scored{m.ID, score})
+		if !(score > 0) {
+			continue
 		}
-	}
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].score != ss[j].score {
-			return ss[i].score > ss[j].score
+		// Insertion into the ranked top k: higher score first, then
+		// lower ID.
+		at := len(ids)
+		for at > 0 && (score > scores[at-1] || score == scores[at-1] && m.ID < ids[at-1]) {
+			at--
 		}
-		return ss[i].id < ss[j].id
-	})
-	if len(ss) > k {
-		ss = ss[:k]
-	}
-	ids := make([]int, len(ss))
-	for i, s := range ss {
-		ids[i] = s.id
+		if at == k {
+			continue
+		}
+		if ids == nil {
+			ids = make([]int, 0, min(k, len(z.Models)))
+		}
+		if len(ids) < k {
+			ids = append(ids, 0)
+			scores = append(scores, 0)
+		}
+		copy(ids[at+1:], ids[at:])
+		copy(scores[at+1:], scores[at:])
+		ids[at], scores[at] = m.ID, score
 	}
 	return ids
 }

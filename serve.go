@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ams/internal/corpus"
+	"ams/internal/labels"
 	"ams/internal/obs"
 	"ams/internal/oracle"
 	"ams/internal/sched"
@@ -705,34 +706,58 @@ func (s *System) itemKey(item Item, ext *oracle.ExternalItem) uint64 {
 // prior they have (content type, tenant, camera); any consistent hint
 // groups like traffic.
 func (s *System) affinityHint(item Item, ext *oracle.ExternalItem) []int {
-	weights := make(map[int]float64)
+	h := hintScratchPool.Get().(*hintScratch)
 	if ext == nil {
 		for l, v := range s.testStore.Truth(item.image).LabelValue {
-			weights[l] = v
+			h.add(l, v)
 		}
 	} else {
 		scene := ext.Scene()
-		add := func(l int) {
-			if l >= 0 {
-				weights[l] += 1
-			}
-		}
-		add(scene.Place)
+		h.add(scene.Place, 1)
 		for _, l := range scene.Objects {
-			add(l)
+			h.add(l, 1)
 		}
-		add(scene.Emotion)
-		add(scene.Gender)
-		add(scene.Action)
-		add(scene.Dog)
+		h.add(scene.Emotion, 1)
+		h.add(scene.Gender, 1)
+		h.add(scene.Action, 1)
+		h.add(scene.Dog, 1)
 		for _, l := range scene.PoseKP {
-			add(l)
+			h.add(l, 1)
 		}
 		for _, l := range scene.HandKP {
-			add(l)
+			h.add(l, 1)
 		}
 	}
-	return s.Zoo.SupportingModels(weights, 4)
+	hint := s.Zoo.SupportingModels(h.weights, 4)
+	h.reset()
+	hintScratchPool.Put(h)
+	return hint
+}
+
+// hintScratch is affinityHint's dense per-label weight vector. It is all
+// zero between uses: reset clears exactly the labels add touched.
+type hintScratch struct {
+	weights []float64 // indexed by label ID
+	set     []int     // labels added since the last reset
+}
+
+var hintScratchPool = sync.Pool{New: func() any {
+	return &hintScratch{weights: make([]float64, labels.Total)}
+}}
+
+// add credits label l (a negative l is "absent") with weight v.
+func (h *hintScratch) add(l int, v float64) {
+	if l >= 0 {
+		h.weights[l] += v
+		h.set = append(h.set, l)
+	}
+}
+
+func (h *hintScratch) reset() {
+	for _, l := range h.set {
+		h.weights[l] = 0
+	}
+	h.set = h.set[:0]
 }
 
 // routedItem builds the router submission for an item. External items
