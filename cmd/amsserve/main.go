@@ -169,7 +169,7 @@ func main() {
 		ShardPlacement: *placement,
 		ShardSteal:     *steal,
 		MetricsAddr:    *metricsAddr,
-		TraceOut:       *traceOut,
+		Telemetry:      *traceOut != "",
 		TraceCapacity:  *traceCap,
 		FlightDir:      *flightDir,
 		SLOs:           slos,
@@ -250,6 +250,10 @@ func main() {
 	if cerr := srv.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil && *traceOut != "" {
+		// After Close, so the file holds every completed trace.
+		err = writeTrace(srv, *traceOut)
+	}
 	if err != nil {
 		log.Fatalf("amsserve: %v", err)
 	}
@@ -283,6 +287,20 @@ func main() {
 		fmt.Println()
 		sim.WriteSummary(os.Stdout, "virtual-time sim", 0)
 	}
+}
+
+// writeTrace writes the server's whole span-trace ring to path as Chrome
+// trace-event JSON.
+func writeTrace(srv *ams.Server, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := srv.WriteChromeTrace(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // isDir reports whether path exists and is a directory — a segmented

@@ -17,8 +17,8 @@
 // keeps the durable copy, and zoo inference is a pure function of the
 // scene, so even a re-serve after eviction reproduces the same outputs).
 // The MaxResident watermark turns this into admission backpressure: when
-// the corpus holds that many resident items, TryAdmit refuses and
-// AdmitWait blocks until an eviction frees a slot.
+// the corpus holds that many resident items, AdmitWait blocks until an
+// eviction frees a slot.
 //
 // Periodic snapshots compact the journal: a snapshot merges the previous
 // snapshot, the journal, and the in-memory state into one blob (so no
@@ -40,23 +40,20 @@ import (
 	"ams/internal/zoo"
 )
 
-// Admission and lifecycle errors.
-var (
-	// ErrFull is the admission backpressure signal: the corpus already
-	// holds MaxResident resident items. Committing (and thereby evicting)
-	// in-flight items frees slots.
-	ErrFull = errors.New("corpus: resident watermark reached")
-	// ErrClosed follows Close.
-	ErrClosed = errors.New("corpus: closed")
-)
+// ErrClosed follows Close.
+var ErrClosed = errors.New("corpus: closed")
+
+// errFull tells AdmitWait the corpus holds MaxResident resident items:
+// it waits for an eviction, which committing in-flight items brings.
+var errFull = errors.New("corpus: resident watermark reached")
 
 // Options parameterizes a corpus.
 type Options struct {
 	// MaxResident, when positive, bounds the number of resident items
 	// (items whose memoized outputs occupy memory: everything admitted
-	// and not yet evicted). Admission of new items past the watermark is
-	// refused (TryAdmit) or blocked (AdmitWait) until evictions free
-	// slots. Zero means unbounded.
+	// and not yet evicted). Admission of new items past the watermark
+	// blocks (AdmitWait) until evictions free slots. Zero means
+	// unbounded.
 	MaxResident int
 	// SnapshotEvery, when positive, compacts the journal into a snapshot
 	// automatically after every N commit records. Zero disables
@@ -345,22 +342,13 @@ func (c *Corpus) admitLocked(scene synth.Scene, tag string) (int, error) {
 		return 0, c.err
 	}
 	if c.opts.MaxResident > 0 && c.resident >= c.opts.MaxResident {
-		return 0, ErrFull
+		return 0, errFull
 	}
 	e := c.addEntry(scene, tag)
 	if err := c.writeRecord(&record{Kind: kindAdmit, Seq: e.seq, Tag: tag, Scene: scene}); err != nil {
 		return 0, err
 	}
 	return e.seq, nil
-}
-
-// TryAdmit admits one scene without blocking, journaling it, and returns
-// its sequence number. ErrFull is the backpressure signal when the
-// resident watermark is reached; re-admitting is the caller's retry.
-func (c *Corpus) TryAdmit(scene synth.Scene, tag string) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.admitLocked(scene, tag)
 }
 
 // AdmitWait admits one scene, blocking while the resident watermark is
@@ -379,7 +367,7 @@ func (c *Corpus) AdmitWait(ctx context.Context, scene synth.Scene, tag string) (
 		seq, err := c.admitLocked(scene, tag)
 		space := c.space
 		c.mu.Unlock()
-		if !errors.Is(err, ErrFull) {
+		if !errors.Is(err, errFull) {
 			return seq, err
 		}
 		select {
@@ -410,7 +398,7 @@ func (c *Corpus) journalOutput(seq, m int, out zoo.Output) {
 }
 
 // Begin registers one in-flight schedule for the item: the refcount that
-// holds its memo resident until Commit or Abort.
+// holds its memo resident until Commit.
 func (c *Corpus) Begin(seq int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -418,31 +406,6 @@ func (c *Corpus) Begin(seq int) {
 		return
 	}
 	c.entries[seq].refs++
-}
-
-// Abort drops a Begin'd reference without a completion — an admission
-// that failed downstream (queue full, server closed, cancelled wait).
-// The entry stays addressable (a retry of the same item reuses its
-// slot), but when no other schedule holds it, its watermark slot is
-// reclaimed immediately: a client that sheds on ErrQueueFull and never
-// retries must not strand resident slots until the corpus wedges.
-func (c *Corpus) Abort(seq int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if seq < 0 || seq >= len(c.entries) {
-		return
-	}
-	e := c.entries[seq]
-	e.refs--
-	if e.committed {
-		c.maybeEvict(e)
-	} else if e.refs <= 0 {
-		// Never ran (an abort precedes any worker): nothing is memoized
-		// beyond what the journal already holds, so eviction only frees
-		// the slot. A later re-serve re-memoizes and re-registers as
-		// resident through the output hook.
-		c.evictLocked(e)
-	}
 }
 
 // Commit journals the item's completion — the explicit end of its
@@ -476,19 +439,11 @@ func (c *Corpus) Commit(seq int, executed []int, scheduleMS float64) error {
 	return err
 }
 
-// maybeEvict reclaims the entry's memo when its result is committed and
-// no in-flight schedule holds it. Caller holds c.mu.
+// maybeEvict reclaims the entry's memo and its watermark slot, waking
+// admission waiters, when its result is committed and no in-flight
+// schedule holds it. Caller holds c.mu.
 func (c *Corpus) maybeEvict(e *entry) {
 	if !e.committed || e.refs > 0 || e.evicted {
-		return
-	}
-	c.evictLocked(e)
-}
-
-// evictLocked unconditionally reclaims the entry's memo and its
-// watermark slot, waking admission waiters. Caller holds c.mu.
-func (c *Corpus) evictLocked(e *entry) {
-	if e.evicted {
 		return
 	}
 	e.item.Evict()

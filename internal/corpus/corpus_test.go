@@ -37,13 +37,14 @@ func mustOpen(t *testing.T, path string, opts Options) *Corpus {
 }
 
 // populate admits n scenes, executes the given models on each, and
-// commits the first committed of them. It returns the memoized outputs
-// keyed by (seq, model) for later bit-identity checks.
+// commits the first committed of them; the rest stay in flight, as a
+// crash would leave them. It returns the memoized outputs keyed by
+// (seq, model) for later bit-identity checks.
 func populate(t *testing.T, c *Corpus, n int, models []int, committed int) map[[2]int]zoo.Output {
 	t.Helper()
 	outs := make(map[[2]int]zoo.Output)
 	for i := 0; i < n; i++ {
-		seq, err := c.TryAdmit(ds.Scenes[i], "item")
+		seq, err := c.AdmitWait(context.Background(), ds.Scenes[i], "item")
 		if err != nil {
 			t.Fatalf("admit %d: %v", i, err)
 		}
@@ -55,8 +56,6 @@ func populate(t *testing.T, c *Corpus, n int, models []int, committed int) map[[
 			if err := c.Commit(seq, models, 100); err != nil {
 				t.Fatalf("commit %d: %v", i, err)
 			}
-		} else {
-			c.Abort(seq) // uncommitted: drop the schedule ref without a commit record
 		}
 	}
 	return outs
@@ -140,7 +139,7 @@ func TestJournalTruncationAtArbitraryOffsets(t *testing.T) {
 			}
 		}
 		// The torn tail was truncated away: appending must work.
-		if _, err := tc.TryAdmit(ds.Scenes[9], "post-crash"); err != nil {
+		if _, err := tc.AdmitWait(context.Background(), ds.Scenes[9], "post-crash"); err != nil {
 			t.Fatalf("cut=%d: admit after recovery: %v", cut, err)
 		}
 		if err := tc.Close(); err != nil {
@@ -176,7 +175,7 @@ func TestRefcountedEviction(t *testing.T) {
 	path := tempJournal(t)
 	c := mustOpen(t, path, Options{})
 	defer c.Close()
-	seq, err := c.TryAdmit(ds.Scenes[0], "x")
+	seq, err := c.AdmitWait(context.Background(), ds.Scenes[0], "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,15 +213,22 @@ func TestMaxResidentWatermarkBackpressure(t *testing.T) {
 	path := tempJournal(t)
 	c := mustOpen(t, path, Options{MaxResident: 2})
 	defer c.Close()
-	s0, err := c.TryAdmit(ds.Scenes[0], "a")
+	s0, err := c.AdmitWait(context.Background(), ds.Scenes[0], "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.TryAdmit(ds.Scenes[1], "b"); err != nil {
+	if _, err := c.AdmitWait(context.Background(), ds.Scenes[1], "b"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.TryAdmit(ds.Scenes[2], "c"); !errors.Is(err, ErrFull) {
-		t.Fatalf("third admission got %v, want ErrFull", err)
+	// At the watermark a third admission waits; cancellation unblocks it
+	// and leaves the corpus as it was.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := c.AdmitWait(ctx, ds.Scenes[2], "c"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("third admission got %v, want a cancelled wait", err)
+	}
+	if st := c.Stats(); st.Items != 2 || st.Resident != 2 {
+		t.Fatalf("a cancelled admission changed the corpus: %+v", st)
 	}
 
 	// AdmitWait blocks until an eviction frees a slot.
@@ -249,13 +255,6 @@ func TestMaxResidentWatermarkBackpressure(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("AdmitWait still blocked after an eviction freed a slot")
 	}
-
-	// Cancellation unblocks a waiter that nothing will ever evict for.
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := c.AdmitWait(ctx, ds.Scenes[3], "d"); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("cancelled AdmitWait got %v", err)
-	}
 }
 
 func TestSnapshotCompactsAndPreservesEvictedOutputs(t *testing.T) {
@@ -273,7 +272,7 @@ func TestSnapshotCompactsAndPreservesEvictedOutputs(t *testing.T) {
 	// A second generation: more activity, snapshot again. The first
 	// generation's evicted outputs must survive the merge.
 	populateFrom := c.Len()
-	seq, err := c.TryAdmit(ds.Scenes[populateFrom], "late")
+	seq, err := c.AdmitWait(context.Background(), ds.Scenes[populateFrom], "late")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +345,6 @@ func TestSourceIndexing(t *testing.T) {
 	// Base items are not corpus-managed: their hooks are no-ops.
 	src.BeginItem(0)
 	src.CommitItem(0, []int{1}, 5)
-	src.AbortItem(0)
 	if got := c.Stats().Items; got != 1 {
 		t.Fatalf("base-item lifecycle leaked into the corpus: %d items", got)
 	}
@@ -356,7 +354,7 @@ func TestSourceIndexing(t *testing.T) {
 // Close (with ErrClosed) instead of sleeping forever.
 func TestCloseWakesAdmitWait(t *testing.T) {
 	c := mustOpen(t, tempJournal(t), Options{MaxResident: 1})
-	if _, err := c.TryAdmit(ds.Scenes[0], "a"); err != nil {
+	if _, err := c.AdmitWait(context.Background(), ds.Scenes[0], "a"); err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error)
@@ -375,36 +373,6 @@ func TestCloseWakesAdmitWait(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("AdmitWait still blocked after Close")
-	}
-}
-
-// TestAbortedAdmissionFreesWatermarkSlot: an admission shed downstream
-// (queue full, never begun again) must not strand a resident slot.
-func TestAbortedAdmissionFreesWatermarkSlot(t *testing.T) {
-	c := mustOpen(t, tempJournal(t), Options{MaxResident: 1})
-	defer c.Close()
-	seq, err := c.TryAdmit(ds.Scenes[0], "shed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Begin(seq)
-	c.Abort(seq) // the ErrQueueFull path: begun, never scheduled
-	if st := c.Stats(); st.Resident != 0 {
-		t.Fatalf("aborted admission still resident: %+v", st)
-	}
-	// The freed slot admits the next item without any commit happening.
-	if _, err := c.TryAdmit(ds.Scenes[1], "next"); err != nil {
-		t.Fatalf("watermark slot not reclaimed after abort: %v", err)
-	}
-	// The aborted entry stays servable: a retry re-serves it and its
-	// residency accounting returns through the output hook.
-	c.Begin(seq)
-	c.Item(seq).Output(0)
-	if err := c.Commit(seq, []int{0}, 5); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.States()[seq]; !st.Committed {
-		t.Fatal("retried aborted entry did not commit")
 	}
 }
 

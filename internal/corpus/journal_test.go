@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -348,7 +349,7 @@ func TestJournalV1IsReadThenCompacted(t *testing.T) {
 		t.Fatalf("no snapshot after compacting the v1 journal: %v", err)
 	}
 
-	seq, err := c.TryAdmit(ds.Scenes[3], "v2-item")
+	seq, err := c.AdmitWait(context.Background(), ds.Scenes[3], "v2-item")
 	if err != nil {
 		t.Fatal(err)
 	}

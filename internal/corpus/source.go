@@ -14,7 +14,7 @@ import (
 // store (the held-out test split), exactly as oracle.OnDemand layers
 // ingested items — but item lifetimes are corpus-managed: admissions are
 // journaled, memoized outputs are journaled as they land, and the serve
-// layer's Begin/Commit/Abort calls drive refcounted eviction.
+// layer's Begin/Commit calls drive refcounted eviction.
 //
 // Source also implements the serving layer's corpus contract
 // (serve.Corpus), so a server constructed over it journals every item's
@@ -118,14 +118,5 @@ func (s *Source) CommitItem(i int, executed []int, scheduleMS float64) {
 		// The sticky write error surfaces on the admission path; a
 		// worker completing an item has nowhere to return it.
 		_ = s.c.Commit(i-s.baseLen(), executed, scheduleMS)
-	}
-}
-
-// AbortItem implements the serve contract: an admission that Begin'd but
-// never reached a worker (queue full, server closed) releases its
-// reference without a commit record.
-func (s *Source) AbortItem(i int) {
-	if i >= s.baseLen() {
-		s.c.Abort(i - s.baseLen())
 	}
 }

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -37,7 +38,7 @@ func TestGroupCommitSyncEveryN(t *testing.T) {
 	// not a one-shot.
 	prev := c.Stats().Syncs
 	for i := 8; i < 16; i++ {
-		seq, err := c.TryAdmit(ds.Scenes[i], "item")
+		seq, err := c.AdmitWait(context.Background(), ds.Scenes[i], "item")
 		if err != nil {
 			t.Fatalf("admit %d: %v", i, err)
 		}

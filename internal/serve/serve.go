@@ -30,13 +30,16 @@
 // an uncontended item reproduces the virtual-time parallel schedule —
 // and its recall — exactly.
 //
-// Admission control is explicit: Submit rejects with ErrQueueFull when
-// the bounded queue is saturated, SubmitWait blocks until space frees,
-// and New rejects configurations that could never make progress (no
-// workers, a memory budget below the smallest model). A shard router
-// (internal/shard) admits its own annotated tickets into the same queue
-// — it is the only queue an item waits in — and a worker whose queue is
-// empty asks the router to steal from a sibling before it parks.
+// Admission control is explicit and one call, Admit: without a context
+// it rejects with ErrQueueFull when the bounded queue is saturated
+// (Submit), with one it blocks until space frees (SubmitWait), and New
+// rejects configurations that could never make progress (no workers, a
+// memory budget below the smallest model). A shard router (internal/shard)
+// admits its own annotated tickets into the same queue — it is the only
+// queue an item waits in — and a worker whose queue is empty asks the
+// router to steal from a sibling before it parks. An item is begun with
+// the corpus only by the worker that runs it, so a ticket that is
+// refused or stolen has nothing to undo.
 //
 // With Config.BatchSize the server coalesces demand across items:
 // workers hand their executions to a cross-item batching runtime
@@ -136,12 +139,12 @@ type Config struct {
 	StatsWindow int
 
 	// Corpus, when non-nil, makes the server drive a durable item
-	// corpus's lifecycle: every admission registers an in-flight
-	// reference (BeginItem), every completed schedule journals a commit
-	// (CommitItem) before the result is delivered, and failed admissions
-	// release their reference (AbortItem). The executor handed to New is
-	// then typically the corpus's own Source, so ingested items are
-	// journaled, memoized to disk, and evicted once committed.
+	// corpus's lifecycle: the worker that takes an item registers an
+	// in-flight reference (BeginItem), and every completed schedule
+	// journals a commit (CommitItem) before the result is delivered. The
+	// executor handed to New is then typically the corpus's own Source,
+	// so ingested items are journaled, memoized to disk, and evicted once
+	// committed.
 	Corpus Corpus
 
 	// Epoch, when non-zero, is the wall-clock origin of the server's
@@ -164,17 +167,15 @@ type Config struct {
 }
 
 // Corpus is the narrow contract a durable ingestion corpus exposes to
-// the server (implemented by internal/corpus's Source). The server calls
-// BeginItem when an item is admitted, CommitItem when its schedule
-// completes — the item's explicit lifetime boundary: after commit the
-// corpus may evict the item's memoized outputs, which is safe because
-// every completion's outputs are captured into its ItemResult first —
-// and AbortItem when an admission fails after BeginItem, or a sibling
-// shard steals the admitted item (its worker begins it on its own).
+// the server (implemented by internal/corpus's Source). The worker that
+// runs an item calls BeginItem before its schedule starts and CommitItem
+// when it completes — the item's explicit lifetime boundary: after
+// commit the corpus may evict the item's memoized outputs, which is safe
+// because every completion's outputs are captured into its ItemResult
+// first. A ticket that never reaches a worker never begins.
 type Corpus interface {
 	BeginItem(item int)
 	CommitItem(item int, executed []int, scheduleMS float64)
-	AbortItem(item int)
 }
 
 // DefaultStatsWindow bounds retained per-item records (~40 B each) when
@@ -209,15 +210,16 @@ type ItemResult struct {
 // and with it WaitSec, LatencySec, the queue_wait span and the SLOs —
 // covers queueing and resolution on whichever shard runs it.
 type Ticket struct {
-	// The router's annotation, written before admission (Shard and Stolen
-	// again by a steal) and read by the worker and after Done: where
-	// placement put the item and where it ran, whether it may be stolen,
-	// its affinity hint, and the resolution to an executor index that the
-	// worker taking it calls with Shard. Zero on a bare server.
-	Home, Shard    int
-	Stolen, Pinned bool
-	Hint           []int
-	Resolve        func(shard int) (int, error)
+	// The router's annotation, written before admission (Shard again by a
+	// steal) and read by the worker and after Done: where placement put
+	// the item and where it ran (they differ exactly when it was stolen),
+	// whether it may be stolen, its affinity hint, and the resolution to
+	// an executor index that the worker taking it calls with Shard. Zero
+	// on a bare server.
+	Home, Shard int
+	Pinned      bool
+	Hint        []int
+	Resolve     func(shard int) (int, error)
 
 	image    int
 	tag      string
@@ -267,7 +269,7 @@ type Server struct {
 	// the footprint to the batch's grant (see machine.Start and FreeMB).
 	batchOwnsMem bool
 	slots        chan struct{} // one token per queued ticket: QueueCap bounds the queue
-	stop         chan struct{} // closed by Close to wake blocked AwaitSlot callers
+	stop         chan struct{} // closed by Close to wake Admit calls waiting for a slot
 	start        time.Time
 	wg           sync.WaitGroup     // workers
 	onFinish     []func(ItemResult) // completion hooks, in install order
@@ -395,30 +397,68 @@ func New(ex oracle.Executor, factory service.PolicyFactory, cfg Config) (*Server
 // identifier echoed in the item's result. Submit returns ErrQueueFull
 // when the bounded queue is saturated (the caller's backpressure signal)
 // and ErrClosed after Close.
-func (s *Server) Submit(item int, tag string) (*Ticket, error) {
-	tk := NewTicket(tag)
-	if err := s.Admit(tk, item, false); err != nil {
-		return nil, err
-	}
-	return tk, nil
-}
+func (s *Server) Submit(item int, tag string) (*Ticket, error) { return s.submit(nil, item, tag) }
 
 // SubmitWait admits one item, blocking while the queue is full until
 // space frees, the context is cancelled, or the server closes.
 func (s *Server) SubmitWait(ctx context.Context, item int, tag string) (*Ticket, error) {
-	tk := NewTicket(tag)
-	err := s.AwaitSlot(ctx)
-	if err == nil {
-		err = s.Admit(tk, item, true)
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	if err != nil {
+	return s.submit(ctx, item, tag)
+}
+
+// submit is Submit when ctx is nil, SubmitWait otherwise.
+func (s *Server) submit(ctx context.Context, item int, tag string) (*Ticket, error) {
+	tk := NewTicket(tag)
+	if err := s.Admit(ctx, tk, item); err != nil {
 		return nil, err
 	}
 	return tk, nil
 }
 
-// TakeSlot takes a free queue slot for a later Admit, without waiting.
-func (s *Server) TakeSlot() bool {
+// Admit queues tk for item. With a nil ctx it sheds when the queue is
+// full: ErrQueueFull, counted. Otherwise it waits for a slot until ctx is
+// cancelled or the server closes. A ticket without Resolve has its index
+// checked here, so a bad one fails the caller at once; the worker that
+// takes the ticket resolves and begins it.
+func (s *Server) Admit(ctx context.Context, tk *Ticket, item int) error {
+	tk.image = item
+	if tk.Resolve == nil {
+		if err := s.checkIndex(item); err != nil {
+			return err
+		}
+	}
+	if ctx != nil {
+		select {
+		case s.slots <- struct{}{}:
+		case <-s.stop:
+			return ErrClosed
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.closed:
+		if ctx != nil {
+			s.releaseSlot()
+		}
+		return ErrClosed
+	case ctx == nil && !s.takeSlot():
+		s.rejected++
+		s.cfg.Metrics.shed()
+		return ErrQueueFull
+	}
+	s.queue = append(s.queue, tk)
+	s.cond.Signal()
+	s.cfg.Metrics.admitted()
+	return nil
+}
+
+// takeSlot takes a free queue slot without waiting.
+func (s *Server) takeSlot() bool {
 	select {
 	case s.slots <- struct{}{}:
 		return true
@@ -427,81 +467,21 @@ func (s *Server) TakeSlot() bool {
 	}
 }
 
-// AwaitSlot takes a queue slot for a later Admit, waiting until one
-// frees, ctx is cancelled, or the server closes.
-func (s *Server) AwaitSlot(ctx context.Context) error {
-	select {
-	case s.slots <- struct{}{}:
-		return nil
-	case <-s.stop:
-		return ErrClosed
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// ReleaseSlot gives back a slot taken and not used, or the one a ticket
-// leaving the queue held. It never blocks.
-func (s *Server) ReleaseSlot() {
+// releaseSlot gives back the slot a ticket leaving the queue held. It
+// never blocks, so it is safe under s.mu.
+func (s *Server) releaseSlot() {
 	select {
 	case <-s.slots:
 	default:
 	}
 }
 
-// Admit queues tk for item. With slot set the caller holds a queue slot
-// (TakeSlot, AwaitSlot), given back if admission fails; otherwise Admit
-// takes a free one or sheds: ErrQueueFull, counted. A Resolve ticket is
-// resolved and begun by the worker that takes it; any other is begun
-// here, before a worker can see it.
-func (s *Server) Admit(tk *Ticket, item int, slot bool) (err error) {
-	tk.image = item
-	if tk.Resolve == nil {
-		err = s.begin(tk)
-	}
-	if err == nil {
-		s.mu.Lock()
-		switch {
-		case s.closed:
-			err = ErrClosed
-		case !slot && !s.TakeSlot():
-			err = ErrQueueFull
-			s.rejected++
-			s.cfg.Metrics.shed()
-		default:
-			s.queue = append(s.queue, tk)
-			s.cond.Signal()
-			s.cfg.Metrics.admitted()
-		}
-		s.mu.Unlock()
-		if err != nil {
-			s.abort(tk)
-		}
-	}
-	if err != nil && slot {
-		s.ReleaseSlot()
-	}
-	return err
-}
-
-// begin checks a ticket's executor index and registers its schedule
-// with the corpus, so a commit never observes a missing reference.
-func (s *Server) begin(tk *Ticket) error {
-	if tk.image < 0 || tk.image >= s.ex.NumItems() {
-		return fmt.Errorf("serve: item %d out of range [0,%d)", tk.image, s.ex.NumItems())
-	}
-	if s.cfg.Corpus != nil {
-		s.cfg.Corpus.BeginItem(tk.image)
+// checkIndex reports an executor index out of range.
+func (s *Server) checkIndex(item int) error {
+	if item < 0 || item >= s.ex.NumItems() {
+		return fmt.Errorf("serve: item %d out of range [0,%d)", item, s.ex.NumItems())
 	}
 	return nil
-}
-
-// abort releases the corpus reference Admit began for a ticket that
-// leaves this server without running: refused, or stolen by a sibling.
-func (s *Server) abort(tk *Ticket) {
-	if tk.Resolve == nil && s.cfg.Corpus != nil {
-		s.cfg.Corpus.AbortItem(tk.image)
-	}
 }
 
 // OnFinish adds a completion hook, before the first admission: every
@@ -521,20 +501,18 @@ func (s *Server) OnIdle(steal func() *Ticket) {
 }
 
 // StealOldest removes the oldest queued ticket that is not pinned, or
-// returns nil. The ticket gives back its slot and corpus reference here;
-// the thief's worker begins it again.
+// returns nil. The ticket gives back its slot here; nothing began it yet,
+// so the thief's worker runs it as its own.
 func (s *Server) StealOldest() *Ticket {
-	var tk *Ticket
 	s.mu.Lock()
-	if i := slices.IndexFunc(s.queue, func(tk *Ticket) bool { return !tk.Pinned }); i >= 0 {
-		tk = s.queue[i]
-		s.queue = slices.Delete(s.queue, i, i+1)
-		s.ReleaseSlot()
+	defer s.mu.Unlock()
+	i := slices.IndexFunc(s.queue, func(tk *Ticket) bool { return !tk.Pinned })
+	if i < 0 {
+		return nil
 	}
-	s.mu.Unlock()
-	if tk != nil {
-		s.abort(tk)
-	}
+	tk := s.queue[i]
+	s.queue = slices.Delete(s.queue, i, i+1)
+	s.releaseSlot()
 	return tk
 }
 
@@ -585,7 +563,7 @@ func (s *Server) Close() error {
 	s.closed = true
 	s.cond.Broadcast() // parked workers drain the queue and exit
 	s.mu.Unlock()
-	close(s.stop) // wake AwaitSlot callers blocked on a full queue
+	close(s.stop) // wake Admit calls blocked on a full queue
 	s.wg.Wait()
 	// The pool has drained: no execution sleeps or hold timers can be
 	// armed anymore, so the wheel's dispatcher can go.
@@ -604,11 +582,11 @@ func (s *Server) worker(w int) {
 	mach.policy = sel
 	lim := s.cfg.Limits()
 	for {
-		tk, stolen := s.next()
+		tk := s.next()
 		if tk == nil {
 			return
 		}
-		if err := s.resolve(tk, stolen); err != nil {
+		if err := s.resolve(tk); err != nil {
 			s.mu.Lock()
 			s.running--
 			s.failed++
@@ -632,7 +610,7 @@ func (s *Server) worker(w int) {
 // next blocks until the worker has a ticket — its queue's oldest, else
 // one the steal hook took from a sibling — or returns nil once the
 // server has closed with its queue drained.
-func (s *Server) next() (tk *Ticket, stolen bool) {
+func (s *Server) next() (tk *Ticket) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	gen := s.gen - 1 // the generation the last steal looked at: none yet
@@ -646,28 +624,28 @@ func (s *Server) next() (tk *Ticket, stolen bool) {
 		tk = s.steal()
 		s.mu.Lock()
 	}
-	if stolen = tk != nil; !stolen && len(s.queue) > 0 {
+	if tk == nil && len(s.queue) > 0 {
 		tk = s.queue[0]
 		s.queue = slices.Delete(s.queue, 0, 1)
-		s.ReleaseSlot()
+		s.releaseSlot()
 	}
 	if tk != nil {
 		s.running++
 	}
-	return tk, stolen
+	return tk
 }
 
-// resolve readies a taken ticket to run here: a Resolve ticket gets its
-// index on this, the executing, shard; it and a stolen ticket (which its
-// victim released) are begun here. Any other was begun at admission.
-func (s *Server) resolve(tk *Ticket, stolen bool) (err error) {
+// resolve readies a taken ticket to run here, the one place an item is
+// begun: a Resolve ticket gets its index on this, the executing, shard,
+// and every ticket's index is checked and registered with the corpus.
+func (s *Server) resolve(tk *Ticket) (err error) {
 	if tk.Resolve != nil {
-		tk.image, err = tk.Resolve(tk.Shard)
-	} else if !stolen {
-		return nil
+		if tk.image, err = tk.Resolve(tk.Shard); err != nil {
+			return err
+		}
 	}
-	if err == nil {
-		err = s.begin(tk)
+	if err = s.checkIndex(tk.image); err == nil && s.cfg.Corpus != nil {
+		s.cfg.Corpus.BeginItem(tk.image)
 	}
 	return err
 }

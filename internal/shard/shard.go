@@ -7,8 +7,9 @@
 // a budget, or a file.
 //
 // The Router in front owns placement and load balance, but no queue and
-// no goroutine: it admits each item straight into its home shard
-// server's admission queue, the only queue the item waits in.
+// no goroutine: it places each item once and admits it straight into its
+// home shard server's admission queue, the only queue the item waits in
+// (a waiting submitter waits on that home queue).
 //
 //   - Placement assigns each submitted item a home shard — by consistent
 //     hash of the item's key (stable across restarts), by least load, or
@@ -18,12 +19,13 @@
 //     thrash.
 //   - Work-stealing (optional) keeps shards busy under skew: a worker
 //     whose own queue is empty asks the router, before it parks, for the
-//     oldest stealable item in the longest sibling queue; a placement
+//     oldest stealable item in the longest sibling queue; an admission
 //     nudges the siblings' idle workers to ask again.
-//   - Items resolve to an executor index on the worker that takes them,
-//     on the shard that executes them. That is what makes stealing
-//     compose with durable ingestion: an external item is admitted into
-//     (and journaled by) the segment of the shard that actually runs it.
+//   - Items resolve to an executor index, and begin with the corpus, on
+//     the worker that takes them, on the shard that executes them. That
+//     is what makes stealing compose with durable ingestion: an external
+//     item is admitted into (and journaled by) the segment of the shard
+//     that actually runs it, and a stolen item has nothing to undo.
 //
 // Stats merges every shard's completion records through one
 // service.Summarize reduction (the shards share a clock epoch), and
@@ -51,9 +53,10 @@ const (
 	LeastLoaded
 	// Affinity places on the shard whose accumulated model heat best
 	// matches the item's hinted models, falling back to hash when no
-	// shard has seen any of them. Heat is credited at placement time and
-	// decayed by periodic halving, so the mapping adapts to traffic while
-	// staying deterministic for a given submission order.
+	// shard has seen any of them. Heat is credited once the home shard
+	// admits the item (and moves with a steal) and is decayed by periodic
+	// halving, so the mapping adapts to traffic while staying
+	// deterministic for a given submission order.
 	Affinity
 )
 
@@ -261,9 +264,9 @@ func (r *Router) credit(s int, hint []int) {
 // its resolution on the shard that runs it.
 func (r *Router) Submit(it Item) (*serve.Ticket, error) { return r.submit(nil, it) }
 
-// SubmitWait places one item, blocking while the home queue is full
-// until a slot frees, the context is cancelled, or that shard closes, and
-// then placing it again. The wait is backpressure, not a shed, and the
+// SubmitWait places one item and admits it to its home shard, blocking
+// while that queue is full until a slot frees, the context is cancelled,
+// or the shard closes. The wait is backpressure, not a shed, and the
 // ticket's arrival is stamped before it.
 func (r *Router) SubmitWait(ctx context.Context, it Item) (*serve.Ticket, error) {
 	if ctx == nil {
@@ -272,54 +275,32 @@ func (r *Router) SubmitWait(ctx context.Context, it Item) (*serve.Ticket, error)
 	return r.submit(ctx, it)
 }
 
-// submit is Submit when ctx is nil, SubmitWait otherwise.
+// submit is Submit when ctx is nil, SubmitWait otherwise. It places once,
+// admits outside r.mu (the admission may wait), and counts the placement
+// and credits its heat only once the home shard has taken the item.
 func (r *Router) submit(ctx context.Context, it Item) (*serve.Ticket, error) {
 	tk := serve.NewTicket(it.Tag)
 	tk.Pinned, tk.Hint, tk.Resolve = it.Pin > 0, it.Hint, it.Resolve
-	for slot := -1; ; { // slot: the shard whose queue slot this caller holds
-		h, err := r.enter(tk, &it, slot, ctx != nil)
-		if err == nil {
-			return tk, nil
-		}
-		if err != serve.ErrQueueFull || ctx == nil {
-			return nil, err
-		}
-		if err := r.servers[h].AwaitSlot(ctx); err != nil {
-			return nil, err
-		}
-		slot = h
-	}
-}
-
-// enter places one item and admits its ticket into the home shard's
-// queue, giving back the slot the caller holds on another shard. A
-// waiting caller never sheds: when the home queue is full, enter returns
-// serve.ErrQueueFull and the home shard, whose slot the caller awaits.
-func (r *Router) enter(tk *serve.Ticket, it *Item, slot int, wait bool) (int, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, err := r.place(it)
-	if slot >= 0 && slot != h {
-		r.servers[slot].ReleaseSlot()
-	}
-	if err == nil && wait && slot != h && !r.servers[h].TakeSlot() {
-		return h, serve.ErrQueueFull
-	}
-	if err == nil {
-		tk.Home, tk.Shard = h, h
-		err = r.servers[h].Admit(tk, it.Index, wait)
-	}
+	h, err := r.place(&it)
+	r.mu.Unlock()
 	if err != nil {
-		return h, err
+		return nil, err
 	}
+	tk.Home, tk.Shard = h, h
+	if err := r.servers[h].Admit(ctx, tk, it.Index); err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
 	r.per[h].Assigned++
 	r.credit(h, it.Hint)
+	r.mu.Unlock()
 	for s, sib := range r.servers {
 		if r.cfg.Steal && s != h {
 			sib.Nudge()
 		}
 	}
-	return h, nil
+	return tk, nil
 }
 
 // steal is shard thief's idle hook: it takes the oldest unpinned ticket
@@ -340,7 +321,7 @@ func (r *Router) steal(thief int) *serve.Ticket {
 		}
 		// nil: the victim's own worker took it first; look again.
 		if tk := r.servers[victim].StealOldest(); tk != nil {
-			tk.Shard, tk.Stolen = thief, true
+			tk.Shard = thief
 			r.per[thief].Steals++
 			r.per[victim].StolenFrom++
 			// The thief becomes the item's de-facto home: heat follows it

@@ -184,7 +184,7 @@ func TestHashPlacementMatchesShardFor(t *testing.T) {
 			if want := ShardFor(uint64(i), n); tk.Shard != want {
 				t.Errorf("rebuild %d: key %d ran on shard %d, want %d", rebuild, i, tk.Shard, want)
 			}
-			if tk.Stolen {
+			if tk.Home != tk.Shard {
 				t.Errorf("key %d reported stolen with stealing disabled", i)
 			}
 		}
@@ -279,14 +279,14 @@ func TestStealDrainsIdleShard(t *testing.T) {
 		if err != nil {
 			t.Fatalf("item %d: %v", i, err)
 		}
-		if tk.Home != 0 || tk.Stolen != (tk.Shard != 0) {
-			t.Errorf("item %d: home %d shard %d stolen=%v is inconsistent with home 0", i, tk.Home, tk.Shard, tk.Stolen)
+		if tk.Home != 0 {
+			t.Errorf("item %d: home %d shard %d, want home 0", i, tk.Home, tk.Shard)
 		}
-		if tk.Stolen {
+		if tk.Home != tk.Shard {
 			stolen++
 		}
 		if i%3 == 0 && (len(resolvedOn[i]) != 1 || resolvedOn[i][0] != tk.Shard) {
-			t.Errorf("item %d ran on shard %d (stolen=%v) but resolved on %v", i, tk.Shard, tk.Stolen, resolvedOn[i])
+			t.Errorf("item %d ran on shard %d (home %d) but resolved on %v", i, tk.Shard, tk.Home, resolvedOn[i])
 		}
 	}
 	st := r.Stats()
@@ -320,7 +320,7 @@ func TestStealDrainsIdleShard(t *testing.T) {
 	}
 	var wantSteals [2]int
 	for i, tk := range tickets {
-		if tk.Stolen {
+		if tk.Home != tk.Shard {
 			wantSteals[i%2]++
 		}
 	}
@@ -356,8 +356,8 @@ func TestPinBypassesPlacementAndSteal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("item %d: %v", i, err)
 		}
-		if tk.Shard != 1 || tk.Stolen {
-			t.Errorf("pinned item %d ran on shard %d (stolen=%v), want its pin 1", i, tk.Shard, tk.Stolen)
+		if tk.Shard != 1 || tk.Home != tk.Shard {
+			t.Errorf("pinned item %d ran on shard %d (home %d), want its pin 1", i, tk.Shard, tk.Home)
 		}
 	}
 	if st := r.Stats(); st.Steals != 0 {

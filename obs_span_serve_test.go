@@ -201,12 +201,12 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServeTraceOutDump: a server configured with TraceOut writes the
-// span-trace ring as loadable Chrome JSON when it closes.
+// TestServeTraceOutDump: a closed server's whole span-trace ring exports
+// through WriteChromeTrace as loadable Chrome JSON — what amsserve
+// -trace-out writes after Close.
 func TestServeTraceOutDump(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
 	srv, err := testSys.NewServer(testAgent, ServeConfig{
-		Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001, TraceOut: path,
+		Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001, Telemetry: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,13 +223,13 @@ func TestServeTraceOutDump(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("TraceOut file not written: %v", err)
+	var sb strings.Builder
+	if err := srv.WriteChromeTrace(&sb, 0); err != nil {
+		t.Fatalf("WriteChromeTrace after Close: %v", err)
 	}
-	doc := parseChrome(t, data)
+	doc := parseChrome(t, []byte(sb.String()))
 	if len(doc.TraceEvents) == 0 {
-		t.Fatal("TraceOut dump has no events")
+		t.Fatal("the closed server's trace export has no events")
 	}
 }
 

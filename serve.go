@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -153,10 +152,6 @@ type ServeConfig struct {
 	// metric snapshot, the moments *before* the anomaly — into this
 	// directory. Implies Telemetry.
 	FlightDir string
-	// TraceOut, when non-empty, writes the span-trace ring as Chrome
-	// trace-event JSON (loadable in Perfetto / chrome://tracing) to this
-	// path when the server closes. Implies Telemetry.
-	TraceOut string
 }
 
 // ServeTrace describes a Poisson arrival trace for Serve and
@@ -274,9 +269,6 @@ type Server struct {
 	start time.Time
 	scale float64
 
-	traceOut  string // Chrome trace dump path, written once at Close
-	traceOnce sync.Once
-
 	// The results stream: every shard's completion hook publishes into
 	// resBuf, which one pump goroutine drains onto res (see Results).
 	resMu      sync.Mutex
@@ -375,13 +367,13 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 		return nil, fmt.Errorf("ams: corpus opened by a different System")
 	}
 	sv := &Server{sys: s, corpus: cfg.Corpus, cache: cache, placement: placement,
-		start: time.Now(), scale: cfg.TimeScale, traceOut: cfg.TraceOut,
+		start: time.Now(), scale: cfg.TimeScale,
 		resWindow: cmp.Or(cfg.StatsWindow, serve.DefaultStatsWindow)}
 	sv.resCond = sync.NewCond(&sv.resMu)
 	if sv.scale <= 0 {
 		sv.scale = 1.0 // the serve layer's own default; keep the SLO clock on it
 	}
-	if cfg.Telemetry || cfg.MetricsAddr != "" || cfg.FlightDir != "" || cfg.TraceOut != "" || len(cfg.SLOs) > 0 {
+	if cfg.Telemetry || cfg.MetricsAddr != "" || cfg.FlightDir != "" || len(cfg.SLOs) > 0 {
 		sv.reg = obs.NewRegistry()
 		sv.tracer = obs.NewTracer(cfg.TraceCapacity)
 		sv.tracer.SetTimeScale(sv.scale)
@@ -935,9 +927,9 @@ func (sv *Server) Stats() ServeStats {
 	return st
 }
 
-// Close stops admission, drains every shard's queue, waits for
-// in-flight items, and — with ServeConfig.TraceOut — dumps the final
-// span-trace ring as Chrome trace-event JSON.
+// Close stops admission, drains every shard's queue, and waits for
+// in-flight items. The span-trace ring stays readable afterwards
+// (WriteChromeTrace, Traces).
 func (sv *Server) Close() error {
 	// The exporter goes first so no scrape races the teardown; Close
 	// waits for its serve goroutine, keeping leak checks clean. The
@@ -954,34 +946,14 @@ func (sv *Server) Close() error {
 		sv.resCond.Signal()
 		sv.resMu.Unlock()
 	}
-	if sv.traceOut != "" && sv.tracer != nil {
-		// After the drain, so the dump holds every completed trace.
-		sv.traceOnce.Do(func() {
-			if werr := sv.dumpChromeTrace(); werr != nil && err == nil {
-				err = fmt.Errorf("ams: trace-out: %w", werr)
-			}
-		})
-	}
 	return err
-}
-
-// dumpChromeTrace writes the whole trace ring to the TraceOut path.
-func (sv *Server) dumpChromeTrace() error {
-	f, err := os.Create(sv.traceOut)
-	if err != nil {
-		return err
-	}
-	if err := sv.tracer.WriteChrome(f, sv.tracer.Capacity(), ""); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // WriteChromeTrace exports up to n recent span traces (all resident
 // traces when n <= 0) as Chrome trace-event / Perfetto JSON — the same
-// payload as /tracez?format=chrome and ServeConfig.TraceOut. A server
-// without telemetry writes an empty trace document.
+// payload as /tracez?format=chrome; after Close it holds every completed
+// trace still in the ring. A server without telemetry writes an empty
+// trace document.
 func (sv *Server) WriteChromeTrace(w io.Writer, n int) error {
 	if n <= 0 {
 		n = sv.tracer.Capacity()

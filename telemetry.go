@@ -77,14 +77,15 @@ func ParseSLO(spec string) (SLOObjective, error) {
 		return o, fmt.Errorf("ams: bad SLO spec %q (want e.g. \"p99<250ms\" or \"name:p95<1s\")", spec)
 	}
 	pct, err := strconv.ParseFloat(q[1:], 64)
-	if err != nil || pct <= 0 || pct >= 100 {
+	// Written so NaN fails too; checked after the division, which can
+	// underflow a tiny percentage to 0.
+	if o.Quantile = pct / 100; err != nil || !(o.Quantile > 0 && o.Quantile < 1) {
 		return o, fmt.Errorf("ams: bad SLO quantile in %q (want p1–p99.999)", spec)
 	}
 	d, err := time.ParseDuration(thr)
 	if err != nil || d <= 0 {
 		return o, fmt.Errorf("ams: bad SLO threshold in %q: need a positive duration", spec)
 	}
-	o.Quantile = pct / 100
 	o.ThresholdSec = d.Seconds()
 	if o.Name == "" {
 		o.Name = q
