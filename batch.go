@@ -31,8 +31,8 @@ func (s *System) LabelBatch(ctx context.Context, agent *Agent, items []Item, b B
 // each running the given policy. Policies are instantiated once per
 // worker: each owns a fork of the agent (its scratch and memo), while the
 // agent's frozen network and the execution substrate — precomputed for
-// test-split items, on-demand for external ones — are shared read-only. Results are returned in the order
-// of the items slice.
+// test-split items, each external item's own on-demand executor — are
+// shared read-only. Results are returned in the order of the items slice.
 //
 // Cancelling ctx aborts the batch: items already labeled keep their
 // results, the item each worker is on is cut short (partial labels), no
@@ -45,9 +45,17 @@ func (s *System) LabelBatchWith(ctx context.Context, policy Policy, agent *Agent
 	if err := b.Validate(); err != nil {
 		return nil, BatchStats{}, err
 	}
-	ex, indices, err := s.resolveItems(items)
-	if err != nil {
-		return nil, BatchStats{}, err
+	type run struct {
+		ex oracle.Executor
+		i  int
+	}
+	runs := make([]run, len(items))
+	for i, item := range items {
+		ex, idx, err := s.resolveItem(item)
+		if err != nil {
+			return nil, BatchStats{}, fmt.Errorf("%w (batch index %d)", err, i)
+		}
+		runs[i] = run{ex, idx}
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -77,8 +85,8 @@ func (s *System) LabelBatchWith(ctx context.Context, policy Policy, agent *Agent
 				if ctx.Err() != nil {
 					continue // dispatched before the cancel landed: slot stays nil
 				}
-				res := s.runSchedule(ex, indices[idx], private, b)
-				results[idx] = s.buildResult(ex, items[idx], res)
+				r := runs[idx]
+				results[idx] = s.buildResult(r.ex, items[idx], s.runSchedule(r.ex, r.i, private, b))
 			}
 		}()
 	}
@@ -118,30 +126,4 @@ dispatch:
 		stats.AvgTimeSec /= float64(stats.Processed)
 	}
 	return results, stats, ctx.Err()
-}
-
-// resolveItems maps a batch of items onto one shared executor: the plain
-// test store when everything is oracle-backed, an on-demand overlay on
-// top of it when external items are present.
-func (s *System) resolveItems(items []Item) (oracle.Executor, []int, error) {
-	indices := make([]int, len(items))
-	var overlay *oracle.OnDemand
-	for i, item := range items {
-		ext, err := s.checkItem(item)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w (batch index %d)", err, i)
-		}
-		if ext == nil {
-			indices[i] = item.image
-			continue
-		}
-		if overlay == nil {
-			overlay = oracle.NewOnDemand(s.Zoo, s.testStore)
-		}
-		indices[i] = overlay.Add(ext)
-	}
-	if overlay != nil {
-		return overlay, indices, nil
-	}
-	return s.testStore, indices, nil
 }

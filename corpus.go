@@ -7,6 +7,8 @@ import (
 	"sync"
 
 	"ams/internal/corpus"
+	"ams/internal/oracle"
+	"ams/internal/shard"
 	"ams/internal/zoo"
 )
 
@@ -287,13 +289,17 @@ func (s *System) ReplayCorpus(ctx context.Context, agent *Agent, cfg ServeConfig
 	var tickets []issued
 	var submitErr error
 	for _, p := range pending {
-		pub := Item{id: p.st.Tag, image: -1, valid: true}
-		tk, err := srv.submit(ctx, pub, p.seg, srv.shards[p.seg].src.Index(p.st.Seq))
+		// Pinned to its segment's shard, so its relabeling journals into
+		// the segment that already knows it.
+		seg, seq := c.segs[p.seg], p.st.Seq
+		tk, err := srv.router.SubmitWait(ctx, shard.Item{Tag: p.st.Tag, Pin: p.seg + 1,
+			Resolve: func(int) (oracle.Executor, int, error) { return seg.Item(seq).Executor(), seq, nil }})
 		if err != nil {
 			submitErr = err
 			break
 		}
-		tickets = append(tickets, issued{pendingItem: p, tk: tk})
+		pub := Item{id: p.st.Tag, image: -1, valid: true}
+		tickets = append(tickets, issued{pendingItem: p, tk: &ServeTicket{sys: s, item: pub, tk: tk}})
 	}
 	if err := srv.Close(); err != nil && submitErr == nil {
 		submitErr = err

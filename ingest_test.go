@@ -6,10 +6,12 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"ams/internal/oracle"
 	"ams/internal/sched"
 	"ams/internal/sim"
+	"ams/internal/zoo"
 )
 
 // externalTwin builds an external item carrying the same scene as
@@ -456,7 +458,8 @@ func TestServerResultsStream(t *testing.T) {
 
 // TestResubmittedExternalItemReusesExecutorSlot: submitting one external
 // item repeatedly — the backoff-retry pattern ErrQueueFull invites —
-// must not grow the server's executor per attempt.
+// replays the memo the item carries: five submissions run the first
+// one's inferences and no more.
 func TestResubmittedExternalItemReusesExecutorSlot(t *testing.T) {
 	srv, err := testSys.NewServer(testAgent, serveCfg(2))
 	if err != nil {
@@ -464,16 +467,59 @@ func TestResubmittedExternalItemReusesExecutorSlot(t *testing.T) {
 	}
 	defer srv.Close()
 	item := testSys.GenerateItems(1, 31)[0]
-	base := srv.shards[0].ingest.NumItems()
+	before := zoo.Inferences()
+	var first int64
 	for i := 0; i < 5; i++ {
 		tk, err := srv.SubmitWait(context.Background(), item)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mustWait(t, tk)
+		if i == 0 {
+			first = zoo.Inferences() - before
+		}
 	}
-	if got := srv.shards[0].ingest.NumItems(); got != base+1 {
-		t.Fatalf("5 submissions of one item grew the executor by %d slots, want 1", got-base)
+	if ran := zoo.Inferences() - before; first == 0 || ran != first {
+		t.Fatalf("5 submissions of one item ran %d inferences, the first alone %d", ran, first)
+	}
+}
+
+// TestServerRetainsNoExternalItem: a server without a corpus keeps
+// nothing of an external item once its result is delivered, so its
+// memory on an unbounded external stream is bounded by what is in
+// flight, not by what it has served. The server stays open throughout.
+func TestServerRetainsNoExternalItem(t *testing.T) {
+	srv, err := testSys.NewServer(testAgent, serveCfg(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const n = 20
+	weaks := make([]weak.Pointer[oracle.ExternalItem], n)
+	func() {
+		var tickets []*ServeTicket
+		for i, item := range testSys.GenerateItems(n, 47) {
+			weaks[i] = weak.Make(item.ext)
+			tk, err := srv.SubmitWait(context.Background(), item)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tickets = append(tickets, tk)
+		}
+		for _, tk := range tickets {
+			mustWait(t, tk)
+		}
+	}()
+	runtime.GC()
+	runtime.GC()
+	alive := 0
+	for _, w := range weaks {
+		if w.Value() != nil {
+			alive++
+		}
+	}
+	if alive > 0 {
+		t.Fatalf("%d of %d served external items still reachable", alive, n)
 	}
 }
 

@@ -308,19 +308,20 @@ func checkSuccessPath(pass *Pass, funcName string, call *ast.CallExpr, stack []a
 	if funcName == "mustReserve" || funcName == "MustReserve" {
 		return // the sanctioned panic-on-refusal wrapper; callers release
 	}
+	w := pathWalk{leaf: releaseLeaf(pass), foreverDiverges: true}
 	var res pathResult
 	if guard != nil && positive {
 		// Success = the if body, falling through to what follows the if.
-		res = analyzeStmts(pass, guard.Body.List)
+		res = w.stmts(guard.Body.List)
 		if res == pathNeutral {
-			res = analyzeAfter(pass, stack, guard)
+			res = w.after(stack, guard)
 		}
 	} else if guard != nil {
 		// `if !ok { ... }`: failure handled in the body; success resumes
 		// after the if.
-		res = analyzeAfter(pass, stack, guard)
+		res = w.after(stack, guard)
 	} else {
-		res = analyzeAfter(pass, stack, stack[len(stack)-1])
+		res = w.after(stack, stack[len(stack)-1])
 	}
 	switch res {
 	case pathLeaky:
@@ -338,28 +339,34 @@ const (
 	pathLeaky                      // a path returns with the reservation held
 )
 
-// analyzeAfter walks the statements lexically after `from` in each
-// enclosing block, innermost first, mirroring fall-through control flow.
-func analyzeAfter(pass *Pass, stack []ast.Node, from ast.Node) pathResult {
+// pathWalk is the one path sweep reservepair and spanpair share: the
+// outcome of the statements after a site for one obligation (a
+// reservation, an open span). leaf says what an ExprStmt, AssignStmt,
+// DeferStmt, GoStmt or ReturnStmt does to the obligation; compound
+// statements join their branches the same way for both analyzers. Leaks
+// dominate; otherwise a discharge anywhere on a branch is accepted
+// (optimistic join — flow-sensitive guards like `if reservedMB > 0 {
+// mem.Release(reservedMB) }` pair with conditional reserves the analyzer
+// cannot correlate).
+type pathWalk struct {
+	leaf func(ast.Stmt) pathResult
+	// foreverDiverges counts a `for {}` whose body leaves the obligation
+	// untouched as divergence rather than a path that falls through.
+	foreverDiverges bool
+}
+
+// after walks the statements lexically after `from` in each enclosing
+// block, innermost first, mirroring fall-through control flow.
+func (w pathWalk) after(stack []ast.Node, from ast.Node) pathResult {
 	cur := from
 	for i := len(stack) - 1; i >= 0; i-- {
 		block, ok := stack[i].(*ast.BlockStmt)
 		if !ok {
 			continue
 		}
-		idx := -1
-		for j, s := range block.List {
-			if s == cur || containsNode(s, cur) {
-				idx = j
-				break
-			}
-		}
-		if idx >= 0 {
-			switch analyzeStmts(pass, block.List[idx+1:]) {
-			case pathReleased:
-				return pathReleased
-			case pathLeaky:
-				return pathLeaky
+		if idx := stmtIndex(block.List, cur); idx >= 0 {
+			if r := w.stmts(block.List[idx+1:]); r != pathNeutral {
+				return r
 			}
 		}
 		cur = block
@@ -367,56 +374,29 @@ func analyzeAfter(pass *Pass, stack []ast.Node, from ast.Node) pathResult {
 	return pathNeutral
 }
 
-// analyzeStmts computes the release outcome of a statement sequence.
-// Leaks dominate; otherwise a release anywhere on a branch is accepted
-// (optimistic join — flow-sensitive guards like `if reservedMB > 0 {
-// mem.Release(reservedMB) }` pair with conditional reserves the analyzer
-// cannot correlate).
-func analyzeStmts(pass *Pass, stmts []ast.Stmt) pathResult {
-	for _, s := range stmts {
-		switch analyzeStmt(pass, s) {
-		case pathReleased:
-			return pathReleased
-		case pathLeaky:
-			return pathLeaky
+// stmts is the outcome of a statement sequence: its first statement
+// that is not neutral decides.
+func (w pathWalk) stmts(list []ast.Stmt) pathResult {
+	for _, s := range list {
+		if r := w.stmt(s); r != pathNeutral {
+			return r
 		}
 	}
 	return pathNeutral
 }
 
-func analyzeStmt(pass *Pass, stmt ast.Stmt) pathResult {
+func (w pathWalk) stmt(stmt ast.Stmt) pathResult {
 	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			if isReleaseCall(pass.Info, call) {
-				return pathReleased
-			}
-			if isPanicCall(pass.Info, call) {
-				return pathReleased // divergence: the unwind is not a leak
-			}
-		}
-	case *ast.DeferStmt:
-		if isReleaseCall(pass.Info, s.Call) {
-			return pathReleased
-		}
-		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok && bodyReleases(pass, fl.Body) {
-			return pathReleased
-		}
-	case *ast.GoStmt:
-		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok && bodyReleases(pass, fl.Body) {
-			return pathReleased // async release: the spawned goroutine pays
-		}
-	case *ast.ReturnStmt:
-		return pathLeaky
+	case *ast.ExprStmt, *ast.AssignStmt, *ast.DeferStmt, *ast.GoStmt, *ast.ReturnStmt:
+		return w.leaf(s)
 	case *ast.BlockStmt:
-		return analyzeStmts(pass, s.List)
+		return w.stmts(s.List)
 	case *ast.LabeledStmt:
-		return analyzeStmt(pass, s.Stmt)
+		return w.stmt(s.Stmt)
 	case *ast.IfStmt:
-		t := analyzeStmts(pass, s.Body.List)
-		e := pathNeutral
+		t, e := w.stmts(s.Body.List), pathNeutral
 		if s.Else != nil {
-			e = analyzeStmt(pass, s.Else)
+			e = w.stmt(s.Else)
 		}
 		if t == pathLeaky || e == pathLeaky {
 			return pathLeaky
@@ -425,45 +405,71 @@ func analyzeStmt(pass *Pass, stmt ast.Stmt) pathResult {
 			return pathReleased
 		}
 	case *ast.ForStmt:
-		r := analyzeStmts(pass, s.Body.List)
-		if r == pathLeaky {
-			return pathLeaky
+		if r := w.stmts(s.Body.List); r != pathNeutral || s.Cond != nil || !w.foreverDiverges {
+			return r
 		}
-		if r == pathReleased {
-			return pathReleased
-		}
-		if s.Cond == nil {
-			return pathReleased // for {}: diverges rather than leaks
-		}
+		return pathReleased // for {}: diverges rather than leaks
 	case *ast.RangeStmt:
-		return analyzeStmts(pass, s.Body.List)
+		return w.stmts(s.Body.List)
 	case *ast.SwitchStmt:
-		return analyzeCaseBodies(pass, s.Body)
+		return w.clauses(s.Body)
 	case *ast.TypeSwitchStmt:
-		return analyzeCaseBodies(pass, s.Body)
+		return w.clauses(s.Body)
 	case *ast.SelectStmt:
-		for _, cc := range s.Body.List {
-			switch analyzeStmts(pass, cc.(*ast.CommClause).Body) {
-			case pathLeaky:
-				return pathLeaky
-			case pathReleased:
-				return pathReleased
-			}
+		return w.clauses(s.Body)
+	}
+	return pathNeutral
+}
+
+// clauses is the outcome of a switch or select body: its first clause
+// that is not neutral decides.
+func (w pathWalk) clauses(body *ast.BlockStmt) pathResult {
+	for _, cc := range body.List {
+		var list []ast.Stmt
+		switch c := cc.(type) {
+		case *ast.CaseClause:
+			list = c.Body
+		case *ast.CommClause:
+			list = c.Body
+		}
+		if r := w.stmts(list); r != pathNeutral {
+			return r
 		}
 	}
 	return pathNeutral
 }
 
-func analyzeCaseBodies(pass *Pass, body *ast.BlockStmt) pathResult {
-	for _, cc := range body.List {
-		switch analyzeStmts(pass, cc.(*ast.CaseClause).Body) {
-		case pathLeaky:
+// releaseLeaf is reservepair's leaf: a Release, a deferred release, a
+// goroutine that releases, or a panic covers the reservation; a return
+// leaks it.
+func releaseLeaf(pass *Pass) func(ast.Stmt) pathResult {
+	return func(stmt ast.Stmt) pathResult {
+		switch s := stmt.(type) {
+		case *ast.ExprStmt:
+			if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
+				if isReleaseCall(pass.Info, call) {
+					return pathReleased
+				}
+				if isPanicCall(pass.Info, call) {
+					return pathReleased // divergence: the unwind is not a leak
+				}
+			}
+		case *ast.DeferStmt:
+			if isReleaseCall(pass.Info, s.Call) {
+				return pathReleased
+			}
+			if fl, ok := s.Call.Fun.(*ast.FuncLit); ok && bodyReleases(pass, fl.Body) {
+				return pathReleased
+			}
+		case *ast.GoStmt:
+			if fl, ok := s.Call.Fun.(*ast.FuncLit); ok && bodyReleases(pass, fl.Body) {
+				return pathReleased // async release: the spawned goroutine pays
+			}
+		case *ast.ReturnStmt:
 			return pathLeaky
-		case pathReleased:
-			return pathReleased
 		}
+		return pathNeutral
 	}
-	return pathNeutral
 }
 
 func bodyReleases(pass *Pass, body *ast.BlockStmt) bool {

@@ -138,7 +138,7 @@ func checkSpanSite(pass *Pass, funcName string, call *ast.CallExpr, op spanOpene
 		if obj == nil {
 			return
 		}
-		switch analyzeSpanAfter(pass, stack, p, obj) {
+		switch (pathWalk{leaf: spanLeaf(pass, obj)}).after(stack, p) {
 		case pathLeaky:
 			pass.Reportf(call.Pos(), "span from %s can return without %s: close on every path or defer it", op.open, op.close)
 		case pathNeutral:
@@ -151,133 +151,50 @@ func checkSpanSite(pass *Pass, funcName string, call *ast.CallExpr, op spanOpene
 	// the value; its new owner is accountable.
 }
 
-// analyzeSpanAfter walks the statements lexically after `from` in each
-// enclosing block, innermost first, mirroring fall-through control flow
-// — the same sweep reservepair uses, keyed to the span variable.
-func analyzeSpanAfter(pass *Pass, stack []ast.Node, from ast.Node, obj types.Object) pathResult {
-	cur := from
-	for i := len(stack) - 1; i >= 0; i-- {
-		block, ok := stack[i].(*ast.BlockStmt)
-		if !ok {
-			continue
-		}
-		idx := stmtIndex(block.List, cur)
-		if idx >= 0 {
-			switch analyzeSpanStmts(pass, block.List[idx+1:], obj) {
-			case pathReleased:
-				return pathReleased
-			case pathLeaky:
-				return pathLeaky
-			}
-		}
-		cur = block
-	}
-	return pathNeutral
-}
-
-func analyzeSpanStmts(pass *Pass, stmts []ast.Stmt, obj types.Object) pathResult {
-	for _, s := range stmts {
-		switch analyzeSpanStmt(pass, s, obj) {
-		case pathReleased:
-			return pathReleased
-		case pathLeaky:
-			return pathLeaky
-		}
-	}
-	return pathNeutral
-}
-
-// analyzeSpanStmt computes one statement's effect on the open span.
-// Leaks dominate; otherwise a close anywhere on a branch is accepted
-// (the optimistic join reservepair established). A close is any
+// spanLeaf is spanpair's leaf for the span variable obj. A close is any
 // End/EndSpan/EndSpanAt whose arguments mention the span variable; a
 // discharge is forwarding it — returning it, passing it to any other
-// call, or storing it — after which the new holder owes the close.
-func analyzeSpanStmt(pass *Pass, stmt ast.Stmt, obj types.Object) pathResult {
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			if spanDischarged(pass, call, obj) {
+// call, or storing it — after which the new holder owes the close. A
+// panic diverges; any other return leaks the span.
+func spanLeaf(pass *Pass, obj types.Object) func(ast.Stmt) pathResult {
+	return func(stmt ast.Stmt) pathResult {
+		switch s := stmt.(type) {
+		case *ast.ExprStmt:
+			if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
+				if spanDischarged(pass, call, obj) {
+					return pathReleased
+				}
+				if isPanicCall(pass.Info, call) {
+					return pathReleased // divergence: the unwind is not a leak
+				}
+			}
+		case *ast.AssignStmt:
+			for _, rhs := range s.Rhs {
+				if usesObj(pass, rhs, obj) {
+					return pathReleased // escaped into another binding or field
+				}
+			}
+		case *ast.DeferStmt:
+			if spanDischarged(pass, s.Call, obj) {
 				return pathReleased
 			}
-			if isPanicCall(pass.Info, call) {
-				return pathReleased // divergence: the unwind is not a leak
-			}
-		}
-	case *ast.AssignStmt:
-		for _, rhs := range s.Rhs {
-			if usesObj(pass, rhs, obj) {
-				return pathReleased // escaped into another binding or field
-			}
-		}
-	case *ast.DeferStmt:
-		if spanDischarged(pass, s.Call, obj) {
-			return pathReleased
-		}
-		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok && usesObj(pass, fl.Body, obj) {
-			return pathReleased
-		}
-	case *ast.GoStmt:
-		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok && usesObj(pass, fl.Body, obj) {
-			return pathReleased // async close: the spawned goroutine pays
-		}
-	case *ast.ReturnStmt:
-		for _, res := range s.Results {
-			if usesObj(pass, res, obj) {
-				return pathReleased // forwarded to the caller
-			}
-		}
-		return pathLeaky
-	case *ast.BlockStmt:
-		return analyzeSpanStmts(pass, s.List, obj)
-	case *ast.LabeledStmt:
-		return analyzeSpanStmt(pass, s.Stmt, obj)
-	case *ast.IfStmt:
-		t := analyzeSpanStmts(pass, s.Body.List, obj)
-		e := pathNeutral
-		if s.Else != nil {
-			e = analyzeSpanStmt(pass, s.Else, obj)
-		}
-		if t == pathLeaky || e == pathLeaky {
-			return pathLeaky
-		}
-		if t == pathReleased || e == pathReleased {
-			return pathReleased
-		}
-	case *ast.ForStmt:
-		r := analyzeSpanStmts(pass, s.Body.List, obj)
-		if r != pathNeutral {
-			return r
-		}
-	case *ast.RangeStmt:
-		return analyzeSpanStmts(pass, s.Body.List, obj)
-	case *ast.SwitchStmt:
-		return analyzeSpanCases(pass, s.Body, obj)
-	case *ast.TypeSwitchStmt:
-		return analyzeSpanCases(pass, s.Body, obj)
-	case *ast.SelectStmt:
-		for _, cc := range s.Body.List {
-			switch analyzeSpanStmts(pass, cc.(*ast.CommClause).Body, obj) {
-			case pathLeaky:
-				return pathLeaky
-			case pathReleased:
+			if fl, ok := s.Call.Fun.(*ast.FuncLit); ok && usesObj(pass, fl.Body, obj) {
 				return pathReleased
 			}
-		}
-	}
-	return pathNeutral
-}
-
-func analyzeSpanCases(pass *Pass, body *ast.BlockStmt, obj types.Object) pathResult {
-	for _, cc := range body.List {
-		switch analyzeSpanStmts(pass, cc.(*ast.CaseClause).Body, obj) {
-		case pathLeaky:
+		case *ast.GoStmt:
+			if fl, ok := s.Call.Fun.(*ast.FuncLit); ok && usesObj(pass, fl.Body, obj) {
+				return pathReleased // async close: the spawned goroutine pays
+			}
+		case *ast.ReturnStmt:
+			for _, res := range s.Results {
+				if usesObj(pass, res, obj) {
+					return pathReleased // forwarded to the caller
+				}
+			}
 			return pathLeaky
-		case pathReleased:
-			return pathReleased
 		}
+		return pathNeutral
 	}
-	return pathNeutral
 }
 
 // spanDischarged reports whether call pays the open's obligation: a

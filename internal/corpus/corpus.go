@@ -20,6 +20,11 @@
 // the corpus holds that many resident items, AdmitWait blocks until an
 // eviction frees a slot.
 //
+// A server drives the lifecycle by corpus sequence: *Corpus satisfies
+// the serving layer's corpus contract (serve.Corpus, Begin and Commit)
+// directly, and the server runs each item on the item's own executor,
+// Item(seq).Executor(), whose outputs are journaled as they land.
+//
 // Periodic snapshots compact the journal: a snapshot merges the previous
 // snapshot, the journal, and the in-memory state into one blob (so no
 // output is ever lost across snapshot generations), then truncates the
@@ -489,19 +494,13 @@ func (c *Corpus) writeRecord(rec *record) error {
 	return nil
 }
 
-// Item returns the managed item for a sequence number — the executor
-// payload whose memoized outputs recovery reads.
+// Item returns the managed item for a sequence number — the item a
+// server runs through its Executor, and whose memoized outputs recovery
+// reads.
 func (c *Corpus) Item(seq int) *oracle.ExternalItem {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.entries[seq].item
-}
-
-// Len returns the number of items the corpus tracks.
-func (c *Corpus) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // States returns every item's lifecycle state in sequence order.

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"ams/internal/labels"
-	"ams/internal/oracle"
 	"ams/internal/synth"
 	"ams/internal/zoo"
 )
@@ -76,8 +75,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	if got := zoo.Inferences() - before; got != 0 {
 		t.Fatalf("opening a journal ran %d inferences; want 0", got)
 	}
-	if c2.Len() != 6 {
-		t.Fatalf("reopened corpus has %d items, want 6", c2.Len())
+	if c2.Stats().Items != 6 {
+		t.Fatalf("reopened corpus has %d items, want 6", c2.Stats().Items)
 	}
 	states := c2.States()
 	for i, st := range states {
@@ -271,7 +270,7 @@ func TestSnapshotCompactsAndPreservesEvictedOutputs(t *testing.T) {
 	}
 	// A second generation: more activity, snapshot again. The first
 	// generation's evicted outputs must survive the merge.
-	populateFrom := c.Len()
+	populateFrom := c.Stats().Items
 	seq, err := c.AdmitWait(context.Background(), ds.Scenes[populateFrom], "late")
 	if err != nil {
 		t.Fatal(err)
@@ -306,47 +305,35 @@ func TestSnapshotCompactsAndPreservesEvictedOutputs(t *testing.T) {
 	}
 }
 
-func TestSourceIndexing(t *testing.T) {
-	// A corpus source over a base store layers corpus items after it.
-	base := oracle.Build(z, ds.Scenes[:3])
-	path := tempJournal(t)
-	c := mustOpen(t, path, Options{})
+// TestItemExecutor: a corpus item's own executor — what a server runs a
+// corpus-managed item on — reports no ground truth and the scene's seed,
+// and Begin/Output/Commit by sequence commits and evicts the item, whose
+// re-served output is bit-identical.
+func TestItemExecutor(t *testing.T) {
+	c := mustOpen(t, tempJournal(t), Options{})
 	defer c.Close()
-	src := c.Source(base)
-	if src.NumItems() != base.NumItems() {
-		t.Fatalf("empty corpus source has %d items, want %d", src.NumItems(), base.NumItems())
-	}
-	idx, err := src.AdmitWait(context.Background(), ds.Scenes[5], "ext")
+	seq, err := c.AdmitWait(context.Background(), ds.Scenes[5], "ext")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx != base.NumItems() {
-		t.Fatalf("first corpus item at index %d, want %d", idx, base.NumItems())
-	}
-	if src.Truth(idx) != nil {
+	ex := c.Item(seq).Executor()
+	if ex.Truth(0) != nil {
 		t.Fatal("corpus item reports ground truth")
 	}
-	if src.Truth(0) == nil {
-		t.Fatal("base item lost its ground truth")
+	if ex.Seed(0) != ds.Scenes[5].Seed {
+		t.Fatalf("item identity %#x, want the scene's seed %#x", ex.Seed(0), ds.Scenes[5].Seed)
 	}
-	if src.Seed(idx) != ds.Scenes[5].Seed || src.Seed(0) != ds.Scenes[0].Seed {
-		t.Fatalf("item identities: corpus item %#x, base item %#x, want the scenes' seeds", src.Seed(idx), src.Seed(0))
+	c.Begin(seq)
+	out := ex.Output(0, 1)
+	if err := c.Commit(seq, []int{1}, 5); err != nil {
+		t.Fatal(err)
 	}
-	src.BeginItem(idx)
-	out := src.Output(idx, 1)
-	src.CommitItem(idx, []int{1}, 5)
-	st := c.States()[0]
+	st := c.States()[seq]
 	if !st.Committed || st.Resident {
-		t.Fatalf("commit through the source did not commit+evict: %+v", st)
+		t.Fatalf("commit by sequence did not commit+evict: %+v", st)
 	}
-	if !reflect.DeepEqual(src.Output(idx, 1), out) {
+	if !reflect.DeepEqual(ex.Output(0, 1), out) {
 		t.Fatal("re-served output differs")
-	}
-	// Base items are not corpus-managed: their hooks are no-ops.
-	src.BeginItem(0)
-	src.CommitItem(0, []int{1}, 5)
-	if got := c.Stats().Items; got != 1 {
-		t.Fatalf("base-item lifecycle leaked into the corpus: %d items", got)
 	}
 }
 

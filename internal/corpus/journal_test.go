@@ -17,7 +17,7 @@ import (
 	"ams/internal/zoo"
 )
 
-var updateSeeds = flag.Bool("update", false, "rewrite testdata/fuzz/FuzzParseJournal from the encoder")
+var updateSeeds = flag.Bool("update", false, "rewrite testdata/fuzz from the encoder and the manifest writer")
 
 // encodeAll frames recs back to back, as a journal image after its header.
 func encodeAll(recs []record) []byte {
@@ -138,15 +138,22 @@ func seedRecords() map[string][]record {
 	}
 }
 
-// TestFuzzSeedsMatchTheEncoder keeps the checked-in seed corpus what the
-// encoder writes today; -update regenerates it.
+// TestFuzzSeedsMatchTheEncoder keeps the checked-in seed corpora what
+// the journal encoder and the manifest writer write today; -update
+// regenerates them.
 func TestFuzzSeedsMatchTheEncoder(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzParseJournal")
+	seeds := map[string][]byte{}
 	for name, recs := range seedRecords() {
-		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", encodeAll(recs))
-		path := filepath.Join(dir, name)
+		seeds[filepath.Join("FuzzParseJournal", name)] = encodeAll(recs)
+	}
+	for name, n := range manifestSeeds {
+		seeds[filepath.Join("FuzzParseManifest", name)] = []byte(manifestBody(n))
+	}
+	for name, data := range seeds {
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+		path := filepath.Join("testdata", "fuzz", name)
 		if *updateSeeds {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 				t.Fatal(err)
 			}
 			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -95,22 +96,30 @@ func OpenDir(z *zoo.Zoo, dir string, n int, opts Options) ([]*Corpus, error) {
 	return segs, nil
 }
 
+// manifestBody is the manifest of n segments: what writeManifest writes
+// and the only form parseManifest accepts.
+func manifestBody(n int) string {
+	return manifestHeader + "\nsegments " + strconv.Itoa(n) + "\n"
+}
+
+// parseManifest reads the segment count of a manifest, refusing anything
+// but manifestBody of a positive count: a damaged manifest must not
+// silently reopen the wrong number of segments.
 func parseManifest(data []byte) (int, error) {
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 2 || strings.TrimSpace(lines[0]) != manifestHeader {
+	count, ok := strings.CutPrefix(string(data), manifestHeader+"\nsegments ")
+	if !ok {
 		return 0, fmt.Errorf("unrecognized manifest format")
 	}
-	var n int
-	if _, err := fmt.Sscanf(strings.TrimSpace(lines[1]), "segments %d", &n); err != nil || n <= 0 {
-		return 0, fmt.Errorf("bad segment count line %q", lines[1])
+	n, err := strconv.Atoi(strings.TrimSuffix(count, "\n"))
+	if err != nil || n <= 0 || string(data) != manifestBody(n) {
+		return 0, fmt.Errorf("bad segment count line %q", "segments "+count)
 	}
 	return n, nil
 }
 
 func writeManifest(path string, n int) error {
 	tmp := path + ".tmp"
-	body := fmt.Sprintf("%s\nsegments %d\n", manifestHeader, n)
-	if err := os.WriteFile(tmp, []byte(body), 0o644); err != nil {
+	if err := os.WriteFile(tmp, []byte(manifestBody(n)), 0o644); err != nil {
 		return fmt.Errorf("corpus: write manifest: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {

@@ -83,8 +83,8 @@ func TestCloseSyncsTail(t *testing.T) {
 	}
 	c2 := mustOpen(t, path, Options{})
 	defer c2.Close()
-	if c2.Len() != 2 {
-		t.Fatalf("reopened corpus has %d items, want 2", c2.Len())
+	if c2.Stats().Items != 2 {
+		t.Fatalf("reopened corpus has %d items, want 2", c2.Stats().Items)
 	}
 }
 

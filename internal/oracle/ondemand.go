@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"fmt"
 	"sync"
 
 	"ams/internal/synth"
@@ -154,98 +153,17 @@ func DeriveTruth(z *zoo.Zoo, scene *synth.Scene) *Truth {
 	return &truth
 }
 
-// OnDemand is the lazy Executor: an optional precomputed base (the test
-// split, say) extended by externally ingested items that are executed
-// on demand, model by model. Indices [0, base.NumItems()) address the
-// base; Add appends external items after it. Safe for concurrent use —
-// the serving layer Adds and reads from many goroutines.
-type OnDemand struct {
-	z    *zoo.Zoo
-	base *Store // may be nil: a purely external executor
+// Executor returns the item as a one-item Executor: index 0 is the item.
+// The view is the item itself under another method set, so handing it to
+// a scheduler allocates nothing, and its outputs are the item's memo.
+func (it *ExternalItem) Executor() Executor { return (*single)(it) }
 
-	mu    sync.RWMutex
-	items []*ExternalItem
-}
+// single is an ExternalItem seen as an Executor over exactly itself.
+type single ExternalItem
 
-var _ Executor = (*OnDemand)(nil)
-
-// NewOnDemand returns an on-demand executor over the zoo, optionally
-// layered on a precomputed base store (which must share the zoo).
-func NewOnDemand(z *zoo.Zoo, base *Store) *OnDemand {
-	if base != nil && base.Zoo != z {
-		panic("oracle: on-demand base store built against a different zoo")
-	}
-	return &OnDemand{z: z, base: base}
-}
-
-// Add ingests one external item and returns its index.
-func (o *OnDemand) Add(it *ExternalItem) int {
-	if it == nil {
-		panic("oracle: nil external item")
-	}
-	if it.z != o.z {
-		panic("oracle: external item built against a different zoo")
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.items = append(o.items, it)
-	return o.baseLen() + len(o.items) - 1
-}
-
-func (o *OnDemand) baseLen() int {
-	if o.base == nil {
-		return 0
-	}
-	return o.base.NumItems()
-}
-
-// NumItems implements Executor.
-func (o *OnDemand) NumItems() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.baseLen() + len(o.items)
-}
-
-// NumModels implements Executor.
-func (o *OnDemand) NumModels() int { return len(o.z.Models) }
-
-// Model implements Executor.
-func (o *OnDemand) Model(m int) *zoo.Model { return o.z.Models[m] }
-
-// item resolves an external index (panicking on out-of-range, matching
-// the Store's behavior for bad scene indices).
-func (o *OnDemand) item(i int) *ExternalItem {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	pos := i - o.baseLen()
-	if pos < 0 || pos >= len(o.items) {
-		panic(fmt.Sprintf("oracle: on-demand item index %d out of range", i))
-	}
-	return o.items[pos]
-}
-
-// Output implements Executor: precomputed for base items, lazy and
-// memoized for ingested ones.
-func (o *OnDemand) Output(i, m int) zoo.Output {
-	if i < o.baseLen() {
-		return o.base.Output(i, m)
-	}
-	return o.item(i).Output(m)
-}
-
-// Seed implements Executor.
-func (o *OnDemand) Seed(i int) uint64 {
-	if i < o.baseLen() {
-		return o.base.Seed(i)
-	}
-	return o.item(i).scene.Seed
-}
-
-// Truth implements Executor: known for base items, usually nil for
-// ingested ones.
-func (o *OnDemand) Truth(i int) *Truth {
-	if i < o.baseLen() {
-		return o.base.Truth(i)
-	}
-	return o.item(i).Truth()
-}
+func (s *single) NumItems() int              { return 1 }
+func (s *single) NumModels() int             { return len(s.z.Models) }
+func (s *single) Model(m int) *zoo.Model     { return s.z.Models[m] }
+func (s *single) Output(_, m int) zoo.Output { return (*ExternalItem)(s).Output(m) }
+func (s *single) Seed(int) uint64            { return s.scene.Seed }
+func (s *single) Truth(int) *Truth           { return (*ExternalItem)(s).Truth() }

@@ -7,8 +7,8 @@
 // however, labels *incoming* data whose outputs nobody has precomputed,
 // so the package now abstracts execution behind the narrow Executor
 // interface with two implementations: the Store (precomputed, with
-// ground truth) and the OnDemand path in ondemand.go (lazy per
-// (item, model) inference over externally ingested scenes, memoized, no
+// ground truth) and an external item's own one-item view (ondemand.go:
+// lazy per-model inference over one ingested scene, memoized, usually no
 // ground truth). The Tracker — the labeling-state bookkeeping that both
 // DRL training and every policy evaluation loop consume — runs over
 // either.
@@ -34,12 +34,13 @@ type Truth struct {
 
 // Executor is the narrow contract every scheduler-facing execution layer
 // implements: per-item model outputs plus per-model costs. The Store
-// serves precomputed outputs; OnDemand runs zoo inference lazily. All
-// executors must be safe for concurrent readers (the serving layer calls
-// Output from many goroutines).
+// serves precomputed outputs; an ExternalItem's Executor runs zoo
+// inference lazily on its one item. All executors must be safe for
+// concurrent readers (the serving layer calls Output from many
+// goroutines).
 type Executor interface {
-	// NumItems is the number of addressable items. Implementations may
-	// grow (OnDemand ingestion); indices once valid stay valid.
+	// NumItems is the number of addressable items, fixed for the
+	// executor's lifetime.
 	NumItems() int
 	// NumModels is the size of the model zoo.
 	NumModels() int
@@ -52,7 +53,7 @@ type Executor interface {
 	// Truth returns item i's ground truth, or nil when it is unknown.
 	Truth(i int) *Truth
 	// Seed returns item i's scene noise seed — the item's identity: the
-	// same in whatever executor and slot the item is ingested.
+	// same from the store and from the item's own executor.
 	Seed(i int) uint64
 }
 

@@ -233,18 +233,13 @@ func TestMarginalValueAgainstBruteForce(t *testing.T) {
 }
 
 // TestSeedIsTheItemsIdentity: an item answers the same seed — its
-// scene's — from the store, from an on-demand executor's base, and from
-// whatever slot it is ingested into.
+// scene's — from the store, from an external item's one-item executor,
+// and from a tracker over that executor.
 func TestSeedIsTheItemsIdentity(t *testing.T) {
-	od := NewOnDemand(store.Zoo, store)
-	od.Add(NewExternalItem(store.Zoo, store.Scenes[0]))
-	twin := od.Add(NewExternalItem(store.Zoo, store.Scenes[2]))
-	lone := NewOnDemand(store.Zoo, nil)
-	lone.Add(NewExternalItem(store.Zoo, store.Scenes[2]))
+	ex := NewExternalItem(store.Zoo, store.Scenes[2]).Executor()
 	want := store.Scenes[2].Seed
 	for name, got := range map[string]uint64{
-		"store": store.Seed(2), "base": od.Seed(2), "ingested": od.Seed(twin),
-		"lone": lone.Seed(0), "tracker": NewTracker(od, twin).Seed(),
+		"store": store.Seed(2), "item": ex.Seed(0), "tracker": NewTracker(ex, 0).Seed(),
 	} {
 		if got != want {
 			t.Errorf("%s: seed %#x, want the scene's %#x", name, got, want)

@@ -37,9 +37,11 @@
 // memory budget below the smallest model). A shard router (internal/shard)
 // admits its own annotated tickets into the same queue — it is the only
 // queue an item waits in — and a worker whose queue is empty asks the
-// router to steal from a sibling before it parks. An item is begun with
-// the corpus only by the worker that runs it, so a ticket that is
-// refused or stolen has nothing to undo.
+// router to steal from a sibling before it parks. A ticket names either
+// an index into the server's own executor or a Resolve that yields the
+// item's own executor; the worker that runs it resolves it, and begins it
+// with the corpus when one manages the item, so a ticket that is refused
+// or stolen has nothing to undo.
 //
 // With Config.BatchSize the server coalesces demand across items:
 // workers hand their executions to a cross-item batching runtime
@@ -139,12 +141,11 @@ type Config struct {
 	StatsWindow int
 
 	// Corpus, when non-nil, makes the server drive a durable item
-	// corpus's lifecycle: the worker that takes an item registers an
-	// in-flight reference (BeginItem), and every completed schedule
-	// journals a commit (CommitItem) before the result is delivered. The
-	// executor handed to New is then typically the corpus's own Source,
-	// so ingested items are journaled, memoized to disk, and evicted once
-	// committed.
+	// corpus's lifecycle for every item a ticket's Resolve names a corpus
+	// sequence for: the worker that takes the item registers an in-flight
+	// reference (Begin), and its completed schedule journals a commit
+	// (Commit) before the result is delivered, so ingested items are
+	// journaled, memoized to disk, and evicted once committed.
 	Corpus Corpus
 
 	// Epoch, when non-zero, is the wall-clock origin of the server's
@@ -167,15 +168,16 @@ type Config struct {
 }
 
 // Corpus is the narrow contract a durable ingestion corpus exposes to
-// the server (implemented by internal/corpus's Source). The worker that
-// runs an item calls BeginItem before its schedule starts and CommitItem
-// when it completes — the item's explicit lifetime boundary: after
-// commit the corpus may evict the item's memoized outputs, which is safe
-// because every completion's outputs are captured into its ItemResult
-// first. A ticket that never reaches a worker never begins.
+// the server (implemented by *corpus.Corpus), keyed by corpus sequence.
+// The worker that runs a corpus-managed item calls Begin before its
+// schedule starts and Commit when it completes — the item's explicit
+// lifetime boundary: after commit the corpus may evict the item's
+// memoized outputs, which is safe because every completion's outputs are
+// captured into its ItemResult first. A ticket that never reaches a
+// worker never begins, and neither does an index ticket.
 type Corpus interface {
-	BeginItem(item int)
-	CommitItem(item int, executed []int, scheduleMS float64)
+	Begin(seq int)
+	Commit(seq int, executed []int, scheduleMS float64) error
 }
 
 // DefaultStatsWindow bounds retained per-item records (~40 B each) when
@@ -193,7 +195,7 @@ const defaultBatchHoldMS = 10.0
 // the commit is journaled, so reading a result never touches the
 // executor — the item's memo may already be evicted by then.
 type ItemResult struct {
-	Image      int          // item index in the server's executor
+	Image      int          // item index in the server's executor; -1 for a resolved item
 	Tag        string       // caller-supplied identifier, echoed verbatim
 	Executed   []int        // model IDs in execution order
 	Outputs    []zoo.Output // the executed models' outputs, parallel to Executed
@@ -213,15 +215,17 @@ type Ticket struct {
 	// The router's annotation, written before admission (Shard again by a
 	// steal) and read by the worker and after Done: where placement put
 	// the item and where it ran (they differ exactly when it was stolen),
-	// whether it may be stolen, its affinity hint, and the resolution to
-	// an executor index that the worker taking it calls with Shard. Zero
-	// on a bare server.
+	// whether it may be stolen, its affinity hint, and its resolution,
+	// which the worker taking it calls with Shard. Resolve returns the
+	// item's own executor, whose index 0 is the item, and its corpus
+	// sequence — -1 when no corpus manages the item; a sequence needs a
+	// server with Config.Corpus. Zero on a bare server.
 	Home, Shard int
 	Pinned      bool
 	Hint        []int
-	Resolve     func(shard int) (int, error)
+	Resolve     func(shard int) (ex oracle.Executor, seq int, err error)
 
-	image    int
+	image    int // the executor index; -1 for a Resolve ticket
 	tag      string
 	arrival  time.Time
 	dequeued time.Time // when a worker took the item and resolved it
@@ -420,14 +424,15 @@ func (s *Server) submit(ctx context.Context, item int, tag string) (*Ticket, err
 // Admit queues tk for item. With a nil ctx it sheds when the queue is
 // full: ErrQueueFull, counted. Otherwise it waits for a slot until ctx is
 // cancelled or the server closes. A ticket without Resolve has its index
-// checked here, so a bad one fails the caller at once; the worker that
-// takes the ticket resolves and begins it.
+// checked here, so a bad one fails the caller at once; a Resolve ticket
+// ignores item, and the worker that takes it resolves and begins it.
 func (s *Server) Admit(ctx context.Context, tk *Ticket, item int) error {
-	tk.image = item
+	tk.image = -1
 	if tk.Resolve == nil {
 		if err := s.checkIndex(item); err != nil {
 			return err
 		}
+		tk.image = item
 	}
 	if ctx != nil {
 		select {
@@ -586,7 +591,8 @@ func (s *Server) worker(w int) {
 		if tk == nil {
 			return
 		}
-		if err := s.resolve(tk); err != nil {
+		ex, i, seq, err := s.resolve(tk)
+		if err != nil {
 			s.mu.Lock()
 			s.running--
 			s.failed++
@@ -601,9 +607,9 @@ func (s *Server) worker(w int) {
 		root := trace.Root(tk.arrival)
 		trace.SpanBetween(obs.SpanQueueWait, root, -1, tk.arrival, tk.dequeued)
 		mach.trace, sel.selectSec = trace, 0
-		res := sim.Execute(mach, s.ex, tk.image, sel, lim)
+		res := sim.Execute(mach, ex, i, sel, lim)
 		s.observeQuality(sel.Policy, res)
-		s.finish(tk, res, sel.selectSec, trace)
+		s.finish(tk, seq, res, sel.selectSec, trace)
 	}
 }
 
@@ -635,19 +641,19 @@ func (s *Server) next() (tk *Ticket) {
 	return tk
 }
 
-// resolve readies a taken ticket to run here, the one place an item is
-// begun: a Resolve ticket gets its index on this, the executing, shard,
-// and every ticket's index is checked and registered with the corpus.
-func (s *Server) resolve(tk *Ticket) (err error) {
-	if tk.Resolve != nil {
-		if tk.image, err = tk.Resolve(tk.Shard); err != nil {
-			return err
-		}
+// resolve readies a taken ticket to run here and returns the executor and
+// index it runs at: the server's own executor for an index ticket (Admit
+// range-checked it), the item's own at index 0 for a Resolve ticket,
+// resolved on this, the executing, shard. It is the one place an item is
+// begun: seq >= 0 is the corpus sequence of a corpus-managed item.
+func (s *Server) resolve(tk *Ticket) (ex oracle.Executor, i, seq int, err error) {
+	if tk.Resolve == nil {
+		return s.ex, tk.image, -1, nil
 	}
-	if err = s.checkIndex(tk.image); err == nil && s.cfg.Corpus != nil {
-		s.cfg.Corpus.BeginItem(tk.image)
+	if ex, seq, err = tk.Resolve(tk.Shard); err == nil && seq >= 0 {
+		s.cfg.Corpus.Begin(seq)
 	}
-	return err
+	return ex, 0, seq, err
 }
 
 // selector is the worker's policy as the executor sees it: a sim.Policy
@@ -885,14 +891,17 @@ func (s *Server) scaled(ms float64) time.Duration {
 // ticket. The schedule length charged to the worker — and to
 // utilization — is the makespan: the summed model time of a serial
 // schedule, less when models overlapped. The corpus commit (the item's
-// explicit lifetime boundary) happens first: the outputs are already
-// captured by value, so the corpus may evict the item's memo the moment
-// the commit is journaled, before any reader wakes.
-func (s *Server) finish(tk *Ticket, res sim.Result, selectSec float64, trace *obs.ItemTrace) {
+// explicit lifetime boundary) of a corpus-managed item (seq >= 0)
+// happens first: the outputs are already captured by value, so the
+// corpus may evict the item's memo the moment the commit is journaled,
+// before any reader wakes.
+func (s *Server) finish(tk *Ticket, seq int, res sim.Result, selectSec float64, trace *obs.ItemTrace) {
 	commit := trace.StartSpan(obs.SpanCommit, 0, -1)
 	trace.Annotate(commit, obs.SpanAttrs{RemainingMS: s.cfg.Limits().DeadlineMS - res.MakespanMS})
-	if s.cfg.Corpus != nil {
-		s.cfg.Corpus.CommitItem(tk.image, res.Executed, res.MakespanMS)
+	if seq >= 0 {
+		// The sticky write error surfaces on the admission path; a worker
+		// completing an item has nowhere to return it.
+		_ = s.cfg.Corpus.Commit(seq, res.Executed, res.MakespanMS)
 	}
 	trace.EndSpan(commit)
 	finishWall := time.Now()

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -117,11 +118,18 @@ func TestSubmitValidationAndClose(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	res := tk.Wait()
-	if res.Image != 0 || res.Recall < 0 || res.Recall > 1+1e-9 {
+	if res.Image != 0 || !res.HasRecall || res.Recall < 0 || res.Recall > 1+1e-9 {
 		t.Fatalf("bad result %+v", res)
 	}
 	if res.ScheduleMS > 500+1e-9 {
 		t.Fatalf("schedule %v ms exceeds the 500 ms deadline", res.ScheduleMS)
+	}
+	ext := corpusTicket(3)
+	if err := s.Admit(nil, ext, 0); err != nil {
+		t.Fatalf("Admit: %v", err)
+	}
+	if res := ext.Wait(); res.Image != -1 || res.HasRecall || len(res.Executed) == 0 {
+		t.Fatalf("bad resolved result %+v", res)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -129,18 +137,22 @@ func TestSubmitValidationAndClose(t *testing.T) {
 	if _, err := s.Submit(0, ""); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
-	if _, err := s.SubmitWait(context.Background(), 0, ""); !errors.Is(err, ErrClosed) {
-		t.Fatalf("SubmitWait after Close = %v, want ErrClosed", err)
+	if err := s.Admit(nil, corpusTicket(4), 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Admit after Close = %v, want ErrClosed", err)
+	}
+	if err := s.Admit(context.Background(), corpusTicket(5), 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("waiting Admit after Close = %v, want ErrClosed", err)
 	}
 	if err := s.Close(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("second Close = %v, want ErrClosed", err)
 	}
-	// Only the one item that ran was begun: neither the refused indexes
-	// nor the closed-server admissions reached a worker.
+	// Only the one corpus-managed item that ran was begun: the index
+	// ticket has no sequence, and the closed-server admissions never
+	// reached a worker.
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if len(rc.begins) != 1 || rc.begins[0] != 1 || rc.commits[0] != 1 {
-		t.Fatalf("begins %v, commits %v; want item 0 begun and committed once", rc.begins, rc.commits)
+	if len(rc.begins) != 1 || rc.begins[3] != 1 || len(rc.commits) != 1 || rc.commits[3] != 1 {
+		t.Fatalf("begins %v, commits %v; want sequence 3 begun and committed once", rc.begins, rc.commits)
 	}
 }
 
@@ -601,8 +613,8 @@ func TestExactlyExhaustedBudgetDoesNotPanic(t *testing.T) {
 	}
 }
 
-// recordingCorpus records the server's lifecycle calls so the tests can
-// assert the Begin/Commit pairing contract.
+// recordingCorpus records the server's lifecycle calls, by corpus
+// sequence, so the tests can assert the Begin/Commit pairing contract.
 type recordingCorpus struct {
 	mu      sync.Mutex
 	begins  map[int]int
@@ -613,23 +625,37 @@ func newRecordingCorpus() *recordingCorpus {
 	return &recordingCorpus{begins: map[int]int{}, commits: map[int]int{}}
 }
 
-func (rc *recordingCorpus) BeginItem(item int) {
+func (rc *recordingCorpus) Begin(seq int) {
 	rc.mu.Lock()
-	rc.begins[item]++
+	rc.begins[seq]++
 	rc.mu.Unlock()
 }
 
-func (rc *recordingCorpus) CommitItem(item int, executed []int, scheduleMS float64) {
+func (rc *recordingCorpus) Commit(seq int, executed []int, scheduleMS float64) error {
 	rc.mu.Lock()
-	rc.commits[item]++
+	rc.commits[seq]++
 	rc.mu.Unlock()
+	return nil
+}
+
+// corpusTicket is a corpus-managed ticket tagged with its sequence: it
+// resolves to scene seq's own executor and corpus sequence seq, as a
+// server over a durable corpus resolves an ingested item.
+func corpusTicket(seq int) *Ticket {
+	tk := NewTicket(strconv.Itoa(seq))
+	tk.Resolve = func(int) (oracle.Executor, int, error) {
+		return oracle.NewExternalItem(z, ds.Scenes[seq]).Executor(), seq, nil
+	}
+	return tk
 }
 
 // TestCorpusLifecycleCalls checks the serve<->corpus contract: every
-// item a worker runs Begins exactly once, every completion Commits
-// exactly once before the ticket resolves, and a refused admission
-// begins nothing. Schedules of ≈25 ms wall keep both workers and the
-// one queue slot busy through the submit burst, so most are refused.
+// corpus-managed item a worker runs Begins exactly once, every such
+// completion Commits exactly once before the ticket resolves, a refused
+// admission begins nothing, and an index ticket, admitted after the
+// burst, never begins at all. Schedules of ≈25 ms wall keep both workers
+// and the one queue slot busy through the submit burst, so most are
+// refused.
 func TestCorpusLifecycleCalls(t *testing.T) {
 	rc := newRecordingCorpus()
 	cfg := fast(2)
@@ -643,11 +669,20 @@ func TestCorpusLifecycleCalls(t *testing.T) {
 	var tickets []*Ticket
 	rejected := 0
 	for i := 0; i < 12; i++ {
-		tk, err := s.Submit(i%store.NumItems(), "")
+		tk := corpusTicket(i)
+		err := s.Admit(nil, tk, 0)
 		if errors.Is(err, ErrQueueFull) {
 			rejected++
 			continue
 		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	const indexed = 3
+	for i := 0; i < indexed; i++ {
+		tk, err := s.SubmitWait(context.Background(), i, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -658,13 +693,17 @@ func TestCorpusLifecycleCalls(t *testing.T) {
 		if len(res.Outputs) != len(res.Executed) {
 			t.Fatalf("result outputs %d not parallel to executed %d", len(res.Outputs), len(res.Executed))
 		}
+		if tk.Resolve == nil {
+			continue
+		}
 		// Commit-of-result is the boundary: by Wait time the commit has
 		// been journaled.
+		seq, _ := strconv.Atoi(res.Tag)
 		rc.mu.Lock()
-		committed := rc.commits[res.Image]
+		committed := rc.commits[seq]
 		rc.mu.Unlock()
 		if committed == 0 {
-			t.Fatalf("item %d resolved before its commit", res.Image)
+			t.Fatalf("item %d resolved before its commit", seq)
 		}
 	}
 	if err := s.Close(); err != nil {
@@ -679,8 +718,8 @@ func TestCorpusLifecycleCalls(t *testing.T) {
 	for _, n := range rc.commits {
 		commits += n
 	}
-	if commits != len(tickets) {
-		t.Fatalf("%d commits for %d completed items", commits, len(tickets))
+	if commits != len(tickets)-indexed {
+		t.Fatalf("%d commits for %d completed corpus-managed items", commits, len(tickets)-indexed)
 	}
 	if rejected == 0 {
 		t.Fatal("no admission was refused: the test never exercised the shed path")

@@ -21,7 +21,7 @@
 //     whose own queue is empty asks the router, before it parks, for the
 //     oldest stealable item in the longest sibling queue; an admission
 //     nudges the siblings' idle workers to ask again.
-//   - Items resolve to an executor index, and begin with the corpus, on
+//   - Items resolve to their executor, and begin with the corpus, on
 //     the worker that takes them, on the shard that executes them. That
 //     is what makes stealing compose with durable ingestion: an external
 //     item is admitted into (and journaled by) the segment of the shard
@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"sync"
 
+	"ams/internal/oracle"
 	"ams/internal/serve"
 	"ams/internal/service"
 )
@@ -99,13 +100,14 @@ type Item struct {
 	// Index is the item's index in every shard's executor, for items
 	// present in a shared store. Ignored when Resolve is set.
 	Index int
-	// Resolve, when set, maps the item to an executor index on the shard
-	// chosen to execute it, called by the worker that takes the item (it
-	// may block — e.g. on a corpus residency watermark, which is
+	// Resolve, when set, maps the item to its own executor (index 0 is
+	// the item) and corpus sequence (-1 when no corpus manages it) on the
+	// shard chosen to execute it, called by the worker that takes the item
+	// (it may block — e.g. on a corpus residency watermark, which is
 	// backpressure on that shard). This is how external items are
 	// admitted into the executing shard's own journal segment, including
 	// when the item is stolen.
-	Resolve func(shard int) (int, error)
+	Resolve func(shard int) (ex oracle.Executor, seq int, err error)
 	// Pin, when positive, pins the item to shard Pin-1: placement is
 	// bypassed and the item is never stolen. Replay uses this to route
 	// recovered items back to the segment that journaled them. Zero

@@ -257,11 +257,11 @@ func TestStealDrainsIdleShard(t *testing.T) {
 	for i := range tickets {
 		it := Item{Key: key, Index: i % ds.Len(), Tag: []string{"", "dup"}[i%2]}
 		if i%3 == 0 {
-			it.Resolve = func(shard int) (int, error) {
+			it.Resolve = func(shard int) (oracle.Executor, int, error) {
 				mu.Lock()
 				defer mu.Unlock()
 				resolvedOn[i] = append(resolvedOn[i], shard)
-				return i % ds.Len(), nil
+				return oracle.NewExternalItem(z, ds.Scenes[i%ds.Len()]).Executor(), -1, nil
 			}
 		}
 		tk, err := r.SubmitWait(context.Background(), it)
@@ -539,7 +539,7 @@ func TestDispatchFailuresResolveOnce(t *testing.T) {
 		wantTicket error // the ticket's, when SubmitWait handed one out
 		failures   int64
 	}{
-		{"resolve error", Item{Pin: 1, Resolve: func(int) (int, error) { resolves.Add(1); return 0, boom }}, false, nil, boom, 1},
+		{"resolve error", Item{Pin: 1, Resolve: func(int) (oracle.Executor, int, error) { resolves.Add(1); return nil, -1, boom }}, false, nil, boom, 1},
 		{"shard closed before admission", Item{Pin: 1, Index: 1}, true, serve.ErrClosed, nil, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -701,9 +701,9 @@ func TestWaitSecCoversDispatchResolve(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	tk, err := r.SubmitWait(context.Background(), Item{Key: 1, Resolve: func(int) (int, error) {
+	tk, err := r.SubmitWait(context.Background(), Item{Key: 1, Resolve: func(int) (oracle.Executor, int, error) {
 		time.Sleep(block)
-		return 3, nil
+		return oracle.NewExternalItem(z, ds.Scenes[3]).Executor(), -1, nil
 	}})
 	if err != nil {
 		t.Fatalf("SubmitWait: %v", err)

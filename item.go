@@ -284,16 +284,15 @@ func (s *System) checkItem(item Item) (*oracle.ExternalItem, error) {
 }
 
 // resolveItem maps an item onto the executor/index pair the scheduling
-// layers run on: the precomputed test store for built-in items, a fresh
-// on-demand executor for external ones.
+// layers run on: the precomputed test store for built-in items, the
+// item's own one-item executor for external ones.
 func (s *System) resolveItem(item Item) (oracle.Executor, int, error) {
 	ext, err := s.checkItem(item)
 	if err != nil {
 		return nil, 0, err
 	}
 	if ext != nil {
-		ex := oracle.NewOnDemand(s.Zoo, nil)
-		return ex, ex.Add(ext), nil
+		return ext.Executor(), 0, nil
 	}
 	return s.testStore, item.image, nil
 }

@@ -82,9 +82,9 @@ var (
 
 // itemSeeded restarts the random baseline's stream at each item's first
 // ask from (seed, the item's scene seed): Reset sees only an executor
-// slot, which differs from door to door, but the labeling state knows the
-// item. The draws then depend on nothing else — not the worker, the
-// shard, the slot, or what ran before.
+// index, which is 0 for every external item, but the labeling state
+// knows the item. The draws then depend on nothing else — not the
+// worker, the shard, or what ran before.
 type itemSeeded struct {
 	*sched.Random
 	seed uint64

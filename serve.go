@@ -281,19 +281,17 @@ type Server struct {
 }
 
 // serverShard is one shard of the server: one worker pool
-// (serve.Server, with its own memory accountant) plus its own ingestion
-// state — the on-demand executor or, with a corpus, its own journal
-// segment's Source.
+// (serve.Server over the test store, with its own memory accountant)
+// plus, with a corpus, its own journal segment.
 type serverShard struct {
-	ingest *oracle.OnDemand // test store + dynamically ingested items (no corpus)
-	src    *corpus.Source   // this shard's corpus segment view (nil without corpus)
-	inner  *serve.Server
+	seg   *corpus.Corpus // nil without a corpus
+	inner *serve.Server
 
-	// ingested memoizes each external item's executor index so repeated
-	// submissions of one item reuse the slot instead of growing the
-	// executor per submission. admitting marks items whose (possibly
-	// blocking) corpus admission is in flight, so one item is never
-	// journaled twice; mu itself is never held across a wait.
+	// ingested maps each external item the segment journaled to its
+	// corpus sequence, so repeated submissions of one item reuse its
+	// journal entry. admitting marks items whose (possibly blocking)
+	// corpus admission is in flight, so one item is never journaled
+	// twice; mu itself is never held across a wait.
 	mu        sync.Mutex
 	ingested  map[*oracle.ExternalItem]int
 	admitting map[*oracle.ExternalItem]chan struct{}
@@ -595,57 +593,48 @@ func (sv *Server) armFlightRecorder(dir string) {
 	sv.flight = fr
 }
 
-// newShard builds one shard: a serve.Server over either the shard's
-// corpus segment or a private on-demand executor.
+// newShard builds one shard: a serve.Server over the test store, driving
+// the shard's corpus segment when there is one.
 func (s *System) newShard(seg *corpus.Corpus, factory service.PolicyFactory, cfg serve.Config) (*serverShard, error) {
-	sh := &serverShard{
-		ingested:  make(map[*oracle.ExternalItem]int),
-		admitting: make(map[*oracle.ExternalItem]chan struct{}),
-	}
-	var ex oracle.Executor
+	sh := &serverShard{seg: seg}
 	if seg != nil {
-		sh.src = seg.Source(s.testStore)
-		ex, cfg.Corpus = sh.src, sh.src
+		cfg.Corpus = seg
+		sh.ingested = make(map[*oracle.ExternalItem]int)
+		sh.admitting = make(map[*oracle.ExternalItem]chan struct{})
 		// History already committed in the journal was delivered before:
 		// reclaim its memos so a reopened corpus does not pin them.
 		// ReplayCorpus recovers those results *before* building a server.
 		seg.ReclaimCommitted()
-	} else {
-		sh.ingest = oracle.NewOnDemand(s.Zoo, s.testStore)
-		ex = sh.ingest
 	}
 	var err error
-	if sh.inner, err = serve.New(ex, factory, cfg); err != nil {
+	if sh.inner, err = serve.New(s.testStore, factory, cfg); err != nil {
 		return nil, fmt.Errorf("ams: %w", err)
 	}
 	return sh, nil
 }
 
-// resolve maps an external item onto the shard's executor index,
-// ingesting its content. It runs on the worker that takes the item, so
-// a corpus admission lands in the executing shard's own journal segment.
-// One external item occupies one executor slot no matter how often it is
-// submitted or how many admissions fail.
+// resolve maps an external item onto the executor it runs on and its
+// corpus sequence. It runs on the worker that takes the item, so a
+// corpus admission lands in the executing shard's own journal segment.
 //
-// Without a corpus, ingested slots live as long as the server (results
-// carry their outputs by value, but the item's memo itself is never
-// reclaimed): a server on an unbounded external stream grows with its
-// distinct accepted items. With a corpus, admission journals the scene
-// first and committed items are evicted, bounding residency at
+// Without a corpus the item is its own executor and the shard keeps
+// nothing: once its result is delivered, nothing of the server holds it,
+// and a resubmission replays the memo the item carries. With a corpus,
+// admission journals the scene first and the item runs on the corpus's
+// copy, whose outputs are journaled as they land; one external item is
+// journaled once, no matter how often it is submitted or how many
+// admissions fail. Committed items are evicted, bounding residency at
 // CorpusOptions.MaxResident: an admission at the watermark waits for an
 // eviction, which is backpressure on the shard's queue.
-func (sh *serverShard) resolve(ext *oracle.ExternalItem, tag string) (int, error) {
+func (sh *serverShard) resolve(ext *oracle.ExternalItem, tag string) (oracle.Executor, int, error) {
+	if sh.seg == nil {
+		return ext.Executor(), -1, nil
+	}
 	for {
 		sh.mu.Lock()
-		if idx, ok := sh.ingested[ext]; ok {
+		if seq, ok := sh.ingested[ext]; ok {
 			sh.mu.Unlock()
-			return idx, nil
-		}
-		if sh.src == nil {
-			idx := sh.ingest.Add(ext)
-			sh.ingested[ext] = idx
-			sh.mu.Unlock()
-			return idx, nil
+			return sh.seg.Item(seq).Executor(), seq, nil
 		}
 		pending, inFlight := sh.admitting[ext]
 		if !inFlight {
@@ -663,15 +652,18 @@ func (sh *serverShard) resolve(ext *oracle.ExternalItem, tag string) (int, error
 		// (possibly watermark-blocked) wait, so the shard's other workers
 		// stay live.
 		//amsvet:allow ctxflow resolution runs on the executing worker, after the submitter's ctx has already returned
-		idx, err := sh.src.AdmitWait(context.Background(), *ext.Scene(), tag)
+		seq, err := sh.seg.AdmitWait(context.Background(), *ext.Scene(), tag)
 		sh.mu.Lock()
 		if err == nil {
-			sh.ingested[ext] = idx
+			sh.ingested[ext] = seq
 		}
 		delete(sh.admitting, ext)
 		close(pending)
 		sh.mu.Unlock()
-		return idx, err
+		if err != nil {
+			return nil, -1, err
+		}
+		return sh.seg.Item(seq).Executor(), seq, nil
 	}
 }
 
@@ -773,7 +765,7 @@ func (sv *Server) routedItem(item Item) (shard.Item, error) {
 	if ext == nil {
 		it.Index = item.image
 	} else {
-		it.Resolve = func(sh int) (int, error) { return sv.shards[sh].resolve(ext, item.id) }
+		it.Resolve = func(sh int) (oracle.Executor, int, error) { return sv.shards[sh].resolve(ext, item.id) }
 	}
 	return it, nil
 }
@@ -784,7 +776,7 @@ func (sv *Server) routedItem(item Item) (shard.Item, error) {
 // shard that executes them, so a corpus at its watermark surfaces as
 // queue backpressure (the shard's worker waits for an eviction).
 func (sv *Server) Submit(item Item) (*ServeTicket, error) {
-	return sv.submit(nil, item, -1, 0)
+	return sv.submit(nil, item)
 }
 
 // SubmitWait admits one item, blocking while its home queue is full
@@ -793,22 +785,15 @@ func (sv *Server) SubmitWait(ctx context.Context, item Item) (*ServeTicket, erro
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return sv.submit(ctx, item, -1, 0)
+	return sv.submit(ctx, item)
 }
 
 // submit is the one admission path: Submit when ctx is nil, SubmitWait
-// otherwise. seg < 0 is a fresh submission, to be resolved to an
-// executor index by the worker that takes it. seg >= 0 is ReplayCorpus
-// re-submitting an item that already holds slot idx in that corpus
-// segment: it is pinned to the segment's shard, so its relabeling
-// journals into the segment that already knows it.
-func (sv *Server) submit(ctx context.Context, item Item, seg, idx int) (*ServeTicket, error) {
-	it := shard.Item{Tag: item.id, Index: idx, Pin: seg + 1}
-	var err error
-	if seg < 0 {
-		if it, err = sv.routedItem(item); err != nil {
-			return nil, err
-		}
+// otherwise.
+func (sv *Server) submit(ctx context.Context, item Item) (*ServeTicket, error) {
+	it, err := sv.routedItem(item)
+	if err != nil {
+		return nil, err
 	}
 	var tk *serve.Ticket
 	if ctx == nil {
@@ -901,12 +886,8 @@ func (sv *Server) pumpResults() {
 		ir := sv.resBuf[0]
 		sv.resBuf = sv.resBuf[1:]
 		sv.resMu.Unlock()
-		item := Item{id: ir.Tag, image: ir.Image, valid: true}
-		if ir.Image >= sv.sys.testStore.NumScenes() {
-			// Ingested item: no test-split index to report.
-			item.image = -1
-		}
-		sv.res <- sv.sys.serveResult(item, ir)
+		// An ingested item's Image is already -1: no test-split index.
+		sv.res <- sv.sys.serveResult(Item{id: ir.Tag, image: ir.Image, valid: true}, ir)
 	}
 }
 
