@@ -109,7 +109,7 @@ func main() {
 
 		journalPath = flag.String("journal", "", "write-ahead journal path: ingested items become durable, evictable, and crash-recoverable")
 		maxResident = flag.Int("max-resident", 0, "resident-item watermark: admissions block once this many ingested items hold memory (0 = unbounded)")
-		snapEvery   = flag.Int("snapshot-every", 0, "compact the journal into a snapshot every N completed items (0 = never)")
+		snapEvery   = flag.Int("snapshot-every", 0, "compact the journal in place every N completed items (0 = never)")
 		syncEvery   = flag.Int("sync-every", 0, "group-commit fsync: sync the journal once this many records accumulate (0 = sync only on close/snapshot)")
 		syncMS      = flag.Float64("sync-ms", 0, "group-commit fsync: sync the journal at least every this many milliseconds (0 = off)")
 		replay      = flag.Bool("replay", false, "recover the -journal corpus from a previous (possibly killed) run and exit")

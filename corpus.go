@@ -20,9 +20,9 @@ type CorpusOptions struct {
 	// worker that took the item, until committed items are evicted —
 	// backpressure on that shard's queue. Zero = unbounded.
 	MaxResident int
-	// SnapshotEvery, when positive, compacts the journal into a
-	// snapshot automatically after every N completed items. Zero
-	// disables automatic snapshots (Server.Checkpoint still works).
+	// SnapshotEvery, when positive, compacts the journal in place
+	// automatically after every N completed items. Zero disables
+	// automatic snapshots (Server.Checkpoint still works).
 	SnapshotEvery int
 	// SyncEveryN and SyncEveryMS turn on group-commit fsync: a
 	// background flusher syncs the journal once N records accumulate
@@ -43,7 +43,7 @@ type CorpusStats struct {
 	Resident       int   // items whose memoized outputs occupy memory
 	Committed      int   // items with a journaled completion
 	Evicted        int64 // memo reclamations since open
-	JournalBytes   int64 // current journal size on disk
+	JournalBytes   int64 // journal size on disk (a snapshot's compacted size after one)
 	JournalRecords int64 // journal records appended since open
 	Snapshots      int64 // compacting snapshots written since open
 	Syncs          int64 // group-commit fsync batches since open
@@ -64,8 +64,8 @@ type CorpusStats struct {
 //	evict    — once committed and no in-flight schedule holds the item,
 //	           its memoized outputs are reclaimed from memory (the
 //	           journal keeps the durable copy)
-//	snapshot — Server.Checkpoint (or SnapshotEvery) compacts journal +
-//	           previous snapshot into one blob and truncates the journal
+//	snapshot — Server.Checkpoint (or SnapshotEvery) rewrites the journal
+//	           with each item's records once and renames it into place
 //	replay   — OpenCorpus on an existing journal recovers the corpus:
 //	           System.ReplayCorpus re-serves committed items
 //	           bit-identically from their persisted memos (no model
@@ -83,11 +83,11 @@ type Corpus struct {
 }
 
 // OpenCorpus opens (or creates) a durable single-segment ingestion
-// corpus journaled at path. An existing journal (plus its path+".snap"
-// snapshot, if any) is loaded and its torn tail — the signature of a
-// crash mid-write — discarded, so reopening after a kill at an
-// arbitrary byte offset always yields every record that was fully
-// written.
+// corpus journaled at path. An existing journal is replayed and its torn
+// tail — the signature of a crash mid-write — discarded, so reopening
+// after a kill at an arbitrary byte offset always yields every record
+// that was fully written. A path+".snap" snapshot an earlier build wrote
+// is folded into the journal and deleted.
 //
 // The journal stores scenes and model outputs, so reopening requires a
 // System with the same model zoo (any System does: the zoo is a pure
@@ -145,7 +145,7 @@ func (c *Corpus) Stats() CorpusStats {
 	return total
 }
 
-// Snapshot compacts every journal segment into its snapshot — what
+// Snapshot compacts every journal segment in place — what
 // Server.Checkpoint calls. Segments compact concurrently; the first
 // error is returned. Safe while a server is running: each segment's
 // compaction is atomic against its own writers, so a sharded server's

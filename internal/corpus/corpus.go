@@ -25,11 +25,11 @@
 // directly, and the server runs each item on the item's own executor,
 // Item(seq).Executor(), whose outputs are journaled as they land.
 //
-// Periodic snapshots compact the journal: a snapshot merges the previous
-// snapshot, the journal, and the in-memory state into one blob (so no
-// output is ever lost across snapshot generations), then truncates the
-// journal. Opening a corpus loads the snapshot and replays the journal
-// tail on top, tolerating a torn final record.
+// A snapshot compacts the journal in place: it rewrites the journal with
+// each item's admit record, persisted outputs and commit record once
+// (so no output is ever lost across compactions) and renames the
+// rewrite over the old file. A corpus is therefore one file in one
+// format, and opening it is one replay, tolerating a torn final record.
 package corpus
 
 import (
@@ -60,7 +60,7 @@ type Options struct {
 	// blocks (AdmitWait) until evictions free slots. Zero means
 	// unbounded.
 	MaxResident int
-	// SnapshotEvery, when positive, compacts the journal into a snapshot
+	// SnapshotEvery, when positive, compacts the journal (Snapshot)
 	// automatically after every N commit records. Zero disables
 	// automatic snapshots; Snapshot can still be called explicitly.
 	SnapshotEvery int
@@ -131,7 +131,7 @@ type Stats struct {
 	Resident       int   // items whose memoized outputs occupy memory
 	Committed      int   // items with a journaled completion
 	Evicted        int64 // memo reclamations since open
-	JournalBytes   int64 // current journal size, including the header
+	JournalBytes   int64 // journal size, header included (a snapshot's compacted size after one)
 	JournalRecords int64 // records appended since open
 	Snapshots      int64 // compacting snapshots taken since open
 	Syncs          int64 // group-commit fsync batches since open
@@ -149,13 +149,14 @@ type ItemState struct {
 	ScheduleMS float64
 }
 
-// Open opens (or creates) the corpus journaled at path against the zoo.
-// An existing snapshot (path + ".snap") is loaded first, then the
-// journal is replayed on top; a torn record at the journal's tail — the
-// signature of a crash mid-write — is discarded by truncating the file
-// to the last complete record, after which appending resumes there. A
-// damaged record before the tail fails the open with ErrCorrupt. A
-// version-1 journal is replayed and then compacted into the snapshot.
+// Open opens (or creates) the corpus journaled at path against the zoo
+// and replays the journal; a torn record at its tail — the signature of
+// a crash mid-write — is discarded by truncating the file to the last
+// complete record, after which appending resumes there. A damaged record
+// before the tail fails the open with ErrCorrupt. A corpus an earlier
+// build wrote — a version-1 journal, or a snapshot blob at path+".snap"
+// whose records come first — is replayed and then compacted at once into
+// a version-2 journal, and the blob is deleted.
 func Open(z *zoo.Zoo, path string, opts Options) (*Corpus, error) {
 	if z == nil {
 		return nil, errors.New("corpus: nil zoo")
@@ -164,64 +165,69 @@ func Open(z *zoo.Zoo, path string, opts Options) (*Corpus, error) {
 		return nil, fmt.Errorf("corpus: negative option in %+v", opts)
 	}
 	c := &Corpus{z: z, path: path, opts: opts, space: make(chan struct{})}
-	if err := c.loadSnapshot(); err != nil {
+	legacy, err := readSnapshotV1(path + ".snap")
+	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
+	if c.f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644); err != nil {
 		return nil, fmt.Errorf("corpus: open journal: %w", err)
 	}
-	c.f = f
-	info, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("corpus: stat journal: %w", err)
-	}
-	if info.Size() == 0 {
-		if _, err := f.Write(header(journalMagic, journalVersion)); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("corpus: write journal header: %w", err)
-		}
-		c.journalBytes = headerLen
-		c.startFlusher()
-		return c, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("corpus: read journal: %w", err)
-	}
-	recs, goodOffset, version, err := readJournal(data, "journal "+path)
-	if err != nil {
-		_ = f.Close()
+	if err := c.replay(legacy); err != nil {
+		_ = c.f.Close()
 		return nil, err
-	}
-	for i := range recs {
-		c.apply(&recs[i])
-	}
-	end := int64(goodOffset)
-	if end < info.Size() {
-		// Torn tail: drop it so appended records start on a clean frame.
-		if err := f.Truncate(end); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("corpus: truncate torn journal tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(end, 0); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("corpus: seek journal end: %w", err)
-	}
-	c.journalBytes = end
-	if version < journalVersion {
-		// An older journal is read, never appended to: fold it into the
-		// snapshot now, which restarts the journal at this version.
-		if err := c.snapshotLocked(); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("corpus: compact version %d journal: %w", version, err)
-		}
 	}
 	c.startFlusher()
 	return c, nil
+}
+
+// replay applies a legacy snapshot's records and then the freshly opened
+// journal's, and leaves the journal positioned for appending, compacted
+// first when the corpus holds a legacy format.
+func (c *Corpus) replay(legacy []record) error {
+	data, err := os.ReadFile(c.path)
+	if err != nil {
+		return fmt.Errorf("corpus: read journal: %w", err)
+	}
+	if len(data) == 0 {
+		data = header(journalMagic, journalVersion)
+		if _, err := c.f.Write(data); err != nil {
+			return fmt.Errorf("corpus: write journal header: %w", err)
+		}
+	}
+	recs, end, version, err := readJournal(data, "journal "+c.path)
+	if err != nil {
+		return err
+	}
+	for _, rs := range [][]record{legacy, recs} {
+		for i := range rs {
+			c.apply(&rs[i])
+		}
+	}
+	if end < len(data) {
+		// Torn tail: drop it so appended records start on a clean frame.
+		if err := c.f.Truncate(int64(end)); err != nil {
+			return fmt.Errorf("corpus: truncate torn journal tail: %w", err)
+		}
+	}
+	if _, err := c.f.Seek(int64(end), 0); err != nil {
+		return fmt.Errorf("corpus: seek journal end: %w", err)
+	}
+	c.journalBytes = int64(end)
+	if version == journalVersion && legacy == nil {
+		return nil
+	}
+	// A legacy format is read, never appended to: fold it into a
+	// version-2 journal now. A crash before the blob is deleted replays
+	// it again, harmlessly: apply skips the sequences it already knows.
+	if err := c.snapshotLocked(); err != nil {
+		return fmt.Errorf("corpus: compact version-1 corpus: %w", err)
+	}
+	if legacy != nil {
+		if err := os.Remove(c.path + ".snap"); err != nil {
+			return fmt.Errorf("corpus: remove compacted snapshot: %w", err)
+		}
+	}
+	return nil
 }
 
 // startFlusher launches the group-commit fsync goroutine when either
@@ -278,6 +284,11 @@ func (c *Corpus) syncJournal() {
 	m.fsyncDone(t0)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if f != c.f {
+		// A compaction replaced the handle, having fsynced everything
+		// it held; the result, even an error on the closed handle, is moot.
+		return
+	}
 	if err != nil {
 		if c.err == nil && !c.closed {
 			c.err = fmt.Errorf("corpus: journal sync: %w", err)
@@ -285,11 +296,7 @@ func (c *Corpus) syncJournal() {
 		return
 	}
 	c.syncs++
-	// A concurrent snapshot may have truncated the journal and reset the
-	// counter; never let it go negative.
-	if c.unsynced -= pending; c.unsynced < 0 {
-		c.unsynced = 0
-	}
+	c.unsynced -= pending
 }
 
 // apply folds one replayed journal record into the in-memory state.
@@ -301,7 +308,7 @@ func (c *Corpus) apply(rec *record) {
 	switch rec.Kind {
 	case kindAdmit:
 		if rec.Seq < len(c.entries) {
-			return // already known (snapshot overlap after a torn compaction)
+			return // already known: a legacy snapshot's overlap with its journal
 		}
 		if rec.Seq > len(c.entries) {
 			return // gap: unusable without its admit record's predecessors
@@ -475,6 +482,9 @@ func (c *Corpus) ReclaimCommitted() {
 // Failures stick: a corpus that cannot journal refuses further
 // admissions rather than silently degrading to memory-only.
 func (c *Corpus) writeRecord(rec *record) error {
+	if c.err != nil {
+		return c.err
+	}
 	t0 := c.metrics.appendStart()
 	c.buf = appendRecord(c.buf[:0], rec)
 	if _, err := c.f.Write(c.buf); err != nil {
@@ -566,6 +576,8 @@ func (c *Corpus) Close() error {
 	// set and the flusher drained the file is quiescent, and holding the
 	// corpus mutex across disk latency is exactly the blocking-under-lock
 	// bug class the group-commit rework removed (amsvet: lockblock).
+	// f is nil after a compaction failed to reopen the journal; Sync and
+	// Close then return ErrInvalid, which the sticky c.err outranks.
 	if syncErr := f.Sync(); err == nil && syncErr != nil {
 		err = fmt.Errorf("corpus: sync journal: %w", syncErr)
 	}

@@ -102,50 +102,141 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJournalTruncationAtArbitraryOffsets(t *testing.T) {
-	path := tempJournal(t)
-	c := mustOpen(t, path, Options{})
-	models := []int{1, 4}
-	want := populate(t, c, 5, models, 5)
-	if err := c.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+// reserve re-serves the first n items: each runs the models again (an
+// evicted item recomputes them) and commits again, so the journal holds
+// their outputs and commits twice and a compaction has records to drop.
+func reserve(t *testing.T, c *Corpus, n int, models []int) {
+	t.Helper()
+	for seq := 0; seq < n; seq++ {
+		c.Begin(seq)
+		for _, m := range models {
+			c.Item(seq).Output(m)
+		}
+		if err := c.Commit(seq, models, 100); err != nil {
+			t.Fatalf("re-commit %d: %v", seq, err)
+		}
 	}
+}
+
+// assertCompacted checks that the journal at path is a version-2 journal
+// holding exactly one admit per item, one output per (item, model) and
+// one commit per committed item of c.
+func assertCompacted(t *testing.T, c *Corpus, path string) {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs, good, version, err := readJournal(data, path)
+	if err != nil || good != len(data) || version != journalVersion {
+		t.Fatalf("compacted journal: version %d, %d of %d bytes sound, err %v", version, good, len(data), err)
+	}
+	seen := make(map[[3]int]bool)
+	kinds := make(map[int]int)
+	for _, r := range recs {
+		key := [3]int{r.Kind, r.Seq, r.Model}
+		if seen[key] {
+			t.Fatalf("compacted journal repeats record kind %d of item %d (model %d)", r.Kind, r.Seq, r.Model)
+		}
+		seen[key] = true
+		kinds[r.Kind]++
+	}
+	if st := c.Stats(); kinds[kindAdmit] != st.Items || kinds[kindCommit] != st.Committed || st.JournalBytes != int64(len(data)) {
+		t.Fatalf("compacted journal holds %d admits and %d commits in %d bytes; corpus has %+v",
+			kinds[kindAdmit], kinds[kindCommit], len(data), st)
+	}
+}
 
-	// Every truncation length from the bare header to the full file must
-	// reopen cleanly and recover a bit-identical prefix.
-	dir := t.TempDir()
-	for cut := headerLen; cut <= len(data); cut++ {
-		p := filepath.Join(dir, "trunc.wal")
-		if err := os.WriteFile(p, data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		tc, err := Open(z, p, Options{})
-		if err != nil {
-			t.Fatalf("cut=%d: open: %v", cut, err)
-		}
-		for _, st := range tc.States() {
-			if st.Committed {
-				for _, m := range st.Executed {
-					got := tc.Item(st.Seq).Output(m)
-					if !reflect.DeepEqual(got, want[[2]int{st.Seq, m}]) {
-						t.Fatalf("cut=%d: item %d model %d differs from pre-crash output", cut, st.Seq, m)
+func TestJournalTruncationAtArbitraryOffsets(t *testing.T) {
+	models := []int{1, 4}
+	for _, compacted := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "corpus.wal")
+		c := mustOpen(t, path, Options{})
+		want := populate(t, c, 5, models, 5)
+		if compacted {
+			// Re-serve an evicted item so the compaction drops records,
+			// then append past the compacted image.
+			reserve(t, c, 1, models)
+			if err := c.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 5; i < 7; i++ {
+				seq, err := c.AdmitWait(context.Background(), ds.Scenes[i], "late")
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.Begin(seq)
+				for _, m := range models {
+					want[[2]int{seq, m}] = c.Item(seq).Output(m)
+				}
+				if i == 5 {
+					if err := c.Commit(seq, models, 100); err != nil {
+						t.Fatal(err)
 					}
 				}
 			}
 		}
-		// The torn tail was truncated away: appending must work.
-		if _, err := tc.AdmitWait(context.Background(), ds.Scenes[9], "post-crash"); err != nil {
-			t.Fatalf("cut=%d: admit after recovery: %v", cut, err)
+		if err := c.Close(); err != nil {
+			t.Fatalf("close: %v", err)
 		}
-		if err := tc.Close(); err != nil {
-			t.Fatalf("cut=%d: close: %v", cut, err)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		os.Remove(p)
-		os.Remove(p + ".snap")
+
+		// Every truncation length from the bare header to the full file
+		// must reopen cleanly and recover a bit-identical prefix without
+		// inference.
+		dir := t.TempDir()
+		for cut := headerLen; cut <= len(data); cut++ {
+			p := filepath.Join(dir, "trunc.wal")
+			if err := os.WriteFile(p, data[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// One row: a crash mid-compaction left a torn tmp beside the
+			// intact journal. Open ignores it; the next compaction
+			// overwrites it.
+			stale := compacted && cut == len(data)
+			if stale {
+				if err := os.WriteFile(p+".tmp", data[:len(data)/2], 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := zoo.Inferences()
+			tc, err := Open(z, p, Options{})
+			if err != nil {
+				t.Fatalf("compacted=%v cut=%d: open: %v", compacted, cut, err)
+			}
+			for _, st := range tc.States() {
+				if st.Committed {
+					for _, m := range st.Executed {
+						got := tc.Item(st.Seq).Output(m)
+						if !reflect.DeepEqual(got, want[[2]int{st.Seq, m}]) {
+							t.Fatalf("compacted=%v cut=%d: item %d model %d differs from pre-crash output", compacted, cut, st.Seq, m)
+						}
+					}
+				}
+			}
+			if ran := zoo.Inferences() - before; ran != 0 {
+				t.Fatalf("compacted=%v cut=%d: recovery ran %d inferences; want 0", compacted, cut, ran)
+			}
+			// The torn tail was truncated away: appending must work.
+			if _, err := tc.AdmitWait(context.Background(), ds.Scenes[9], "post-crash"); err != nil {
+				t.Fatalf("compacted=%v cut=%d: admit after recovery: %v", compacted, cut, err)
+			}
+			if stale {
+				if err := tc.Snapshot(); err != nil {
+					t.Fatalf("compaction beside a stale tmp: %v", err)
+				}
+				if _, err := os.Stat(p + ".tmp"); !os.IsNotExist(err) {
+					t.Fatalf("stale tmp survives a compaction: %v", err)
+				}
+			}
+			if err := tc.Close(); err != nil {
+				t.Fatalf("compacted=%v cut=%d: close: %v", compacted, cut, err)
+			}
+			os.Remove(p)
+		}
 	}
 }
 
@@ -261,6 +352,11 @@ func TestSnapshotCompactsAndPreservesEvictedOutputs(t *testing.T) {
 	c := mustOpen(t, path, Options{})
 	models := []int{0, 5}
 	want := populate(t, c, 4, models, 3) // items 0..2 committed => evicted
+	reserve(t, c, 3, models)
+	// Item 0 is being re-served once more and has run one model so far:
+	// resident again, with its other output only on disk.
+	c.Begin(0)
+	c.Item(0).Output(models[0])
 	grown := c.Stats().JournalBytes
 	if err := c.Snapshot(); err != nil {
 		t.Fatalf("snapshot: %v", err)
@@ -268,8 +364,12 @@ func TestSnapshotCompactsAndPreservesEvictedOutputs(t *testing.T) {
 	if got := c.Stats(); got.JournalBytes >= grown || got.Snapshots != 1 {
 		t.Fatalf("snapshot did not compact the journal: %+v (was %d bytes)", got, grown)
 	}
+	assertCompacted(t, c, path)
+	if _, err := os.Stat(path + ".snap"); !os.IsNotExist(err) {
+		t.Fatalf("a compaction wrote a snapshot file: %v", err)
+	}
 	// A second generation: more activity, snapshot again. The first
-	// generation's evicted outputs must survive the merge.
+	// generation's evicted outputs must survive the rewrite.
 	populateFrom := c.Stats().Items
 	seq, err := c.AdmitWait(context.Background(), ds.Scenes[populateFrom], "late")
 	if err != nil {
@@ -283,6 +383,7 @@ func TestSnapshotCompactsAndPreservesEvictedOutputs(t *testing.T) {
 	if err := c.Snapshot(); err != nil {
 		t.Fatalf("second snapshot: %v", err)
 	}
+	assertCompacted(t, c, path)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}

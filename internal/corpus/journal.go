@@ -3,7 +3,6 @@ package corpus
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -39,9 +38,9 @@ import (
 // sound.
 //
 // Version 1 journals framed gob-encoded records. They are still read
-// (parseJournalV1); Open replays one and compacts it into a snapshot at
-// once, so every record appended is version 2. There is no headerless
-// form: a missing or unknown header fails loudly.
+// (parseJournalV1, in legacy.go); Open replays one and compacts it into
+// a version-2 journal at once, so every record appended is version 2.
+// There is no headerless form: a missing or unknown header fails loudly.
 var journalMagic = [4]byte{'A', 'M', 'S', 'J'}
 
 const (
@@ -324,27 +323,6 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// parseJournalV1 decodes a version-1 journal image: uvarint-framed,
-// independently gob-encoded records. It stops at the first incomplete
-// or undecodable record, the torn tail of a crash mid-write.
-func parseJournalV1(data []byte) (recs []record, goodOffset int) {
-	off := 0
-	for off < len(data) {
-		length, n := binary.Uvarint(data[off:])
-		if n <= 0 || length > maxRecordLen || off+n+int(length) > len(data) {
-			break
-		}
-		var rec record
-		dec := gob.NewDecoder(bytes.NewReader(data[off+n : off+n+int(length)]))
-		if err := dec.Decode(&rec); err != nil {
-			break
-		}
-		recs = append(recs, rec)
-		off += n + int(length)
-	}
-	return recs, off
-}
-
 // readJournal validates a journal image's header and decodes its
 // records with the decoder of its version. goodOffset is relative to
 // the start of data, header included.
@@ -366,7 +344,7 @@ func readJournal(data []byte, what string) (recs []record, goodOffset int, versi
 	return recs, headerLen + goodOffset, version, err
 }
 
-// checkHeader validates a journal or snapshot header, distinguishing
+// checkHeader validates a journal or legacy snapshot header, distinguishing
 // "not this format at all" from "a future version of it".
 func checkHeader(data []byte, magic [4]byte, version byte, what string) error {
 	if len(data) < headerLen || !bytes.Equal(data[:4], magic[:]) {

@@ -298,8 +298,9 @@ func TestJournalDamageBeforeTheTail(t *testing.T) {
 // TestJournalV1IsReadThenCompacted opens a version-1 (gob) journal
 // written by the previous format's encoder — three items, two outputs
 // each, the first two committed — and checks that it replays with no
-// inference, is compacted at once into a snapshot and a version-2
-// journal, and that appending and reopening then round-trips.
+// inference, is compacted at once into a version-2 journal with no
+// snapshot file beside it, and that appending and reopening then
+// round-trips.
 func TestJournalV1IsReadThenCompacted(t *testing.T) {
 	v1, err := os.ReadFile(filepath.Join("testdata", "journal_v1.wal"))
 	if err != nil {
@@ -347,13 +348,9 @@ func TestJournalV1IsReadThenCompacted(t *testing.T) {
 		}
 	}
 	check(c, 3)
-	if data, err := os.ReadFile(path); err != nil {
-		t.Fatal(err)
-	} else if len(data) != headerLen || data[4] != journalVersion {
-		t.Fatalf("journal after opening v1 is %q; want a bare version-%d header", data, journalVersion)
-	}
-	if _, err := os.Stat(path + ".snap"); err != nil {
-		t.Fatalf("no snapshot after compacting the v1 journal: %v", err)
+	assertCompacted(t, c, path)
+	if _, err := os.Stat(path + ".snap"); !os.IsNotExist(err) {
+		t.Fatalf("compacting the v1 journal wrote a snapshot file: %v", err)
 	}
 
 	seq, err := c.AdmitWait(context.Background(), ds.Scenes[3], "v2-item")
@@ -374,6 +371,88 @@ func TestJournalV1IsReadThenCompacted(t *testing.T) {
 	check(c2, 4)
 	if st := c2.States()[3]; !st.Committed || st.Tag != "v2-item" || !reflect.DeepEqual(c2.Item(3).Output(0), out) {
 		t.Fatalf("item admitted after the upgrade: %+v", st)
+	}
+}
+
+// TestSnapshotV1IsReadThenCompacted opens a corpus written by the
+// snapshot-blob layout: a version-1 gob snapshot of three committed,
+// evicted items (models 0 and 6) beside a journal tail with one committed
+// item (model 2) and one in flight (model 1). It replays with no
+// inference and bit-identical outputs, is compacted at once into a
+// version-2 journal, the snapshot file is deleted, and a reopen
+// recovers the same corpus.
+func TestSnapshotV1IsReadThenCompacted(t *testing.T) {
+	path := tempJournal(t)
+	for _, name := range []string{"corpus.wal", "corpus.wal.snap"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(filepath.Dir(path), name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type item struct {
+		tag        string
+		committed  bool
+		models     []int
+		scheduleMS float64
+	}
+	items := []item{
+		{"snap-item", true, []int{0, 6}, 20.5},
+		{"snap-item", true, []int{0, 6}, 21.5},
+		{"snap-item", true, []int{0, 6}, 22.5},
+		{"tail-item", true, []int{2}, 12.25},
+		{"in-flight", false, []int{1}, 0},
+	}
+	want := make(map[[2]int]zoo.Output)
+	for seq, it := range items {
+		for _, m := range it.models {
+			want[[2]int{seq, m}] = z.Models[m].Infer(&ds.Scenes[seq])
+		}
+	}
+	// check reads a corpus opened since before: no model may have run.
+	var before int64
+	check := func(c *Corpus) []ItemState {
+		t.Helper()
+		states := c.States()
+		if len(states) != len(items) {
+			t.Fatalf("%d items, want %d", len(states), len(items))
+		}
+		for seq, it := range items {
+			st := states[seq]
+			if st.Tag != it.tag || st.Committed != it.committed || st.MemoCount != len(it.models) {
+				t.Fatalf("item %d: %+v", seq, st)
+			}
+			if it.committed && (!reflect.DeepEqual(st.Executed, it.models) || st.ScheduleMS != it.scheduleMS) {
+				t.Fatalf("item %d commit: %+v", seq, st)
+			}
+			for _, m := range it.models {
+				if got := c.Item(seq).Output(m); !reflect.DeepEqual(got, want[[2]int{seq, m}]) {
+					t.Fatalf("item %d model %d differs from the legacy corpus's output", seq, m)
+				}
+			}
+		}
+		if ran := zoo.Inferences() - before; ran != 0 {
+			t.Fatalf("replay ran %d inferences; want 0", ran)
+		}
+		return states
+	}
+	before = zoo.Inferences()
+	c := mustOpen(t, path, Options{})
+	first := check(c)
+	assertCompacted(t, c, path)
+	if _, err := os.Stat(path + ".snap"); !os.IsNotExist(err) {
+		t.Fatalf("the legacy snapshot survives its compaction: %v", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before = zoo.Inferences()
+	c2 := mustOpen(t, path, Options{})
+	defer c2.Close()
+	if again := check(c2); !reflect.DeepEqual(again, first) {
+		t.Fatalf("reopen differs:\n got %+v\nwant %+v", again, first)
 	}
 }
 

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,12 +16,12 @@ import (
 //
 //	dir/manifest        — segment count (so a reopen needs no flags)
 //	dir/journal-0.log   — shard 0's write-ahead journal
-//	dir/journal-0.log.snap
 //	dir/journal-1.log
 //	...
 //
-// Each segment is an ordinary Corpus: its writers never contend with
-// another segment's, and crash replay opens all segments in parallel.
+// Each segment is an ordinary Corpus, one file that compaction rewrites
+// in place: its writers never contend with another segment's, and crash
+// replay opens all segments in parallel.
 
 const (
 	manifestName   = "manifest"
@@ -117,12 +118,23 @@ func parseManifest(data []byte) (int, error) {
 	return n, nil
 }
 
+// writeManifest installs the manifest durably: the tmp file is fsynced
+// before the rename and the directory after it, so a power loss leaves
+// either no manifest or a complete one.
 func writeManifest(path string, n int) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(manifestBody(n)), 0o644); err != nil {
-		return fmt.Errorf("corpus: write manifest: %w", err)
+	f, err := os.Create(tmp)
+	if err == nil {
+		_, err = f.WriteString(manifestBody(n))
+		err = errors.Join(err, f.Sync(), f.Close())
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err == nil {
+		err = syncDir(filepath.Dir(path))
+	}
+	if err != nil {
 		return fmt.Errorf("corpus: install manifest: %w", err)
 	}
 	return nil

@@ -3,9 +3,13 @@ package corpus
 import (
 	"context"
 	"os"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"ams/internal/zoo"
 )
 
 // waitStats polls the corpus until pred accepts its stats or a deadline
@@ -124,5 +128,93 @@ func TestOpenDirManifest(t *testing.T) {
 
 	if _, err := OpenDir(z, dir, 2, Options{}); err == nil || !strings.Contains(err.Error(), "holds 3 segments") {
 		t.Fatalf("re-partitioning in place = %v, want segment-count error", err)
+	}
+}
+
+// TestCompactionSwapsHandleUnderTheFlusher: with a compaction after every
+// commit and the group-commit flusher syncing after every record, the
+// flusher keeps syncing handles the compactions close and replace. No
+// sync of a replaced handle may stick as an error or uncount records,
+// the flusher still syncs the last handle swapped in, and a reopen
+// replays every committed item without inference.
+func TestCompactionSwapsHandleUnderTheFlusher(t *testing.T) {
+	path := tempJournal(t)
+	c := mustOpen(t, path, Options{SnapshotEvery: 1, SyncEveryN: 1, SyncEveryMS: 1})
+	const workers, perWorker = 4, 50
+	want := make([]map[int]zoo.Output, workers) // per worker: seq -> output
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		want[w] = make(map[int]zoo.Output)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				seq, err := c.AdmitWait(context.Background(), ds.Scenes[(w*perWorker+i)%len(ds.Scenes)], "swap")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				c.Begin(seq)
+				want[w][seq] = c.Item(seq).Output(w)
+				if err := c.Commit(seq, []int{w}, 1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	// A sync of a replaced handle must not count against records the
+	// compaction already made durable: the unsynced count never dips
+	// below zero.
+	done := make(chan struct{})
+	minUnsynced := make(chan int64)
+	go func() {
+		low := int64(0)
+		for {
+			select {
+			case <-done:
+				minUnsynced <- low
+				return
+			default:
+			}
+			low = min(low, c.Stats().Unsynced)
+		}
+	}()
+	wg.Wait()
+	close(done)
+	if low := <-minUnsynced; low < 0 {
+		t.Fatalf("unsynced record count fell to %d", low)
+	}
+	if st := c.Stats(); st.Snapshots != workers*perWorker {
+		t.Fatalf("stats after the run: %+v", st)
+	}
+	// Under load every sync may have raced a compaction; one more record
+	// appended with no compaction after it must reach the disk through
+	// the last handle swapped in.
+	if _, err := c.AdmitWait(context.Background(), ds.Scenes[0], "tail"); err != nil {
+		t.Fatal(err)
+	}
+	waitStats(t, c, "sync after the last swap", func(st Stats) bool {
+		return st.Syncs > 0 && st.Unsynced == 0
+	})
+	if err := c.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	before := zoo.Inferences()
+	c2 := mustOpen(t, path, Options{})
+	defer c2.Close()
+	if st := c2.Stats(); st.Committed != workers*perWorker {
+		t.Fatalf("reopen recovered %d committed items, want %d", st.Committed, workers*perWorker)
+	}
+	for w := range want {
+		for seq, out := range want[w] {
+			if got := c2.Item(seq).Output(w); !reflect.DeepEqual(got, out) {
+				t.Fatalf("item %d model %d differs after the reopen", seq, w)
+			}
+		}
+	}
+	if ran := zoo.Inferences() - before; ran != 0 {
+		t.Fatalf("reopen ran %d inferences; want 0", ran)
 	}
 }

@@ -84,8 +84,8 @@ func (it *ExternalItem) Preload(m int, out zoo.Output) {
 }
 
 // Memos returns a copy of the item's memoized outputs: the models that
-// have run and their results, in model order. Snapshot writers call this
-// to persist the item's state.
+// have run and their results, in model order. Journal compaction calls
+// this to persist the item's state.
 func (it *ExternalItem) Memos() (models []int, outs []zoo.Output) {
 	it.mu.Lock()
 	defer it.mu.Unlock()

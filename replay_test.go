@@ -1,6 +1,7 @@
 package ams
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -368,32 +369,50 @@ func TestCorpusEvictionWithLaggingConsumer(t *testing.T) {
 }
 
 // TestCheckpointCompactsAndPreservesRecovery: Server.Checkpoint shrinks
-// the journal mid-run, and a corpus recovered across a snapshot boundary
-// still replays every committed item without inference — including items
-// evicted before the snapshot, whose outputs the snapshot merge carried
-// over from the journal.
+// the journal mid-run — items served twice leave their outputs and
+// commits in it twice, and the compacted journal holds each once — and a
+// corpus recovered across the compaction still replays every committed
+// item without inference, including items evicted before it, whose
+// outputs the compaction read back from the journal it replaced.
 func TestCheckpointCompactsAndPreservesRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corpus.wal")
 	c, err := testSys.OpenCorpus(path, CorpusOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	original := runCorpusStream(t, c, corpusCfg(2), testSys.GenerateItems(8, 5))
-
 	cfg := corpusCfg(2)
 	cfg.Corpus = c
 	srv, err := testSys.NewServer(testAgent, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	items := testSys.GenerateItems(8, 5)
+	original := runCorpusStreamVia(t, srv, items)
+	for id, res := range runCorpusStreamVia(t, srv, items) {
+		if !sameResult(res, original[id]) {
+			t.Fatalf("re-served %q differs from its first result", id)
+		}
+	}
 	grown := c.Stats().JournalBytes
 	if err := srv.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.JournalBytes >= grown || st.Snapshots != 1 {
+	st := c.Stats()
+	if st.JournalBytes >= grown || st.Snapshots != 1 {
 		t.Fatalf("checkpoint did not compact: %+v (journal was %d bytes)", st, grown)
 	}
-	// More traffic after the snapshot, then a clean close.
+	admits, outputs, commits := journalRecordCounts(t, path)
+	if len(admits) != st.Items || len(commits) != st.Committed || len(outputs) == 0 {
+		t.Fatalf("compacted journal: %d items admitted, %d committed; corpus has %+v", len(admits), len(commits), st)
+	}
+	for what, counts := range map[string]map[[2]uint64]int{"admit": admits, "output": outputs, "commit": commits} {
+		for key, n := range counts {
+			if n != 1 {
+				t.Fatalf("compacted journal holds %d %s records for item %d (model %d)", n, what, key[0], key[1])
+			}
+		}
+	}
+	// More traffic after the compaction, then a clean close.
 	for id, res := range runCorpusStreamVia(t, srv, testSys.GenerateItems(4, 6)) {
 		original[id] = res
 	}
@@ -427,6 +446,42 @@ func TestCheckpointCompactsAndPreservesRecovery(t *testing.T) {
 	if err := c2.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// journalRecordCounts walks the frames of a version-2 journal — a 5-byte
+// header, then uvarint(len(body)) | body | CRC-32C, each body opening
+// with its kind byte (1 admit, 2 output, 3 commit) and the item's uvarint
+// sequence, an output's then with its zigzag-varint model — and counts
+// the records of each kind per item, or per (item, model) for outputs.
+func journalRecordCounts(t *testing.T, path string) (admits, outputs, commits map[[2]uint64]int) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 5 || string(data[:4]) != "AMSJ" || data[4] != 2 {
+		t.Fatalf("journal header %q is not version 2", data[:min(len(data), 5)])
+	}
+	admits, outputs, commits = map[[2]uint64]int{}, map[[2]uint64]int{}, map[[2]uint64]int{}
+	for off := 5; off < len(data); {
+		length, n := binary.Uvarint(data[off:])
+		if n <= 0 || off+n+int(length)+4 > len(data) {
+			t.Fatalf("journal frame at byte %d is torn", off)
+		}
+		body := data[off+n : off+n+int(length)]
+		seq, k := binary.Uvarint(body[1:])
+		switch body[0] {
+		case 1:
+			admits[[2]uint64{seq}]++
+		case 2:
+			model, _ := binary.Varint(body[1+k:])
+			outputs[[2]uint64{seq, uint64(model)}]++
+		case 3:
+			commits[[2]uint64{seq}]++
+		}
+		off += n + int(length) + 4
+	}
+	return admits, outputs, commits
 }
 
 // runCorpusStreamVia submits through an existing server (no close).

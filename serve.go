@@ -807,10 +807,10 @@ func (sv *Server) submit(ctx context.Context, item Item) (*ServeTicket, error) {
 	return &ServeTicket{sys: sv.sys, item: item, tk: tk}, nil
 }
 
-// Checkpoint compacts the server's corpus immediately: the previous
-// snapshot, the journal, and the in-memory state merge into one
-// snapshot blob and the journal restarts empty. It fails when the
-// server was built without ServeConfig.Corpus.
+// Checkpoint compacts the server's corpus immediately: each journal is
+// rewritten with every item's admit, outputs and commit once, and the
+// rewrite renamed over it. It fails when the server was built without
+// ServeConfig.Corpus.
 func (sv *Server) Checkpoint() error {
 	if sv.corpus == nil {
 		return fmt.Errorf("ams: server has no corpus to checkpoint")
