@@ -20,7 +20,7 @@ import (
 func externalTwin(i int) Item {
 	scene := testSys.testStore.Scenes[i]
 	ext := oracle.NewExternalItem(testSys.Zoo, scene)
-	ext.SetTruth(oracle.DeriveTruth(testSys.Zoo, &scene))
+	ext.SetTruth(testSys.testStore.Truth(i))
 	return Item{id: "twin", image: -1, ext: ext, valid: true}
 }
 

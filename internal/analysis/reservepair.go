@@ -308,7 +308,7 @@ func checkSuccessPath(pass *Pass, funcName string, call *ast.CallExpr, stack []a
 	if funcName == "mustReserve" || funcName == "MustReserve" {
 		return // the sanctioned panic-on-refusal wrapper; callers release
 	}
-	w := pathWalk{leaf: releaseLeaf(pass), foreverDiverges: true}
+	w := pathWalk{leaf: releaseLeaf(pass)}
 	var res pathResult
 	if guard != nil && positive {
 		// Success = the if body, falling through to what follows the if.
@@ -350,9 +350,6 @@ const (
 // cannot correlate).
 type pathWalk struct {
 	leaf func(ast.Stmt) pathResult
-	// foreverDiverges counts a `for {}` whose body leaves the obligation
-	// untouched as divergence rather than a path that falls through.
-	foreverDiverges bool
 }
 
 // after walks the statements lexically after `from` in each enclosing
@@ -405,10 +402,7 @@ func (w pathWalk) stmt(stmt ast.Stmt) pathResult {
 			return pathReleased
 		}
 	case *ast.ForStmt:
-		if r := w.stmts(s.Body.List); r != pathNeutral || s.Cond != nil || !w.foreverDiverges {
-			return r
-		}
-		return pathReleased // for {}: diverges rather than leaks
+		return w.stmts(s.Body.List)
 	case *ast.RangeStmt:
 		return w.stmts(s.Body.List)
 	case *ast.SwitchStmt:

@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"ams/internal/analysis"
@@ -56,16 +57,7 @@ func TestCtxFlow(t *testing.T) {
 // tier-1 tests even before CI. Every pre-existing true positive was
 // either fixed in this tree or carries a reasoned //amsvet:allow.
 func TestSuiteCleanOnTree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and typechecks the whole module")
-	}
-	pkgs, err := analysis.Load("../..", "./...")
-	if err != nil {
-		t.Fatalf("load module: %v", err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("loader matched no packages")
-	}
+	pkgs := loadTree(t)
 	suite := analysis.All()
 	for _, pkg := range pkgs {
 		diags, err := analysis.Check(pkg, suite)
@@ -76,6 +68,29 @@ func TestSuiteCleanOnTree(t *testing.T) {
 			t.Errorf("%s", d)
 		}
 	}
+}
+
+var tree struct {
+	once sync.Once
+	pkgs []*analysis.Package
+	err  error
+}
+
+// loadTree loads and typechecks the whole module once per test binary,
+// for the checks that read all of it; it skips under -short.
+func loadTree(t *testing.T) []*analysis.Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("loads and typechecks the whole module")
+	}
+	tree.once.Do(func() { tree.pkgs, tree.err = analysis.Load("../..", "./...") })
+	if tree.err != nil {
+		t.Fatalf("load module: %v", tree.err)
+	}
+	if len(tree.pkgs) == 0 {
+		t.Fatal("loader matched no packages")
+	}
+	return tree.pkgs
 }
 
 // TestAllowNeedsReason covers the escape hatch's own contract: an allow

@@ -58,6 +58,16 @@ func initGuardLeak(a *acct) {
 	}
 }
 
+// spinsForever: a loop that never exits still holds the reservation; a
+// bare for {} is not a release.
+func spinsForever(a *acct) {
+	if a.Reserve(5) { // want "successful Reserve never reaches a Release"
+		for {
+			work()
+		}
+	}
+}
+
 func grantDiscarded(a *acct) {
 	a.Grant(5, func() { a.Release(5) }) // want "result of Grant is discarded"
 }

@@ -38,9 +38,6 @@ type Agent struct {
 	scratch tensor.Vec
 }
 
-// EndIndex returns the action index of the END action.
-func (a *Agent) EndIndex() int { return a.NumModels }
-
 // view returns the frozen network, building it on first use. A network
 // with a non-finite weight cannot be frozen and predicts nothing useful,
 // so it panics here; LoadAgent reports it as an error instead.

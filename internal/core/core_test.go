@@ -38,25 +38,25 @@ func tinyTrainConfig(algo rl.Algorithm) TrainConfig {
 }
 
 func TestRewardFunction(t *testing.T) {
-	if r := Reward(1, 0, 0); r != -1 {
+	if r := RewardWith(RewardLog, 1, 0, 0); r != -1 {
 		t.Fatalf("empty output reward %v, want -1", r)
 	}
-	r := Reward(1, 2, 1.4)
+	r := RewardWith(RewardLog, 1, 2, 1.4)
 	want := math.Log(1.4 + 1)
 	if math.Abs(r-want) > 1e-12 {
 		t.Fatalf("reward %v, want %v", r, want)
 	}
 	// Theta scales inside the log: higher priority, higher reward.
-	if Reward(5, 2, 1.4) <= Reward(1, 2, 1.4) {
+	if RewardWith(RewardLog, 5, 2, 1.4) <= RewardWith(RewardLog, 1, 2, 1.4) {
 		t.Fatal("higher theta did not increase reward")
 	}
 	// Logarithm compresses: 10x value is far less than 10x reward.
-	if Reward(1, 20, 14) > 10*Reward(1, 1, 0.7) {
+	if RewardWith(RewardLog, 1, 20, 14) > 10*RewardWith(RewardLog, 1, 1, 0.7) {
 		t.Fatal("logarithmic smoothing failed to compress large outputs")
 	}
 	// Low-confidence-only fresh output still earns a small positive
 	// reward, not the punishment.
-	if r := Reward(1, 1, 0.1); r <= 0 || r >= 0.2 {
+	if r := RewardWith(RewardLog, 1, 1, 0.1); r <= 0 || r >= 0.2 {
 		t.Fatalf("low-value fresh reward %v out of expected band", r)
 	}
 }
@@ -218,8 +218,8 @@ func TestEndIndexAndDeterminism(t *testing.T) {
 	cfg.Epochs = 2
 	a := Train(store, cfg)
 	b := Train(store, cfg)
-	if a.EndIndex() != zoo.NumModels {
-		t.Fatalf("EndIndex = %d", a.EndIndex())
+	if a.NumModels != zoo.NumModels {
+		t.Fatalf("END action index = %d", a.NumModels)
 	}
 	// Same seed, same data: identical agents.
 	state := []int{1, 2, 3}

@@ -115,7 +115,16 @@ func (s RewardShape) String() string {
 	}
 }
 
-// RewardWith computes the reward under an explicit smoothing shape.
+// RewardWith computes the paper's reward function (Eq. 3) under an
+// explicit smoothing shape; with RewardLog it is
+//
+//	r(m,d) = ln(θ_m · Σ_{l ∈ O'(m,d)} p_l·l.conf + 1)  when O'(m,d) ≠ ∅
+//	r(m,d) = −1                                         when O'(m,d) = ∅
+//
+// where O'(m,d) is the set of labels m emitted that no previously executed
+// model had emitted, and freshCount/freshValue are |O'| and its
+// profit-weighted confidence sum. The logarithm smooths the bias from
+// models with very different output counts, exactly as §IV-A argues.
 func RewardWith(shape RewardShape, theta float64, freshCount int, freshValue float64) float64 {
 	if freshCount == 0 {
 		return -1
@@ -138,19 +147,6 @@ func FreshValue(vocab *labels.Vocabulary, fresh []zoo.LabelConf) float64 {
 		sum += vocab.Label(lc.ID).Profit * lc.Conf
 	}
 	return sum
-}
-
-// Reward implements the paper's reward function (Eq. 3):
-//
-//	r(m,d) = ln(θ_m · Σ_{l ∈ O'(m,d)} p_l·l.conf + 1)  when O'(m,d) ≠ ∅
-//	r(m,d) = −1                                         when O'(m,d) = ∅
-//
-// where O'(m,d) is the set of labels m emitted that no previously executed
-// model had emitted, and freshCount/freshValue are |O'| and its
-// profit-weighted confidence sum. The logarithm smooths the bias from
-// models with very different output counts, exactly as §IV-A argues.
-func Reward(theta float64, freshCount int, freshValue float64) float64 {
-	return RewardWith(RewardLog, theta, freshCount, freshValue)
 }
 
 // Trainer runs the DRL training environment of §IV and supports

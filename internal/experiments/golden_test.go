@@ -39,8 +39,8 @@ func goldenSchedules(l *Lab) string {
 		{"Optimal", sched.NewOptimal(st)},
 		{"QGreedy", sched.NewQGreedy(agent, l.Zoo)},
 		{"Rule", sched.NewRule(engine, l.Zoo, rng.Split())},
-		{"CostQGreedy", sched.NewCostQGreedy(sched.NewCachedPredictor(agent), l.Zoo)},
-		{"MemoryPacker", sched.NewMemoryPacker(sched.NewCachedPredictor(agent), l.Zoo)},
+		{"CostQGreedy", sched.NewCostQGreedy(sched.NewSharedCachedPredictor(agent, nil), l.Zoo)},
+		{"MemoryPacker", sched.NewMemoryPacker(sched.NewSharedCachedPredictor(agent, nil), l.Zoo)},
 		{"RandomPacker", sched.NewRandomPacker(l.Zoo, rng.Split())},
 		{"GraphValue", graph.NewValuePolicy(g, l.Zoo)},
 		{"GraphDensity", graph.NewDensityPolicy(g, l.Zoo)},

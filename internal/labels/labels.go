@@ -178,8 +178,7 @@ var genderNames = []string{"female", "male"}
 // up to 70 keypoints at once), so a flat profit of 1 would let them swamp
 // the evaluation function. The defaults normalize each task's typical
 // valuable output to the same order of magnitude, which is the explicit
-// purpose of the paper's user-assigned profits p_i; callers can override
-// any label with SetProfit.
+// purpose of the paper's user-assigned profits p_i.
 func defaultProfit(t Task) float64 {
 	switch t {
 	case FaceLandmark:
@@ -285,6 +284,3 @@ func (v *Vocabulary) ByName(name string) (Label, bool) {
 // TaskLabels returns the IDs of every label the task supports. The
 // returned slice must not be modified.
 func (v *Vocabulary) TaskLabels(t Task) []int { return v.byTask[t] }
-
-// SetProfit overrides a label's profit (value to the user).
-func (v *Vocabulary) SetProfit(id int, profit float64) { v.labels[id].Profit = profit }

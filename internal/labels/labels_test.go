@@ -153,10 +153,6 @@ func TestDefaultProfitAndOverride(t *testing.T) {
 	if tot := float64(FaceLandmark.LabelCount()) * v.Label(kp).Profit; tot < 1 || tot > 6 {
 		t.Fatalf("face landmark task total %v not normalized", tot)
 	}
-	v.SetProfit(0, 3.5)
-	if v.Label(0).Profit != 3.5 {
-		t.Fatalf("SetProfit did not stick")
-	}
 }
 
 func TestTaskString(t *testing.T) {

@@ -1,12 +1,10 @@
 // Package metrics provides the small statistics and text-formatting
 // helpers the experiment harness uses to report paper-style tables and
-// series: means, standard deviations, empirical CDFs, and aligned-column
-// rendering.
+// series: means, empirical CDFs, and aligned-column rendering.
 package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -21,41 +19,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Std returns the population standard deviation.
-func Std(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Quantile returns the q-th empirical quantile (q in [0,1]) by linear
-// interpolation. It panics on empty input or q outside [0,1].
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("metrics: quantile of empty sample")
-	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("metrics: quantile %v out of [0,1]", q))
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
 }
 
 // CDF is an empirical cumulative distribution sampled at fixed points.

@@ -81,7 +81,9 @@ func TestFrozenIsASnapshot(t *testing.T) {
 	scratch := f.NewScratch()
 	before := f.Forward(scratch, []int{1, 5}).Clone()
 	for _, p := range n.Params() {
-		p.Val.Fill(0.25)
+		for i := range p.Val {
+			p.Val[i] = 0.25
+		}
 	}
 	if got := f.Forward(scratch, []int{1, 5}); !sameBits(got, before) {
 		t.Fatal("changing the net after Freeze moved the frozen view's output")
@@ -179,7 +181,9 @@ func TestCloneCopiesWeightsWithoutSharing(t *testing.T) {
 		t.Fatal("clone computes different Q-values")
 	}
 	for _, p := range c.Params() {
-		p.Val.Fill(1)
+		for i := range p.Val {
+			p.Val[i] = 1
+		}
 	}
 	if sameBits(c.Forward([]int{2, 4}), n.Forward([]int{2, 4})) {
 		t.Fatal("clone shares weight storage with the original")

@@ -4,7 +4,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
+	"math"
+	"slices"
 )
 
 // netBlob is the gob wire format for a Net: architecture plus every
@@ -29,47 +30,53 @@ func (n *Net) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a network previously written with Save.
+// Load reads a network previously written with Save. The blob's
+// dimensions and parameter lengths are checked against each other before
+// anything is allocated, so a malformed or hostile blob is an error, and
+// the network it builds is no larger than the values actually decoded.
 func Load(r io.Reader) (*Net, error) {
 	var blob netBlob
 	if err := gob.NewDecoder(r).Decode(&blob); err != nil {
 		return nil, fmt.Errorf("nn: load network: %w", err)
 	}
-	n := NewNet(Config{In: blob.In, Hidden: blob.Hidden, Out: blob.Out, Dueling: blob.Dueling}, nil)
-	params := n.Params()
-	if len(params) != len(blob.Values) {
-		return nil, fmt.Errorf("nn: load network: expected %d parameter tensors, got %d",
-			len(params), len(blob.Values))
+	if err := blob.check(); err != nil {
+		return nil, fmt.Errorf("nn: load network: %w", err)
 	}
-	for i, p := range params {
-		if len(p.Val) != len(blob.Values[i]) {
-			return nil, fmt.Errorf("nn: load network: parameter %d has %d values, want %d",
-				i, len(blob.Values[i]), len(p.Val))
-		}
+	n := NewNet(Config{In: blob.In, Hidden: blob.Hidden, Out: blob.Out, Dueling: blob.Dueling}, nil)
+	for i, p := range n.Params() {
 		copy(p.Val, blob.Values[i])
 	}
 	return n, nil
 }
 
-// SaveFile writes the network to the named file.
-func (n *Net) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("nn: save network: %w", err)
+// check reports whether the blob describes a network NewNet accepts and
+// carries exactly the parameter tensors, in Params() order, that network
+// has: a weight matrix and a bias per layer.
+func (b *netBlob) check() error {
+	if b.In <= 0 || b.Out <= 0 || len(b.Hidden) == 0 || slices.Min(b.Hidden) <= 0 {
+		return fmt.Errorf("invalid dims in=%d hidden=%v out=%d", b.In, b.Hidden, b.Out)
 	}
-	defer f.Close()
-	if err := n.Save(f); err != nil {
-		return err
+	// Each layer's output width: the hidden layers, the advantage head
+	// and the dueling value head. Both heads read the last hidden layer.
+	outs := append(slices.Clone(b.Hidden), b.Out)
+	if b.Dueling {
+		outs = append(outs, 1)
 	}
-	return f.Close()
-}
-
-// LoadFile reads a network from the named file.
-func LoadFile(path string) (*Net, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("nn: load network: %w", err)
+	if len(b.Values) != 2*len(outs) {
+		return fmt.Errorf("expected %d parameter tensors, got %d", 2*len(outs), len(b.Values))
 	}
-	defer f.Close()
-	return Load(f)
+	in := b.In
+	for i, out := range outs {
+		if in > math.MaxInt/out {
+			return fmt.Errorf("layer %d: %dx%d weights overflow int", i, in, out)
+		}
+		if w, bias := b.Values[2*i], b.Values[2*i+1]; len(w) != in*out || len(bias) != out {
+			return fmt.Errorf("layer %d has %d weights and %d biases, want %d and %d",
+				i, len(w), len(bias), in*out, out)
+		}
+		if i < len(b.Hidden) {
+			in = out
+		}
+	}
+	return nil
 }

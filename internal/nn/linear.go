@@ -1,8 +1,8 @@
 // Package nn implements the small feed-forward neural networks used as
 // Q-value functions by the AMS reproduction: a multi-layer perceptron with
 // ReLU activations, an optional dueling head (value + advantage streams),
-// per-sample backpropagation with gradient accumulation, SGD/Adam/RMSProp
-// optimizers, Huber and MSE losses, and gob persistence.
+// per-sample backpropagation with gradient accumulation, the Adam
+// optimizer, the Huber loss, and gob persistence.
 //
 // The labeling state that feeds the network is a high-dimensional binary
 // vector with very few active bits, so the first layer exposes a sparse

@@ -14,12 +14,6 @@ func HuberLoss(pred, target, delta float64) (loss, grad float64) {
 	return delta * (a - 0.5*delta), delta * sign(r)
 }
 
-// MSELoss returns 0.5*(pred-target)^2 and its derivative w.r.t. pred.
-func MSELoss(pred, target float64) (loss, grad float64) {
-	r := pred - target
-	return 0.5 * r * r, r
-}
-
 func sign(x float64) float64 {
 	if x < 0 {
 		return -1

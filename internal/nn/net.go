@@ -85,9 +85,6 @@ func (n *Net) In() int { return n.in }
 // Out returns the number of actions.
 func (n *Net) Out() int { return n.out }
 
-// Dueling reports whether the network uses dueling heads.
-func (n *Net) Dueling() bool { return n.dueling }
-
 // Forward evaluates the network on a sparse binary input whose set bits
 // are listed in active, returning the Q-value vector. The returned slice
 // aliases internal storage and is invalidated by the next Forward.

@@ -140,8 +140,7 @@ func TestLearnsSimpleMapping(t *testing.T) {
 			if i == target {
 				want = 1.0
 			}
-			_, g := MSELoss(q[i], want)
-			dQ[i] = g
+			dQ[i] = q[i] - want
 		}
 		n.ZeroGrad()
 		n.Backward(dQ)
@@ -280,34 +279,26 @@ func TestHuberGradientMatchesNumeric(t *testing.T) {
 }
 
 func TestOptimizersReduceLoss(t *testing.T) {
-	mk := func() (*Net, []int, float64) {
-		n := NewNet(Config{In: 4, Hidden: []int{6}, Out: 2}, tensor.NewRNG(5))
-		return n, []int{1, 2}, 3.0
-	}
-	step := func(n *Net, active []int, target float64, opt Optimizer) float64 {
+	n := NewNet(Config{In: 4, Hidden: []int{6}, Out: 2}, tensor.NewRNG(5))
+	active, target := []int{1, 2}, 3.0
+	opt := NewAdam(0.01)
+	step := func() float64 {
 		q := n.Forward(active)
-		loss, g := MSELoss(q[0], target)
+		r := q[0] - target
 		dQ := tensor.NewVec(2)
-		dQ[0] = g
+		dQ[0] = r
 		n.ZeroGrad()
 		n.Backward(dQ)
 		opt.Step(n)
-		return loss
+		return 0.5 * r * r
 	}
-	for name, opt := range map[string]Optimizer{
-		"sgd":     NewSGD(0.05, 0.9),
-		"adam":    NewAdam(0.01),
-		"rmsprop": NewRMSProp(0.005),
-	} {
-		n, active, target := mk()
-		first := step(n, active, target, opt)
-		var last float64
-		for i := 0; i < 400; i++ {
-			last = step(n, active, target, opt)
-		}
-		if last > first*0.05 {
-			t.Fatalf("%s failed to reduce loss: first=%v last=%v", name, first, last)
-		}
+	first := step()
+	var last float64
+	for i := 0; i < 400; i++ {
+		last = step()
+	}
+	if last > first*0.05 {
+		t.Fatalf("adam failed to reduce loss: first=%v last=%v", first, last)
 	}
 }
 
@@ -336,7 +327,9 @@ func TestReluKeepsOnlyPositives(t *testing.T) {
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64}
 	want := tensor.Vec{1.5, 0, 0, 0, 0, 0, math.Inf(1), 0, math.SmallestNonzeroFloat64, 0, math.MaxFloat64}
 	got := tensor.NewVec(len(in))
-	got.Fill(7)
+	for i := range got {
+		got[i] = 7
+	}
 	relu(got, in)
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {

@@ -6,44 +6,9 @@ import (
 	"ams/internal/tensor"
 )
 
-// Optimizer applies accumulated gradients to a network's parameters.
-// Implementations hold per-parameter state (momenta) keyed by position in
-// the network's Params() slice, so an optimizer must be used with a single
-// network for its whole life.
-type Optimizer interface {
-	// Step applies one update using the gradients currently accumulated in
-	// the network and then leaves the gradients untouched (callers usually
-	// ZeroGrad afterwards).
-	Step(n *Net)
-}
-
-// SGD is stochastic gradient descent with optional classical momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity []tensor.Vec
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate and
-// momentum coefficient (0 disables momentum).
-func NewSGD(lr, momentum float64) *SGD { return &SGD{LR: lr, Momentum: momentum} }
-
-// Step implements Optimizer.
-func (o *SGD) Step(n *Net) {
-	params := n.Params()
-	if o.velocity == nil {
-		o.velocity = makeState(params)
-	}
-	for i, p := range params {
-		v := o.velocity[i]
-		for j := range p.Val {
-			v[j] = o.Momentum*v[j] - o.LR*p.Grad[j]
-			p.Val[j] += v[j]
-		}
-	}
-}
-
-// Adam is the Adam optimizer (Kingma & Ba, 2015).
+// Adam is the Adam optimizer (Kingma & Ba, 2015). It holds per-parameter
+// moments keyed by position in the network's Params() slice, so it must
+// be used with a single network for its whole life.
 type Adam struct {
 	LR      float64
 	Beta1   float64
@@ -61,7 +26,9 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
 }
 
-// Step implements Optimizer.
+// Step applies one update using the gradients currently accumulated in
+// the network and leaves the gradients untouched (callers usually
+// ZeroGrad afterwards).
 func (o *Adam) Step(n *Net) {
 	params := n.Params()
 	if o.m == nil {
@@ -80,36 +47,6 @@ func (o *Adam) Step(n *Net) {
 			mhat := m[j] / bc1
 			vhat := v[j] / bc2
 			p.Val[j] -= o.LR * mhat / (math.Sqrt(vhat) + o.Epsilon)
-		}
-	}
-}
-
-// RMSProp is the RMSProp optimizer used by the original DQN paper.
-type RMSProp struct {
-	LR      float64
-	Decay   float64
-	Epsilon float64
-
-	cache []tensor.Vec
-}
-
-// NewRMSProp returns an RMSProp optimizer with the DQN-standard decay.
-func NewRMSProp(lr float64) *RMSProp {
-	return &RMSProp{LR: lr, Decay: 0.95, Epsilon: 1e-6}
-}
-
-// Step implements Optimizer.
-func (o *RMSProp) Step(n *Net) {
-	params := n.Params()
-	if o.cache == nil {
-		o.cache = makeState(params)
-	}
-	for i, p := range params {
-		c := o.cache[i]
-		for j := range p.Val {
-			g := p.Grad[j]
-			c[j] = o.Decay*c[j] + (1-o.Decay)*g*g
-			p.Val[j] -= o.LR * g / (math.Sqrt(c[j]) + o.Epsilon)
 		}
 	}
 }

@@ -112,21 +112,6 @@ func NewFlightRecorder(dir string, reg *Registry, tr *Tracer) *FlightRecorder {
 	}
 }
 
-// SetIntervals overrides the poll interval and cooldown (for tests and
-// tiny-scale smoke runs); non-positive values keep the defaults. Call
-// before Start.
-func (f *FlightRecorder) SetIntervals(poll, cooldown time.Duration) {
-	if f == nil {
-		return
-	}
-	if poll > 0 {
-		f.interval = poll
-	}
-	if cooldown > 0 {
-		f.cooldown = cooldown
-	}
-}
-
 // AddTrigger registers one named anomaly detector. Safe before or
 // after Start; no-op on nil.
 func (f *FlightRecorder) AddTrigger(name string, fire func() (bool, string)) {
@@ -256,14 +241,6 @@ func (f *FlightRecorder) Errors() int64 {
 		return 0
 	}
 	return f.errs.Load()
-}
-
-// Dir reports the bundle directory ("" on nil).
-func (f *FlightRecorder) Dir() string {
-	if f == nil {
-		return ""
-	}
-	return f.dir
 }
 
 // RegisterViews exposes recorder health on reg.

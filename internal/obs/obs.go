@@ -100,19 +100,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(floatBits(v))
 }
 
-// Add adjusts the gauge by delta (no-op on nil).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, floatBits(bitsFloat(old)+delta)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -109,8 +109,8 @@ func TestTracerConcurrentAccess(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	readers.Wait()
-	if tr.Total() != 800 {
-		t.Fatalf("total = %d, want 800", tr.Total())
+	if got := int64(len(tr.Recent(tr.Capacity()))) + tr.Evicted(); got != 800 {
+		t.Fatalf("resident + evicted = %d, want 800", got)
 	}
 }
 
@@ -502,7 +502,7 @@ func TestFlightRecorder(t *testing.T) {
 	tr.End(it)
 
 	fr := NewFlightRecorder(dir, reg, tr)
-	fr.SetIntervals(5*time.Millisecond, time.Hour) // one dump max
+	fr.interval, fr.cooldown = 5*time.Millisecond, time.Hour // one dump max
 	var armed atomic.Bool
 	fr.AddTrigger("shed-storm", func() (bool, string) { return armed.Load(), "rate 41.2/s" })
 	fr.Start()
@@ -556,7 +556,7 @@ func TestFlightRecorder(t *testing.T) {
 func TestFlightRecorderShutdownPoll(t *testing.T) {
 	dir := t.TempDir()
 	fr := NewFlightRecorder(dir, NewRegistry(), NewTracer(2))
-	fr.SetIntervals(time.Hour, time.Hour) // the ticker never fires
+	fr.interval, fr.cooldown = time.Hour, time.Hour // the ticker never fires
 	fr.AddTrigger("deadline-burn", func() (bool, string) { return true, "burn 12" })
 	fr.Start()
 	if err := fr.Close(); err != nil {

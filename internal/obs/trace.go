@@ -43,7 +43,6 @@ type Tracer struct {
 	ring    []ItemTrace
 	next    int
 	seq     int64
-	total   int64
 	evicted int64 // ring overwrites: traces lost to capacity
 	dropped int64 // spans dropped inside published traces
 	scale   float64
@@ -118,7 +117,6 @@ func (t *Tracer) End(tr *ItemTrace) {
 	tr.closeOpenSpans()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.total++
 	t.dropped += int64(tr.DroppedSpans)
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, *tr)
@@ -157,17 +155,6 @@ func (t *Tracer) Capacity() int {
 		return 0
 	}
 	return cap(t.ring)
-}
-
-// Total reports how many traces have been published over the tracer's
-// lifetime (not just those still resident).
-func (t *Tracer) Total() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
 }
 
 // Recent returns up to n resident traces, newest first.

@@ -19,7 +19,7 @@ type ExternalItem struct {
 	mu    sync.Mutex
 	outs  []zoo.Output
 	done  []bool
-	truth *Truth // nil unless SetTruth (or DeriveTruth) supplied one
+	truth *Truth // nil unless SetTruth supplied one
 
 	// hook, when set, observes every freshly computed output — the
 	// persistence hook a durable corpus installs to journal memoized
@@ -138,19 +138,6 @@ func (it *ExternalItem) Truth() *Truth {
 	it.mu.Lock()
 	defer it.mu.Unlock()
 	return it.truth
-}
-
-// DeriveTruth computes a scene's ground truth by executing every model —
-// the full-cost operation the Store performs per scene at Build time.
-// Evaluation-only: deriving truth costs exactly the "no policy" schedule
-// the framework exists to avoid.
-func DeriveTruth(z *zoo.Zoo, scene *synth.Scene) *Truth {
-	outputs := make([]zoo.Output, len(z.Models))
-	for mi, m := range z.Models {
-		outputs[mi] = m.Infer(scene)
-	}
-	truth, _ := deriveTruth(z, outputs)
-	return &truth
 }
 
 // Executor returns the item as a one-item Executor: index 0 is the item.

@@ -88,11 +88,41 @@ func Build(z *zoo.Zoo, scenes []synth.Scene) *Store {
 		for mi, m := range z.Models {
 			st.outputs[i][mi] = m.Infer(&scenes[i])
 		}
+		st.truths[i], st.modelValue[i] = deriveTruth(z, st.outputs[i])
 	}
-	// A valuable label's value is its profit-weighted confidence
-	// (f in Eq. 1 with p_i = profit_i * conf).
-	st.deriveValues()
 	return st
+}
+
+// deriveTruth reduces one item's full set of model outputs to its ground
+// truth and per-model static values. A valuable label's value is its
+// profit-weighted confidence (f in Eq. 1 with p_i = profit_i * conf).
+func deriveTruth(z *zoo.Zoo, outputs []zoo.Output) (Truth, []float64) {
+	modelValue := make([]float64, len(z.Models))
+	lv := make(map[int]float64)
+	for mi := range z.Models {
+		for _, lc := range outputs[mi].Labels {
+			if lc.Conf < zoo.ValuableThreshold {
+				continue
+			}
+			v := z.Vocab.Label(lc.ID).Profit * lc.Conf
+			modelValue[mi] += v
+			if v > lv[lc.ID] {
+				lv[lc.ID] = v
+			}
+		}
+	}
+	// Sum in sorted label order so the total is bit-identical across
+	// runs (map iteration order is randomized).
+	ids := make([]int, 0, len(lv))
+	for id := range lv {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	var total float64
+	for _, id := range ids {
+		total += lv[id]
+	}
+	return Truth{LabelValue: lv, TotalValue: total}, modelValue
 }
 
 // NumScenes returns the number of stored scenes.
@@ -119,10 +149,6 @@ func (st *Store) Seed(i int) uint64 { return st.Scenes[i].Seed }
 // TotalValue returns the summed truth value of every valuable label of
 // scene i (the denominator of the recall rate).
 func (st *Store) TotalValue(i int) float64 { return st.truths[i].TotalValue }
-
-// LabelValue returns the truth value of a valuable label on scene i
-// (0 when the label is not valuable there).
-func (st *Store) LabelValue(i, label int) float64 { return st.truths[i].LabelValue[label] }
 
 // ModelValue returns the static true output value of model m on scene i:
 // the sum of confidences of its valuable output labels, ignoring overlap
@@ -214,18 +240,12 @@ func NewTracker(ex Executor, i int) *Tracker {
 	}
 }
 
-// Scene returns the tracked item index.
-func (t *Tracker) Scene() int { return t.item }
-
 // Seed returns the tracked item's identity (Executor.Seed).
 func (t *Tracker) Seed() uint64 { return t.ex.Seed(t.item) }
 
 // HasTruth reports whether the item's ground truth is known, i.e.
-// whether Recall, RecalledValue and MarginalValue are meaningful.
+// whether Recall and MarginalValue are meaningful.
 func (t *Tracker) HasTruth() bool { return t.truth != nil }
-
-// Executed reports whether model m has run.
-func (t *Tracker) Executed(m int) bool { return t.status[m] == executed }
 
 // ExecutedCount returns how many models have run.
 func (t *Tracker) ExecutedCount() int { return t.executedCount }
@@ -313,9 +333,6 @@ func (t *Tracker) Recall() float64 {
 	}
 	return t.recalledValue / t.truth.TotalValue
 }
-
-// RecalledValue returns the absolute recalled value (0 without truth).
-func (t *Tracker) RecalledValue() float64 { return t.recalledValue }
 
 // MarginalValue returns the valuable value model m would add to the
 // current state: the summed truth value of its valuable labels that have

@@ -43,8 +43,8 @@ func TestTotalValueConsistency(t *testing.T) {
 		for m := 0; m < store.NumModels(); m++ {
 			tr.Execute(m)
 		}
-		if diff := tr.RecalledValue() - store.TotalValue(i); diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("scene %d: recalled %v != total %v", i, tr.RecalledValue(), store.TotalValue(i))
+		if diff := tr.recalledValue - store.TotalValue(i); diff > 1e-9 || diff < -1e-9 {
+			t.Fatalf("scene %d: recalled %v != total %v", i, tr.recalledValue, store.TotalValue(i))
 		}
 		if r := tr.Recall(); r < 1-1e-9 || r > 1+1e-9 {
 			t.Fatalf("scene %d: full execution recall %v != 1", i, r)
@@ -173,7 +173,7 @@ func TestEvaluationSubmodular(t *testing.T) {
 		for _, m := range set {
 			tr.Execute(m)
 		}
-		return tr.RecalledValue()
+		return tr.recalledValue
 	}
 	f := func(seed uint16) bool {
 		rng := tensor.NewRNG(uint64(seed))
@@ -221,9 +221,9 @@ func TestMarginalValueAgainstBruteForce(t *testing.T) {
 			for _, e := range executedSet {
 				tr2.Execute(e)
 			}
-			before := tr2.RecalledValue()
+			before := tr2.recalledValue
 			tr2.Execute(m)
-			want := tr2.RecalledValue() - before
+			want := tr2.recalledValue - before
 			got := tr.MarginalValue(m)
 			if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 				t.Fatalf("MarginalValue(%d) = %v, brute force %v", m, got, want)
@@ -280,9 +280,9 @@ func TestTrackerCarriesInFlightSet(t *testing.T) {
 	if tr.Launch(5) {
 		t.Fatal("Launch accepted a model already in flight")
 	}
-	if tr.Candidate(5) || tr.Executed(5) || !tr.Candidate(6) || tr.InFlightCount() != 2 || tr.CandidateCount() != n-2 {
+	if tr.Candidate(5) || tr.status[5] == executed || !tr.Candidate(6) || tr.InFlightCount() != 2 || tr.CandidateCount() != n-2 {
 		t.Fatalf("in-flight bookkeeping: Candidate(5)=%v Executed(5)=%v in flight %d, candidates %d",
-			tr.Candidate(5), tr.Executed(5), tr.InFlightCount(), tr.CandidateCount())
+			tr.Candidate(5), tr.status[5] == executed, tr.InFlightCount(), tr.CandidateCount())
 	}
 	if un, cand := tr.Unexecuted(), tr.Candidates(); len(un) != n || len(cand) != n-2 || cap(un) != n || cap(cand) != n-2 {
 		t.Fatalf("views: %d unexecuted (cap %d), %d candidates (cap %d), want %d and %d exactly sized",
@@ -295,7 +295,7 @@ func TestTrackerCarriesInFlightSet(t *testing.T) {
 	}
 	tr.Execute(5) // commits a launched model
 	tr.Execute(7) // an executor that never calls Launch
-	if tr.Candidate(5) || !tr.Executed(5) || !tr.Executed(7) || tr.InFlightCount() != 1 || tr.ExecutedCount() != 2 || tr.CandidateCount() != n-3 {
+	if tr.Candidate(5) || tr.status[5] != executed || tr.status[7] != executed || tr.InFlightCount() != 1 || tr.ExecutedCount() != 2 || tr.CandidateCount() != n-3 {
 		t.Fatalf("after commits: Candidate(5)=%v in flight %d, executed %d, candidates %d",
 			tr.Candidate(5), tr.InFlightCount(), tr.ExecutedCount(), tr.CandidateCount())
 	}

@@ -115,7 +115,7 @@ type Learner struct {
 	cfg    LearnerConfig
 	online *nn.Net
 	target *nn.Net
-	opt    nn.Optimizer
+	opt    *nn.Adam
 	buf    *ReplayBuffer
 	pbuf   *PrioritizedBuffer
 	rng    *tensor.RNG
@@ -159,16 +159,9 @@ func NewLearner(cfg LearnerConfig, rng *tensor.RNG) *Learner {
 	return l
 }
 
-// Config returns the (defaulted) configuration.
-func (l *Learner) Config() LearnerConfig { return l.cfg }
-
 // Online returns the online network. Callers must not use it concurrently
 // with training.
 func (l *Learner) Online() *nn.Net { return l.online }
-
-// Buffer exposes the uniform replay buffer (nil when the learner uses
-// prioritized replay).
-func (l *Learner) Buffer() *ReplayBuffer { return l.buf }
 
 // BufferLen returns the number of stored transitions in whichever buffer
 // is active.
@@ -178,10 +171,6 @@ func (l *Learner) BufferLen() int {
 	}
 	return l.buf.Len()
 }
-
-// QValues evaluates the online network on a sparse state. The returned
-// vector aliases network storage and is invalidated by the next forward.
-func (l *Learner) QValues(state []int) tensor.Vec { return l.online.Forward(state) }
 
 // SelectAction performs epsilon-greedy selection restricted to the allowed
 // action indices. It panics when allowed is empty.
@@ -278,9 +267,3 @@ func (l *Learner) targetValue(tr *Transition) float64 {
 		return tr.Reward + l.cfg.Gamma*maxQ
 	}
 }
-
-// SyncTarget forces a hard copy of the online network into the target.
-func (l *Learner) SyncTarget() { l.target.CopyWeightsFrom(l.online) }
-
-// TrainSteps returns the number of optimizer updates performed.
-func (l *Learner) TrainSteps() int { return l.trainSteps }

@@ -124,6 +124,3 @@ func (b *PrioritizedBuffer) UpdatePriorities(idxs []int, tdErrs []float64) {
 		b.setPriority(idx, p)
 	}
 }
-
-// Total returns the tree mass (for tests).
-func (b *PrioritizedBuffer) Total() float64 { return b.tree[0] }

@@ -87,7 +87,7 @@ func TestPrioritizedTreeMassConsistent(t *testing.T) {
 			}
 			leafSum += b.tree[i]
 		}
-		return math.Abs(leafSum-b.Total()) < 1e-9
+		return math.Abs(leafSum-b.tree[0]) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestLearnerPrioritizedSolvesBandit(t *testing.T) {
 		WarmupSize:      8,
 		Prioritized:     true,
 	}, tensor.NewRNG(7))
-	if l.Buffer() != nil {
+	if l.buf != nil {
 		t.Fatal("prioritized learner exposes a uniform buffer")
 	}
 	for ep := 0; ep < 600; ep++ {
@@ -129,7 +129,7 @@ func TestLearnerPrioritizedSolvesBandit(t *testing.T) {
 		l.Observe(Transition{Action: a, Reward: r, Done: true})
 		l.TrainStep()
 	}
-	q := l.QValues(nil)
+	q := l.online.Forward(nil)
 	_, best := q.Max()
 	if best != 2 {
 		t.Fatalf("prioritized learner failed bandit: Q=%v", q)

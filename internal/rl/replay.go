@@ -58,9 +58,6 @@ func (b *ReplayBuffer) Add(tr Transition) {
 // Len returns the number of stored transitions.
 func (b *ReplayBuffer) Len() int { return len(b.data) }
 
-// Cap returns the buffer capacity.
-func (b *ReplayBuffer) Cap() int { return cap(b.data) }
-
 // SampleInto fills dst with uniformly sampled transitions (with
 // replacement) and returns dst[:n] where n = min(len(dst), Len). An empty
 // buffer yields an empty slice.

@@ -153,7 +153,7 @@ func TestTrainStepNoopUntilBatch(t *testing.T) {
 	if loss := l.TrainStep(); loss != 0 {
 		t.Fatalf("TrainStep on empty buffer returned %v", loss)
 	}
-	if l.TrainSteps() != 0 {
+	if l.trainSteps != 0 {
 		t.Fatal("TrainSteps advanced without data")
 	}
 }
@@ -175,7 +175,7 @@ func TestLearnersSolveBandit(t *testing.T) {
 					NextAction: 0, Done: true})
 				l.TrainStep()
 			}
-			q := l.QValues(nil)
+			q := l.online.Forward(nil)
 			_, best := q.Max()
 			if best != 2 {
 				t.Fatalf("%v failed bandit: Q=%v", algo, q)
@@ -215,12 +215,12 @@ func TestLearnersBootstrapChain(t *testing.T) {
 				l.TrainStep()
 				_ = rng
 			}
-			qs := l.QValues([]int{1}).Clone()
+			qs := l.online.Forward([]int{1}).Clone()
 			_, best2 := qs.Max()
 			if best2 != 1 {
 				t.Fatalf("%v: second-step policy wrong, Q({1})=%v", algo, qs)
 			}
-			q0 := l.QValues(nil).Clone()
+			q0 := l.online.Forward(nil).Clone()
 			if q0[0] < 0.3 {
 				t.Fatalf("%v: no value propagated to first step, Q({})=%v", algo, q0)
 			}
@@ -230,11 +230,14 @@ func TestLearnersBootstrapChain(t *testing.T) {
 
 func TestDuelingUsesDuelingNet(t *testing.T) {
 	l := newTestLearner(DuelingDQN, 5)
-	if !l.Online().Dueling() {
+	// A dueling net adds a value head: a weight and a bias tensor past
+	// the feature layers' and the advantage head's.
+	dueling := func(l *Learner) bool { return len(l.online.Params()) == 2*len(l.cfg.Hidden)+4 }
+	if !dueling(l) {
 		t.Fatal("DuelingDQN learner built a plain network")
 	}
 	l2 := newTestLearner(DoubleDQN, 5)
-	if l2.Online().Dueling() {
+	if dueling(l2) {
 		t.Fatal("DoubleDQN learner built a dueling network")
 	}
 }
@@ -269,7 +272,7 @@ func TestTargetSyncPeriod(t *testing.T) {
 
 func TestLearnerDefaults(t *testing.T) {
 	l := NewLearner(LearnerConfig{Algo: DQN, StateDim: 4, Actions: 3}, tensor.NewRNG(1))
-	cfg := l.Config()
+	cfg := l.cfg
 	if cfg.Gamma != 0.9 || cfg.BatchSize != 32 || len(cfg.Hidden) != 1 || cfg.Hidden[0] != 256 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}

@@ -201,11 +201,6 @@ func (e *Engine) ObserveOutput(from *zoo.Model, out []zoo.LabelConf) {
 // Weight returns the current execution weight of model mi.
 func (e *Engine) Weight(mi int) float64 { return e.weights[mi] }
 
-// Weights returns a copy of all weights.
-func (e *Engine) Weights() []float64 {
-	return append([]float64(nil), e.weights...)
-}
-
 // Reset restores uniform weights for the next image.
 func (e *Engine) Reset() {
 	for i := range e.weights {

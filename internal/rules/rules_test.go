@@ -178,12 +178,3 @@ func TestReset(t *testing.T) {
 		t.Fatal("rule did not re-fire after Reset")
 	}
 }
-
-func TestWeightsCopy(t *testing.T) {
-	e := NewEngine(vocab, z, TableII())
-	w := e.Weights()
-	w[0] = 99
-	if e.Weight(0) == 99 {
-		t.Fatal("Weights returned aliased storage")
-	}
-}

@@ -40,16 +40,10 @@ type CachedPredictor struct {
 	shared *SharedCache
 }
 
-// NewCachedPredictor wraps pred with a per-schedule memo.
-func NewCachedPredictor(pred Predictor) *CachedPredictor {
-	return &CachedPredictor{pred: pred}
-}
-
-// NewSharedCachedPredictor wraps pred with the per-schedule memo backed
-// by a cross-item shared cache. All predictors sharing one cache must
-// compute from identical weights — the cache stores values, not which
-// network produced them. A nil shared is equivalent to
-// NewCachedPredictor.
+// NewSharedCachedPredictor wraps pred with a per-schedule memo, backed by
+// a cross-item shared cache unless shared is nil. All predictors sharing
+// one cache must compute from identical weights — the cache stores
+// values, not which network produced them.
 func NewSharedCachedPredictor(pred Predictor, shared *SharedCache) *CachedPredictor {
 	return &CachedPredictor{pred: pred, shared: shared}
 }
@@ -97,8 +91,8 @@ func (c *CachedPredictor) Predict(state []int) []float64 {
 
 // Invalidate drops the private memo; policies call it from Reset so
 // per-item state never leaks across items. The shared tier deliberately
-// survives — its values are valid as long as the shared weights are
-// (call SharedCache.Invalidate after retraining).
+// survives — its values are valid as long as the shared weights are, and
+// a server builds a fresh SharedCache for the agent it serves.
 func (c *CachedPredictor) Invalidate() { c.valid = false }
 
 // invalidatePrediction resets pred's memo when it carries one. Policies

@@ -378,7 +378,7 @@ func TestPoliciesSkipModelsOverMemoryCap(t *testing.T) {
 			}
 		}
 		for _, m := range excluded {
-			if tr.Executed(m) {
+			if !tr.Candidate(m) {
 				t.Fatalf("%s executed over-cap model %d", p.Name(), m)
 			}
 		}
@@ -510,8 +510,8 @@ func TestScheduleAllocationBudget(t *testing.T) {
 	for m := range store.NumModels() {
 		q[m] = store.ModelValue(0, m)
 	}
-	alg1 := NewCostQGreedy(NewCachedPredictor(fixedPredictor{q}), z)
-	alg2 := NewMemoryPacker(NewCachedPredictor(fixedPredictor{q}), z)
+	alg1 := NewCostQGreedy(NewSharedCachedPredictor(fixedPredictor{q}, nil), z)
+	alg2 := NewMemoryPacker(NewSharedCachedPredictor(fixedPredictor{q}, nil), z)
 	for _, tc := range []struct {
 		name   string
 		run    func() sim.Result

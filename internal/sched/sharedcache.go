@@ -74,11 +74,3 @@ func (c *SharedCache) Stats() (hits, misses int64, size int) {
 	defer c.mu.Unlock()
 	return c.hits, c.misses, len(c.memo)
 }
-
-// Invalidate empties the cache. Call it when the shared weights change
-// (retraining): cached values are predictions of a specific network.
-func (c *SharedCache) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	clear(c.memo)
-}

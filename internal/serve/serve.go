@@ -31,10 +31,10 @@
 // and its recall — exactly.
 //
 // Admission control is explicit and one call, Admit: without a context
-// it rejects with ErrQueueFull when the bounded queue is saturated
-// (Submit), with one it blocks until space frees (SubmitWait), and New
-// rejects configurations that could never make progress (no workers, a
-// memory budget below the smallest model). A shard router (internal/shard)
+// it rejects with ErrQueueFull when the bounded queue is saturated, with
+// one it blocks until space frees (SubmitWait), and New rejects
+// configurations that could never make progress (no workers, a memory
+// budget below the smallest model). A shard router (internal/shard)
 // admits its own annotated tickets into the same queue — it is the only
 // queue an item waits in — and a worker whose queue is empty asks the
 // router to steal from a sibling before it parks. A ticket names either
@@ -254,14 +254,14 @@ func (t *Ticket) Wait() ItemResult {
 }
 
 // Err blocks like Wait and reports why the item never ran; nil for every
-// ticket a server's own Submit or SubmitWait returned.
+// ticket a server's own SubmitWait returned.
 func (t *Ticket) Err() error {
 	<-t.done
 	return t.err
 }
 
 // Server is a running labeling server. Create one with New, feed it with
-// Submit/SubmitWait, and stop it with Close, which drains the queue.
+// Admit or SubmitWait, and stop it with Close, which drains the queue.
 type Server struct {
 	ex      oracle.Executor
 	cfg     Config
@@ -397,23 +397,13 @@ func New(ex oracle.Executor, factory service.PolicyFactory, cfg Config) (*Server
 	return s, nil
 }
 
-// Submit admits one item without blocking. The tag is an opaque caller
-// identifier echoed in the item's result. Submit returns ErrQueueFull
-// when the bounded queue is saturated (the caller's backpressure signal)
-// and ErrClosed after Close.
-func (s *Server) Submit(item int, tag string) (*Ticket, error) { return s.submit(nil, item, tag) }
-
 // SubmitWait admits one item, blocking while the queue is full until
-// space frees, the context is cancelled, or the server closes.
+// space frees, the context is cancelled, or the server closes. The tag is
+// an opaque caller identifier echoed in the item's result.
 func (s *Server) SubmitWait(ctx context.Context, item int, tag string) (*Ticket, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return s.submit(ctx, item, tag)
-}
-
-// submit is Submit when ctx is nil, SubmitWait otherwise.
-func (s *Server) submit(ctx context.Context, item int, tag string) (*Ticket, error) {
 	tk := NewTicket(tag)
 	if err := s.Admit(ctx, tk, item); err != nil {
 		return nil, err
@@ -962,17 +952,12 @@ type RunStats struct {
 	Batching  batch.Stats // zero when batching is not configured
 }
 
-// Stats summarizes the most recent StatsWindow completed items through
-// the same service.Summarize reduction the virtual-time sim uses.
-func (s *Server) Stats() RunStats {
-	rs, _ := s.Snapshot()
-	return rs
-}
-
-// Snapshot is Stats together with a copy of the per-item completion
-// records it summarized, both read under one lock so they agree — the
-// raw material a shard router merges across servers (with a shared
-// Config.Epoch) before one Summarize reduction.
+// Snapshot summarizes the most recent StatsWindow completed items through
+// the same service.Summarize reduction the virtual-time sim uses, and
+// returns a copy of the per-item completion records it summarized, both
+// read under one lock so they agree — the raw material a shard router
+// merges across servers (with a shared Config.Epoch) before one
+// Summarize reduction.
 func (s *Server) Snapshot() (RunStats, []service.Record) {
 	s.mu.Lock()
 	records := append([]service.Record(nil), s.records...)

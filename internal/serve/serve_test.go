@@ -52,7 +52,7 @@ func (p *fixedPolicy) Name() string { return "fixed" }
 func (p *fixedPolicy) Reset(int)    {}
 func (p *fixedPolicy) Next(t *oracle.Tracker, c sim.Constraints) int {
 	for _, m := range p.models {
-		if !t.Executed(m) && c.Allows(z.Models[m]) {
+		if t.Candidate(m) && c.Allows(z.Models[m]) {
 			return m
 		}
 	}
@@ -62,6 +62,13 @@ func (p *fixedPolicy) Observe(int, zoo.Output) {}
 
 func fixedFactory(models ...int) service.PolicyFactory {
 	return func(worker int) sim.Policy { return &fixedPolicy{models: models} }
+}
+
+// submitNow admits item on a fresh ticket, shedding when the queue is
+// full.
+func submitNow(s *Server, item int) (*Ticket, error) {
+	tk := NewTicket("")
+	return tk, s.Admit(nil, tk, item)
 }
 
 func TestNewValidation(t *testing.T) {
@@ -107,13 +114,13 @@ func TestSubmitValidationAndClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(-1, ""); err == nil {
+	if _, err := submitNow(s, -1); err == nil {
 		t.Fatal("negative image accepted")
 	}
-	if _, err := s.Submit(store.NumScenes(), ""); err == nil {
+	if _, err := submitNow(s, store.NumScenes()); err == nil {
 		t.Fatal("out-of-range image accepted")
 	}
-	tk, err := s.Submit(0, "")
+	tk, err := submitNow(s, 0)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -134,7 +141,7 @@ func TestSubmitValidationAndClose(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, err := s.Submit(0, ""); !errors.Is(err, ErrClosed) {
+	if _, err := submitNow(s, 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
 	if err := s.Admit(nil, corpusTicket(4), 0); !errors.Is(err, ErrClosed) {
@@ -171,20 +178,20 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 	defer s.Close()
 
-	first, err := s.Submit(0, "")
+	first, err := submitNow(s, 0)
 	if err != nil {
 		t.Fatalf("first submit: %v", err)
 	}
 	// Give the worker time to dequeue the first item and start sleeping.
 	time.Sleep(10 * time.Millisecond)
-	if _, err := s.Submit(1, ""); err != nil {
+	if _, err := submitNow(s, 1); err != nil {
 		t.Fatalf("second submit should occupy the queue: %v", err)
 	}
-	if _, err := s.Submit(2, ""); !errors.Is(err, ErrQueueFull) {
+	if _, err := submitNow(s, 2); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submit = %v, want ErrQueueFull", err)
 	}
-	if got := s.Stats().Rejected; got != 1 {
-		t.Fatalf("rejected count %d, want 1", got)
+	if st, _ := s.Snapshot(); st.Rejected != 1 {
+		t.Fatalf("rejected count %d, want 1", st.Rejected)
 	}
 	// Backpressure is transient: a blocking submit gets through.
 	if _, err := s.SubmitWait(context.Background(), 2, ""); err != nil {
@@ -204,11 +211,11 @@ func TestSubmitWaitHonorsContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Submit(0, ""); err != nil {
+	if _, err := submitNow(s, 0); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(10 * time.Millisecond)
-	if _, err := s.Submit(1, ""); err != nil {
+	if _, err := submitNow(s, 1); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
@@ -272,7 +279,7 @@ func TestMemoryBudgetNeverOvercommits(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
+	st, _ := s.Snapshot()
 	if st.Items != items {
 		t.Fatalf("completed %d items, want %d", st.Items, items)
 	}
@@ -308,7 +315,7 @@ func TestTightBudgetSerializesExecution(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
+	st, _ := s.Snapshot()
 	if st.Items != 40 {
 		t.Fatalf("items %d", st.Items)
 	}
@@ -330,7 +337,7 @@ func TestOversizedModelSkippedScheduleContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, err := s.Submit(0, "")
+	tk, err := submitNow(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +388,7 @@ func TestItemParallelMatchesRunParallel(t *testing.T) {
 	}
 	ref := sched.NewRandomPacker(z, tensor.NewRNG(23)) // worker 0's seed
 	for img := 0; img < 12; img++ {
-		tk, err := s.Submit(img, "")
+		tk, err := submitNow(s, img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,8 +413,8 @@ func TestItemParallelMatchesRunParallel(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if peak := s.Stats().PeakMemMB; peak <= 0 || peak > memMB+1e-9 {
-		t.Fatalf("peak memory %v MB outside (0, %v]", peak, memMB)
+	if st, _ := s.Snapshot(); st.PeakMemMB <= 0 || st.PeakMemMB > memMB+1e-9 {
+		t.Fatalf("peak memory %v MB outside (0, %v]", st.PeakMemMB, memMB)
 	}
 }
 
@@ -444,7 +451,7 @@ func TestItemParallelConcurrentItemsStayInBudget(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
+	st, _ := s.Snapshot()
 	if st.Items != 60 {
 		t.Fatalf("completed %d items", st.Items)
 	}
@@ -476,7 +483,7 @@ func TestSelectOverheadMeasured(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
+	st, _ := s.Snapshot()
 	if st.AvgSelectSec <= 0 {
 		t.Fatalf("AvgSelectSec %v, want > 0", st.AvgSelectSec)
 	}
@@ -507,7 +514,7 @@ func TestStatsMatchSimShape(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got := s.Stats()
+	got, _ := s.Snapshot()
 	if got.Items != 60 {
 		t.Fatalf("items %d", got.Items)
 	}
@@ -548,7 +555,7 @@ func TestStatsWindowBoundsRetention(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
+	st, _ := s.Snapshot()
 	if st.Completed != 25 {
 		t.Fatalf("completed %d, want 25", st.Completed)
 	}
@@ -604,7 +611,7 @@ func TestExactlyExhaustedBudgetDoesNotPanic(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
+	st, _ := s.Snapshot()
 	if st.Items != 40 {
 		t.Fatalf("completed %d items", st.Items)
 	}

@@ -37,7 +37,7 @@ func (p *fixedPolicy) Name() string { return "fixed" }
 func (p *fixedPolicy) Reset(int)    {}
 func (p *fixedPolicy) Next(t *oracle.Tracker, c sim.Constraints) int {
 	for _, m := range p.models {
-		if !t.Executed(m) && c.Allows(z.Models[m]) {
+		if t.Candidate(m) && c.Allows(z.Models[m]) {
 			return m
 		}
 	}

@@ -16,31 +16,11 @@ func NewMat(rows, cols int) *Mat {
 	return &Mat{Rows: rows, Cols: cols, Data: NewVec(rows * cols)}
 }
 
-// Clone returns a deep copy.
-func (m *Mat) Clone() *Mat {
-	return &Mat{Rows: m.Rows, Cols: m.Cols, Data: m.Data.Clone()}
-}
-
-// At returns element (i,j).
-func (m *Mat) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set stores x at (i,j).
-func (m *Mat) Set(i, j int, x float64) { m.Data[i*m.Cols+j] = x }
-
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Mat) Row(i int) Vec { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // Zero clears all elements.
 func (m *Mat) Zero() { m.Data.Zero() }
-
-// CopyFrom copies the contents of src; dimensions must match.
-func (m *Mat) CopyFrom(src *Mat) {
-	if m.Rows != src.Rows || m.Cols != src.Cols {
-		panic(fmt.Sprintf("tensor: CopyFrom shape mismatch (%dx%d vs %dx%d)",
-			m.Rows, m.Cols, src.Rows, src.Cols))
-	}
-	copy(m.Data, src.Data)
-}
 
 // MulVecInto computes out = m * x (out length Rows, x length Cols).
 func (m *Mat) MulVecInto(out, x Vec) {

@@ -15,23 +15,11 @@ func TestVecAddSubScale(t *testing.T) {
 	if v[0] != 5 || v[1] != 7 || v[2] != 9 {
 		t.Fatalf("Add wrong: %v", v)
 	}
-	v.Sub(w)
-	if v[0] != 1 || v[1] != 2 || v[2] != 3 {
-		t.Fatalf("Sub wrong: %v", v)
-	}
-	v.Scale(2)
-	if v[0] != 2 || v[1] != 4 || v[2] != 6 {
-		t.Fatalf("Scale wrong: %v", v)
-	}
 }
 
 func TestVecAXPYDot(t *testing.T) {
-	v := Vec{1, 1}
+	v := Vec{2, 2.5}
 	w := Vec{2, 3}
-	v.AXPY(0.5, w)
-	if !almostEq(v[0], 2) || !almostEq(v[1], 2.5) {
-		t.Fatalf("AXPY wrong: %v", v)
-	}
 	if d := v.Dot(w); !almostEq(d, 2*2+2.5*3) {
 		t.Fatalf("Dot wrong: %v", d)
 	}
@@ -53,17 +41,6 @@ func TestVecMax(t *testing.T) {
 	}
 }
 
-func TestVecClip(t *testing.T) {
-	v := Vec{-10, -0.5, 0.5, 10}
-	v.ClipInPlace(1)
-	want := Vec{-1, -0.5, 0.5, 1}
-	for i := range v {
-		if v[i] != want[i] {
-			t.Fatalf("Clip wrong: %v", v)
-		}
-	}
-}
-
 func TestVecMeanSumNorm(t *testing.T) {
 	v := Vec{3, 4}
 	if v.Sum() != 7 {
@@ -71,9 +48,6 @@ func TestVecMeanSumNorm(t *testing.T) {
 	}
 	if v.Mean() != 3.5 {
 		t.Fatalf("Mean wrong")
-	}
-	if !almostEq(v.Norm2(), 5) {
-		t.Fatalf("Norm2 wrong: %v", v.Norm2())
 	}
 	var empty Vec
 	if empty.Mean() != 0 {
@@ -156,25 +130,6 @@ func TestMatSumColsSparsePanicsOutOfRange(t *testing.T) {
 	m.SumColsSparseInto(out, []int{2})
 }
 
-func TestMatCloneIndependent(t *testing.T) {
-	m := NewMat(2, 2)
-	m.Set(0, 0, 1)
-	c := m.Clone()
-	c.Set(0, 0, 9)
-	if m.At(0, 0) != 1 {
-		t.Fatal("Clone aliases original storage")
-	}
-}
-
-func TestMatCopyFromShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("shape-mismatched CopyFrom did not panic")
-		}
-	}()
-	NewMat(2, 2).CopyFrom(NewMat(2, 3))
-}
-
 // Property: for random matrices and sparse one-hot-sum inputs, the sparse
 // and dense products agree.
 func TestMatSparseDenseProperty(t *testing.T) {
@@ -246,7 +201,9 @@ func TestInputMajorKernelsMatchOutputMajorBitForBit(t *testing.T) {
 					}
 				}
 				want, got := NewVec(outs), NewVec(outs)
-				got.Fill(99) // the kernels must overwrite, not accumulate
+				for j := range got {
+					got[j] = 99 // the kernels must overwrite, not accumulate
+				}
 				m.MulVecInto(want, x)
 				mt.MulVecTransInto(got, x)
 				if !sameBits(got, want) {

@@ -129,28 +129,3 @@ func (r *RNG) Shuffle(p []int) {
 		p[i], p[j] = p[j], p[i]
 	}
 }
-
-// Choice returns a random index weighted by the non-negative weights.
-// A zero-sum weight vector degenerates to uniform choice.
-func (r *RNG) Choice(weights []float64) int {
-	var sum float64
-	for _, w := range weights {
-		if w > 0 {
-			sum += w
-		}
-	}
-	if sum <= 0 {
-		return r.Intn(len(weights))
-	}
-	x := r.Float64() * sum
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}

@@ -122,43 +122,6 @@ func TestRNGPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestRNGChoiceRespectsWeights(t *testing.T) {
-	r := NewRNG(5)
-	counts := [3]int{}
-	for i := 0; i < 30000; i++ {
-		counts[r.Choice([]float64{1, 2, 7})]++
-	}
-	if !(counts[2] > counts[1] && counts[1] > counts[0]) {
-		t.Fatalf("weighted choice ordering wrong: %v", counts)
-	}
-	frac := float64(counts[2]) / 30000
-	if math.Abs(frac-0.7) > 0.03 {
-		t.Fatalf("weight-7 arm frequency %v too far from 0.7", frac)
-	}
-}
-
-func TestRNGChoiceZeroWeightsUniform(t *testing.T) {
-	r := NewRNG(6)
-	counts := [4]int{}
-	for i := 0; i < 4000; i++ {
-		counts[r.Choice([]float64{0, 0, 0, 0})]++
-	}
-	for i, c := range counts {
-		if c == 0 {
-			t.Fatalf("arm %d never chosen under degenerate weights: %v", i, counts)
-		}
-	}
-}
-
-func TestRNGChoiceNegativeWeightIgnored(t *testing.T) {
-	r := NewRNG(8)
-	for i := 0; i < 1000; i++ {
-		if got := r.Choice([]float64{-5, 0, 1}); got != 2 {
-			t.Fatalf("Choice picked non-positive arm %d", got)
-		}
-	}
-}
-
 func TestRNGSplitIndependence(t *testing.T) {
 	parent := NewRNG(99)
 	child := parent.Split()

@@ -25,41 +25,11 @@ func (v Vec) Zero() {
 	}
 }
 
-// Fill sets every element to x.
-func (v Vec) Fill(x float64) {
-	for i := range v {
-		v[i] = x
-	}
-}
-
 // Add adds w element-wise into v. Panics on length mismatch.
 func (v Vec) Add(w Vec) {
 	assertLen(len(v), len(w))
 	for i := range v {
 		v[i] += w[i]
-	}
-}
-
-// Sub subtracts w element-wise from v.
-func (v Vec) Sub(w Vec) {
-	assertLen(len(v), len(w))
-	for i := range v {
-		v[i] -= w[i]
-	}
-}
-
-// Scale multiplies every element by a.
-func (v Vec) Scale(a float64) {
-	for i := range v {
-		v[i] *= a
-	}
-}
-
-// AXPY computes v += a*w.
-func (v Vec) AXPY(a float64, w Vec) {
-	assertLen(len(v), len(w))
-	for i := range v {
-		v[i] += a * w[i]
 	}
 }
 
@@ -100,26 +70,6 @@ func (v Vec) Max() (float64, int) {
 		}
 	}
 	return best, idx
-}
-
-// Norm2 returns the Euclidean norm.
-func (v Vec) Norm2() float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// ClipInPlace clamps each element into [-c, c]. c must be positive.
-func (v Vec) ClipInPlace(c float64) {
-	for i, x := range v {
-		if x > c {
-			v[i] = c
-		} else if x < -c {
-			v[i] = -c
-		}
-	}
 }
 
 func assertLen(a, b int) {

@@ -80,7 +80,7 @@ func TestOneStateMemoMatchesMapMemo(t *testing.T) {
 		ref := &countedPredictor{Predictor: testAgent.inner.Fork()}
 		refMemo := &mapMemo{pred: ref}
 		asks := &countedPredictor{Predictor: refMemo}
-		p, refP := alg.build(sched.NewCachedPredictor(one)), alg.build(asks)
+		p, refP := alg.build(sched.NewSharedCachedPredictor(one, nil)), alg.build(asks)
 		for i := 0; i < testSys.NumTestImages(); i++ {
 			refMemo.item = map[string][]float64{}
 			before, refBefore := one.passes, ref.passes
