@@ -16,9 +16,11 @@ import (
 type CorpusOptions struct {
 	// MaxResident, when positive, bounds how many ingested items may
 	// hold memoized outputs in memory at once (per journal segment on a
-	// segmented corpus). An admission past the watermark waits, on the
-	// worker that took the item, until committed items are evicted —
-	// backpressure on that shard's queue. Zero = unbounded.
+	// segmented corpus). An admission past the watermark — of a new
+	// item, or a resubmission of an evicted one — waits, on the worker
+	// that took the item, until committed items are evicted:
+	// backpressure on that shard's queue. Server.Close cuts such a wait
+	// short. Zero = unbounded.
 	MaxResident int
 	// SnapshotEvery, when positive, compacts the journal in place
 	// automatically after every N completed items. Zero disables

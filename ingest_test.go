@@ -3,6 +3,7 @@ package ams
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -484,17 +485,39 @@ func TestResubmittedExternalItemReusesExecutorSlot(t *testing.T) {
 	}
 }
 
-// TestServerRetainsNoExternalItem: a server without a corpus keeps
-// nothing of an external item once its result is delivered, so its
-// memory on an unbounded external stream is bounded by what is in
-// flight, not by what it has served. The server stays open throughout.
+// TestServerRetainsNoExternalItem: a server keeps nothing of an external
+// item once its result is delivered, so its memory on an unbounded
+// external stream is bounded by what is in flight, not by what it has
+// served. Without a corpus nothing holds the item; with one the corpus
+// holds its own copy of the scene, evicted once committed, and finds a
+// resubmission by content, not by the caller's pointer. The server stays
+// open throughout.
 func TestServerRetainsNoExternalItem(t *testing.T) {
-	srv, err := testSys.NewServer(testAgent, serveCfg(2))
+	t.Run("no corpus", func(t *testing.T) {
+		assertRetainsNone(t, serveCfg(2), 20)
+	})
+	t.Run("corpus", func(t *testing.T) {
+		c, err := testSys.OpenCorpus(filepath.Join(t.TempDir(), "corpus.wal"), CorpusOptions{MaxResident: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		cfg := serveCfg(2)
+		cfg.Corpus = c
+		assertRetainsNone(t, cfg, 40)
+	})
+}
+
+// assertRetainsNone serves n fresh external items through an open server
+// built from cfg and checks that none is reachable after two
+// collections.
+func assertRetainsNone(t *testing.T, cfg ServeConfig, n int) {
+	t.Helper()
+	srv, err := testSys.NewServer(testAgent, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	const n = 20
 	weaks := make([]weak.Pointer[oracle.ExternalItem], n)
 	func() {
 		var tickets []*ServeTicket

@@ -35,7 +35,8 @@
 //	//amsvet:allow <analyzer> <reason>
 //
 // placed on the offending line or the line directly above it. The reason
-// is mandatory — an allow comment without one is itself a diagnostic.
+// is mandatory — an allow comment without one is itself a diagnostic —
+// and so is an allow that suppresses nothing there: a stale one.
 package analysis
 
 import (
@@ -106,8 +107,9 @@ func All() []*Analyzer {
 // Check runs every analyzer in suite over pkg and returns the surviving
 // diagnostics: findings on lines carrying a matching //amsvet:allow
 // comment are suppressed, and malformed allow comments (no analyzer
-// name, no reason, or a name no analyzer answers to) are reported as
-// findings of the pseudo-analyzer "allow".
+// name, no reason, or a name no analyzer answers to) and stale ones
+// (their analyzer found nothing on their line or the next) are reported
+// as findings of the pseudo-analyzer "allow".
 func Check(pkg *Package, suite []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range suite {
@@ -123,14 +125,20 @@ func Check(pkg *Package, suite []*Analyzer) ([]Diagnostic, error) {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 		}
 	}
-	allows, bad := collectAllows(pkg.Fset, pkg.Files, suite)
+	set, allows, bad := collectAllows(pkg.Fset, pkg.Files, suite)
 	kept := diags[:0]
 	for _, d := range diags {
-		if !allows.covers(d) {
+		if !set.covers(d) {
 			kept = append(kept, d)
 		}
 	}
 	kept = append(kept, bad...)
+	for _, a := range allows {
+		if !a.used {
+			kept = append(kept, Diagnostic{Pos: a.pos, Analyzer: "allow",
+				Message: fmt.Sprintf("stale //amsvet:allow: %s reports nothing on this line or the next", a.analyzer)})
+		}
+	}
 	sort.Slice(kept, func(i, j int) bool {
 		a, b := kept[i].Pos, kept[j].Pos
 		if a.Filename != b.Filename {
@@ -150,18 +158,34 @@ const allowDirective = "//amsvet:allow"
 // allowSet maps (file, line, analyzer) to a sanctioned suppression. A
 // comment suppresses findings on its own line and on the line below it
 // (the usual placement: a full-line comment above the offending call).
-type allowSet map[string]bool
+type allowSet map[string]*allow
 
-func (s allowSet) covers(d Diagnostic) bool {
-	return s[fmt.Sprintf("%s:%d:%s", d.Pos.Filename, d.Pos.Line, d.Analyzer)]
+// allow is one well-formed //amsvet:allow comment; used records that it
+// suppressed a finding.
+type allow struct {
+	pos      token.Position
+	analyzer string
+	used     bool
 }
 
-func collectAllows(fset *token.FileSet, files []*ast.File, suite []*Analyzer) (allowSet, []Diagnostic) {
+func (s allowSet) covers(d Diagnostic) bool {
+	a := s[fmt.Sprintf("%s:%d:%s", d.Pos.Filename, d.Pos.Line, d.Analyzer)]
+	if a != nil {
+		a.used = true
+	}
+	return a != nil
+}
+
+// collectAllows returns the suppressions of the well-formed allow
+// comments, those comments in source order, and a finding for each
+// malformed one.
+func collectAllows(fset *token.FileSet, files []*ast.File, suite []*Analyzer) (allowSet, []*allow, []Diagnostic) {
 	known := make(map[string]bool, len(suite))
 	for _, a := range suite {
 		known[a.Name] = true
 	}
 	set := make(allowSet)
+	var allows []*allow
 	var bad []Diagnostic
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -183,12 +207,14 @@ func collectAllows(fset *token.FileSet, files []*ast.File, suite []*Analyzer) (a
 					bad = append(bad, Diagnostic{Pos: pos, Analyzer: "allow",
 						Message: fmt.Sprintf("//amsvet:allow %s needs a reason", fields[0])})
 				default:
+					a := &allow{pos: pos, analyzer: fields[0]}
+					allows = append(allows, a)
 					for _, line := range []int{pos.Line, pos.Line + 1} {
-						set[fmt.Sprintf("%s:%d:%s", pos.Filename, line, fields[0])] = true
+						set[fmt.Sprintf("%s:%d:%s", pos.Filename, line, fields[0])] = a
 					}
 				}
 			}
 		}
 	}
-	return set, bad
+	return set, allows, bad
 }

@@ -20,6 +20,12 @@
 // the corpus holds that many resident items, AdmitWait blocks until an
 // eviction frees a slot.
 //
+// An item's identity is its admit record without the sequence: the tag
+// and every scene field, as the journal encodes them. AdmitWait admits a
+// scene once per identity and otherwise returns the sequence it already
+// has, and replay rebuilds that index, so resubmitting an item journals
+// nothing new across restarts too.
+//
 // A server drives the lifecycle by corpus sequence: *Corpus satisfies
 // the serving layer's corpus contract (serve.Corpus, Begin and Commit)
 // directly, and the server runs each item on the item's own executor,
@@ -56,9 +62,9 @@ var errFull = errors.New("corpus: resident watermark reached")
 type Options struct {
 	// MaxResident, when positive, bounds the number of resident items
 	// (items whose memoized outputs occupy memory: everything admitted
-	// and not yet evicted). Admission of new items past the watermark
-	// blocks (AdmitWait) until evictions free slots. Zero means
-	// unbounded.
+	// and not yet evicted). Admission past the watermark — of a new item,
+	// or of a known one that was evicted — blocks (AdmitWait) until
+	// evictions free slots. Zero means unbounded.
 	MaxResident int
 	// SnapshotEvery, when positive, compacts the journal (Snapshot)
 	// automatically after every N commit records. Zero disables
@@ -111,9 +117,11 @@ type Corpus struct {
 	snapshots        int64
 	commitsSinceSnap int
 	closed           bool
-	buf              []byte        // reused frame buffer of writeRecord
-	err              error         // sticky journal write error
-	space            chan struct{} // closed and replaced on every eviction
+	ids              map[string]int // identity (appendAdmit's bytes) -> first sequence
+	key              []byte         // reused identity buffer of admitLocked and apply
+	buf              []byte         // reused frame buffer of writeRecord
+	err              error          // sticky journal write error
+	space            chan struct{}  // closed and replaced on every eviction
 
 	// Group-commit fsync state (nil channels when disabled).
 	unsynced  int64         // records appended since the last sync
@@ -164,7 +172,7 @@ func Open(z *zoo.Zoo, path string, opts Options) (*Corpus, error) {
 	if opts.MaxResident < 0 || opts.SnapshotEvery < 0 || opts.SyncEveryN < 0 || opts.SyncEveryMS < 0 {
 		return nil, fmt.Errorf("corpus: negative option in %+v", opts)
 	}
-	c := &Corpus{z: z, path: path, opts: opts, space: make(chan struct{})}
+	c := &Corpus{z: z, path: path, opts: opts, ids: make(map[string]int), space: make(chan struct{})}
 	legacy, err := readSnapshotV1(path + ".snap")
 	if err != nil {
 		return nil, err
@@ -313,7 +321,8 @@ func (c *Corpus) apply(rec *record) {
 		if rec.Seq > len(c.entries) {
 			return // gap: unusable without its admit record's predecessors
 		}
-		c.addEntry(rec.Scene, rec.Tag)
+		c.key = appendAdmit(c.key[:0], rec.Tag, &rec.Scene)
+		c.addEntry(rec.Scene, rec.Tag, c.key)
 	case kindOutput:
 		if rec.Seq < len(c.entries) && rec.Model >= 0 && rec.Model < len(c.z.Models) {
 			c.entries[rec.Seq].item.Preload(rec.Model, rec.Out)
@@ -331,41 +340,64 @@ func (c *Corpus) apply(rec *record) {
 	}
 }
 
-// addEntry creates entry state for a scene and installs the persistence
-// hook that journals each memoized output as inference lands. Caller
-// holds c.mu (or is single-threaded setup).
-func (c *Corpus) addEntry(scene synth.Scene, tag string) *entry {
+// addEntry creates entry state for a scene, indexes it under its
+// identity key unless an earlier sequence holds that key (duplicates an
+// older build journaled replay as separate entries), and installs the
+// persistence hook that journals each memoized output as inference
+// lands. Caller holds c.mu (or is single-threaded setup).
+func (c *Corpus) addEntry(scene synth.Scene, tag string, key []byte) *entry {
 	e := &entry{seq: len(c.entries), tag: tag, item: oracle.NewExternalItem(c.z, scene)}
 	seq := e.seq
 	e.item.SetOutputHook(func(m int, out zoo.Output) {
 		c.journalOutput(seq, m, out)
 	})
+	if _, dup := c.ids[string(key)]; !dup {
+		c.ids[string(key)] = seq
+	}
 	c.entries = append(c.entries, e)
 	c.resident++
 	return e
 }
 
-// admitLocked is the admission body; the caller holds c.mu.
-func (c *Corpus) admitLocked(scene synth.Scene, tag string) (int, error) {
+// admitLocked is the admission body: it finds the scene's entry or
+// admits it, taking a watermark slot for anything not resident. The
+// caller holds c.mu.
+func (c *Corpus) admitLocked(scene *synth.Scene, tag string) (int, error) {
 	if c.closed {
 		return 0, ErrClosed
 	}
 	if c.err != nil {
 		return 0, c.err
 	}
+	c.key = appendAdmit(c.key[:0], tag, scene)
+	seq, known := c.ids[string(c.key)]
+	if known && !c.entries[seq].evicted {
+		return seq, nil
+	}
 	if c.opts.MaxResident > 0 && c.resident >= c.opts.MaxResident {
 		return 0, errFull
 	}
-	e := c.addEntry(scene, tag)
-	if err := c.writeRecord(&record{Kind: kindAdmit, Seq: e.seq, Tag: tag, Scene: scene}); err != nil {
+	if known {
+		c.entries[seq].evicted = false
+		c.resident++
+		return seq, nil
+	}
+	e := c.addEntry(*scene, tag, c.key)
+	if err := c.writeRecord(&record{Kind: kindAdmit, Seq: e.seq, Tag: tag, Scene: *scene}); err != nil {
 		return 0, err
 	}
 	return e.seq, nil
 }
 
-// AdmitWait admits one scene, blocking while the resident watermark is
-// reached until an eviction frees a slot, the context is cancelled, or
-// the corpus closes (returning ErrClosed).
+// AdmitWait admits one scene, or finds the sequence it already has: a
+// scene admitted before under the same tag — in this process or, through
+// replay, an earlier one — is not journaled again. A resident hit returns
+// at once. A new admission, and a hit on an evicted entry (which becomes
+// resident again), take a watermark slot: they block while the watermark
+// is reached until an eviction frees one, the context is cancelled
+// (returning ctx.Err()), or the corpus closes (returning ErrClosed). The
+// admission is tried before the context is consulted, so a cancelled
+// context still admits what fits.
 func (c *Corpus) AdmitWait(ctx context.Context, scene synth.Scene, tag string) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -376,7 +408,7 @@ func (c *Corpus) AdmitWait(ctx context.Context, scene synth.Scene, tag string) (
 		// closes exactly this channel, so no wakeup can be lost between
 		// the failed attempt and the wait.
 		c.mu.Lock()
-		seq, err := c.admitLocked(scene, tag)
+		seq, err := c.admitLocked(&scene, tag)
 		space := c.space
 		c.mu.Unlock()
 		if !errors.Is(err, errFull) {
@@ -393,8 +425,10 @@ func (c *Corpus) AdmitWait(ctx context.Context, scene synth.Scene, tag string) (
 // journalOutput is the persistence hook: one freshly memoized (item,
 // model) output lands in the journal. Write failures stick and surface
 // on the next Admit/Commit/Close. It also un-evicts bookkeeping when an
-// evicted item's output is recomputed (a re-serve after eviction), since
-// its memo occupies memory again.
+// evicted item's output is recomputed, since its memo occupies memory
+// again: an item run by sequence without AdmitWait, or one a concurrent
+// schedule's commit evicted between its AdmitWait and its Begin. That
+// path bypasses the watermark; AdmitWait's does not.
 func (c *Corpus) journalOutput(seq, m int, out zoo.Output) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -424,7 +458,9 @@ func (c *Corpus) Begin(seq int) {
 // lifetime: the result is final, readers received their copies, and the
 // memo may be reclaimed once the last concurrent schedule commits too.
 // Commit is idempotent per schedule; a re-serve of a committed item
-// journals a fresh (identical) commit record.
+// journals a fresh (identical) commit record. Each Commit ends one
+// Begin: a Commit with no schedule in flight is an error and changes
+// nothing.
 func (c *Corpus) Commit(seq int, executed []int, scheduleMS float64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -435,6 +471,9 @@ func (c *Corpus) Commit(seq int, executed []int, scheduleMS float64) error {
 		return ErrClosed
 	}
 	e := c.entries[seq]
+	if e.refs == 0 {
+		return fmt.Errorf("corpus: commit of item %d with no schedule in flight", seq)
+	}
 	e.refs--
 	if !e.committed {
 		c.committed++

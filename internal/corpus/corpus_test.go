@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -299,6 +300,51 @@ func TestRefcountedEviction(t *testing.T) {
 	}
 }
 
+// TestCommitNeedsABegin: every Commit ends one Begin. A Commit with no
+// schedule in flight errors and touches neither the refcount, the
+// journal nor eviction, so later schedules still pair and evict once.
+func TestCommitNeedsABegin(t *testing.T) {
+	for _, tc := range []struct {
+		ops     string // B = Begin, C = Commit
+		failing string // per op: x where the Commit must fail
+		evicted []bool // per op: evicted after it
+	}{
+		{"C", "x", []bool{false}},
+		{"CBC", "x..", []bool{false, false, true}},
+		{"BBCC", "....", []bool{false, false, false, true}},
+		{"BCC", "..x", []bool{false, true, true}},
+	} {
+		c := mustOpen(t, tempJournal(t), Options{})
+		seq, err := c.AdmitWait(context.Background(), ds.Scenes[0], "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, op := range tc.ops {
+			before := c.Stats()
+			if op == 'B' {
+				c.Begin(seq)
+			} else {
+				err := c.Commit(seq, []int{1}, 5)
+				if fail := tc.failing[i] == 'x'; fail != (err != nil) {
+					t.Fatalf("%s op %d: Commit = %v, want failure %v", tc.ops, i, err, fail)
+				}
+				if err != nil && c.Stats() != before {
+					t.Fatalf("%s op %d: a failed Commit changed the corpus: %+v -> %+v", tc.ops, i, before, c.Stats())
+				}
+			}
+			if got := !c.States()[seq].Resident; got != tc.evicted[i] {
+				t.Fatalf("%s op %d: evicted %v, want %v", tc.ops, i, got, tc.evicted[i])
+			}
+		}
+		if st := c.Stats(); st.Evicted > 1 {
+			t.Fatalf("%s: evicted %d times, want at most once", tc.ops, st.Evicted)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestMaxResidentWatermarkBackpressure(t *testing.T) {
 	path := tempJournal(t)
 	c := mustOpen(t, path, Options{MaxResident: 2})
@@ -344,6 +390,45 @@ func TestMaxResidentWatermarkBackpressure(t *testing.T) {
 	case <-admitted:
 	case <-time.After(2 * time.Second):
 		t.Fatal("AdmitWait still blocked after an eviction freed a slot")
+	}
+}
+
+// TestEvictedHitTakesAWatermarkSlot: admitting a known item finds its
+// sequence, and when the item was evicted, making it resident again
+// takes a watermark slot like a fresh admission.
+func TestEvictedHitTakesAWatermarkSlot(t *testing.T) {
+	c := mustOpen(t, tempJournal(t), Options{MaxResident: 1})
+	defer c.Close()
+	admitRun := func(ctx context.Context, scene int, tag string) (int, error) {
+		seq, err := c.AdmitWait(ctx, ds.Scenes[scene], tag)
+		if err == nil {
+			c.Begin(seq)
+			c.Item(seq).Output(0)
+			err = c.Commit(seq, []int{0}, 10)
+		}
+		return seq, err
+	}
+	if _, err := admitRun(context.Background(), 0, "a"); err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.AdmitWait(context.Background(), ds.Scenes[1], "b") // resident, uncommitted: the slot is taken
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := c.AdmitWait(ctx, ds.Scenes[0], "a"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("re-admitting the evicted item past the watermark = %v, want a wait", err)
+	}
+	c.Begin(b)
+	if err := c.Commit(b, nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := admitRun(context.Background(), 0, "a"); err != nil || seq != 0 {
+		t.Fatalf("re-admitting the evicted item = %d, %v; want its sequence 0", seq, err)
+	}
+	if st := c.Stats(); st.Items != 2 || st.Resident != 0 || st.Evicted != 3 {
+		t.Fatalf("stats %+v, want 2 items, none resident, 3 evictions", st)
 	}
 }
 
@@ -473,7 +558,7 @@ func TestAdmitWaitEvictionStress(t *testing.T) {
 	done := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
-			seq, err := c.AdmitWait(context.Background(), ds.Scenes[i%len(ds.Scenes)], "s")
+			seq, err := c.AdmitWait(context.Background(), ds.Scenes[i%len(ds.Scenes)], fmt.Sprint(i))
 			if err == nil {
 				c.Begin(seq)
 				err = c.Commit(seq, nil, 1) // commit+evict frees the slot
@@ -490,5 +575,8 @@ func TestAdmitWaitEvictionStress(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("admission %d stranded: lost eviction wakeup", i)
 		}
+	}
+	if st := c.Stats(); st.Items != n {
+		t.Fatalf("%d admissions of distinct items made %d entries", n, st.Items)
 	}
 }

@@ -106,24 +106,7 @@ func appendBody(b []byte, rec *record) []byte {
 	b = binary.AppendUvarint(b, uint64(rec.Seq))
 	switch rec.Kind {
 	case kindAdmit:
-		s := &rec.Scene
-		b = binary.AppendUvarint(b, uint64(len(rec.Tag)))
-		b = append(b, rec.Tag...)
-		b = binary.AppendVarint(b, int64(s.ID))
-		b = binary.AppendUvarint(b, s.Seed)
-		b = binary.AppendVarint(b, int64(s.Place))
-		if s.Indoor {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = appendInts(b, s.Objects)
-		for _, v := range [...]int{s.Persons, s.Faces, s.Emotion, s.Gender, s.Action} {
-			b = binary.AppendVarint(b, int64(v))
-		}
-		b = appendInts(b, s.PoseKP)
-		b = appendInts(b, s.HandKP)
-		b = binary.AppendVarint(b, int64(s.Dog))
+		b = appendAdmit(b, rec.Tag, &rec.Scene)
 	case kindOutput:
 		b = binary.AppendVarint(b, int64(rec.Model))
 		b = binary.AppendUvarint(b, uint64(len(rec.Out.Labels)))
@@ -136,6 +119,29 @@ func appendBody(b []byte, rec *record) []byte {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(rec.ScheduleMS))
 	}
 	return b
+}
+
+// appendAdmit appends an admit record's fields after its sequence: the
+// tag, then the scene. These bytes are also an item's identity in the
+// corpus (Corpus.ids), so identity is exactly what the journal records.
+func appendAdmit(b []byte, tag string, s *synth.Scene) []byte {
+	b = binary.AppendUvarint(b, uint64(len(tag)))
+	b = append(b, tag...)
+	b = binary.AppendVarint(b, int64(s.ID))
+	b = binary.AppendUvarint(b, s.Seed)
+	b = binary.AppendVarint(b, int64(s.Place))
+	if s.Indoor {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	b = appendInts(b, s.Objects)
+	for _, v := range [...]int{s.Persons, s.Faces, s.Emotion, s.Gender, s.Action} {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	b = appendInts(b, s.PoseKP)
+	b = appendInts(b, s.HandKP)
+	return binary.AppendVarint(b, int64(s.Dog))
 }
 
 func appendInts(b []byte, vs []int) []byte {

@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -149,7 +150,7 @@ func TestCompactionSwapsHandleUnderTheFlusher(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				seq, err := c.AdmitWait(context.Background(), ds.Scenes[(w*perWorker+i)%len(ds.Scenes)], "swap")
+				seq, err := c.AdmitWait(context.Background(), ds.Scenes[(w*perWorker+i)%len(ds.Scenes)], fmt.Sprint(w, "/", i))
 				if err != nil {
 					t.Error(err)
 					return
@@ -185,7 +186,7 @@ func TestCompactionSwapsHandleUnderTheFlusher(t *testing.T) {
 	if low := <-minUnsynced; low < 0 {
 		t.Fatalf("unsynced record count fell to %d", low)
 	}
-	if st := c.Stats(); st.Snapshots != workers*perWorker {
+	if st := c.Stats(); st.Snapshots != workers*perWorker || st.Items != workers*perWorker {
 		t.Fatalf("stats after the run: %+v", st)
 	}
 	// Under load every sync may have raced a compaction; one more record

@@ -17,9 +17,9 @@ type ExternalItem struct {
 	scene synth.Scene
 
 	mu    sync.Mutex
-	outs  []zoo.Output
-	done  []bool
-	truth *Truth // nil unless SetTruth supplied one
+	outs  []zoo.Output // the memo, indexed by model; nil until the first
+	done  []bool       // Output or Preload and again after Evict
+	truth *Truth       // nil unless SetTruth supplied one
 
 	// hook, when set, observes every freshly computed output — the
 	// persistence hook a durable corpus installs to journal memoized
@@ -31,12 +31,7 @@ type ExternalItem struct {
 
 // NewExternalItem wraps a scene for on-demand execution against the zoo.
 func NewExternalItem(z *zoo.Zoo, scene synth.Scene) *ExternalItem {
-	return &ExternalItem{
-		z:     z,
-		scene: scene,
-		outs:  make([]zoo.Output, len(z.Models)),
-		done:  make([]bool, len(z.Models)),
-	}
+	return &ExternalItem{z: z, scene: scene}
 }
 
 // Scene returns the item's latent content.
@@ -46,14 +41,13 @@ func (it *ExternalItem) Scene() *synth.Scene { return &it.scene }
 // (memoized) result.
 func (it *ExternalItem) Output(m int) zoo.Output {
 	it.mu.Lock()
-	if it.done[m] {
+	if it.done != nil && it.done[m] {
 		out := it.outs[m]
 		it.mu.Unlock()
 		return out
 	}
 	out := it.z.Models[m].Infer(&it.scene)
-	it.outs[m] = out
-	it.done[m] = true
+	it.memoize(m, out)
 	hook := it.hook
 	it.mu.Unlock()
 	// Outside the lock: the hook may take corpus locks that themselves
@@ -78,9 +72,19 @@ func (it *ExternalItem) SetOutputHook(hook func(m int, out zoo.Output)) {
 // inference. The hook is not invoked (the output is already persisted).
 func (it *ExternalItem) Preload(m int, out zoo.Output) {
 	it.mu.Lock()
+	it.memoize(m, out)
+	it.mu.Unlock()
+}
+
+// memoize records model m's output, allocating the memo on first use.
+// The caller holds it.mu.
+func (it *ExternalItem) memoize(m int, out zoo.Output) {
+	if it.done == nil {
+		it.outs = make([]zoo.Output, len(it.z.Models))
+		it.done = make([]bool, len(it.z.Models))
+	}
 	it.outs[m] = out
 	it.done[m] = true
-	it.mu.Unlock()
 }
 
 // Memos returns a copy of the item's memoized outputs: the models that
@@ -111,16 +115,16 @@ func (it *ExternalItem) MemoCount() int {
 	return n
 }
 
-// Evict drops the item's memoized outputs, reclaiming their memory. The
-// scene stays, so a later Output re-runs the model — inference is a pure
+// Evict drops the item's memoized outputs, reclaiming their memory and
+// allocating nothing: the memo is allocated again by the next Output or
+// Preload. The scene stays, so a later Output re-runs the model — inference is a pure
 // function of (scene, model), so the recomputed result is bit-identical
 // to the evicted one (and a corpus additionally preserves the original on
 // disk). Eviction is the caller's responsibility to sequence: the corpus
 // only evicts items whose results are committed and no longer read.
 func (it *ExternalItem) Evict() {
 	it.mu.Lock()
-	it.outs = make([]zoo.Output, len(it.z.Models))
-	it.done = make([]bool, len(it.z.Models))
+	it.outs, it.done = nil, nil
 	it.mu.Unlock()
 }
 

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -349,4 +350,21 @@ func TestBuildEmptyPanics(t *testing.T) {
 		}
 	}()
 	Build(z, nil)
+}
+
+// TestEvictFreesTheMemo: Evict reclaims the memo without allocating a
+// fresh one, an evicted item reports no memos, and its next Output
+// recomputes the evicted output bit-identically.
+func TestEvictFreesTheMemo(t *testing.T) {
+	it := NewExternalItem(z, ds.Scenes[4])
+	want := it.Output(3)
+	if allocs := testing.AllocsPerRun(10, it.Evict); allocs != 0 {
+		t.Fatalf("Evict allocated %v times per call, want 0", allocs)
+	}
+	if models, _ := it.Memos(); it.MemoCount() != 0 || models != nil {
+		t.Fatalf("evicted item still holds %d memos (%v)", it.MemoCount(), models)
+	}
+	if got := it.Output(3); !reflect.DeepEqual(got, want) || it.MemoCount() != 1 {
+		t.Fatalf("re-served output %+v (%d memos), want %+v", got, it.MemoCount(), want)
+	}
 }

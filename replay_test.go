@@ -2,6 +2,7 @@ package ams
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -515,5 +516,179 @@ func TestCheckpointWithoutCorpus(t *testing.T) {
 	defer srv.Close()
 	if err := srv.Checkpoint(); err == nil {
 		t.Fatal("checkpoint without a corpus succeeded")
+	}
+}
+
+// TestConcurrentResubmissionsJournalOnce: two submitters each send their
+// own copy of one item — same id, same scene — 20 times to a one-shard
+// corpus server whose workers resolve them concurrently; the segment
+// journals the item once.
+func TestConcurrentResubmissionsJournalOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corpus.wal")
+	c, err := testSys.OpenCorpus(path, CorpusOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := corpusCfg(2)
+	cfg.Corpus = c
+	srv, err := testSys.NewServer(testAgent, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		item := testSys.GenerateItems(1, 31)[0].WithID("same")
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var tks []*ServeTicket
+			for i := 0; i < 20; i++ {
+				tk, err := srv.SubmitWait(bg, item)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tks = append(tks, tk)
+			}
+			for _, tk := range tks {
+				if _, err := tk.Wait(bg); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if admits, _, _ := journalRecordCounts(t, path); len(admits) != 1 || admits[[2]uint64{0}] != 1 {
+		t.Fatalf("40 submissions of one item journaled admits %v, want one of item 0", admits)
+	}
+}
+
+// TestResubmissionAfterRestartAddsNoAdmit: an item committed before a
+// restart is found again by its (id, scene) after it: resubmitting a
+// fresh copy to a server over the reopened corpus re-serves the same
+// result and journals no second admit.
+func TestResubmissionAfterRestartAddsNoAdmit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corpus.wal")
+	var first *Result
+	for round := 0; round < 2; round++ {
+		c, err := testSys.OpenCorpus(path, CorpusOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		item := testSys.GenerateItems(1, 53)[0].WithID("kept")
+		res := runCorpusStream(t, c, corpusCfg(1), []Item{item})["kept"]
+		if st := c.Stats(); st.Items != 1 || st.Committed != 1 {
+			t.Fatalf("round %d: corpus holds %+v, want one committed item", round, st)
+		}
+		if round == 0 {
+			first = res
+		} else if !sameResult(res, first) {
+			t.Fatalf("re-served after the restart:\n got %+v\nwant %+v", res, first)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if admits, _, commits := journalRecordCounts(t, path); len(admits) != 1 || admits[[2]uint64{0}] != 1 || commits[[2]uint64{0}] != 2 {
+		t.Fatalf("journal holds admits %v and commits %v, want one admit and two commits of item 0", admits, commits)
+	}
+}
+
+// TestCorpusIdentityIsTheAdmitRecord: a corpus admits an item once per
+// (id, scene), every scene field counted. Two specs that differ only in
+// their objects get equal scene seeds and are still two items; two
+// copies of one spec under one id are one.
+func TestCorpusIdentityIsTheAdmitRecord(t *testing.T) {
+	compose := func(spec SceneSpec) Item {
+		t.Helper()
+		item, err := testSys.ComposeItem(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return item
+	}
+	dog := compose(SceneSpec{Objects: []string{"object/dog"}, Seed: 7})
+	car := compose(SceneSpec{Objects: []string{"object/car"}, Seed: 7})
+	if dog.ext.Scene().Seed != car.ext.Scene().Seed {
+		t.Fatal("the two scenes' seeds differ; the check below proves nothing")
+	}
+	twin := SceneSpec{ID: "twin", Objects: []string{"object/cat"}, Persons: 1, Seed: 9}
+	path := filepath.Join(t.TempDir(), "corpus.wal")
+	c, err := testSys.OpenCorpus(path, CorpusOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runCorpusStream(t, c, corpusCfg(1), []Item{dog, car, compose(twin), compose(twin)})
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if admits, _, _ := journalRecordCounts(t, path); len(admits) != 3 {
+		t.Fatalf("journaled admits %v, want 3: dog, car and one twin", admits)
+	}
+}
+
+// TestCloseCutsAWatermarkWaitShort: a reopened corpus whose uncommitted
+// items fill its watermark, served without ReplayCorpus, evicts nothing,
+// so a fresh item's admission waits for good. Close must cut that wait
+// short and fail the item with ErrServerClosed.
+func TestCloseCutsAWatermarkWaitShort(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corpus.wal")
+	opts := CorpusOptions{MaxResident: 2}
+	c, err := testSys.OpenCorpus(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, item := range testSys.GenerateItems(2, 61) {
+		if _, err := c.segs[0].AdmitWait(bg, *item.ext.Scene(), fmt.Sprint("crashed/", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c, err = testSys.OpenCorpus(path, opts); err != nil {
+		t.Fatal(err)
+	}
+	cfg := corpusCfg(1)
+	cfg.Corpus = c
+	srv, err := testSys.NewServer(testAgent, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := srv.SubmitWait(bg, testSys.GenerateItems(1, 67)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-tk.Done():
+		t.Fatal("the item resolved past a full watermark; the check below proves nothing")
+	case <-time.After(20 * time.Millisecond):
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		c.Close() // the wait ends with the corpus, so the test can
+		<-closed
+		t.Fatal("Close still blocked after 5 s on a watermark no eviction can free")
+	}
+	if _, err := tk.Wait(bg); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("the cut-short item's Wait = %v, want ErrServerClosed", err)
+	}
+	if st := srv.Stats(); st.Failed != 1 {
+		t.Fatalf("Failed = %d, want 1", st.Failed)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

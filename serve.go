@@ -278,23 +278,37 @@ type Server struct {
 	resDropped atomic.Int64
 	resEnd     bool         // the shards have drained; nothing more arrives
 	res        chan *Result // nil until Results
+
+	// life is the context external items resolve under; end, the first
+	// thing Close does, cancels it.
+	life lifetime
+	end  func()
+}
+
+// lifetime is a server's lifetime as a context: Done closes when Close
+// begins, and Err then reports ErrServerClosed, which is what a worker's
+// cut-short corpus admission fails its ticket with.
+type lifetime <-chan struct{}
+
+func (l lifetime) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (l lifetime) Done() <-chan struct{}       { return l }
+func (l lifetime) Value(any) any               { return nil }
+func (l lifetime) Err() error {
+	select {
+	case <-l:
+		return ErrServerClosed
+	default:
+		return nil
+	}
 }
 
 // serverShard is one shard of the server: one worker pool
 // (serve.Server over the test store, with its own memory accountant)
-// plus, with a corpus, its own journal segment.
+// plus, with a corpus, its own journal segment. It keeps no state of its
+// own about the items it has served: the segment knows which it holds.
 type serverShard struct {
 	seg   *corpus.Corpus // nil without a corpus
 	inner *serve.Server
-
-	// ingested maps each external item the segment journaled to its
-	// corpus sequence, so repeated submissions of one item reuse its
-	// journal entry. admitting marks items whose (possibly blocking)
-	// corpus admission is in flight, so one item is never journaled
-	// twice; mu itself is never held across a wait.
-	mu        sync.Mutex
-	ingested  map[*oracle.ExternalItem]int
-	admitting map[*oracle.ExternalItem]chan struct{}
 }
 
 // ServeTicket tracks one submitted item to completion. It wraps the
@@ -368,6 +382,8 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 		start: time.Now(), scale: cfg.TimeScale,
 		resWindow: cmp.Or(cfg.StatsWindow, serve.DefaultStatsWindow)}
 	sv.resCond = sync.NewCond(&sv.resMu)
+	life := make(chan struct{})
+	sv.life, sv.end = life, sync.OnceFunc(func() { close(life) })
 	if sv.scale <= 0 {
 		sv.scale = 1.0 // the serve layer's own default; keep the SLO clock on it
 	}
@@ -599,8 +615,6 @@ func (s *System) newShard(seg *corpus.Corpus, factory service.PolicyFactory, cfg
 	sh := &serverShard{seg: seg}
 	if seg != nil {
 		cfg.Corpus = seg
-		sh.ingested = make(map[*oracle.ExternalItem]int)
-		sh.admitting = make(map[*oracle.ExternalItem]chan struct{})
 		// History already committed in the journal was delivered before:
 		// reclaim its memos so a reopened corpus does not pin them.
 		// ReplayCorpus recovers those results *before* building a server.
@@ -620,51 +634,22 @@ func (s *System) newShard(seg *corpus.Corpus, factory service.PolicyFactory, cfg
 // Without a corpus the item is its own executor and the shard keeps
 // nothing: once its result is delivered, nothing of the server holds it,
 // and a resubmission replays the memo the item carries. With a corpus,
-// admission journals the scene first and the item runs on the corpus's
-// copy, whose outputs are journaled as they land; one external item is
-// journaled once, no matter how often it is submitted or how many
-// admissions fail. Committed items are evicted, bounding residency at
+// the segment admits the item, or finds it, by its (id, scene): the item
+// runs on the segment's copy, whose outputs are journaled as they land,
+// and is journaled once per segment however often it is submitted, also
+// across restarts. Committed items are evicted, bounding residency at
 // CorpusOptions.MaxResident: an admission at the watermark waits for an
-// eviction, which is backpressure on the shard's queue.
-func (sh *serverShard) resolve(ext *oracle.ExternalItem, tag string) (oracle.Executor, int, error) {
+// eviction, which is backpressure on the shard's queue, until ctx — the
+// server's lifetime — ends.
+func (sh *serverShard) resolve(ctx context.Context, ext *oracle.ExternalItem, tag string) (oracle.Executor, int, error) {
 	if sh.seg == nil {
 		return ext.Executor(), -1, nil
 	}
-	for {
-		sh.mu.Lock()
-		if seq, ok := sh.ingested[ext]; ok {
-			sh.mu.Unlock()
-			return sh.seg.Item(seq).Executor(), seq, nil
-		}
-		pending, inFlight := sh.admitting[ext]
-		if !inFlight {
-			pending = make(chan struct{})
-			sh.admitting[ext] = pending
-		}
-		sh.mu.Unlock()
-		if inFlight {
-			// Another worker is admitting this same item: wait for its
-			// outcome and re-check the index map.
-			<-pending
-			continue
-		}
-		// This worker owns the admission; mu is NOT held across the
-		// (possibly watermark-blocked) wait, so the shard's other workers
-		// stay live.
-		//amsvet:allow ctxflow resolution runs on the executing worker, after the submitter's ctx has already returned
-		seq, err := sh.seg.AdmitWait(context.Background(), *ext.Scene(), tag)
-		sh.mu.Lock()
-		if err == nil {
-			sh.ingested[ext] = seq
-		}
-		delete(sh.admitting, ext)
-		close(pending)
-		sh.mu.Unlock()
-		if err != nil {
-			return nil, -1, err
-		}
-		return sh.seg.Item(seq).Executor(), seq, nil
+	seq, err := sh.seg.AdmitWait(ctx, *ext.Scene(), tag)
+	if err != nil {
+		return nil, -1, err
 	}
+	return sh.seg.Item(seq).Executor(), seq, nil
 }
 
 // itemKey is the stable routing identity for hash placement: the item's
@@ -765,7 +750,7 @@ func (sv *Server) routedItem(item Item) (shard.Item, error) {
 	if ext == nil {
 		it.Index = item.image
 	} else {
-		it.Resolve = func(sh int) (oracle.Executor, int, error) { return sv.shards[sh].resolve(ext, item.id) }
+		it.Resolve = func(sh int) (oracle.Executor, int, error) { return sv.shards[sh].resolve(sv.life, ext, item.id) }
 	}
 	return it, nil
 }
@@ -911,8 +896,16 @@ func (sv *Server) Stats() ServeStats {
 // Close stops admission, drains every shard's queue, and waits for
 // in-flight items. The span-trace ring stays readable afterwards
 // (WriteChromeTrace, Traces).
+//
+// Close first cuts short every corpus admission waiting on the
+// MaxResident watermark: such an item fails with ErrServerClosed
+// (counted in ServeStats.Failed) instead of holding Close until an
+// eviction that may never come, as when a reopened corpus's uncommitted
+// items fill the watermark. An item that can be admitted still drains.
+// Replay a reopened corpus (ReplayCorpus) before serving from it.
 func (sv *Server) Close() error {
-	// The exporter goes first so no scrape races the teardown; Close
+	sv.end()
+	// The exporter goes next so no scrape races the teardown; Close
 	// waits for its serve goroutine, keeping leak checks clean. The
 	// flight recorder follows (its final poll catches an anomaly still
 	// live at shutdown), then the shards drain.
