@@ -13,7 +13,6 @@ import (
 // must be compile-time constants; variance belongs in labels.
 var registrationMethods = map[string]bool{
 	"Counter":     true,
-	"Gauge":       true,
 	"Histogram":   true,
 	"CounterFunc": true,
 	"GaugeFunc":   true,
@@ -23,7 +22,7 @@ var registrationMethods = map[string]bool{
 var Obsclean = &Analyzer{
 	Name: "obsclean",
 	Doc: "Telemetry hygiene: (1) metric registration (Registry.Counter/" +
-		"Gauge/Histogram/CounterFunc/GaugeFunc) takes a compile-time " +
+		"Histogram/CounterFunc/GaugeFunc) takes a compile-time " +
 		"constant name — dynamic names mint unbounded families, one per " +
 		"call; put variance in labels. (2) In simulated-execution packages " +
 		"(internal/sim, internal/batch, internal/serve, internal/shard) " +

@@ -18,7 +18,6 @@ type Registry struct{}
 type instrument struct{}
 
 func (r *Registry) Counter(name, help string, labels ...string) *instrument   { return nil }
-func (r *Registry) Gauge(name, help string, labels ...string) *instrument     { return nil }
 func (r *Registry) Histogram(name, help string, labels ...string) *instrument { return nil }
 func (r *Registry) CounterFunc(name, help string, fn func() int64)            {}
 func (r *Registry) GaugeFunc(name, help string, fn func() float64)            {}
@@ -29,13 +28,13 @@ const itemLatency = "ams_item_latency_seconds"
 func constantNames(r *Registry) {
 	r.Counter("ams_items_total", "items served")             // constant literal: fine
 	r.Histogram(itemLatency, "latency")                      // named constant: fine
-	r.Gauge("ams_depth_"+"live", "depth")                    // constant expression: fine
+	r.GaugeFunc("ams_depth_"+"live", "depth", nil)           // constant expression: fine
 	r.Counter("ams_model_exec_total", "execs", "model", "m") // variance in labels: the sanctioned form
 }
 
 func dynamicNames(r *Registry, shard int, tag string) {
 	r.Counter(fmt.Sprintf("ams_shard_%d_total", shard), "per-shard") // want "not a compile-time constant"
-	r.Gauge("ams_"+tag, "per-tag")                                   // want "not a compile-time constant"
+	r.GaugeFunc("ams_"+tag, "per-tag", nil)                          // want "not a compile-time constant"
 	name := "ams_built_total"
 	r.CounterFunc(name, "built", func() int64 { return 0 }) // want "not a compile-time constant"
 	r.NotRegistration(fmt.Sprintf("free_%d", shard))        // not a registration method: fine

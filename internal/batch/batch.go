@@ -88,8 +88,8 @@ type Config struct {
 	// TimeScale converts simulated milliseconds to real ones (the
 	// server's Config.TimeScale).
 	TimeScale float64
-	// Metrics, when non-nil, receives batch-size, hold-span and
-	// flush-cause observations. Nil disables instrumentation entirely.
+	// Metrics, when non-nil, receives batch-size and hold-span
+	// observations. Nil disables instrumentation entirely.
 	Metrics *Metrics
 }
 
@@ -107,6 +107,19 @@ type Stats struct {
 	GrantFlushes int64 // owned batches sealed when their memory grant arrived
 	SavedGPUMS   float64
 	SavedMemMB   float64
+}
+
+// Add folds another batcher's counts into s: sums, and the larger of
+// the two largest batches.
+func (s *Stats) Add(o Stats) {
+	s.Batches += o.Batches
+	s.Requests += o.Requests
+	s.LargestBatch = max(s.LargestBatch, o.LargestBatch)
+	s.SizeFlushes += o.SizeFlushes
+	s.HoldFlushes += o.HoldFlushes
+	s.GrantFlushes += o.GrantFlushes
+	s.SavedGPUMS += o.SavedGPUMS
+	s.SavedMemMB += o.SavedMemMB
 }
 
 // Flush causes, as BatchRef.Flush and the ams_batch_flush_total label
@@ -302,7 +315,7 @@ func (b *Batcher) seal(m, n int, flush string) batch {
 	ln.reqs = ln.reqs[n:]
 	ln.gen++
 	ln.queued.Add(int64(-n))
-	b.cfg.Metrics.sealed(n, flush, ln.heldSince, b.cfg.TimeScale)
+	b.cfg.Metrics.sealed(n, ln.heldSince, b.cfg.TimeScale)
 	ln.heldSince = time.Time{}
 	if len(ln.reqs) > 0 {
 		ln.heldSince = b.cfg.Metrics.holdStart()

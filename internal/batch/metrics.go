@@ -17,11 +17,6 @@ type Metrics struct {
 	// batch's oldest request waited for batch-mates — or, on an owned
 	// lane, for the batch's memory grant.
 	Hold *obs.Histogram
-	// SizeFlush / HoldFlush / GrantFlush split sealed batches by flush
-	// cause.
-	SizeFlush  *obs.Counter
-	HoldFlush  *obs.Counter
-	GrantFlush *obs.Counter
 }
 
 // NewMetrics registers the batching instruments (nil on a nil
@@ -30,17 +25,29 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	if reg == nil {
 		return nil
 	}
-	flushes := func(cause string) *obs.Counter {
-		return reg.Counter("ams_batch_flush_total", "Sealed batches by flush cause", obs.L("cause", cause))
-	}
 	return &Metrics{
 		Size: reg.Histogram("ams_batch_size",
 			"Sealed batch sizes in requests (buckets are unitless)"),
 		Hold: reg.Histogram("ams_batch_hold_seconds",
 			"Simulated seconds a sealed batch's oldest request waited for batch-mates or its memory grant"),
-		SizeFlush:  flushes(flushSize),
-		HoldFlush:  flushes(flushHold),
-		GrantFlush: flushes(flushGrant),
+	}
+}
+
+// RegisterViews exposes the flush causes that stats counts as
+// ams_batch_flush_total{cause}, read at scrape time: the Stats counts
+// are the only count of a flush. stats sums every batcher of the
+// server. No-op on a nil registry.
+func RegisterViews(reg *obs.Registry, stats func() Stats) {
+	for _, c := range []struct {
+		cause string
+		n     func(Stats) int64
+	}{
+		{flushSize, func(st Stats) int64 { return st.SizeFlushes }},
+		{flushHold, func(st Stats) int64 { return st.HoldFlushes }},
+		{flushGrant, func(st Stats) int64 { return st.GrantFlushes }},
+	} {
+		reg.CounterFunc("ams_batch_flush_total", "Sealed batches by flush cause",
+			func() int64 { return c.n(stats()) }, obs.L("cause", c.cause))
 	}
 }
 
@@ -54,20 +61,12 @@ func (m *Metrics) holdStart() time.Time {
 	return obs.Started(m.Hold)
 }
 
-// sealed records one sealed batch: size, flush cause, and the oldest
-// request's hold converted onto the simulated clock.
-func (m *Metrics) sealed(n int, flush string, heldSince time.Time, scale float64) {
+// sealed records one sealed batch: its size and the oldest request's
+// hold converted onto the simulated clock.
+func (m *Metrics) sealed(n int, heldSince time.Time, scale float64) {
 	if m == nil {
 		return
 	}
 	m.Size.Observe(float64(n))
-	switch flush {
-	case flushSize:
-		m.SizeFlush.Inc()
-	case flushHold:
-		m.HoldFlush.Inc()
-	case flushGrant:
-		m.GrantFlush.Inc()
-	}
 	m.Hold.ObserveScaledSince(heldSince, scale)
 }

@@ -27,23 +27,23 @@ func bucketBound(i int) float64 {
 }
 
 // Histogram is a concurrency-safe log-bucketed histogram of seconds.
-// Observe is wait-free (one atomic add per bucket plus a CAS loop on
-// the sum); Snapshot is approximate under concurrent writes — counters
-// are read one at a time — which is fine for monitoring and exact once
-// writers quiesce. The zero value is ready; a nil Histogram is a no-op.
+// Observe is one atomic add on its bucket plus a CAS loop on the sum,
+// and the count is the buckets' total. Count and Snapshot are
+// approximate under concurrent writes — buckets are read one at a
+// time — which is fine for monitoring and exact once writers quiesce.
+// The zero value is ready; a nil Histogram is a no-op.
 type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 	sumBits atomic.Uint64
-	count   atomic.Int64
 }
 
 // NewHistogram returns a fresh histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
 
-// Observe records one value in seconds (no-op on nil; negative and NaN
-// observations are dropped rather than corrupting the sum).
+// Observe records one value in seconds (no-op on nil; negative, NaN
+// and +Inf observations are dropped rather than corrupting the sum).
 func (h *Histogram) Observe(v float64) {
-	if h == nil || math.IsNaN(v) || v < 0 {
+	if h == nil || math.IsNaN(v) || v < 0 || math.IsInf(v, 1) {
 		return
 	}
 	h.buckets[bucketIndex(v)].Add(1)
@@ -53,7 +53,6 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
-	h.count.Add(1)
 }
 
 // ObserveSince records the real seconds elapsed since t0 — the
@@ -90,13 +89,18 @@ func bucketIndex(v float64) int {
 	return i
 }
 
-// Count returns the number of observations so far (0 on nil) — cheap
-// enough for poll-rate trigger sampling.
+// Count returns the number of observations so far, the sum of the
+// buckets (0 on nil) — cheap enough for poll-rate trigger sampling and
+// scrape-time views.
 func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var total int64
+	for i := range h.buckets {
+		total += h.buckets[i].Load()
+	}
+	return total
 }
 
 // Quantile returns the current q-quantile estimate (the containing

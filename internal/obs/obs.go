@@ -1,6 +1,7 @@
-// Package obs is the serving stack's runtime telemetry layer: sharded
-// atomic counters, gauges, log-bucketed latency histograms with
-// quantile snapshots, a named-metric registry with Prometheus text
+// Package obs is the serving stack's runtime telemetry layer: atomic
+// counters, log-bucketed latency histograms with quantile snapshots,
+// scrape-time counter and gauge views over state the server already
+// keeps, a named-metric registry with Prometheus text
 // exposition, a bounded per-item ring of causal span traces (with
 // critical-path attribution and Chrome trace-event export), SLO
 // burn-rate accounting, an anomaly flight recorder, and an opt-in
@@ -10,7 +11,7 @@
 // depends on:
 //
 //   - Inert when disabled. Every instrument method is a no-op on its
-//     zero value (a nil *Counter, *Gauge, *Histogram, *Tracer, or
+//     zero value (a nil *Counter, *Histogram, *Tracer, or
 //     *ItemTrace), so call sites in the hot path need no guards and the
 //     disabled configuration costs one nil check per hook — no clock
 //     reads, no allocations, no atomics. Started returns the zero time
@@ -32,27 +33,14 @@
 package obs
 
 import (
-	"math/rand/v2"
 	"sync/atomic"
 	"time"
 )
 
-// counterStripes is the per-Counter stripe count (a power of two).
-// Writers scatter across stripes so a hot counter shared by the whole
-// worker pool does not serialize on one cache line; Value sums them.
-const counterStripes = 8
-
-// stripe pads one atomic to a cache line so neighboring stripes never
-// false-share.
-type stripe struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotonically increasing, write-sharded counter. The
-// zero value is ready to use; a nil Counter is a no-op.
+// Counter is a monotonically increasing counter. The zero value is
+// ready to use; a nil Counter is a no-op.
 type Counter struct {
-	stripes [counterStripes]stripe
+	n atomic.Int64
 }
 
 // NewCounter returns a fresh counter.
@@ -63,49 +51,18 @@ func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
-	// rand/v2's per-goroutine generator is lock-free and allocation-free:
-	// a cheap scatter that spreads concurrent writers over the stripes.
-	c.stripes[rand.Uint32()&(counterStripes-1)].n.Add(n)
+	c.n.Add(n)
 }
 
 // Inc increments the counter by one (no-op on nil).
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value sums the stripes (0 on nil).
+// Value returns the count so far (0 on nil).
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var total int64
-	for i := range c.stripes {
-		total += c.stripes[i].n.Load()
-	}
-	return total
-}
-
-// Gauge is an instantaneous float64 value (queue depth, resident
-// megabytes). The zero value is ready; a nil Gauge is a no-op.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// NewGauge returns a fresh gauge.
-func NewGauge() *Gauge { return &Gauge{} }
-
-// Set stores v (no-op on nil).
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(floatBits(v))
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return bitsFloat(g.bits.Load())
+	return c.n.Load()
 }
 
 // Started returns the wall-clock start stamp for a span that will be

@@ -10,8 +10,7 @@ import (
 	"time"
 )
 
-// TestCounterHammer: concurrent increments are conserved across the
-// stripes.
+// TestCounterHammer: concurrent increments are conserved.
 func TestCounterHammer(t *testing.T) {
 	const goroutines, perG = 16, 20000
 	c := NewCounter()
@@ -108,10 +107,11 @@ func TestHistogramDropsGarbage(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(-1)
 	h.Observe(math.NaN())
+	h.Observe(math.Inf(1))
 	h.Observe(0.25)
 	s := h.Snapshot()
-	if s.Count != 1 || s.Sum != 0.25 {
-		t.Fatalf("NaN/negative must be dropped: count=%d sum=%g", s.Count, s.Sum)
+	if s.Count != 1 || s.Sum != 0.25 || h.Count() != 1 {
+		t.Fatalf("NaN/negative/+Inf must be dropped: count=%d sum=%g Count()=%d", s.Count, s.Sum, h.Count())
 	}
 }
 
@@ -121,7 +121,6 @@ func TestHistogramDropsGarbage(t *testing.T) {
 func TestNilInstrumentsAllocFree(t *testing.T) {
 	var (
 		c  *Counter
-		g  *Gauge
 		h  *Histogram
 		tr *Tracer
 		it *ItemTrace
@@ -131,8 +130,6 @@ func TestNilInstrumentsAllocFree(t *testing.T) {
 		c.Inc()
 		c.Add(3)
 		_ = c.Value()
-		g.Set(1)
-		_ = g.Value()
 		h.Observe(0.5)
 		t0 := Started(h)
 		h.ObserveSince(t0)
@@ -152,7 +149,6 @@ func TestNilInstrumentsAllocFree(t *testing.T) {
 		slo.Observe(0.5)
 		_ = slo.BurnRate(300)
 		_ = r.Counter("ams_x", "help")
-		_ = r.Gauge("ams_y", "help")
 		_ = r.Histogram("ams_z", "help")
 		r.CounterFunc("ams_cf", "help", nil)
 		r.GaugeFunc("ams_gf", "help", nil)
@@ -186,13 +182,13 @@ func TestRegistryIdempotent(t *testing.T) {
 			t.Fatal("kind conflict should panic")
 		}
 	}()
-	r.Gauge("ams_total", "now a gauge")
+	r.GaugeFunc("ams_total", "now a gauge", func() float64 { return 0 })
 }
 
 func TestRegistryPrometheusText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ams_items_total", "items served", L("shard", "0")).Add(7)
-	r.Gauge("ams_queue_depth", "queued items").Set(3.5)
+	r.GaugeFunc("ams_queue_depth", "queued items", func() float64 { return 3.5 })
 	h := r.Histogram("ams_wait_seconds", "queue wait")
 	h.Observe(2e-6)
 	h.Observe(5e-6)
@@ -254,7 +250,7 @@ func TestRegistrySnapshot(t *testing.T) {
 
 func TestNilRegistry(t *testing.T) {
 	var r *Registry
-	if r.Counter("x", "h") != nil || r.Gauge("x2", "h") != nil || r.Histogram("x3", "h") != nil {
+	if r.Counter("x", "h") != nil || r.Histogram("x3", "h") != nil {
 		t.Fatal("nil registry must hand out nil instruments")
 	}
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {

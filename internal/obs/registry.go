@@ -27,11 +27,10 @@ const (
 )
 
 // series is one labeled instance of a metric family: exactly one of the
-// instrument pointers (c, g, h) or view funcs (cf, gf) is set.
+// instruments (c, h) or view funcs (cf, gf) is set.
 type series struct {
 	labels []Label
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 	cf     func() int64
 	gf     func() float64
@@ -48,7 +47,7 @@ type family struct {
 
 // Registry is a named-metric registry. Registration is idempotent on
 // (name, labels): re-registering returns the existing instrument, so
-// shards sharing a registry share fleet-wide counters while per-shard
+// shards sharing a registry share fleet-wide histograms while per-shard
 // series stay distinct through a "shard" label. All methods are safe
 // for concurrent use, and every method no-ops on a nil Registry —
 // returning nil instruments — so a disabled server threads nil all the
@@ -122,21 +121,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return s.c
 }
 
-// Gauge registers (or returns the existing) gauge. Nil on nil registry.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, existed := r.lookup(name, help, kindGauge, labels)
-	if !existed || s.g == nil {
-		s.g = NewGauge()
-		s.gf = nil
-	}
-	return s.g
-}
-
 // Histogram registers (or returns the existing) histogram. Nil on nil
 // registry.
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
@@ -178,7 +162,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	defer r.mu.Unlock()
 	s, _ := r.lookup(name, help, kindGauge, labels)
 	s.gf = fn
-	s.g = nil
 }
 
 // Metric is one series' point-in-time state, JSON-ready for /statusz
@@ -221,8 +204,6 @@ func (r *Registry) Snapshot() []Metric {
 				m.Value = float64(s.c.Value())
 			case s.cf != nil:
 				m.Value = float64(s.cf())
-			case s.g != nil:
-				m.Value = s.g.Value()
 			case s.gf != nil:
 				m.Value = s.gf()
 			}
@@ -288,9 +269,6 @@ func writeSeries(w io.Writer, fam *family, s *series) error {
 		return err
 	case s.cf != nil:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", fam.name, renderLabels(s.labels), s.cf())
-		return err
-	case s.g != nil:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", fam.name, renderLabels(s.labels), formatValue(s.g.Value()))
 		return err
 	case s.gf != nil:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", fam.name, renderLabels(s.labels), formatValue(s.gf()))

@@ -191,7 +191,6 @@ func (s *SLO) RegisterViews(reg *Registry) {
 	reg.GaugeFunc("ams_slo_target", "SLO good-fraction target",
 		func() float64 { return s.Target }, l)
 	for _, span := range s.Windows() {
-		span := span
 		reg.GaugeFunc("ams_slo_burn_rate", "error-budget burn rate over the window",
 			func() float64 { return s.BurnRate(span) },
 			l, L("window", fmt.Sprintf("%gs", span)))

@@ -11,36 +11,34 @@ import (
 // Metrics is the server's hot-path instrument set, registered once at
 // construction (never in the item loop — the obsclean analyzer enforces
 // constant metric names at registration sites). One Metrics is shared
-// by every shard of a logical server: counters and histograms are
-// concurrency-safe, so per-model series aggregate fleet-wide while
-// per-shard live state is exposed separately through RegisterViews.
+// by every shard of a logical server: histograms are concurrency-safe,
+// so per-model series aggregate fleet-wide while per-shard live state
+// is exposed separately through RegisterViews. It owns no counter:
+// every count /metrics shows is either a histogram's count or a view
+// over a count the server keeps anyway.
 //
 // A nil *Metrics disables instrumentation: every helper method no-ops,
 // no clock is read, and nothing allocates (obs.TestNilInstrumentsAllocFree);
 // what the enabled path may add per item is bounded by the root
 // package's TestTelemetryAllocationOverhead.
 type Metrics struct {
-	Admitted    *obs.Counter     // items accepted onto the queue
-	Shed        *obs.Counter     // items rejected with ErrQueueFull
 	QueueWait   *obs.Histogram   // simulated seconds from submit to dequeue
 	Select      *obs.Histogram   // real seconds of policy.Next per item (Table III overhead)
 	Latency     *obs.Histogram   // simulated seconds from submit to completion
 	ReserveWait *obs.Histogram   // real seconds blocked on the memory accountant
-	ExecCount   []*obs.Counter   // executions per model
-	ExecLatency []*obs.Histogram // simulated seconds per model execution (incl. batch hold)
+	ExecLatency []*obs.Histogram // simulated seconds per model execution (incl. batch hold); its count is ams_model_exec_total
 
 	// Quality proxy (ROADMAP's ground-truth-free signal, first half):
 	// on ingested traffic — no ground truth, so no recall — compare what
 	// a schedule banked against what the agent thinks is still on the
 	// table. Mass is the summed confidence of valuable labels actually
 	// produced; Residual is the agent's best remaining Q-value at
-	// schedule end; Ratio is residual/(mass+residual) for the most
-	// recent such item (near 0: schedules are exhausting the value the
-	// agent can see; near 1: deadlines are leaving predicted value
-	// unharvested).
+	// schedule end. ams_quality_residual_ratio is the view
+	// Σresidual/(Σmass+Σresidual) over the two sums (near 0: schedules
+	// are exhausting the value the agent can see; near 1: deadlines are
+	// leaving predicted value unharvested).
 	QualityMass     *obs.Histogram
 	QualityResidual *obs.Histogram
-	QualityRatio    *obs.Gauge
 
 	// Batch carries the batching runtime's instruments (nil when the
 	// registry is nil), threaded into the batcher at construction.
@@ -62,10 +60,6 @@ func NewMetrics(reg *obs.Registry, models []*zoo.Model) *Metrics {
 		return nil
 	}
 	m := &Metrics{
-		Admitted: reg.Counter("ams_items_admitted_total",
-			"Items accepted onto the admission queue"),
-		Shed: reg.Counter("ams_items_shed_total",
-			"Items rejected at admission (queue full)"),
 		QueueWait: reg.Histogram("ams_queue_wait_seconds",
 			"Simulated seconds an item waited in the admission queue"),
 		Select: reg.Histogram("ams_select_seconds",
@@ -78,36 +72,26 @@ func NewMetrics(reg *obs.Registry, models []*zoo.Model) *Metrics {
 			"Per ingested item: summed confidence of valuable labels produced (unitless)"),
 		QualityResidual: reg.Histogram("ams_quality_predicted_residual",
 			"Per ingested item: the agent's best remaining Q-value at schedule end (unitless)"),
-		QualityRatio: reg.Gauge("ams_quality_residual_ratio",
-			"Most recent ingested item: predicted residual / (banked mass + residual)"),
 		Batch: batch.NewMetrics(reg),
 	}
-	m.ExecCount = make([]*obs.Counter, len(models))
+	reg.GaugeFunc("ams_quality_residual_ratio",
+		"All ingested items: summed predicted residual / (summed banked mass + summed residual)",
+		func() float64 {
+			mass, residual := m.QualityMass.Snapshot().Sum, m.QualityResidual.Snapshot().Sum
+			if total := mass + residual; total > 0 {
+				return residual / total
+			}
+			return 0
+		})
 	m.ExecLatency = make([]*obs.Histogram, len(models))
 	for i, mod := range models {
-		m.ExecCount[i] = reg.Counter("ams_model_exec_total",
-			"Model executions (batched requests count once per request)",
-			obs.L("model", mod.Name))
+		label := obs.L("model", mod.Name)
 		m.ExecLatency[i] = reg.Histogram("ams_model_exec_seconds",
-			"Simulated seconds per model execution as seen by the item (includes batch hold)",
-			obs.L("model", mod.Name))
+			"Simulated seconds per model execution as seen by the item (includes batch hold)", label)
+		reg.CounterFunc("ams_model_exec_total",
+			"Model executions (batched requests count once per request)", m.ExecLatency[i].Count, label)
 	}
 	return m
-}
-
-// admitted / shed record the admission outcome (no-op on nil).
-func (m *Metrics) admitted() {
-	if m == nil {
-		return
-	}
-	m.Admitted.Inc()
-}
-
-func (m *Metrics) shed() {
-	if m == nil {
-		return
-	}
-	m.Shed.Inc()
 }
 
 // execStart stamps the clock for one model execution span — the zero
@@ -119,13 +103,12 @@ func (m *Metrics) execStart(model int) time.Time {
 	return obs.Started(m.ExecLatency[model])
 }
 
-// execDone counts the execution and observes its span on the simulated
-// clock.
+// execDone observes the execution's span on the simulated clock, which
+// also counts it.
 func (m *Metrics) execDone(model int, t0 time.Time, scale float64) {
 	if m == nil {
 		return
 	}
-	m.ExecCount[model].Inc()
 	m.ExecLatency[model].ObserveScaledSince(t0, scale)
 }
 
@@ -153,11 +136,6 @@ func (m *Metrics) quality(mass, residual float64) {
 	}
 	m.QualityMass.Observe(mass)
 	m.QualityResidual.Observe(residual)
-	if total := mass + residual; total > 0 {
-		m.QualityRatio.Set(residual / total)
-	} else {
-		m.QualityRatio.Set(0)
-	}
 }
 
 // RegisterViews exposes this server's live state as labeled series on

@@ -443,12 +443,10 @@ func (s *Server) Admit(ctx context.Context, tk *Ticket, item int) error {
 		return ErrClosed
 	case ctx == nil && !s.takeSlot():
 		s.rejected++
-		s.cfg.Metrics.shed()
 		return ErrQueueFull
 	}
 	s.queue = append(s.queue, tk)
 	s.cond.Signal()
-	s.cfg.Metrics.admitted()
 	return nil
 }
 
@@ -522,17 +520,18 @@ func (s *Server) Nudge() {
 }
 
 // Live is a server's instantaneous queue state: tickets queued (Stealable
-// of them unpinned), taken and not yet finished, and failed to resolve.
+// of them unpinned), taken and not yet finished, failed to resolve, and
+// refused at a full queue (sheds).
 type Live struct {
 	Queued, Stealable, Running int
-	Failed                     int64
+	Failed, Rejected           int64
 }
 
 // Live reads the queue state.
 func (s *Server) Live() Live {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l := Live{Queued: len(s.queue), Running: s.running, Failed: s.failed}
+	l := Live{Queued: len(s.queue), Running: s.running, Failed: s.failed, Rejected: s.rejected}
 	for _, tk := range s.queue {
 		if !tk.Pinned {
 			l.Stealable++
@@ -974,8 +973,15 @@ func (s *Server) Snapshot() (RunStats, []service.Record) {
 		rs.PeakMemMB = s.acct.peak()
 		rs.MemWaits = s.acct.waitCount()
 	}
-	if s.batcher != nil {
-		rs.Batching = s.batcher.Stats()
-	}
+	rs.Batching = s.Batching()
 	return rs, records
+}
+
+// Batching reads the batching runtime's counters (zero when batching is
+// not configured) without copying the record window.
+func (s *Server) Batching() batch.Stats {
+	if s.batcher == nil {
+		return batch.Stats{}
+	}
+	return s.batcher.Stats()
 }

@@ -387,6 +387,17 @@ func (r *Router) StealsTotal() int64 {
 	return total
 }
 
+// ShedTotal is the total sheds across all shards — each server's own
+// count of submits refused at its full queue — cheap enough for a
+// flight-recorder trigger to poll.
+func (r *Router) ShedTotal() int64 {
+	var total int64
+	for _, sv := range r.servers {
+		total += sv.Live().Rejected
+	}
+	return total
+}
+
 // Stats merges every shard's completion records through one Summarize
 // reduction — valid because the servers share a clock epoch — and
 // reports the per-shard breakdown beside it.
@@ -418,16 +429,7 @@ func (r *Router) Stats() Stats {
 		merged.MemWaits += rs.MemWaits
 		merged.Rejected += rs.Rejected
 		merged.Failed += rs.Failed
-		merged.Batching.Batches += rs.Batching.Batches
-		merged.Batching.Requests += rs.Batching.Requests
-		merged.Batching.SizeFlushes += rs.Batching.SizeFlushes
-		merged.Batching.HoldFlushes += rs.Batching.HoldFlushes
-		merged.Batching.GrantFlushes += rs.Batching.GrantFlushes
-		merged.Batching.SavedGPUMS += rs.Batching.SavedGPUMS
-		merged.Batching.SavedMemMB += rs.Batching.SavedMemMB
-		if rs.Batching.LargestBatch > merged.Batching.LargestBatch {
-			merged.Batching.LargestBatch = rs.Batching.LargestBatch
-		}
+		merged.Batching.Add(rs.Batching)
 	}
 	merged.Stats = service.SummarizeWindow(records, workers, merged.Completed)
 	return st

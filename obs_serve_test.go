@@ -236,17 +236,32 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatal("Stats().Telemetry empty with telemetry on")
 	}
 	byName := make(map[string]TelemetryMetric)
+	// Per family, over every label set: the summed value, and for a
+	// histogram the summed count.
+	sum, count := make(map[string]float64), make(map[string]int64)
 	for _, m := range st.Telemetry {
 		if m.Labels == nil {
 			byName[m.Name] = m
 		}
+		sum[m.Name] += m.Value
+		count[m.Name] += m.Count
 	}
 	if m := byName["ams_item_latency_seconds"]; m.Count != st.Completed {
 		t.Errorf("latency histogram count %d != completed %d (views must agree with Stats)",
 			m.Count, st.Completed)
 	}
-	if m := byName["ams_items_admitted_total"]; int64(m.Value) != st.Completed {
-		t.Errorf("admitted %v != completed %d (no shedding in this test)", m.Value, st.Completed)
+	// Conservation, once the server is quiescent: every event is counted
+	// once, so every series that shows it agrees.
+	admitted, completed, failed := sum["ams_items_admitted_total"], sum["ams_items_completed_total"], sum["ams_shard_failures_total"]
+	if admitted != completed+failed || int64(completed) != st.Completed || admitted == 0 {
+		t.Errorf("admitted %v != completed %v + failed %v (ServeStats.Completed %d)", admitted, completed, failed, st.Completed)
+	}
+	if execs, observed := sum["ams_model_exec_total"], count["ams_model_exec_seconds"]; execs != float64(observed) || execs == 0 {
+		t.Errorf("ams_model_exec_total sums to %v, ams_model_exec_seconds counts %d", execs, observed)
+	}
+	if flushes, sizes := sum["ams_batch_flush_total"], count["ams_batch_size"]; flushes != float64(sizes) ||
+		sizes != st.Batches || st.Batches == 0 {
+		t.Errorf("ams_batch_flush_total sums to %v, ams_batch_size counts %d, ServeStats.Batches %d", flushes, sizes, st.Batches)
 	}
 	if m, ok := byName["ams_quality_conf_mass"]; !ok || m.Count != 3 {
 		t.Errorf("quality proxy observed %d ingested items, want 3", m.Count)

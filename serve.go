@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -368,9 +369,6 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("ams: negative shard count %d", cfg.Shards)
-	}
 	placement, err := shard.PlacementByName(cfg.ShardPlacement)
 	if err != nil {
 		return nil, fmt.Errorf("ams: %w", err)
@@ -557,7 +555,6 @@ func (sv *Server) buildSLOs(cfg ServeConfig) error {
 	}
 	for _, slo := range slos {
 		slo.RegisterViews(sv.reg)
-		slo := slo
 		sv.reg.GaugeFunc("ams_slo_quantile_seconds",
 			"Observed latency at the SLO's target quantile (lifetime histogram)",
 			func() float64 { return sv.metrics.Latency.Quantile(slo.Target) },
@@ -574,7 +571,7 @@ func (sv *Server) buildSLOs(cfg ServeConfig) error {
 func (sv *Server) armFlightRecorder(dir string) {
 	fr := obs.NewFlightRecorder(dir, sv.reg, sv.tracer)
 	// Shed storm: sheds at any shard's queue growing faster than 5/s.
-	fr.AddTrigger("shed-storm", obs.RateTrigger(sv.metrics.Shed.Value, 5))
+	fr.AddTrigger("shed-storm", obs.RateTrigger(sv.router.ShedTotal, 5))
 	// Deadline burn: any objective's fastest burn window at 8× budget —
 	// the classic page-level fast-burn threshold.
 	if len(sv.metrics.SLOs) > 0 {
@@ -585,13 +582,7 @@ func (sv *Server) armFlightRecorder(dir string) {
 				if len(ws) == 0 {
 					continue
 				}
-				fast := ws[0]
-				for _, w := range ws[1:] {
-					if w < fast {
-						fast = w
-					}
-				}
-				if b := slo.BurnRate(fast); b > worst {
+				if b := slo.BurnRate(slices.Min(ws)); b > worst {
 					worst = b
 				}
 			}
@@ -1038,6 +1029,9 @@ func (sv *Server) Replay(ctx context.Context, trace ServeTrace, src SceneSource)
 // items: every item sees its shard's whole memory budget, and the queue
 // bound and batching do not apply.
 func (s *System) SimulateServe(agent *Agent, cfg ServeConfig, trace ServeTrace) (ServeStats, error) {
+	if err := trace.check(); err != nil {
+		return ServeStats{}, err
+	}
 	factory, policy, _, err := s.serveFactory(agent, cfg)
 	if err != nil {
 		return ServeStats{}, err
@@ -1054,18 +1048,22 @@ func (s *System) SimulateServe(agent *Agent, cfg ServeConfig, trace ServeTrace) 
 	if svcCfg.Workers <= 0 {
 		return ServeStats{}, fmt.Errorf("ams: need at least one worker, got %d", svcCfg.Workers)
 	}
-	if svcCfg.ArrivalRateHz <= 0 || svcCfg.DeadlineSec <= 0 || svcCfg.Items <= 0 || svcCfg.MemoryBudgetMB < 0 {
+	if svcCfg.DeadlineSec <= 0 || svcCfg.MemoryBudgetMB < 0 {
 		return ServeStats{}, fmt.Errorf("ams: invalid serve trace %+v", svcCfg)
 	}
 	st := service.Run(s.testStore, factory, svcCfg)
 	return fromRunStats(serve.RunStats{Stats: st, Completed: int64(st.Items)}), nil
 }
 
-// serveFactory resolves cfg.Policy (defaulting to Algorithm 1, the
-// server's historical behavior) and builds the per-worker policy
-// factory: each worker gets a private instantiation — and through it
-// its own fork of the agent, as in LabelBatch.
+// serveFactory validates the configuration Serve and SimulateServe
+// share, resolves cfg.Policy (defaulting to Algorithm 1, the server's
+// historical behavior) and builds the per-worker policy factory: each
+// worker gets a private instantiation — and through it its own fork of
+// the agent, as in LabelBatch.
 func (s *System) serveFactory(agent *Agent, cfg ServeConfig) (service.PolicyFactory, Policy, *sched.SharedCache, error) {
+	if cfg.Shards < 0 {
+		return nil, Policy{}, nil, fmt.Errorf("ams: negative shard count %d", cfg.Shards)
+	}
 	policy := cfg.Policy
 	if !policy.valid() {
 		policy = PolicyAlgorithm1

@@ -191,6 +191,13 @@ func TestServeAdmissionValidation(t *testing.T) {
 	if _, err := testSys.SimulateServe(testAgent, serveCfg(1), ServeTrace{}); err == nil {
 		t.Fatal("empty trace accepted by SimulateServe")
 	}
+	negShards := serveCfg(1)
+	negShards.Shards = -1
+	_, nerr := testSys.NewServer(testAgent, negShards)
+	_, serr := testSys.SimulateServe(testAgent, negShards, trace)
+	if nerr == nil || serr == nil || serr.Error() != nerr.Error() {
+		t.Fatalf("negative shards: NewServer %v, SimulateServe %v; want one error from both", nerr, serr)
+	}
 }
 
 func TestServerQueueFullSurfacesBackpressure(t *testing.T) {
