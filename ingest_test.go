@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 	"weak"
@@ -586,6 +587,53 @@ func TestServerResultsAbandonedConsumerDoesNotDeadlock(t *testing.T) {
 	}
 	if srv.Stats().ResultsDropped == 0 {
 		t.Fatal("no results shed despite a consumer 12 items behind a 4-item window")
+	}
+}
+
+// TestResultsRingKeepsNewestInOrder: a consumer that falls behind and
+// then drains receives the one result the pump held and then exactly the
+// newest StatsWindow results, oldest first — across the ring's growth
+// (the window is past its first size), with nothing shed and with most
+// of the stream shed as the ring wraps.
+func TestResultsRingKeepsNewestInOrder(t *testing.T) {
+	const window = 20
+	for _, items := range []int{window + 1, 2*window + 10} {
+		cfg := serveCfg(1)
+		cfg.StatsWindow = window
+		srv, err := testSys.NewServer(testAgent, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := srv.Results() // read only once every item is done
+		for i := 0; i < items; i++ {
+			tk, err := srv.SubmitWait(bg, testSys.TestItem(i%testSys.NumTestImages()).WithID(strconv.Itoa(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustWait(t, tk)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var got []int
+		for res := range results {
+			n, err := strconv.Atoi(res.ItemID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, n)
+		}
+		if len(got) != window+1 || got[0] >= items-window {
+			t.Fatalf("%d items: delivered %v, want one held result, then the newest %d", items, got, window)
+		}
+		for j, n := range got[1:] {
+			if n != items-window+j {
+				t.Fatalf("%d items: delivered %v, want %d..%d after the held result", items, got, items-window, items-1)
+			}
+		}
+		if d := srv.Stats().ResultsDropped; d != int64(items-len(got)) {
+			t.Fatalf("%d items: dropped %d results, want %d", items, d, items-len(got))
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ams/internal/labels"
 	"ams/internal/oracle"
@@ -199,7 +200,8 @@ func (tr *Trainer) TrainEpochs(st *oracle.Store, epochs int) {
 	}
 	end := tr.numModels
 	allowedActions := func(t *oracle.Tracker) []int {
-		un := t.Unexecuted()
+		// Sized for END too, so the append below never copies.
+		un := slices.AppendSeq(make([]int, 0, tr.numModels-t.ExecutedCount()+1), t.Unexecuted())
 		if tr.cfg.DisableEnd {
 			return un
 		}
@@ -235,7 +237,7 @@ func (tr *Trainer) TrainEpochs(st *oracle.Store, epochs int) {
 					maybeTrain(&epochLoss, &lossN)
 					break
 				}
-				fresh := t.Execute(action)
+				_, fresh := t.Execute(action)
 				r := RewardWith(tr.cfg.Shape, tr.cfg.Theta[action],
 					len(fresh), FreshValue(st.Zoo.Vocab, fresh))
 				epochReward += r

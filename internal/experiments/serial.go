@@ -306,7 +306,8 @@ func (l *Lab) Fig7() Fig7Result {
 	res := Fig7Result{Dataset: dataset, Scene: best}
 	for _, m := range sim.RunToRecall(st, best, sched.NewQGreedy(agent, l.Zoo), 1).Executed {
 		step := Fig7Step{Model: st.Zoo.Models[m].Name}
-		for _, lc := range t.Execute(m) {
+		_, fresh := t.Execute(m)
+		for _, lc := range fresh {
 			if lc.Conf >= zoo.ValuableThreshold {
 				step.Labels = append(step.Labels,
 					fmt.Sprintf("%s (%.2f)", l.Vocab.Label(lc.ID).Name, lc.Conf))

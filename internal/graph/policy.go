@@ -27,7 +27,7 @@ func (p *ValuePolicy) Reset(int) { p.belief = p.g.NewBelief() }
 // Next implements sim.Policy.
 func (p *ValuePolicy) Next(t *oracle.Tracker, c sim.Constraints) int {
 	best, bestV := -1, 0.0
-	for _, m := range t.Candidates() {
+	for m := range t.Candidates() {
 		if !c.Allows(p.z.Models[m]) {
 			continue
 		}
@@ -68,7 +68,7 @@ func (p *DensityPolicy) Reset(int) { p.belief = p.g.NewBelief() }
 // Next implements sim.Policy.
 func (p *DensityPolicy) Next(t *oracle.Tracker, c sim.Constraints) int {
 	best, bestD := -1, 0.0
-	for _, m := range t.Candidates() {
+	for m := range t.Candidates() {
 		mod := p.z.Models[m]
 		if !c.Allows(mod) {
 			continue

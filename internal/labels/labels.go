@@ -266,9 +266,6 @@ func NewVocabulary() *Vocabulary {
 	return v
 }
 
-// Len returns the vocabulary size.
-func (v *Vocabulary) Len() int { return len(v.labels) }
-
 // Label returns the label with the given dense ID.
 func (v *Vocabulary) Label(id int) Label { return v.labels[id] }
 

@@ -6,8 +6,8 @@ import (
 
 func TestVocabularyTotals(t *testing.T) {
 	v := NewVocabulary()
-	if v.Len() != Total {
-		t.Fatalf("vocabulary size = %d, want %d", v.Len(), Total)
+	if n := len(v.labels); n != Total {
+		t.Fatalf("vocabulary size = %d, want %d", n, Total)
 	}
 	sum := 0
 	for _, task := range Tasks() {
@@ -45,7 +45,7 @@ func TestTableICounts(t *testing.T) {
 
 func TestLabelIDsDenseAndConsistent(t *testing.T) {
 	v := NewVocabulary()
-	for id := 0; id < v.Len(); id++ {
+	for id := 0; id < Total; id++ {
 		l := v.Label(id)
 		if l.ID != id {
 			t.Fatalf("label %d stores ID %d", id, l.ID)
@@ -59,8 +59,8 @@ func TestLabelIDsDenseAndConsistent(t *testing.T) {
 
 func TestNamesUnique(t *testing.T) {
 	v := NewVocabulary()
-	seen := make(map[string]bool, v.Len())
-	for id := 0; id < v.Len(); id++ {
+	seen := make(map[string]bool, Total)
+	for id := 0; id < Total; id++ {
 		n := v.Label(id).Name
 		if seen[n] {
 			t.Fatalf("duplicate label name %q", n)

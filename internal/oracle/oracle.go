@@ -16,6 +16,8 @@ package oracle
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"sort"
 
 	"ams/internal/synth"
@@ -202,14 +204,17 @@ func (st *Store) OptimalTimeMS(i int) float64 {
 // observation), which models ran, which are in flight (Algorithm 2 takes
 // a model out of the candidate set M at launch), and — when the item's
 // ground truth is known — how much valuable value has been recalled.
+// Reset starts the next item on the same storage, so an executor that
+// keeps one tracker labels item after item without growing it again.
 type Tracker struct {
 	ex    Executor
 	item  int
 	truth *Truth // nil when the item's ground truth is unknown
 
-	recalled map[int]bool // valuable label emitted at >= threshold
+	recalled []int // valuable labels emitted at >= threshold: few per item, so scanned
 	status   []modelStatus
-	state    []int // sorted emitted label IDs (the sparse DRL state)
+	state    []int           // sorted emitted label IDs (the sparse DRL state)
+	fresh    []zoo.LabelConf // Execute's result, reused by the next Execute
 
 	recalledValue float64
 	executedCount int
@@ -228,17 +233,39 @@ const (
 
 // NewTracker starts an empty labeling state for item i of the executor.
 func NewTracker(ex Executor, i int) *Tracker {
+	t := new(Tracker)
+	t.Reset(ex, i)
+	return t
+}
+
+// Reset empties the labeling state and points it at item i of the
+// executor, keeping the tracker's storage for the new item.
+func (t *Tracker) Reset(ex Executor, i int) {
 	if i < 0 || i >= ex.NumItems() {
 		panic(fmt.Sprintf("oracle: item index %d out of range", i))
 	}
-	return &Tracker{
+	status := t.status[:0]
+	if n := ex.NumModels(); cap(status) < n {
+		status = make([]modelStatus, n)
+	} else {
+		status = status[:n]
+		clear(status)
+	}
+	*t = Tracker{
 		ex:       ex,
 		item:     i,
 		truth:    ex.Truth(i),
-		recalled: make(map[int]bool),
-		status:   make([]modelStatus, ex.NumModels()),
+		recalled: t.recalled[:0],
+		status:   status,
+		state:    t.state[:0],
+		fresh:    t.fresh[:0],
 	}
 }
+
+// Release drops the tracker's references to its item — the executor and
+// the ground truth — so a tracker kept for the next item does not retain
+// the last one. Only Reset may follow.
+func (t *Tracker) Release() { t.ex, t.truth = nil, nil }
 
 // Seed returns the tracked item's identity (Executor.Seed).
 func (t *Tracker) Seed() uint64 { return t.ex.Seed(t.item) }
@@ -275,11 +302,13 @@ func (t *Tracker) CandidateCount() int {
 }
 
 // Execute runs (or replays) model m on the item, folds its output into
-// the state, and returns the newly emitted labels — O'(m,d) in the
-// paper: labels not previously output by any executed model, at any
-// confidence. A launched model is no longer in flight afterwards.
-// Executing a model twice panics; the scheduler must never do that.
-func (t *Tracker) Execute(m int) []zoo.LabelConf {
+// the state, and returns that output and the newly emitted labels — O'(m,d)
+// in the paper: labels not previously output by any executed model, at
+// any confidence. The fresh labels are in a buffer the tracker reuses:
+// they are valid until the next Execute. A launched model is no longer
+// in flight afterwards. Executing a model twice panics; the scheduler
+// must never do that.
+func (t *Tracker) Execute(m int) (zoo.Output, []zoo.LabelConf) {
 	switch t.status[m] {
 	case executed:
 		panic(fmt.Sprintf("oracle: model %d executed twice on item %d", m, t.item))
@@ -289,17 +318,17 @@ func (t *Tracker) Execute(m int) []zoo.LabelConf {
 	t.status[m] = executed
 	t.executedCount++
 	out := t.ex.Output(t.item, m)
-	var fresh []zoo.LabelConf
+	t.fresh = t.fresh[:0]
 	for _, lc := range out.Labels {
 		if t.insertState(lc.ID) {
-			fresh = append(fresh, lc)
+			t.fresh = append(t.fresh, lc)
 		}
-		if t.truth != nil && lc.Conf >= zoo.ValuableThreshold && !t.recalled[lc.ID] {
-			t.recalled[lc.ID] = true
+		if t.truth != nil && lc.Conf >= zoo.ValuableThreshold && !slices.Contains(t.recalled, lc.ID) {
+			t.recalled = append(t.recalled, lc.ID)
 			t.recalledValue += t.truth.LabelValue[lc.ID]
 		}
 	}
-	return fresh
+	return out, t.fresh
 }
 
 // insertState adds a label to the sparse state, kept sorted for
@@ -345,31 +374,30 @@ func (t *Tracker) MarginalValue(m int) float64 {
 	}
 	var v float64
 	for _, lc := range t.ex.Output(t.item, m).Labels {
-		if lc.Conf >= zoo.ValuableThreshold && !t.recalled[lc.ID] {
+		if lc.Conf >= zoo.ValuableThreshold && !slices.Contains(t.recalled, lc.ID) {
 			v += t.truth.LabelValue[lc.ID]
 		}
 	}
 	return v
 }
 
-// Unexecuted returns the indices of models that have not run — in flight
-// or not — in model-ID order, as a fresh slice the caller owns.
-func (t *Tracker) Unexecuted() []int {
-	return t.before(executed, len(t.status)-t.executedCount)
-}
+// Unexecuted yields the models that have not run — in flight or not —
+// in model-ID order.
+func (t *Tracker) Unexecuted() iter.Seq[int] { return t.before(executed) }
 
-// Candidates returns the models a policy may pick next — neither run nor
-// in flight — in model-ID order, as a fresh slice the caller owns.
-func (t *Tracker) Candidates() []int { return t.before(inFlight, t.CandidateCount()) }
+// Candidates yields the models a policy may pick next — neither run nor
+// in flight — in model-ID order.
+func (t *Tracker) Candidates() iter.Seq[int] { return t.before(inFlight) }
 
-// before lists the n models whose status precedes limit, in model-ID
-// order, in a fresh slice sized once.
-func (t *Tracker) before(limit modelStatus, n int) []int {
-	ms := make([]int, 0, n)
-	for m, st := range t.status {
-		if st < limit {
-			ms = append(ms, m)
+// before yields the models whose status precedes limit, in model-ID
+// order, straight off the status table: ranging over it allocates
+// nothing.
+func (t *Tracker) before(limit modelStatus) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for m, st := range t.status {
+			if st < limit && !yield(m) {
+				return
+			}
 		}
 	}
-	return ms
 }

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -91,7 +92,8 @@ func TestFreshLabelsNeverRepeat(t *testing.T) {
 	tr := NewTracker(store, 3)
 	seen := map[int]bool{}
 	for m := 0; m < store.NumModels(); m++ {
-		for _, lc := range tr.Execute(m) {
+		_, fresh := tr.Execute(m)
+		for _, lc := range fresh {
 			if seen[lc.ID] {
 				t.Fatalf("label %d reported fresh twice", lc.ID)
 			}
@@ -216,7 +218,7 @@ func TestMarginalValueAgainstBruteForce(t *testing.T) {
 			tr.Execute(m)
 			executedSet = append(executedSet, m)
 		}
-		for _, m := range tr.Unexecuted() {
+		for m := range tr.Unexecuted() {
 			// Brute force: value after executing m minus value now.
 			tr2 := NewTracker(store, scene)
 			for _, e := range executedSet {
@@ -253,11 +255,11 @@ func TestSeedIsTheItemsIdentity(t *testing.T) {
 
 func TestUnexecutedShrinks(t *testing.T) {
 	tr := NewTracker(store, 1)
-	if len(tr.Unexecuted()) != store.NumModels() {
+	if len(slices.Collect(tr.Unexecuted())) != store.NumModels() {
 		t.Fatal("fresh tracker should have all models unexecuted")
 	}
 	tr.Execute(5)
-	un := tr.Unexecuted()
+	un := slices.Collect(tr.Unexecuted())
 	if len(un) != store.NumModels()-1 {
 		t.Fatalf("unexecuted count %d", len(un))
 	}
@@ -270,8 +272,9 @@ func TestUnexecutedShrinks(t *testing.T) {
 
 // TestTrackerCarriesInFlightSet: a launched model leaves the candidates
 // but stays unexecuted until it commits; Launch refuses a model that is
-// not a candidate; Execute works with or without a preceding Launch; and
-// both views are one exactly-sized allocation.
+// not a candidate; Execute works with or without a preceding Launch;
+// ranging over either view allocates nothing; and Reset starts an empty
+// state on the tracker's own backing arrays.
 func TestTrackerCarriesInFlightSet(t *testing.T) {
 	tr := NewTracker(store, 1)
 	n := store.NumModels()
@@ -285,11 +288,10 @@ func TestTrackerCarriesInFlightSet(t *testing.T) {
 		t.Fatalf("in-flight bookkeeping: Candidate(5)=%v Executed(5)=%v in flight %d, candidates %d",
 			tr.Candidate(5), tr.status[5] == executed, tr.InFlightCount(), tr.CandidateCount())
 	}
-	if un, cand := tr.Unexecuted(), tr.Candidates(); len(un) != n || len(cand) != n-2 || cap(un) != n || cap(cand) != n-2 {
-		t.Fatalf("views: %d unexecuted (cap %d), %d candidates (cap %d), want %d and %d exactly sized",
-			len(un), cap(un), len(cand), cap(cand), n, n-2)
+	if un, cand := slices.Collect(tr.Unexecuted()), slices.Collect(tr.Candidates()); len(un) != n || len(cand) != n-2 {
+		t.Fatalf("views: %d unexecuted, %d candidates, want %d and %d", len(un), len(cand), n, n-2)
 	}
-	for _, m := range tr.Candidates() {
+	for m := range tr.Candidates() {
 		if m == 5 || m == 9 {
 			t.Fatalf("in-flight model %d listed as a candidate", m)
 		}
@@ -303,11 +305,43 @@ func TestTrackerCarriesInFlightSet(t *testing.T) {
 	if tr.Launch(7) {
 		t.Fatal("Launch accepted an executed model")
 	}
-	if un, cand := tr.Unexecuted(), tr.Candidates(); len(un) != n-2 || len(cand) != n-3 {
-		t.Fatalf("views after commits: %d unexecuted, %d candidates", len(un), len(cand))
+	count := func() (un, cand int) {
+		for range tr.Unexecuted() {
+			un++
+		}
+		for range tr.Candidates() {
+			cand++
+		}
+		return un, cand
 	}
-	if a := testing.AllocsPerRun(20, func() { tr.Unexecuted(); tr.Candidates() }); a != 2 {
-		t.Fatalf("Unexecuted+Candidates allocated %v times, want one each", a)
+	if un, cand := count(); un != n-2 || cand != n-3 {
+		t.Fatalf("views after commits: %d unexecuted, %d candidates", un, cand)
+	}
+	if a := testing.AllocsPerRun(20, func() { count() }); a != 0 {
+		t.Fatalf("ranging over Unexecuted and Candidates allocated %v times, want 0", a)
+	}
+
+	tr.Reset(store, 2)
+	if tr.ExecutedCount() != 0 || tr.InFlightCount() != 0 || tr.CandidateCount() != n || len(tr.State()) != 0 || tr.Recall() != 0 {
+		t.Fatalf("after Reset: executed %d, in flight %d, candidates %d, state %v, recall %v",
+			tr.ExecutedCount(), tr.InFlightCount(), tr.CandidateCount(), tr.State(), tr.Recall())
+	}
+	runAll := func() {
+		tr.Reset(store, 2)
+		for m := range n {
+			tr.Execute(m)
+		}
+	}
+	runAll()
+	fresh := NewTracker(store, 2)
+	for m := range n {
+		fresh.Execute(m)
+	}
+	if !slices.Equal(tr.State(), fresh.State()) || tr.Recall() != fresh.Recall() {
+		t.Fatalf("a reset tracker disagrees with a new one: recall %v vs %v", tr.Recall(), fresh.Recall())
+	}
+	if a := testing.AllocsPerRun(5, runAll); a != 0 {
+		t.Fatalf("relabeling an item on a reset tracker allocated %v times, want 0: Reset keeps the backing arrays", a)
 	}
 }
 
@@ -317,7 +351,10 @@ func TestExecuteReportsFreshLabelsOnce(t *testing.T) {
 	tr := NewTracker(store, 1)
 	seen := map[int]bool{}
 	for m := 0; m < store.NumModels(); m++ {
-		fresh := tr.Execute(m)
+		out, fresh := tr.Execute(m)
+		if !reflect.DeepEqual(out, store.Output(1, m)) {
+			t.Fatalf("model %d: Execute returned an output the store does not hold", m)
+		}
 		want := 0
 		for _, lc := range store.Output(1, m).Labels {
 			if !seen[lc.ID] {

@@ -38,7 +38,7 @@ func (p *CostQGreedy) Next(t *oracle.Tracker, c sim.Constraints) int {
 	q := p.pred.Predict(t.State())
 	bestRatio, bestRatioM := 0.0, -1
 	bestQ, bestQM := 0.0, -1
-	for _, m := range t.Candidates() {
+	for m := range t.Candidates() {
 		mod := p.z.Models[m]
 		if !c.Allows(mod) {
 			continue
@@ -81,7 +81,7 @@ func OptimalStarDeadline(st *oracle.Store, scene int, deadlineMS float64) float6
 	var value float64
 	for remaining > 0 && t.ExecutedCount() < st.NumModels() {
 		best, bestDensity := -1, 0.0
-		for _, m := range t.Unexecuted() {
+		for m := range t.Unexecuted() {
 			mv := t.MarginalValue(m)
 			if mv <= 0 {
 				continue
@@ -128,7 +128,7 @@ func OptimalStarMemory(st *oracle.Store, scene int, deadlineMS, memMB float64) f
 	var value float64
 	for area > 0 && t.ExecutedCount() < st.NumModels() {
 		best, bestDensity := -1, 0.0
-		for _, m := range t.Unexecuted() {
+		for m := range t.Unexecuted() {
 			mv := t.MarginalValue(m)
 			if mv <= 0 {
 				continue

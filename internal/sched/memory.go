@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"ams/internal/oracle"
 	"ams/internal/sim"
 	"ams/internal/tensor"
@@ -47,7 +49,7 @@ func (p *MemoryPacker) Next(t *oracle.Tracker, c sim.Constraints) int {
 	if !p.packing {
 		// Anchor: highest value per resource area within the budgets.
 		anchor, bestDensity := -1, 0.0
-		for _, m := range candidates {
+		for m := range candidates {
 			if q[m] <= 0 {
 				continue
 			}
@@ -72,7 +74,7 @@ func (p *MemoryPacker) Next(t *oracle.Tracker, c sim.Constraints) int {
 			return -1
 		}
 		fallback, bestQ := -1, 0.0
-		for _, m := range candidates {
+		for m := range candidates {
 			if !c.Allows(p.z.Models[m]) {
 				continue
 			}
@@ -88,7 +90,7 @@ func (p *MemoryPacker) Next(t *oracle.Tracker, c sim.Constraints) int {
 	}
 	// Pack by Q/mem under the temporary deadline (Algorithm 2 lines 8-12).
 	best, bestRatio := -1, 0.0
-	for _, m := range candidates {
+	for m := range candidates {
 		if q[m] <= 0 {
 			continue
 		}
@@ -134,7 +136,7 @@ func (p *RandomPacker) Reset(int) { p.drawn = false }
 // Next implements sim.Policy.
 func (p *RandomPacker) Next(t *oracle.Tracker, c sim.Constraints) int {
 	if !p.drawn {
-		p.order = t.Unexecuted()
+		p.order = slices.AppendSeq(p.order[:0], t.Unexecuted())
 		p.rng.Shuffle(p.order)
 		p.drawn = true
 	}

@@ -54,7 +54,7 @@ func (p *Random) Seed(seed uint64) { p.rng.Seed(seed) }
 // Next implements sim.Policy.
 func (p *Random) Next(t *oracle.Tracker, c sim.Constraints) int {
 	var feasible []int
-	for _, m := range t.Candidates() {
+	for m := range t.Candidates() {
 		if c.Allows(p.z.Models[m]) {
 			feasible = append(feasible, m)
 		}
@@ -121,7 +121,7 @@ func (p *QGreedy) Reset(int) { invalidatePrediction(p.pred) }
 func (p *QGreedy) Next(t *oracle.Tracker, c sim.Constraints) int {
 	q := p.pred.Predict(t.State())
 	best, bestQ := -1, 0.0
-	for _, m := range t.Candidates() {
+	for m := range t.Candidates() {
 		if !c.Allows(p.z.Models[m]) {
 			continue
 		}
@@ -162,7 +162,7 @@ func (p *Rule) Reset(int) { p.engine.Reset() }
 // Next implements sim.Policy.
 func (p *Rule) Next(t *oracle.Tracker, c sim.Constraints) int {
 	var feasible []int
-	for _, m := range t.Candidates() {
+	for m := range t.Candidates() {
 		if c.Allows(p.z.Models[m]) {
 			feasible = append(feasible, m)
 		}

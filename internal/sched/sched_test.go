@@ -391,7 +391,7 @@ func refCostQGreedy(pred Predictor, tr *oracle.Tracker, remainingMS float64) int
 	q := pred.Predict(tr.State())
 	bestRatio, bestRatioM := 0.0, -1
 	bestQ, bestQM := 0.0, -1
-	for _, m := range tr.Unexecuted() {
+	for m := range tr.Unexecuted() {
 		mt := z.Models[m].TimeMS
 		if mt > remainingMS {
 			continue
@@ -415,7 +415,7 @@ func refCostQGreedy(pred Predictor, tr *oracle.Tracker, remainingMS float64) int
 // baseline (one Intn draw over the feasible set per step).
 func refRandomDeadline(rng *tensor.RNG, tr *oracle.Tracker, remainingMS float64) int {
 	var feasible []int
-	for _, m := range tr.Unexecuted() {
+	for m := range tr.Unexecuted() {
 		if z.Models[m].TimeMS <= remainingMS {
 			feasible = append(feasible, m)
 		}
@@ -499,12 +499,18 @@ func TestMemoryPackerSerialUnderDeadline(t *testing.T) {
 
 // TestScheduleAllocationBudget pins what one schedule allocates on the
 // virtual machine, so the per-item state cannot quietly grow a copy
-// again: the labeling state (tracker, recalled-label map, sorted state),
-// one candidates slice per ask, and the result's growing slices — no
-// per-policy in-flight set, no memo map, no key strings. The budgets are
-// the measured counts (Algorithm 1: 8 models, 65; Algorithm 2: 19 models,
-// 111 — with those copies it was 140 and 365) plus a tenth for
-// map-growth variation across Go releases.
+// again. A one-shot schedule (sim.RunDeadline, sim.RunParallel) builds a
+// fresh sim.Run: the Run itself, the tracker's status table, the growth
+// of its sorted state, recalled labels and fresh-label buffer, the
+// growth of the in-flight set and of the executed and output scratch,
+// and the result's two exact-sized copies — no candidates slice per ask
+// (the views are iterators), no recalled-label map, no per-policy
+// in-flight set, no memo map, no key strings. The budgets are the
+// measured counts (Algorithm 1: 8 models, 37; Algorithm 2: 19 models, 44
+// — before the reusable state they were 65 and 111) plus a tenth for
+// slice-growth variation across Go releases. A Run reused across
+// schedules — a serving worker's — has all of that storage already and
+// allocates exactly the result's two copies.
 func TestScheduleAllocationBudget(t *testing.T) {
 	q := make([]float64, store.NumModels()+1)
 	for m := range store.NumModels() {
@@ -512,13 +518,20 @@ func TestScheduleAllocationBudget(t *testing.T) {
 	}
 	alg1 := NewCostQGreedy(NewSharedCachedPredictor(fixedPredictor{q}, nil), z)
 	alg2 := NewMemoryPacker(NewSharedCachedPredictor(fixedPredictor{q}, nil), z)
+	var run sim.Run
+	reused := func(p sim.Policy, lim sim.Limits, memMB float64) func() sim.Result {
+		mach := sim.NewVirtual(memMB) // all its memory is back after every schedule
+		return func() sim.Result { return run.Execute(mach, store, 0, p, lim) }
+	}
 	for _, tc := range []struct {
 		name   string
 		run    func() sim.Result
 		budget float64
 	}{
-		{"algorithm1", func() sim.Result { return sim.RunDeadline(store, 0, alg1, 1000) }, 72},
-		{"algorithm2", func() sim.Result { return sim.RunParallel(store, 0, alg2, 1000, 8*1024) }, 122},
+		{"algorithm1", func() sim.Result { return sim.RunDeadline(store, 0, alg1, 1000) }, 41},
+		{"algorithm2", func() sim.Result { return sim.RunParallel(store, 0, alg2, 1000, 8*1024) }, 49},
+		{"algorithm1 on a reused Run", reused(alg1, sim.Limits{DeadlineMS: 1000, InFlight: 1}, 0), 2},
+		{"algorithm2 on a reused Run", reused(alg2, sim.Limits{DeadlineMS: 1000}, 8*1024), 2},
 	} {
 		if len(tc.run().Executed) < 3 {
 			t.Fatalf("%s: schedule too short to measure: %v", tc.name, tc.run().Executed)

@@ -41,7 +41,7 @@ type firstFit struct{}
 func (firstFit) Name() string { return "first-fit" }
 func (firstFit) Reset(int)    {}
 func (firstFit) Next(t *oracle.Tracker, c sim.Constraints) int {
-	for _, m := range t.Candidates() {
+	for m := range t.Candidates() {
 		if c.Allows(store.Zoo.Models[m]) {
 			return m
 		}

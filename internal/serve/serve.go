@@ -567,14 +567,17 @@ func (s *Server) Close() error {
 
 // worker owns one policy instance (and, through the factory, one agent
 // fork) and labels items until the server closes with its queue drained:
-// each item is one run of the shared executor, sim.Execute, on this
-// worker's machine, under the configured limits.
+// each item is one run of the shared executor on this worker's machine,
+// under the configured limits. The worker's sim.Run and machine carry
+// the per-item state from item to item, so serving an item allocates
+// only what its caller receives.
 func (s *Server) worker(w int) {
 	defer s.wg.Done()
 	mach := &machine{s: s}
 	sel := &selector{Policy: s.factory(w), mach: mach}
 	mach.policy = sel
 	lim := s.cfg.Limits()
+	run := new(sim.Run) // the per-item state, reused item after item
 	for {
 		tk := s.next()
 		if tk == nil {
@@ -596,8 +599,9 @@ func (s *Server) worker(w int) {
 		root := trace.Root(tk.arrival)
 		trace.SpanBetween(obs.SpanQueueWait, root, -1, tk.arrival, tk.dequeued)
 		mach.trace, sel.selectSec = trace, 0
-		res := sim.Execute(mach, ex, i, sel, lim)
+		res := run.Execute(mach, ex, i, sel, lim)
 		s.observeQuality(sel.Policy, res)
+		run.Release() // the worker keeps the Run, not the item
 		s.finish(tk, seq, res, sel.selectSec, trace)
 	}
 }
@@ -713,7 +717,8 @@ func (s *Server) observeQuality(policy sim.Policy, res sim.Result) {
 // flight is one model execution in progress on a machine.
 type flight struct {
 	model    int
-	done     chan struct{} // closed when the execution ends; nil when it took no time
+	done     chan struct{} // receives when the execution ends; nil when it took no time
+	wake     *wake         // the machine's reusable wake-up done belongs to; nil when batched
 	started  time.Time     // metrics stamp at launch (zero when disabled)
 	launched time.Time     // trace stamp at launch (zero when tracing is off)
 	ref      *obs.BatchRef // batched fan-in identity (nil unbatched/untraced)
@@ -733,6 +738,28 @@ type machine struct {
 	policy sim.Policy     // named when a reservation can never be granted
 	trace  *obs.ItemTrace // the item in hand (nil when tracing is off)
 	flying []flight
+	wakes  []*wake // free wake-ups: as many as this machine's executions ever overlapped
+}
+
+// wake is a reusable wake-up for one unbatched execution at a time: the
+// wheel runs fire at the execution's end, and Finish receives it. Both
+// the channel and the callback are built once, so a sleep on a reused
+// wake allocates nothing.
+type wake struct {
+	ch   chan struct{} // capacity 1: one fire per arm, one receive per Finish
+	fire func()
+}
+
+// takeWake returns a free wake-up, making one when every wake is armed.
+func (mc *machine) takeWake() *wake {
+	if n := len(mc.wakes); n > 0 {
+		w := mc.wakes[n-1]
+		mc.wakes = mc.wakes[:n-1]
+		return w
+	}
+	w := &wake{ch: make(chan struct{}, 1)}
+	w.fire = func() { w.ch <- struct{}{} }
+	return w
 }
 
 // FreeMB is the accountant's live availability — or the whole budget
@@ -784,9 +811,9 @@ func (mc *machine) Start(m int, mod *zoo.Model) {
 		f.done = make(chan struct{})
 		s.batcher.Enqueue(m, s.batchOwnsMem, f.done, f.ref)
 	} else if d := s.scaled(mod.TimeMS); d > 0 {
-		done := make(chan struct{})
-		s.wheel.AfterFunc(d, func() { close(done) })
-		f.done = done
+		f.wake = mc.takeWake()
+		f.done = f.wake.ch
+		s.wheel.AfterFunc(d, f.wake.fire)
 	}
 	mc.flying = append(mc.flying, f)
 }
@@ -805,6 +832,9 @@ func (mc *machine) Finish(m int, mod *zoo.Model) {
 	mc.flying = append(mc.flying[:i], mc.flying[i+1:]...)
 	if f.done != nil {
 		<-f.done
+	}
+	if f.wake != nil {
+		mc.wakes = append(mc.wakes, f.wake)
 	}
 	if f.ref != nil && f.ref.Batch != 0 {
 		fanIn := obs.SpanAttrs{Batch: f.ref.Batch, BatchN: f.ref.N, Note: f.ref.Flush, Queued: f.queued}
@@ -836,7 +866,7 @@ func (mc *machine) Stalled(t *oracle.Tracker, remainingMS, freeMB float64) bool 
 		return false
 	}
 	blocked := false
-	for _, m := range t.Unexecuted() {
+	for m := range t.Unexecuted() {
 		mod := s.ex.Model(m)
 		if mod.TimeMS <= remainingMS+1e-9 &&
 			mod.MemMB <= s.cfg.MemoryBudgetMB+1e-9 &&

@@ -20,6 +20,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ams/internal/oracle"
 	"ams/internal/zoo"
@@ -100,7 +101,8 @@ type Result struct {
 	// whether Recall measures anything. Precomputed-store items always
 	// have it; externally ingested items usually do not.
 	HasRecall bool
-	// State is the labeling state the schedule ended in.
+	// State is the labeling state the schedule ended in. It is the Run's
+	// tracker: valid until that Run executes its next schedule.
 	State *oracle.Tracker
 }
 
@@ -168,6 +170,33 @@ type running struct {
 	finishMS float64 // nominal finish on the schedule clock
 }
 
+// Run is the reusable state of the schedule executor: the labeling state
+// and the executed-model and output scratch one schedule fills. An
+// executor that labels item after item — a serving worker — keeps one
+// Run and reuses its storage; Execute makes a fresh one per schedule.
+type Run struct {
+	tracker  oracle.Tracker
+	inFly    []running // the in-flight set, launch order
+	executed []int
+	outputs  []zoo.Output
+}
+
+// Execute runs one schedule on a fresh Run (see Run.Execute).
+func Execute(mach Machine, ex oracle.Executor, item int, p Policy, lim Limits) Result {
+	return new(Run).Execute(mach, ex, item, p, lim)
+}
+
+// Release drops the references the last schedule left in the Run — its
+// tracker's executor and ground truth and the outputs scratch — so a Run
+// kept for the next item does not retain the last one. The Result's
+// State is unusable afterwards; its Executed and Outputs are copies and
+// stay valid.
+func (r *Run) Release() {
+	r.tracker.Release()
+	clear(r.outputs)
+	r.outputs = r.outputs[:0]
+}
+
 // Execute is the one schedule executor. Launch phase: while the limits
 // allow, ask the policy with {deadline − now, machine headroom}, check
 // the selection against what it was handed, and start it — one model per
@@ -177,18 +206,16 @@ type running struct {
 // policy, which is when Q-value predictions may change. The clock is
 // nominal — now is a sum of model times — so a schedule is a function of
 // (policy, item, limits, observed headroom) and never of wall-clock
-// jitter on a real machine.
-func Execute(mach Machine, ex oracle.Executor, item int, p Policy, lim Limits) Result {
+// jitter on a real machine. The Result's Executed and Outputs are
+// exactly-sized copies the caller owns; its State is the Run's tracker.
+func (r *Run) Execute(mach Machine, ex oracle.Executor, item int, p Policy, lim Limits) Result {
 	p.Reset(item)
-	t := oracle.NewTracker(ex, item)
+	t := &r.tracker
+	t.Reset(ex, item)
+	inFly := r.inFly[:0]
+	r.executed, r.outputs = r.executed[:0], r.outputs[:0]
 	res := Result{State: t}
-	// Serial schedules keep one model in flight: the backing array keeps
-	// their in-flight set off the heap.
-	var (
-		backing [4]running
-		inFly   = backing[:0]
-		now     float64
-	)
+	var now float64
 	for {
 		// stalledAt is the headroom at which launching stopped short, so
 		// an idle schedule can wait for a release instead of ending on
@@ -245,12 +272,15 @@ func Execute(mach Machine, ex oracle.Executor, item int, p Policy, lim Limits) R
 		mod := ex.Model(done.model)
 		mach.Finish(done.model, mod)
 		now = done.finishMS
-		t.Execute(done.model)
-		out := ex.Output(item, done.model)
+		out, _ := t.Execute(done.model)
 		p.Observe(done.model, out)
-		res.Executed = append(res.Executed, done.model)
-		res.Outputs = append(res.Outputs, out)
+		r.executed = append(r.executed, done.model)
+		r.outputs = append(r.outputs, out)
 		res.TimeMS += mod.TimeMS
+	}
+	r.inFly = inFly
+	if len(r.executed) > 0 {
+		res.Executed, res.Outputs = slices.Clone(r.executed), slices.Clone(r.outputs)
 	}
 	res.MakespanMS = now
 	res.Recall = t.Recall()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"ams/internal/labels"
@@ -26,11 +27,10 @@ func (p *seqPolicy) Next(t *oracle.Tracker, _ Constraints) int {
 	if p.stopAfter > 0 && t.ExecutedCount() >= p.stopAfter {
 		return -1
 	}
-	un := t.Unexecuted()
-	if len(un) == 0 {
-		return -1
+	for m := range t.Unexecuted() {
+		return m
 	}
-	return un[0]
+	return -1
 }
 func (p *seqPolicy) Observe(int, zoo.Output) {}
 
@@ -40,7 +40,7 @@ type seqDeadline struct{}
 func (seqDeadline) Name() string { return "seq-deadline" }
 func (seqDeadline) Reset(int)    {}
 func (seqDeadline) Next(t *oracle.Tracker, c Constraints) int {
-	for _, m := range t.Unexecuted() {
+	for m := range t.Unexecuted() {
 		if c.AllowsTime(store.Zoo.Models[m].TimeMS) {
 			return m
 		}
@@ -55,7 +55,7 @@ type greedyPacker struct{}
 func (*greedyPacker) Name() string { return "greedy" }
 func (*greedyPacker) Reset(int)    {}
 func (*greedyPacker) Next(t *oracle.Tracker, c Constraints) int {
-	for _, m := range t.Candidates() {
+	for m := range t.Candidates() {
 		if c.Allows(store.Zoo.Models[m]) {
 			return m
 		}
@@ -177,6 +177,46 @@ func TestParallelCompletionOrderIsByFinishTime(t *testing.T) {
 		b := z.Models[res.Executed[i]].TimeMS
 		if a > b {
 			t.Fatalf("completion order violates finish times at %d: %v > %v", i, a, b)
+		}
+	}
+}
+
+// countingExecutor counts the Output calls per model on the store it
+// wraps — on an external item each is a round trip through its memo's
+// mutex.
+type countingExecutor struct {
+	*oracle.Store
+	reads []int
+}
+
+func (c *countingExecutor) Output(i, m int) zoo.Output {
+	c.reads[m]++
+	return c.Store.Output(i, m)
+}
+
+// TestExecuteReadsEachOutputOnce: the executor reveals a committed
+// model's output to the labeling state, the policy and the result from
+// one read, serial or overlapped, and never reads a model it did not
+// commit.
+func TestExecuteReadsEachOutputOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(oracle.Executor) Result
+	}{
+		{"serial", func(ex oracle.Executor) Result { return RunDeadline(ex, 2, seqDeadline{}, 600) }},
+		{"parallel", func(ex oracle.Executor) Result { return RunParallel(ex, 2, &greedyPacker{}, 600, 8000) }},
+	} {
+		ex := &countingExecutor{Store: store, reads: make([]int, store.NumModels())}
+		res := tc.run(ex)
+		if len(res.Executed) < 2 {
+			t.Fatalf("%s: schedule too short to check: %v", tc.name, res.Executed)
+		}
+		want := make([]int, store.NumModels())
+		for _, m := range res.Executed {
+			want[m] = 1
+		}
+		if !slices.Equal(ex.reads, want) {
+			t.Errorf("%s: Output reads per model %v, want %v (one per committed model)", tc.name, ex.reads, want)
 		}
 	}
 }

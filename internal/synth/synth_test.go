@@ -74,7 +74,7 @@ func TestSceneInvariants(t *testing.T) {
 
 func vocabTask(t *testing.T, id int) labels.Task {
 	t.Helper()
-	if id < 0 || id >= vocab.Len() {
+	if id < 0 || id >= labels.Total {
 		t.Fatalf("label id %d out of range", id)
 	}
 	return vocab.Label(id).Task

@@ -58,7 +58,6 @@
 package vtime
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 )
@@ -70,25 +69,57 @@ type waiter struct {
 	fn  func()
 }
 
-// waiterHeap orders waiters by deadline, then insertion order.
-type waiterHeap []*waiter
+// waiterHeap is a binary min-heap of waiters by value, ordered by
+// deadline, then insertion order. Holding values, not pointers, is what
+// lets At allocate nothing once the slice has grown.
+type waiterHeap []waiter
 
-func (h waiterHeap) Len() int { return len(h) }
-func (h waiterHeap) Less(i, j int) bool {
+func (h waiterHeap) less(i, j int) bool {
 	if !h[i].at.Equal(h[j].at) {
 		return h[i].at.Before(h[j].at)
 	}
 	return h[i].seq < h[j].seq
 }
-func (h waiterHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *waiterHeap) Push(x any)   { *h = append(*h, x.(*waiter)) }
-func (h *waiterHeap) Pop() any {
-	old := *h
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return w
+
+// push adds w and sifts it up to its place.
+func (h *waiterHeap) push(w waiter) {
+	*h = append(*h, w)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest waiter: the last one takes the
+// root and sifts down. The vacated slot is zeroed so it does not pin a
+// callback until it is reused.
+func (h *waiterHeap) pop() waiter {
+	q := *h
+	top, n := q[0], len(q)-1
+	q[0] = q[n]
+	q[n] = waiter{}
+	q = q[:n]
+	for i := 0; ; {
+		least, l := i, 2*i+1
+		if l < n && q.less(l, least) {
+			least = l
+		}
+		if r := l + 1; r < n && q.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
 }
 
 // Wheel is a shared timer: many concurrent sleepers, one dispatcher
@@ -141,7 +172,7 @@ func (w *Wheel) At(deadline time.Time, fn func()) {
 		w.mu.Unlock()
 		return
 	}
-	heap.Push(&w.waiters, &waiter{at: deadline, seq: w.seq, fn: fn})
+	w.waiters.push(waiter{at: deadline, seq: w.seq, fn: fn})
 	w.seq++
 	w.mu.Unlock()
 	select {
@@ -229,7 +260,7 @@ func (w *Wheel) dispatch() {
 		}
 		now := time.Now()
 		for len(w.waiters) > 0 && !w.waiters[0].at.After(now) {
-			due = append(due, heap.Pop(&w.waiters).(*waiter).fn)
+			due = append(due, w.waiters.pop().fn)
 		}
 		wait := time.Duration(-1)
 		if len(w.waiters) > 0 {

@@ -100,6 +100,42 @@ func TestAfterFuncOrdering(t *testing.T) {
 	}
 }
 
+// TestWaiterHeapOrder drives the hand-written heap directly: waiters
+// pushed in a scrambled order, many sharing an instant, with pops
+// interleaved, each pop returns the least pending waiter by deadline and
+// then insertion order.
+func TestWaiterHeapOrder(t *testing.T) {
+	base := time.Unix(0, 0)
+	var h, pending waiterHeap // the heap, and the same waiters unordered
+	pop := func() {
+		m := 0
+		for j := range pending {
+			if pending.less(j, m) {
+				m = j
+			}
+		}
+		if got := h.pop(); got.at != pending[m].at || got.seq != pending[m].seq {
+			t.Fatalf("pop returned deadline %v seq %d, want deadline %v seq %d",
+				got.at.Sub(base), got.seq, pending[m].at.Sub(base), pending[m].seq)
+		}
+		pending = append(pending[:m], pending[m+1:]...)
+	}
+	for i := range 200 {
+		w := waiter{at: base.Add(time.Duration((i * 37) % 23)), seq: uint64(i)}
+		h.push(w)
+		pending = append(pending, w)
+		if i%3 == 2 {
+			pop()
+		}
+	}
+	for len(pending) > 0 {
+		pop()
+	}
+	if len(h) != 0 {
+		t.Fatalf("%d waiters left in the heap", len(h))
+	}
+}
+
 func TestStopDropsPending(t *testing.T) {
 	w := NewWheel()
 	var fired atomic.Bool
@@ -137,10 +173,12 @@ func TestAtPastDeadlineFiresOnDispatcher(t *testing.T) {
 }
 
 // TestSleepAllocations pins what one Sleep costs the whole process,
-// dispatcher included: the done channel, the callback closure and the
-// waiter. The dispatcher's own waits allocate nothing: a precise wait
-// takes slices, however many, and the runtime-timer ranges (below
-// preciseFloor, beyond preciseLead) re-arm the wheel's one timer.
+// dispatcher included: the done channel and the callback closure. The
+// waiter is a value in the heap, and the dispatcher's own waits allocate
+// nothing: a precise wait takes slices, however many, and the
+// runtime-timer ranges (below preciseFloor, beyond preciseLead) re-arm
+// the wheel's one timer. So At with a callback built once allocates
+// nothing at all once the heap has grown.
 func TestSleepAllocations(t *testing.T) {
 	w := NewWheel()
 	defer w.Stop()
@@ -148,13 +186,23 @@ func TestSleepAllocations(t *testing.T) {
 		d    time.Duration
 		want float64
 	}{
-		{2 * preciseLead, 3},  // runtime timer, then slices
-		{preciseFloor / 2, 3}, // runtime timer alone
-		{preciseSlice / 2, 3}, // one slice
-		{4 * preciseSlice, 3}, // several slices
+		{2 * preciseLead, 2},  // runtime timer, then slices
+		{preciseFloor / 2, 2}, // runtime timer alone
+		{preciseSlice / 2, 2}, // one slice
+		{4 * preciseSlice, 2}, // several slices
 	} {
 		if got := testing.AllocsPerRun(20, func() { w.Sleep(tc.d) }); got > tc.want {
 			t.Errorf("Sleep(%v) allocates %v times, want at most %v", tc.d, got, tc.want)
 		}
+	}
+	fired := make(chan struct{}, 1)
+	fire := func() { fired <- struct{}{} }
+	at := func() {
+		w.At(time.Now().Add(preciseFloor), fire)
+		<-fired
+	}
+	at() // the heap grows to its one slot here
+	if got := testing.AllocsPerRun(20, at); got != 0 {
+		t.Errorf("At with a prebuilt callback allocates %v times, want 0", got)
 	}
 }

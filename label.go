@@ -3,6 +3,7 @@ package ams
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"ams/internal/core"
 	"ams/internal/oracle"
@@ -185,7 +186,11 @@ func (s *System) buildResult(ex oracle.Executor, item Item, res sim.Result) *Res
 // assembleResult reduces an executed schedule — model names and their
 // outputs, by value — to the public Result: labels deduplicated at their
 // best confidence, in first-emission order. It is the shared tail of
-// the library (buildResult), server and corpus-recovery paths.
+// the library (buildResult), server and corpus-recovery paths. It adopts
+// modelNames as ModelsRun, so every caller passes a slice of its own.
+// The label IDs are deduplicated by a scan over stack buffers, and
+// Labels is allocated once at its size: besides what it adopts, a Result
+// costs two allocations.
 func (s *System) assembleResult(item Item, modelNames []string, outputs []zoo.Output, timeMS, recall float64, hasRecall bool) *Result {
 	out := &Result{
 		Image:     item.image,
@@ -197,27 +202,33 @@ func (s *System) assembleResult(item Item, modelNames []string, outputs []zoo.Ou
 	if item.ext != nil {
 		out.Image = -1
 	}
-	seen := map[int]float64{}
-	var order []int
-	for i, name := range modelNames {
-		out.ModelsRun = append(out.ModelsRun, name)
+	if len(modelNames) > 0 {
+		out.ModelsRun = modelNames
+	}
+	var idBuf [64]int
+	var confBuf [64]float64
+	ids, confs := idBuf[:0], confBuf[:0]
+	for i := range modelNames {
 		for _, lc := range outputs[i].Labels {
-			if prev, ok := seen[lc.ID]; !ok {
-				seen[lc.ID] = lc.Conf
-				order = append(order, lc.ID)
-			} else if lc.Conf > prev {
-				seen[lc.ID] = lc.Conf
+			if j := slices.Index(ids, lc.ID); j < 0 {
+				ids = append(ids, lc.ID)
+				confs = append(confs, lc.Conf)
+			} else if lc.Conf > confs[j] {
+				confs[j] = lc.Conf
 			}
 		}
 	}
-	for _, id := range order {
+	if len(ids) > 0 {
+		out.Labels = make([]OutputLabel, len(ids))
+	}
+	for j, id := range ids {
 		l := s.Vocabulary.Label(id)
-		out.Labels = append(out.Labels, OutputLabel{
+		out.Labels[j] = OutputLabel{
 			Name:       l.Name,
 			Task:       l.Task.String(),
-			Confidence: seen[id],
-			Valuable:   seen[id] >= ValuableThreshold,
-		})
+			Confidence: confs[j],
+			Valuable:   confs[j] >= ValuableThreshold,
+		}
 	}
 	return out
 }

@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -344,29 +342,15 @@ func TestTelemetryCorpusViews(t *testing.T) {
 // TestTelemetryAllocationOverhead bounds what Telemetry: true may cost an
 // item in heap allocations — a count, which a loaded host cannot blur the
 // way it blurs the wall-clock ratio of an instrumented and an
-// uninstrumented benchmark. runtime.MemStats counts the whole process, so
-// both servers are built and warmed first and then measured in
-// interleaved rounds over the same items, keeping each mode's minimum:
-// a stray allocation (a GC cycle, a pump goroutine) can only add to a
-// round, never subtract. Measured: 6.01 extra allocations per item (the
-// trace record and its span slice; 65.21 → 71.22 under Algorithm 1),
-// the same two figures on each of 20 runs — 10 plain, 5 under -race, 5
-// beside another go test process; the bound leaves room for two more,
-// not for a second record per item.
+// uninstrumented benchmark — measured by leastAllocsPerItem over the two
+// servers in interleaved rounds. Measured: 6.01 extra allocations per
+// item (the trace record and its span slice; 8.00 → 14.01 under
+// Algorithm 1, where it was 65.21 → 71.22 before the serving worker
+// reused its per-item state); the bound leaves room for two more, not
+// for a second record per item.
 func TestTelemetryAllocationOverhead(t *testing.T) {
-	const rounds, perRound, bound = 5, 100, 8
+	const bound = 8
 	var srvs [2]*Server // telemetry off, on
-	serve := func(srv *Server, n int) {
-		for i := 0; i < n; i++ {
-			tk, err := srv.SubmitWait(bg, testSys.TestItem(i%testSys.NumTestImages()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := tk.Wait(bg); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	for i := range srvs {
 		var err error
 		srvs[i], err = testSys.NewServer(testAgent, ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e-6, Telemetry: i == 1})
@@ -374,18 +358,8 @@ func TestTelemetryAllocationOverhead(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer srvs[i].Close()
-		serve(srvs[i], testSys.NumTestImages()) // warm: rings, histograms and buffers reach their size
 	}
-	least := [2]float64{math.Inf(1), math.Inf(1)}
-	for r := 0; r < rounds; r++ {
-		for i, srv := range srvs {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			serve(srv, perRound)
-			runtime.ReadMemStats(&after)
-			least[i] = min(least[i], float64(after.Mallocs-before.Mallocs)/perRound)
-		}
-	}
+	least := leastAllocsPerItem(t, srvs[:]...)
 	t.Logf("allocations per item: %.2f without telemetry, %.2f with", least[0], least[1])
 	if extra := least[1] - least[0]; extra > bound {
 		t.Fatalf("Telemetry costs %.2f allocations per item (%.2f → %.2f), bound %d", extra, least[0], least[1], bound)

@@ -274,7 +274,9 @@ type Server struct {
 	// resBuf, which one pump goroutine drains onto res (see Results).
 	resMu      sync.Mutex
 	resCond    *sync.Cond         // signals the pump: a publish, or the end
-	resBuf     []serve.ItemResult // undelivered, oldest first, at most resWindow
+	resBuf     []serve.ItemResult // ring of undelivered results, grown on demand up to resWindow
+	resHead    int                // the oldest undelivered result's slot
+	resLen     int                // undelivered results, at most resWindow
 	resWindow  int
 	resDropped atomic.Int64
 	resEnd     bool         // the shards have drained; nothing more arrives
@@ -829,19 +831,38 @@ func (sv *Server) Results() <-chan *Result {
 // publish is every shard's completion hook: it buffers the result for
 // the subscriber, if there is one, shedding the oldest entry once the
 // consumer is a full stats window behind — an abandoned subscription
-// then cannot retain every completion for the server's lifetime.
+// then cannot retain every completion for the server's lifetime. The
+// buffer is a ring, so a steady stream reuses its slots.
 func (sv *Server) publish(ir serve.ItemResult) {
 	sv.resMu.Lock()
 	defer sv.resMu.Unlock()
 	if sv.res == nil {
 		return
 	}
-	if len(sv.resBuf) >= sv.resWindow {
-		sv.resBuf = sv.resBuf[1:]
+	if sv.resLen >= sv.resWindow {
+		sv.popResult()
 		sv.resDropped.Add(1)
 	}
-	sv.resBuf = append(sv.resBuf, ir)
+	if sv.resLen == len(sv.resBuf) {
+		// Full below the window: grow, unrolling the ring oldest first.
+		grown := make([]serve.ItemResult, min(max(2*len(sv.resBuf), 16), sv.resWindow))
+		n := copy(grown, sv.resBuf[sv.resHead:])
+		copy(grown[n:], sv.resBuf[:sv.resHead])
+		sv.resBuf, sv.resHead = grown, 0
+	}
+	sv.resBuf[(sv.resHead+sv.resLen)%len(sv.resBuf)] = ir
+	sv.resLen++
 	sv.resCond.Signal()
+}
+
+// popResult takes the oldest buffered result out of the ring, clearing
+// its slot so the ring does not retain it. The caller holds resMu.
+func (sv *Server) popResult() serve.ItemResult {
+	ir := sv.resBuf[sv.resHead]
+	sv.resBuf[sv.resHead] = serve.ItemResult{}
+	sv.resHead = (sv.resHead + 1) % len(sv.resBuf)
+	sv.resLen--
+	return ir
 }
 
 // pumpResults delivers buffered results one at a time — everything not
@@ -851,16 +872,15 @@ func (sv *Server) publish(ir serve.ItemResult) {
 func (sv *Server) pumpResults() {
 	for {
 		sv.resMu.Lock()
-		for len(sv.resBuf) == 0 && !sv.resEnd {
+		for sv.resLen == 0 && !sv.resEnd {
 			sv.resCond.Wait()
 		}
-		if len(sv.resBuf) == 0 {
+		if sv.resLen == 0 {
 			sv.resMu.Unlock()
 			close(sv.res)
 			return
 		}
-		ir := sv.resBuf[0]
-		sv.resBuf = sv.resBuf[1:]
+		ir := sv.popResult()
 		sv.resMu.Unlock()
 		// An ingested item's Image is already -1: no test-split index.
 		sv.res <- sv.sys.serveResult(Item{id: ir.Tag, image: ir.Image, valid: true}, ir)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -226,5 +227,75 @@ func TestServerQueueFullSurfacesBackpressure(t *testing.T) {
 	}
 	if srv.Stats().Rejected == 0 {
 		t.Fatal("rejected counter not incremented")
+	}
+}
+
+// leastAllocsPerItem measures heap allocations per served item on each
+// server: runtime.MemStats counts the whole process, so the servers are
+// warmed first and then measured in interleaved rounds over the same
+// items, keeping each server's minimum — a stray allocation (a GC cycle,
+// a pump goroutine) can only add to a round, never subtract.
+func leastAllocsPerItem(t *testing.T, srvs ...*Server) []float64 {
+	t.Helper()
+	const rounds, perRound = 5, 100
+	serve := func(srv *Server, n int) {
+		for i := 0; i < n; i++ {
+			tk, err := srv.SubmitWait(bg, testSys.TestItem(i%testSys.NumTestImages()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tk.Wait(bg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	least := make([]float64, len(srvs))
+	for i, srv := range srvs {
+		serve(srv, testSys.NumTestImages()) // warm: rings, histograms and buffers reach their size
+		least[i] = math.Inf(1)
+	}
+	for r := 0; r < rounds; r++ {
+		for i, srv := range srvs {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			serve(srv, perRound)
+			runtime.ReadMemStats(&after)
+			least[i] = min(least[i], float64(after.Mallocs-before.Mallocs)/perRound)
+		}
+	}
+	return least
+}
+
+// TestServeAllocationBudget pins what serving an oracle-backed item
+// costs in steady state: the worker keeps its labeling state, its
+// executed-model and output scratch and its execution wake-ups from item
+// to item, and the wheel holds its waiters by value, so what is left is
+// what the caller receives. Per item, measured at 8.00 (Algorithm 1) and
+// 8.14 (Algorithm 2): the serve.Ticket and its Done channel, the
+// ServeTicket wrapping it (Submit returns all three to the caller), the
+// schedule's Executed and Outputs copies (the ItemResult owns them once
+// the worker moves on), and Wait's model-name slice, *Result and Labels.
+// The fraction is the items whose schedules emit more than 64 distinct
+// labels, whose deduplication outgrows its stack buffers. The bound
+// leaves room for runtime noise, not for another per-item copy.
+func TestServeAllocationBudget(t *testing.T) {
+	const bound = 10
+	for _, tc := range []struct {
+		name string
+		cfg  ServeConfig
+	}{
+		{"algorithm1", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e-6}},
+		{"algorithm2", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e-6, Policy: PolicyAlgorithm2, MemoryGB: 8}},
+	} {
+		srv, err := testSys.NewServer(testAgent, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := leastAllocsPerItem(t, srv)[0]
+		srv.Close()
+		t.Logf("%s: %.2f allocations per item", tc.name, got)
+		if got > bound {
+			t.Errorf("%s: serving an item allocates %.2f times, bound %d", tc.name, got, bound)
+		}
 	}
 }
