@@ -54,14 +54,35 @@ func goldenSchedules(l *Lab) string {
 				np.name, i, r.Executed, r.Recall, r.MakespanMS, r.PeakMemMB)
 		}
 	}
+	b.WriteString("optimal* bounds, first 8 MSCOCO test items\n")
+	for i := 0; i < 8 && i < st.NumScenes(); i++ {
+		for _, d := range []float64{250, 500, 1000, 2000} {
+			fmt.Fprintf(&b, "item %d deadline %vms: %.17g\n", i, d, sched.OptimalStarDeadline(st, i, d))
+		}
+		for _, mem := range []float64{8 * 1024, 16 * 1024} {
+			for _, d := range []float64{400, 800} {
+				fmt.Fprintf(&b, "item %d deadline %vms memory %vMB: %.17g\n",
+					i, d, mem, sched.OptimalStarMemory(st, i, d, mem))
+			}
+		}
+	}
+	for _, cfg := range []sched.ExploreExploitConfig{{ChunkLen: 5, ExploreN: 1}, {ChunkLen: 7, ExploreN: 3}} {
+		fmt.Fprintf(&b, "explore-exploit schedules (chunk %d, explore %d), first two chunks of MSCOCO test\n",
+			cfg.ChunkLen, cfg.ExploreN)
+		rs := sched.RunExploreExploit(st, cfg)
+		for i := 0; i < 2*cfg.ChunkLen && i < len(rs); i++ {
+			fmt.Fprintf(&b, "item %d: %v time %v recall %.17g\n", i, rs[i].Executed, rs[i].TimeMS, rs[i].Recall)
+		}
+	}
 	return b.String()
 }
 
 // TestGoldenFigures pins the text of every deterministic figure the
 // scheduling policies feed — Fig. 6 (Rule), Fig. 10 (Cost-Q Greedy,
 // Q-Greedy, Random), Fig. 11 (MemoryPacker, RandomPacker), the headline
-// and the graph extension — plus raw parallel schedules, at microConfig
-// scale. Table III times the wall clock and stays out.
+// and the graph extension — plus raw parallel schedules, the exact
+// optimal* bounds and explore–exploit schedules, and Fig. 12, at
+// microConfig scale. Table III times the wall clock and stays out.
 // Regenerate with `go test ./internal/experiments -run TestGoldenFigures
 // -update` only when a figure is meant to move.
 func TestGoldenFigures(t *testing.T) {
@@ -69,15 +90,28 @@ func TestGoldenFigures(t *testing.T) {
 	var b strings.Builder
 	fig6 := l.Fig6()
 	b.WriteString(fig6.FormatCounts() + "\n" + fig6.FormatTimes() + "\n")
-	for _, r := range l.Fig10() {
+	fig10, fig11 := l.Fig10(), l.Fig11()
+	for _, r := range fig10 {
 		b.WriteString(r.Format() + "\n")
 	}
-	for _, r := range l.Fig11() {
+	for _, r := range fig11 {
 		b.WriteString(r.Format() + "\n")
 	}
 	b.WriteString(l.Headline().Format() + "\n")
 	b.WriteString(l.ExtGraph().Format() + "\n")
 	b.WriteString(goldenSchedules(l))
+	fig12 := l.Fig12()
+	b.WriteString(fig12.Format())
+	// The formatted figures round to two decimals; the recall curves are
+	// also pinned exactly.
+	b.WriteString("exact recall curves\n")
+	for _, r := range fig10 {
+		fmt.Fprintf(&b, "Fig. 10 %s: recall %.17g ratio %.17g\n", r.Dataset, r.Recall, r.PerfRatio)
+	}
+	for _, r := range fig11 {
+		fmt.Fprintf(&b, "Fig. 11 %vGB: recall %.17g ratio %.17g\n", r.MemGB, r.Recall, r.PerfRatio)
+	}
+	fmt.Fprintf(&b, "Fig. 12: recall %.17g\n", fig12.Recall)
 	got := b.String()
 
 	path := filepath.Join("testdata", "figures.golden")
