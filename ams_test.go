@@ -2,6 +2,7 @@ package ams
 
 import (
 	"context"
+	"math"
 	"testing"
 )
 
@@ -137,6 +138,21 @@ func TestLabelValidation(t *testing.T) {
 	}
 	if _, err := testSys.Label(bg, testAgent, testSys.TestItem(testSys.NumTestImages()), Budget{}); err == nil {
 		t.Fatal("out-of-range image accepted")
+	}
+	// Zero is the one way to say "no budget": a non-finite one is an
+	// error, not silently none.
+	for _, b := range []Budget{
+		{DeadlineSec: math.NaN()},
+		{DeadlineSec: math.Inf(1)},
+		{DeadlineSec: 0.3, MemoryGB: math.NaN()},
+		{DeadlineSec: 0.3, MemoryGB: math.Inf(1)},
+	} {
+		if _, err := testSys.Label(bg, testAgent, testSys.TestItem(0), b); err == nil {
+			t.Errorf("Label accepted budget %+v", b)
+		}
+		if _, err := testSys.OptimalStarRecall(0, b); err == nil {
+			t.Errorf("OptimalStarRecall accepted budget %+v", b)
+		}
 	}
 }
 

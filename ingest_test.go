@@ -737,3 +737,12 @@ func waitGoroutines(t *testing.T, when string, limit int) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestGenerateItemsNonPositiveCount: asking for no items yields none.
+func TestGenerateItemsNonPositiveCount(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		if items := testSys.GenerateItems(n, 1); len(items) != 0 {
+			t.Fatalf("GenerateItems(%d) returned %d items", n, len(items))
+		}
+	}
+}

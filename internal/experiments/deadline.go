@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"ams/internal/metrics"
+	"ams/internal/oracle"
 	"ams/internal/rl"
 	"ams/internal/sched"
 	"ams/internal/sim"
@@ -23,51 +24,72 @@ type DeadlineResult struct {
 	PerfRatio    []float64   // Cost-Q / Optimal* per deadline
 }
 
+// sceneRun labels one test scene under a deadline in ms and returns its
+// recall.
+type sceneRun func(scene int, deadlineMS float64) float64
+
+// serialRun runs the policy under the deadline (Algorithm 1).
+func serialRun(st *oracle.Store, p sim.Policy) sceneRun {
+	return func(i int, dMS float64) float64 { return sim.RunDeadline(st, i, p, dMS).Recall }
+}
+
+// deadlineBound is the deadline's optimal* reference.
+func deadlineBound(st *oracle.Store) sceneRun {
+	return func(i int, dMS float64) float64 { return sched.OptimalStarDeadline(st, i, dMS) }
+}
+
+// recallCurves averages each run's recall over st's scenes at every
+// deadline, giving [run][deadline]. Within a deadline it evaluates run by
+// run, each over the scenes in order, so a random policy draws in
+// (deadline, scene) order.
+func recallCurves(st *oracle.Store, deadlinesSec []float64, runs ...sceneRun) [][]float64 {
+	recall := make([][]float64, len(runs))
+	for ri := range recall {
+		recall[ri] = make([]float64, len(deadlinesSec))
+	}
+	n := float64(st.NumScenes())
+	for di, dSec := range deadlinesSec {
+		for ri, run := range runs {
+			var sum float64
+			for i := 0; i < st.NumScenes(); i++ {
+				sum += run(i, dSec*1000)
+			}
+			recall[ri][di] = sum / n
+		}
+	}
+	return recall
+}
+
+// perfRatio is a recall curve's ratio to the optimal* curve, deadline by
+// deadline; 1 where optimal* recalls nothing.
+func perfRatio(recall, optimal []float64) []float64 {
+	ratio := make([]float64, len(recall))
+	for i := range ratio {
+		ratio[i] = 1
+		if optimal[i] > 0 {
+			ratio[i] = recall[i] / optimal[i]
+		}
+	}
+	return ratio
+}
+
 // deadlineEval evaluates the three feasible policies plus the optimal*
 // reference on one dataset's test split, using the given agent.
 func (l *Lab) deadlineEval(dataset string, agent sched.Predictor, seedTag string) DeadlineResult {
 	st := l.TestStore(dataset)
 	rng := tensor.NewRNG(l.seedFor("deadline/" + dataset + "/" + seedTag))
-	policies := []struct {
-		name string
-		p    sim.Policy
-	}{
-		{"Q-Greedy", sched.NewQGreedy(agent, l.Zoo)},
-		{"Cost-Q Greedy", sched.NewCostQGreedy(agent, l.Zoo)},
-		{"Random", sched.NewRandom(l.Zoo, rng)},
-	}
-	res := DeadlineResult{
+	recall := recallCurves(st, l.Cfg.DeadlinesSec,
+		serialRun(st, sched.NewQGreedy(agent, l.Zoo)),
+		serialRun(st, sched.NewCostQGreedy(agent, l.Zoo)),
+		serialRun(st, sched.NewRandom(l.Zoo, rng)),
+		deadlineBound(st))
+	return DeadlineResult{
 		Dataset:      dataset,
 		DeadlinesSec: l.Cfg.DeadlinesSec,
 		Policies:     []string{"Q-Greedy", "Cost-Q Greedy", "Random", "Optimal*"},
-		Recall:       make([][]float64, 4),
+		Recall:       recall,
+		PerfRatio:    perfRatio(recall[1], recall[3]),
 	}
-	for i := range res.Recall {
-		res.Recall[i] = make([]float64, len(res.DeadlinesSec))
-	}
-	res.PerfRatio = make([]float64, len(res.DeadlinesSec))
-	n := float64(st.NumScenes())
-	for di, dSec := range res.DeadlinesSec {
-		dMS := dSec * 1000
-		for pi, np := range policies {
-			var sum float64
-			for i := 0; i < st.NumScenes(); i++ {
-				sum += sim.RunDeadline(st, i, np.p, dMS).Recall
-			}
-			res.Recall[pi][di] = sum / n
-		}
-		var optSum float64
-		for i := 0; i < st.NumScenes(); i++ {
-			optSum += sched.OptimalStarDeadline(st, i, dMS)
-		}
-		res.Recall[3][di] = optSum / n
-		if res.Recall[3][di] > 0 {
-			res.PerfRatio[di] = res.Recall[1][di] / res.Recall[3][di]
-		} else {
-			res.PerfRatio[di] = 1
-		}
-	}
-	return res
 }
 
 // Fig10 evaluates deadline scheduling with the DuelingDQN agent on the
@@ -121,32 +143,11 @@ func (l *Lab) Fig12() Fig12Result {
 	for _, ds := range res.Datasets {
 		st := l.TestStore(ds)
 		rng := tensor.NewRNG(l.seedFor("fig12/" + ds))
-		policies := []sim.Policy{
-			sched.NewCostQGreedy(agent1, l.Zoo),
-			sched.NewCostQGreedy(agent2, l.Zoo),
-			sched.NewRandom(l.Zoo, rng),
-		}
-		recall := make([][]float64, 4)
-		for i := range recall {
-			recall[i] = make([]float64, len(res.DeadlinesSec))
-		}
-		n := float64(st.NumScenes())
-		for di, dSec := range res.DeadlinesSec {
-			dMS := dSec * 1000
-			for pi, p := range policies {
-				var sum float64
-				for i := 0; i < st.NumScenes(); i++ {
-					sum += sim.RunDeadline(st, i, p, dMS).Recall
-				}
-				recall[pi][di] = sum / n
-			}
-			var optSum float64
-			for i := 0; i < st.NumScenes(); i++ {
-				optSum += sched.OptimalStarDeadline(st, i, dMS)
-			}
-			recall[3][di] = optSum / n
-		}
-		res.Recall = append(res.Recall, recall)
+		res.Recall = append(res.Recall, recallCurves(st, res.DeadlinesSec,
+			serialRun(st, sched.NewCostQGreedy(agent1, l.Zoo)),
+			serialRun(st, sched.NewCostQGreedy(agent2, l.Zoo)),
+			serialRun(st, sched.NewRandom(l.Zoo, rng)),
+			deadlineBound(st)))
 	}
 	return res
 }

@@ -33,37 +33,19 @@ func (l *Lab) Fig11() []MemoryResult {
 		memMB := memGB * 1024
 		l.logf("fig11: deadline+memory scheduling, %vGB", memGB)
 		rng := tensor.NewRNG(l.seedFor(fmt.Sprintf("fig11/%v", memGB)))
-		res := MemoryResult{
+		packer := sched.NewMemoryPacker(agent, l.Zoo)
+		random := sched.NewRandomPacker(l.Zoo, rng)
+		recall := recallCurves(st, l.Cfg.MemDeadlines,
+			func(i int, dMS float64) float64 { return sim.RunParallel(st, i, packer, dMS, memMB).Recall },
+			func(i int, dMS float64) float64 { return sim.RunParallel(st, i, random, dMS, memMB).Recall },
+			func(i int, dMS float64) float64 { return sched.OptimalStarMemory(st, i, dMS, memMB) })
+		results = append(results, MemoryResult{
 			MemGB:        memGB,
 			DeadlinesSec: l.Cfg.MemDeadlines,
 			Policies:     []string{"Agent", "Random", "Optimal*"},
-			Recall:       make([][]float64, 3),
-			PerfRatio:    make([]float64, len(l.Cfg.MemDeadlines)),
-		}
-		for i := range res.Recall {
-			res.Recall[i] = make([]float64, len(res.DeadlinesSec))
-		}
-		n := float64(st.NumScenes())
-		packer := sched.NewMemoryPacker(agent, l.Zoo)
-		random := sched.NewRandomPacker(l.Zoo, rng)
-		for di, dSec := range res.DeadlinesSec {
-			dMS := dSec * 1000
-			var agentSum, randSum, optSum float64
-			for i := 0; i < st.NumScenes(); i++ {
-				agentSum += sim.RunParallel(st, i, packer, dMS, memMB).Recall
-				randSum += sim.RunParallel(st, i, random, dMS, memMB).Recall
-				optSum += sched.OptimalStarMemory(st, i, dMS, memMB)
-			}
-			res.Recall[0][di] = agentSum / n
-			res.Recall[1][di] = randSum / n
-			res.Recall[2][di] = optSum / n
-			if res.Recall[2][di] > 0 {
-				res.PerfRatio[di] = res.Recall[0][di] / res.Recall[2][di]
-			} else {
-				res.PerfRatio[di] = 1
-			}
-		}
-		results = append(results, res)
+			Recall:       recall,
+			PerfRatio:    perfRatio(recall[0], recall[2]),
+		})
 	}
 	return results
 }

@@ -99,16 +99,10 @@ type trajPoint struct {
 	recall    float64
 }
 
-// runAll runs the policy serially on one scene with no budgets, until it
-// declines or every model has run.
-func runAll(st *oracle.Store, scene int, p sim.Policy) sim.Result {
-	return sim.Execute(sim.NewVirtual(0), st, scene, p, sim.Limits{DeadlineMS: math.Inf(1), InFlight: 1})
-}
-
 // trajectory runs the policy to exhaustion on one scene and replays the
 // schedule for the cumulative (time, recall) after every execution.
 func trajectory(st *oracle.Store, scene int, p sim.Policy) []trajPoint {
-	executed := runAll(st, scene, p).Executed
+	executed := sim.RunDeadline(st, scene, p, math.Inf(1)).Executed
 	t := oracle.NewTracker(st, scene)
 	pts := make([]trajPoint, 0, len(executed))
 	var cum float64
@@ -451,7 +445,7 @@ func (l *Lab) Fig9() Fig9Result {
 			policy := sched.NewQGreedy(agent, l.Zoo)
 			var orderSum, timeSum float64
 			for i := 0; i < st.NumScenes(); i++ {
-				orderSum += float64(position(runAll(st, i, policy).Executed, faceModel.ID))
+				orderSum += float64(position(sim.RunDeadline(st, i, policy, math.Inf(1)).Executed, faceModel.ID))
 				_, tm := metricsAt(trajectory(st, i, policy), 1.0)
 				timeSum += tm / 1000
 			}
@@ -468,7 +462,7 @@ func (l *Lab) Fig9() Fig9Result {
 	random := sched.NewRandom(l.Zoo, rng)
 	var orderSum, timeSum float64
 	for i := 0; i < st.NumScenes(); i++ {
-		orderSum += float64(position(runAll(st, i, random).Executed, faceModel.ID))
+		orderSum += float64(position(sim.RunDeadline(st, i, random, math.Inf(1)).Executed, faceModel.ID))
 		_, tm := metricsAt(trajectory(st, i, random), 1.0)
 		timeSum += tm / 1000
 	}

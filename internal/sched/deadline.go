@@ -72,45 +72,7 @@ func (p *CostQGreedy) Observe(int, zoo.Output) {}
 // reference bound rather than a provable one — a feasible policy can
 // exceed it by a hair on rare scenes. Returned as a recall rate.
 func OptimalStarDeadline(st *oracle.Store, scene int, deadlineMS float64) float64 {
-	total := st.TotalValue(scene)
-	if total <= 0 {
-		return 1
-	}
-	t := oracle.NewTracker(st, scene)
-	remaining := deadlineMS
-	var value float64
-	for remaining > 0 && t.ExecutedCount() < st.NumModels() {
-		best, bestDensity := -1, 0.0
-		for m := range t.Unexecuted() {
-			mv := t.MarginalValue(m)
-			if mv <= 0 {
-				continue
-			}
-			d := mv / st.Zoo.Models[m].TimeMS
-			if best < 0 || d > bestDensity {
-				best, bestDensity = m, d
-			}
-		}
-		if best < 0 {
-			break
-		}
-		mt := st.Zoo.Models[best].TimeMS
-		mv := t.MarginalValue(best)
-		if mt <= remaining {
-			value += mv
-			remaining -= mt
-			t.Execute(best)
-			continue
-		}
-		// Fractional tail: the relaxation credits the proportional value.
-		value += mv * remaining / mt
-		break
-	}
-	r := value / total
-	if r > 1 {
-		r = 1
-	}
-	return r
+	return optimalStar(st, scene, deadlineMS, func(m *zoo.Model) float64 { return m.TimeMS })
 }
 
 // OptimalStarMemory computes the relaxed optimal* value under joint
@@ -119,44 +81,42 @@ func OptimalStarDeadline(st *oracle.Store, scene int, deadlineMS float64) float6
 // fractional greedy over marginal-value/(time*mem) density bounded by that
 // area upper-bounds every feasible policy. Returned as a recall rate.
 func OptimalStarMemory(st *oracle.Store, scene int, deadlineMS, memMB float64) float64 {
+	return optimalStar(st, scene, deadlineMS*memMB, func(m *zoo.Model) float64 { return m.TimeMS * m.MemMB })
+}
+
+// optimalStar is the fractional greedy both bounds run: repeatedly take
+// the model with the maximal marginal-value/cost density while its cost
+// fits the remaining budget; the first model that does not fit adds the
+// fraction of its marginal value the remaining budget covers.
+func optimalStar(st *oracle.Store, scene int, budget float64, cost func(*zoo.Model) float64) float64 {
 	total := st.TotalValue(scene)
 	if total <= 0 {
 		return 1
 	}
-	area := deadlineMS * memMB
 	t := oracle.NewTracker(st, scene)
 	var value float64
-	for area > 0 && t.ExecutedCount() < st.NumModels() {
+	for budget > 0 && t.ExecutedCount() < st.NumModels() {
 		best, bestDensity := -1, 0.0
 		for m := range t.Unexecuted() {
 			mv := t.MarginalValue(m)
 			if mv <= 0 {
 				continue
 			}
-			mod := st.Zoo.Models[m]
-			d := mv / (mod.TimeMS * mod.MemMB)
-			if best < 0 || d > bestDensity {
+			if d := mv / cost(st.Zoo.Models[m]); best < 0 || d > bestDensity {
 				best, bestDensity = m, d
 			}
 		}
 		if best < 0 {
 			break
 		}
-		mod := st.Zoo.Models[best]
-		need := mod.TimeMS * mod.MemMB
-		mv := t.MarginalValue(best)
-		if need <= area {
-			value += mv
-			area -= need
-			t.Execute(best)
-			continue
+		c, mv := cost(st.Zoo.Models[best]), t.MarginalValue(best)
+		if c > budget {
+			value += mv * budget / c
+			break
 		}
-		value += mv * area / need
-		break
+		value += mv
+		budget -= c
+		t.Execute(best)
 	}
-	r := value / total
-	if r > 1 {
-		r = 1
-	}
-	return r
+	return min(value/total, 1)
 }

@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"math"
+
 	"ams/internal/oracle"
 	"ams/internal/sim"
+	"ams/internal/zoo"
 )
 
 // ExploreExploitConfig tunes the chunked-stream policy sketched in the
@@ -14,10 +17,11 @@ type ExploreExploitConfig struct {
 	ExploreN int // items fully explored at the head of each chunk
 }
 
-// RunExploreExploit runs the explore–exploit policy over a chunked scene
-// stream, returning one result per image. During exploration every model
-// runs; the union of models that produced valuable output becomes the
-// exploitation subset for the rest of the chunk.
+// RunExploreExploit runs the explore–exploit policy serially over a
+// chunked scene stream, returning one result per image. During
+// exploration every model runs; the union of models that produced
+// valuable output becomes the exploitation subset for the rest of the
+// chunk.
 func RunExploreExploit(st *oracle.Store, cfg ExploreExploitConfig) []sim.Result {
 	if cfg.ChunkLen <= 0 {
 		panic("sched: explore-exploit chunk length must be positive")
@@ -25,45 +29,48 @@ func RunExploreExploit(st *oracle.Store, cfg ExploreExploitConfig) []sim.Result 
 	if cfg.ExploreN <= 0 || cfg.ExploreN > cfg.ChunkLen {
 		panic("sched: explore count must be in [1, chunk length]")
 	}
-	results := make([]sim.Result, 0, st.NumScenes())
-	var subset []int
-	for i := 0; i < st.NumScenes(); i++ {
-		pos := i % cfg.ChunkLen
-		if pos == 0 {
-			subset = nil
-		}
-		t := oracle.NewTracker(st, i)
-		var res sim.Result
-		if pos < cfg.ExploreN {
-			// Explore: run everything, remember who was valuable.
-			valuable := map[int]bool{}
-			for _, m := range subset {
-				valuable[m] = true
-			}
-			for m := 0; m < st.NumModels(); m++ {
-				t.Execute(m)
-				res.Executed = append(res.Executed, m)
-				res.TimeMS += st.Zoo.Models[m].TimeMS
-				if st.ModelValue(i, m) > 0 {
-					valuable[m] = true
-				}
-			}
-			subset = subset[:0]
-			for m := 0; m < st.NumModels(); m++ {
-				if valuable[m] {
-					subset = append(subset, m)
-				}
-			}
-		} else {
-			// Exploit the discovered subset.
-			for _, m := range subset {
-				t.Execute(m)
-				res.Executed = append(res.Executed, m)
-				res.TimeMS += st.Zoo.Models[m].TimeMS
-			}
-		}
-		res.Recall = t.Recall()
-		results = append(results, res)
+	p := &exploreExploit{st: st, cfg: cfg, valuable: make([]bool, st.NumModels())}
+	results := make([]sim.Result, st.NumScenes())
+	for i := range results {
+		results[i] = sim.RunDeadline(st, i, p, math.Inf(1))
 	}
 	return results
+}
+
+// exploreExploit is the explore–exploit policy. Scenes must arrive in
+// stream order: a chunk's valuable set accumulates over its explored
+// items and is cleared at the next chunk's head.
+type exploreExploit struct {
+	st       *oracle.Store
+	cfg      ExploreExploitConfig
+	scene    int
+	explore  bool
+	valuable []bool // models valuable on an explored item of this chunk
+}
+
+func (p *exploreExploit) Name() string { return "Explore-Exploit" }
+
+func (p *exploreExploit) Reset(scene int) {
+	pos := scene % p.cfg.ChunkLen
+	if pos == 0 {
+		clear(p.valuable)
+	}
+	p.scene, p.explore = scene, pos < p.cfg.ExploreN
+}
+
+// Next runs every model, in index order, while exploring, and only the
+// chunk's valuable ones while exploiting.
+func (p *exploreExploit) Next(t *oracle.Tracker, _ sim.Constraints) int {
+	for m := range t.Candidates() {
+		if p.explore || p.valuable[m] {
+			return m
+		}
+	}
+	return -1
+}
+
+func (p *exploreExploit) Observe(m int, _ zoo.Output) {
+	if p.explore && p.st.ModelValue(p.scene, m) > 0 {
+		p.valuable[m] = true
+	}
 }

@@ -10,7 +10,11 @@
 // in flight — plus the sim.Constraints in force (remaining time,
 // available memory) and returns one model, so the same implementation
 // runs under every limit of the one executor (sim.Execute): unconstrained,
-// deadline, and deadline+memory with overlapping launches.
+// deadline, and deadline+memory with overlapping launches. The
+// explore–exploit policy is one too: RunExploreExploit runs it on that
+// executor with no deadline. The two optimal* bounds are one fractional
+// greedy over two costs — time within the deadline, time x memory within
+// the deadline x memory area — and are computed, not scheduled.
 package sched
 
 import (

@@ -292,41 +292,53 @@ type Server struct {
 	rejected  int64
 }
 
-// New validates the configuration and starts the worker pool.
-func New(ex oracle.Executor, factory service.PolicyFactory, cfg Config) (*Server, error) {
-	if ex == nil || factory == nil {
-		return nil, errors.New("serve: nil executor or policy factory")
+// Prepare validates cfg for a server over ex's models and returns it
+// with its defaults filled in. New runs it first; a caller that checks a
+// configuration without starting a server (the virtual-time simulation
+// of one) runs it to apply the same rules.
+func Prepare(ex oracle.Executor, cfg Config) (Config, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"deadline", cfg.DeadlineSec},
+		{"memory budget", cfg.MemoryBudgetMB},
+		{"time scale", cfg.TimeScale},
+		{"batch hold", cfg.BatchHoldMS},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return cfg, fmt.Errorf("serve: non-finite %s %v", f.name, f.v)
+		}
 	}
 	if cfg.Workers <= 0 {
-		return nil, fmt.Errorf("serve: need at least one worker, got %d", cfg.Workers)
+		return cfg, fmt.Errorf("serve: need at least one worker, got %d", cfg.Workers)
 	}
 	if cfg.DeadlineSec <= 0 {
-		return nil, fmt.Errorf("serve: need a positive per-item deadline, got %v", cfg.DeadlineSec)
+		return cfg, fmt.Errorf("serve: need a positive per-item deadline, got %v", cfg.DeadlineSec)
 	}
 	if cfg.TimeScale == 0 {
 		cfg.TimeScale = 1.0
 	}
 	if cfg.TimeScale < 0 {
-		return nil, fmt.Errorf("serve: negative time scale %v", cfg.TimeScale)
+		return cfg, fmt.Errorf("serve: negative time scale %v", cfg.TimeScale)
 	}
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = 2 * cfg.Workers
 	}
 	if cfg.QueueCap < 0 {
-		return nil, fmt.Errorf("serve: negative queue capacity %d", cfg.QueueCap)
+		return cfg, fmt.Errorf("serve: negative queue capacity %d", cfg.QueueCap)
 	}
 	if cfg.StatsWindow < 0 {
-		return nil, fmt.Errorf("serve: negative stats window %d", cfg.StatsWindow)
+		return cfg, fmt.Errorf("serve: negative stats window %d", cfg.StatsWindow)
 	}
 	if cfg.StatsWindow == 0 {
 		cfg.StatsWindow = DefaultStatsWindow
 	}
-	var acct *accountant
 	if cfg.MemoryBudgetMB < 0 {
-		return nil, fmt.Errorf("serve: negative memory budget %v MB", cfg.MemoryBudgetMB)
+		return cfg, fmt.Errorf("serve: negative memory budget %v MB", cfg.MemoryBudgetMB)
 	}
 	if cfg.ItemParallel && cfg.MemoryBudgetMB <= 0 {
-		return nil, errors.New("serve: per-item parallel execution requires a memory budget (it bounds the parallelism)")
+		return cfg, errors.New("serve: per-item parallel execution requires a memory budget (it bounds the parallelism)")
 	}
 	if cfg.MemoryBudgetMB > 0 {
 		smallest := ex.Model(0).MemMB
@@ -336,22 +348,37 @@ func New(ex oracle.Executor, factory service.PolicyFactory, cfg Config) (*Server
 			}
 		}
 		if cfg.MemoryBudgetMB < smallest {
-			return nil, fmt.Errorf("serve: memory budget %v MB below the smallest model (%v MB); no model could ever run",
+			return cfg, fmt.Errorf("serve: memory budget %v MB below the smallest model (%v MB); no model could ever run",
 				cfg.MemoryBudgetMB, smallest)
 		}
+	}
+	if cfg.BatchSize < 0 {
+		return cfg, fmt.Errorf("serve: negative batch size %d", cfg.BatchSize)
+	}
+	if cfg.BatchHoldMS < 0 {
+		return cfg, fmt.Errorf("serve: negative batch hold %v ms", cfg.BatchHoldMS)
+	}
+	if cfg.BatchSize > 0 && cfg.BatchHoldMS == 0 {
+		cfg.BatchHoldMS = defaultBatchHoldMS
+	}
+	return cfg, nil
+}
+
+// New validates the configuration (Prepare) and starts the worker pool.
+func New(ex oracle.Executor, factory service.PolicyFactory, cfg Config) (*Server, error) {
+	if ex == nil || factory == nil {
+		return nil, errors.New("serve: nil executor or policy factory")
+	}
+	cfg, err := Prepare(ex, cfg)
+	if err != nil {
+		return nil, err
+	}
+	var acct *accountant
+	if cfg.MemoryBudgetMB > 0 {
 		acct = newAccountant(cfg.MemoryBudgetMB)
 		if cfg.Metrics != nil {
 			acct.waitHist = cfg.Metrics.ReserveWait
 		}
-	}
-	if cfg.BatchSize < 0 {
-		return nil, fmt.Errorf("serve: negative batch size %d", cfg.BatchSize)
-	}
-	if cfg.BatchHoldMS < 0 {
-		return nil, fmt.Errorf("serve: negative batch hold %v ms", cfg.BatchHoldMS)
-	}
-	if cfg.BatchSize > 0 && cfg.BatchHoldMS == 0 {
-		cfg.BatchHoldMS = defaultBatchHoldMS
 	}
 	start := cfg.Epoch
 	if start.IsZero() {

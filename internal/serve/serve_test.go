@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -88,6 +89,11 @@ func TestNewValidation(t *testing.T) {
 		{"exhausted budget", func(c *Config) { c.MemoryBudgetMB = 100 }, "smallest model"},
 		{"negative batch size", func(c *Config) { c.BatchSize = -2 }, "batch size"},
 		{"negative batch hold", func(c *Config) { c.BatchSize = 4; c.BatchHoldMS = -1 }, "batch hold"},
+		{"NaN deadline", func(c *Config) { c.DeadlineSec = math.NaN() }, "non-finite deadline"},
+		{"infinite deadline", func(c *Config) { c.DeadlineSec = math.Inf(1) }, "non-finite deadline"},
+		{"infinite budget", func(c *Config) { c.MemoryBudgetMB = math.Inf(1) }, "non-finite memory budget"},
+		{"NaN time scale", func(c *Config) { c.TimeScale = math.NaN() }, "non-finite time scale"},
+		{"NaN batch hold", func(c *Config) { c.BatchSize = 4; c.BatchHoldMS = math.NaN() }, "non-finite batch hold"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base

@@ -10,7 +10,8 @@
 // policy that stops at the target recall.
 //
 // Two machines exist: Virtual here (a memory counter that never waits —
-// RunToRecall, RunDeadline, RunParallel and internal/service run on it)
+// RunToRecall, RunDeadline, RunParallel, internal/service and the
+// explore–exploit runner of internal/sched run on it)
 // and internal/serve's real one (shared accountant, timer wheel, batch
 // lanes). Policy implementations live in internal/sched and
 // internal/graph; because the contract and the loop are uniform, any

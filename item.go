@@ -202,8 +202,11 @@ func (s *System) ComposeItem(spec SceneSpec) (Item, error) {
 // GenerateItems draws n fresh scenes from the System's dataset profile —
 // content statistically like the training distribution but never seen by
 // the oracle, the "externally arriving traffic" case. Items are tagged
-// "gen/<seed>/<index>".
+// "gen/<seed>/<index>". A non-positive n yields no items.
 func (s *System) GenerateItems(n int, seed uint64) []Item {
+	if n <= 0 {
+		return []Item{}
+	}
 	g := synth.NewGenerator(s.Vocabulary, s.Dataset.Profile, seed^0x452821e638d01377)
 	items := make([]Item, n)
 	for i := range items {

@@ -3,6 +3,7 @@ package ams
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"ams/internal/core"
@@ -66,11 +67,17 @@ type Budget struct {
 
 // Validate checks the budget's shape. Every labeling surface (Label,
 // LabelRandom, LabelWith, LabelBatch, OptimalStarRecall) applies it, so
-// the rules live in exactly one place: budgets must be non-negative, and
-// a memory budget needs a deadline — Algorithm 2 packs model
-// time x memory rectangles into the deadline x memory area, which is
-// unbounded without one.
+// the rules live in exactly one place: budgets must be finite and
+// non-negative (zero is the one way to say "none"), and a memory budget
+// needs a deadline — Algorithm 2 packs model time x memory rectangles
+// into the deadline x memory area, which is unbounded without one.
 func (b Budget) Validate() error {
+	if !finite(b.DeadlineSec) {
+		return fmt.Errorf("ams: non-finite deadline %v s", b.DeadlineSec)
+	}
+	if !finite(b.MemoryGB) {
+		return fmt.Errorf("ams: non-finite memory budget %v GB", b.MemoryGB)
+	}
 	if b.DeadlineSec < 0 {
 		return fmt.Errorf("ams: negative deadline %v s", b.DeadlineSec)
 	}
@@ -82,6 +89,9 @@ func (b Budget) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // OutputLabel is one emitted label.
 type OutputLabel struct {

@@ -378,6 +378,10 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 	if cfg.Corpus != nil && cfg.Corpus.sys.Zoo != s.Zoo {
 		return nil, fmt.Errorf("ams: corpus opened by a different System")
 	}
+	shardCfg, n, err := s.shardConfig(cfg, policy.parallel)
+	if err != nil {
+		return nil, err
+	}
 	sv := &Server{sys: s, corpus: cfg.Corpus, cache: cache, placement: placement,
 		start: time.Now(), scale: cfg.TimeScale,
 		resWindow: cmp.Or(cfg.StatsWindow, serve.DefaultStatsWindow)}
@@ -399,36 +403,14 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 		sv.metrics = serve.NewMetrics(sv.reg, s.Zoo.Models)
 	}
 
-	n := max(cfg.Shards, 1)
-	if cfg.Workers < n {
-		return nil, fmt.Errorf("ams: need at least one worker per shard, got %d for %d shard(s)", cfg.Workers, n)
-	}
 	if cfg.Corpus != nil && cfg.Corpus.Segments() != n {
 		return nil, fmt.Errorf("ams: %d shard(s) need a corpus with as many journal segments (OpenCorpusDir), got %d",
 			n, cfg.Corpus.Segments())
 	}
-	// What every shard's server is built with, but for its own Workers
-	// and Shard index.
-	shardCfg := serve.Config{
-		Config: service.Config{
-			DeadlineSec:    cfg.DeadlineSec,
-			MemoryBudgetMB: cfg.MemoryGB / float64(n) * 1024,
-			ItemParallel:   policy.parallel,
-		},
-		QueueCap:    cfg.QueueCap,
-		BatchSize:   cfg.BatchSize,
-		BatchHoldMS: cfg.BatchHoldMS,
-		TimeScale:   cfg.TimeScale,
-		StatsWindow: cfg.StatsWindow,
-		// One clock epoch, so the shards' completion records merge into a
-		// single coherent timeline in Stats.
-		Epoch:   time.Now(),
-		Metrics: sv.metrics,
-		Tracer:  sv.tracer,
-	}
-	if cfg.QueueCap > 0 {
-		shardCfg.QueueCap = max(cfg.QueueCap/n, 1)
-	}
+	// One clock epoch, so the shards' completion records merge into a
+	// single coherent timeline in Stats.
+	shardCfg.Epoch = time.Now()
+	shardCfg.Metrics, shardCfg.Tracer = sv.metrics, sv.tracer
 	workerSplit := make([]int, n)
 	inners := make([]*serve.Server, 0, n)
 	closeBuilt := func() {
@@ -977,7 +959,7 @@ func (s *System) Serve(ctx context.Context, agent *Agent, cfg ServeConfig, trace
 
 // check validates a trace's shape.
 func (trace ServeTrace) check() error {
-	if trace.ArrivalRateHz <= 0 || trace.Items <= 0 {
+	if trace.ArrivalRateHz <= 0 || !finite(trace.ArrivalRateHz) || trace.Items <= 0 {
 		return fmt.Errorf("ams: serve needs a positive arrival rate and item count, got %v Hz / %d items",
 			trace.ArrivalRateHz, trace.Items)
 	}
@@ -1040,7 +1022,8 @@ func (sv *Server) Replay(ctx context.Context, trace ServeTrace, src SceneSource)
 
 // SimulateServe runs the virtual-time discrete-event simulation of the
 // same workload — same Config and policy wiring as Serve, no real
-// concurrency or sleeping — so the two can be compared side by side.
+// concurrency or sleeping — so the two can be compared side by side. It
+// refuses every configuration NewServer refuses, with the same error.
 // Each item runs in the mode the configuration selects (Algorithm 2's
 // per-item parallel execution for PolicyAlgorithm2, serial otherwise)
 // under the memory budget of one shard. The simulation replays the
@@ -1056,23 +1039,47 @@ func (s *System) SimulateServe(agent *Agent, cfg ServeConfig, trace ServeTrace) 
 	if err != nil {
 		return ServeStats{}, err
 	}
-	svcCfg := service.Config{
-		Workers:        cfg.Workers,
-		ArrivalRateHz:  trace.ArrivalRateHz,
-		DeadlineSec:    cfg.DeadlineSec,
-		Items:          trace.Items,
-		Seed:           trace.Seed,
-		MemoryBudgetMB: cfg.MemoryGB * 1024 / float64(max(cfg.Shards, 1)),
-		ItemParallel:   policy.parallel,
+	shardCfg, _, err := s.shardConfig(cfg, policy.parallel)
+	if err != nil {
+		return ServeStats{}, err
 	}
-	if svcCfg.Workers <= 0 {
-		return ServeStats{}, fmt.Errorf("ams: need at least one worker, got %d", svcCfg.Workers)
-	}
-	if svcCfg.DeadlineSec <= 0 || svcCfg.MemoryBudgetMB < 0 {
-		return ServeStats{}, fmt.Errorf("ams: invalid serve trace %+v", svcCfg)
-	}
+	svcCfg := shardCfg.Config
+	svcCfg.Workers = cfg.Workers
+	svcCfg.ArrivalRateHz, svcCfg.Items, svcCfg.Seed = trace.ArrivalRateHz, trace.Items, trace.Seed
 	st := service.Run(s.testStore, factory, svcCfg)
 	return fromRunStats(serve.RunStats{Stats: st, Completed: int64(st.Items)}), nil
+}
+
+// shardConfig returns the shard count and the serve.Config every shard
+// of a server for cfg is built with, but for its own Workers (set here to
+// the smallest shard's share), epoch and telemetry. It validates that
+// configuration with the serve layer's own rules, so NewServer and
+// SimulateServe refuse the same configurations with the same error.
+func (s *System) shardConfig(cfg ServeConfig, parallel bool) (serve.Config, int, error) {
+	n := max(cfg.Shards, 1)
+	if cfg.Workers < n {
+		return serve.Config{}, 0, fmt.Errorf("ams: need at least one worker per shard, got %d for %d shard(s)", cfg.Workers, n)
+	}
+	sc := serve.Config{
+		Config: service.Config{
+			Workers:        cfg.Workers / n,
+			DeadlineSec:    cfg.DeadlineSec,
+			MemoryBudgetMB: cfg.MemoryGB / float64(n) * 1024,
+			ItemParallel:   parallel,
+		},
+		QueueCap:    cfg.QueueCap,
+		BatchSize:   cfg.BatchSize,
+		BatchHoldMS: cfg.BatchHoldMS,
+		TimeScale:   cfg.TimeScale,
+		StatsWindow: cfg.StatsWindow,
+	}
+	if cfg.QueueCap > 0 {
+		sc.QueueCap = max(cfg.QueueCap/n, 1)
+	}
+	if _, err := serve.Prepare(s.testStore, sc); err != nil {
+		return serve.Config{}, 0, fmt.Errorf("ams: %w", err)
+	}
+	return sc, n, nil
 }
 
 // serveFactory validates the configuration Serve and SimulateServe

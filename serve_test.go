@@ -159,18 +159,37 @@ func TestServeMatchesSimulateServe(t *testing.T) {
 
 func TestServeAdmissionValidation(t *testing.T) {
 	trace := ServeTrace{ArrivalRateHz: 100, Items: 5, Seed: 1}
+	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
 		name string
 		cfg  ServeConfig
 	}{
 		{"zero workers", ServeConfig{Workers: 0, DeadlineSec: 0.5, TimeScale: 0.001}},
+		{"fewer workers than shards", ServeConfig{Workers: 1, Shards: 2, DeadlineSec: 0.5, TimeScale: 0.001}},
+		{"negative shards", ServeConfig{Workers: 1, Shards: -1, DeadlineSec: 0.5, TimeScale: 0.001}},
 		{"no deadline", ServeConfig{Workers: 2, DeadlineSec: 0, TimeScale: 0.001}},
+		{"NaN deadline", ServeConfig{Workers: 1, DeadlineSec: nan, TimeScale: 0.001}},
+		{"infinite deadline", ServeConfig{Workers: 1, DeadlineSec: inf, TimeScale: 0.001}},
 		{"exhausted memory budget", ServeConfig{Workers: 2, DeadlineSec: 0.5, MemoryGB: 0.1, TimeScale: 0.001}},
+		{"NaN memory budget", ServeConfig{Workers: 1, DeadlineSec: 0.5, MemoryGB: nan, TimeScale: 0.001}},
+		{"infinite memory budget", ServeConfig{Workers: 1, DeadlineSec: 0.5, MemoryGB: inf, TimeScale: 0.001}},
 		{"negative queue", ServeConfig{Workers: 2, DeadlineSec: 0.5, QueueCap: -1, TimeScale: 0.001}},
+		{"negative batch size", ServeConfig{Workers: 1, DeadlineSec: 0.5, BatchSize: -2, TimeScale: 0.001}},
+		{"NaN batch hold", ServeConfig{Workers: 1, DeadlineSec: 0.5, BatchSize: 2, BatchHoldMS: nan, TimeScale: 0.001}},
+		{"infinite batch hold", ServeConfig{Workers: 1, DeadlineSec: 0.5, BatchSize: 2, BatchHoldMS: inf, TimeScale: 0.001}},
+		{"negative time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: -1}},
+		{"NaN time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: nan}},
+		{"infinite time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: inf}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := testSys.NewServer(testAgent, tc.cfg); err == nil {
+			srv, nerr := testSys.NewServer(testAgent, tc.cfg)
+			if nerr == nil {
+				srv.Close()
 				t.Fatalf("NewServer accepted %+v", tc.cfg)
+			}
+			// The simulation applies the server's rules, in the server's words.
+			if _, serr := testSys.SimulateServe(testAgent, tc.cfg, trace); serr == nil || serr.Error() != nerr.Error() {
+				t.Fatalf("SimulateServe: %v; NewServer: %v; want one error from both", serr, nerr)
 			}
 			if _, err := testSys.Serve(bg, testAgent, tc.cfg, trace, nil); err == nil {
 				t.Fatalf("Serve accepted %+v", tc.cfg)
@@ -186,18 +205,13 @@ func TestServeAdmissionValidation(t *testing.T) {
 	if _, err := testSys.SimulateServe(nil, serveCfg(1), trace); err == nil {
 		t.Fatal("nil agent accepted by SimulateServe")
 	}
-	if _, err := testSys.SimulateServe(testAgent, serveCfg(0), trace); err == nil {
-		t.Fatal("zero workers accepted by SimulateServe")
-	}
-	if _, err := testSys.SimulateServe(testAgent, serveCfg(1), ServeTrace{}); err == nil {
-		t.Fatal("empty trace accepted by SimulateServe")
-	}
-	negShards := serveCfg(1)
-	negShards.Shards = -1
-	_, nerr := testSys.NewServer(testAgent, negShards)
-	_, serr := testSys.SimulateServe(testAgent, negShards, trace)
-	if nerr == nil || serr == nil || serr.Error() != nerr.Error() {
-		t.Fatalf("negative shards: NewServer %v, SimulateServe %v; want one error from both", nerr, serr)
+	for _, bad := range []ServeTrace{{}, {ArrivalRateHz: nan, Items: 5}, {ArrivalRateHz: inf, Items: 5}} {
+		if _, err := testSys.SimulateServe(testAgent, serveCfg(1), bad); err == nil {
+			t.Fatalf("SimulateServe accepted trace %+v", bad)
+		}
+		if _, err := testSys.Serve(bg, testAgent, serveCfg(1), bad, nil); err == nil {
+			t.Fatalf("Serve accepted trace %+v", bad)
+		}
 	}
 }
 
