@@ -169,18 +169,9 @@ type TrainOptions struct {
 // TrainAgent trains a model-value prediction agent on the system's
 // training split.
 func (s *System) TrainAgent(opts TrainOptions) (*Agent, error) {
-	theta, err := s.thetaVector(opts.Priorities)
+	cfg, err := s.trainConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	inner := core.Train(s.trainStore, core.TrainConfig{
-		Algo:     opts.Algorithm,
-		Epochs:   opts.Epochs,
-		Hidden:   opts.Hidden,
-		Theta:    theta,
-		Seed:     opts.Seed,
-		Dataset:  s.cfg.Dataset,
-		Progress: opts.Progress,
-	})
-	return &Agent{inner: inner}, nil
+	return &Agent{inner: core.Train(s.trainStore, cfg)}, nil
 }

@@ -72,17 +72,33 @@ func TestSystemShape(t *testing.T) {
 }
 
 func TestTrainAgentPriorityValidation(t *testing.T) {
-	if _, err := testSys.TrainAgent(TrainOptions{
-		Algorithm: DQN, Epochs: 1, Hidden: []int{8},
-		Priorities: map[string]float64{"no-such-model": 2},
-	}); err == nil {
-		t.Fatal("unknown priority model accepted")
-	}
-	if _, err := testSys.TrainAgent(TrainOptions{
-		Algorithm: DQN, Epochs: 1, Hidden: []int{8},
-		Priorities: map[string]float64{"facedet-mtcnn": -1},
-	}); err == nil {
-		t.Fatal("negative priority accepted")
+	for _, tc := range []struct {
+		name string
+		opts TrainOptions
+	}{
+		{"unknown priority model", TrainOptions{Priorities: map[string]float64{"no-such-model": 2}}},
+		{"negative priority", TrainOptions{Priorities: map[string]float64{"facedet-mtcnn": -1}}},
+		{"NaN priority", TrainOptions{Priorities: map[string]float64{"facedet-mtcnn": math.NaN()}}},
+		{"infinite priority", TrainOptions{Priorities: map[string]float64{"facedet-mtcnn": math.Inf(1)}}},
+		{"zero hidden width", TrainOptions{Hidden: []int{0}}},
+		{"negative epochs", TrainOptions{Epochs: -3}},
+		{"unknown algorithm", TrainOptions{Algorithm: Algorithm(99)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			if opts.Epochs == 0 {
+				opts.Epochs = 1
+			}
+			if opts.Hidden == nil {
+				opts.Hidden = []int{8}
+			}
+			if _, err := testSys.TrainAgent(opts); err == nil {
+				t.Errorf("TrainAgent accepted %+v", opts)
+			}
+			if _, err := testSys.NewTrainer(opts); err == nil {
+				t.Errorf("NewTrainer accepted %+v", opts)
+			}
+		})
 	}
 }
 

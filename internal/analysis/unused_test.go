@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"maps"
 	"slices"
@@ -12,11 +13,18 @@ import (
 )
 
 // unusedExempt lists the exported internal declarations that only tests
-// use and that stay anyway, keyed as the check keys them, each with the
-// reason it stays.
+// use, and the exported fields only tests set, that stay anyway, keyed as
+// the checks key them, each with the reason it stays.
 var unusedExempt = map[string]string{
 	"ams/internal/graph.NewDensityPolicy":          "TestGoldenFigures pins the density policy's schedules",
 	"(*ams/internal/oracle.ExternalItem).SetTruth": "TestOnDemandParityWithOracle's only way to give an external item truth, for its recall parity",
+}
+
+// inScope reports whether the checks below cover a package: every
+// internal package but the test helpers.
+func inScope(path string) bool {
+	return strings.HasPrefix(path, "ams/internal/") &&
+		path != "ams/internal/leaktest" && path != "ams/internal/analysis/analysistest"
 }
 
 // TestNoUnusedInternalExports fails on every exported declaration of an
@@ -37,10 +45,6 @@ func TestNoUnusedInternalExports(t *testing.T) {
 			return "" // a local, a field or a universe object
 		}
 		return obj.Pkg().Path() + "." + obj.Name()
-	}
-	inScope := func(path string) bool {
-		return strings.HasPrefix(path, "ams/internal/") &&
-			path != "ams/internal/leaktest" && path != "ams/internal/analysis/analysistest"
 	}
 	ifaceNames := map[string]bool{}
 	addIface := func(t types.Type) {
@@ -131,8 +135,212 @@ func TestNoUnusedInternalExports(t *testing.T) {
 		}
 	}
 	for k, reason := range unusedExempt {
-		if decls[k] == nil || reason == "" {
-			t.Errorf("exemption %s must name a declaration and give a reason", k)
+		if (decls[k] == nil && !namesField(decls, k)) || reason == "" {
+			t.Errorf("exemption %s must name a declaration or a field and give a reason", k)
 		}
 	}
+}
+
+// namesField reports whether k keys a field of a declared type, as
+// "path.Type.Field".
+func namesField(decls map[string]types.Object, k string) bool {
+	i := strings.LastIndex(k, ".")
+	tn, ok := decls[k[:max(i, 0)]].(*types.TypeName)
+	if !ok {
+		return false
+	}
+	f, _, _ := types.LookupFieldOrMethod(tn.Type(), false, tn.Pkg(), k[i+1:])
+	v, ok := f.(*types.Var)
+	return ok && v.IsField()
+}
+
+// TestNoUnsetInternalFields fails on every exported field of an exported
+// internal struct type that no non-test code sets (see unsetFields).
+// Unexported fields and types stay out of scope: a mutex or an atomic
+// works at its zero value, and what JSON or gob fills by reflection is
+// unexported here.
+func TestNoUnsetInternalFields(t *testing.T) {
+	pkgs := loadTree(t)
+	unset := unsetFields(pkgs, inScope)
+	for _, k := range slices.Sorted(maps.Keys(unset)) {
+		if unusedExempt[k] == "" {
+			t.Errorf("%s: %s is never set by non-test code: delete it, or exempt it with a reason",
+				pkgs[0].Fset.Position(unset[k]), k)
+		}
+	}
+}
+
+// TestUnsetFieldsFixture pins what unsetFields counts as a write: the
+// fixture's fields whose comment starts "unset" are the ones reported.
+func TestUnsetFieldsFixture(t *testing.T) {
+	pkg, err := analysis.LoadFixture("testdata/unsetfield")
+	if err != nil {
+		t.Fatalf("load fixture: %v", err)
+	}
+	got := slices.Sorted(maps.Keys(unsetFields([]*analysis.Package{pkg}, func(path string) bool {
+		return path == "unsetfield"
+	})))
+	want := []string{
+		"unsetfield.Config.Dead",
+		"unsetfield.Config.Relay",
+		"unsetfield.Options.Dead",
+		"unsetfield.Options.Relay",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("unset fields = %v, want %v", got, want)
+	}
+}
+
+// unsetFields returns, keyed "path.Type.Field" and mapped to their
+// declarations, the exported fields of exported struct types in the
+// packages inScope accepts that no code in pkgs writes. A write is a
+// keyed composite-literal element, a positional literal (which writes
+// every field), an assignment, op-assignment or ++/-- to x.F or through
+// x.F.G, x.F[i] or *x.F, and &x.F. A write whose value is a copy of
+// another field, F: y.G or x.F = y.G, writes F only if y.G is set: a
+// field fed only by copies of a field nothing sets is as unset as that
+// field. Fields out of scope count as set.
+func unsetFields(pkgs []*analysis.Package, inScope func(path string) bool) map[string]token.Pos {
+	fields := map[string]token.Pos{} // every field in scope
+	set := map[string]bool{}
+	copies := map[string][]string{} // field -> the fields copied into it
+	for _, pkg := range pkgs {
+		if !inScope(pkg.Path) {
+			continue
+		}
+		for _, obj := range pkg.Info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() || tn.Parent() != tn.Pkg().Scope() {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						fields[pkg.Path+"."+tn.Name()+"."+f.Name()] = f.Pos()
+					}
+				}
+			}
+		}
+	}
+	for _, pkg := range pkgs {
+		// selected returns the key of the field e selects, if it selects one.
+		selected := func(e ast.Expr) string {
+			sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+			if !ok {
+				return ""
+			}
+			s := pkg.Info.Selections[sel]
+			if s == nil || s.Kind() != types.FieldVal {
+				return ""
+			}
+			owner := s.Recv()
+			for _, i := range s.Index()[:len(s.Index())-1] {
+				owner = structOf(owner).Field(i).Type()
+			}
+			return fieldKey(owner, sel.Sel.Name)
+		}
+		// write records that key is written with val (nil: not a copy).
+		write := func(key string, val ast.Expr) {
+			if src := selected(val); src != "" {
+				copies[key] = append(copies[key], src)
+			} else {
+				set[key] = true
+			}
+		}
+		// writeThrough records a write of lhs and of every field it writes through.
+		writeThrough := func(lhs, val ast.Expr) {
+			for e := ast.Unparen(lhs); e != nil; val = nil {
+				switch x := e.(type) {
+				case *ast.SelectorExpr:
+					if k := selected(x); k != "" {
+						write(k, val)
+					}
+					e = ast.Unparen(x.X)
+				case *ast.IndexExpr:
+					e = ast.Unparen(x.X)
+				case *ast.StarExpr:
+					e = ast.Unparen(x.X)
+				default:
+					e = nil
+				}
+			}
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					owner := pkg.Info.TypeOf(n)
+					st := structOf(owner)
+					if st == nil {
+						return true
+					}
+					for i, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							write(fieldKey(owner, kv.Key.(*ast.Ident).Name), kv.Value)
+						} else {
+							write(fieldKey(owner, st.Field(i).Name()), nil)
+						}
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						var val ast.Expr
+						if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+							val = n.Rhs[i]
+						}
+						writeThrough(lhs, val)
+					}
+				case *ast.IncDecStmt:
+					writeThrough(n.X, nil)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						writeThrough(n.X, nil)
+					}
+				case *ast.RangeStmt:
+					if n.Tok == token.ASSIGN {
+						writeThrough(n.Key, nil)
+						writeThrough(n.Value, nil)
+					}
+				}
+				return true
+			})
+		}
+	}
+	isSet := func(k string) bool { _, in := fields[k]; return set[k] || !in }
+	for changed := true; changed; {
+		changed = false
+		for k, srcs := range copies {
+			if !set[k] && slices.ContainsFunc(srcs, isSet) {
+				set[k], changed = true, true
+			}
+		}
+	}
+	unset := map[string]token.Pos{}
+	for k, pos := range fields {
+		if !set[k] {
+			unset[k] = pos
+		}
+	}
+	return unset
+}
+
+// structOf returns the struct type t or *t is, or nil.
+func structOf(t types.Type) *types.Struct {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, _ := t.Underlying().(*types.Struct)
+	return st
+}
+
+// fieldKey keys field name of the named struct type owner (or *owner)
+// as "path.Type.Field", and an unnamed struct's field as "".
+func fieldKey(owner types.Type, name string) string {
+	if p, ok := owner.(*types.Pointer); ok {
+		owner = p.Elem()
+	}
+	n, ok := types.Unalias(owner).(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return ""
+	}
+	return n.Obj().Pkg().Path() + "." + n.Obj().Name() + "." + name
 }

@@ -23,17 +23,13 @@ var (
 // tinyTrainConfig keeps unit-test training fast.
 func tinyTrainConfig(algo rl.Algorithm) TrainConfig {
 	return TrainConfig{
-		Algo:            algo,
-		Epochs:          4,
-		Hidden:          []int{32},
-		LearningRate:    0.002,
-		BatchSize:       16,
-		ReplayCapacity:  4000,
-		TargetSyncEvery: 100,
-		TrainEvery:      2,
-		Epsilon:         rl.EpsilonSchedule{Start: 1, End: 0.1, DecaySteps: 1500},
-		Seed:            7,
-		Dataset:         "unit",
+		Algo:       algo,
+		Epochs:     4,
+		Hidden:     []int{32},
+		TrainEvery: 2,
+		Epsilon:    rl.EpsilonSchedule{Start: 1, End: 0.1, DecaySteps: 1500},
+		Seed:       7,
+		Dataset:    "unit",
 	}
 }
 

@@ -18,12 +18,8 @@ type TrainConfig struct {
 	Epochs int   // passes over the training scenes
 	Hidden []int // Q-network hidden widths; the paper uses {256}
 
-	Gamma           float64
-	LearningRate    float64
-	BatchSize       int
-	ReplayCapacity  int
-	TargetSyncEvery int
-	TrainEvery      int // environment steps per optimizer update
+	Gamma      float64
+	TrainEvery int // environment steps per optimizer update
 
 	Epsilon rl.EpsilonSchedule // zero value enables the default anneal
 
@@ -41,12 +37,6 @@ type TrainConfig struct {
 	// paper's choice (§IV-A also reports that other smoothings such as
 	// the per-label average behave similarly).
 	Shape RewardShape
-
-	// Prioritized switches the learner to prioritized experience replay;
-	// TargetTau enables Polyak target updates. Both are extension knobs
-	// beyond the paper's uniform-replay, hard-sync setup.
-	Prioritized bool
-	TargetTau   float64
 
 	Seed    uint64
 	Dataset string // recorded on the trained agent
@@ -173,17 +163,11 @@ func NewTrainer(numModels int, cfg TrainConfig) *Trainer {
 	}
 	rng := tensor.NewRNG(cfg.Seed)
 	learner := rl.NewLearner(rl.LearnerConfig{
-		Algo:            cfg.Algo,
-		StateDim:        labels.Total,
-		Actions:         numModels + 1, // + END
-		Hidden:          cfg.Hidden,
-		Gamma:           cfg.Gamma,
-		LearningRate:    cfg.LearningRate,
-		BatchSize:       cfg.BatchSize,
-		ReplayCapacity:  cfg.ReplayCapacity,
-		TargetSyncEvery: cfg.TargetSyncEvery,
-		Prioritized:     cfg.Prioritized,
-		TargetTau:       cfg.TargetTau,
+		Algo:     cfg.Algo,
+		StateDim: labels.Total,
+		Actions:  numModels + 1, // + END
+		Hidden:   cfg.Hidden,
+		Gamma:    cfg.Gamma,
 	}, rng.Split())
 	return &Trainer{cfg: cfg, numModels: numModels, learner: learner, rng: rng}
 }

@@ -45,10 +45,10 @@ func NewCDF(xs []float64, n int) CDF {
 	return c
 }
 
-// Series is one named curve (a line in a paper figure).
+// Series is one named curve (a line in a paper figure). The curves of
+// one figure share the X axis SeriesTable takes as xs.
 type Series struct {
 	Name string
-	X    []float64
 	Y    []float64
 }
 

@@ -215,21 +215,6 @@ func (n *Net) CopyWeightsFrom(src *Net) {
 	}
 }
 
-// SoftUpdateFrom blends src parameters into the receiver:
-// theta <- tau*src + (1-tau)*theta. Used for Polyak target-network updates.
-func (n *Net) SoftUpdateFrom(src *Net, tau float64) {
-	dst, s := n.Params(), src.Params()
-	if len(dst) != len(s) {
-		panic("nn: SoftUpdateFrom architecture mismatch")
-	}
-	for i := range dst {
-		dv, sv := dst[i].Val, s[i].Val
-		for j := range dv {
-			dv[j] = tau*sv[j] + (1-tau)*dv[j]
-		}
-	}
-}
-
 // relu stores max(x, 0) — x where x > 0, else +0, NaN included — into out.
 // The sign of a pre-activation is a coin flip the branch predictor loses,
 // so the test runs on the bit pattern, where it compiles to a conditional

@@ -176,36 +176,6 @@ func TestCloneAndCopyWeights(t *testing.T) {
 	}
 }
 
-func TestSoftUpdateConverges(t *testing.T) {
-	a := newTestNet(false)
-	b := NewNet(Config{In: 12, Hidden: []int{8}, Out: 5}, tensor.NewRNG(9))
-	for i := 0; i < 200; i++ {
-		b.SoftUpdateFrom(a, 0.1)
-	}
-	pa, pb := a.Params(), b.Params()
-	for i := range pa {
-		for j := range pa[i].Val {
-			if math.Abs(pa[i].Val[j]-pb[i].Val[j]) > 1e-6 {
-				t.Fatalf("soft update did not converge at param %d idx %d", i, j)
-			}
-		}
-	}
-}
-
-func TestSoftUpdateTauOne(t *testing.T) {
-	a := newTestNet(false)
-	b := NewNet(Config{In: 12, Hidden: []int{8}, Out: 5}, tensor.NewRNG(9))
-	b.SoftUpdateFrom(a, 1)
-	pa, pb := a.Params(), b.Params()
-	for i := range pa {
-		for j := range pa[i].Val {
-			if pa[i].Val[j] != pb[i].Val[j] {
-				t.Fatal("tau=1 soft update is not a hard copy")
-			}
-		}
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	for _, dueling := range []bool{false, true} {
 		n := newTestNet(dueling)

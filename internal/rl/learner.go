@@ -64,17 +64,6 @@ type LearnerConfig struct {
 	TargetSyncEvery int // hard target-network sync period (train steps)
 	WarmupSize      int // transitions required before updates begin
 	HuberDelta      float64
-
-	// TargetTau, when positive, switches target maintenance to Polyak
-	// soft updates (theta_target <- tau*theta + (1-tau)*theta_target)
-	// applied after every train step instead of periodic hard syncs.
-	TargetTau float64
-
-	// Prioritized enables proportional prioritized experience replay
-	// with exponent PriorityAlpha (default 0.6). The paper's agents use
-	// uniform replay; this is an extension knob.
-	Prioritized   bool
-	PriorityAlpha float64
 }
 
 // withDefaults fills zero fields with sensible paper-aligned defaults.
@@ -103,9 +92,6 @@ func (c LearnerConfig) withDefaults() LearnerConfig {
 	if c.HuberDelta == 0 {
 		c.HuberDelta = 1
 	}
-	if c.PriorityAlpha == 0 {
-		c.PriorityAlpha = 0.6
-	}
 	return c
 }
 
@@ -117,12 +103,10 @@ type Learner struct {
 	target *nn.Net
 	opt    *nn.Adam
 	buf    *ReplayBuffer
-	pbuf   *PrioritizedBuffer
 	rng    *tensor.RNG
 
 	trainSteps int
 	batch      []Transition
-	tdErrs     []float64
 	dQ         tensor.Vec
 }
 
@@ -141,36 +125,21 @@ func NewLearner(cfg LearnerConfig, rng *tensor.RNG) *Learner {
 	}
 	online := nn.NewNet(netCfg, rng)
 	target := online.Clone()
-	l := &Learner{
+	return &Learner{
 		cfg:    cfg,
 		online: online,
 		target: target,
 		opt:    nn.NewAdam(cfg.LearningRate),
+		buf:    NewReplayBuffer(cfg.ReplayCapacity, rng.Split()),
 		rng:    rng,
 		batch:  make([]Transition, cfg.BatchSize),
-		tdErrs: make([]float64, cfg.BatchSize),
 		dQ:     tensor.NewVec(cfg.Actions),
 	}
-	if cfg.Prioritized {
-		l.pbuf = NewPrioritizedBuffer(cfg.ReplayCapacity, cfg.PriorityAlpha, rng.Split())
-	} else {
-		l.buf = NewReplayBuffer(cfg.ReplayCapacity, rng.Split())
-	}
-	return l
 }
 
 // Online returns the online network. Callers must not use it concurrently
 // with training.
 func (l *Learner) Online() *nn.Net { return l.online }
-
-// BufferLen returns the number of stored transitions in whichever buffer
-// is active.
-func (l *Learner) BufferLen() int {
-	if l.pbuf != nil {
-		return l.pbuf.Len()
-	}
-	return l.buf.Len()
-}
 
 // SelectAction performs epsilon-greedy selection restricted to the allowed
 // action indices. It panics when allowed is empty.
@@ -192,50 +161,31 @@ func (l *Learner) SelectAction(state []int, epsilon float64, allowed []int) int 
 }
 
 // Observe appends a transition to the replay buffer.
-func (l *Learner) Observe(tr Transition) {
-	if l.pbuf != nil {
-		l.pbuf.Add(tr)
-		return
-	}
-	l.buf.Add(tr)
-}
+func (l *Learner) Observe(tr Transition) { l.buf.Add(tr) }
 
 // TrainStep samples a minibatch and applies one optimizer update,
 // returning the mean Huber loss. It is a no-op (returning 0) until the
 // buffer has finished its warmup.
 func (l *Learner) TrainStep() float64 {
-	if l.BufferLen() < l.cfg.WarmupSize || l.BufferLen() < l.cfg.BatchSize {
+	if n := l.buf.Len(); n < l.cfg.WarmupSize || n < l.cfg.BatchSize {
 		return 0
 	}
-	var batch []Transition
-	var idxs []int
-	if l.pbuf != nil {
-		batch, idxs = l.pbuf.Sample(l.cfg.BatchSize)
-	} else {
-		batch = l.buf.SampleInto(l.batch)
-	}
+	batch := l.buf.SampleInto(l.batch)
 	l.online.ZeroGrad()
 	var totalLoss float64
 	for i := range batch {
 		tr := &batch[i]
 		y := l.targetValue(tr)
 		q := l.online.Forward(tr.State)
-		td := q[tr.Action] - y
-		l.tdErrs[i] = td
 		loss, grad := nn.HuberLoss(q[tr.Action], y, l.cfg.HuberDelta)
 		totalLoss += loss
 		l.dQ.Zero()
 		l.dQ[tr.Action] = grad / float64(len(batch))
 		l.online.Backward(l.dQ)
 	}
-	if l.pbuf != nil {
-		l.pbuf.UpdatePriorities(idxs, l.tdErrs[:len(batch)])
-	}
 	l.opt.Step(l.online)
 	l.trainSteps++
-	if l.cfg.TargetTau > 0 {
-		l.target.SoftUpdateFrom(l.online, l.cfg.TargetTau)
-	} else if l.trainSteps%l.cfg.TargetSyncEvery == 0 {
+	if l.trainSteps%l.cfg.TargetSyncEvery == 0 {
 		l.target.CopyWeightsFrom(l.online)
 	}
 	return totalLoss / float64(len(batch))

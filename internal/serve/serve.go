@@ -361,6 +361,15 @@ func Prepare(ex oracle.Executor, cfg Config) (Config, error) {
 	if cfg.BatchSize > 0 && cfg.BatchHoldMS == 0 {
 		cfg.BatchHoldMS = defaultBatchHoldMS
 	}
+	// Every sleep is scaled into a time.Duration; one that overflows it
+	// would end at once.
+	longest := cfg.BatchHoldMS
+	for m := 0; m < ex.NumModels(); m++ {
+		longest = max(longest, ex.Model(m).TimeMS, ex.Model(m).BatchCostMS(cfg.BatchSize))
+	}
+	if longest*cfg.TimeScale*float64(time.Millisecond) >= math.MaxInt64 {
+		return cfg, fmt.Errorf("serve: time scale %v overflows the scaled sleep of %v ms", cfg.TimeScale, longest)
+	}
 	return cfg, nil
 }
 

@@ -180,6 +180,7 @@ func TestServeAdmissionValidation(t *testing.T) {
 		{"negative time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: -1}},
 		{"NaN time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: nan}},
 		{"infinite time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: inf}},
+		{"overflowing time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e12}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, nerr := testSys.NewServer(testAgent, tc.cfg)

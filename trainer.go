@@ -2,9 +2,12 @@ package ams
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"ams/internal/core"
 	"ams/internal/oracle"
+	"ams/internal/rl"
 	"ams/internal/synth"
 )
 
@@ -18,20 +21,11 @@ type Trainer struct {
 
 // NewTrainer creates an incremental trainer with the given options.
 func (s *System) NewTrainer(opts TrainOptions) (*Trainer, error) {
-	theta, err := s.thetaVector(opts.Priorities)
+	cfg, err := s.trainConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	inner := core.NewTrainer(len(s.Zoo.Models), core.TrainConfig{
-		Algo:     opts.Algorithm,
-		Epochs:   opts.Epochs,
-		Hidden:   opts.Hidden,
-		Theta:    theta,
-		Seed:     opts.Seed,
-		Dataset:  s.cfg.Dataset,
-		Progress: opts.Progress,
-	})
-	return &Trainer{sys: s, inner: inner}, nil
+	return &Trainer{sys: s, inner: core.NewTrainer(len(s.Zoo.Models), cfg)}, nil
 }
 
 // TrainEpochs runs additional passes over the system's training split.
@@ -61,24 +55,44 @@ func (t *Trainer) Steps() int { return t.inner.GlobalStep() }
 // Snapshot returns an independent agent capturing the current policy.
 func (t *Trainer) Snapshot() *Agent { return &Agent{inner: t.inner.Agent()} }
 
-// thetaVector converts a Priorities map into the dense theta vector.
-func (s *System) thetaVector(priorities map[string]float64) ([]float64, error) {
-	if len(priorities) == 0 {
-		return nil, nil
+// trainConfig validates opts and converts them into the training
+// configuration; TrainAgent and NewTrainer both start here.
+func (s *System) trainConfig(opts TrainOptions) (core.TrainConfig, error) {
+	if !slices.Contains(rl.Algorithms(), opts.Algorithm) {
+		return core.TrainConfig{}, fmt.Errorf("ams: unknown algorithm %v", opts.Algorithm)
 	}
-	theta := make([]float64, len(s.Zoo.Models))
-	for i := range theta {
-		theta[i] = 1
+	if opts.Epochs < 0 {
+		return core.TrainConfig{}, fmt.Errorf("ams: negative epochs %d", opts.Epochs)
 	}
-	for name, th := range priorities {
+	for _, w := range opts.Hidden {
+		if w <= 0 {
+			return core.TrainConfig{}, fmt.Errorf("ams: hidden widths must be positive, got %v", opts.Hidden)
+		}
+	}
+	var theta []float64 // nil: every model has priority 1
+	if len(opts.Priorities) > 0 {
+		theta = make([]float64, len(s.Zoo.Models))
+		for i := range theta {
+			theta[i] = 1
+		}
+	}
+	for name, th := range opts.Priorities {
 		m, ok := s.Zoo.ByName(name)
 		if !ok {
-			return nil, fmt.Errorf("ams: unknown model %q in Priorities", name)
+			return core.TrainConfig{}, fmt.Errorf("ams: unknown model %q in Priorities", name)
 		}
-		if th <= 0 {
-			return nil, fmt.Errorf("ams: priority for %q must be positive, got %v", name, th)
+		if !(th > 0) || math.IsInf(th, 1) {
+			return core.TrainConfig{}, fmt.Errorf("ams: priority for %q must be positive and finite, got %v", name, th)
 		}
 		theta[m.ID] = th
 	}
-	return theta, nil
+	return core.TrainConfig{
+		Algo:     opts.Algorithm,
+		Epochs:   opts.Epochs,
+		Hidden:   opts.Hidden,
+		Theta:    theta,
+		Seed:     opts.Seed,
+		Dataset:  s.cfg.Dataset,
+		Progress: opts.Progress,
+	}, nil
 }
