@@ -172,6 +172,68 @@ func TestLabelValidation(t *testing.T) {
 	}
 }
 
+// FuzzBudget: every labeling surface reads a budget in one domain.
+// Label, LabelWith under each registry policy, LabelBatchWith and
+// OptimalStarRecall accept or refuse it together, with one error text,
+// and none panics. An accepted budget is finite in ms and MB, and every
+// float a surface returns is finite.
+func FuzzBudget(f *testing.F) {
+	for _, b := range []Budget{
+		{}, {DeadlineSec: 0.5}, {DeadlineSec: 0.8, MemoryGB: 8}, {MemoryGB: 8}, {DeadlineSec: -1},
+		{DeadlineSec: 0.5, MemoryGB: 1e306}, {DeadlineSec: 1e306}, {DeadlineSec: 1e300, MemoryGB: 1e300},
+		{DeadlineSec: math.NaN()}, {DeadlineSec: 0.3, MemoryGB: math.Inf(1)},
+	} {
+		f.Add(b.DeadlineSec, b.MemoryGB)
+	}
+	items := []Item{testSys.TestItem(0), testSys.TestItem(1)}
+	f.Fuzz(func(t *testing.T, deadlineSec, memoryGB float64) {
+		b := Budget{DeadlineSec: deadlineSec, MemoryGB: memoryGB}
+		var first error
+		check := func(surface string, err error, values ...float64) {
+			t.Helper()
+			if surface == "Label" {
+				first = err
+			} else if (err == nil) != (first == nil) || err != nil && err.Error() != first.Error() {
+				t.Fatalf("%s: %v; Label: %v; want one answer for %+v", surface, err, first, b)
+			}
+			if err != nil {
+				return
+			}
+			if !finite(b.DeadlineSec*1000) || !finite(b.MemoryGB*1024) {
+				t.Fatalf("%s accepted %+v, not finite in ms and MB", surface, b)
+			}
+			for _, v := range values {
+				if !finite(v) {
+					t.Fatalf("%s returned %v under %+v", surface, v, b)
+				}
+			}
+		}
+		resultValues := func(res ...*Result) []float64 {
+			var vs []float64
+			for _, r := range res {
+				if r == nil { // refused
+					continue
+				}
+				vs = append(vs, r.TimeSec, r.Recall)
+				for _, l := range r.Labels {
+					vs = append(vs, l.Confidence)
+				}
+			}
+			return vs
+		}
+		res, err := testSys.Label(bg, testAgent, items[0], b)
+		check("Label", err, resultValues(res)...)
+		for _, p := range builtinPolicies {
+			res, err := testSys.LabelWith(bg, p, testAgent, items[0], b)
+			check("LabelWith "+p.Name(), err, resultValues(res)...)
+		}
+		batch, st, err := testSys.LabelBatchWith(bg, DefaultPolicy(b), testAgent, items, b, 2)
+		check("LabelBatchWith", err, append(resultValues(batch...), st.AvgRecall, st.AvgTimeSec)...)
+		r, err := testSys.OptimalStarRecall(0, b)
+		check("OptimalStarRecall", err, r)
+	})
+}
+
 func TestAgentBeatsRandomBaseline(t *testing.T) {
 	var agentSum, randSum float64
 	n := testSys.NumTestImages()

@@ -42,6 +42,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"time"
@@ -171,6 +172,11 @@ func Open(z *zoo.Zoo, path string, opts Options) (*Corpus, error) {
 	}
 	if opts.MaxResident < 0 || opts.SnapshotEvery < 0 || opts.SyncEveryN < 0 || opts.SyncEveryMS < 0 {
 		return nil, fmt.Errorf("corpus: negative option in %+v", opts)
+	}
+	// The flusher ticks every SyncEveryMS, which must scale to a positive
+	// Duration: NewTicker panics on a zero one.
+	if d := opts.SyncEveryMS * float64(time.Millisecond); opts.SyncEveryMS != 0 && !(d >= 1 && d < math.MaxInt64) {
+		return nil, fmt.Errorf("corpus: sync interval %v ms does not fit a time.Duration of at least 1 ns", opts.SyncEveryMS)
 	}
 	c := &Corpus{z: z, path: path, opts: opts, ids: make(map[string]int), space: make(chan struct{})}
 	legacy, err := readSnapshotV1(path + ".snap")

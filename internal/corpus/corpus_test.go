@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,6 +36,37 @@ func mustOpen(t *testing.T, path string, opts Options) *Corpus {
 		t.Fatalf("open corpus: %v", err)
 	}
 	return c
+}
+
+// TestOpenRejectsBadOptions: an option outside its domain fails the
+// open, before the flusher starts — a sync interval that scales to no
+// positive Duration would panic its ticker, or never tick.
+func TestOpenRejectsBadOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"negative max resident", Options{MaxResident: -1}, "negative option"},
+		{"negative snapshot period", Options{SnapshotEvery: -1}, "negative option"},
+		{"negative sync count", Options{SyncEveryN: -1}, "negative option"},
+		{"negative sync interval", Options{SyncEveryMS: -1}, "negative option"},
+		{"sub-nanosecond sync interval", Options{SyncEveryMS: 1e-9}, "sync interval 1e-09 ms"},
+		{"infinite sync interval", Options{SyncEveryMS: math.Inf(1)}, "sync interval +Inf ms"},
+		{"NaN sync interval", Options{SyncEveryMS: math.NaN()}, "sync interval NaN ms"},
+		{"overflowing sync interval", Options{SyncEveryMS: 1e300}, "sync interval 1e+300 ms"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Open(z, tempJournal(t), tc.opts)
+			if err == nil {
+				c.Close()
+				t.Fatalf("Open accepted %+v", tc.opts)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open: %v, want an error naming %q", err, tc.want)
+			}
+		})
+	}
 }
 
 // populate admits n scenes, executes the given models on each, and

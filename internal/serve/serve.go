@@ -100,11 +100,9 @@ var (
 	ErrClosed    = errors.New("serve: server closed")
 )
 
-// Config parameterizes a server. The embedded service.Config supplies
-// Workers, DeadlineSec, MemoryBudgetMB and ItemParallel to the server
-// itself; ArrivalRateHz, Items and Seed describe an arrival trace when
-// the caller replays one (the ams layer's Serve does, sharing the shape
-// with the virtual-time sim).
+// Config parameterizes a server. The embedded service.Config, the
+// shape the virtual-time sim runs under too, supplies Workers,
+// DeadlineSec, MemoryBudgetMB and ItemParallel.
 type Config struct {
 	service.Config
 
@@ -180,9 +178,9 @@ type Corpus interface {
 	Commit(seq int, executed []int, scheduleMS float64) error
 }
 
-// DefaultStatsWindow bounds retained per-item records (~40 B each) when
+// defaultStatsWindow bounds retained per-item records (~40 B each) when
 // Config.StatsWindow is zero.
-const DefaultStatsWindow = 1 << 16
+const defaultStatsWindow = 1 << 16
 
 // defaultBatchHoldMS is the flush hold applied when batching is enabled
 // without an explicit Config.BatchHoldMS: long enough for concurrent
@@ -332,7 +330,7 @@ func Prepare(ex oracle.Executor, cfg Config) (Config, error) {
 		return cfg, fmt.Errorf("serve: negative stats window %d", cfg.StatsWindow)
 	}
 	if cfg.StatsWindow == 0 {
-		cfg.StatsWindow = DefaultStatsWindow
+		cfg.StatsWindow = defaultStatsWindow
 	}
 	if cfg.MemoryBudgetMB < 0 {
 		return cfg, fmt.Errorf("serve: negative memory budget %v MB", cfg.MemoryBudgetMB)

@@ -500,11 +500,10 @@ func TestSelectOverheadMeasured(t *testing.T) {
 
 func TestStatsMatchSimShape(t *testing.T) {
 	cfg := Config{
-		Config: service.Config{
-			Workers: 2, ArrivalRateHz: 2000, DeadlineSec: 0.5, Items: 60, Seed: 9,
-		},
+		Config:    service.Config{Workers: 2, DeadlineSec: 0.5},
 		TimeScale: 0.001,
 	}
+	arrivals := service.Arrivals(60, 2000, 9)
 	// Replay the trace the virtual-time sim would generate for cfg: the
 	// arrival pacing collapses (2000 Hz at TimeScale 0.001), so the
 	// server just absorbs the whole burst through SubmitWait.
@@ -512,7 +511,7 @@ func TestStatsMatchSimShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range service.Arrivals(cfg.Items, cfg.ArrivalRateHz, cfg.Seed) {
+	for i := range arrivals {
 		if _, err := s.SubmitWait(context.Background(), i%store.NumScenes(), ""); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -538,7 +537,7 @@ func TestStatsMatchSimShape(t *testing.T) {
 	}
 	// The virtual-time sim accepts the very same config and factory —
 	// the shared-type contract this package was refactored for.
-	simStats := service.Run(store, randomFactory(9), cfg.Config)
+	simStats := service.Run(store, randomFactory(9), cfg.Config, arrivals)
 	if simStats.Items != got.Items {
 		t.Fatalf("sim labeled %d items, server %d", simStats.Items, got.Items)
 	}

@@ -27,15 +27,15 @@ import (
 	"ams/internal/tensor"
 )
 
-// Run simulates the service over the executor's items.
-func Run(ex oracle.Executor, factory PolicyFactory, cfg Config) Stats {
+// Run simulates the service over an Arrivals trace: arrival i, at
+// arrivals[i] seconds, is the executor's item i mod NumItems.
+func Run(ex oracle.Executor, factory PolicyFactory, cfg Config, arrivals []float64) Stats {
 	if cfg.Workers <= 0 {
 		panic("service: need at least one worker")
 	}
-	if cfg.ArrivalRateHz <= 0 || cfg.DeadlineSec <= 0 || cfg.Items <= 0 {
-		panic(fmt.Sprintf("service: invalid config %+v", cfg))
+	if cfg.DeadlineSec <= 0 || len(arrivals) == 0 {
+		panic(fmt.Sprintf("service: invalid run of %d arrivals under %+v", len(arrivals), cfg))
 	}
-	arrivals := Arrivals(cfg.Items, cfg.ArrivalRateHz, cfg.Seed)
 
 	policies := make([]sim.Policy, cfg.Workers)
 	for w := range policies {
@@ -44,8 +44,8 @@ func Run(ex oracle.Executor, factory PolicyFactory, cfg Config) Stats {
 	workerFree := make([]float64, cfg.Workers)
 	lim := cfg.Limits()
 
-	records := make([]Record, 0, cfg.Items)
-	for i := 0; i < cfg.Items; i++ {
+	records := make([]Record, 0, len(arrivals))
+	for i, at := range arrivals {
 		// Earliest available worker takes the job.
 		w := 0
 		for j := 1; j < cfg.Workers; j++ {
@@ -53,7 +53,7 @@ func Run(ex oracle.Executor, factory PolicyFactory, cfg Config) Stats {
 				w = j
 			}
 		}
-		start := math.Max(arrivals[i], workerFree[w])
+		start := math.Max(at, workerFree[w])
 		img := i % ex.NumItems()
 		// The worker is occupied for the whole makespan — not the summed
 		// model time, which exceeds it when models overlapped — so that
@@ -62,7 +62,7 @@ func Run(ex oracle.Executor, factory PolicyFactory, cfg Config) Stats {
 		dur := res.MakespanMS / 1000
 		workerFree[w] = start + dur
 		records = append(records, Record{
-			ArrivalSec: arrivals[i],
+			ArrivalSec: at,
 			StartSec:   start,
 			FinishSec:  start + dur,
 			BusySec:    dur,
@@ -74,8 +74,8 @@ func Run(ex oracle.Executor, factory PolicyFactory, cfg Config) Stats {
 }
 
 // Arrivals precomputes a Poisson arrival trace: item i arrives at the
-// returned offset in seconds. The real server replays the same trace in
-// scaled wall-clock time.
+// returned offset in seconds. Run simulates it; the real server replays
+// the same trace in scaled wall-clock time.
 func Arrivals(items int, rateHz float64, seed uint64) []float64 {
 	if items <= 0 || rateHz <= 0 {
 		panic(fmt.Sprintf("service: invalid arrival trace %d items at %v Hz", items, rateHz))

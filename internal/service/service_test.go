@@ -26,8 +26,7 @@ func randomFactory(seed uint64) PolicyFactory {
 }
 
 func TestRunBasicInvariants(t *testing.T) {
-	cfg := Config{Workers: 2, ArrivalRateHz: 2, DeadlineSec: 1, Items: 100, Seed: 1}
-	s := Run(store, randomFactory(1), cfg)
+	s := Run(store, randomFactory(1), Config{Workers: 2, DeadlineSec: 1}, Arrivals(100, 2, 1))
 	if s.Items != 100 {
 		t.Fatalf("items %d", s.Items)
 	}
@@ -50,9 +49,9 @@ func TestRunBasicInvariants(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	cfg := Config{Workers: 2, ArrivalRateHz: 3, DeadlineSec: 0.8, Items: 60, Seed: 7}
-	a := Run(store, randomFactory(7), cfg)
-	b := Run(store, randomFactory(7), cfg)
+	cfg, arrivals := Config{Workers: 2, DeadlineSec: 0.8}, Arrivals(60, 3, 7)
+	a := Run(store, randomFactory(7), cfg, arrivals)
+	b := Run(store, randomFactory(7), cfg, arrivals)
 	if a != b {
 		t.Fatalf("same-seed runs differ:\n%+v\n%+v", a, b)
 	}
@@ -61,13 +60,9 @@ func TestRunDeterministic(t *testing.T) {
 func TestMoreWorkersCutLatencyUnderLoad(t *testing.T) {
 	// At an offered load beyond one worker's capacity, adding workers must
 	// reduce queueing.
-	base := Config{ArrivalRateHz: 3, DeadlineSec: 1, Items: 200, Seed: 3}
-	one := base
-	one.Workers = 1
-	four := base
-	four.Workers = 4
-	s1 := Run(store, randomFactory(3), one)
-	s4 := Run(store, randomFactory(3), four)
+	arrivals := Arrivals(200, 3, 3)
+	s1 := Run(store, randomFactory(3), Config{Workers: 1, DeadlineSec: 1}, arrivals)
+	s4 := Run(store, randomFactory(3), Config{Workers: 4, DeadlineSec: 1}, arrivals)
 	if s4.AvgLatencySec >= s1.AvgLatencySec {
 		t.Fatalf("4 workers (%v) not faster than 1 (%v)", s4.AvgLatencySec, s1.AvgLatencySec)
 	}
@@ -79,9 +74,7 @@ func TestMoreWorkersCutLatencyUnderLoad(t *testing.T) {
 
 func TestHigherLoadRaisesWait(t *testing.T) {
 	mk := func(rate float64) Stats {
-		return Run(store, randomFactory(5), Config{
-			Workers: 2, ArrivalRateHz: rate, DeadlineSec: 1, Items: 200, Seed: 5,
-		})
+		return Run(store, randomFactory(5), Config{Workers: 2, DeadlineSec: 1}, Arrivals(200, rate, 5))
 	}
 	light, heavy := mk(0.5), mk(6)
 	if heavy.AvgQueueWaitSec <= light.AvgQueueWaitSec {
@@ -92,9 +85,7 @@ func TestHigherLoadRaisesWait(t *testing.T) {
 
 func TestTighterDeadlineRaisesThroughputLowersRecall(t *testing.T) {
 	mk := func(deadline float64) Stats {
-		return Run(store, randomFactory(9), Config{
-			Workers: 1, ArrivalRateHz: 10, DeadlineSec: deadline, Items: 150, Seed: 9,
-		})
+		return Run(store, randomFactory(9), Config{Workers: 1, DeadlineSec: deadline}, Arrivals(150, 10, 9))
 	}
 	tight, loose := mk(0.3), mk(2.0)
 	if tight.ThroughputHz <= loose.ThroughputHz {
@@ -108,19 +99,21 @@ func TestTighterDeadlineRaisesThroughputLowersRecall(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	for _, cfg := range []Config{
-		{Workers: 0, ArrivalRateHz: 1, DeadlineSec: 1, Items: 10},
-		{Workers: 1, ArrivalRateHz: 0, DeadlineSec: 1, Items: 10},
-		{Workers: 1, ArrivalRateHz: 1, DeadlineSec: 0, Items: 10},
-		{Workers: 1, ArrivalRateHz: 1, DeadlineSec: 1, Items: 0},
+	arrivals := Arrivals(10, 1, 0)
+	for name, run := range map[string]func(){
+		"no workers":  func() { Run(store, randomFactory(1), Config{DeadlineSec: 1}, arrivals) },
+		"no deadline": func() { Run(store, randomFactory(1), Config{Workers: 1}, arrivals) },
+		"no arrivals": func() { Run(store, randomFactory(1), Config{Workers: 1, DeadlineSec: 1}, nil) },
+		"no rate":     func() { Arrivals(10, 0, 0) },
+		"no items":    func() { Arrivals(0, 1, 0) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("config %+v accepted", cfg)
+					t.Fatalf("%s accepted", name)
 				}
 			}()
-			Run(store, randomFactory(1), cfg)
+			run()
 		}()
 	}
 }

@@ -14,13 +14,11 @@ import (
 // per-item completion Records to the same Stats, so a simulated run and a
 // real run of the same workload can be compared field by field.
 
-// Config parameterizes one service run.
+// Config parameterizes one service run; the arrival trace is Run's
+// own argument.
 type Config struct {
-	Workers       int     // parallel executors (GPUs)
-	ArrivalRateHz float64 // mean arrivals per second (Poisson process)
-	DeadlineSec   float64 // per-item scheduling budget
-	Items         int     // stream length; images cycle through the store
-	Seed          uint64
+	Workers     int     // parallel executors (GPUs)
+	DeadlineSec float64 // per-item scheduling budget
 
 	// MemoryBudgetMB, when positive, is the GPU memory budget. The real
 	// server shares it across ALL workers: the sum of in-flight model

@@ -65,18 +65,18 @@ type Budget struct {
 	MemoryGB float64
 }
 
-// Validate checks the budget's shape. Every labeling surface (Label,
-// LabelRandom, LabelWith, LabelBatch, OptimalStarRecall) applies it, so
-// the rules live in exactly one place: budgets must be finite and
-// non-negative (zero is the one way to say "none"), and a memory budget
-// needs a deadline — Algorithm 2 packs model time x memory rectangles
-// into the deadline x memory area, which is unbounded without one.
+// Validate checks the budget's shape. Every labeling and serving surface
+// applies it, so the rules live in exactly one place: budgets must be
+// non-negative and finite in the units the schedulers read (ms and MB),
+// zero being the one way to say "none", and a memory budget needs a
+// deadline — Algorithm 2 packs model time x memory rectangles into the
+// deadline x memory area, which is unbounded without one.
 func (b Budget) Validate() error {
-	if !finite(b.DeadlineSec) {
-		return fmt.Errorf("ams: non-finite deadline %v s", b.DeadlineSec)
+	if !finite(b.DeadlineSec * 1000) {
+		return fmt.Errorf("ams: deadline %v s out of range (not finite in ms)", b.DeadlineSec)
 	}
-	if !finite(b.MemoryGB) {
-		return fmt.Errorf("ams: non-finite memory budget %v GB", b.MemoryGB)
+	if !finite(b.MemoryGB * 1024) {
+		return fmt.Errorf("ams: memory budget %v GB out of range (not finite in MB)", b.MemoryGB)
 	}
 	if b.DeadlineSec < 0 {
 		return fmt.Errorf("ams: negative deadline %v s", b.DeadlineSec)

@@ -1,7 +1,6 @@
 package ams
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"hash/fnv"
@@ -135,8 +134,9 @@ type ServeConfig struct {
 	// Close. MetricsAddr reports the bound address.
 	MetricsAddr string
 	// TraceCapacity sets how many completed item traces the tracer
-	// retains in its ring (default 256). Ring evictions and spans dropped
-	// past the per-trace cap are surfaced as ams_trace_* series.
+	// retains in its ring (default 256; negative is refused). Ring
+	// evictions and spans dropped past the per-trace cap are surfaced as
+	// ams_trace_* series.
 	TraceCapacity int
 	// SLOs lists latency objectives the server accounts every completed
 	// item against, each spec "p99<250ms" or "name:p95<1s" (quantile is
@@ -362,36 +362,119 @@ func (s *System) serveResult(item Item, ir serve.ItemResult) *Result {
 	return s.assembleResult(item, names, ir.Outputs, ir.ScheduleMS, ir.Recall, ir.HasRecall)
 }
 
+// servePlan is a ServeConfig resolved against the system: everything a
+// server, or the simulation of one, is built from. System.plan checks
+// the whole configuration before it resolves any of it.
+type servePlan struct {
+	factory   service.PolicyFactory
+	cache     *sched.SharedCache // shared Q-prediction cache (nil unless configured)
+	placement shard.Placement
+	slos      []SLOObjective // ServeConfig.SLOs, parsed
+	telemetry bool
+	workers   []int          // each shard's share of ServeConfig.Workers
+	shards    []serve.Config // each shard's config, prepared: defaults filled
+}
+
+// plan validates cfg and resolves it into what NewServer and
+// SimulateServe build from, so the two refuse the same configurations
+// with the same error, and refuse them before anything is built. It
+// resolves cfg.Policy (defaulting to Algorithm 1, the server's
+// historical behavior) into the per-worker policy factory: each worker
+// gets a private instantiation — and through it its own fork of the
+// agent, as in LabelBatch. Each shard's config passes the serve layer's
+// own rules (serve.Prepare) with that shard's worker share.
+func (s *System) plan(agent *Agent, cfg ServeConfig) (servePlan, error) {
+	if err := (Budget{DeadlineSec: cfg.DeadlineSec, MemoryGB: cfg.MemoryGB}).Validate(); err != nil {
+		return servePlan{}, err
+	}
+	if cfg.Shards < 0 {
+		return servePlan{}, fmt.Errorf("ams: negative shard count %d", cfg.Shards)
+	}
+	policy := cfg.Policy
+	if !policy.valid() {
+		policy = PolicyAlgorithm1
+	}
+	if policy.parallel && cfg.MemoryGB <= 0 {
+		return servePlan{}, fmt.Errorf("ams: policy %q serves items in parallel and requires a memory budget", policy.Name())
+	}
+	if err := policy.check(agent); err != nil {
+		return servePlan{}, err
+	}
+	placement, err := shard.PlacementByName(cfg.ShardPlacement)
+	if err != nil {
+		return servePlan{}, fmt.Errorf("ams: %w", err)
+	}
+	n := max(cfg.Shards, 1)
+	if cfg.Workers < n {
+		return servePlan{}, fmt.Errorf("ams: need at least one worker per shard, got %d for %d shard(s)", cfg.Workers, n)
+	}
+	if cfg.Corpus != nil && cfg.Corpus.sys.Zoo != s.Zoo {
+		return servePlan{}, fmt.Errorf("ams: corpus opened by a different System")
+	}
+	if cfg.Corpus != nil && cfg.Corpus.Segments() != n {
+		return servePlan{}, fmt.Errorf("ams: %d shard(s) need a corpus with as many journal segments (OpenCorpusDir), got %d",
+			n, cfg.Corpus.Segments())
+	}
+	if cfg.TraceCapacity < 0 {
+		return servePlan{}, fmt.Errorf("ams: negative trace capacity %d", cfg.TraceCapacity)
+	}
+	p := servePlan{placement: placement, workers: make([]int, n), shards: make([]serve.Config, n),
+		telemetry: cfg.Telemetry || cfg.MetricsAddr != "" || cfg.FlightDir != "" || len(cfg.SLOs) > 0}
+	for _, spec := range cfg.SLOs {
+		o, err := ParseSLO(spec)
+		if err != nil {
+			return servePlan{}, err
+		}
+		p.slos = append(p.slos, o)
+	}
+	for i := range p.shards {
+		p.workers[i] = cfg.Workers / n
+		if i < cfg.Workers%n {
+			p.workers[i]++
+		}
+		sc := serve.Config{
+			Config: service.Config{
+				Workers:        p.workers[i],
+				DeadlineSec:    cfg.DeadlineSec,
+				MemoryBudgetMB: cfg.MemoryGB / float64(n) * 1024,
+				ItemParallel:   policy.parallel,
+			},
+			QueueCap:    cfg.QueueCap,
+			BatchSize:   cfg.BatchSize,
+			BatchHoldMS: cfg.BatchHoldMS,
+			TimeScale:   cfg.TimeScale,
+			StatsWindow: cfg.StatsWindow,
+		}
+		if cfg.QueueCap > 0 {
+			sc.QueueCap = max(cfg.QueueCap/n, 1)
+		}
+		if p.shards[i], err = serve.Prepare(s.testStore, sc); err != nil {
+			return servePlan{}, fmt.Errorf("ams: %w", err)
+		}
+	}
+	if cfg.PredictorCache {
+		p.cache = sched.NewSharedCache(0)
+	}
+	cache := p.cache
+	p.factory = func(int) sim.Policy { return policy.instantiate(s, agent, cache) }
+	return p, nil
+}
+
 // NewServer starts a concurrent labeling server driven by the agent. The
 // server labels built-in test images from the precomputed store and
 // ingested external items by running models on demand, under the same
 // policies and budgets.
 func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
-	factory, policy, cache, err := s.serveFactory(agent, cfg)
+	p, err := s.plan(agent, cfg)
 	if err != nil {
 		return nil, err
 	}
-	placement, err := shard.PlacementByName(cfg.ShardPlacement)
-	if err != nil {
-		return nil, fmt.Errorf("ams: %w", err)
-	}
-	if cfg.Corpus != nil && cfg.Corpus.sys.Zoo != s.Zoo {
-		return nil, fmt.Errorf("ams: corpus opened by a different System")
-	}
-	shardCfg, n, err := s.shardConfig(cfg, policy.parallel)
-	if err != nil {
-		return nil, err
-	}
-	sv := &Server{sys: s, corpus: cfg.Corpus, cache: cache, placement: placement,
-		start: time.Now(), scale: cfg.TimeScale,
-		resWindow: cmp.Or(cfg.StatsWindow, serve.DefaultStatsWindow)}
+	sv := &Server{sys: s, corpus: cfg.Corpus, cache: p.cache, placement: p.placement,
+		start: time.Now(), scale: p.shards[0].TimeScale, resWindow: p.shards[0].StatsWindow}
 	sv.resCond = sync.NewCond(&sv.resMu)
 	life := make(chan struct{})
 	sv.life, sv.end = life, sync.OnceFunc(func() { close(life) })
-	if sv.scale <= 0 {
-		sv.scale = 1.0 // the serve layer's own default; keep the SLO clock on it
-	}
-	if cfg.Telemetry || cfg.MetricsAddr != "" || cfg.FlightDir != "" || len(cfg.SLOs) > 0 {
+	if p.telemetry {
 		sv.reg = obs.NewRegistry()
 		sv.tracer = obs.NewTracer(cfg.TraceCapacity)
 		sv.tracer.SetTimeScale(sv.scale)
@@ -403,32 +486,22 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 		sv.metrics = serve.NewMetrics(sv.reg, s.Zoo.Models)
 	}
 
-	if cfg.Corpus != nil && cfg.Corpus.Segments() != n {
-		return nil, fmt.Errorf("ams: %d shard(s) need a corpus with as many journal segments (OpenCorpusDir), got %d",
-			n, cfg.Corpus.Segments())
-	}
 	// One clock epoch, so the shards' completion records merge into a
 	// single coherent timeline in Stats.
-	shardCfg.Epoch = time.Now()
-	shardCfg.Metrics, shardCfg.Tracer = sv.metrics, sv.tracer
-	workerSplit := make([]int, n)
-	inners := make([]*serve.Server, 0, n)
+	epoch := time.Now()
+	inners := make([]*serve.Server, 0, len(p.shards))
 	closeBuilt := func() {
 		for _, inner := range inners {
 			inner.Close()
 		}
 	}
-	for i := range workerSplit {
-		workerSplit[i] = cfg.Workers / n
-		if i < cfg.Workers%n {
-			workerSplit[i]++
-		}
-		shardCfg.Workers = workerSplit[i]
+	for i, sc := range p.shards {
+		sc.Epoch, sc.Metrics, sc.Tracer = epoch, sv.metrics, sv.tracer
 		var seg *corpus.Corpus
 		if cfg.Corpus != nil {
 			seg = cfg.Corpus.segs[i]
 		}
-		sh, err := s.newShard(seg, factory, shardCfg)
+		sh, err := s.newShard(seg, p.factory, sc)
 		if err != nil {
 			closeBuilt()
 			return nil, err
@@ -438,16 +511,16 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 		inners = append(inners, sh.inner)
 	}
 	sv.router, err = shard.New(inners, shard.Config{
-		Placement: placement,
+		Placement: p.placement,
 		Steal:     cfg.ShardSteal,
 		Models:    len(s.Zoo.Models),
-		Workers:   workerSplit,
+		Workers:   p.workers,
 	})
 	if err != nil {
 		closeBuilt()
 		return nil, fmt.Errorf("ams: %w", err)
 	}
-	return sv.finishTelemetry(cfg)
+	return sv.finishTelemetry(cfg, p.slos)
 }
 
 // finishTelemetry completes a constructed server's observability: it
@@ -456,7 +529,7 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 // last, after every other fallible construction step — binds the HTTP
 // exporter, so a bind failure tears the fully built server down
 // cleanly. No-op without telemetry.
-func (sv *Server) finishTelemetry(cfg ServeConfig) (*Server, error) {
+func (sv *Server) finishTelemetry(cfg ServeConfig, slos []SLOObjective) (*Server, error) {
 	if sv.reg == nil {
 		return sv, nil
 	}
@@ -497,10 +570,7 @@ func (sv *Server) finishTelemetry(cfg ServeConfig) (*Server, error) {
 	sv.reg.GaugeFunc("ams_trace_capacity",
 		"Trace-ring capacity (ServeConfig.TraceCapacity)",
 		func() float64 { return float64(sv.tracer.Capacity()) })
-	if err := sv.buildSLOs(cfg); err != nil {
-		_ = sv.Close()
-		return nil, err
-	}
+	sv.buildSLOs(cfg.DeadlineSec, slos)
 	if cfg.FlightDir != "" {
 		sv.armFlightRecorder(cfg.FlightDir)
 	}
@@ -517,24 +587,20 @@ func (sv *Server) finishTelemetry(cfg ServeConfig) (*Server, error) {
 
 // buildSLOs constructs the server's latency objectives — the implicit
 // "deadline" objective (p99 within the scheduling deadline) plus every
-// ServeConfig.SLOs spec — on the virtual clock, registers their
-// ams_slo_* views, and threads them into the serve layer's completion
-// hook. Runs before any item is admitted, so the slice is never written
-// concurrently with itemDone reads.
-func (sv *Server) buildSLOs(cfg ServeConfig) error {
+// parsed ServeConfig.SLOs objective — on the virtual clock, registers
+// their ams_slo_* views, and threads them into the serve layer's
+// completion hook. Runs before any item is admitted, so the slice is
+// never written concurrently with itemDone reads.
+func (sv *Server) buildSLOs(deadlineSec float64, objectives []SLOObjective) {
 	// Virtual seconds since server start: burn windows advance on the
 	// simulated clock, so a 0.01× test run and a real-time run account
 	// burn identically.
 	vnow := func() float64 { return obs.SinceSeconds(sv.start) / sv.scale }
 	var slos []*obs.SLO
-	if cfg.DeadlineSec > 0 {
-		slos = append(slos, obs.NewSLO("deadline", cfg.DeadlineSec, 0.99, vnow))
+	if deadlineSec > 0 {
+		slos = append(slos, obs.NewSLO("deadline", deadlineSec, 0.99, vnow))
 	}
-	for _, spec := range cfg.SLOs {
-		o, err := ParseSLO(spec)
-		if err != nil {
-			return fmt.Errorf("ams: %w", err)
-		}
+	for _, o := range objectives {
 		slos = append(slos, obs.NewSLO(o.Name, o.ThresholdSec, o.Quantile, vnow))
 	}
 	for _, slo := range slos {
@@ -545,7 +611,6 @@ func (sv *Server) buildSLOs(cfg ServeConfig) error {
 			obs.L("slo", slo.Name))
 	}
 	sv.metrics.SLOs = slos
-	return nil
 }
 
 // armFlightRecorder builds the anomaly flight recorder with the
@@ -1023,7 +1088,8 @@ func (sv *Server) Replay(ctx context.Context, trace ServeTrace, src SceneSource)
 // SimulateServe runs the virtual-time discrete-event simulation of the
 // same workload — same Config and policy wiring as Serve, no real
 // concurrency or sleeping — so the two can be compared side by side. It
-// refuses every configuration NewServer refuses, with the same error.
+// resolves cfg exactly as NewServer does, so it refuses every
+// configuration NewServer refuses, with the same error.
 // Each item runs in the mode the configuration selects (Algorithm 2's
 // per-item parallel execution for PolicyAlgorithm2, serial otherwise)
 // under the memory budget of one shard. The simulation replays the
@@ -1035,79 +1101,14 @@ func (s *System) SimulateServe(agent *Agent, cfg ServeConfig, trace ServeTrace) 
 	if err := trace.check(); err != nil {
 		return ServeStats{}, err
 	}
-	factory, policy, _, err := s.serveFactory(agent, cfg)
+	p, err := s.plan(agent, cfg)
 	if err != nil {
 		return ServeStats{}, err
 	}
-	shardCfg, _, err := s.shardConfig(cfg, policy.parallel)
-	if err != nil {
-		return ServeStats{}, err
-	}
-	svcCfg := shardCfg.Config
+	svcCfg := p.shards[0].Config
 	svcCfg.Workers = cfg.Workers
-	svcCfg.ArrivalRateHz, svcCfg.Items, svcCfg.Seed = trace.ArrivalRateHz, trace.Items, trace.Seed
-	st := service.Run(s.testStore, factory, svcCfg)
+	st := service.Run(s.testStore, p.factory, svcCfg, service.Arrivals(trace.Items, trace.ArrivalRateHz, trace.Seed))
 	return fromRunStats(serve.RunStats{Stats: st, Completed: int64(st.Items)}), nil
-}
-
-// shardConfig returns the shard count and the serve.Config every shard
-// of a server for cfg is built with, but for its own Workers (set here to
-// the smallest shard's share), epoch and telemetry. It validates that
-// configuration with the serve layer's own rules, so NewServer and
-// SimulateServe refuse the same configurations with the same error.
-func (s *System) shardConfig(cfg ServeConfig, parallel bool) (serve.Config, int, error) {
-	n := max(cfg.Shards, 1)
-	if cfg.Workers < n {
-		return serve.Config{}, 0, fmt.Errorf("ams: need at least one worker per shard, got %d for %d shard(s)", cfg.Workers, n)
-	}
-	sc := serve.Config{
-		Config: service.Config{
-			Workers:        cfg.Workers / n,
-			DeadlineSec:    cfg.DeadlineSec,
-			MemoryBudgetMB: cfg.MemoryGB / float64(n) * 1024,
-			ItemParallel:   parallel,
-		},
-		QueueCap:    cfg.QueueCap,
-		BatchSize:   cfg.BatchSize,
-		BatchHoldMS: cfg.BatchHoldMS,
-		TimeScale:   cfg.TimeScale,
-		StatsWindow: cfg.StatsWindow,
-	}
-	if cfg.QueueCap > 0 {
-		sc.QueueCap = max(cfg.QueueCap/n, 1)
-	}
-	if _, err := serve.Prepare(s.testStore, sc); err != nil {
-		return serve.Config{}, 0, fmt.Errorf("ams: %w", err)
-	}
-	return sc, n, nil
-}
-
-// serveFactory validates the configuration Serve and SimulateServe
-// share, resolves cfg.Policy (defaulting to Algorithm 1, the server's
-// historical behavior) and builds the per-worker policy factory: each
-// worker gets a private instantiation — and through it its own fork of
-// the agent, as in LabelBatch.
-func (s *System) serveFactory(agent *Agent, cfg ServeConfig) (service.PolicyFactory, Policy, *sched.SharedCache, error) {
-	if cfg.Shards < 0 {
-		return nil, Policy{}, nil, fmt.Errorf("ams: negative shard count %d", cfg.Shards)
-	}
-	policy := cfg.Policy
-	if !policy.valid() {
-		policy = PolicyAlgorithm1
-	}
-	if policy.parallel && cfg.MemoryGB <= 0 {
-		return nil, Policy{}, nil, fmt.Errorf("ams: policy %q serves items in parallel and requires a memory budget", policy.Name())
-	}
-	// Validate up front so configuration errors (e.g. a missing agent)
-	// surface before any worker starts.
-	if err := policy.check(agent); err != nil {
-		return nil, Policy{}, nil, err
-	}
-	var cache *sched.SharedCache
-	if cfg.PredictorCache {
-		cache = sched.NewSharedCache(0)
-	}
-	return func(int) sim.Policy { return policy.instantiate(s, agent, cache) }, policy, cache, nil
 }
 
 func fromRunStats(rs serve.RunStats) ServeStats {

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -160,27 +162,60 @@ func TestServeMatchesSimulateServe(t *testing.T) {
 func TestServeAdmissionValidation(t *testing.T) {
 	trace := ServeTrace{ArrivalRateHz: 100, Items: 5, Seed: 1}
 	nan, inf := math.NaN(), math.Inf(1)
+	other, err := New(Config{NumImages: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := other.OpenCorpus(filepath.Join(t.TempDir(), "foreign.wal"), CorpusOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer foreign.Close()
+	split, err := testSys.OpenCorpusDir(filepath.Join(t.TempDir(), "split.d"), 2, CorpusOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer split.Close()
+	_, sloErr := ParseSLO("garbage")
+	// labelErr is Label's refusal of cfg's budget: the server surfaces
+	// read a budget in the same domain, in the same words.
+	labelErr := func(cfg ServeConfig) string {
+		_, err := testSys.Label(bg, testAgent, testSys.TestItem(0), Budget{DeadlineSec: cfg.DeadlineSec, MemoryGB: cfg.MemoryGB})
+		if err == nil {
+			return "(Label accepted the budget)"
+		}
+		return err.Error()
+	}
 	for _, tc := range []struct {
 		name string
 		cfg  ServeConfig
+		want func(ServeConfig) string // the error every surface must return; nil: any one error
 	}{
-		{"zero workers", ServeConfig{Workers: 0, DeadlineSec: 0.5, TimeScale: 0.001}},
-		{"fewer workers than shards", ServeConfig{Workers: 1, Shards: 2, DeadlineSec: 0.5, TimeScale: 0.001}},
-		{"negative shards", ServeConfig{Workers: 1, Shards: -1, DeadlineSec: 0.5, TimeScale: 0.001}},
-		{"no deadline", ServeConfig{Workers: 2, DeadlineSec: 0, TimeScale: 0.001}},
-		{"NaN deadline", ServeConfig{Workers: 1, DeadlineSec: nan, TimeScale: 0.001}},
-		{"infinite deadline", ServeConfig{Workers: 1, DeadlineSec: inf, TimeScale: 0.001}},
-		{"exhausted memory budget", ServeConfig{Workers: 2, DeadlineSec: 0.5, MemoryGB: 0.1, TimeScale: 0.001}},
-		{"NaN memory budget", ServeConfig{Workers: 1, DeadlineSec: 0.5, MemoryGB: nan, TimeScale: 0.001}},
-		{"infinite memory budget", ServeConfig{Workers: 1, DeadlineSec: 0.5, MemoryGB: inf, TimeScale: 0.001}},
-		{"negative queue", ServeConfig{Workers: 2, DeadlineSec: 0.5, QueueCap: -1, TimeScale: 0.001}},
-		{"negative batch size", ServeConfig{Workers: 1, DeadlineSec: 0.5, BatchSize: -2, TimeScale: 0.001}},
-		{"NaN batch hold", ServeConfig{Workers: 1, DeadlineSec: 0.5, BatchSize: 2, BatchHoldMS: nan, TimeScale: 0.001}},
-		{"infinite batch hold", ServeConfig{Workers: 1, DeadlineSec: 0.5, BatchSize: 2, BatchHoldMS: inf, TimeScale: 0.001}},
-		{"negative time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: -1}},
-		{"NaN time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: nan}},
-		{"infinite time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: inf}},
-		{"overflowing time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e12}},
+		{"zero workers", ServeConfig{Workers: 0, DeadlineSec: 0.5, TimeScale: 0.001}, nil},
+		{"fewer workers than shards", ServeConfig{Workers: 1, Shards: 2, DeadlineSec: 0.5, TimeScale: 0.001}, nil},
+		{"negative shards", ServeConfig{Workers: 1, Shards: -1, DeadlineSec: 0.5, TimeScale: 0.001}, nil},
+		{"no deadline", ServeConfig{Workers: 2, DeadlineSec: 0, TimeScale: 0.001}, nil},
+		{"NaN deadline", ServeConfig{Workers: 1, DeadlineSec: nan, TimeScale: 0.001}, labelErr},
+		{"infinite deadline", ServeConfig{Workers: 1, DeadlineSec: inf, TimeScale: 0.001}, labelErr},
+		{"overflowing deadline", ServeConfig{Workers: 1, DeadlineSec: 1e306, TimeScale: 0.001}, labelErr},
+		{"exhausted memory budget", ServeConfig{Workers: 2, DeadlineSec: 0.5, MemoryGB: 0.1, TimeScale: 0.001}, nil},
+		{"NaN memory budget", ServeConfig{Workers: 1, DeadlineSec: 0.5, MemoryGB: nan, TimeScale: 0.001}, labelErr},
+		{"infinite memory budget", ServeConfig{Workers: 1, DeadlineSec: 0.5, MemoryGB: inf, TimeScale: 0.001}, labelErr},
+		{"overflowing memory budget", ServeConfig{Workers: 1, DeadlineSec: 0.5, MemoryGB: 1e306, TimeScale: 0.001}, labelErr},
+		{"negative queue", ServeConfig{Workers: 2, DeadlineSec: 0.5, QueueCap: -1, TimeScale: 0.001}, nil},
+		{"negative batch size", ServeConfig{Workers: 1, DeadlineSec: 0.5, BatchSize: -2, TimeScale: 0.001}, nil},
+		{"NaN batch hold", ServeConfig{Workers: 1, DeadlineSec: 0.5, BatchSize: 2, BatchHoldMS: nan, TimeScale: 0.001}, nil},
+		{"infinite batch hold", ServeConfig{Workers: 1, DeadlineSec: 0.5, BatchSize: 2, BatchHoldMS: inf, TimeScale: 0.001}, nil},
+		{"negative time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: -1}, nil},
+		{"NaN time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: nan}, nil},
+		{"infinite time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: inf}, nil},
+		{"overflowing time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e12}, nil},
+		{"unknown placement", ServeConfig{Workers: 2, Shards: 2, DeadlineSec: 0.5, TimeScale: 0.001, ShardPlacement: "bogus"}, nil},
+		{"bad SLO spec", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001, SLOs: []string{"garbage"}},
+			func(ServeConfig) string { return sloErr.Error() }},
+		{"negative trace capacity", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001, Telemetry: true, TraceCapacity: -5}, nil},
+		{"corpus from another system", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001, Corpus: foreign}, nil},
+		{"corpus with the wrong segment count", ServeConfig{Workers: 2, DeadlineSec: 0.5, TimeScale: 0.001, Corpus: split}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, nerr := testSys.NewServer(testAgent, tc.cfg)
@@ -188,12 +223,15 @@ func TestServeAdmissionValidation(t *testing.T) {
 				srv.Close()
 				t.Fatalf("NewServer accepted %+v", tc.cfg)
 			}
+			if tc.want != nil && nerr.Error() != tc.want(tc.cfg) {
+				t.Fatalf("NewServer: %v, want %v", nerr, tc.want(tc.cfg))
+			}
 			// The simulation applies the server's rules, in the server's words.
 			if _, serr := testSys.SimulateServe(testAgent, tc.cfg, trace); serr == nil || serr.Error() != nerr.Error() {
 				t.Fatalf("SimulateServe: %v; NewServer: %v; want one error from both", serr, nerr)
 			}
-			if _, err := testSys.Serve(bg, testAgent, tc.cfg, trace, nil); err == nil {
-				t.Fatalf("Serve accepted %+v", tc.cfg)
+			if _, err := testSys.Serve(bg, testAgent, tc.cfg, trace, nil); err == nil || err.Error() != nerr.Error() {
+				t.Fatalf("Serve: %v; NewServer: %v; want one error from both", err, nerr)
 			}
 		})
 	}
@@ -214,6 +252,63 @@ func TestServeAdmissionValidation(t *testing.T) {
 			t.Fatalf("Serve accepted trace %+v", bad)
 		}
 	}
+}
+
+// FuzzServeConfig: NewServer and SimulateServe accept or refuse every
+// configuration together, with one error text, and neither panics;
+// Serve refuses what they refuse, in the same words. An accepted server
+// is closed unserved, since a fuzzed TimeScale may sleep for hours. The
+// pool-sizing fields are clamped so no input starts a large pool.
+func FuzzServeConfig(f *testing.F) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []ServeConfig{
+		{Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001},
+		{Workers: 4, Shards: 2, DeadlineSec: 0.5, MemoryGB: 8, QueueCap: 16, BatchSize: 4, BatchHoldMS: 2,
+			TimeScale: 0.001, StatsWindow: 64, TraceCapacity: 8, ShardPlacement: "affinity", SLOs: []string{"p99<250ms"}},
+		{Workers: 2, Shards: 2, DeadlineSec: 0.5, TimeScale: 0.001, ShardPlacement: "bogus"},
+		{Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001, SLOs: []string{"garbage"}},
+		{Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001, TraceCapacity: -5},
+		{Workers: 1, DeadlineSec: 0.5, MemoryGB: 1e306, TimeScale: 0.001},
+		{Workers: 1, DeadlineSec: 1e306, TimeScale: 0.001},
+		{Workers: 1, DeadlineSec: nan, TimeScale: 0.001},
+		{Workers: 1, DeadlineSec: 0.5, MemoryGB: inf, TimeScale: 0.001},
+		{Workers: 1, DeadlineSec: 0.5, BatchSize: 2, BatchHoldMS: nan, TimeScale: 0.001},
+		{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e12},
+		{Workers: 1, Shards: 2, DeadlineSec: 0.5, TimeScale: 0.001},
+	} {
+		f.Add(c.Workers, c.DeadlineSec, c.MemoryGB, c.QueueCap, c.BatchSize, c.BatchHoldMS, c.TimeScale,
+			c.StatsWindow, c.Shards, c.TraceCapacity, c.ShardPlacement, strings.Join(c.SLOs, ""))
+	}
+	trace := ServeTrace{ArrivalRateHz: 100, Items: 1, Seed: 1}
+	f.Fuzz(func(t *testing.T, workers int, deadlineSec, memoryGB float64, queueCap, batchSize int,
+		batchHoldMS, timeScale float64, statsWindow, shards, traceCapacity int, placement, slo string) {
+		cfg := ServeConfig{
+			Workers: min(workers, 8), DeadlineSec: deadlineSec, MemoryGB: memoryGB,
+			QueueCap: min(queueCap, 1024), BatchSize: batchSize, BatchHoldMS: batchHoldMS,
+			TimeScale: timeScale, StatsWindow: min(statsWindow, 1024), Shards: min(shards, 4),
+			TraceCapacity: min(traceCapacity, 1024), ShardPlacement: placement,
+		}
+		if slo != "" {
+			cfg.SLOs = []string{slo}
+		}
+		srv, nerr := testSys.NewServer(testAgent, cfg)
+		_, serr := testSys.SimulateServe(testAgent, cfg, trace)
+		if nerr == nil {
+			if err := srv.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if serr != nil {
+				t.Fatalf("NewServer accepted %+v, SimulateServe refused it: %v", cfg, serr)
+			}
+			return
+		}
+		if serr == nil || serr.Error() != nerr.Error() {
+			t.Fatalf("SimulateServe: %v; NewServer: %v; want one error from both for %+v", serr, nerr, cfg)
+		}
+		if _, err := testSys.Serve(bg, testAgent, cfg, trace, nil); err == nil || err.Error() != nerr.Error() {
+			t.Fatalf("Serve: %v; NewServer: %v; want one error from both for %+v", err, nerr, cfg)
+		}
+	})
 }
 
 func TestServerQueueFullSurfacesBackpressure(t *testing.T) {

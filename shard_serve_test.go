@@ -174,35 +174,6 @@ func TestShardedCorpusReplayZeroReruns(t *testing.T) {
 
 // TestShardedConfigValidation exercises the sharded NewServer contract
 // checks that have no single-shard counterpart.
-func TestShardedConfigValidation(t *testing.T) {
-	if _, err := testSys.NewServer(testAgent, func() ServeConfig {
-		cfg := shardedCfg(4, 2) // fewer workers than shards
-		return cfg
-	}()); err == nil {
-		t.Error("NewServer accepted fewer workers than shards")
-	}
-	if _, err := testSys.NewServer(testAgent, ServeConfig{
-		Workers: 4, Policy: PolicyAlgorithm1, DeadlineSec: 0.4, TimeScale: 0.001,
-		Shards: 2, ShardPlacement: "zigzag",
-	}); err == nil {
-		t.Error("NewServer accepted an unknown placement")
-	}
-	// A sharded server needs a matching segment count.
-	dir := filepath.Join(t.TempDir(), "corpus.d")
-	c, err := testSys.OpenCorpusDir(dir, 2, CorpusOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := testSys.NewServer(testAgent, func() ServeConfig {
-		cfg := shardedCfg(4, 8)
-		cfg.Corpus = c
-		return cfg
-	}()); err == nil {
-		t.Error("NewServer accepted a 2-segment corpus for a 4-shard server")
-	}
-}
-
 // TestShardedQueueCapBoundsTheRouter checks ServeConfig.QueueCap reaches
 // the queue that sheds on a sharded server, each shard server's own:
 // with 32 slots per shard, a non-blocking burst of 40 items is admitted
