@@ -86,7 +86,7 @@ func (s *System) LabelBatchWith(ctx context.Context, policy Policy, agent *Agent
 					continue // dispatched before the cancel landed: slot stays nil
 				}
 				r := runs[idx]
-				results[idx] = s.buildResult(r.ex, items[idx], s.runSchedule(r.ex, r.i, private, b))
+				results[idx] = s.buildResult(r.ex, items[idx], policy.runSchedule(r.ex, r.i, private, b))
 			}
 		}()
 	}

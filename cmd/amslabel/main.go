@@ -4,7 +4,10 @@
 //
 // The scheduling policy defaults to the paper's algorithm for the
 // budget shape (Algorithm 1 under a deadline, Algorithm 2 with memory,
-// Q-greedy unconstrained) and can be forced with -policy.
+// Q-greedy unconstrained) and can be forced with -policy. The policy
+// picks the schedule's shape, as in amsserve: only algorithm2 runs an
+// item's models in parallel under -memory; every other policy runs one
+// model at a time, and -memory only bounds which models fit.
 //
 // Usage:
 //
@@ -30,9 +33,9 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "determinism seed")
 		agentPath  = flag.String("agent", "", "trained agent file (trains a quick agent when empty)")
 		deadline   = flag.Float64("deadline", 0.5, "per-image deadline in seconds (0 = none)")
-		memory     = flag.Float64("memory", 0, "GPU memory budget in GB (0 = serial)")
+		memory     = flag.Float64("memory", 0, "GPU memory budget in GB (0 = none); bounds which models fit, runs models in parallel only under algorithm2")
 		epochs     = flag.Int("epochs", 8, "epochs for the quick agent when -agent is empty")
-		policyName = flag.String("policy", "", "scheduling policy (algorithm1, algorithm2, qgreedy, random); empty = the budget's default")
+		policyName = flag.String("policy", "", "scheduling policy (algorithm1, algorithm2, qgreedy, random; only algorithm2 runs in parallel, under -memory); empty = the budget's default")
 		external   = flag.Bool("external", false, "label freshly generated external items (no precomputed ground truth) instead of the held-out split")
 	)
 	flag.Parse()

@@ -19,7 +19,8 @@
 // algorithm2, which requires -memory and switches the server into
 // per-item parallel mode — one item's models run concurrently across
 // the pool under the shared accountant, matching sim.RunParallel
-// semantics.
+// semantics. The policy picks the mode, as in amslabel: under the other
+// three, -memory only bounds which models fit, one at a time.
 //
 // -batch enables cross-item dynamic batching: same-model demand from
 // the whole pool coalesces into batched executions (sub-linear GPU
@@ -83,10 +84,10 @@ func main() {
 
 		workers    = flag.Int("workers", 4, "concurrent labeling workers")
 		deadline   = flag.Float64("deadline", 0.5, "per-item deadline in seconds")
-		memory     = flag.Float64("memory", 0, "global GPU memory budget in GB shared by all workers (0 = unlimited)")
+		memory     = flag.Float64("memory", 0, "global GPU memory budget in GB shared by all workers (0 = unlimited); bounds which models fit, runs items in parallel only under algorithm2")
 		queueCap   = flag.Int("queue", 0, "admission queue bound (0 = 2*workers)")
 		timescale  = flag.Float64("timescale", 0.05, "real seconds per simulated second of model time")
-		policyName = flag.String("policy", "algorithm1", "scheduling policy: algorithm1, algorithm2 (needs -memory; per-item parallel), qgreedy, random")
+		policyName = flag.String("policy", "algorithm1", "scheduling policy: algorithm1, algorithm2 (needs -memory; the one per-item parallel policy), qgreedy, random")
 		batchSize  = flag.Int("batch", 0, "cross-item batching: coalesce up to this many same-model requests per execution (0 = off, 1 = batching machinery without coalescing)")
 		batchHold  = flag.Float64("batch-hold", 0, "max simulated ms a lone request waits for batch-mates when no batch holds memory: no -memory, or algorithm2 (0 = server default)")
 		predCache  = flag.Bool("pred-cache", false, "share one bounded Q-prediction cache across all workers and items")

@@ -234,9 +234,11 @@ func (b *Batcher) Enqueue(m int, owned bool, done chan struct{}, ref *obs.BatchR
 		// First request of a fresh batch: arm the lane's hold timer. The
 		// generation check makes a timer that lost the race to a size
 		// flush (or to a later batch entirely) a no-op, and one that finds
-		// a grant outstanding leaves the seal to the grant.
+		// a grant outstanding leaves the seal to the grant. At, unlike
+		// AfterFunc, never runs the timer here, under the lane lock, when
+		// the hold scales below a nanosecond.
 		gen := ln.gen
-		b.wheel.AfterFunc(b.scaled(b.cfg.MaxHoldMS), func() {
+		b.wheel.At(time.Now().Add(b.scaled(b.cfg.MaxHoldMS)), func() {
 			var sealed batch
 			ln.mu.Lock()
 			if ln.gen == gen && !ln.asked && len(ln.reqs) > 0 {

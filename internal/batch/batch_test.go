@@ -272,20 +272,24 @@ func TestGrantSealsCausalPrefix(t *testing.T) {
 }
 
 func TestHoldFlushNeverStarvesALoneRequest(t *testing.T) {
-	b, _ := newBatcher(t, nil, Config{MaxBatch: 8, MaxHoldMS: 5, TimeScale: 0.01})
-	done := make(chan struct{})
-	b.Enqueue(1, false, done, nil)
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("lone request starved waiting for batch-mates")
-	}
-	st := b.Stats()
-	if st.Batches != 1 || st.HoldFlushes != 1 || st.LargestBatch != 1 {
-		t.Fatalf("stats %+v, want one hold-flushed batch of 1", st)
-	}
-	if st.SavedGPUMS != 0 {
-		t.Fatalf("a batch of one saved %v GPU-ms, want 0", st.SavedGPUMS)
+	// The second hold scales to 0.1 ns, a zero time.Duration: its timer
+	// must still fire off the enqueuing goroutine, which holds the lane.
+	for _, hold := range []float64{5, 1e-5} {
+		b, _ := newBatcher(t, nil, Config{MaxBatch: 8, MaxHoldMS: hold, TimeScale: 0.01})
+		done := make(chan struct{})
+		go b.Enqueue(1, false, done, nil)
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("hold %v ms: lone request starved waiting for batch-mates", hold)
+		}
+		st := b.Stats()
+		if st.Batches != 1 || st.HoldFlushes != 1 || st.LargestBatch != 1 {
+			t.Fatalf("hold %v ms: stats %+v, want one hold-flushed batch of 1", hold, st)
+		}
+		if st.SavedGPUMS != 0 {
+			t.Fatalf("hold %v ms: a batch of one saved %v GPU-ms, want 0", hold, st.SavedGPUMS)
+		}
 	}
 }
 

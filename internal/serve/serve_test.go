@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -503,7 +504,7 @@ func TestStatsMatchSimShape(t *testing.T) {
 		Config:    service.Config{Workers: 2, DeadlineSec: 0.5},
 		TimeScale: 0.001,
 	}
-	arrivals := service.Arrivals(60, 2000, 9)
+	arrivals := slices.Collect(service.Arrivals(60, 2000, 9))
 	// Replay the trace the virtual-time sim would generate for cfg: the
 	// arrival pacing collapses (2000 Hz at TimeScale 0.001), so the
 	// server just absorbs the whole burst through SubmitWait.

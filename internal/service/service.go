@@ -20,6 +20,7 @@ package service
 
 import (
 	"fmt"
+	"iter"
 	"math"
 
 	"ams/internal/oracle"
@@ -27,7 +28,7 @@ import (
 	"ams/internal/tensor"
 )
 
-// Run simulates the service over an Arrivals trace: arrival i, at
+// Run simulates the service over a collected Arrivals trace: arrival i, at
 // arrivals[i] seconds, is the executor's item i mod NumItems.
 func Run(ex oracle.Executor, factory PolicyFactory, cfg Config, arrivals []float64) Stats {
 	if cfg.Workers <= 0 {
@@ -73,21 +74,25 @@ func Run(ex oracle.Executor, factory PolicyFactory, cfg Config, arrivals []float
 	return Summarize(records, cfg.Workers)
 }
 
-// Arrivals precomputes a Poisson arrival trace: item i arrives at the
-// returned offset in seconds. Run simulates it; the real server replays
-// the same trace in scaled wall-clock time.
-func Arrivals(items int, rateHz float64, seed uint64) []float64 {
+// Arrivals draws a Poisson arrival trace lazily: the i-th value yielded
+// is item i's arrival offset in seconds, drawn when it is asked for, so
+// a consumer that stops early never pays for the rest of the trace. Each
+// iteration replays the same draws. Run simulates the collected trace;
+// the real server paces its replay on it in scaled wall-clock time.
+func Arrivals(items int, rateHz float64, seed uint64) iter.Seq[float64] {
 	if items <= 0 || rateHz <= 0 {
 		panic(fmt.Sprintf("service: invalid arrival trace %d items at %v Hz", items, rateHz))
 	}
-	rng := tensor.NewRNG(seed ^ 0x2545f4914f6cdd1d)
-	arrivals := make([]float64, items)
-	t := 0.0
-	for i := range arrivals {
-		t += expDraw(rng, rateHz)
-		arrivals[i] = t
+	return func(yield func(float64) bool) {
+		rng := tensor.NewRNG(seed ^ 0x2545f4914f6cdd1d)
+		t := 0.0
+		for range items {
+			t += expDraw(rng, rateHz)
+			if !yield(t) {
+				return
+			}
+		}
 	}
-	return arrivals
 }
 
 // expDraw samples an exponential interarrival time with the given rate.

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"slices"
 	"testing"
 
 	"ams/internal/labels"
@@ -26,7 +27,7 @@ func randomFactory(seed uint64) PolicyFactory {
 }
 
 func TestRunBasicInvariants(t *testing.T) {
-	s := Run(store, randomFactory(1), Config{Workers: 2, DeadlineSec: 1}, Arrivals(100, 2, 1))
+	s := Run(store, randomFactory(1), Config{Workers: 2, DeadlineSec: 1}, slices.Collect(Arrivals(100, 2, 1)))
 	if s.Items != 100 {
 		t.Fatalf("items %d", s.Items)
 	}
@@ -49,7 +50,7 @@ func TestRunBasicInvariants(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	cfg, arrivals := Config{Workers: 2, DeadlineSec: 0.8}, Arrivals(60, 3, 7)
+	cfg, arrivals := Config{Workers: 2, DeadlineSec: 0.8}, slices.Collect(Arrivals(60, 3, 7))
 	a := Run(store, randomFactory(7), cfg, arrivals)
 	b := Run(store, randomFactory(7), cfg, arrivals)
 	if a != b {
@@ -60,7 +61,7 @@ func TestRunDeterministic(t *testing.T) {
 func TestMoreWorkersCutLatencyUnderLoad(t *testing.T) {
 	// At an offered load beyond one worker's capacity, adding workers must
 	// reduce queueing.
-	arrivals := Arrivals(200, 3, 3)
+	arrivals := slices.Collect(Arrivals(200, 3, 3))
 	s1 := Run(store, randomFactory(3), Config{Workers: 1, DeadlineSec: 1}, arrivals)
 	s4 := Run(store, randomFactory(3), Config{Workers: 4, DeadlineSec: 1}, arrivals)
 	if s4.AvgLatencySec >= s1.AvgLatencySec {
@@ -74,7 +75,7 @@ func TestMoreWorkersCutLatencyUnderLoad(t *testing.T) {
 
 func TestHigherLoadRaisesWait(t *testing.T) {
 	mk := func(rate float64) Stats {
-		return Run(store, randomFactory(5), Config{Workers: 2, DeadlineSec: 1}, Arrivals(200, rate, 5))
+		return Run(store, randomFactory(5), Config{Workers: 2, DeadlineSec: 1}, slices.Collect(Arrivals(200, rate, 5)))
 	}
 	light, heavy := mk(0.5), mk(6)
 	if heavy.AvgQueueWaitSec <= light.AvgQueueWaitSec {
@@ -85,7 +86,7 @@ func TestHigherLoadRaisesWait(t *testing.T) {
 
 func TestTighterDeadlineRaisesThroughputLowersRecall(t *testing.T) {
 	mk := func(deadline float64) Stats {
-		return Run(store, randomFactory(9), Config{Workers: 1, DeadlineSec: deadline}, Arrivals(150, 10, 9))
+		return Run(store, randomFactory(9), Config{Workers: 1, DeadlineSec: deadline}, slices.Collect(Arrivals(150, 10, 9)))
 	}
 	tight, loose := mk(0.3), mk(2.0)
 	if tight.ThroughputHz <= loose.ThroughputHz {
@@ -99,7 +100,7 @@ func TestTighterDeadlineRaisesThroughputLowersRecall(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	arrivals := Arrivals(10, 1, 0)
+	arrivals := slices.Collect(Arrivals(10, 1, 0))
 	for name, run := range map[string]func(){
 		"no workers":  func() { Run(store, randomFactory(1), Config{DeadlineSec: 1}, arrivals) },
 		"no deadline": func() { Run(store, randomFactory(1), Config{Workers: 1}, arrivals) },

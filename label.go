@@ -60,8 +60,11 @@ type Budget struct {
 	// DeadlineSec bounds the schedule's execution time. Zero means no
 	// deadline (the scheduler stops when no model is predicted valuable).
 	DeadlineSec float64
-	// MemoryGB, when positive, enables the multi-processor setting of
-	// Algorithm 2: models run in parallel under this shared GPU budget.
+	// MemoryGB, when positive, is the GPU memory an item's models may
+	// hold at once. It bounds the schedule; the policy picks its shape.
+	// Under PolicyAlgorithm2 the models run in parallel within it (the
+	// multi-processor setting of Algorithm 2). Every other policy runs
+	// one model at a time and skips a model that does not fit.
 	MemoryGB float64
 }
 
@@ -158,8 +161,11 @@ func (s *System) Label(ctx context.Context, agent *Agent, item Item, b Budget) (
 	return s.LabelWith(ctx, DefaultPolicy(b), agent, item, b)
 }
 
-// LabelRandom labels an item with the random baseline under the same
-// budget semantics as Label — useful for the comparisons the paper plots.
+// LabelRandom labels an item with the random baseline under the budget
+// — useful for the comparisons the paper plots. It is LabelWith with
+// PolicyRandom, so it runs one model at a time, and a memory budget only
+// bounds which models fit. The paper's parallel random packer (Fig. 11)
+// is an experiment baseline, not a registry policy.
 func (s *System) LabelRandom(ctx context.Context, item Item, b Budget, seed uint64) (*Result, error) {
 	return s.LabelWith(ctx, PolicyRandom.WithSeed(seed), nil, item, b)
 }

@@ -7,6 +7,7 @@ import (
 
 	"ams/internal/oracle"
 	"ams/internal/sched"
+	"ams/internal/service"
 	"ams/internal/sim"
 	"ams/internal/tensor"
 )
@@ -23,9 +24,9 @@ import (
 // for a budget shape.
 type Policy struct {
 	name string
-	// parallel marks the batch-scheduling policy (Algorithm 2): the
-	// server runs it in per-item parallel mode, where one item's models
-	// execute concurrently across the pool under the shared accountant.
+	// parallel marks the batch-scheduling policy (Algorithm 2): under a
+	// memory budget it runs in per-item parallel mode (runsParallel),
+	// one item's models executing concurrently within the budget.
 	parallel bool
 	// needsAgent rejects instantiation without a trained agent.
 	needsAgent bool
@@ -49,9 +50,10 @@ var (
 		},
 	}
 	// PolicyAlgorithm2 is the paper's Algorithm 2: deadline+memory batch
-	// packing. Under a memory budget the server runs it per item, with
-	// one item's models executing in parallel (sim.RunParallel
-	// semantics).
+	// packing. It is the one policy that runs an item's models in
+	// parallel, on every surface, and only under a memory budget
+	// (sim.RunParallel semantics). Without one LabelWith runs it one
+	// model at a time; the server refuses it.
 	PolicyAlgorithm2 = Policy{
 		name:       "algorithm2",
 		parallel:   true,
@@ -165,21 +167,24 @@ func DefaultPolicy(b Budget) Policy {
 	}
 }
 
-// runSchedule is the one budget dispatch shared by every labeling
-// surface: it picks the executor's limits from the budget shape and runs
-// the policy under them, over any oracle.Executor (precomputed or
-// on-demand). The budget must already be validated.
-func (s *System) runSchedule(ex oracle.Executor, idx int, p sim.Policy, b Budget) sim.Result {
-	switch {
-	case b.MemoryGB > 0:
-		return sim.RunParallel(ex, idx, p, b.DeadlineSec*1000, b.MemoryGB*1024)
-	case b.DeadlineSec > 0:
-		return sim.RunDeadline(ex, idx, p, b.DeadlineSec*1000)
-	default:
+// runsParallel is the one rule that shapes a schedule, on every
+// labeling and serving surface: an item's models run concurrently under
+// the memory budget (Algorithm 2) iff the policy is the parallel packer
+// and the budget has memory. Otherwise one model runs at a time, and a
+// memory budget only bounds which models fit.
+func (p Policy) runsParallel(b Budget) bool { return p.parallel && b.MemoryGB > 0 }
+
+// runSchedule runs impl, an instantiation of p, on one item under the
+// budget, over any oracle.Executor (precomputed or on-demand), in the
+// shape runsParallel picks. The budget must already be validated.
+func (p Policy) runSchedule(ex oracle.Executor, idx int, impl sim.Policy, b Budget) sim.Result {
+	if b.DeadlineSec == 0 {
 		// Schedule until every valuable label is recalled — or, without
 		// ground truth, until the policy stops proposing models.
-		return sim.RunToRecall(ex, idx, p, 1.0)
+		return sim.RunToRecall(ex, idx, impl, 1.0)
 	}
+	lim := service.Config{DeadlineSec: b.DeadlineSec, ItemParallel: p.runsParallel(b)}.Limits()
+	return sim.Execute(sim.NewVirtual(b.MemoryGB*1024), ex, idx, impl, lim)
 }
 
 // checkImage validates a held-out image index.
@@ -209,6 +214,6 @@ func (s *System) LabelWith(ctx context.Context, policy Policy, agent *Agent, ite
 	if err := policy.check(agent); err != nil {
 		return nil, err
 	}
-	res := s.runSchedule(ex, idx, withCancel(ctx, policy.instantiate(s, agent, nil)), b)
+	res := policy.runSchedule(ex, idx, withCancel(ctx, policy.instantiate(s, agent, nil)), b)
 	return s.buildResult(ex, item, res), ctx.Err()
 }

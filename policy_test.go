@@ -118,56 +118,6 @@ func TestAnyPolicyUnderAnyBudget(t *testing.T) {
 	}
 }
 
-// TestServePolicyAlgorithm2MatchesSim: the server in Algorithm-2
-// per-item mode must reproduce the sim.RunParallel schedule (exposed
-// through LabelWith, which uses the same executor) for uncontended
-// items — the sim-vs-real parity promise extended to the parallel mode.
-func TestServePolicyAlgorithm2MatchesSim(t *testing.T) {
-	b := Budget{DeadlineSec: 0.8, MemoryGB: 8}
-	srv, err := testSys.NewServer(testAgent, ServeConfig{
-		Workers:     1,
-		DeadlineSec: b.DeadlineSec,
-		MemoryGB:    b.MemoryGB,
-		TimeScale:   0.001,
-		Policy:      PolicyAlgorithm2,
-	})
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	for img := 0; img < 8; img++ {
-		tk, err := srv.Submit(testSys.TestItem(img))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := mustWait(t, tk) // sequential submits: the item runs uncontended
-		want, err := testSys.LabelWith(bg, PolicyAlgorithm2, testAgent, testSys.TestItem(img), b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Recall != want.Recall {
-			t.Fatalf("image %d: server recall %v diverges from sim %v", img, got.Recall, want.Recall)
-		}
-		if got.TimeSec != want.TimeSec {
-			t.Fatalf("image %d: server makespan %v diverges from sim %v", img, got.TimeSec, want.TimeSec)
-		}
-		if len(got.ModelsRun) != len(want.ModelsRun) {
-			t.Fatalf("image %d: server ran %v, sim %v", img, got.ModelsRun, want.ModelsRun)
-		}
-		for i := range want.ModelsRun {
-			if got.ModelsRun[i] != want.ModelsRun[i] {
-				t.Fatalf("image %d: schedule diverges at %d: %v vs %v",
-					img, i, got.ModelsRun, want.ModelsRun)
-			}
-		}
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if stats := srv.Stats(); stats.PeakMemMB <= 0 || stats.PeakMemMB > b.MemoryGB*1024+1e-9 {
-		t.Fatalf("peak memory %v MB outside (0, %v]", stats.PeakMemMB, b.MemoryGB*1024)
-	}
-}
-
 func TestServePolicyValidation(t *testing.T) {
 	// Algorithm 2 serving requires a memory budget.
 	if _, err := testSys.NewServer(testAgent, ServeConfig{

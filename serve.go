@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -37,11 +38,12 @@ type ServeConfig struct {
 	// frozen network behind the forks is shared.
 	Workers int
 	// Policy selects the per-worker scheduling policy; the zero value
-	// means PolicyAlgorithm1, the server's historical default. With
-	// PolicyAlgorithm2 (which requires MemoryGB) the server switches to
-	// per-item parallel mode: one item's models run concurrently across
-	// the pool under the shared accountant, matching sim.RunParallel
-	// semantics.
+	// means PolicyAlgorithm1, the server's historical default. The policy
+	// picks the schedule's shape, as in LabelWith: PolicyAlgorithm2
+	// (which requires MemoryGB) runs in per-item parallel mode, one
+	// item's models concurrently across the pool under the shared
+	// accountant (sim.RunParallel semantics); every other policy runs
+	// one model at a time, and MemoryGB only bounds which models fit.
 	Policy Policy
 	// DeadlineSec is the per-item scheduling budget, as in Label.
 	DeadlineSec float64
@@ -384,7 +386,8 @@ type servePlan struct {
 // agent, as in LabelBatch. Each shard's config passes the serve layer's
 // own rules (serve.Prepare) with that shard's worker share.
 func (s *System) plan(agent *Agent, cfg ServeConfig) (servePlan, error) {
-	if err := (Budget{DeadlineSec: cfg.DeadlineSec, MemoryGB: cfg.MemoryGB}).Validate(); err != nil {
+	budget := Budget{DeadlineSec: cfg.DeadlineSec, MemoryGB: cfg.MemoryGB}
+	if err := budget.Validate(); err != nil {
 		return servePlan{}, err
 	}
 	if cfg.Shards < 0 {
@@ -437,7 +440,7 @@ func (s *System) plan(agent *Agent, cfg ServeConfig) (servePlan, error) {
 				Workers:        p.workers[i],
 				DeadlineSec:    cfg.DeadlineSec,
 				MemoryBudgetMB: cfg.MemoryGB / float64(n) * 1024,
-				ItemParallel:   policy.parallel,
+				ItemParallel:   policy.runsParallel(budget),
 			},
 			QueueCap:    cfg.QueueCap,
 			BatchSize:   cfg.BatchSize,
@@ -469,6 +472,11 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.newServer(cfg, p)
+}
+
+// newServer builds and starts the server a checked plan of cfg describes.
+func (s *System) newServer(cfg ServeConfig, p servePlan) (*Server, error) {
 	sv := &Server{sys: s, corpus: cfg.Corpus, cache: p.cache, placement: p.placement,
 		start: time.Now(), scale: p.shards[0].TimeScale, resWindow: p.shards[0].StatsWindow}
 	sv.resCond = sync.NewCond(&sv.resMu)
@@ -510,7 +518,7 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 		sv.shards = append(sv.shards, sh)
 		inners = append(inners, sh.inner)
 	}
-	sv.router, err = shard.New(inners, shard.Config{
+	router, err := shard.New(inners, shard.Config{
 		Placement: p.placement,
 		Steal:     cfg.ShardSteal,
 		Models:    len(s.Zoo.Models),
@@ -520,6 +528,7 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 		closeBuilt()
 		return nil, fmt.Errorf("ams: %w", err)
 	}
+	sv.router = router
 	return sv.finishTelemetry(cfg, p.slos)
 }
 
@@ -1005,13 +1014,17 @@ func (sv *Server) WriteChromeTrace(w io.Writer, n int) error {
 // NewServer, Replay and Close, for a caller that needs nothing else of
 // the server.
 func (s *System) Serve(ctx context.Context, agent *Agent, cfg ServeConfig, trace ServeTrace, src SceneSource) (ServeStats, error) {
-	if err := trace.check(); err != nil {
+	if cfg.StatsWindow == 0 {
+		cfg.StatsWindow = max(trace.Items, 0) // summarize the whole trace
+	}
+	p, err := s.plan(agent, cfg)
+	if err != nil {
 		return ServeStats{}, err
 	}
-	if cfg.StatsWindow == 0 {
-		cfg.StatsWindow = trace.Items // summarize the whole trace
+	if err := trace.check(p.shards[0].TimeScale); err != nil {
+		return ServeStats{}, err
 	}
-	srv, err := s.NewServer(agent, cfg)
+	srv, err := s.newServer(cfg, p)
 	if err != nil {
 		return ServeStats{}, err
 	}
@@ -1022,11 +1035,21 @@ func (s *System) Serve(ctx context.Context, agent *Agent, cfg ServeConfig, trace
 	return srv.Stats(), err
 }
 
-// check validates a trace's shape.
-func (trace ServeTrace) check() error {
+// check validates a trace for a server at the given time scale, the one
+// trace rule of Serve, Replay and SimulateServe. Besides a positive rate
+// and item count, the trace's worst-case horizon must be finite and,
+// scaled, fit the time.Duration Replay sleeps until each arrival: every
+// gap is at most 53·ln 2 / rate seconds, since the RNG never draws a
+// uniform below 2⁻⁵³.
+func (trace ServeTrace) check(scale float64) error {
 	if trace.ArrivalRateHz <= 0 || !finite(trace.ArrivalRateHz) || trace.Items <= 0 {
 		return fmt.Errorf("ams: serve needs a positive arrival rate and item count, got %v Hz / %d items",
 			trace.ArrivalRateHz, trace.Items)
+	}
+	horizon := float64(trace.Items) * 53 * math.Ln2 / trace.ArrivalRateHz
+	if !finite(horizon) || horizon*scale*float64(time.Second) >= math.MaxInt64 {
+		return fmt.Errorf("ams: %d arrivals at %v Hz may span %v s, out of range at time scale %v",
+			trace.Items, trace.ArrivalRateHz, horizon, scale)
 	}
 	return nil
 }
@@ -1041,7 +1064,7 @@ func (sv *Server) Replay(ctx context.Context, trace ServeTrace, src SceneSource)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := trace.check(); err != nil {
+	if err := trace.check(sv.scale); err != nil {
 		return err
 	}
 	if src == nil {
@@ -1055,7 +1078,7 @@ func (sv *Server) Replay(ctx context.Context, trace ServeTrace, src SceneSource)
 	due := make(chan struct{}, 1) // one arrival is waited for at a time
 	arrive := func() { due <- struct{}{} }
 	start := time.Now()
-	for _, at := range service.Arrivals(trace.Items, trace.ArrivalRateHz, trace.Seed) {
+	for at := range service.Arrivals(trace.Items, trace.ArrivalRateHz, trace.Seed) {
 		item, ok := src.Next()
 		if !ok {
 			return nil // source exhausted: serve what arrived
@@ -1098,16 +1121,17 @@ func (sv *Server) Replay(ctx context.Context, trace ServeTrace, src SceneSource)
 // items: every item sees its shard's whole memory budget, and the queue
 // bound and batching do not apply.
 func (s *System) SimulateServe(agent *Agent, cfg ServeConfig, trace ServeTrace) (ServeStats, error) {
-	if err := trace.check(); err != nil {
-		return ServeStats{}, err
-	}
 	p, err := s.plan(agent, cfg)
 	if err != nil {
 		return ServeStats{}, err
 	}
+	if err := trace.check(p.shards[0].TimeScale); err != nil {
+		return ServeStats{}, err
+	}
 	svcCfg := p.shards[0].Config
 	svcCfg.Workers = cfg.Workers
-	st := service.Run(s.testStore, p.factory, svcCfg, service.Arrivals(trace.Items, trace.ArrivalRateHz, trace.Seed))
+	arrivals := slices.Collect(service.Arrivals(trace.Items, trace.ArrivalRateHz, trace.Seed))
+	st := service.Run(s.testStore, p.factory, svcCfg, arrivals)
 	return fromRunStats(serve.RunStats{Stats: st, Completed: int64(st.Items)}), nil
 }
 

@@ -39,7 +39,7 @@ func TestServePacesSubMillisecondArrivals(t *testing.T) {
 	// asked[0] trails the replay's start by the time it takes to draw the
 	// trace (tens of microseconds), and asked[i+1] follows arrival i's
 	// submit.
-	arrivals := service.Arrivals(trace.Items, trace.ArrivalRateHz, trace.Seed)
+	arrivals := slices.Collect(service.Arrivals(trace.Items, trace.ArrivalRateHz, trace.Seed))
 	late := make([]time.Duration, 0, trace.Items-1)
 	for i, at := range arrivals[:trace.Items-1] {
 		want := time.Duration(at * cfg.TimeScale * float64(time.Second))

@@ -3,6 +3,7 @@ package ams
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // serveCfg is the shared fast-clock server configuration: a millisecond
@@ -31,9 +33,11 @@ func mustWait(t testing.TB, tk *ServeTicket) *Result {
 // TestServerLabelsLikeLabel: at one worker nothing contends, so the
 // server — the executor on the real machine — must reproduce the library
 // — the same executor on the virtual machine — exactly, for every
-// registry policy over the whole test split and a few external items.
-// The reference is one LabelBatchWith worker, which like the server's
-// worker 0 carries one policy instance across the items in order.
+// registry policy under the server's own budget, over the whole test
+// split and a few external items. The reference is one LabelBatchWith
+// worker, which like the server's worker 0 carries one policy instance
+// across the items in order. At 1 GB the memory budget binds: models
+// that do not fit are skipped (serial) or wait for headroom (parallel).
 func TestServerLabelsLikeLabel(t *testing.T) {
 	items := make([]Item, testSys.NumTestImages())
 	for i := range items {
@@ -42,29 +46,34 @@ func TestServerLabelsLikeLabel(t *testing.T) {
 	items = append(items, testSys.GenerateItems(4, 9)...)
 	for _, pol := range registryPolicies() {
 		t.Run(pol.Name(), func(t *testing.T) {
-			cfg := serveCfg(1)
-			cfg.Policy, cfg.MemoryGB = pol, 8
-			b := Budget{DeadlineSec: cfg.DeadlineSec}
-			if pol.parallel {
-				b.MemoryGB = cfg.MemoryGB
-			}
-			want, _, err := testSys.LabelBatchWith(bg, pol, testAgent, items, b, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv, err := testSys.NewServer(testAgent, cfg)
-			if err != nil {
-				t.Fatalf("NewServer: %v", err)
-			}
-			defer srv.Close()
-			for i, item := range items {
-				tk, err := srv.SubmitWait(bg, item)
-				if err != nil {
-					t.Fatalf("SubmitWait: %v", err)
-				}
-				if got := mustWait(t, tk); !reflect.DeepEqual(got, want[i]) {
-					t.Fatalf("item %d: server result diverges from the library's:\n%+v\nvs\n%+v", i, got, want[i])
-				}
+			for _, b := range []Budget{{DeadlineSec: 0.5, MemoryGB: 8}, {DeadlineSec: 0.8, MemoryGB: 8}, {DeadlineSec: 0.5, MemoryGB: 1}} {
+				t.Run(fmt.Sprintf("%gs_%gGB", b.DeadlineSec, b.MemoryGB), func(t *testing.T) {
+					want, _, err := testSys.LabelBatchWith(bg, pol, testAgent, items, b, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					srv, err := testSys.NewServer(testAgent, ServeConfig{Workers: 1, Policy: pol,
+						DeadlineSec: b.DeadlineSec, MemoryGB: b.MemoryGB, TimeScale: 0.001})
+					if err != nil {
+						t.Fatalf("NewServer: %v", err)
+					}
+					defer srv.Close() // on a failed row; the row closes it first
+					for i, item := range items {
+						tk, err := srv.SubmitWait(bg, item)
+						if err != nil {
+							t.Fatalf("SubmitWait: %v", err)
+						}
+						if got := mustWait(t, tk); !reflect.DeepEqual(got, want[i]) {
+							t.Fatalf("item %d: server result diverges from the library's:\n%+v\nvs\n%+v", i, got, want[i])
+						}
+					}
+					if err := srv.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if peak := srv.Stats().PeakMemMB; peak <= 0 || peak > b.MemoryGB*1024+1e-9 {
+						t.Fatalf("peak memory %v MB outside (0, %v]", peak, b.MemoryGB*1024)
+					}
+				})
 			}
 		})
 	}
@@ -244,21 +253,53 @@ func TestServeAdmissionValidation(t *testing.T) {
 	if _, err := testSys.SimulateServe(nil, serveCfg(1), trace); err == nil {
 		t.Fatal("nil agent accepted by SimulateServe")
 	}
-	for _, bad := range []ServeTrace{{}, {ArrivalRateHz: nan, Items: 5}, {ArrivalRateHz: inf, Items: 5}} {
-		if _, err := testSys.SimulateServe(testAgent, serveCfg(1), bad); err == nil {
+	// The last two rows' worst-case horizons are +Inf s and, scaled by
+	// serveCfg's TimeScale, past the time.Duration range; Serve runs
+	// under a timeout so a trace that waits forever fails instead.
+	for _, bad := range []ServeTrace{{}, {ArrivalRateHz: nan, Items: 5}, {ArrivalRateHz: inf, Items: 5},
+		{ArrivalRateHz: 1e-320, Items: 3}, {ArrivalRateHz: 1e-300, Items: 3}} {
+		_, serr := testSys.SimulateServe(testAgent, serveCfg(1), bad)
+		if serr == nil {
 			t.Fatalf("SimulateServe accepted trace %+v", bad)
 		}
-		if _, err := testSys.Serve(bg, testAgent, serveCfg(1), bad, nil); err == nil {
-			t.Fatalf("Serve accepted trace %+v", bad)
+		ctx, cancel := context.WithTimeout(bg, 5*time.Second)
+		_, err := testSys.Serve(ctx, testAgent, serveCfg(1), bad, nil)
+		cancel()
+		if err == nil || err.Error() != serr.Error() {
+			t.Fatalf("Serve: %v; SimulateServe: %v; want one error from both for trace %+v", err, serr, bad)
 		}
+	}
+}
+
+// TestReplayDrawsArrivalsLazily: Replay draws each arrival when it is
+// due, so serving one item of a ten-million-item trace costs what the
+// one item costs, not a slice of every arrival (80 MB).
+func TestReplayDrawsArrivalsLazily(t *testing.T) {
+	srv, err := testSys.NewServer(testAgent, serveCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = srv.Replay(bg, ServeTrace{ArrivalRateHz: 1e6, Items: 10_000_000, Seed: 1}, ItemSource(testSys.TestItem(0)))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("replaying one item allocated %d bytes, want < 1 MB", n)
 	}
 }
 
 // FuzzServeConfig: NewServer and SimulateServe accept or refuse every
 // configuration together, with one error text, and neither panics;
-// Serve refuses what they refuse, in the same words. An accepted server
-// is closed unserved, since a fuzzed TimeScale may sleep for hours. The
-// pool-sizing fields are clamped so no input starts a large pool.
+// Serve refuses what they refuse, in the same words. An accepted
+// configuration serves what it accepts: rebuilt at a fast clock (a
+// fuzzed TimeScale may sleep for hours, a batch hold for as long), a
+// server labels one item exactly as LabelWith does under one shard's
+// budget. The pool-sizing fields are clamped so no input starts a large
+// pool.
 func FuzzServeConfig(f *testing.F) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, c := range []ServeConfig{
@@ -275,15 +316,20 @@ func FuzzServeConfig(f *testing.F) {
 		{Workers: 1, DeadlineSec: 0.5, BatchSize: 2, BatchHoldMS: nan, TimeScale: 0.001},
 		{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e12},
 		{Workers: 1, Shards: 2, DeadlineSec: 0.5, TimeScale: 0.001},
+		{Workers: 1, DeadlineSec: 0.5, MemoryGB: 8, TimeScale: 0.001}, // algorithm1 under memory: serial
 	} {
 		f.Add(c.Workers, c.DeadlineSec, c.MemoryGB, c.QueueCap, c.BatchSize, c.BatchHoldMS, c.TimeScale,
-			c.StatsWindow, c.Shards, c.TraceCapacity, c.ShardPlacement, strings.Join(c.SLOs, ""))
+			c.StatsWindow, c.Shards, c.TraceCapacity, c.ShardPlacement, strings.Join(c.SLOs, ""), 0, uint64(0))
 	}
 	trace := ServeTrace{ArrivalRateHz: 100, Items: 1, Seed: 1}
+	item := testSys.TestItem(0)
 	f.Fuzz(func(t *testing.T, workers int, deadlineSec, memoryGB float64, queueCap, batchSize int,
-		batchHoldMS, timeScale float64, statsWindow, shards, traceCapacity int, placement, slo string) {
+		batchHoldMS, timeScale float64, statsWindow, shards, traceCapacity int, placement, slo string,
+		policy int, seed uint64) {
+		n := len(builtinPolicies)
 		cfg := ServeConfig{
-			Workers: min(workers, 8), DeadlineSec: deadlineSec, MemoryGB: memoryGB,
+			Workers: min(workers, 8), Policy: builtinPolicies[(policy%n+n)%n].WithSeed(seed),
+			DeadlineSec: deadlineSec, MemoryGB: memoryGB,
 			QueueCap: min(queueCap, 1024), BatchSize: batchSize, BatchHoldMS: batchHoldMS,
 			TimeScale: timeScale, StatsWindow: min(statsWindow, 1024), Shards: min(shards, 4),
 			TraceCapacity: min(traceCapacity, 1024), ShardPlacement: placement,
@@ -293,20 +339,89 @@ func FuzzServeConfig(f *testing.F) {
 		}
 		srv, nerr := testSys.NewServer(testAgent, cfg)
 		_, serr := testSys.SimulateServe(testAgent, cfg, trace)
-		if nerr == nil {
-			if err := srv.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
+		if nerr != nil {
+			if serr == nil || serr.Error() != nerr.Error() {
+				t.Fatalf("SimulateServe: %v; NewServer: %v; want one error from both for %+v", serr, nerr, cfg)
 			}
-			if serr != nil {
-				t.Fatalf("NewServer accepted %+v, SimulateServe refused it: %v", cfg, serr)
+			if _, err := testSys.Serve(bg, testAgent, cfg, trace, nil); err == nil || err.Error() != nerr.Error() {
+				t.Fatalf("Serve: %v; NewServer: %v; want one error from both for %+v", err, nerr, cfg)
 			}
 			return
 		}
-		if serr == nil || serr.Error() != nerr.Error() {
-			t.Fatalf("SimulateServe: %v; NewServer: %v; want one error from both for %+v", serr, nerr, cfg)
+		if err := srv.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
 		}
-		if _, err := testSys.Serve(bg, testAgent, cfg, trace, nil); err == nil || err.Error() != nerr.Error() {
-			t.Fatalf("Serve: %v; NewServer: %v; want one error from both for %+v", err, nerr, cfg)
+		if serr != nil {
+			t.Fatalf("NewServer accepted %+v, SimulateServe refused it: %v", cfg, serr)
+		}
+		fast := cfg
+		fast.TimeScale, fast.BatchHoldMS = 1e-6, min(cfg.BatchHoldMS, 1000)
+		srv, err := testSys.NewServer(testAgent, fast)
+		if err != nil {
+			t.Fatalf("NewServer accepted %+v but refused it at a fast clock: %v", cfg, err)
+		}
+		defer srv.Close()
+		tk, err := srv.SubmitWait(bg, item)
+		if err != nil {
+			t.Fatalf("SubmitWait: %v", err)
+		}
+		got := mustWait(t, tk)
+		b := Budget{DeadlineSec: cfg.DeadlineSec, MemoryGB: cfg.MemoryGB / float64(max(cfg.Shards, 1))}
+		want, err := testSys.LabelWith(bg, cfg.Policy, testAgent, item, b)
+		if err != nil {
+			t.Fatalf("LabelWith under one shard's budget %+v: %v", b, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v serves\n%+v\nLabelWith under %+v gives\n%+v", cfg, got, b, want)
+		}
+	})
+}
+
+// FuzzServeTrace: SimulateServe and Serve accept or refuse every arrival
+// trace together, with one error text, and Serve refuses before it
+// builds a server: its refusal allocates about what SimulateServe's
+// does. Building and closing a one-worker server costs some 30
+// allocations more; the slack of 10 absorbs the race detector's own.
+// Every float of an accepted trace's simulated stats is finite. An
+// accepted trace is not served, since a fuzzed rate may pace arrivals
+// hours apart.
+func FuzzServeTrace(f *testing.F) {
+	for _, c := range []struct {
+		trace ServeTrace
+		scale float64
+	}{
+		{ServeTrace{ArrivalRateHz: 1000, Items: 40, Seed: 5}, 0.001},
+		{ServeTrace{ArrivalRateHz: 1e-320, Items: 3}, 0.001},
+		{ServeTrace{ArrivalRateHz: 1e-300, Items: 3}, 0.001},
+		{ServeTrace{ArrivalRateHz: 4e-302, Items: 1000, Seed: 2}, 1e-300}, // a horizon near the float range
+		{ServeTrace{ArrivalRateHz: math.NaN(), Items: 5}, 1},
+		{ServeTrace{ArrivalRateHz: 100, Items: -1}, 1},
+		{ServeTrace{ArrivalRateHz: 100, Items: 5}, -1},
+	} {
+		f.Add(c.trace.ArrivalRateHz, c.trace.Items, c.trace.Seed, c.scale)
+	}
+	f.Fuzz(func(t *testing.T, rateHz float64, items int, seed uint64, timeScale float64) {
+		cfg := serveCfg(1)
+		cfg.TimeScale = timeScale
+		trace := ServeTrace{ArrivalRateHz: rateHz, Items: min(items, 1000), Seed: seed}
+		st, serr := testSys.SimulateServe(testAgent, cfg, trace)
+		if serr == nil {
+			v := reflect.ValueOf(st)
+			for i := range v.NumField() {
+				if f := v.Field(i); f.Kind() == reflect.Float64 && !finite(f.Float()) {
+					t.Fatalf("SimulateServe(%+v at time scale %v): %s = %v", trace, timeScale, v.Type().Field(i).Name, f.Float())
+				}
+			}
+			return
+		}
+		_, err := testSys.Serve(bg, testAgent, cfg, trace, nil)
+		if err == nil || err.Error() != serr.Error() {
+			t.Fatalf("Serve: %v; SimulateServe: %v; want one error from both for %+v at time scale %v", err, serr, trace, timeScale)
+		}
+		serve := testing.AllocsPerRun(3, func() { testSys.Serve(bg, testAgent, cfg, trace, nil) })
+		sim := testing.AllocsPerRun(3, func() { testSys.SimulateServe(testAgent, cfg, trace) })
+		if serve > sim+10 {
+			t.Fatalf("Serve's refusal of %+v allocates %v times, SimulateServe's %v: it built something first", trace, serve, sim)
 		}
 	})
 }
