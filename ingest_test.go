@@ -3,9 +3,11 @@ package ams
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 	"weak"
@@ -591,10 +593,9 @@ func TestServerResultsAbandonedConsumerDoesNotDeadlock(t *testing.T) {
 }
 
 // TestResultsRingKeepsNewestInOrder: a consumer that falls behind and
-// then drains receives the one result the pump held and then exactly the
-// newest StatsWindow results, oldest first — across the ring's growth
-// (the window is past its first size), with nothing shed and with most
-// of the stream shed as the ring wraps.
+// then drains receives exactly the newest StatsWindow results, oldest
+// first, and every other result is counted dropped — with one result
+// shed and with most of the stream shed.
 func TestResultsRingKeepsNewestInOrder(t *testing.T) {
 	const window = 20
 	for _, items := range []int{window + 1, 2*window + 10} {
@@ -623,24 +624,23 @@ func TestResultsRingKeepsNewestInOrder(t *testing.T) {
 			}
 			got = append(got, n)
 		}
-		if len(got) != window+1 || got[0] >= items-window {
-			t.Fatalf("%d items: delivered %v, want one held result, then the newest %d", items, got, window)
+		if len(got) != window {
+			t.Fatalf("%d items: delivered %v, want the newest %d", items, got, window)
 		}
-		for j, n := range got[1:] {
+		for j, n := range got {
 			if n != items-window+j {
-				t.Fatalf("%d items: delivered %v, want %d..%d after the held result", items, got, items-window, items-1)
+				t.Fatalf("%d items: delivered %v, want %d..%d", items, got, items-window, items-1)
 			}
 		}
-		if d := srv.Stats().ResultsDropped; d != int64(items-len(got)) {
-			t.Fatalf("%d items: dropped %d results, want %d", items, d, items-len(got))
+		if d := srv.Stats().ResultsDropped; d != int64(items-window) {
+			t.Fatalf("%d items: dropped %d results, want %d", items, d, items-window)
 		}
 	}
 }
 
 // TestShardedResultsBoundIsServerWide: StatsWindow bounds the undelivered
 // results of the whole server, not of each shard — an abandoned
-// subscription on two shards retains at most the window plus the one
-// result the pump holds.
+// subscription on two shards retains at most the window.
 func TestShardedResultsBoundIsServerWide(t *testing.T) {
 	const window, items = 4, 24
 	cfg := serveCfg(2)
@@ -668,16 +668,85 @@ func TestShardedResultsBoundIsServerWide(t *testing.T) {
 			t.Fatalf("shard %d completed %d items, want >= %d for the bound to bite", ps.Shard, ps.Completed, window+2)
 		}
 	}
-	if want := int64(items - (window + 1)); st.ResultsDropped < want {
-		t.Fatalf("dropped %d results, want >= %d: more than the window plus one in hand retained", st.ResultsDropped, want)
+	if want := int64(items - window); st.ResultsDropped < want {
+		t.Fatalf("dropped %d results, want >= %d: more than the window retained", st.ResultsDropped, want)
 	}
 }
 
-// TestResultsOneGoroutine: a subscription costs one pump goroutine at any
-// shard count, which exits once Close has drained the server and the
-// channel is read to its end. Results after Close returns a closed
-// channel, and repeated calls share one.
-func TestResultsOneGoroutine(t *testing.T) {
+// TestResultsConcurrentConsumer: a reader racing the workers over a
+// two-result window loses results only by counted drops. Each of four
+// submitters serves its own sequence one item at a time, so its items
+// complete in order: the reader must see every sequence strictly
+// increasing with no duplicate, and what it received plus what was
+// dropped must be every completion.
+func TestResultsConcurrentConsumer(t *testing.T) {
+	const submitters, perSubmitter = 4, 25
+	cfg := serveCfg(4)
+	cfg.StatsWindow = 2
+	srv, err := testSys.NewServer(testAgent, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := srv.Results()
+	received := make(chan int, 1)
+	go func() {
+		last := make([]int, submitters)
+		for i := range last {
+			last[i] = -1
+		}
+		n := 0
+		for res := range results {
+			var w, k int
+			if _, err := fmt.Sscanf(res.ItemID, "%d-%d", &w, &k); err != nil || w < 0 || w >= submitters {
+				t.Errorf("result with unknown id %q", res.ItemID)
+				continue
+			}
+			if k <= last[w] {
+				t.Errorf("submitter %d: received item %d after item %d", w, k, last[w])
+			}
+			last[w] = k
+			n++
+		}
+		received <- n
+	}()
+	var wg sync.WaitGroup
+	for w := range submitters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range perSubmitter {
+				item := testSys.TestItem((w*perSubmitter + k) % testSys.NumTestImages()).WithID(fmt.Sprintf("%d-%d", w, k))
+				tk, err := srv.SubmitWait(bg, item)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := tk.Wait(bg); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := <-received
+	st := srv.Stats()
+	if st.Completed != submitters*perSubmitter {
+		t.Fatalf("completed %d items, want %d", st.Completed, submitters*perSubmitter)
+	}
+	if int64(n)+st.ResultsDropped != st.Completed {
+		t.Fatalf("received %d + dropped %d results, want the %d completed", n, st.ResultsDropped, st.Completed)
+	}
+}
+
+// TestResultsStartsNoGoroutine: a subscription starts no goroutine at
+// any shard count, and the stream ends once Close has drained the
+// server. Results after Close returns a closed channel, and repeated
+// calls share one.
+func TestResultsStartsNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := serveCfg(4)
 	cfg.Shards = 4
@@ -690,7 +759,9 @@ func TestResultsOneGoroutine(t *testing.T) {
 	if again := srv.Results(); again != results {
 		t.Fatal("repeated Results() returned a different channel")
 	}
-	waitGoroutines(t, "after Results", base+1)
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("after Results: %d goroutines, want at most %d", n, base)
+	}
 	tk, err := srv.SubmitWait(bg, testSys.TestItem(0))
 	if err != nil {
 		t.Fatal(err)

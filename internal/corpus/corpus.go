@@ -85,6 +85,21 @@ type Options struct {
 	SyncEveryMS float64
 }
 
+// check refuses options no corpus can run with. Open and OpenDir run it
+// before they touch the disk, so both refuse them in one text and leave
+// nothing behind.
+func (opts Options) check() error {
+	if opts.MaxResident < 0 || opts.SnapshotEvery < 0 || opts.SyncEveryN < 0 || opts.SyncEveryMS < 0 {
+		return fmt.Errorf("corpus: negative option in %+v", opts)
+	}
+	// The flusher ticks every SyncEveryMS, which must scale to a positive
+	// Duration: NewTicker panics on a zero one.
+	if d := opts.SyncEveryMS * float64(time.Millisecond); opts.SyncEveryMS != 0 && !(d >= 1 && d < math.MaxInt64) {
+		return fmt.Errorf("corpus: sync interval %v ms does not fit a time.Duration of at least 1 ns", opts.SyncEveryMS)
+	}
+	return nil
+}
+
 // entry is one item's corpus-side state. The scene and the commit
 // metadata stay for the corpus's lifetime (they are small); the memoized
 // outputs — the bulk — live in the item and are reclaimed by eviction.
@@ -170,13 +185,8 @@ func Open(z *zoo.Zoo, path string, opts Options) (*Corpus, error) {
 	if z == nil {
 		return nil, errors.New("corpus: nil zoo")
 	}
-	if opts.MaxResident < 0 || opts.SnapshotEvery < 0 || opts.SyncEveryN < 0 || opts.SyncEveryMS < 0 {
-		return nil, fmt.Errorf("corpus: negative option in %+v", opts)
-	}
-	// The flusher ticks every SyncEveryMS, which must scale to a positive
-	// Duration: NewTicker panics on a zero one.
-	if d := opts.SyncEveryMS * float64(time.Millisecond); opts.SyncEveryMS != 0 && !(d >= 1 && d < math.MaxInt64) {
-		return nil, fmt.Errorf("corpus: sync interval %v ms does not fit a time.Duration of at least 1 ns", opts.SyncEveryMS)
+	if err := opts.check(); err != nil {
+		return nil, err
 	}
 	c := &Corpus{z: z, path: path, opts: opts, ids: make(map[string]int), space: make(chan struct{})}
 	legacy, err := readSnapshotV1(path + ".snap")

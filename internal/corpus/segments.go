@@ -38,12 +38,16 @@ func SegmentPath(dir string, i int) string {
 // path, where the caller should not need to remember the shard count.
 // A count that contradicts an existing manifest is an error: segments
 // cannot be re-partitioned in place. Options apply to each segment
-// individually (MaxResident bounds residency per segment). Segments are
-// opened concurrently, so replay of a crashed multi-segment corpus
-// fans out across journals.
+// individually (MaxResident bounds residency per segment); bad ones are
+// refused, as Open refuses them, before anything touches the disk.
+// Segments are opened concurrently, so replay of a crashed
+// multi-segment corpus fans out across journals.
 func OpenDir(z *zoo.Zoo, dir string, n int, opts Options) ([]*Corpus, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("corpus: negative segment count %d", n)
+	}
+	if err := opts.check(); err != nil {
+		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("corpus: create segment directory: %w", err)

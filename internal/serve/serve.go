@@ -128,8 +128,8 @@ type Config struct {
 	BatchHoldMS float64
 
 	// TimeScale is the real seconds slept per simulated second of model
-	// time (default 1.0, production pacing). Tests use small values to
-	// exercise the full concurrent machinery quickly.
+	// time (default 1.0, production pacing; at least 1e-9). Tests use
+	// small values to exercise the full concurrent machinery quickly.
 	TimeScale float64
 
 	// StatsWindow is how many completed-item records the server retains
@@ -181,6 +181,12 @@ type Corpus interface {
 // defaultStatsWindow bounds retained per-item records (~40 B each) when
 // Config.StatsWindow is zero.
 const defaultStatsWindow = 1 << 16
+
+// minTimeScale is the smallest Config.TimeScale. Below it a simulated
+// second is shorter than a time.Duration's nanosecond, and the server's
+// clock, wall time divided by the scale, leaves the float range: one
+// served item read an infinite horizon and NaN latencies at 5e-324.
+const minTimeScale = 1e-9
 
 // defaultBatchHoldMS is the flush hold applied when batching is enabled
 // without an explicit Config.BatchHoldMS: long enough for concurrent
@@ -273,9 +279,9 @@ type Server struct {
 	slots        chan struct{} // one token per queued ticket: QueueCap bounds the queue
 	stop         chan struct{} // closed by Close to wake Admit calls waiting for a slot
 	start        time.Time
-	wg           sync.WaitGroup     // workers
-	onFinish     []func(ItemResult) // completion hooks, in install order
-	steal        func() *Ticket     // the router's idle hook (OnIdle); nil on a bare server
+	wg           sync.WaitGroup   // workers
+	onFinish     func(ItemResult) // the completion hook (OnFinish); nil on a bare server
+	steal        func() *Ticket   // the router's idle hook (OnIdle); nil on a bare server
 
 	mu        sync.Mutex // guards closed, queue, records, counters
 	cond      *sync.Cond // on mu: idle workers park here
@@ -317,8 +323,9 @@ func Prepare(ex oracle.Executor, cfg Config) (Config, error) {
 	if cfg.TimeScale == 0 {
 		cfg.TimeScale = 1.0
 	}
-	if cfg.TimeScale < 0 {
-		return cfg, fmt.Errorf("serve: negative time scale %v", cfg.TimeScale)
+	if cfg.TimeScale < minTimeScale {
+		return cfg, fmt.Errorf("serve: time scale %v is below %v: a simulated second would be shorter than a nanosecond",
+			cfg.TimeScale, minTimeScale)
 	}
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = 2 * cfg.Workers
@@ -511,12 +518,12 @@ func (s *Server) checkIndex(item int) error {
 	return nil
 }
 
-// OnFinish adds a completion hook, before the first admission: every
-// hook runs, in install order, on the finishing worker for every labeled
-// item, after its result is committed and recorded and before its
-// ticket's Done closes. It is how a results stream collects completions
-// without a goroutine parked per ticket.
-func (s *Server) OnFinish(fn func(ItemResult)) { s.onFinish = append(s.onFinish, fn) }
+// OnFinish sets the completion hook, before the first admission: it runs
+// on the finishing worker for every labeled item, after its result is
+// committed and recorded and before its ticket's Done closes. It is how
+// a results stream collects completions without a goroutine parked per
+// ticket.
+func (s *Server) OnFinish(fn func(ItemResult)) { s.onFinish = fn }
 
 // OnIdle installs a shard router's steal hook, before the first
 // admission: a worker whose queue is empty calls it before parking and
@@ -997,8 +1004,8 @@ func (s *Server) finish(tk *Ticket, seq int, res sim.Result, selectSec float64, 
 		s.recHead = (s.recHead + 1) % s.cfg.StatsWindow
 	}
 	s.mu.Unlock()
-	for _, fn := range s.onFinish {
-		fn(tk.res)
+	if s.onFinish != nil {
+		s.onFinish(tk.res)
 	}
 	close(tk.done)
 }

@@ -84,14 +84,16 @@ type ServeConfig struct {
 	// that state everywhere. ServeStats reports its hit rate.
 	PredictorCache bool
 	// TimeScale is the real seconds slept per simulated second of model
-	// execution (default 1.0). Small values run the full concurrent
-	// machinery at test speed.
+	// execution (default 1.0; at least 1e-9, a nanosecond per simulated
+	// second). Small values run the full concurrent machinery at test
+	// speed.
 	TimeScale float64
 	// StatsWindow is how many completed items Stats retains (default
 	// 65536): a long-running server summarizes only the most recent
-	// window, while ServeStats.Completed keeps the total count. It also
-	// bounds the results not yet delivered to a Results subscriber,
-	// server-wide across all shards.
+	// window, while ServeStats.Completed keeps the total count. It is
+	// also the exact bound on results not yet delivered to a Results
+	// subscriber, server-wide across all shards: past it, the oldest is
+	// dropped.
 	StatsWindow int
 	// Corpus, when non-nil, makes ingestion durable and bounded: every
 	// external item the server admits is journaled (scene, each
@@ -251,10 +253,9 @@ type Server struct {
 	corpus *Corpus            // durable ingestion, when configured
 	cache  *sched.SharedCache // shared Q-prediction cache (nil unless configured)
 
-	// shards holds at least one entry, all built by the same loop; the
-	// router in front of them owns admission, placement, stealing, the
-	// merged stats and Close, whatever their number.
-	shards    []*serverShard
+	// router owns admission, placement, stealing, the merged stats and
+	// Close over at least one shard server; with a corpus, shard i
+	// journals into corpus segment i.
 	router    *shard.Router
 	placement shard.Placement
 
@@ -268,21 +269,20 @@ type Server struct {
 	exporter *obs.Exporter
 	flight   *obs.FlightRecorder
 
-	// SLO clock: virtual seconds since start (wall elapsed ÷ scale).
+	// start is the one clock epoch: the shards' completion records merge
+	// on it, and the SLO clock reads virtual seconds since it (wall
+	// elapsed ÷ scale).
 	start time.Time
 	scale float64
 
-	// The results stream: every shard's completion hook publishes into
-	// resBuf, which one pump goroutine drains onto res (see Results).
-	resMu      sync.Mutex
-	resCond    *sync.Cond         // signals the pump: a publish, or the end
-	resBuf     []serve.ItemResult // ring of undelivered results, grown on demand up to resWindow
-	resHead    int                // the oldest undelivered result's slot
-	resLen     int                // undelivered results, at most resWindow
-	resWindow  int
+	// The results stream: every shard's completion hook sends onto res,
+	// whose buffer of window results is all the stream keeps (see
+	// Results).
+	resMu      sync.Mutex   // orders publishes, and Close's close of res
+	res        chan *Result // nil until Results or Close
+	subscribed atomic.Bool  // Results has made res: publish sends
+	window     int
 	resDropped atomic.Int64
-	resEnd     bool         // the shards have drained; nothing more arrives
-	res        chan *Result // nil until Results
 
 	// life is the context external items resolve under; end, the first
 	// thing Close does, cancels it.
@@ -305,15 +305,6 @@ func (l lifetime) Err() error {
 	default:
 		return nil
 	}
-}
-
-// serverShard is one shard of the server: one worker pool
-// (serve.Server over the test store, with its own memory accountant)
-// plus, with a corpus, its own journal segment. It keeps no state of its
-// own about the items it has served: the segment knows which it holds.
-type serverShard struct {
-	seg   *corpus.Corpus // nil without a corpus
-	inner *serve.Server
 }
 
 // ServeTicket tracks one submitted item to completion. It wraps the
@@ -478,8 +469,7 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 // newServer builds and starts the server a checked plan of cfg describes.
 func (s *System) newServer(cfg ServeConfig, p servePlan) (*Server, error) {
 	sv := &Server{sys: s, corpus: cfg.Corpus, cache: p.cache, placement: p.placement,
-		start: time.Now(), scale: p.shards[0].TimeScale, resWindow: p.shards[0].StatsWindow}
-	sv.resCond = sync.NewCond(&sv.resMu)
+		start: time.Now(), scale: p.shards[0].TimeScale, window: p.shards[0].StatsWindow}
 	life := make(chan struct{})
 	sv.life, sv.end = life, sync.OnceFunc(func() { close(life) })
 	if p.telemetry {
@@ -494,31 +484,36 @@ func (s *System) newServer(cfg ServeConfig, p servePlan) (*Server, error) {
 		sv.metrics = serve.NewMetrics(sv.reg, s.Zoo.Models)
 	}
 
-	// One clock epoch, so the shards' completion records merge into a
-	// single coherent timeline in Stats.
-	epoch := time.Now()
-	inners := make([]*serve.Server, 0, len(p.shards))
+	// Each shard is a serve.Server over the test store, driving its
+	// corpus segment when there is one.
+	shards := make([]*serve.Server, 0, len(p.shards))
 	closeBuilt := func() {
-		for _, inner := range inners {
-			inner.Close()
+		for _, sh := range shards {
+			sh.Close()
 		}
 	}
 	for i, sc := range p.shards {
-		sc.Epoch, sc.Metrics, sc.Tracer = epoch, sv.metrics, sv.tracer
-		var seg *corpus.Corpus
+		// One clock epoch, so the shards' completion records merge into a
+		// single coherent timeline in Stats.
+		sc.Epoch, sc.Metrics, sc.Tracer = sv.start, sv.metrics, sv.tracer
 		if cfg.Corpus != nil {
-			seg = cfg.Corpus.segs[i]
+			seg := cfg.Corpus.segs[i]
+			// History already committed in the journal was delivered
+			// before: reclaim its memos so a reopened corpus does not pin
+			// them. ReplayCorpus recovers those results *before* building
+			// a server.
+			seg.ReclaimCommitted()
+			sc.Corpus = seg
 		}
-		sh, err := s.newShard(seg, p.factory, sc)
+		sh, err := serve.New(s.testStore, p.factory, sc)
 		if err != nil {
 			closeBuilt()
-			return nil, err
+			return nil, fmt.Errorf("ams: %w", err)
 		}
-		sh.inner.OnFinish(sv.publish)
-		sv.shards = append(sv.shards, sh)
-		inners = append(inners, sh.inner)
+		sh.OnFinish(sv.publish)
+		shards = append(shards, sh)
 	}
-	router, err := shard.New(inners, shard.Config{
+	router, err := shard.New(shards, shard.Config{
 		Placement: p.placement,
 		Steal:     cfg.ShardSteal,
 		Models:    len(s.Zoo.Models),
@@ -529,7 +524,7 @@ func (s *System) newServer(cfg ServeConfig, p servePlan) (*Server, error) {
 		return nil, fmt.Errorf("ams: %w", err)
 	}
 	sv.router = router
-	return sv.finishTelemetry(cfg, p.slos)
+	return sv.finishTelemetry(cfg, p.slos, shards)
 }
 
 // finishTelemetry completes a constructed server's observability: it
@@ -538,12 +533,12 @@ func (s *System) newServer(cfg ServeConfig, p servePlan) (*Server, error) {
 // last, after every other fallible construction step — binds the HTTP
 // exporter, so a bind failure tears the fully built server down
 // cleanly. No-op without telemetry.
-func (sv *Server) finishTelemetry(cfg ServeConfig, slos []SLOObjective) (*Server, error) {
+func (sv *Server) finishTelemetry(cfg ServeConfig, slos []SLOObjective, shards []*serve.Server) (*Server, error) {
 	if sv.reg == nil {
 		return sv, nil
 	}
-	for i, sh := range sv.shards {
-		sh.inner.RegisterViews(sv.reg, obs.L("shard", strconv.Itoa(i)))
+	for i, sh := range shards {
+		sh.RegisterViews(sv.reg, obs.L("shard", strconv.Itoa(i)))
 	}
 	sv.router.RegisterViews(sv.reg)
 	sv.reg.CounterFunc("ams_results_dropped_total",
@@ -658,27 +653,10 @@ func (sv *Server) armFlightRecorder(dir string) {
 	sv.flight = fr
 }
 
-// newShard builds one shard: a serve.Server over the test store, driving
-// the shard's corpus segment when there is one.
-func (s *System) newShard(seg *corpus.Corpus, factory service.PolicyFactory, cfg serve.Config) (*serverShard, error) {
-	sh := &serverShard{seg: seg}
-	if seg != nil {
-		cfg.Corpus = seg
-		// History already committed in the journal was delivered before:
-		// reclaim its memos so a reopened corpus does not pin them.
-		// ReplayCorpus recovers those results *before* building a server.
-		seg.ReclaimCommitted()
-	}
-	var err error
-	if sh.inner, err = serve.New(s.testStore, factory, cfg); err != nil {
-		return nil, fmt.Errorf("ams: %w", err)
-	}
-	return sh, nil
-}
-
 // resolve maps an external item onto the executor it runs on and its
 // corpus sequence. It runs on the worker that takes the item, so a
-// corpus admission lands in the executing shard's own journal segment.
+// corpus admission lands in the journal segment of shard sh, the one
+// executing it.
 //
 // Without a corpus the item is its own executor and the shard keeps
 // nothing: once its result is delivered, nothing of the server holds it,
@@ -688,17 +666,18 @@ func (s *System) newShard(seg *corpus.Corpus, factory service.PolicyFactory, cfg
 // and is journaled once per segment however often it is submitted, also
 // across restarts. Committed items are evicted, bounding residency at
 // CorpusOptions.MaxResident: an admission at the watermark waits for an
-// eviction, which is backpressure on the shard's queue, until ctx — the
-// server's lifetime — ends.
-func (sh *serverShard) resolve(ctx context.Context, ext *oracle.ExternalItem, tag string) (oracle.Executor, int, error) {
-	if sh.seg == nil {
+// eviction, which is backpressure on the shard's queue, until the
+// server's lifetime ends.
+func (sv *Server) resolve(sh int, ext *oracle.ExternalItem, tag string) (oracle.Executor, int, error) {
+	if sv.corpus == nil {
 		return ext.Executor(), -1, nil
 	}
-	seq, err := sh.seg.AdmitWait(ctx, *ext.Scene(), tag)
+	seg := sv.corpus.segs[sh]
+	seq, err := seg.AdmitWait(sv.life, *ext.Scene(), tag)
 	if err != nil {
 		return nil, -1, err
 	}
-	return sh.seg.Item(seq).Executor(), seq, nil
+	return seg.Item(seq).Executor(), seq, nil
 }
 
 // itemKey is the stable routing identity for hash placement: the item's
@@ -799,7 +778,7 @@ func (sv *Server) routedItem(item Item) (shard.Item, error) {
 	if ext == nil {
 		it.Index = item.image
 	} else {
-		it.Resolve = func(sh int) (oracle.Executor, int, error) { return sv.shards[sh].resolve(sv.life, ext, item.id) }
+		it.Resolve = func(sh int) (oracle.Executor, int, error) { return sv.resolve(sh, ext, item.id) }
 	}
 	return it, nil
 }
@@ -854,16 +833,14 @@ func (sv *Server) Checkpoint() error {
 
 // Results subscribes to the server's completion stream: every item
 // finished after the call is delivered in completion order, without the
-// caller holding tickets. The channel closes after Close once all
-// results are drained; called after Close, Results returns a closed
-// channel. Repeated calls share one subscription. Subscribe before
-// submitting — earlier completions are not replayed. A slow or
-// abandoned consumer never blocks labeling or Close: results buffer
-// internally up to ServeConfig.StatsWindow undelivered entries, beyond
-// which the oldest are dropped (ServeStats.ResultsDropped counts them).
-// Like time.Tick, a subscription that is never drained holds its bounded
-// buffer and its one pump goroutine until the process exits; a consumer
-// should read until the channel closes.
+// caller holding tickets. The channel closes once Close has drained the
+// server; called after Close, Results returns a closed channel. Repeated
+// calls share one subscription, and a subscription starts no goroutine.
+// Subscribe before submitting — earlier completions are not replayed. A
+// slow or abandoned consumer never blocks labeling or Close: the channel
+// buffers exactly ServeConfig.StatsWindow undelivered results, and a
+// completion that finds it full first drops the oldest
+// (ServeStats.ResultsDropped counts them).
 //
 // Every delivered result was committed first — commit-of-result is the
 // item's lifetime boundary: the result's labels and outputs are captured
@@ -874,72 +851,39 @@ func (sv *Server) Results() <-chan *Result {
 	sv.resMu.Lock()
 	defer sv.resMu.Unlock()
 	if sv.res == nil {
-		sv.res = make(chan *Result)
-		if sv.resEnd {
-			close(sv.res)
-		} else {
-			go sv.pumpResults()
-		}
+		// The buffer is the stream's whole store: StatsWindow
+		// undelivered results, the bound publish keeps.
+		sv.res = make(chan *Result, sv.window)
+		sv.subscribed.Store(true)
 	}
 	return sv.res
 }
 
-// publish is every shard's completion hook: it buffers the result for
-// the subscriber, if there is one, shedding the oldest entry once the
-// consumer is a full stats window behind — an abandoned subscription
-// then cannot retain every completion for the server's lifetime. The
-// buffer is a ring, so a steady stream reuses its slots.
+// publish is every shard's completion hook. With a subscriber it sends
+// the result on the stream, first dropping the oldest undelivered one
+// when the consumer is a full stats window behind, so an abandoned
+// subscription cannot retain every completion for the server's
+// lifetime. The lock orders the publishes of every shard's workers; the
+// consumer only receives, so nothing under the lock blocks.
 func (sv *Server) publish(ir serve.ItemResult) {
-	sv.resMu.Lock()
-	defer sv.resMu.Unlock()
-	if sv.res == nil {
+	if !sv.subscribed.Load() {
 		return
 	}
-	if sv.resLen >= sv.resWindow {
-		sv.popResult()
-		sv.resDropped.Add(1)
-	}
-	if sv.resLen == len(sv.resBuf) {
-		// Full below the window: grow, unrolling the ring oldest first.
-		grown := make([]serve.ItemResult, min(max(2*len(sv.resBuf), 16), sv.resWindow))
-		n := copy(grown, sv.resBuf[sv.resHead:])
-		copy(grown[n:], sv.resBuf[:sv.resHead])
-		sv.resBuf, sv.resHead = grown, 0
-	}
-	sv.resBuf[(sv.resHead+sv.resLen)%len(sv.resBuf)] = ir
-	sv.resLen++
-	sv.resCond.Signal()
-}
-
-// popResult takes the oldest buffered result out of the ring, clearing
-// its slot so the ring does not retain it. The caller holds resMu.
-func (sv *Server) popResult() serve.ItemResult {
-	ir := sv.resBuf[sv.resHead]
-	sv.resBuf[sv.resHead] = serve.ItemResult{}
-	sv.resHead = (sv.resHead + 1) % len(sv.resBuf)
-	sv.resLen--
-	return ir
-}
-
-// pumpResults delivers buffered results one at a time — everything not
-// yet handed over stays in resBuf, under publish's bound, so at most one
-// undelivered result is held outside it — until Close has ended the
-// stream and the buffer is empty, then closes the channel.
-func (sv *Server) pumpResults() {
+	// An ingested item's Image is already -1: no test-split index.
+	res := sv.sys.serveResult(Item{id: ir.Tag, image: ir.Image, valid: true}, ir)
+	sv.resMu.Lock()
+	defer sv.resMu.Unlock()
 	for {
-		sv.resMu.Lock()
-		for sv.resLen == 0 && !sv.resEnd {
-			sv.resCond.Wait()
-		}
-		if sv.resLen == 0 {
-			sv.resMu.Unlock()
-			close(sv.res)
+		select {
+		case sv.res <- res:
 			return
+		default:
 		}
-		ir := sv.popResult()
-		sv.resMu.Unlock()
-		// An ingested item's Image is already -1: no test-split index.
-		sv.res <- sv.sys.serveResult(Item{id: ir.Tag, image: ir.Image, valid: true}, ir)
+		select {
+		case <-sv.res:
+			sv.resDropped.Add(1)
+		default: // the consumer took one meanwhile
+		}
 	}
 }
 
@@ -951,7 +895,7 @@ func (sv *Server) Stats() ServeStats {
 	st := fromRunStats(rst.Merged)
 	st.Steals = rst.Steals
 	st.PerShard = rst.PerShard
-	st.Shards = len(sv.shards)
+	st.Shards = len(rst.PerShard)
 	st.ResultsDropped = sv.resDropped.Load()
 	if sv.cache != nil {
 		st.PredCacheHits, st.PredCacheMisses, st.PredCacheEntries = sv.cache.Stats()
@@ -981,10 +925,12 @@ func (sv *Server) Close() error {
 	err := sv.router.Close()
 	if err != ErrServerClosed {
 		// This call drained every shard, so every publish has happened:
-		// let the pump flush what is buffered and close the stream.
+		// end the stream, or make a later Results return it ended.
 		sv.resMu.Lock()
-		sv.resEnd = true
-		sv.resCond.Signal()
+		if sv.res == nil {
+			sv.res = make(chan *Result)
+		}
+		close(sv.res)
 		sv.resMu.Unlock()
 	}
 	return err

@@ -195,6 +195,11 @@ func TestServeAdmissionValidation(t *testing.T) {
 		}
 		return err.Error()
 	}
+	// scaleErr names the caller's time scale: the server's clock, wall
+	// time divided by it, would leave the float range.
+	scaleErr := func(cfg ServeConfig) string {
+		return fmt.Sprintf("ams: serve: time scale %v is below 1e-09: a simulated second would be shorter than a nanosecond", cfg.TimeScale)
+	}
 	for _, tc := range []struct {
 		name string
 		cfg  ServeConfig
@@ -219,6 +224,8 @@ func TestServeAdmissionValidation(t *testing.T) {
 		{"NaN time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: nan}, nil},
 		{"infinite time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: inf}, nil},
 		{"overflowing time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e12}, nil},
+		{"subnormal time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 5e-324}, scaleErr},
+		{"sub-nanosecond time scale", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e-300}, scaleErr},
 		{"unknown placement", ServeConfig{Workers: 2, Shards: 2, DeadlineSec: 0.5, TimeScale: 0.001, ShardPlacement: "bogus"}, nil},
 		{"bad SLO spec", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001, SLOs: []string{"garbage"}},
 			func(ServeConfig) string { return sloErr.Error() }},
@@ -296,10 +303,11 @@ func TestReplayDrawsArrivalsLazily(t *testing.T) {
 // configuration together, with one error text, and neither panics;
 // Serve refuses what they refuse, in the same words. An accepted
 // configuration serves what it accepts: rebuilt at a fast clock (a
-// fuzzed TimeScale may sleep for hours, a batch hold for as long), a
-// server labels one item exactly as LabelWith does under one shard's
-// budget. The pool-sizing fields are clamped so no input starts a large
-// pool.
+// fuzzed TimeScale may sleep for hours, a batch hold for as long), or at
+// its own when that is faster, a server labels one item exactly as
+// LabelWith does under one shard's budget, and every float of its stats
+// is finite. The pool-sizing fields are clamped so no input starts a
+// large pool.
 func FuzzServeConfig(f *testing.F) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, c := range []ServeConfig{
@@ -317,6 +325,7 @@ func FuzzServeConfig(f *testing.F) {
 		{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e12},
 		{Workers: 1, Shards: 2, DeadlineSec: 0.5, TimeScale: 0.001},
 		{Workers: 1, DeadlineSec: 0.5, MemoryGB: 8, TimeScale: 0.001}, // algorithm1 under memory: serial
+		{Workers: 1, DeadlineSec: 0.5, TimeScale: 5e-324},             // a clock that leaves the float range
 	} {
 		f.Add(c.Workers, c.DeadlineSec, c.MemoryGB, c.QueueCap, c.BatchSize, c.BatchHoldMS, c.TimeScale,
 			c.StatsWindow, c.Shards, c.TraceCapacity, c.ShardPlacement, strings.Join(c.SLOs, ""), 0, uint64(0))
@@ -356,6 +365,9 @@ func FuzzServeConfig(f *testing.F) {
 		}
 		fast := cfg
 		fast.TimeScale, fast.BatchHoldMS = 1e-6, min(cfg.BatchHoldMS, 1000)
+		if cfg.TimeScale > 0 && cfg.TimeScale < fast.TimeScale {
+			fast.TimeScale = cfg.TimeScale // fast already: serve at the accepted scale
+		}
 		srv, err := testSys.NewServer(testAgent, fast)
 		if err != nil {
 			t.Fatalf("NewServer accepted %+v but refused it at a fast clock: %v", cfg, err)
@@ -373,6 +385,12 @@ func FuzzServeConfig(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%+v serves\n%+v\nLabelWith under %+v gives\n%+v", cfg, got, b, want)
+		}
+		v := reflect.ValueOf(srv.Stats())
+		for i := range v.NumField() {
+			if f := v.Field(i); f.Kind() == reflect.Float64 && !finite(f.Float()) {
+				t.Fatalf("%+v served at time scale %v: %s = %v", cfg, fast.TimeScale, v.Type().Field(i).Name, f.Float())
+			}
 		}
 	})
 }
@@ -459,7 +477,7 @@ func TestServerQueueFullSurfacesBackpressure(t *testing.T) {
 // server: runtime.MemStats counts the whole process, so the servers are
 // warmed first and then measured in interleaved rounds over the same
 // items, keeping each server's minimum — a stray allocation (a GC cycle,
-// a pump goroutine) can only add to a round, never subtract.
+// a background goroutine) can only add to a round, never subtract.
 func leastAllocsPerItem(t *testing.T, srvs ...*Server) []float64 {
 	t.Helper()
 	const rounds, perRound = 5, 100
