@@ -45,6 +45,16 @@
 // waiters' BatchRefs and wakes them. The package starts no goroutine of
 // its own. With MaxBatch = 1 every batch holds one request and the
 // runtime reproduces the unbatched claim → sleep → release sequence.
+//
+// Each request's done channel is signalled exactly once, when its batch
+// ends: by a send when the channel is buffered — it must be empty, so
+// the send never blocks the wheel's dispatcher, and a worker can reuse
+// one capacity-1 channel for every request it makes — and by a close
+// otherwise. In steady state the runtime allocates nothing per request
+// and nothing per batch: a lane compacts its pending requests in place,
+// sealed batches come from the lane's own free list with their wheel
+// callback built once, and a hold timer is a prebuilt callback that
+// reads the generation it was armed for from the lane.
 package batch
 
 import (
@@ -147,9 +157,17 @@ type lane struct {
 	heldSince time.Time       // wall stamp of the oldest unsealed request (metrics only)
 	asked     bool            // a grant is outstanding: the lane seals when it arrives
 	onGrant   func(time.Time) // the grant callback, built once so asking allocates nothing
+	onHold    func()          // the hold timer's callback, built once likewise
+	// holds are the generations of the armed hold timers, oldest first.
+	// Every timer waits the same scaled hold from a stamp taken under the
+	// lane lock, so the wheel fires them in the order they were armed,
+	// and each firing takes the front.
+	holds []uint64
+	free  []*batch // finished batches, reused by seal
 }
 
-// batch is one sealed batch on its way to the wheel.
+// batch is one sealed batch on its way to the wheel. It belongs to its
+// lane's free list between executions: seal takes it, finish returns it.
 type batch struct {
 	m     int
 	reqs  []request
@@ -157,6 +175,7 @@ type batch struct {
 	memMB float64   // footprint the batch's grant claimed; released at the end
 	start time.Time // nominal start: the grant's instant, or the seal's
 	end   time.Time // nominal end: start plus the scaled batched cost
+	fire  func()    // the wheel callback that finishes this batch, built once
 }
 
 // Batcher is the coalescing runtime. Create one with New; it shares the
@@ -191,19 +210,23 @@ func New(models []*zoo.Model, mem Memory, wheel *vtime.Wheel, cfg Config) *Batch
 	b := &Batcher{models: models, cfg: cfg, mem: mem, wheel: wheel, lanes: make([]lane, len(models))}
 	for m := range b.lanes {
 		b.lanes[m].onGrant = func(at time.Time) { b.granted(m, at) }
+		b.lanes[m].onHold = func() { b.held(m) }
 	}
 	return b
 }
 
 // Enqueue registers one request for model m and returns immediately;
-// done is closed when the batched execution containing the request
-// completes. owned asks the batch to hold the model's footprint against
-// the Memory on the request's behalf (the serial path); a non-owned
-// request's caller keeps its own reservation (the parallel path, whose
-// coordinator releases at commit) and the batch only shares the
-// execution. ref, when non-nil, is filled with the batch's fan-in
-// identity (id, size, nominal start, flush cause) before done closes,
-// so a tracing waiter can record its batch-hold and exec spans.
+// done is signalled exactly once when the batched execution containing
+// the request completes: by a send when done is buffered (it must be
+// empty, and nothing else may send on it before the signal is
+// received), by a close otherwise. owned asks the batch to hold the
+// model's footprint against the Memory on the request's behalf (the
+// serial path); a non-owned request's caller keeps its own reservation
+// (the parallel path, whose coordinator releases at commit) and the
+// batch only shares the execution. ref, when non-nil, is filled with the batch's fan-in
+// identity (id, size, nominal start, flush cause) before done is
+// signalled, so a tracing waiter can record its batch-hold and exec
+// spans.
 func (b *Batcher) Enqueue(m int, owned bool, done chan struct{}, ref *obs.BatchRef) {
 	ln := &b.lanes[m]
 	ln.mu.Lock()
@@ -218,7 +241,7 @@ func (b *Batcher) Enqueue(m int, owned bool, done chan struct{}, ref *obs.BatchR
 	if len(ln.reqs) == 1 {
 		ln.heldSince = b.cfg.Metrics.holdStart()
 	}
-	var sealed batch
+	var sealed *batch
 	ask := false
 	switch {
 	case ln.asked:
@@ -231,22 +254,11 @@ func (b *Batcher) Enqueue(m int, owned bool, done chan struct{}, ref *obs.BatchR
 	case b.cfg.MaxHoldMS <= 0:
 		sealed = b.seal(m, len(ln.reqs), flushHold)
 	case len(ln.reqs) == 1:
-		// First request of a fresh batch: arm the lane's hold timer. The
-		// generation check makes a timer that lost the race to a size
-		// flush (or to a later batch entirely) a no-op, and one that finds
-		// a grant outstanding leaves the seal to the grant. At, unlike
-		// AfterFunc, never runs the timer here, under the lane lock, when
-		// the hold scales below a nanosecond.
-		gen := ln.gen
-		b.wheel.At(time.Now().Add(b.scaled(b.cfg.MaxHoldMS)), func() {
-			var sealed batch
-			ln.mu.Lock()
-			if ln.gen == gen && !ln.asked && len(ln.reqs) > 0 {
-				sealed = b.seal(m, len(ln.reqs), flushHold)
-			}
-			ln.mu.Unlock()
-			b.startNow(sealed)
-		})
+		// First request of a fresh batch: arm the lane's hold timer. At,
+		// unlike AfterFunc, never runs the timer here, under the lane
+		// lock, when the hold scales below a nanosecond.
+		ln.holds = append(ln.holds, ln.gen)
+		b.wheel.At(time.Now().Add(b.scaled(b.cfg.MaxHoldMS)), ln.onHold)
 	}
 	ln.mu.Unlock()
 	// Outside the lane lock: a grant that fits runs its callback, which
@@ -283,6 +295,23 @@ func (b *Batcher) ask(m int) {
 	}
 }
 
+// held is the hold timer of model m's lane, armed for the generation at
+// the front of the lane's holds. The generation check makes a timer that
+// lost the race to a size flush (or to a later batch entirely) a no-op,
+// and one that finds a grant outstanding leaves the seal to the grant.
+func (b *Batcher) held(m int) {
+	var sealed *batch
+	ln := &b.lanes[m]
+	ln.mu.Lock()
+	gen := ln.holds[0]
+	ln.holds = ln.holds[:copy(ln.holds, ln.holds[1:])]
+	if ln.gen == gen && !ln.asked && len(ln.reqs) > 0 {
+		sealed = b.seal(m, len(ln.reqs), flushHold)
+	}
+	ln.mu.Unlock()
+	b.startNow(sealed)
+}
+
 // granted is the grant callback of model m's lane: the footprint is
 // claimed from instant at on, so seal the requests enqueued by then (at
 // most MaxBatch) and start them at at. The rest ask again, at the back
@@ -307,14 +336,27 @@ func (b *Batcher) granted(m int, at time.Time) {
 	}
 }
 
-// seal detaches the first n of model m's waiting requests as one batch.
-// Called with the lane locked.
-func (b *Batcher) seal(m, n int, flush string) batch {
+// seal detaches the first n of model m's waiting requests as one batch,
+// taken from the lane's free list. The batch copies the requests into
+// its own slice and the lane moves the rest to the front of its array,
+// so neither slice reallocates once it has grown. Called with the lane
+// locked.
+func (b *Batcher) seal(m, n int, flush string) *batch {
 	ln := &b.lanes[m]
-	bt := batch{m: m, reqs: ln.reqs[:n:n], flush: flush}
-	// The lane keeps appending past n into the same array; the batch's
-	// capacity ends at n, so the two never share an element.
-	ln.reqs = ln.reqs[n:]
+	var bt *batch
+	if k := len(ln.free); k > 0 {
+		bt = ln.free[k-1]
+		ln.free[k-1] = nil
+		ln.free = ln.free[:k-1]
+	} else {
+		bt = &batch{m: m}
+		bt.fire = func() { b.finish(bt) }
+	}
+	bt.reqs = append(bt.reqs, ln.reqs[:n]...)
+	bt.flush, bt.memMB = flush, 0
+	left := copy(ln.reqs, ln.reqs[n:])
+	clear(ln.reqs[left:]) // keep no sealed request's done or ref alive
+	ln.reqs = ln.reqs[:left]
 	ln.gen++
 	ln.queued.Add(int64(-n))
 	b.cfg.Metrics.sealed(n, ln.heldSince, b.cfg.TimeScale)
@@ -326,9 +368,9 @@ func (b *Batcher) seal(m, n int, flush string) batch {
 }
 
 // startNow starts a size- or hold-sealed batch from the wall clock.
-// No-op on an empty batch.
-func (b *Batcher) startNow(bt batch) {
-	if len(bt.reqs) > 0 {
+// No-op on a nil batch.
+func (b *Batcher) startNow(bt *batch) {
+	if bt != nil {
 		b.start(bt, time.Now())
 	}
 }
@@ -338,19 +380,20 @@ func (b *Batcher) startNow(bt batch) {
 // grant-sealed batch's at is usually already past — its predecessor's
 // end, which the dispatcher reached late — so the wait is shorter by
 // that lateness, or none.
-func (b *Batcher) start(bt batch, at time.Time) {
+func (b *Batcher) start(bt *batch, at time.Time) {
 	bt.start = at
 	bt.end = at.Add(b.scaled(b.models[bt.m].BatchCostMS(len(bt.reqs))))
-	b.wheel.At(bt.end, func() { b.finish(bt) })
+	b.wheel.At(bt.end, bt.fire)
 }
 
 // finish ends one batch's execution: release its footprint at the
 // batch's nominal end (which serves the next grant in line, here on the
-// dispatcher), count it, fill the tracing waiters' BatchRefs, and wake
-// every member. The refs are filled before the done channels close —
-// the close is the happens-before edge that publishes a ref to its
-// waiter.
-func (b *Batcher) finish(bt batch) {
+// dispatcher), count it, fill the tracing waiters' BatchRefs, wake every
+// member, and return the batch to its lane's free list. The refs are
+// filled before the done channels are signalled — the signal is the
+// happens-before edge that publishes a ref to its waiter. No lock is
+// held while signalling.
+func (b *Batcher) finish(bt *batch) {
 	mod := b.models[bt.m]
 	n := len(bt.reqs)
 	if bt.memMB > 0 {
@@ -389,8 +432,18 @@ func (b *Batcher) finish(bt batch) {
 	}
 	b.statMu.Unlock()
 	for _, r := range bt.reqs {
-		close(r.done)
+		if cap(r.done) > 0 {
+			r.done <- struct{}{}
+		} else {
+			close(r.done)
+		}
 	}
+	clear(bt.reqs)
+	bt.reqs = bt.reqs[:0]
+	ln := &b.lanes[bt.m]
+	ln.mu.Lock()
+	ln.free = append(ln.free, bt)
+	ln.mu.Unlock()
 }
 
 // scaled converts simulated milliseconds to a real duration.

@@ -759,10 +759,10 @@ func (s *Server) observeQuality(policy sim.Policy, res sim.Result) {
 type flight struct {
 	model    int
 	done     chan struct{} // receives when the execution ends; nil when it took no time
-	wake     *wake         // the machine's reusable wake-up done belongs to; nil when batched
+	wake     *wake         // the machine's reusable wake-up done belongs to; nil with done
 	started  time.Time     // metrics stamp at launch (zero when disabled)
 	launched time.Time     // trace stamp at launch (zero when tracing is off)
-	ref      *obs.BatchRef // batched fan-in identity (nil unbatched/untraced)
+	ref      *obs.BatchRef // batched fan-in identity, &wake.ref (nil unbatched/untraced)
 	queued   int           // lane occupancy at enqueue (read only when traced)
 }
 
@@ -782,13 +782,15 @@ type machine struct {
 	wakes  []*wake // free wake-ups: as many as this machine's executions ever overlapped
 }
 
-// wake is a reusable wake-up for one unbatched execution at a time: the
-// wheel runs fire at the execution's end, and Finish receives it. Both
-// the channel and the callback are built once, so a sleep on a reused
-// wake allocates nothing.
+// wake is a reusable wake-up for one execution at a time: the wheel
+// runs fire at an unbatched execution's end, the batcher sends on ch at
+// a batched one's, and Finish receives it. The channel, the callback
+// and the traced batch's fan-in identity are built once, so an
+// execution on a reused wake allocates nothing.
 type wake struct {
-	ch   chan struct{} // capacity 1: one fire per arm, one receive per Finish
+	ch   chan struct{} // capacity 1: one signal per arm, one receive per Finish
 	fire func()
+	ref  obs.BatchRef // filled by the batcher before it signals ch (traced batched flights)
 }
 
 // takeWake returns a free wake-up, making one when every wake is armed.
@@ -846,10 +848,12 @@ func (mc *machine) Start(m int, mod *zoo.Model) {
 	}
 	f.launched = trace.Stamp()
 	if s.batcher != nil {
+		f.wake = mc.takeWake()
+		f.done = f.wake.ch
 		if trace != nil {
-			f.ref, f.queued = &obs.BatchRef{}, s.batcher.Queued(m)
+			f.wake.ref = obs.BatchRef{}
+			f.ref, f.queued = &f.wake.ref, s.batcher.Queued(m)
 		}
-		f.done = make(chan struct{})
 		s.batcher.Enqueue(m, s.batchOwnsMem, f.done, f.ref)
 	} else if d := s.scaled(mod.TimeMS); d > 0 {
 		f.wake = mc.takeWake()
@@ -862,7 +866,7 @@ func (mc *machine) Start(m int, mod *zoo.Model) {
 // Finish waits out model m's execution, records its spans — the worker
 // owns the trace; sleeps never write — and releases its footprint. A
 // batched flight splits into hold (launch → seal) and exec (seal → wake)
-// from the BatchRef the batcher filled before closing done.
+// from the BatchRef the batcher filled before signalling done.
 func (mc *machine) Finish(m int, mod *zoo.Model) {
 	s, trace := mc.s, mc.trace
 	i := 0
@@ -874,9 +878,6 @@ func (mc *machine) Finish(m int, mod *zoo.Model) {
 	if f.done != nil {
 		<-f.done
 	}
-	if f.wake != nil {
-		mc.wakes = append(mc.wakes, f.wake)
-	}
 	if f.ref != nil && f.ref.Batch != 0 {
 		fanIn := obs.SpanAttrs{Batch: f.ref.Batch, BatchN: f.ref.N, Note: f.ref.Flush, Queued: f.queued}
 		trace.Annotate(trace.SpanBetween(obs.SpanBatchHold, 0, m, f.launched, f.ref.Seal), fanIn)
@@ -884,6 +885,9 @@ func (mc *machine) Finish(m int, mod *zoo.Model) {
 		trace.Annotate(trace.SpanBetween(obs.SpanExec, 0, m, f.ref.Seal, trace.Stamp()), fanIn)
 	} else {
 		trace.SpanBetween(obs.SpanExec, 0, m, f.launched, trace.Stamp())
+	}
+	if f.wake != nil { // after the spans: f.ref points into it
+		mc.wakes = append(mc.wakes, f.wake)
 	}
 	if s.acct != nil && !s.batchOwnsMem {
 		// Freed now (the zero instant): machines that reserve share their

@@ -513,14 +513,17 @@ func leastAllocsPerItem(t *testing.T, srvs ...*Server) []float64 {
 // costs in steady state: the worker keeps its labeling state, its
 // executed-model and output scratch and its execution wake-ups from item
 // to item, and the wheel holds its waiters by value, so what is left is
-// what the caller receives. Per item, measured at 8.00 (Algorithm 1) and
-// 8.14 (Algorithm 2): the serve.Ticket and its Done channel, the
-// ServeTicket wrapping it (Submit returns all three to the caller), the
-// schedule's Executed and Outputs copies (the ItemResult owns them once
-// the worker moves on), and Wait's model-name slice, *Result and Labels.
-// The fraction is the items whose schedules emit more than 64 distinct
-// labels, whose deduplication outgrows its stack buffers. The bound
-// leaves room for runtime noise, not for another per-item copy.
+// what the caller receives. Batching adds nothing: a batched execution
+// reuses the worker's wake-up, the lanes compact their requests in place
+// and reuse their sealed batches. Per item, measured at 8.00 (Algorithm
+// 1), 8.14 (Algorithm 2) and 8.00 (batched): the serve.Ticket and its
+// Done channel, the ServeTicket wrapping it (Submit returns all three to
+// the caller), the schedule's Executed and Outputs copies (the
+// ItemResult owns them once the worker moves on), and Wait's model-name
+// slice, *Result and Labels. The fraction is the items whose schedules
+// emit more than 64 distinct labels, whose deduplication outgrows its
+// stack buffers. The bound leaves room for runtime noise, not for
+// another per-item copy.
 func TestServeAllocationBudget(t *testing.T) {
 	const bound = 10
 	for _, tc := range []struct {
@@ -529,6 +532,7 @@ func TestServeAllocationBudget(t *testing.T) {
 	}{
 		{"algorithm1", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e-6}},
 		{"algorithm2", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e-6, Policy: PolicyAlgorithm2, MemoryGB: 8}},
+		{"batched", ServeConfig{Workers: 1, DeadlineSec: 0.2, MemoryGB: 1, BatchSize: 8, BatchHoldMS: 600, TimeScale: 1e-6}},
 	} {
 		srv, err := testSys.NewServer(testAgent, tc.cfg)
 		if err != nil {
