@@ -104,6 +104,7 @@ func (opts Options) check() error {
 // metadata stay for the corpus's lifetime (they are small); the memoized
 // outputs — the bulk — live in the item and are reclaimed by eviction.
 type entry struct {
+	c    *Corpus
 	seq  int
 	tag  string
 	item *oracle.ExternalItem
@@ -137,7 +138,7 @@ type Corpus struct {
 	key              []byte         // reused identity buffer of admitLocked and apply
 	buf              []byte         // reused frame buffer of writeRecord
 	err              error          // sticky journal write error
-	space            chan struct{}  // closed and replaced on every eviction
+	space            chan struct{}  // wakes blocked AdmitWaits; nil until one blocks (see AdmitWait)
 
 	// Group-commit fsync state (nil channels when disabled).
 	unsynced  int64         // records appended since the last sync
@@ -188,7 +189,7 @@ func Open(z *zoo.Zoo, path string, opts Options) (*Corpus, error) {
 	if err := opts.check(); err != nil {
 		return nil, err
 	}
-	c := &Corpus{z: z, path: path, opts: opts, ids: make(map[string]int), space: make(chan struct{})}
+	c := &Corpus{z: z, path: path, opts: opts, ids: make(map[string]int)}
 	legacy, err := readSnapshotV1(path + ".snap")
 	if err != nil {
 		return nil, err
@@ -362,17 +363,20 @@ func (c *Corpus) apply(rec *record) {
 // persistence hook that journals each memoized output as inference
 // lands. Caller holds c.mu (or is single-threaded setup).
 func (c *Corpus) addEntry(scene synth.Scene, tag string, key []byte) *entry {
-	e := &entry{seq: len(c.entries), tag: tag, item: oracle.NewExternalItem(c.z, scene)}
-	seq := e.seq
-	e.item.SetOutputHook(func(m int, out zoo.Output) {
-		c.journalOutput(seq, m, out)
-	})
+	e := &entry{c: c, seq: len(c.entries), tag: tag, item: oracle.NewExternalItem(c.z, scene)}
+	e.item.SetOutputHook(e)
 	if _, dup := c.ids[string(key)]; !dup {
-		c.ids[string(key)] = seq
+		c.ids[string(key)] = e.seq
 	}
 	c.entries = append(c.entries, e)
 	c.resident++
 	return e
+}
+
+// OutputComputed makes the entry its item's output hook: it journals each
+// output the item computes.
+func (e *entry) OutputComputed(m int, out zoo.Output) {
+	e.c.journalOutput(e.seq, m, out)
 }
 
 // admitLocked is the admission body: it finds the scene's entry or
@@ -413,23 +417,29 @@ func (c *Corpus) admitLocked(scene *synth.Scene, tag string) (int, error) {
 // is reached until an eviction frees one, the context is cancelled
 // (returning ctx.Err()), or the corpus closes (returning ErrClosed). The
 // admission is tried before the context is consulted, so a cancelled
-// context still admits what fits.
+// context still admits what fits. Only a blocked call makes a wakeup
+// channel; an admission that fits allocates none, and neither does an
+// eviction nobody waits on.
 func (c *Corpus) AdmitWait(ctx context.Context, scene synth.Scene, tag string) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	for {
-		// The wakeup channel is captured under the same lock that
-		// observes fullness: an eviction (or Close) after the unlock
+		// The wakeup channel is made or captured under the same lock
+		// that observes fullness: an eviction (or Close) after the unlock
 		// closes exactly this channel, so no wakeup can be lost between
 		// the failed attempt and the wait.
 		c.mu.Lock()
 		seq, err := c.admitLocked(&scene, tag)
-		space := c.space
-		c.mu.Unlock()
 		if !errors.Is(err, errFull) {
+			c.mu.Unlock()
 			return seq, err
 		}
+		if c.space == nil {
+			c.space = make(chan struct{})
+		}
+		space := c.space
+		c.mu.Unlock()
 		select {
 		case <-space:
 		case <-ctx.Done():
@@ -517,9 +527,16 @@ func (c *Corpus) maybeEvict(e *entry) {
 	e.evicted = true
 	c.resident--
 	c.evictedTotal++
-	// Wake every AdmitWait blocked on the watermark.
-	close(c.space)
-	c.space = make(chan struct{})
+	c.wakeAdmitters()
+}
+
+// wakeAdmitters wakes every AdmitWait blocked on the watermark, if any
+// is: the next blocked call makes a fresh channel. Caller holds c.mu.
+func (c *Corpus) wakeAdmitters() {
+	if c.space != nil {
+		close(c.space)
+		c.space = nil
+	}
 }
 
 // ReclaimCommitted evicts every committed item no schedule holds —
@@ -615,8 +632,7 @@ func (c *Corpus) Close() error {
 	c.closed = true
 	// Wake every AdmitWait blocked on the watermark: their next attempt
 	// returns ErrClosed.
-	close(c.space)
-	c.space = make(chan struct{})
+	c.wakeAdmitters()
 	err := c.err
 	f := c.f
 	c.mu.Unlock()

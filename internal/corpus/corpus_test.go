@@ -613,3 +613,54 @@ func TestAdmitWaitEvictionStress(t *testing.T) {
 		t.Fatalf("%d admissions of distinct items made %d entries", n, st.Items)
 	}
 }
+
+// TestWakeupChannelOnlyForWaiters: AdmitWait makes the watermark's
+// wakeup channel only when it has to block, and an eviction closes and
+// drops it; an eviction nobody waits on makes none.
+func TestWakeupChannelOnlyForWaiters(t *testing.T) {
+	c := mustOpen(t, tempJournal(t), Options{MaxResident: 1})
+	defer c.Close()
+	space := func() chan struct{} {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.space
+	}
+	run := func(seq int) {
+		c.Begin(seq)
+		c.Item(seq).Output(0)
+		if err := c.Commit(seq, []int{0}, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := c.AdmitWait(context.Background(), ds.Scenes[0], "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(a)
+	if space() != nil {
+		t.Fatal("an admission that fit and an eviction with no waiter made a wakeup channel")
+	}
+	b, err := c.AdmitWait(context.Background(), ds.Scenes[1], "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted := make(chan error)
+	go func() {
+		_, err := c.AdmitWait(context.Background(), ds.Scenes[2], "c")
+		admitted <- err
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for space() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("a blocked AdmitWait made no wakeup channel")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	run(b)
+	if err := <-admitted; err != nil {
+		t.Fatal(err)
+	}
+	if space() != nil {
+		t.Fatal("the eviction that woke the waiter left its channel behind")
+	}
+}

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sync"
 	"time"
 )
@@ -34,10 +35,19 @@ type ItemTrace struct {
 	origin time.Time
 }
 
-// Tracer is a bounded ring of completed item traces. Begin hands out a
-// fresh ItemTrace, End publishes it; the ring keeps the most recent
-// `capacity` traces for /tracez and per-ticket retrieval. A nil Tracer
-// no-ops everything and Begins nil ItemTraces.
+// Tracer is a bounded ring of completed item traces. Begin hands out an
+// ItemTrace, End publishes it; the ring keeps the most recent `capacity`
+// traces for /tracez and per-ticket retrieval. A nil Tracer no-ops
+// everything and Begins nil ItemTraces.
+//
+// Traces are recycled: End takes the *ItemTrace back, and a later Begin
+// hands it out again, so a caller must not touch a trace after End.
+// Once the ring is full, the span array of the trace a publish evicts is
+// cleared and reused by the next trace Begin hands out, so a served item
+// allocates no trace in steady state. Readers (Recent, ByTag and
+// everything built on them) get copies that share nothing the tracer
+// reuses. There is no sync.Pool: the free list is bounded by the traces
+// in flight at once, and a Pool would drop entries at random.
 type Tracer struct {
 	mu      sync.Mutex
 	ring    []ItemTrace
@@ -47,6 +57,7 @@ type Tracer struct {
 	dropped int64 // spans dropped inside published traces
 	scale   float64
 	models  []string
+	free    []*ItemTrace // published traces Begin hands out again
 }
 
 // NewTracer returns a tracer retaining the most recent capacity traces
@@ -94,22 +105,34 @@ func (t *Tracer) modelName(m int) string {
 	return ""
 }
 
-// Begin starts a trace for one item (nil when the tracer is nil).
+// Begin starts a trace for one item (nil when the tracer is nil). The
+// trace is a recycled one when End has returned any: every field is
+// reset, and only the span array's capacity is kept.
 func (t *Tracer) Begin(item int, tag string) *ItemTrace {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	t.seq++
-	seq := t.seq
-	scale := t.scale
+	var tr *ItemTrace
+	if n := len(t.free); n > 0 {
+		tr = t.free[n-1]
+		t.free[n-1] = nil
+		t.free = t.free[:n-1]
+	} else {
+		tr = new(ItemTrace)
+	}
+	*tr = ItemTrace{Item: item, Tag: tag, Seq: t.seq, TimeScale: t.scale, Spans: tr.Spans[:0]}
 	t.mu.Unlock()
-	return &ItemTrace{Item: item, Tag: tag, Seq: seq, TimeScale: scale}
+	return tr
 }
 
 // End publishes a completed trace into the ring (no-op when either side
 // is nil). Any still-open spans — the root span in particular — are
-// closed at the publish instant.
+// closed at the publish instant. The ring keeps a copy; tr itself goes
+// back to the tracer for a later Begin, so the caller must not touch it
+// after End. When the publish evicts the oldest resident trace, tr takes
+// over the evicted span array, cleared.
 func (t *Tracer) End(tr *ItemTrace) {
 	if t == nil || tr == nil {
 		return
@@ -118,13 +141,18 @@ func (t *Tracer) End(tr *ItemTrace) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.dropped += int64(tr.DroppedSpans)
+	var spare []Span
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, *tr)
-		return
+	} else {
+		t.evicted++
+		spare = t.ring[t.next].Spans
+		clear(spare)
+		t.ring[t.next] = *tr
+		t.next = (t.next + 1) % len(t.ring)
 	}
-	t.evicted++
-	t.ring[t.next] = *tr
-	t.next = (t.next + 1) % len(t.ring)
+	tr.Spans = spare[:0]
+	t.free = append(t.free, tr)
 }
 
 // Evicted reports how many published traces have been overwritten by
@@ -157,7 +185,9 @@ func (t *Tracer) Capacity() int {
 	return cap(t.ring)
 }
 
-// Recent returns up to n resident traces, newest first.
+// Recent returns copies of up to n resident traces, newest first. The
+// copies share no span storage with the ring, so they stay valid however
+// many traces are published after.
 func (t *Tracer) Recent(n int) []ItemTrace {
 	if t == nil || n <= 0 {
 		return nil
@@ -168,12 +198,13 @@ func (t *Tracer) Recent(n int) []ItemTrace {
 	for i := 0; i < len(t.ring) && len(out) < n; i++ {
 		// Walk backwards from the most recently written slot.
 		idx := (t.next - 1 - i + 2*len(t.ring)) % len(t.ring)
-		out = append(out, t.ring[idx])
+		out = append(out, t.ring[idx].clone())
 	}
 	return out
 }
 
-// ByTag returns the most recent resident trace carrying tag.
+// ByTag returns a copy of the most recent resident trace carrying tag;
+// like Recent's, it shares no span storage with the ring.
 func (t *Tracer) ByTag(tag string) (ItemTrace, bool) {
 	if t == nil {
 		return ItemTrace{}, false
@@ -183,10 +214,20 @@ func (t *Tracer) ByTag(tag string) (ItemTrace, bool) {
 	for i := 0; i < len(t.ring); i++ {
 		idx := (t.next - 1 - i + 2*len(t.ring)) % len(t.ring)
 		if t.ring[idx].Tag == tag {
-			return t.ring[idx], true
+			return t.ring[idx].clone(), true
 		}
 	}
 	return ItemTrace{}, false
+}
+
+// clone copies a resident trace for a reader. The span array is the one
+// thing the ring reuses; a span's Links are never written after publish
+// (a recycled array is cleared, and a new root appends a fresh one), so
+// the copies may share them.
+func (t *ItemTrace) clone() ItemTrace {
+	c := *t
+	c.Spans = slices.Clone(t.Spans)
+	return c
 }
 
 // WriteJSON dumps up to n recent traces (optionally filtered to one

@@ -17,16 +17,29 @@ type ExternalItem struct {
 	scene synth.Scene
 
 	mu    sync.Mutex
-	outs  []zoo.Output // the memo, indexed by model; nil until the first
-	done  []bool       // Output or Preload and again after Evict
-	truth *Truth       // nil unless SetTruth supplied one
+	memo  []memoSlot // indexed by model; nil until the first Output or Preload and again after Evict
+	truth *Truth     // nil unless SetTruth supplied one
 
 	// hook, when set, observes every freshly computed output — the
 	// persistence hook a durable corpus installs to journal memoized
 	// results as they land. It is invoked outside the item lock (the
 	// hook typically takes its own locks and performs I/O) and never for
 	// Preload'ed or replayed outputs.
-	hook func(m int, out zoo.Output)
+	hook outputHook
+}
+
+// memoSlot is one model's slot in an item's memo: the output, once run.
+type memoSlot struct {
+	out  zoo.Output
+	done bool
+}
+
+// outputHook observes an item's freshly computed outputs (see
+// ExternalItem.hook). It is an interface, not a func, so an owner that
+// keeps per-item state (a corpus entry) installs itself and allocates
+// nothing to do so.
+type outputHook interface {
+	OutputComputed(m int, out zoo.Output)
 }
 
 // NewExternalItem wraps a scene for on-demand execution against the zoo.
@@ -41,8 +54,8 @@ func (it *ExternalItem) Scene() *synth.Scene { return &it.scene }
 // (memoized) result.
 func (it *ExternalItem) Output(m int) zoo.Output {
 	it.mu.Lock()
-	if it.done != nil && it.done[m] {
-		out := it.outs[m]
+	if it.memo != nil && it.memo[m].done {
+		out := it.memo[m].out
 		it.mu.Unlock()
 		return out
 	}
@@ -54,14 +67,17 @@ func (it *ExternalItem) Output(m int) zoo.Output {
 	// call back into this item (eviction), so holding it here would
 	// invert the lock order.
 	if hook != nil {
-		hook(m, out)
+		hook.OutputComputed(m, out)
 	}
 	return out
 }
 
-// SetOutputHook installs the fresh-output observer (see the field doc).
-// A durable corpus installs one per managed item; passing nil removes it.
-func (it *ExternalItem) SetOutputHook(hook func(m int, out zoo.Output)) {
+// SetOutputHook installs the fresh-output observer: hook's
+// OutputComputed(m, out) runs after every inference this item performs,
+// outside the item lock, and never for Preload'ed or replayed outputs.
+// A durable corpus installs each of its entries on the entry's item, so
+// installing allocates nothing; passing nil removes the hook.
+func (it *ExternalItem) SetOutputHook(hook outputHook) {
 	it.mu.Lock()
 	it.hook = hook
 	it.mu.Unlock()
@@ -79,12 +95,10 @@ func (it *ExternalItem) Preload(m int, out zoo.Output) {
 // memoize records model m's output, allocating the memo on first use.
 // The caller holds it.mu.
 func (it *ExternalItem) memoize(m int, out zoo.Output) {
-	if it.done == nil {
-		it.outs = make([]zoo.Output, len(it.z.Models))
-		it.done = make([]bool, len(it.z.Models))
+	if it.memo == nil {
+		it.memo = make([]memoSlot, len(it.z.Models))
 	}
-	it.outs[m] = out
-	it.done[m] = true
+	it.memo[m] = memoSlot{out: out, done: true}
 }
 
 // Memos returns a copy of the item's memoized outputs: the models that
@@ -93,10 +107,10 @@ func (it *ExternalItem) memoize(m int, out zoo.Output) {
 func (it *ExternalItem) Memos() (models []int, outs []zoo.Output) {
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	for m, done := range it.done {
-		if done {
+	for m, mm := range it.memo {
+		if mm.done {
 			models = append(models, m)
-			outs = append(outs, it.outs[m])
+			outs = append(outs, mm.out)
 		}
 	}
 	return models, outs
@@ -107,8 +121,8 @@ func (it *ExternalItem) MemoCount() int {
 	it.mu.Lock()
 	defer it.mu.Unlock()
 	n := 0
-	for _, done := range it.done {
-		if done {
+	for _, mm := range it.memo {
+		if mm.done {
 			n++
 		}
 	}
@@ -124,7 +138,7 @@ func (it *ExternalItem) MemoCount() int {
 // only evicts items whose results are committed and no longer read.
 func (it *ExternalItem) Evict() {
 	it.mu.Lock()
-	it.outs, it.done = nil, nil
+	it.memo = nil
 	it.mu.Unlock()
 }
 

@@ -77,13 +77,12 @@ func (c *CachedPredictor) Predict(state []int) []float64 {
 		return c.q
 	}
 	c.key = stateKey(c.key, state)
-	k := string(c.key)
-	q, ok := c.shared.lookup(k)
+	q, ok := c.shared.lookup(c.key)
 	if !ok {
 		// Published values outlive this predictor's next pass and are
 		// read by other workers: a copy of their own.
 		q = slices.Clone(c.pred.Predict(state))
-		c.shared.store(k, q)
+		c.shared.store(c.key, q)
 	}
 	c.q = q
 	return q

@@ -37,11 +37,13 @@ func NewSharedCache(capacity int) *SharedCache {
 }
 
 // lookup returns the cached Q-values for a state key. The returned slice
-// is shared and must not be mutated (the CachedPredictor contract).
-func (c *SharedCache) lookup(key string) ([]float64, bool) {
+// is shared and must not be mutated (the CachedPredictor contract). The
+// key is the caller's scratch buffer: indexing the map with its string
+// conversion allocates nothing.
+func (c *SharedCache) lookup(key []byte) ([]float64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	q, ok := c.memo[key]
+	q, ok := c.memo[string(key)]
 	if ok {
 		c.hits++
 	} else {
@@ -53,10 +55,11 @@ func (c *SharedCache) lookup(key string) ([]float64, bool) {
 // store publishes a computed prediction, evicting one arbitrary entry
 // when the cache is full. First writer wins: concurrent workers compute
 // identical values for one state, so overwriting would be pure churn.
-func (c *SharedCache) store(key string, q []float64) {
+// Only an inserted entry copies the key into a string of its own.
+func (c *SharedCache) store(key []byte, q []float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.memo[key]; ok {
+	if _, ok := c.memo[string(key)]; ok {
 		return
 	}
 	if len(c.memo) >= c.capacity {
@@ -65,7 +68,7 @@ func (c *SharedCache) store(key string, q []float64) {
 			break
 		}
 	}
-	c.memo[key] = q
+	c.memo[string(key)] = q
 }
 
 // Stats returns the hit/miss counters and the current entry count.

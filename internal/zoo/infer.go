@@ -30,8 +30,23 @@ const ValuableThreshold = 0.5
 // truth once and replay it.
 func (m *Model) Infer(s *synth.Scene) Output {
 	inferCount.Add(1)
+	// Emissions land in a stack array; only the deduplicated result is
+	// copied out, so an inference allocates its output and nothing else.
+	// An emission list longer than the array (FaceLandmark's keypoints)
+	// spills to the heap through append and stays correct.
+	var buf [64]LabelConf
+	emitted := dedupe(m.emissions(s, buf[:0]))
+	if len(emitted) == 0 {
+		return Output{}
+	}
+	return Output{Labels: append(make([]LabelConf, 0, len(emitted)), emitted...)}
+}
+
+// emissions appends the model's raw detections on the scene to dst, in
+// emission order and before deduplication, and returns the extended
+// slice.
+func (m *Model) emissions(s *synth.Scene, dst []LabelConf) []LabelConf {
 	r := m.rng(s)
-	var out Output
 	emit := func(id int, conf float64) {
 		if conf < 0.01 {
 			conf = 0.01
@@ -39,7 +54,7 @@ func (m *Model) Infer(s *synth.Scene) Output {
 		if conf > 0.99 {
 			conf = 0.99
 		}
-		out.Labels = append(out.Labels, LabelConf{ID: id, Conf: conf})
+		dst = append(dst, LabelConf{ID: id, Conf: conf})
 	}
 	// truePos draws a confidence for a concept the model actually found;
 	// with probability LowConf the hit only surfaces below threshold
@@ -66,7 +81,7 @@ func (m *Model) Infer(s *synth.Scene) Output {
 				truePos(id)
 			}
 		}
-		m.falsePositives(r, &out, emit)
+		m.falsePositives(r, emit)
 
 	case labels.PlaceClassification:
 		if r.Bool(m.Recall) {
@@ -176,11 +191,11 @@ func (m *Model) Infer(s *synth.Scene) Output {
 		panic(fmt.Sprintf("zoo: model %s has unknown task %v", m.Name, m.Task))
 	}
 
-	return dedupe(out)
+	return dst
 }
 
 // falsePositives sprinkles spurious low-confidence detections.
-func (m *Model) falsePositives(r *tensor.RNG, out *Output, emit func(int, float64)) {
+func (m *Model) falsePositives(r *tensor.RNG, emit func(int, float64)) {
 	n := 0
 	for r.Bool(m.FPRate/(float64(n)+1)) && n < 3 {
 		emit(m.randomSupported(r), r.Range(0.05, 0.45))
@@ -205,24 +220,27 @@ func (m *Model) neighbour(r *tensor.RNG, id int) int {
 	return m.Supported[0]
 }
 
-// dedupe keeps the highest confidence per label and drops repeats.
-func dedupe(o Output) Output {
-	if len(o.Labels) < 2 {
-		return o
-	}
-	best := make(map[int]float64, len(o.Labels))
-	order := make([]int, 0, len(o.Labels))
-	for _, lc := range o.Labels {
-		if prev, ok := best[lc.ID]; !ok {
-			best[lc.ID] = lc.Conf
-			order = append(order, lc.ID)
-		} else if lc.Conf > prev {
-			best[lc.ID] = lc.Conf
+// dedupe keeps the highest confidence per label, in first-seen order,
+// compacting ls in place and returning the kept prefix. A linear scan
+// beats a map at the handful of labels one inference emits, and
+// allocates nothing.
+func dedupe(ls []LabelConf) []LabelConf {
+	n := 0
+	for _, lc := range ls {
+		seen := false
+		for i := range ls[:n] {
+			if ls[i].ID == lc.ID {
+				if lc.Conf > ls[i].Conf {
+					ls[i].Conf = lc.Conf
+				}
+				seen = true
+				break
+			}
+		}
+		if !seen {
+			ls[n] = lc
+			n++
 		}
 	}
-	out := Output{Labels: make([]LabelConf, 0, len(order))}
-	for _, id := range order {
-		out.Labels = append(out.Labels, LabelConf{ID: id, Conf: best[id]})
-	}
-	return out
+	return ls[:n]
 }

@@ -343,11 +343,12 @@ func TestTelemetryCorpusViews(t *testing.T) {
 // item in heap allocations — a count, which a loaded host cannot blur the
 // way it blurs the wall-clock ratio of an instrumented and an
 // uninstrumented benchmark — measured by leastAllocsPerItem over the two
-// servers in interleaved rounds. Measured: 6.01 extra allocations per
-// item (the trace record and its span slice; 8.00 → 14.01 under
-// Algorithm 1, where it was 65.21 → 71.22 before the serving worker
-// reused its per-item state); the bound leaves room for two more, not
-// for a second record per item.
+// servers in interleaved rounds. Measured: 0.01 extra allocations per
+// item (8.00 → 8.01 under Algorithm 1), since the tracer recycles its
+// published traces; it was 6.01 (the trace record and its span slice,
+// 8.00 → 14.01) before, and 65.21 → 71.22 before the serving worker
+// reused its per-item state. The bound leaves room for two more, not for
+// a second record per item.
 func TestTelemetryAllocationOverhead(t *testing.T) {
 	const bound = 8
 	var srvs [2]*Server // telemetry off, on

@@ -480,10 +480,17 @@ func TestServerQueueFullSurfacesBackpressure(t *testing.T) {
 // a background goroutine) can only add to a round, never subtract.
 func leastAllocsPerItem(t *testing.T, srvs ...*Server) []float64 {
 	t.Helper()
+	return leastAllocsServing(t, func(i int) Item { return testSys.TestItem(i % testSys.NumTestImages()) }, srvs...)
+}
+
+// leastAllocsServing is leastAllocsPerItem over the items item returns:
+// item(i) is the i-th item of a warm-up or of a measured round.
+func leastAllocsServing(t *testing.T, item func(i int) Item, srvs ...*Server) []float64 {
+	t.Helper()
 	const rounds, perRound = 5, 100
 	serve := func(srv *Server, n int) {
 		for i := 0; i < n; i++ {
-			tk, err := srv.SubmitWait(bg, testSys.TestItem(i%testSys.NumTestImages()))
+			tk, err := srv.SubmitWait(bg, item(i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -533,6 +540,7 @@ func TestServeAllocationBudget(t *testing.T) {
 		{"algorithm1", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e-6}},
 		{"algorithm2", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e-6, Policy: PolicyAlgorithm2, MemoryGB: 8}},
 		{"batched", ServeConfig{Workers: 1, DeadlineSec: 0.2, MemoryGB: 1, BatchSize: 8, BatchHoldMS: 600, TimeScale: 1e-6}},
+		{"traced", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e-6, Telemetry: true, TraceCapacity: 16}},
 	} {
 		srv, err := testSys.NewServer(testAgent, tc.cfg)
 		if err != nil {
@@ -544,5 +552,40 @@ func TestServeAllocationBudget(t *testing.T) {
 		if got > bound {
 			t.Errorf("%s: serving an item allocates %.2f times, bound %d", tc.name, got, bound)
 		}
+	}
+}
+
+// TestIngestAllocationBudget pins what serving a fresh external item
+// through a durable corpus costs, with the shared predictor cache and
+// telemetry on: the oracle floor of TestServeAllocationBudget plus what
+// the item and its caller keep — the exact-size inference outputs, the
+// item's memo, its corpus entry and identity key, the commit's executed
+// copy, the resolve closure, and the shared tier's clone and key on a
+// real miss. Per item, measured at 25.53, and at 48.34 while inference
+// grew and deduplicated its labels on the heap, every trace was a fresh
+// record, every shared-cache lookup built a string key, the memo was two
+// slices and every eviction and hook cost a channel and a closure. The
+// items are generated before the measured rounds. The bound sits between
+// the two readings: it leaves room for runtime noise, not for another
+// per-call copy.
+func TestIngestAllocationBudget(t *testing.T) {
+	const bound = 30
+	c, err := testSys.OpenCorpus(filepath.Join(t.TempDir(), "corpus.wal"), CorpusOptions{MaxResident: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	srv, err := testSys.NewServer(testAgent, ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e-6,
+		PredictorCache: true, Telemetry: true, TraceCapacity: 16, Corpus: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	items := testSys.GenerateItems(testSys.NumTestImages()+5*100, 46)
+	next := 0
+	got := leastAllocsServing(t, func(int) Item { next++; return items[next-1] }, srv)[0]
+	t.Logf("%.2f allocations per ingested item", got)
+	if got > bound {
+		t.Errorf("serving an ingested item allocates %.2f times, bound %d", got, bound)
 	}
 }
