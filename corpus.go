@@ -8,7 +8,6 @@ import (
 
 	"ams/internal/corpus"
 	"ams/internal/oracle"
-	"ams/internal/shard"
 	"ams/internal/zoo"
 )
 
@@ -212,17 +211,25 @@ type ReplayReport struct {
 // and memoized outputs (bit-identical to the results delivered before
 // the crash, zero model executions); uncommitted items are submitted to
 // a fresh server built from cfg (cfg.Corpus is forced to c, and on a
-// multi-segment corpus cfg.Shards is forced to the segment count, with
-// each pending item pinned to its own segment's shard), so their
-// schedules re-run only the models whose outputs never reached the
-// journal. Segments recover concurrently. When every item is committed
-// no server is built and agent may be nil.
+// multi-segment corpus cfg.Shards is forced to the segment count), routed
+// as a submission of their tags would be, so their schedules re-run only
+// the models whose outputs never reached the journal. Whichever shard
+// runs a pending item, its outputs and its commit are journaled by the
+// segment that holds it. Segments recover concurrently. When every item
+// is committed no server is built and agent may be nil.
 //
 // Results appear in admission (journal) order within each segment,
 // segments in order within each list.
 func (s *System) ReplayCorpus(ctx context.Context, agent *Agent, cfg ServeConfig, c *Corpus) (*ReplayReport, error) {
+	report, _, err := s.replay(ctx, agent, cfg, c)
+	return report, err
+}
+
+// replay is ReplayCorpus that also returns the server the pending items
+// were relabeled through, closed, or nil when it built none.
+func (s *System) replay(ctx context.Context, agent *Agent, cfg ServeConfig, c *Corpus) (*ReplayReport, *Server, error) {
 	if c == nil {
-		return nil, fmt.Errorf("ams: nil corpus")
+		return nil, nil, fmt.Errorf("ams: nil corpus")
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -276,13 +283,13 @@ func (s *System) ReplayCorpus(ctx context.Context, agent *Agent, cfg ServeConfig
 		for _, seg := range c.segs {
 			seg.ReclaimCommitted()
 		}
-		return report, nil
+		return report, nil, nil
 	}
 
 	cfg.Corpus, cfg.Shards = c, nseg
 	srv, err := s.NewServer(agent, cfg)
 	if err != nil {
-		return report, err
+		return report, nil, err
 	}
 	type issued struct {
 		pendingItem
@@ -291,11 +298,13 @@ func (s *System) ReplayCorpus(ctx context.Context, agent *Agent, cfg ServeConfig
 	var tickets []issued
 	var submitErr error
 	for _, p := range pending {
-		// Pinned to its segment's shard, so its relabeling journals into
-		// the segment that already knows it.
+		// Routed like a submission of its tag, but resolved on any shard
+		// onto the entry of the segment that already knows it.
 		seg, seq := c.segs[p.seg], p.st.Seq
-		tk, err := srv.router.SubmitWait(ctx, shard.Item{Tag: p.st.Tag, Pin: p.seg + 1,
-			Resolve: func(int) (oracle.Executor, int, error) { return seg.Item(seq).Executor(), seq, nil }})
+		ext := seg.Item(seq)
+		it, _ := srv.routedItem(Item{id: p.st.Tag, ext: ext})
+		it.Resolve = func(int) (oracle.Executor, error) { seg.Begin(seq); return ext.Executor(), nil }
+		tk, err := srv.router.SubmitWait(ctx, it)
 		if err != nil {
 			submitErr = err
 			break
@@ -323,5 +332,5 @@ func (s *System) ReplayCorpus(ctx context.Context, agent *Agent, cfg ServeConfig
 			report.Segments[is.seg].Relabeled++
 		}
 	}
-	return report, submitErr
+	return report, srv, submitErr
 }

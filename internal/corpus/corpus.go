@@ -26,10 +26,11 @@
 // has, and replay rebuilds that index, so resubmitting an item journals
 // nothing new across restarts too.
 //
-// A server drives the lifecycle by corpus sequence: *Corpus satisfies
-// the serving layer's corpus contract (serve.Corpus, Begin and Commit)
-// directly, and the server runs each item on the item's own executor,
-// Item(seq).Executor(), whose outputs are journaled as they land.
+// Each entry is its item's owner: a server runs the item on its own
+// executor, Item(seq).Executor(), whose outputs are journaled as they
+// land and whose commit journals the completion, so the corpus that
+// admitted an item ends its lifecycle whichever shard runs it. Begin
+// registers the schedule before it starts.
 //
 // A snapshot compacts the journal in place: it rewrites the journal with
 // each item's admit record, persisted outputs and commit record once
@@ -360,11 +361,12 @@ func (c *Corpus) apply(rec *record) {
 // addEntry creates entry state for a scene, indexes it under its
 // identity key unless an earlier sequence holds that key (duplicates an
 // older build journaled replay as separate entries), and installs the
-// persistence hook that journals each memoized output as inference
-// lands. Caller holds c.mu (or is single-threaded setup).
+// entry as the item's owner: it journals each memoized output as
+// inference lands and each completed schedule. Caller holds c.mu (or is
+// single-threaded setup).
 func (c *Corpus) addEntry(scene synth.Scene, tag string, key []byte) *entry {
 	e := &entry{c: c, seq: len(c.entries), tag: tag, item: oracle.NewExternalItem(c.z, scene)}
-	e.item.SetOutputHook(e)
+	e.item.SetHook(e)
 	if _, dup := c.ids[string(key)]; !dup {
 		c.ids[string(key)] = e.seq
 	}
@@ -373,10 +375,14 @@ func (c *Corpus) addEntry(scene synth.Scene, tag string, key []byte) *entry {
 	return e
 }
 
-// OutputComputed makes the entry its item's output hook: it journals each
-// output the item computes.
+// OutputComputed journals each output the entry's item computes.
 func (e *entry) OutputComputed(m int, out zoo.Output) {
 	e.c.journalOutput(e.seq, m, out)
+}
+
+// ScheduleCommitted commits a completed schedule of the entry's item.
+func (e *entry) ScheduleCommitted(executed []int, scheduleMS float64) error {
+	return e.c.Commit(e.seq, executed, scheduleMS)
 }
 
 // admitLocked is the admission body: it finds the scene's entry or

@@ -20,12 +20,12 @@ type ExternalItem struct {
 	memo  []memoSlot // indexed by model; nil until the first Output or Preload and again after Evict
 	truth *Truth     // nil unless SetTruth supplied one
 
-	// hook, when set, observes every freshly computed output — the
-	// persistence hook a durable corpus installs to journal memoized
-	// results as they land. It is invoked outside the item lock (the
-	// hook typically takes its own locks and performs I/O) and never for
-	// Preload'ed or replayed outputs.
-	hook outputHook
+	// hook, when set, is the item's owner — the corpus entry a durable
+	// corpus installs: it journals every freshly computed output as it
+	// lands (never Preload'ed or replayed ones) and each completed
+	// schedule's commit. It is invoked outside the item lock (the hook
+	// typically takes its own locks and performs I/O).
+	hook itemHook
 }
 
 // memoSlot is one model's slot in an item's memo: the output, once run.
@@ -34,12 +34,12 @@ type memoSlot struct {
 	done bool
 }
 
-// outputHook observes an item's freshly computed outputs (see
-// ExternalItem.hook). It is an interface, not a func, so an owner that
-// keeps per-item state (a corpus entry) installs itself and allocates
-// nothing to do so.
-type outputHook interface {
+// itemHook is an item's owner (see ExternalItem.hook). It is an
+// interface, not a func, so an owner that keeps per-item state (a corpus
+// entry) installs itself and allocates nothing to do so.
+type itemHook interface {
 	OutputComputed(m int, out zoo.Output)
+	ScheduleCommitted(executed []int, scheduleMS float64) error
 }
 
 // NewExternalItem wraps a scene for on-demand execution against the zoo.
@@ -72,12 +72,13 @@ func (it *ExternalItem) Output(m int) zoo.Output {
 	return out
 }
 
-// SetOutputHook installs the fresh-output observer: hook's
-// OutputComputed(m, out) runs after every inference this item performs,
-// outside the item lock, and never for Preload'ed or replayed outputs.
-// A durable corpus installs each of its entries on the entry's item, so
+// SetHook installs the item's owner: hook's OutputComputed(m, out) runs
+// after every inference this item performs, outside the item lock, and
+// never for Preload'ed or replayed outputs; its ScheduleCommitted runs
+// when a schedule of the item commits through the item's Executor. A
+// durable corpus installs each of its entries on the entry's item, so
 // installing allocates nothing; passing nil removes the hook.
-func (it *ExternalItem) SetOutputHook(hook outputHook) {
+func (it *ExternalItem) SetHook(hook itemHook) {
 	it.mu.Lock()
 	it.hook = hook
 	it.mu.Unlock()
@@ -161,6 +162,8 @@ func (it *ExternalItem) Truth() *Truth {
 // Executor returns the item as a one-item Executor: index 0 is the item.
 // The view is the item itself under another method set, so handing it to
 // a scheduler allocates nothing, and its outputs are the item's memo.
+// The view also commits: a server that completes a schedule of it calls
+// Commit, which the item's owner journals.
 func (it *ExternalItem) Executor() Executor { return (*single)(it) }
 
 // single is an ExternalItem seen as an Executor over exactly itself.
@@ -172,3 +175,16 @@ func (s *single) Model(m int) *zoo.Model     { return s.z.Models[m] }
 func (s *single) Output(_, m int) zoo.Output { return (*ExternalItem)(s).Output(m) }
 func (s *single) Seed(int) uint64            { return s.scene.Seed }
 func (s *single) Truth(int) *Truth           { return (*ExternalItem)(s).Truth() }
+
+// Commit ends one schedule of the item: its owner journals the executed
+// models and schedule time, and may evict the memo once no schedule
+// holds it. An item without an owner has nothing to commit.
+func (s *single) Commit(executed []int, scheduleMS float64) error {
+	s.mu.Lock()
+	hook := s.hook
+	s.mu.Unlock()
+	if hook == nil {
+		return nil
+	}
+	return hook.ScheduleCommitted(executed, scheduleMS)
+}

@@ -39,9 +39,10 @@
 // queue an item waits in — and a worker whose queue is empty asks the
 // router to steal from a sibling before it parks. A ticket names either
 // an index into the server's own executor or a Resolve that yields the
-// item's own executor; the worker that runs it resolves it, and begins it
-// with the corpus when one manages the item, so a ticket that is refused
-// or stolen has nothing to undo.
+// item's own executor; the worker that runs it resolves it, so a ticket
+// that is refused or stolen has nothing to undo. An item's own executor
+// that commits (an ingested item, whose owner journals it) commits once,
+// on the finishing worker, before its ticket resolves.
 //
 // With Config.BatchSize the server coalesces demand across items:
 // workers hand their executions to a cross-item batching runtime
@@ -138,14 +139,6 @@ type Config struct {
 	// Trace replayers raise it to cover their whole trace.
 	StatsWindow int
 
-	// Corpus, when non-nil, makes the server drive a durable item
-	// corpus's lifecycle for every item a ticket's Resolve names a corpus
-	// sequence for: the worker that takes the item registers an in-flight
-	// reference (Begin), and its completed schedule journals a commit
-	// (Commit) before the result is delivered, so ingested items are
-	// journaled, memoized to disk, and evicted once committed.
-	Corpus Corpus
-
 	// Epoch, when non-zero, is the wall-clock origin of the server's
 	// simulated timeline (arrival/finish seconds in its records). Shards
 	// of one logical server share an epoch so their records merge into
@@ -165,17 +158,15 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-// Corpus is the narrow contract a durable ingestion corpus exposes to
-// the server (implemented by *corpus.Corpus), keyed by corpus sequence.
-// The worker that runs a corpus-managed item calls Begin before its
-// schedule starts and Commit when it completes — the item's explicit
-// lifetime boundary: after commit the corpus may evict the item's
-// memoized outputs, which is safe because every completion's outputs are
-// captured into its ItemResult first. A ticket that never reaches a
-// worker never begins, and neither does an index ticket.
-type Corpus interface {
-	Begin(seq int)
-	Commit(seq int, executed []int, scheduleMS float64) error
+// committer is an item's own executor that ends the item's lifecycle
+// itself (oracle's ExternalItem view, whose owner journals the commit).
+// The worker that finishes a Resolve ticket commits it — the item's
+// explicit lifetime boundary: after commit the owner may evict the
+// item's memoized outputs, which is safe because every completion's
+// outputs are captured into its ItemResult first. A ticket that never
+// reaches a worker never commits, and neither does an index ticket.
+type committer interface {
+	Commit(executed []int, scheduleMS float64) error
 }
 
 // defaultStatsWindow bounds retained per-item records (~40 B each) when
@@ -219,15 +210,12 @@ type Ticket struct {
 	// The router's annotation, written before admission (Shard again by a
 	// steal) and read by the worker and after Done: where placement put
 	// the item and where it ran (they differ exactly when it was stolen),
-	// whether it may be stolen, its affinity hint, and its resolution,
-	// which the worker taking it calls with Shard. Resolve returns the
-	// item's own executor, whose index 0 is the item, and its corpus
-	// sequence — -1 when no corpus manages the item; a sequence needs a
-	// server with Config.Corpus. Zero on a bare server.
+	// its affinity hint, and its resolution, which the worker taking it
+	// calls with Shard. Resolve returns the item's own executor, whose
+	// index 0 is the item. Zero on a bare server.
 	Home, Shard int
-	Pinned      bool
 	Hint        []int
-	Resolve     func(shard int) (ex oracle.Executor, seq int, err error)
+	Resolve     func(shard int) (oracle.Executor, error)
 
 	image    int // the executor index; -1 for a Resolve ticket
 	tag      string
@@ -250,7 +238,7 @@ func (t *Ticket) Done() <-chan struct{} { return t.done }
 // Wait blocks until the ticket resolves and returns its result,
 // meaningful when Err is nil. The result is committed before Done
 // closes: its Outputs are captured by value, so Wait never reads the
-// executor and is unaffected by a corpus evicting the item's memo after
+// executor and is unaffected by the item's owner evicting its memo after
 // commit.
 func (t *Ticket) Wait() ItemResult {
 	<-t.done
@@ -456,7 +444,7 @@ func (s *Server) SubmitWait(ctx context.Context, item int, tag string) (*Ticket,
 // full: ErrQueueFull, counted. Otherwise it waits for a slot until ctx is
 // cancelled or the server closes. A ticket without Resolve has its index
 // checked here, so a bad one fails the caller at once; a Resolve ticket
-// ignores item, and the worker that takes it resolves and begins it.
+// ignores item, and the worker that takes it resolves it.
 func (s *Server) Admit(ctx context.Context, tk *Ticket, item int) error {
 	tk.image = -1
 	if tk.Resolve == nil {
@@ -534,18 +522,17 @@ func (s *Server) OnIdle(steal func() *Ticket) {
 	s.mu.Unlock()
 }
 
-// StealOldest removes the oldest queued ticket that is not pinned, or
-// returns nil. The ticket gives back its slot here; nothing began it yet,
-// so the thief's worker runs it as its own.
+// StealOldest removes the oldest queued ticket, or returns nil. The
+// ticket gives back its slot here; nothing resolved it yet, so the
+// thief's worker runs it as its own.
 func (s *Server) StealOldest() *Ticket {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i := slices.IndexFunc(s.queue, func(tk *Ticket) bool { return !tk.Pinned })
-	if i < 0 {
+	if len(s.queue) == 0 {
 		return nil
 	}
-	tk := s.queue[i]
-	s.queue = slices.Delete(s.queue, i, i+1)
+	tk := s.queue[0]
+	s.queue = slices.Delete(s.queue, 0, 1)
 	s.releaseSlot()
 	return tk
 }
@@ -560,25 +547,19 @@ func (s *Server) Nudge() {
 	s.mu.Unlock()
 }
 
-// Live is a server's instantaneous queue state: tickets queued (Stealable
-// of them unpinned), taken and not yet finished, failed to resolve, and
-// refused at a full queue (sheds).
+// Live is a server's instantaneous queue state: tickets queued, taken
+// and not yet finished, failed to resolve, and refused at a full queue
+// (sheds).
 type Live struct {
-	Queued, Stealable, Running int
-	Failed, Rejected           int64
+	Queued, Running  int
+	Failed, Rejected int64
 }
 
 // Live reads the queue state.
 func (s *Server) Live() Live {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l := Live{Queued: len(s.queue), Running: s.running, Failed: s.failed, Rejected: s.rejected}
-	for _, tk := range s.queue {
-		if !tk.Pinned {
-			l.Stealable++
-		}
-	}
-	return l
+	return Live{Queued: len(s.queue), Running: s.running, Failed: s.failed, Rejected: s.rejected}
 }
 
 // Load is the queued plus running count, LeastLoaded placement's measure.
@@ -624,7 +605,7 @@ func (s *Server) worker(w int) {
 		if tk == nil {
 			return
 		}
-		ex, i, seq, err := s.resolve(tk)
+		ex, i, err := s.resolve(tk)
 		if err != nil {
 			s.mu.Lock()
 			s.running--
@@ -643,7 +624,7 @@ func (s *Server) worker(w int) {
 		res := run.Execute(mach, ex, i, sel, lim)
 		s.observeQuality(sel.Policy, res)
 		run.Release() // the worker keeps the Run, not the item
-		s.finish(tk, seq, res, sel.selectSec, trace)
+		s.finish(tk, ex, res, sel.selectSec, trace)
 	}
 }
 
@@ -678,16 +659,13 @@ func (s *Server) next() (tk *Ticket) {
 // resolve readies a taken ticket to run here and returns the executor and
 // index it runs at: the server's own executor for an index ticket (Admit
 // range-checked it), the item's own at index 0 for a Resolve ticket,
-// resolved on this, the executing, shard. It is the one place an item is
-// begun: seq >= 0 is the corpus sequence of a corpus-managed item.
-func (s *Server) resolve(tk *Ticket) (ex oracle.Executor, i, seq int, err error) {
+// resolved on this, the executing, shard.
+func (s *Server) resolve(tk *Ticket) (ex oracle.Executor, i int, err error) {
 	if tk.Resolve == nil {
-		return s.ex, tk.image, -1, nil
+		return s.ex, tk.image, nil
 	}
-	if ex, seq, err = tk.Resolve(tk.Shard); err == nil && seq >= 0 {
-		s.cfg.Corpus.Begin(seq)
-	}
-	return ex, 0, seq, err
+	ex, err = tk.Resolve(tk.Shard)
+	return ex, 0, err
 }
 
 // selector is the worker's policy as the executor sees it: a sim.Policy
@@ -954,18 +932,18 @@ func (s *Server) scaled(ms float64) time.Duration {
 // finish commits and records one completed item, then resolves its
 // ticket. The schedule length charged to the worker — and to
 // utilization — is the makespan: the summed model time of a serial
-// schedule, less when models overlapped. The corpus commit (the item's
-// explicit lifetime boundary) of a corpus-managed item (seq >= 0)
-// happens first: the outputs are already captured by value, so the
-// corpus may evict the item's memo the moment the commit is journaled,
-// before any reader wakes.
-func (s *Server) finish(tk *Ticket, seq int, res sim.Result, selectSec float64, trace *obs.ItemTrace) {
+// schedule, less when models overlapped. The commit of a resolved item
+// whose executor commits (the item's explicit lifetime boundary) happens
+// first: the outputs are already captured by value, so its owner may
+// evict the item's memo the moment the commit is journaled, before any
+// reader wakes.
+func (s *Server) finish(tk *Ticket, ex oracle.Executor, res sim.Result, selectSec float64, trace *obs.ItemTrace) {
 	commit := trace.StartSpan(obs.SpanCommit, 0, -1)
 	trace.Annotate(commit, obs.SpanAttrs{RemainingMS: s.cfg.Limits().DeadlineMS - res.MakespanMS})
-	if seq >= 0 {
+	if c, ok := ex.(committer); ok && tk.Resolve != nil {
 		// The sticky write error surfaces on the admission path; a worker
 		// completing an item has nowhere to return it.
-		_ = s.cfg.Corpus.Commit(seq, res.Executed, res.MakespanMS)
+		_ = c.Commit(res.Executed, res.MakespanMS)
 	}
 	trace.EndSpan(commit)
 	finishWall := time.Now()

@@ -114,10 +114,8 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestSubmitValidationAndClose(t *testing.T) {
-	rc := newRecordingCorpus()
-	cfg := fast(1)
-	cfg.Corpus = rc
-	s, err := New(store, randomFactory(1), cfg)
+	rc := newRecorder()
+	s, err := New(store, randomFactory(1), fast(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +136,7 @@ func TestSubmitValidationAndClose(t *testing.T) {
 	if res.ScheduleMS > 500+1e-9 {
 		t.Fatalf("schedule %v ms exceeds the 500 ms deadline", res.ScheduleMS)
 	}
-	ext := corpusTicket(3)
+	ext := rc.ticket(3)
 	if err := s.Admit(nil, ext, 0); err != nil {
 		t.Fatalf("Admit: %v", err)
 	}
@@ -151,22 +149,21 @@ func TestSubmitValidationAndClose(t *testing.T) {
 	if _, err := submitNow(s, 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
-	if err := s.Admit(nil, corpusTicket(4), 0); !errors.Is(err, ErrClosed) {
+	if err := s.Admit(nil, rc.ticket(4), 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Admit after Close = %v, want ErrClosed", err)
 	}
-	if err := s.Admit(context.Background(), corpusTicket(5), 0); !errors.Is(err, ErrClosed) {
+	if err := s.Admit(context.Background(), rc.ticket(5), 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("waiting Admit after Close = %v, want ErrClosed", err)
 	}
 	if err := s.Close(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("second Close = %v, want ErrClosed", err)
 	}
-	// Only the one corpus-managed item that ran was begun: the index
-	// ticket has no sequence, and the closed-server admissions never
-	// reached a worker.
+	// Only the one resolved item that ran was resolved and committed: the
+	// closed-server admissions never reached a worker.
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if len(rc.begins) != 1 || rc.begins[3] != 1 || len(rc.commits) != 1 || rc.commits[3] != 1 {
-		t.Fatalf("begins %v, commits %v; want sequence 3 begun and committed once", rc.begins, rc.commits)
+	if len(rc.resolves) != 1 || rc.resolves[3] != 1 || len(rc.commits) != 1 || rc.commits[3] != 1 {
+		t.Fatalf("resolves %v, commits %v; want item 3 resolved and committed once", rc.resolves, rc.commits)
 	}
 }
 
@@ -626,69 +623,94 @@ func TestExactlyExhaustedBudgetDoesNotPanic(t *testing.T) {
 	}
 }
 
-// recordingCorpus records the server's lifecycle calls, by corpus
-// sequence, so the tests can assert the Begin/Commit pairing contract.
-type recordingCorpus struct {
-	mu      sync.Mutex
-	begins  map[int]int
-	commits map[int]int
+// recorder counts, by item, the resolutions a server makes and the
+// commits its items' executors receive, and how many of those commits
+// came after the item's ticket resolved.
+type recorder struct {
+	mu       sync.Mutex
+	resolves map[int]int
+	commits  map[int]int
+	late     int
 }
 
-func newRecordingCorpus() *recordingCorpus {
-	return &recordingCorpus{begins: map[int]int{}, commits: map[int]int{}}
+func newRecorder() *recorder {
+	return &recorder{resolves: map[int]int{}, commits: map[int]int{}}
 }
 
-func (rc *recordingCorpus) Begin(seq int) {
-	rc.mu.Lock()
-	rc.begins[seq]++
-	rc.mu.Unlock()
+// committingItem is an executor that commits, as an ingested item's own
+// executor does: its commits are recorded under seq, late when tk (nil
+// for a server's own executor) is already Done.
+type committingItem struct {
+	oracle.Executor
+	rc  *recorder
+	tk  *Ticket
+	seq int
 }
 
-func (rc *recordingCorpus) Commit(seq int, executed []int, scheduleMS float64) error {
-	rc.mu.Lock()
-	rc.commits[seq]++
-	rc.mu.Unlock()
+func (c *committingItem) Commit(executed []int, scheduleMS float64) error {
+	c.rc.mu.Lock()
+	defer c.rc.mu.Unlock()
+	c.rc.commits[c.seq]++
+	if c.tk == nil {
+		return nil
+	}
+	select {
+	case <-c.tk.Done():
+		c.rc.late++
+	default:
+	}
 	return nil
 }
 
-// corpusTicket is a corpus-managed ticket tagged with its sequence: it
-// resolves to scene seq's own executor and corpus sequence seq, as a
-// server over a durable corpus resolves an ingested item.
-func corpusTicket(seq int) *Ticket {
+// ticket is a resolved ticket tagged with its scene: the worker that takes
+// it resolves it to scene seq's own committing executor, as a server
+// resolves an ingested item.
+func (rc *recorder) ticket(seq int) *Ticket {
 	tk := NewTicket(strconv.Itoa(seq))
-	tk.Resolve = func(int) (oracle.Executor, int, error) {
-		return oracle.NewExternalItem(z, ds.Scenes[seq]).Executor(), seq, nil
+	tk.Resolve = func(int) (oracle.Executor, error) {
+		rc.mu.Lock()
+		rc.resolves[seq]++
+		rc.mu.Unlock()
+		ex := oracle.NewExternalItem(z, ds.Scenes[seq]).Executor()
+		return &committingItem{Executor: ex, rc: rc, tk: tk, seq: seq}, nil
 	}
 	return tk
 }
 
-// TestCorpusLifecycleCalls checks the serve<->corpus contract: every
-// corpus-managed item a worker runs Begins exactly once, every such
-// completion Commits exactly once before the ticket resolves, a refused
-// admission begins nothing, and an index ticket, admitted after the
-// burst, never begins at all. Schedules of ≈25 ms wall keep both workers
-// and the one queue slot busy through the submit burst, so most are
-// refused.
+// TestCorpusLifecycleCalls checks the contract between a server and the
+// items that end their own lifecycle: every resolved item a worker runs
+// is resolved once and commits exactly once, before its ticket resolves;
+// a refused admission resolves and commits nothing; and index tickets,
+// admitted last, never commit, though the server's own executor could.
+// Schedules of ≈25 ms wall keep both workers and the one queue slot busy
+// through the submit burst, so most of it is refused; the waiting
+// admissions after it all run.
 func TestCorpusLifecycleCalls(t *testing.T) {
-	rc := newRecordingCorpus()
+	rc := newRecorder()
 	cfg := fast(2)
 	cfg.QueueCap = 1
 	cfg.TimeScale = 0.05
-	cfg.Corpus = rc
-	s, err := New(store, randomFactory(5), cfg)
+	s, err := New(&committingItem{Executor: store, rc: rc, seq: -1}, randomFactory(5), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var tickets []*Ticket
 	rejected := 0
 	for i := 0; i < 12; i++ {
-		tk := corpusTicket(i)
+		tk := rc.ticket(i)
 		err := s.Admit(nil, tk, 0)
 		if errors.Is(err, ErrQueueFull) {
 			rejected++
 			continue
 		}
 		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	for i := 12; i < 15; i++ { // waiting admissions, which all run
+		tk := rc.ticket(i)
+		if err := s.Admit(context.Background(), tk, 0); err != nil {
 			t.Fatal(err)
 		}
 		tickets = append(tickets, tk)
@@ -706,39 +728,30 @@ func TestCorpusLifecycleCalls(t *testing.T) {
 		if len(res.Outputs) != len(res.Executed) {
 			t.Fatalf("result outputs %d not parallel to executed %d", len(res.Outputs), len(res.Executed))
 		}
-		if tk.Resolve == nil {
-			continue
-		}
-		// Commit-of-result is the boundary: by Wait time the commit has
-		// been journaled.
-		seq, _ := strconv.Atoi(res.Tag)
-		rc.mu.Lock()
-		committed := rc.commits[seq]
-		rc.mu.Unlock()
-		if committed == 0 {
-			t.Fatalf("item %d resolved before its commit", seq)
-		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	var begins, commits int
-	for _, n := range rc.begins {
-		begins += n
-	}
-	for _, n := range rc.commits {
-		commits += n
-	}
-	if commits != len(tickets)-indexed {
-		t.Fatalf("%d commits for %d completed corpus-managed items", commits, len(tickets)-indexed)
-	}
 	if rejected == 0 {
 		t.Fatal("no admission was refused: the test never exercised the shed path")
 	}
-	if begins != commits {
-		t.Fatalf("%d begins for %d commits with %d refused admissions", begins, commits, rejected)
+	if n := rc.commits[-1]; n != 0 {
+		t.Fatalf("the server's own executor committed %d times for %d index tickets; want 0", n, indexed)
+	}
+	if len(rc.resolves) != len(tickets)-indexed || len(rc.commits) != len(tickets)-indexed {
+		t.Fatalf("%d items resolved, %d committed, for %d admitted resolved tickets (%d refused)",
+			len(rc.resolves), len(rc.commits), len(tickets)-indexed, rejected)
+	}
+	for _, tk := range tickets[:len(tickets)-indexed] {
+		seq, _ := strconv.Atoi(tk.Wait().Tag)
+		if rc.resolves[seq] != 1 || rc.commits[seq] != 1 {
+			t.Fatalf("item %d resolved %d and committed %d times; want once each", seq, rc.resolves[seq], rc.commits[seq])
+		}
+	}
+	if rc.late != 0 {
+		t.Fatalf("%d commits ran after their ticket resolved", rc.late)
 	}
 }
 

@@ -1,10 +1,8 @@
 // Package shard scales the labeling server across independent shards.
 //
 // A shard is the unit representing one GPU (or node): one serve.Server
-// with its own worker pool, its own Algorithm-2 memory accountant, and —
-// when the deployment journals ingestion — its own corpus journal
-// segment, so nothing a shard does contends with its siblings on a lock,
-// a budget, or a file.
+// with its own worker pool and its own Algorithm-2 memory accountant, so
+// nothing a shard does contends with its siblings on a lock or a budget.
 //
 // The Router in front owns placement and load balance, but no queue and
 // no goroutine: it places each item once and admits it straight into its
@@ -19,13 +17,12 @@
 //     thrash.
 //   - Work-stealing (optional) keeps shards busy under skew: a worker
 //     whose own queue is empty asks the router, before it parks, for the
-//     oldest stealable item in the longest sibling queue; an admission
-//     nudges the siblings' idle workers to ask again.
-//   - Items resolve to their executor, and begin with the corpus, on
-//     the worker that takes them, on the shard that executes them. That
-//     is what makes stealing compose with durable ingestion: an external
-//     item is admitted into (and journaled by) the segment of the shard
-//     that actually runs it, and a stolen item has nothing to undo.
+//     oldest item in the longest sibling queue; an admission nudges the
+//     siblings' idle workers to ask again.
+//   - Items resolve to their executor on the worker that takes them, on
+//     the shard that executes them, so a stolen item has nothing to
+//     undo, and a caller whose resolution depends on the shard (say, one
+//     that keeps per-shard state) sees the shard that runs the item.
 //
 // Stats merges every shard's completion records through one
 // service.Summarize reduction (the shards share a clock epoch), and
@@ -101,18 +98,10 @@ type Item struct {
 	// present in a shared store. Ignored when Resolve is set.
 	Index int
 	// Resolve, when set, maps the item to its own executor (index 0 is
-	// the item) and corpus sequence (-1 when no corpus manages it) on the
-	// shard chosen to execute it, called by the worker that takes the item
-	// (it may block — e.g. on a corpus residency watermark, which is
-	// backpressure on that shard). This is how external items are
-	// admitted into the executing shard's own journal segment, including
-	// when the item is stolen.
-	Resolve func(shard int) (ex oracle.Executor, seq int, err error)
-	// Pin, when positive, pins the item to shard Pin-1: placement is
-	// bypassed and the item is never stolen. Replay uses this to route
-	// recovered items back to the segment that journaled them. Zero
-	// routes normally.
-	Pin int
+	// the item) on the shard chosen to execute it, called by the worker
+	// that takes the item, also when the item is stolen. It may block,
+	// which is backpressure on that shard.
+	Resolve func(shard int) (oracle.Executor, error)
 }
 
 // Config parameterizes a Router.
@@ -193,13 +182,7 @@ func ShardFor(key uint64, shards int) int {
 }
 
 // place picks the home shard. Caller holds r.mu.
-func (r *Router) place(it *Item) (int, error) {
-	if it.Pin > 0 {
-		if it.Pin > len(r.servers) {
-			return -1, fmt.Errorf("shard: pin to nonexistent shard %d", it.Pin-1)
-		}
-		return it.Pin - 1, nil
-	}
+func (r *Router) place(it *Item) int {
 	n := len(r.servers)
 	switch r.cfg.Placement {
 	case LeastLoaded:
@@ -209,7 +192,7 @@ func (r *Router) place(it *Item) (int, error) {
 				best, bestLoad = s, load
 			}
 		}
-		return best, nil
+		return best
 	case Affinity:
 		best, bestScore := -1, 0.0
 		for s := 0; s < n; s++ {
@@ -227,12 +210,12 @@ func (r *Router) place(it *Item) (int, error) {
 			}
 		}
 		if bestScore > 0 {
-			return best, nil
+			return best
 		}
 		// No shard has seen these models (or the item carries no hint):
 		// place by hash so cold traffic still spreads.
 	}
-	return ShardFor(it.Key, n), nil
+	return ShardFor(it.Key, n)
 }
 
 // credit accumulates affinity heat for the hinted models on shard s,
@@ -282,13 +265,10 @@ func (r *Router) SubmitWait(ctx context.Context, it Item) (*serve.Ticket, error)
 // and credits its heat only once the home shard has taken the item.
 func (r *Router) submit(ctx context.Context, it Item) (*serve.Ticket, error) {
 	tk := serve.NewTicket(it.Tag)
-	tk.Pinned, tk.Hint, tk.Resolve = it.Pin > 0, it.Hint, it.Resolve
+	tk.Hint, tk.Resolve = it.Hint, it.Resolve
 	r.mu.Lock()
-	h, err := r.place(&it)
+	h := r.place(&it)
 	r.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
 	tk.Home, tk.Shard = h, h
 	if err := r.servers[h].Admit(ctx, tk, it.Index); err != nil {
 		return nil, err
@@ -305,16 +285,16 @@ func (r *Router) submit(ctx context.Context, it Item) (*serve.Ticket, error) {
 	return tk, nil
 }
 
-// steal is shard thief's idle hook: it takes the oldest unpinned ticket
-// from the longest sibling queue holding one and moves the ticket's
-// provenance and heat to the thief; nil when no sibling has one.
+// steal is shard thief's idle hook: it takes the oldest ticket from the
+// longest sibling queue and moves the ticket's provenance and heat to the
+// thief; nil when every sibling queue is empty.
 func (r *Router) steal(thief int) *serve.Ticket {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
 		victim, most := -1, 0
 		for v, sv := range r.servers {
-			if l := sv.Live(); v != thief && l.Stealable > 0 && l.Queued > most {
+			if l := sv.Live(); v != thief && l.Queued > most {
 				victim, most = v, l.Queued
 			}
 		}

@@ -257,11 +257,11 @@ func TestStealDrainsIdleShard(t *testing.T) {
 	for i := range tickets {
 		it := Item{Key: key, Index: i % ds.Len(), Tag: []string{"", "dup"}[i%2]}
 		if i%3 == 0 {
-			it.Resolve = func(shard int) (oracle.Executor, int, error) {
+			it.Resolve = func(shard int) (oracle.Executor, error) {
 				mu.Lock()
 				defer mu.Unlock()
 				resolvedOn[i] = append(resolvedOn[i], shard)
-				return oracle.NewExternalItem(z, ds.Scenes[i%ds.Len()]).Executor(), -1, nil
+				return oracle.NewExternalItem(z, ds.Scenes[i%ds.Len()]).Executor(), nil
 			}
 		}
 		tk, err := r.SubmitWait(context.Background(), it)
@@ -326,42 +326,6 @@ func TestStealDrainsIdleShard(t *testing.T) {
 	}
 	if tracedSteals[""] != wantSteals[0] || tracedSteals["dup"] != wantSteals[1] {
 		t.Errorf("traces record steals %v, tickets %v (untagged, shared tag)", tracedSteals, wantSteals)
-	}
-}
-
-// TestPinBypassesPlacementAndSteal pins every item to shard 1 (the
-// replay path) and checks none run elsewhere even with stealing on.
-func TestPinBypassesPlacementAndSteal(t *testing.T) {
-	const n = 2
-	r, err := New(shardServers(t, n, 2, 64, nil), Config{
-		Steal:   true,
-		Workers: workerCounts(n, 2),
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	tickets := make([]*serve.Ticket, 30)
-	for i := range tickets {
-		tk, err := r.SubmitWait(context.Background(), Item{Key: uint64(i), Index: i % ds.Len(), Pin: 2})
-		if err != nil {
-			t.Fatalf("SubmitWait: %v", err)
-		}
-		tickets[i] = tk
-	}
-	if err := r.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	for i, tk := range tickets {
-		err := tk.Err()
-		if err != nil {
-			t.Fatalf("item %d: %v", i, err)
-		}
-		if tk.Shard != 1 || tk.Home != tk.Shard {
-			t.Errorf("pinned item %d ran on shard %d (home %d), want its pin 1", i, tk.Shard, tk.Home)
-		}
-	}
-	if st := r.Stats(); st.Steals != 0 {
-		t.Errorf("pinned stream recorded %d steals", st.Steals)
 	}
 }
 
@@ -539,8 +503,8 @@ func TestDispatchFailuresResolveOnce(t *testing.T) {
 		wantTicket error // the ticket's, when SubmitWait handed one out
 		failures   int64
 	}{
-		{"resolve error", Item{Pin: 1, Resolve: func(int) (oracle.Executor, int, error) { resolves.Add(1); return nil, -1, boom }}, false, nil, boom, 1},
-		{"shard closed before admission", Item{Pin: 1, Index: 1}, true, serve.ErrClosed, nil, 0},
+		{"resolve error", Item{Key: keyOn(0, n, 0), Resolve: func(int) (oracle.Executor, error) { resolves.Add(1); return nil, boom }}, false, nil, boom, 1},
+		{"shard closed before admission", Item{Key: keyOn(0, n, 0), Index: 1}, true, serve.ErrClosed, nil, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resolves.Store(0)
@@ -564,7 +528,7 @@ func TestDispatchFailuresResolveOnce(t *testing.T) {
 				}
 			}
 			// The sibling still serves.
-			good, err := r.SubmitWait(context.Background(), Item{Pin: 2, Index: 2})
+			good, err := r.SubmitWait(context.Background(), Item{Key: keyOn(1, n, 0), Index: 2})
 			if err != nil {
 				t.Fatalf("SubmitWait after the failure: %v", err)
 			}
@@ -701,9 +665,9 @@ func TestWaitSecCoversDispatchResolve(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	tk, err := r.SubmitWait(context.Background(), Item{Key: 1, Resolve: func(int) (oracle.Executor, int, error) {
+	tk, err := r.SubmitWait(context.Background(), Item{Key: 1, Resolve: func(int) (oracle.Executor, error) {
 		time.Sleep(block)
-		return oracle.NewExternalItem(z, ds.Scenes[3]).Executor(), -1, nil
+		return oracle.NewExternalItem(z, ds.Scenes[3]).Executor(), nil
 	}})
 	if err != nil {
 		t.Fatalf("SubmitWait: %v", err)

@@ -109,7 +109,14 @@ func (m *Model) emissions(s *synth.Scene, dst []LabelConf) []LabelConf {
 			// A detected face yields most of the 70 keypoints.
 			n := len(m.Supported)
 			keep := n - r.Intn(n/4+1)
-			perm := r.Perm(n)
+			// RNG.Perm's fill and Shuffle, into a stack array: the same
+			// draws, and a heap copy only past 70 keypoints.
+			var idx [70]int
+			perm := idx[:0]
+			for i := range n {
+				perm = append(perm, i)
+			}
+			r.Shuffle(perm)
 			for _, i := range perm[:keep] {
 				truePos(m.Supported[i])
 			}

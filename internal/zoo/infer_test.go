@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"ams/internal/labels"
 	"ams/internal/synth"
 	"ams/internal/tensor"
 )
@@ -95,18 +94,21 @@ func TestInferMatchesTheReferencePipeline(t *testing.T) {
 }
 
 // TestInferAllocatesOnlyItsOutput pins the cost of an inference: the
-// exact-size output and nothing else. FaceLandmark is left out because
-// it draws a keypoint permutation per detected face (tensor.RNG.Perm).
+// exact-size output and nothing else, for every model, FaceLandmark's
+// keypoint permutation included. Only emissions that spill past the
+// 64-entry stack array (a detected face's up to 70 keypoints) cost one
+// more.
 func TestInferAllocatesOnlyItsOutput(t *testing.T) {
 	d := synth.NewDataset(vocab, synth.MSCOCO(), 12, 47)
 	for _, m := range z.Models {
-		if m.Task == labels.FaceLandmark {
-			continue
-		}
 		for i := range d.Scenes {
 			s := &d.Scenes[i]
-			if n := testing.AllocsPerRun(20, func() { m.Infer(s) }); n > 1 {
-				t.Fatalf("%s on scene %d: %.1f allocations per Infer, want at most 1", m.Name, i, n)
+			want := 1.0
+			if len(m.emissions(s, nil)) > 64 {
+				want = 2
+			}
+			if n := testing.AllocsPerRun(20, func() { m.Infer(s) }); n > want {
+				t.Fatalf("%s on scene %d: %.1f allocations per Infer, want at most %v", m.Name, i, n, want)
 			}
 		}
 	}

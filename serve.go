@@ -118,7 +118,7 @@ type ServeConfig struct {
 	// together, keeping those models' working set stable per shard).
 	ShardPlacement string
 	// ShardSteal lets a worker whose shard's queue is empty steal queued
-	// items from its most loaded sibling (never items pinned by replay).
+	// items from its most loaded sibling.
 	ShardSteal bool
 	// Telemetry turns on the server's live metric registry and item
 	// tracer: per-stage latency histograms, per-model execution counters,
@@ -484,8 +484,7 @@ func (s *System) newServer(cfg ServeConfig, p servePlan) (*Server, error) {
 		sv.metrics = serve.NewMetrics(sv.reg, s.Zoo.Models)
 	}
 
-	// Each shard is a serve.Server over the test store, driving its
-	// corpus segment when there is one.
+	// Each shard is a serve.Server over the test store.
 	shards := make([]*serve.Server, 0, len(p.shards))
 	closeBuilt := func() {
 		for _, sh := range shards {
@@ -497,13 +496,11 @@ func (s *System) newServer(cfg ServeConfig, p servePlan) (*Server, error) {
 		// single coherent timeline in Stats.
 		sc.Epoch, sc.Metrics, sc.Tracer = sv.start, sv.metrics, sv.tracer
 		if cfg.Corpus != nil {
-			seg := cfg.Corpus.segs[i]
 			// History already committed in the journal was delivered
 			// before: reclaim its memos so a reopened corpus does not pin
 			// them. ReplayCorpus recovers those results *before* building
 			// a server.
-			seg.ReclaimCommitted()
-			sc.Corpus = seg
+			cfg.Corpus.segs[i].ReclaimCommitted()
 		}
 		sh, err := serve.New(s.testStore, p.factory, sc)
 		if err != nil {
@@ -653,31 +650,32 @@ func (sv *Server) armFlightRecorder(dir string) {
 	sv.flight = fr
 }
 
-// resolve maps an external item onto the executor it runs on and its
-// corpus sequence. It runs on the worker that takes the item, so a
-// corpus admission lands in the journal segment of shard sh, the one
-// executing it.
+// resolve maps an external item onto the executor it runs on. It runs
+// on the worker that takes the item, so a corpus admission lands in the
+// journal segment of shard sh, the one executing it.
 //
 // Without a corpus the item is its own executor and the shard keeps
 // nothing: once its result is delivered, nothing of the server holds it,
 // and a resubmission replays the memo the item carries. With a corpus,
 // the segment admits the item, or finds it, by its (id, scene): the item
-// runs on the segment's copy, whose outputs are journaled as they land,
-// and is journaled once per segment however often it is submitted, also
-// across restarts. Committed items are evicted, bounding residency at
+// runs on the segment's copy, begun here and committing itself when its
+// schedule completes, whose outputs are journaled as they land, and is
+// journaled once per segment however often it is submitted, also across
+// restarts. Committed items are evicted, bounding residency at
 // CorpusOptions.MaxResident: an admission at the watermark waits for an
 // eviction, which is backpressure on the shard's queue, until the
 // server's lifetime ends.
-func (sv *Server) resolve(sh int, ext *oracle.ExternalItem, tag string) (oracle.Executor, int, error) {
+func (sv *Server) resolve(sh int, ext *oracle.ExternalItem, tag string) (oracle.Executor, error) {
 	if sv.corpus == nil {
-		return ext.Executor(), -1, nil
+		return ext.Executor(), nil
 	}
 	seg := sv.corpus.segs[sh]
 	seq, err := seg.AdmitWait(sv.life, *ext.Scene(), tag)
 	if err != nil {
-		return nil, -1, err
+		return nil, err
 	}
-	return seg.Item(seq).Executor(), seq, nil
+	seg.Begin(seq)
+	return seg.Item(seq).Executor(), nil
 }
 
 // itemKey is the stable routing identity for hash placement: the item's
@@ -778,7 +776,7 @@ func (sv *Server) routedItem(item Item) (shard.Item, error) {
 	if ext == nil {
 		it.Index = item.image
 	} else {
-		it.Resolve = func(sh int) (oracle.Executor, int, error) { return sv.resolve(sh, ext, item.id) }
+		it.Resolve = func(sh int) (oracle.Executor, error) { return sv.resolve(sh, ext, item.id) }
 	}
 	return it, nil
 }

@@ -2,10 +2,13 @@ package ams
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"ams/internal/shard"
 	"ams/internal/zoo"
 )
 
@@ -170,6 +173,123 @@ func TestShardedCorpusReplayZeroReruns(t *testing.T) {
 			t.Fatalf("item %q recovered differently:\n  was  %+v\n  got  %+v", res.ItemID, want, res)
 		}
 	}
+}
+
+// TestReplayCommitsIntoTheOwningSegment reopens a two-segment corpus
+// whose items, in both segments, were admitted and some partly labeled
+// but never committed, and replays it through a stealing two-shard
+// server. Every item's tag hashes home to the other segment's shard, so
+// items run away from the segment that holds them (a steal can only
+// bring one back). Each item must be labeled as its own scene is, each
+// segment's journal must gain one commit per item of its own and none
+// for another's, the zoo must run only the models whose outputs never
+// reached a journal, and the report must count each relabeled item for
+// the segment that holds it.
+func TestReplayCommitsIntoTheOwningSegment(t *testing.T) {
+	const nseg = 2
+	dir := filepath.Join(t.TempDir(), "corpus.d")
+	c, err := testSys.OpenCorpusDir(dir, nseg, CorpusOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := shardedCfg(nseg, 4)
+	cfg.ShardPlacement = "hash"
+	cfg.Telemetry, cfg.TraceCapacity = true, 64
+	perSeg := []int{3, 5} // unequal, so a commit filed in the wrong segment shows
+	items := testSys.GenerateItems(perSeg[0]+perSeg[1], 91)
+	owner := map[string]int{}          // tag -> the segment that admitted it
+	want := map[string]*Result{}       // tag -> the item labeled on its own
+	journaled := map[string][]string{} // tag -> models whose outputs reached the journal
+	next := 0
+	for seg, n := range perSeg {
+		for j := 0; j < n; j++ {
+			tag := ""
+			for k := 0; tag == "" || shard.ShardFor(testSys.itemKey(Item{id: tag}, nil), nseg) == seg; k++ {
+				tag = fmt.Sprintf("crashed/%d/%d/%d", seg, j, k)
+			}
+			item := items[next].WithID(tag)
+			next++
+			owner[tag] = seg
+			if want[tag], err = testSys.LabelWith(bg, cfg.Policy, testAgent, item, Budget{DeadlineSec: cfg.DeadlineSec}); err != nil {
+				t.Fatal(err)
+			}
+			seq, err := c.segs[seg].AdmitWait(bg, *item.ext.Scene(), tag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (seg+j)%2 == 0 { // a crash mid-schedule: its first two outputs journaled
+				for _, name := range want[tag].ModelsRun[:2] {
+					c.segs[seg].Item(seq).Output(slices.IndexFunc(testSys.Zoo.Models, func(m *zoo.Model) bool { return m.Name == name }))
+					journaled[tag] = append(journaled[tag], name)
+				}
+			}
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := testSys.OpenCorpusDir(dir, 0, CorpusOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := zoo.Inferences()
+	rep, srv, err := testSys.replay(bg, testAgent, cfg, c2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := zoo.Inferences() - before
+	if err := c2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(rep.Recovered) != 0 || len(rep.Relabeled) != len(owner) {
+		t.Fatalf("recovered %d, relabeled %d; want 0, %d", len(rep.Recovered), len(rep.Relabeled), len(owner))
+	}
+	for seg, sr := range rep.Segments {
+		if sr.Segment != seg || sr.Recovered != 0 || sr.Relabeled != perSeg[seg] {
+			t.Errorf("segment %d reported %+v, want %d relabeled", seg, sr, perSeg[seg])
+		}
+	}
+	var fresh int64
+	away := 0
+	for _, res := range rep.Relabeled {
+		seg, ok := owner[res.ItemID]
+		if !ok {
+			t.Fatalf("relabeled unknown item %q", res.ItemID)
+		}
+		if !sameResult(res, want[res.ItemID]) {
+			t.Errorf("item %q relabeled running %v, not as labeled on its own (%v)", res.ItemID, res.ModelsRun, want[res.ItemID].ModelsRun)
+		}
+		fresh += int64(len(res.ModelsRun) - len(journaled[res.ItemID]))
+		tr, ok := srv.TraceFor(res.ItemID)
+		if !ok {
+			t.Fatalf("no trace for %q", res.ItemID)
+		}
+		if tr.Home == seg {
+			t.Errorf("item %q of segment %d was placed on shard %d, its tag's home is the other", res.ItemID, seg, tr.Home)
+		}
+		if tr.Shard != seg {
+			away++
+		}
+	}
+	if away == 0 {
+		t.Fatal("every item ran on its own segment's shard: the test never replayed across shards")
+	}
+	if ran != fresh || fresh == 0 {
+		t.Errorf("replay ran %d inferences; want the %d (> 0) executed models whose outputs were never journaled", ran, fresh)
+	}
+	for seg, n := range perSeg {
+		_, _, commits := journalRecordCounts(t, filepath.Join(dir, fmt.Sprintf("journal-%d.log", seg)))
+		want := map[[2]uint64]int{}
+		for seq := range n {
+			want[[2]uint64{uint64(seq)}] = 1
+		}
+		if !maps.Equal(commits, want) {
+			t.Errorf("segment %d journal commits %v, want one for each of its %d items", seg, commits, n)
+		}
+	}
+	t.Logf("%d of %d items ran away from their segment's shard; %d steals", away, len(owner), srv.Stats().Steals)
 }
 
 // TestShardedConfigValidation exercises the sharded NewServer contract
