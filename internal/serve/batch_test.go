@@ -117,7 +117,7 @@ func TestBatchingStress(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := s.Snapshot()
+	st := s.Counters()
 	if st.Completed != int64(n) {
 		t.Fatalf("completed %d of %d items", st.Completed, n)
 	}

@@ -114,8 +114,8 @@ func (m *Metrics) execDone(model int, t0 time.Time, scale float64) {
 
 // itemDone records one completed item's stage timings: queue wait and
 // end-to-end latency in simulated seconds (already rescaled by the
-// caller, which derives them from the same record ServeStats reads),
-// selection overhead in real seconds.
+// caller, which derives them from the instants the item's completion
+// record is built from), selection overhead in real seconds.
 func (m *Metrics) itemDone(waitSec, latencySec, selectSec float64) {
 	if m == nil {
 		return

@@ -66,15 +66,16 @@
 // concurrent machinery thousands of times faster than production pacing
 // while keeping every scheduling decision, reservation, and statistic
 // identical. All sleeps share one timer wheel (internal/vtime) instead
-// of parking a goroutine per execution in the runtime timer heap. All
-// reported statistics are on the simulated clock (wall-clock divided by
-// TimeScale), making them directly comparable to the virtual-time sim's
-// output — both reduce through service.Summarize.
+// of parking a goroutine per execution in the runtime timer heap. The
+// server keeps counters, not records: an ItemResult carries its item's
+// instants, and ItemResult.Record puts them on the simulated clock
+// (wall-clock divided by TimeScale) for service.Summarize, the reduction
+// the virtual-time sim uses.
 // One caveat: the scheduler's real CPU work (the agent's Q-network
 // forward passes — the paper's Table III selection overhead) is not
 // scaled, so very small TimeScale values magnify it relative to model
-// time and inflate the simulated-clock latencies; RunStats.AvgSelectSec
-// quantifies that overhead per item.
+// time and inflate the simulated-clock latencies; ItemResult.SelectSec
+// measures that overhead per item.
 package serve
 
 import (
@@ -133,18 +134,6 @@ type Config struct {
 	// small values to exercise the full concurrent machinery quickly.
 	TimeScale float64
 
-	// StatsWindow is how many completed-item records the server retains
-	// for Stats (default 65536), bounding memory on a long-running
-	// server: once exceeded, Stats summarizes the most recent window.
-	// Trace replayers raise it to cover their whole trace.
-	StatsWindow int
-
-	// Epoch, when non-zero, is the wall-clock origin of the server's
-	// simulated timeline (arrival/finish seconds in its records). Shards
-	// of one logical server share an epoch so their records merge into
-	// one coherent summary; zero means "now".
-	Epoch time.Time
-
 	// Metrics, when non-nil, receives per-stage telemetry (see
 	// NewMetrics). Instruments only count and measure — they never feed
 	// back into scheduling — so an instrumented server's schedules are
@@ -169,10 +158,6 @@ type committer interface {
 	Commit(executed []int, scheduleMS float64) error
 }
 
-// defaultStatsWindow bounds retained per-item records (~40 B each) when
-// Config.StatsWindow is zero.
-const defaultStatsWindow = 1 << 16
-
 // minTimeScale is the smallest Config.TimeScale. Below it a simulated
 // second is shorter than a time.Duration's nanosecond, and the server's
 // clock, wall time divided by the scale, leaves the float range: one
@@ -188,17 +173,36 @@ const defaultBatchHoldMS = 10.0
 // ItemResult is the outcome of one labeled item. It is self-contained:
 // Outputs carries the executed models' results by value, captured before
 // the commit is journaled, so reading a result never touches the
-// executor — the item's memo may already be evicted by then.
+// executor — the item's memo may already be evicted by then. Its
+// instants are wall-clock; Record puts them on a simulated timeline.
 type ItemResult struct {
 	Image      int          // item index in the server's executor; -1 for a resolved item
 	Tag        string       // caller-supplied identifier, echoed verbatim
+	Shard      int          // the shard that ran the item (Ticket.Shard)
 	Executed   []int        // model IDs in execution order
 	Outputs    []zoo.Output // the executed models' outputs, parallel to Executed
 	ScheduleMS float64      // summed nominal model time; the makespan in ItemParallel mode
 	Recall     float64
-	HasRecall  bool    // whether the item's ground truth (and so Recall) is known
-	WaitSec    float64 // queue wait on the simulated clock
-	LatencySec float64 // submit -> completion on the simulated clock
+	HasRecall  bool // whether the item's ground truth (and so Recall) is known
+	// Arrival is the submit, Start the dequeue by the worker that resolved
+	// and ran the item, Finish its completion.
+	Arrival, Start, Finish time.Time
+	SelectSec              float64 // real seconds inside the policy's Next, deliberately unscaled
+}
+
+// Record is the item's completion record on the simulated timeline that
+// starts at epoch: wall-clock seconds since epoch divided by scale, the
+// server's TimeScale.
+func (r *ItemResult) Record(epoch time.Time, scale float64) service.Record {
+	return service.Record{
+		ArrivalSec: r.Arrival.Sub(epoch).Seconds() / scale,
+		StartSec:   r.Start.Sub(epoch).Seconds() / scale,
+		FinishSec:  r.Finish.Sub(epoch).Seconds() / scale,
+		BusySec:    r.ScheduleMS / 1000,
+		Recall:     r.Recall,
+		HasRecall:  r.HasRecall,
+		SelectSec:  r.SelectSec,
+	}
 }
 
 // Ticket tracks one submitted item to completion. It is the serving
@@ -264,21 +268,18 @@ type Server struct {
 	// batchOwnsMem: serial schedules on a batched, budgeted server leave
 	// the footprint to the batch's grant (see machine.Start and FreeMB).
 	batchOwnsMem bool
-	slots        chan struct{} // one token per queued ticket: QueueCap bounds the queue
-	stop         chan struct{} // closed by Close to wake Admit calls waiting for a slot
-	start        time.Time
+	slots        chan struct{}    // one token per queued ticket: QueueCap bounds the queue
+	stop         chan struct{}    // closed by Close to wake Admit calls waiting for a slot
 	wg           sync.WaitGroup   // workers
 	onFinish     func(ItemResult) // the completion hook (OnFinish); nil on a bare server
 	steal        func() *Ticket   // the router's idle hook (OnIdle); nil on a bare server
 
-	mu        sync.Mutex // guards closed, queue, records, counters
+	mu        sync.Mutex // guards closed, queue, counters
 	cond      *sync.Cond // on mu: idle workers park here
 	queue     []*Ticket  // the admission FIFO, oldest first
 	gen       uint64     // bumped by Nudge
 	running   int        // tickets taken by a worker, not yet finished
 	closed    bool
-	records   []service.Record // ring of the most recent StatsWindow completions
-	recHead   int              // next overwrite position once the ring is full
 	completed int64
 	failed    int64
 	rejected  int64
@@ -320,12 +321,6 @@ func Prepare(ex oracle.Executor, cfg Config) (Config, error) {
 	}
 	if cfg.QueueCap < 0 {
 		return cfg, fmt.Errorf("serve: negative queue capacity %d", cfg.QueueCap)
-	}
-	if cfg.StatsWindow < 0 {
-		return cfg, fmt.Errorf("serve: negative stats window %d", cfg.StatsWindow)
-	}
-	if cfg.StatsWindow == 0 {
-		cfg.StatsWindow = defaultStatsWindow
 	}
 	if cfg.MemoryBudgetMB < 0 {
 		return cfg, fmt.Errorf("serve: negative memory budget %v MB", cfg.MemoryBudgetMB)
@@ -382,10 +377,6 @@ func New(ex oracle.Executor, factory service.PolicyFactory, cfg Config) (*Server
 			acct.waitHist = cfg.Metrics.ReserveWait
 		}
 	}
-	start := cfg.Epoch
-	if start.IsZero() {
-		start = time.Now()
-	}
 	s := &Server{
 		ex:      ex,
 		cfg:     cfg,
@@ -394,7 +385,6 @@ func New(ex oracle.Executor, factory service.PolicyFactory, cfg Config) (*Server
 		wheel:   vtime.NewWheel(),
 		slots:   make(chan struct{}, cfg.QueueCap),
 		stop:    make(chan struct{}),
-		start:   start,
 		queue:   make([]*Ticket, 0, cfg.QueueCap),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -508,9 +498,9 @@ func (s *Server) checkIndex(item int) error {
 
 // OnFinish sets the completion hook, before the first admission: it runs
 // on the finishing worker for every labeled item, after its result is
-// committed and recorded and before its ticket's Done closes. It is how
-// a results stream collects completions without a goroutine parked per
-// ticket.
+// committed and counted and before its ticket's Done closes. It is how
+// a results stream and a stats window collect completions without a
+// goroutine parked per ticket.
 func (s *Server) OnFinish(fn func(ItemResult)) { s.onFinish = fn }
 
 // OnIdle installs a shard router's steal hook, before the first
@@ -547,19 +537,15 @@ func (s *Server) Nudge() {
 	s.mu.Unlock()
 }
 
-// Live is a server's instantaneous queue state: tickets queued, taken
-// and not yet finished, failed to resolve, and refused at a full queue
-// (sheds).
-type Live struct {
-	Queued, Running  int
-	Failed, Rejected int64
-}
+// Live is a server's instantaneous queue state: tickets queued, and
+// taken and not yet finished.
+type Live struct{ Queued, Running int }
 
 // Live reads the queue state.
 func (s *Server) Live() Live {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Live{Queued: len(s.queue), Running: s.running, Failed: s.failed, Rejected: s.rejected}
+	return Live{Queued: len(s.queue), Running: s.running}
 }
 
 // Load is the queued plus running count, LeastLoaded placement's measure.
@@ -929,7 +915,7 @@ func (s *Server) scaled(ms float64) time.Duration {
 	return time.Duration(ms * s.cfg.TimeScale * float64(time.Millisecond))
 }
 
-// finish commits and records one completed item, then resolves its
+// finish commits and counts one completed item, then resolves its
 // ticket. The schedule length charged to the worker — and to
 // utilization — is the makespan: the summed model time of a serial
 // schedule, less when models overlapped. The commit of a resolved item
@@ -946,45 +932,26 @@ func (s *Server) finish(tk *Ticket, ex oracle.Executor, res sim.Result, selectSe
 		_ = c.Commit(res.Executed, res.MakespanMS)
 	}
 	trace.EndSpan(commit)
-	finishWall := time.Now()
-
-	// Record on the simulated clock so Stats is comparable to the sim.
-	scale := s.cfg.TimeScale
-	rec := service.Record{
-		ArrivalSec: tk.arrival.Sub(s.start).Seconds() / scale,
-		StartSec:   tk.dequeued.Sub(s.start).Seconds() / scale,
-		FinishSec:  finishWall.Sub(s.start).Seconds() / scale,
-		BusySec:    res.MakespanMS / 1000,
-		Recall:     res.Recall,
-		HasRecall:  res.HasRecall,
-		SelectSec:  selectSec, // real seconds, deliberately unscaled
-	}
 	tk.res = ItemResult{
 		Image:      tk.image,
 		Tag:        tk.tag,
+		Shard:      tk.Shard,
 		Executed:   res.Executed,
 		Outputs:    res.Outputs,
 		ScheduleMS: res.MakespanMS,
 		Recall:     res.Recall,
 		HasRecall:  res.HasRecall,
-		WaitSec:    rec.StartSec - rec.ArrivalSec,
-		LatencySec: rec.FinishSec - rec.ArrivalSec,
+		Arrival:    tk.arrival,
+		Start:      tk.dequeued,
+		Finish:     time.Now(),
+		SelectSec:  selectSec,
 	}
-	// Telemetry reads the very record ServeStats will summarize — one
-	// source of truth, so the exposition can never disagree with Stats.
-	s.cfg.Metrics.itemDone(tk.res.WaitSec, tk.res.LatencySec, selectSec)
+	rec := tk.res.Record(tk.arrival, s.cfg.TimeScale) // StartSec is the queue wait, FinishSec the latency
+	s.cfg.Metrics.itemDone(rec.StartSec, rec.FinishSec, selectSec)
 	s.cfg.Tracer.End(trace)
 	s.mu.Lock()
 	s.completed++
 	s.running--
-	if len(s.records) < s.cfg.StatsWindow {
-		s.records = append(s.records, rec)
-	} else {
-		// Ring: overwrite the oldest record so a long-running server's
-		// footprint stays bounded.
-		s.records[s.recHead] = rec
-		s.recHead = (s.recHead + 1) % s.cfg.StatsWindow
-	}
 	s.mu.Unlock()
 	if s.onFinish != nil {
 		s.onFinish(tk.res)
@@ -992,49 +959,27 @@ func (s *Server) finish(tk *Ticket, ex oracle.Executor, res sim.Result, selectSe
 	close(tk.done)
 }
 
-// RunStats extends the shared Stats with the server's concurrency
-// counters.
-type RunStats struct {
-	service.Stats
-	Completed int64       // total completions (Stats.Items caps at StatsWindow)
-	PeakMemMB float64     // maximum simultaneous reservation observed
-	MemWaits  int64       // reservations that blocked on the budget
+// Counters is a server's running totals.
+type Counters struct {
+	Completed int64       // labeled items
 	Rejected  int64       // submits rejected with ErrQueueFull
 	Failed    int64       // taken tickets whose resolution failed
+	PeakMemMB float64     // maximum simultaneous reservation observed
+	MemWaits  int64       // reservations that blocked on the budget
 	Batching  batch.Stats // zero when batching is not configured
 }
 
-// Snapshot summarizes the most recent StatsWindow completed items through
-// the same service.Summarize reduction the virtual-time sim uses, and
-// returns a copy of the per-item completion records it summarized, both
-// read under one lock so they agree — the raw material a shard router
-// merges across servers (with a shared Config.Epoch) before one
-// Summarize reduction.
-func (s *Server) Snapshot() (RunStats, []service.Record) {
+// Counters reads the server's totals.
+func (s *Server) Counters() Counters {
 	s.mu.Lock()
-	records := append([]service.Record(nil), s.records...)
-	completed := s.completed
-	rejected, failed := s.rejected, s.failed
+	c := Counters{Completed: s.completed, Rejected: s.rejected, Failed: s.failed}
 	s.mu.Unlock()
-	rs := RunStats{
-		Stats:     service.SummarizeWindow(records, s.cfg.Workers, completed),
-		Completed: completed,
-		Rejected:  rejected,
-		Failed:    failed,
-	}
 	if s.acct != nil {
-		rs.PeakMemMB = s.acct.peak()
-		rs.MemWaits = s.acct.waitCount()
+		c.PeakMemMB = s.acct.peak()
+		c.MemWaits = s.acct.waitCount()
 	}
-	rs.Batching = s.Batching()
-	return rs, records
-}
-
-// Batching reads the batching runtime's counters (zero when batching is
-// not configured) without copying the record window.
-func (s *Server) Batching() batch.Stats {
-	if s.batcher == nil {
-		return batch.Stats{}
+	if s.batcher != nil {
+		c.Batching = s.batcher.Stats()
 	}
-	return s.batcher.Stats()
+	return c
 }

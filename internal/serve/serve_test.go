@@ -66,6 +66,35 @@ func fixedFactory(models ...int) service.PolicyFactory {
 	return func(worker int) sim.Policy { return &fixedPolicy{models: models} }
 }
 
+// completions collects every completion's record through a server's
+// completion hook, on a timeline that starts when collect is called, as
+// the root server's stats window does.
+type completions struct {
+	mu      sync.Mutex
+	epoch   time.Time
+	scale   float64
+	workers int
+	records []service.Record
+}
+
+// collect installs the collecting hook on s, before its first admission.
+func collect(s *Server) *completions {
+	c := &completions{epoch: time.Now(), scale: s.cfg.TimeScale, workers: s.cfg.Workers}
+	s.OnFinish(func(r ItemResult) {
+		c.mu.Lock()
+		c.records = append(c.records, r.Record(c.epoch, c.scale))
+		c.mu.Unlock()
+	})
+	return c
+}
+
+// summary reduces the collected records through service.Summarize.
+func (c *completions) summary() service.Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return service.Summarize(c.records, c.workers)
+}
+
 // submitNow admits item on a fresh ticket, shedding when the queue is
 // full.
 func submitNow(s *Server, item int) (*Ticket, error) {
@@ -86,7 +115,6 @@ func TestNewValidation(t *testing.T) {
 		{"negative time scale", func(c *Config) { c.TimeScale = -1 }, "time scale"},
 		{"negative queue", func(c *Config) { c.QueueCap = -1 }, "queue"},
 		{"negative budget", func(c *Config) { c.MemoryBudgetMB = -4 }, "memory budget"},
-		{"negative stats window", func(c *Config) { c.StatsWindow = -1 }, "stats window"},
 		{"exhausted budget", func(c *Config) { c.MemoryBudgetMB = 100 }, "smallest model"},
 		{"negative batch size", func(c *Config) { c.BatchSize = -2 }, "batch size"},
 		{"negative batch hold", func(c *Config) { c.BatchSize = 4; c.BatchHoldMS = -1 }, "batch hold"},
@@ -194,7 +222,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	if _, err := submitNow(s, 2); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submit = %v, want ErrQueueFull", err)
 	}
-	if st, _ := s.Snapshot(); st.Rejected != 1 {
+	if st := s.Counters(); st.Rejected != 1 {
 		t.Fatalf("rejected count %d, want 1", st.Rejected)
 	}
 	// Backpressure is transient: a blocking submit gets through.
@@ -242,6 +270,7 @@ func TestMemoryBudgetNeverOvercommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	done := collect(s)
 	const items = 240
 	var wg sync.WaitGroup
 	tickets := make([]*Ticket, items)
@@ -283,9 +312,9 @@ func TestMemoryBudgetNeverOvercommits(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := s.Snapshot()
-	if st.Items != items {
-		t.Fatalf("completed %d items, want %d", st.Items, items)
+	st := s.Counters()
+	if st.Completed != items {
+		t.Fatalf("completed %d items, want %d", st.Completed, items)
 	}
 	if st.PeakMemMB <= 0 || st.PeakMemMB > budgetMB+1e-9 {
 		t.Fatalf("peak memory %v MB outside (0, %v]", st.PeakMemMB, budgetMB)
@@ -296,8 +325,8 @@ func TestMemoryBudgetNeverOvercommits(t *testing.T) {
 	if s.acct.inUse() != 0 {
 		t.Fatalf("%v MB still reserved after drain", s.acct.inUse())
 	}
-	if st.AvgRecall <= 0 {
-		t.Fatalf("average recall %v", st.AvgRecall)
+	if sum := done.summary(); sum.Items != items || sum.AvgRecall <= 0 {
+		t.Fatalf("%d records, average recall %v", sum.Items, sum.AvgRecall)
 	}
 }
 
@@ -319,9 +348,9 @@ func TestTightBudgetSerializesExecution(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := s.Snapshot()
-	if st.Items != 40 {
-		t.Fatalf("items %d", st.Items)
+	st := s.Counters()
+	if st.Completed != 40 {
+		t.Fatalf("items %d", st.Completed)
 	}
 	if st.PeakMemMB > 900+1e-9 {
 		t.Fatalf("peak %v MB over the 900 MB budget", st.PeakMemMB)
@@ -417,7 +446,7 @@ func TestItemParallelMatchesRunParallel(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := s.Snapshot(); st.PeakMemMB <= 0 || st.PeakMemMB > memMB+1e-9 {
+	if st := s.Counters(); st.PeakMemMB <= 0 || st.PeakMemMB > memMB+1e-9 {
 		t.Fatalf("peak memory %v MB outside (0, %v]", st.PeakMemMB, memMB)
 	}
 }
@@ -435,6 +464,7 @@ func TestItemParallelConcurrentItemsStayInBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	done := collect(s)
 	var tickets []*Ticket
 	for i := 0; i < 60; i++ {
 		tk, err := s.SubmitWait(context.Background(), i%store.NumScenes(), "")
@@ -455,17 +485,17 @@ func TestItemParallelConcurrentItemsStayInBudget(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := s.Snapshot()
-	if st.Items != 60 {
-		t.Fatalf("completed %d items", st.Items)
+	st := s.Counters()
+	if st.Completed != 60 {
+		t.Fatalf("completed %d items", st.Completed)
 	}
 	if st.PeakMemMB <= 0 || st.PeakMemMB > cfg.MemoryBudgetMB+1e-9 {
 		t.Fatalf("peak memory %v MB outside (0, %v]", st.PeakMemMB, cfg.MemoryBudgetMB)
 	}
 	// The coordinator's busy time is the makespan, so utilization stays
 	// a true worker-occupancy fraction even with intra-item parallelism.
-	if st.Utilization <= 0 || st.Utilization > 1+1e-6 {
-		t.Fatalf("utilization %v out of range", st.Utilization)
+	if u := done.summary().Utilization; u <= 0 || u > 1+1e-6 {
+		t.Fatalf("utilization %v out of range", u)
 	}
 	if s.acct.inUse() != 0 {
 		t.Fatalf("%v MB still reserved after drain", s.acct.inUse())
@@ -479,6 +509,7 @@ func TestSelectOverheadMeasured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	done := collect(s)
 	for i := 0; i < 10; i++ {
 		if _, err := s.SubmitWait(context.Background(), i%store.NumScenes(), ""); err != nil {
 			t.Fatal(err)
@@ -487,7 +518,7 @@ func TestSelectOverheadMeasured(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := s.Snapshot()
+	st := done.summary()
 	if st.AvgSelectSec <= 0 {
 		t.Fatalf("AvgSelectSec %v, want > 0", st.AvgSelectSec)
 	}
@@ -509,6 +540,7 @@ func TestStatsMatchSimShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	done := collect(s)
 	for i := range arrivals {
 		if _, err := s.SubmitWait(context.Background(), i%store.NumScenes(), ""); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
@@ -517,7 +549,7 @@ func TestStatsMatchSimShape(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := s.Snapshot()
+	got := done.summary()
 	if got.Items != 60 {
 		t.Fatalf("items %d", got.Items)
 	}
@@ -538,40 +570,6 @@ func TestStatsMatchSimShape(t *testing.T) {
 	simStats := service.Run(store, randomFactory(9), cfg.Config, arrivals)
 	if simStats.Items != got.Items {
 		t.Fatalf("sim labeled %d items, server %d", simStats.Items, got.Items)
-	}
-}
-
-// TestStatsWindowBoundsRetention: a long-running server keeps only the
-// most recent StatsWindow records while Completed counts everything.
-func TestStatsWindowBoundsRetention(t *testing.T) {
-	cfg := fast(2)
-	cfg.StatsWindow = 10
-	s, err := New(store, fixedFactory(6), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 25; i++ {
-		if _, err := s.SubmitWait(context.Background(), i%store.NumScenes(), ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := s.Snapshot()
-	if st.Completed != 25 {
-		t.Fatalf("completed %d, want 25", st.Completed)
-	}
-	if st.Items != 10 {
-		t.Fatalf("summarized %d records, want the 10-item window", st.Items)
-	}
-	// Windowed throughput/utilization are measured over the window's own
-	// span, so they must stay sane instead of decaying with server age.
-	if st.ThroughputHz <= 0 {
-		t.Fatalf("windowed throughput %v", st.ThroughputHz)
-	}
-	if st.Utilization <= 0 || st.Utilization > 1+1e-6 {
-		t.Fatalf("windowed utilization %v out of range", st.Utilization)
 	}
 }
 
@@ -614,9 +612,9 @@ func TestExactlyExhaustedBudgetDoesNotPanic(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := s.Snapshot()
-	if st.Items != 40 {
-		t.Fatalf("completed %d items", st.Items)
+	st := s.Counters()
+	if st.Completed != 40 {
+		t.Fatalf("completed %d items", st.Completed)
 	}
 	if st.PeakMemMB != 8000 {
 		t.Fatalf("peak %v MB, want the exactly-filled 8000", st.PeakMemMB)

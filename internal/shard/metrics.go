@@ -49,14 +49,14 @@ func (r *Router) RegisterViews(reg *obs.Registry) {
 		func() int64 {
 			var n int64
 			for _, sv := range r.servers {
-				n += sv.Live().Failed
+				n += sv.Counters().Failed
 			}
 			return n
 		})
 	batch.RegisterViews(reg, func() batch.Stats {
 		var st batch.Stats
 		for _, sv := range r.servers {
-			st.Add(sv.Batching())
+			st.Add(sv.Counters().Batching)
 		}
 		return st
 	})

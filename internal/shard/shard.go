@@ -24,9 +24,10 @@
 //     undo, and a caller whose resolution depends on the shard (say, one
 //     that keeps per-shard state) sees the shard that runs the item.
 //
-// Stats merges every shard's completion records through one
-// service.Summarize reduction (the shards share a clock epoch), and
-// additionally breaks out per-shard utilization, steals, and sheds.
+// Stats reports counters only — per shard, where the router placed and
+// moved items and what its server counted — and keeps no completion
+// records: whoever installs the servers' completion hooks (the root
+// server's one stats window) summarizes completions.
 package shard
 
 import (
@@ -36,7 +37,6 @@ import (
 
 	"ams/internal/oracle"
 	"ams/internal/serve"
-	"ams/internal/service"
 )
 
 // Placement selects the router's placement policy.
@@ -114,7 +114,8 @@ type Config struct {
 	// Affinity placement.
 	Models int
 	// Workers is each shard's worker count, parallel to the servers
-	// handed to New. Required: it weights the merged utilization.
+	// handed to New. Required: it weights each shard's utilization in
+	// the caller's summary of completions (Workers).
 	Workers []int
 }
 
@@ -129,15 +130,14 @@ type Router struct {
 	mu     sync.Mutex
 	closed bool
 	// per holds each shard's live routing counters — Assigned, Steals and
-	// StolenFrom — in the record Stats reports.
+	// StolenFrom — in the entry Stats reports.
 	per []ShardStats
 
 	heat    [][]float64 // [shard][model] affinity heat
 	heatSum float64
 }
 
-// New builds a router over the given shard servers. The servers must
-// share a Config.Epoch so their stats merge on one timeline.
+// New builds a router over the given shard servers.
 func New(servers []*serve.Server, cfg Config) (*Router, error) {
 	n := len(servers)
 	if n == 0 {
@@ -330,12 +330,14 @@ func (r *Router) Close() error {
 	return nil
 }
 
-// ShardStats is one shard's slice of the merged picture.
+// ShardStats is one shard's slice of the server-wide picture. Router.Stats
+// fills the router's and the shard server's counters; the rest summarize
+// completions, which is the job of whoever hooks the servers' OnFinish.
 type ShardStats struct {
 	Shard        int
-	Items        int     // completions in the shard's stats window
+	Items        int     // the shard's completions in the stats window
 	Completed    int64   // total completions
-	ThroughputHz float64 // over the shard's own records
+	ThroughputHz float64 // over the shard's records in the window
 	Utilization  float64 // of the shard's own workers
 	AvgRecall    float64
 	PeakMemMB    float64
@@ -347,12 +349,12 @@ type ShardStats struct {
 	Rejected     int64 // sheds: submits refused at this shard's queue cap
 }
 
-// Stats is the router-wide picture: one merged reduction over every
-// shard's records plus the per-shard breakdown.
+// Stats is the router-wide picture: the per-shard counters and their
+// totals.
 type Stats struct {
-	Merged   serve.RunStats // all shards' records, one Summarize
 	PerShard []ShardStats
-	Steals   int64 // total stolen items
+	Steals   int64          // total stolen items
+	Total    serve.Counters // summed; PeakMemMB sums the per-shard peaks, the footprint bound
 }
 
 // StealsTotal is the total stolen items across all shards, cheap
@@ -373,44 +375,33 @@ func (r *Router) StealsTotal() int64 {
 func (r *Router) ShedTotal() int64 {
 	var total int64
 	for _, sv := range r.servers {
-		total += sv.Live().Rejected
+		total += sv.Counters().Rejected
 	}
 	return total
 }
 
-// Stats merges every shard's completion records through one Summarize
-// reduction — valid because the servers share a clock epoch — and
-// reports the per-shard breakdown beside it.
+// Workers is each shard's worker count, as configured.
+func (r *Router) Workers() []int { return r.cfg.Workers }
+
+// Stats reads every shard's routing and server counters and sums the
+// server counters.
 func (r *Router) Stats() Stats {
 	st := Stats{PerShard: make([]ShardStats, len(r.servers))}
 	r.mu.Lock()
 	copy(st.PerShard, r.per)
 	r.mu.Unlock()
-	workers := 0
-	var records []service.Record
-	merged := &st.Merged
+	tot := &st.Total
 	for s, sv := range r.servers {
-		rs, recs := sv.Snapshot()
-		ps := &st.PerShard[s]
+		c, ps := sv.Counters(), &st.PerShard[s]
 		ps.Pending = sv.Live().Queued
+		ps.PeakMemMB, ps.MemWaits, ps.Rejected = c.PeakMemMB, c.MemWaits, c.Rejected
 		st.Steals += ps.Steals
-		records = append(records, recs...)
-		workers += r.cfg.Workers[s]
-		ps.Items = rs.Items
-		ps.Completed = rs.Completed
-		ps.ThroughputHz = rs.ThroughputHz
-		ps.Utilization = rs.Utilization
-		ps.AvgRecall = rs.AvgRecall
-		ps.PeakMemMB = rs.PeakMemMB
-		ps.MemWaits = rs.MemWaits
-		ps.Rejected = rs.Rejected
-		merged.Completed += rs.Completed
-		merged.PeakMemMB += rs.PeakMemMB // summed per-shard peaks: the footprint bound
-		merged.MemWaits += rs.MemWaits
-		merged.Rejected += rs.Rejected
-		merged.Failed += rs.Failed
-		merged.Batching.Add(rs.Batching)
+		tot.Completed += c.Completed
+		tot.Rejected += c.Rejected
+		tot.Failed += c.Failed
+		tot.PeakMemMB += c.PeakMemMB
+		tot.MemWaits += c.MemWaits
+		tot.Batching.Add(c.Batching)
 	}
-	merged.Stats = service.SummarizeWindow(records, workers, merged.Completed)
 	return st
 }

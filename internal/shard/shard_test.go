@@ -49,7 +49,7 @@ func fixedFactory(models ...int) service.PolicyFactory {
 	return func(worker int) sim.Policy { return &fixedPolicy{models: models} }
 }
 
-// newShardServers builds n identical shard servers on one clock epoch.
+// newShardServers builds n identical shard servers.
 func newShardServers(t *testing.T, n, workers int) []*serve.Server {
 	t.Helper()
 	return shardServers(t, n, workers, 0, nil)
@@ -60,14 +60,12 @@ func newShardServers(t *testing.T, n, workers int) []*serve.Server {
 // tracer, as the root server wires them.
 func shardServers(t *testing.T, n, workers, queueCap int, tracer *obs.Tracer) []*serve.Server {
 	t.Helper()
-	epoch := time.Now()
 	servers := make([]*serve.Server, n)
 	for s := range servers {
 		sv, err := serve.New(store, fixedFactory(0, 1), serve.Config{
 			Config:    service.Config{Workers: workers, DeadlineSec: 0.5},
 			QueueCap:  queueCap,
 			TimeScale: 0.001,
-			Epoch:     epoch,
 			Tracer:    tracer,
 		})
 		if err != nil {
@@ -331,8 +329,7 @@ func TestStealDrainsIdleShard(t *testing.T) {
 
 // TestOneShardParity runs the same items through a 1-shard router and a
 // bare server with the same deterministic policy: every item-level field
-// that is not timing must match, and the merged summary must agree on
-// counts and recall.
+// that is not timing must match.
 func TestOneShardParity(t *testing.T) {
 	run := func(viaRouter bool) map[string]serve.ItemResult {
 		sv := newShardServers(t, 1, 2)[0]
@@ -415,23 +412,6 @@ func TestShardStress(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	// Stats polled while items complete stays self-consistent: the
-	// merged window never holds more records than were completed.
-	stop, polled := make(chan struct{}), make(chan error, 1)
-	go func() {
-		defer close(polled)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if st := r.Stats(); int64(st.Merged.Items) > st.Merged.Completed {
-				polled <- fmt.Errorf("stats window holds %d items of %d completed", st.Merged.Items, st.Merged.Completed)
-				return
-			}
-		}
-	}()
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -456,10 +436,6 @@ func TestShardStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	close(stop)
-	if err := <-polled; err != nil {
-		t.Fatal(err)
-	}
 	close(errs)
 	for err := range errs {
 		t.Fatalf("submitter: %v", err)
@@ -468,11 +444,11 @@ func TestShardStress(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	st := r.Stats()
-	if st.Merged.Completed != goroutines*each {
-		t.Fatalf("completed %d of %d", st.Merged.Completed, goroutines*each)
+	if st.Total.Completed != goroutines*each {
+		t.Fatalf("completed %d of %d", st.Total.Completed, goroutines*each)
 	}
-	if st.Merged.Failed != 0 {
-		t.Fatalf("%d dispatch failures", st.Merged.Failed)
+	if st.Total.Failed != 0 {
+		t.Fatalf("%d dispatch failures", st.Total.Failed)
 	}
 	var assigned int64
 	for _, ps := range st.PerShard {
@@ -539,9 +515,9 @@ func TestDispatchFailuresResolveOnce(t *testing.T) {
 				t.Fatalf("Close: %v", err)
 			}
 			st := r.Stats()
-			if st.Merged.Failed != tc.failures || st.Merged.Completed != 1 || resolves.Load() != tc.failures {
+			if st.Total.Failed != tc.failures || st.Total.Completed != 1 || resolves.Load() != tc.failures {
 				t.Errorf("failures %d, completed %d, resolves %d; want %d, 1 and %d",
-					st.Merged.Failed, st.Merged.Completed, resolves.Load(), tc.failures, tc.failures)
+					st.Total.Failed, st.Total.Completed, resolves.Load(), tc.failures, tc.failures)
 			}
 			for s, sv := range servers {
 				if load := sv.Load(); load != 0 {
@@ -618,9 +594,9 @@ func TestCloseRacesSubmitters(t *testing.T) {
 			completed++
 		}
 	}
-	if st := r.Stats(); st.Merged.Completed != completed || st.Merged.Failed != failed {
+	if st := r.Stats(); st.Total.Completed != completed || st.Total.Failed != failed {
 		t.Errorf("callers saw %d results and %d errors; router counted %d and %d",
-			completed, failed, st.Merged.Completed, st.Merged.Failed)
+			completed, failed, st.Total.Completed, st.Total.Failed)
 	}
 }
 
@@ -649,8 +625,8 @@ func TestSubmitWaitCountsNoReject(t *testing.T) {
 			t.Fatalf("item %d: %v", i, err)
 		}
 	}
-	if st := r.Stats(); st.Merged.Completed != items || st.Merged.Rejected != 0 {
-		t.Errorf("completed %d of %d with %d rejects; SubmitWait sheds nothing", st.Merged.Completed, items, st.Merged.Rejected)
+	if st := r.Stats(); st.Total.Completed != items || st.Total.Rejected != 0 {
+		t.Errorf("completed %d of %d with %d rejects; SubmitWait sheds nothing", st.Total.Completed, items, st.Total.Rejected)
 	}
 }
 
@@ -679,8 +655,9 @@ func TestWaitSecCoversDispatchResolve(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if want := block.Seconds() / scale; res.WaitSec < want || res.LatencySec < res.WaitSec {
-		t.Errorf("WaitSec %.1f, LatencySec %.1f: want the %.0f simulated seconds Resolve blocked inside both",
-			res.WaitSec, res.LatencySec, want)
+	rec := res.Record(res.Arrival, scale) // ArrivalSec 0: StartSec is the wait, FinishSec the latency
+	if want := block.Seconds() / scale; rec.StartSec < want || rec.FinishSec < rec.StartSec {
+		t.Errorf("wait %.1f s, latency %.1f s: want the %.0f simulated seconds Resolve blocked inside both",
+			rec.StartSec, rec.FinishSec, want)
 	}
 }

@@ -89,11 +89,11 @@ type ServeConfig struct {
 	// speed.
 	TimeScale float64
 	// StatsWindow is how many completed items Stats retains (default
-	// 65536): a long-running server summarizes only the most recent
-	// window, while ServeStats.Completed keeps the total count. It is
-	// also the exact bound on results not yet delivered to a Results
-	// subscriber, server-wide across all shards: past it, the oldest is
-	// dropped.
+	// 65536; negative is refused), server-wide across all shards: a
+	// long-running server summarizes only its most recent window, while
+	// ServeStats.Completed keeps the total count. It is also the exact
+	// bound on results not yet delivered to a Results subscriber: past
+	// it, the oldest is dropped.
 	StatsWindow int
 	// Corpus, when non-nil, makes ingestion durable and bounded: every
 	// external item the server admits is journaled (scene, each
@@ -180,7 +180,7 @@ type ServeTrace struct {
 // the simulated clock (wall-clock divided by TimeScale) so real and
 // simulated runs compare field by field.
 type ServeStats struct {
-	Items     int   // items in the summarized window
+	Items     int   // items in the stats window: the newest StatsWindow completions, server-wide
 	Completed int64 // total completions (exceeds Items once the window wraps)
 	// AvgQueueWaitSec is the caller's submit -> execution start. It (and
 	// every latency below, the queue_wait span and the SLOs) includes the
@@ -223,11 +223,12 @@ type ServeStats struct {
 	// sim, which models selection as free.
 	AvgSelectSec float64
 
-	// Sharding counters. The top-level fields above merge every shard's
-	// records on one shared timeline (PeakMemMB sums the per-shard peaks
-	// — the footprint bound) and PerShard breaks the run out per shard,
-	// one entry for the single-budget server. Steals counts items
-	// executed by a shard other than their placed home.
+	// Sharding counters. The top-level fields above summarize the one
+	// stats window, every shard's completions on one timeline, and sum
+	// the shards' counters (PeakMemMB sums the per-shard peaks — the
+	// footprint bound); PerShard breaks the run out per shard, one entry
+	// for the single-budget server. Steals counts items executed by a
+	// shard other than their placed home.
 	Shards   int
 	Steals   int64
 	PerShard []ShardServeStats
@@ -240,8 +241,15 @@ type ServeStats struct {
 	Telemetry []TelemetryMetric
 }
 
-// ShardServeStats is one shard's slice of a sharded run.
+// ShardServeStats is one shard's slice of a sharded run. Items,
+// ThroughputHz, Utilization and AvgRecall are over that shard's records
+// in the server-wide stats window (the window's span, once it wraps);
+// the rest are the shard's counters.
 type ShardServeStats = shard.ShardStats
+
+// defaultStatsWindow is the stats window when ServeConfig.StatsWindow is
+// zero; a window record is 64 B.
+const defaultStatsWindow = 1 << 16
 
 // Server is a running concurrent labeling server. Create one with
 // NewServer, feed it with Submit or SubmitWait — held-out test images
@@ -253,8 +261,8 @@ type Server struct {
 	corpus *Corpus            // durable ingestion, when configured
 	cache  *sched.SharedCache // shared Q-prediction cache (nil unless configured)
 
-	// router owns admission, placement, stealing, the merged stats and
-	// Close over at least one shard server; with a corpus, shard i
+	// router owns admission, placement, stealing, the shards' counters
+	// and Close over at least one shard server; with a corpus, shard i
 	// journals into corpus segment i.
 	router    *shard.Router
 	placement shard.Placement
@@ -269,25 +277,36 @@ type Server struct {
 	exporter *obs.Exporter
 	flight   *obs.FlightRecorder
 
-	// start is the one clock epoch: the shards' completion records merge
-	// on it, and the SLO clock reads virtual seconds since it (wall
-	// elapsed ÷ scale).
+	// start is the one clock epoch: the stats window's records and the
+	// SLO clock read virtual seconds since it (wall elapsed ÷ scale).
 	start time.Time
 	scale float64
 
-	// The results stream: every shard's completion hook sends onto res,
-	// whose buffer of window results is all the stream keeps (see
-	// Results).
-	resMu      sync.Mutex   // orders publishes, and Close's close of res
+	// publish, every shard's completion hook, keeps the one stats window
+	// and feeds the results stream: it appends each completion's record,
+	// with the shard that ran it, to a ring of window records, and sends
+	// the result onto res, whose buffer of window results is all the
+	// stream keeps (see Results).
+	mu         sync.Mutex    // orders publishes; guards the window, and res against Close's close
+	recs       []shardRecord // ring of the newest window completions
+	recHead    int           // next overwrite position once the ring is full
+	completed  []int64       // completions per shard
+	window     int
 	res        chan *Result // nil until Results or Close
 	subscribed atomic.Bool  // Results has made res: publish sends
-	window     int
 	resDropped atomic.Int64
 
 	// life is the context external items resolve under; end, the first
 	// thing Close does, cancels it.
 	life lifetime
 	end  func()
+}
+
+// shardRecord is one completion in the stats window: its record on the
+// server's epoch and scale, and the shard that ran it.
+type shardRecord struct {
+	service.Record
+	shard int
 }
 
 // lifetime is a server's lifetime as a context: Done closes when Close
@@ -364,6 +383,7 @@ type servePlan struct {
 	placement shard.Placement
 	slos      []SLOObjective // ServeConfig.SLOs, parsed
 	telemetry bool
+	window    int            // ServeConfig.StatsWindow, defaulted
 	workers   []int          // each shard's share of ServeConfig.Workers
 	shards    []serve.Config // each shard's config, prepared: defaults filled
 }
@@ -412,8 +432,14 @@ func (s *System) plan(agent *Agent, cfg ServeConfig) (servePlan, error) {
 	if cfg.TraceCapacity < 0 {
 		return servePlan{}, fmt.Errorf("ams: negative trace capacity %d", cfg.TraceCapacity)
 	}
-	p := servePlan{placement: placement, workers: make([]int, n), shards: make([]serve.Config, n),
+	if cfg.StatsWindow < 0 {
+		return servePlan{}, fmt.Errorf("ams: negative stats window %d", cfg.StatsWindow)
+	}
+	p := servePlan{placement: placement, window: cfg.StatsWindow, workers: make([]int, n), shards: make([]serve.Config, n),
 		telemetry: cfg.Telemetry || cfg.MetricsAddr != "" || cfg.FlightDir != "" || len(cfg.SLOs) > 0}
+	if p.window == 0 {
+		p.window = defaultStatsWindow
+	}
 	for _, spec := range cfg.SLOs {
 		o, err := ParseSLO(spec)
 		if err != nil {
@@ -437,7 +463,6 @@ func (s *System) plan(agent *Agent, cfg ServeConfig) (servePlan, error) {
 			BatchSize:   cfg.BatchSize,
 			BatchHoldMS: cfg.BatchHoldMS,
 			TimeScale:   cfg.TimeScale,
-			StatsWindow: cfg.StatsWindow,
 		}
 		if cfg.QueueCap > 0 {
 			sc.QueueCap = max(cfg.QueueCap/n, 1)
@@ -469,7 +494,7 @@ func (s *System) NewServer(agent *Agent, cfg ServeConfig) (*Server, error) {
 // newServer builds and starts the server a checked plan of cfg describes.
 func (s *System) newServer(cfg ServeConfig, p servePlan) (*Server, error) {
 	sv := &Server{sys: s, corpus: cfg.Corpus, cache: p.cache, placement: p.placement,
-		start: time.Now(), scale: p.shards[0].TimeScale, window: p.shards[0].StatsWindow}
+		start: time.Now(), scale: p.shards[0].TimeScale, window: p.window, completed: make([]int64, len(p.shards))}
 	life := make(chan struct{})
 	sv.life, sv.end = life, sync.OnceFunc(func() { close(life) })
 	if p.telemetry {
@@ -492,9 +517,7 @@ func (s *System) newServer(cfg ServeConfig, p servePlan) (*Server, error) {
 		}
 	}
 	for i, sc := range p.shards {
-		// One clock epoch, so the shards' completion records merge into a
-		// single coherent timeline in Stats.
-		sc.Epoch, sc.Metrics, sc.Tracer = sv.start, sv.metrics, sv.tracer
+		sc.Metrics, sc.Tracer = sv.metrics, sv.tracer
 		if cfg.Corpus != nil {
 			// History already committed in the journal was delivered
 			// before: reclaim its memos so a reopened corpus does not pin
@@ -846,8 +869,8 @@ func (sv *Server) Checkpoint() error {
 // after the corpus has evicted (or a journal has compacted away) the
 // items they came from.
 func (sv *Server) Results() <-chan *Result {
-	sv.resMu.Lock()
-	defer sv.resMu.Unlock()
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
 	if sv.res == nil {
 		// The buffer is the stream's whole store: StatsWindow
 		// undelivered results, the bound publish keeps.
@@ -857,20 +880,35 @@ func (sv *Server) Results() <-chan *Result {
 	return sv.res
 }
 
-// publish is every shard's completion hook. With a subscriber it sends
-// the result on the stream, first dropping the oldest undelivered one
-// when the consumer is a full stats window behind, so an abandoned
+// publish is every shard's completion hook. It counts the completion
+// and writes its record, on the server's epoch and scale, into the stats
+// window, overwriting the oldest once the ring is full, so a
+// long-running server's footprint stays bounded. With a subscriber it
+// sends the result on the stream, first dropping the oldest undelivered
+// one when the consumer is a full stats window behind, so an abandoned
 // subscription cannot retain every completion for the server's
 // lifetime. The lock orders the publishes of every shard's workers; the
 // consumer only receives, so nothing under the lock blocks.
 func (sv *Server) publish(ir serve.ItemResult) {
-	if !sv.subscribed.Load() {
+	var res *Result
+	subscribed := sv.subscribed.Load()
+	if subscribed {
+		// An ingested item's Image is already -1: no test-split index.
+		res = sv.sys.serveResult(Item{id: ir.Tag, image: ir.Image, valid: true}, ir)
+	}
+	rec := shardRecord{ir.Record(sv.start, sv.scale), ir.Shard}
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	sv.completed[ir.Shard]++
+	if len(sv.recs) < sv.window {
+		sv.recs = append(sv.recs, rec)
+	} else {
+		sv.recs[sv.recHead] = rec
+		sv.recHead = (sv.recHead + 1) % sv.window
+	}
+	if !subscribed {
 		return
 	}
-	// An ingested item's Image is already -1: no test-split index.
-	res := sv.sys.serveResult(Item{id: ir.Tag, image: ir.Image, valid: true}, ir)
-	sv.resMu.Lock()
-	defer sv.resMu.Unlock()
 	for {
 		select {
 		case sv.res <- res:
@@ -886,14 +924,46 @@ func (sv *Server) publish(ir serve.ItemResult) {
 }
 
 // Stats summarizes the items completed so far: the top-level fields
-// merge every shard's completion records on the shared timeline and
-// PerShard breaks out each shard.
+// reduce the one stats window, the newest StatsWindow completions of
+// every shard, and sum the shards' counters; PerShard reduces each
+// shard's records in that window beside its counters.
 func (sv *Server) Stats() ServeStats {
 	rst := sv.router.Stats()
-	st := fromRunStats(rst.Merged)
+	sv.mu.Lock()
+	win, completed := slices.Clone(sv.recs), slices.Clone(sv.completed)
+	sv.mu.Unlock()
+	recs, own := make([]service.Record, len(win)), make([][]service.Record, len(completed))
+	for i, r := range win {
+		recs[i] = r.Record
+		own[r.shard] = append(own[r.shard], r.Record)
+	}
+	workers := sv.router.Workers()
+	var total int64
+	pool := 0
+	for s, c := range completed {
+		total += c
+		pool += workers[s]
+	}
+	window := service.SummarizeWindow(recs, pool, total)
+	st := fromStats(window)
+	st.Completed = total
+	st.PeakMemMB, st.MemWaits = rst.Total.PeakMemMB, rst.Total.MemWaits
+	st.Rejected, st.Failed = rst.Total.Rejected, rst.Total.Failed
+	b := rst.Total.Batching
+	st.Batches, st.BatchedRequests, st.LargestBatch = b.Batches, b.Requests, b.LargestBatch
+	st.BatchSavedGPUMS, st.BatchSavedMemMB = b.SavedGPUMS, b.SavedMemMB
 	st.Steals = rst.Steals
-	st.PerShard = rst.PerShard
 	st.Shards = len(rst.PerShard)
+	st.PerShard = rst.PerShard
+	for s := range st.PerShard {
+		w := window // one shard: its records are the whole window
+		if st.Shards > 1 {
+			w = service.SummarizeWindow(own[s], workers[s], completed[s])
+		}
+		ps := &st.PerShard[s]
+		ps.Items, ps.Completed, ps.AvgRecall = w.Items, completed[s], w.AvgRecall
+		ps.ThroughputHz, ps.Utilization = w.ThroughputHz, w.Utilization
+	}
 	st.ResultsDropped = sv.resDropped.Load()
 	if sv.cache != nil {
 		st.PredCacheHits, st.PredCacheMisses, st.PredCacheEntries = sv.cache.Stats()
@@ -924,12 +994,12 @@ func (sv *Server) Close() error {
 	if err != ErrServerClosed {
 		// This call drained every shard, so every publish has happened:
 		// end the stream, or make a later Results return it ended.
-		sv.resMu.Lock()
+		sv.mu.Lock()
 		if sv.res == nil {
 			sv.res = make(chan *Result)
 		}
 		close(sv.res)
-		sv.resMu.Unlock()
+		sv.mu.Unlock()
 	}
 	return err
 }
@@ -1075,31 +1145,23 @@ func (s *System) SimulateServe(agent *Agent, cfg ServeConfig, trace ServeTrace) 
 	svcCfg := p.shards[0].Config
 	svcCfg.Workers = cfg.Workers
 	arrivals := slices.Collect(service.Arrivals(trace.Items, trace.ArrivalRateHz, trace.Seed))
-	st := service.Run(s.testStore, p.factory, svcCfg, arrivals)
-	return fromRunStats(serve.RunStats{Stats: st, Completed: int64(st.Items)}), nil
+	return fromStats(service.Run(s.testStore, p.factory, svcCfg, arrivals)), nil
 }
 
-func fromRunStats(rs serve.RunStats) ServeStats {
+// fromStats is the one conversion of a summary into ServeStats: the
+// window fields, with every completion retained (Completed is Items).
+func fromStats(st service.Stats) ServeStats {
 	return ServeStats{
-		Items:           rs.Items,
-		Completed:       rs.Completed,
-		AvgQueueWaitSec: rs.AvgQueueWaitSec,
-		AvgLatencySec:   rs.AvgLatencySec,
-		P95LatencySec:   rs.P95LatencySec,
-		AvgRecall:       rs.AvgRecall,
-		RecallItems:     rs.RecallItems,
-		ThroughputHz:    rs.ThroughputHz,
-		Utilization:     rs.Utilization,
-		HorizonSec:      rs.HorizonSec,
-		PeakMemMB:       rs.PeakMemMB,
-		MemWaits:        rs.MemWaits,
-		Rejected:        rs.Rejected,
-		Failed:          rs.Failed,
-		Batches:         rs.Batching.Batches,
-		BatchedRequests: rs.Batching.Requests,
-		LargestBatch:    rs.Batching.LargestBatch,
-		BatchSavedGPUMS: rs.Batching.SavedGPUMS,
-		BatchSavedMemMB: rs.Batching.SavedMemMB,
-		AvgSelectSec:    rs.AvgSelectSec,
+		Items:           st.Items,
+		Completed:       int64(st.Items),
+		AvgQueueWaitSec: st.AvgQueueWaitSec,
+		AvgLatencySec:   st.AvgLatencySec,
+		P95LatencySec:   st.P95LatencySec,
+		AvgRecall:       st.AvgRecall,
+		RecallItems:     st.RecallItems,
+		ThroughputHz:    st.ThroughputHz,
+		Utilization:     st.Utilization,
+		HorizonSec:      st.HorizonSec,
+		AvgSelectSec:    st.AvgSelectSec,
 	}
 }

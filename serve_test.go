@@ -230,6 +230,8 @@ func TestServeAdmissionValidation(t *testing.T) {
 		{"bad SLO spec", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001, SLOs: []string{"garbage"}},
 			func(ServeConfig) string { return sloErr.Error() }},
 		{"negative trace capacity", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001, Telemetry: true, TraceCapacity: -5}, nil},
+		{"negative stats window", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001, StatsWindow: -1},
+			func(ServeConfig) string { return "ams: negative stats window -1" }},
 		{"corpus from another system", ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001, Corpus: foreign}, nil},
 		{"corpus with the wrong segment count", ServeConfig{Workers: 2, DeadlineSec: 0.5, TimeScale: 0.001, Corpus: split}, nil},
 	} {
@@ -275,6 +277,127 @@ func TestServeAdmissionValidation(t *testing.T) {
 		if err == nil || err.Error() != serr.Error() {
 			t.Fatalf("Serve: %v; SimulateServe: %v; want one error from both for trace %+v", err, serr, bad)
 		}
+	}
+}
+
+// TestStatsWindowIsServerWide: StatsWindow bounds the records Stats
+// summarizes for the whole server, however many shards it has, and the
+// window holds the server's newest completions, so once it wraps the
+// windowed throughput and utilization are measured over the window's own
+// span instead of decaying with the server's age, while Completed counts
+// everything.
+func TestStatsWindowIsServerWide(t *testing.T) {
+	const window, items = 4, 40
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("%d shards", shards), func(t *testing.T) {
+			cfg := serveCfg(4)
+			cfg.Shards, cfg.ShardPlacement, cfg.StatsWindow = shards, "hash", window
+			built := time.Now() // no later than the server's epoch
+			srv, err := testSys.NewServer(testAgent, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			epoch := time.Now() // no earlier than the server's epoch
+			var lastSubmit time.Time
+			for i := 0; i < items; i++ {
+				lastSubmit = time.Now()
+				tk, err := srv.SubmitWait(bg, testSys.TestItem(i%testSys.NumTestImages()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustWait(t, tk) // one at a time: the last submitted completes last
+			}
+			done := time.Now()
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st := srv.Stats()
+			if st.Items != window || st.Completed != items {
+				t.Fatalf("window of %d items of %d completed, want %d of %d", st.Items, st.Completed, window, items)
+			}
+			var perItems int
+			var perCompleted int64
+			for _, ps := range st.PerShard {
+				perItems += ps.Items
+				perCompleted += ps.Completed
+			}
+			if perItems != window || perCompleted != items {
+				t.Fatalf("per-shard windows sum to %d items of %d completed, want %d of %d: %+v",
+					perItems, perCompleted, window, items, st.PerShard)
+			}
+			// The horizon is the newest completion: the last item's, which
+			// was submitted after every other completed.
+			lo, hi := lastSubmit.Sub(epoch).Seconds()/cfg.TimeScale, done.Sub(built).Seconds()/cfg.TimeScale
+			if st.HorizonSec < lo || st.HorizonSec > hi {
+				t.Fatalf("horizon %v s outside [%v, %v], the last item's submit to its completion", st.HorizonSec, lo, hi)
+			}
+			if st.ThroughputHz <= 0 {
+				t.Fatalf("windowed throughput %v", st.ThroughputHz)
+			}
+			if st.Utilization <= 0 || st.Utilization > 1+1e-6 {
+				t.Fatalf("windowed utilization %v out of range", st.Utilization)
+			}
+		})
+	}
+}
+
+// TestStatsWhileServing polls Stats while two shards' workers publish
+// into the one stats window: every read is self-consistent, the window
+// never holding more than StatsWindow records or more than were
+// completed, on the whole server and on each shard.
+func TestStatsWhileServing(t *testing.T) {
+	const window, goroutines, each = 8, 4, 25
+	cfg := serveCfg(4)
+	cfg.Shards, cfg.ShardPlacement, cfg.ShardSteal, cfg.StatsWindow = 2, "hash", true, window
+	srv, err := testSys.NewServer(testAgent, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, polled := make(chan struct{}), make(chan error, 1)
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st := srv.Stats()
+			if st.Items > window || int64(st.Items) > st.Completed {
+				polled <- fmt.Errorf("stats window holds %d items of %d completed (window %d)", st.Items, st.Completed, window)
+				return
+			}
+			for _, ps := range st.PerShard {
+				if int64(ps.Items) > ps.Completed {
+					polled <- fmt.Errorf("shard %d: %d items in the window of %d completed", ps.Shard, ps.Items, ps.Completed)
+					return
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := srv.SubmitWait(bg, testSys.TestItem((g*each+i)%testSys.NumTestImages())); err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	if err := <-polled; err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.Items != window || st.Completed != goroutines*each {
+		t.Fatalf("after close: %d items of %d completed, want %d of %d", st.Items, st.Completed, window, goroutines*each)
 	}
 }
 

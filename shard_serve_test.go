@@ -23,9 +23,9 @@ func shardedCfg(shards, workers int) ServeConfig {
 }
 
 // TestShardedServerEndToEnd serves a mixed stream through a four-shard
-// server over a segmented journal and checks the merged stats add up,
+// server over a segmented journal and checks the server-wide stats add up,
 // every segment journal exists, and the per-shard breakdown is
-// consistent with the merged view.
+// consistent with the server-wide view.
 func TestShardedServerEndToEnd(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "corpus.d")
 	c, err := testSys.OpenCorpusDir(dir, 4, CorpusOptions{})
@@ -77,10 +77,10 @@ func TestShardedServerEndToEnd(t *testing.T) {
 		perShardItems += ps.Completed
 	}
 	if perShardItems != st.Completed {
-		t.Fatalf("per-shard completions sum to %d, merged says %d", perShardItems, st.Completed)
+		t.Fatalf("per-shard completions sum to %d, the server says %d", perShardItems, st.Completed)
 	}
 	if st.RecallItems == 0 {
-		t.Fatal("no recall-bearing item reached the merged stats")
+		t.Fatal("no recall-bearing item reached the stats window")
 	}
 	for i := 0; i < 4; i++ {
 		if _, err := os.Stat(filepath.Join(dir, "journal-"+string(rune('0'+i))+".log")); err != nil {
