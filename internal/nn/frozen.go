@@ -7,12 +7,13 @@ import (
 	"ams/internal/tensor"
 )
 
-// Frozen is an inference-only view of a trained Net. Every layer is stored
-// input-major and the dueling heads are fused into one matrix, so a forward
-// pass adds one contiguous row per active input or non-zero activation into
-// independent accumulators. Each output is summed in the order Net.Forward
-// sums it (sparse layer in active order, dense layers by ascending input,
-// bias last), so the Q-values are bit-identical to the Net's.
+// Frozen is an inference-only view of a trained Net. It holds a copy of
+// the Net's input-major layers with the dueling heads fused into one
+// matrix, so a forward pass adds one contiguous row per active input or
+// non-zero activation into independent accumulators. Each output is summed
+// in the order Net.Forward sums it (sparse layer in active order, dense
+// layers by ascending input, bias last), so the Q-values are bit-identical
+// to the Net's.
 //
 // A Frozen is immutable and holds no activations: any number of goroutines
 // may share one, each passing its own scratch to Forward.
@@ -29,8 +30,10 @@ type frozenLayer struct {
 }
 
 // Freeze copies n's weights into an inference view; later changes to n do
-// not reach it. It rejects a non-finite parameter: skipping a ReLU zero in
-// the dense layers is exact only when 0*w is a zero.
+// not reach it. The layers are copied as they are, except that the value
+// head becomes one more column of the advantage head. It rejects a
+// non-finite parameter: skipping a ReLU zero in the dense layers is exact
+// only when 0*w is a zero.
 func Freeze(n *Net) (*Frozen, error) {
 	for pi, p := range n.Params() {
 		for i, x := range p.Val {
@@ -41,22 +44,30 @@ func Freeze(n *Net) (*Frozen, error) {
 	}
 	f := &Frozen{out: n.out, dueling: n.dueling}
 	for _, l := range n.feature {
-		f.layers = append(f.layers, frozenLayer{w: l.W.Transpose(), b: l.B.Clone()})
+		f.layers = append(f.layers, frozenLayer{w: cloneMat(l.W), b: l.B.Clone()})
 	}
-	headW, headB := n.advHead.W, n.advHead.B.Clone()
+	head := frozenLayer{w: cloneMat(n.advHead.W), b: n.advHead.B.Clone()}
 	if n.dueling {
-		// Fuse the value head in as one more output: its single row
-		// follows the advantage rows in an output-major matrix.
-		headW = &tensor.Mat{Rows: n.out + 1, Cols: n.advHead.In,
-			Data: append(n.advHead.W.Data.Clone(), n.valHead.W.Data...)}
-		headB = append(headB, n.valHead.B...)
+		// Fuse the value head in as one more output: each input's row
+		// holds its advantage weights, then its value weight.
+		adv := n.advHead.W
+		head.w = tensor.NewMat(adv.Rows, adv.Cols+1)
+		for j := 0; j < adv.Rows; j++ {
+			row := head.w.Row(j)
+			copy(row, adv.Row(j))
+			row[adv.Cols] = n.valHead.W.Data[j]
+		}
+		head.b = append(head.b, n.valHead.B...)
 	}
-	head := frozenLayer{w: headW.Transpose(), b: headB}
 	f.layers = append(f.layers, head)
 	for _, l := range f.layers {
 		f.scratch += l.w.Cols
 	}
 	return f, nil
+}
+
+func cloneMat(m *tensor.Mat) *tensor.Mat {
+	return &tensor.Mat{Rows: m.Rows, Cols: m.Cols, Data: m.Data.Clone()}
 }
 
 // NewScratch returns the working memory one goroutine needs for Forward:

@@ -6,10 +6,13 @@ import (
 	"io"
 	"math"
 	"slices"
+
+	"ams/internal/tensor"
 )
 
 // netBlob is the gob wire format for a Net: architecture plus every
-// parameter tensor in Params() order.
+// parameter tensor in Params() order, each weight matrix output-major
+// (Out x In). The Net stores it input-major, so Save and Load transpose.
 type netBlob struct {
 	In      int
 	Hidden  []int
@@ -21,8 +24,8 @@ type netBlob struct {
 // Save writes the network to w in gob format.
 func (n *Net) Save(w io.Writer) error {
 	blob := netBlob{In: n.in, Hidden: n.hidden, Out: n.out, Dueling: n.dueling}
-	for _, p := range n.Params() {
-		blob.Values = append(blob.Values, append([]float64(nil), p.Val...))
+	for _, l := range n.layers {
+		blob.Values = append(blob.Values, l.W.Transpose().Data, l.B.Clone())
 	}
 	if err := gob.NewEncoder(w).Encode(blob); err != nil {
 		return fmt.Errorf("nn: save network: %w", err)
@@ -43,8 +46,10 @@ func Load(r io.Reader) (*Net, error) {
 		return nil, fmt.Errorf("nn: load network: %w", err)
 	}
 	n := NewNet(Config{In: blob.In, Hidden: blob.Hidden, Out: blob.Out, Dueling: blob.Dueling}, nil)
-	for i, p := range n.Params() {
-		copy(p.Val, blob.Values[i])
+	for i, l := range n.layers {
+		w := tensor.Mat{Rows: l.Out, Cols: l.In, Data: blob.Values[2*i]}
+		copy(l.W.Data, w.Transpose().Data)
+		copy(l.B, blob.Values[2*i+1])
 	}
 	return n, nil
 }

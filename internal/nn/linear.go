@@ -8,10 +8,10 @@
 // vector with very few active bits, so the first layer exposes a sparse
 // forward/backward fast path indexed by the active positions.
 //
-// Layout rule: training (Net) keeps output-major weights, which is what
-// the AddOuter gradient update wants; inference (Frozen) reads an
-// input-major copy, so each active input or non-zero activation adds one
-// contiguous row.
+// Layout rule: every weight matrix is stored input-major (In x Out), for
+// training and inference alike, so each active input or non-zero
+// activation adds one contiguous row. Save and Load keep the output-major
+// wire format of earlier versions by transposing at the boundary.
 package nn
 
 import (
@@ -21,10 +21,11 @@ import (
 	"ams/internal/tensor"
 )
 
-// Linear is a fully connected layer out = W*x + b with gradient buffers.
+// Linear is a fully connected layer out = W^T*x + b with gradient
+// buffers. W is input-major: row j holds the weights leaving input j.
 type Linear struct {
 	In, Out int
-	W       *tensor.Mat // Out x In
+	W       *tensor.Mat // In x Out
 	B       tensor.Vec  // Out
 	GW      *tensor.Mat // gradient accumulator for W
 	GB      tensor.Vec  // gradient accumulator for B
@@ -32,7 +33,8 @@ type Linear struct {
 
 // NewLinear returns a layer with He-uniform initialised weights, the
 // standard choice for ReLU networks. A nil rng leaves the weights zero,
-// for a layer whose weights are about to be overwritten.
+// for a layer whose weights are about to be overwritten. The weights are
+// drawn output by output, so a seed gives the network it always has.
 func NewLinear(in, out int, rng *tensor.RNG) *Linear {
 	if in <= 0 || out <= 0 {
 		panic(fmt.Sprintf("nn: invalid linear dimensions %dx%d", in, out))
@@ -40,30 +42,33 @@ func NewLinear(in, out int, rng *tensor.RNG) *Linear {
 	l := &Linear{
 		In:  in,
 		Out: out,
-		W:   tensor.NewMat(out, in),
+		W:   tensor.NewMat(in, out),
 		B:   tensor.NewVec(out),
-		GW:  tensor.NewMat(out, in),
+		GW:  tensor.NewMat(in, out),
 		GB:  tensor.NewVec(out),
 	}
 	if rng != nil {
 		bound := math.Sqrt(6.0 / float64(in))
-		for i := range l.W.Data {
-			l.W.Data[i] = rng.Range(-bound, bound)
+		for i := 0; i < out; i++ {
+			for j := 0; j < in; j++ {
+				l.W.Data[j*out+i] = rng.Range(-bound, bound)
+			}
 		}
 	}
 	return l
 }
 
-// ForwardInto computes out = W*x + b.
+// ForwardInto computes out = W^T*x + b. Inputs that are zero, as half of
+// a ReLU layer's are, add nothing and are skipped.
 func (l *Linear) ForwardInto(out, x tensor.Vec) {
-	l.W.MulVecInto(out, x)
+	l.W.MulVecTransInto(out, x)
 	out.Add(l.B)
 }
 
-// ForwardSparseInto computes out = sum_{j active} W[:,j] + b; it is
+// ForwardSparseInto computes out = sum_{j active} W[j,:] + b; it is
 // equivalent to ForwardInto with a binary input whose ones sit at active.
 func (l *Linear) ForwardSparseInto(out tensor.Vec, active []int) {
-	l.W.SumColsSparseInto(out, active)
+	l.W.SumRowsSparseInto(out, active)
 	out.Add(l.B)
 }
 
@@ -71,21 +76,19 @@ func (l *Linear) ForwardSparseInto(out tensor.Vec, active []int) {
 // last forward pass and the gradient dOut of the loss w.r.t. this layer's
 // output. It returns (into dIn, if non-nil) the gradient w.r.t. x.
 func (l *Linear) BackwardDense(dIn, dOut, x tensor.Vec) {
-	l.GW.AddOuter(1, dOut, x)
+	l.GW.AddOuter(1, x, dOut)
 	l.GB.Add(dOut)
 	if dIn != nil {
-		l.W.MulVecTransInto(dIn, dOut)
+		l.W.MulVecInto(dIn, dOut)
 	}
 }
 
 // BackwardSparse accumulates gradients for a binary sparse input: the
-// weight gradient only touches the active columns, and no input gradient
-// is produced (the input is data, not a learnable activation).
+// weight gradient adds dOut to the row of each active input, and no input
+// gradient is produced (the input is data, not a learnable activation).
 func (l *Linear) BackwardSparse(dOut tensor.Vec, active []int) {
 	for _, j := range active {
-		for i := 0; i < l.Out; i++ {
-			l.GW.Data[i*l.In+j] += dOut[i]
-		}
+		l.GW.Row(j).Add(dOut)
 	}
 	l.GB.Add(dOut)
 }

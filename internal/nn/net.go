@@ -23,6 +23,7 @@ type Net struct {
 	feature []*Linear // in -> hidden[0] -> ... -> hidden[last]
 	advHead *Linear   // hidden[last] -> out
 	valHead *Linear   // hidden[last] -> 1, only when dueling
+	layers  []*Linear // every layer in Params() order: feature, advHead, valHead
 
 	// forward caches
 	acts    []tensor.Vec // post-ReLU activation of each feature layer
@@ -75,6 +76,10 @@ func NewNet(cfg Config, rng *tensor.RNG) *Net {
 		n.valHead = NewLinear(prev, 1, rng)
 		n.val = tensor.NewVec(1)
 		n.dadvIn = tensor.NewVec(prev)
+	}
+	n.layers = append(n.feature[:len(n.feature):len(n.feature)], n.advHead)
+	if cfg.Dueling {
+		n.layers = append(n.layers, n.valHead)
 	}
 	return n
 }
@@ -162,24 +167,16 @@ func (n *Net) Backward(dQ tensor.Vec) {
 
 // ZeroGrad clears all accumulated gradients.
 func (n *Net) ZeroGrad() {
-	for _, l := range n.feature {
+	for _, l := range n.layers {
 		l.ZeroGrad()
-	}
-	n.advHead.ZeroGrad()
-	if n.dueling {
-		n.valHead.ZeroGrad()
 	}
 }
 
 // Params returns flattened (value, gradient) views over every parameter.
 func (n *Net) Params() []Param {
-	var ps []Param
-	for _, l := range n.feature {
+	ps := make([]Param, 0, 2*len(n.layers))
+	for _, l := range n.layers {
 		ps = l.Params(ps)
-	}
-	ps = n.advHead.Params(ps)
-	if n.dueling {
-		ps = n.valHead.Params(ps)
 	}
 	return ps
 }

@@ -89,27 +89,10 @@ func (m *Mat) AddOuter(a float64, x, y Vec) {
 	}
 }
 
-// SumColsSparseInto computes out = sum over j in active of column j of m,
-// in active order. It is the training network's sparse first layer: m is
-// output-major (Rows outputs x Cols inputs), so column j holds the weights
-// leaving input j and a binary input with ones at active sums those
-// columns. out must have length Rows.
-func (m *Mat) SumColsSparseInto(out Vec, active []int) {
-	assertLen(len(out), m.Rows)
-	out.Zero()
-	for _, j := range active {
-		if j < 0 || j >= m.Cols {
-			panicSparse(j, m.Cols)
-		}
-		for i := 0; i < m.Rows; i++ {
-			out[i] += m.Data[i*m.Cols+j]
-		}
-	}
-}
-
 // SumRowsSparseInto computes out = sum over j in active of row j of m, in
-// active order: SumColsSparseInto over the transpose, with every addend
-// contiguous. out must have length Cols.
+// active order. It is a sparse first layer: m is input-major (Rows inputs
+// x Cols outputs), so a binary input with ones at active adds one
+// contiguous row per active input. out must have length Cols.
 func (m *Mat) SumRowsSparseInto(out Vec, active []int) {
 	assertLen(len(out), m.Cols)
 	out.Zero()

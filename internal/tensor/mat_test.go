@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -97,68 +98,89 @@ func TestMatAddOuter(t *testing.T) {
 	}
 }
 
-func TestMatSumColsSparseMatchesDense(t *testing.T) {
-	r := NewRNG(31)
-	m := NewMat(5, 8)
-	for i := range m.Data {
-		m.Data[i] = r.Norm()
-	}
-	active := []int{1, 4, 7}
-	x := NewVec(8)
+// onesAt returns the binary vector of length n whose ones sit at active.
+func onesAt(n int, active []int) Vec {
+	x := NewVec(n)
 	for _, j := range active {
 		x[j] = 1
 	}
-	dense := NewVec(5)
-	m.MulVecInto(dense, x)
-	sparse := NewVec(5)
-	m.SumColsSparseInto(sparse, active)
-	for i := range dense {
-		if !almostEq(dense[i], sparse[i]) {
-			t.Fatalf("sparse path diverges from dense at %d: %v vs %v", i, sparse[i], dense[i])
+	return x
+}
+
+// The sparse sum over ascending active inputs is the dense product with
+// their 0/1 vector, to the bit; over any other order it adds the rows in
+// that order.
+func TestMatSumRowsSparseMatchesDense(t *testing.T) {
+	r := NewRNG(31)
+	m := randomMat(r, 8, 5) // input-major
+	active := []int{1, 4, 7}
+	dense, sparse := NewVec(5), NewVec(5)
+	m.MulVecTransInto(dense, onesAt(8, active))
+	m.SumRowsSparseInto(sparse, active)
+	if !sameBits(sparse, dense) {
+		t.Fatalf("sparse path %v, dense path %v", sparse, dense)
+	}
+	m.SumRowsSparseInto(sparse, []int{7, 1, 4})
+	for i := range sparse {
+		if want := (0 + m.Data[7*5+i]) + m.Data[1*5+i] + m.Data[4*5+i]; math.Float64bits(sparse[i]) != math.Float64bits(want) {
+			t.Fatalf("output %d: %v, want the rows added in active order, %v", i, sparse[i], want)
 		}
 	}
 }
 
+// A sparse sum over the columns of an output-major matrix (Rows outputs x
+// Cols inputs) is SumRowsSparseInto on its transpose, so an index is
+// bounded by the input count, not the output count: 3 is refused here
+// although the matrix has five rows.
 func TestMatSumColsSparsePanicsOutOfRange(t *testing.T) {
-	m := NewMat(2, 2)
-	out := NewVec(2)
+	m := NewMat(5, 3)
+	mt, out := m.Transpose(), NewVec(5)
+	mt.SumRowsSparseInto(out, []int{0, 2})
 	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range sparse index did not panic")
+		if got, want := recover(), "tensor: sparse index 3 out of range [0,3)"; got != want {
+			t.Fatalf("column 3 of a 5x3 matrix: panic %v, want %q", got, want)
 		}
 	}()
-	m.SumColsSparseInto(out, []int{2})
+	mt.SumRowsSparseInto(out, []int{3})
 }
 
-// Property: for random matrices and sparse one-hot-sum inputs, the sparse
-// and dense products agree.
+// SumRowsSparseInto panics with the message the column-sum kernel it
+// replaced gave: the offending index and the range it left, for an index
+// below zero and one past the end, each after four valid indices.
+func TestMatSumRowsSparsePanicsLikeSumCols(t *testing.T) {
+	m := NewMat(5, 3)
+	for _, bad := range []int{-1, 5} {
+		want := fmt.Sprintf("tensor: sparse index %d out of range [0,5)", bad)
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			m.SumRowsSparseInto(NewVec(3), []int{0, 1, 2, 3, bad})
+		}()
+		if got != want {
+			t.Fatalf("index %d: SumRowsSparseInto panics with %v, want %q", bad, got, want)
+		}
+	}
+}
+
+// Property: for random input-major matrices and sparse binary inputs, the
+// sparse sum and the dense product are the same bits.
 func TestMatSparseDenseProperty(t *testing.T) {
 	r := NewRNG(77)
 	f := func(seed uint16) bool {
 		rr := NewRNG(uint64(seed))
-		rows := 1 + rr.Intn(6)
-		cols := 1 + rr.Intn(10)
-		m := NewMat(rows, cols)
-		for i := range m.Data {
-			m.Data[i] = r.Norm()
-		}
+		rows := 1 + rr.Intn(10)
+		cols := 1 + rr.Intn(6)
+		m := randomMat(r, rows, cols)
 		var active []int
-		x := NewVec(cols)
-		for j := 0; j < cols; j++ {
+		for j := 0; j < rows; j++ {
 			if rr.Bool(0.3) {
 				active = append(active, j)
-				x[j] = 1
 			}
 		}
-		dense, sparse := NewVec(rows), NewVec(rows)
-		m.MulVecInto(dense, x)
-		m.SumColsSparseInto(sparse, active)
-		for i := range dense {
-			if math.Abs(dense[i]-sparse[i]) > 1e-9 {
-				return false
-			}
-		}
-		return true
+		dense, sparse := NewVec(cols), NewVec(cols)
+		m.MulVecTransInto(dense, onesAt(rows, active))
+		m.SumRowsSparseInto(sparse, active)
+		return sameBits(sparse, dense)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -182,9 +204,11 @@ func sameBits(a, b Vec) bool {
 	return len(a) == len(b)
 }
 
-// The input-major kernels sum every output in the order the output-major
-// ones do, so the results are the same bits, not merely close — for any
-// number of addends around the four-row groups and the 64-input blocks.
+// MulVecTransInto on an input-major matrix sums every output in the order
+// MulVecInto does on its output-major transpose, so the results are the
+// same bits, not merely close; SumRowsSparseInto is the same product with
+// a 0/1 input. Both hold for any number of addends around the four-row
+// groups and the 64-input blocks.
 func TestInputMajorKernelsMatchOutputMajorBitForBit(t *testing.T) {
 	r := NewRNG(13)
 	for _, in := range []int{1, 3, 4, 5, 63, 64, 65, 130, 200} {
@@ -209,32 +233,12 @@ func TestInputMajorKernelsMatchOutputMajorBitForBit(t *testing.T) {
 				if !sameBits(got, want) {
 					t.Fatalf("in=%d out=%d: MulVecTransInto %v, MulVecInto %v", in, outs, got, want)
 				}
-				r.Shuffle(active) // the sparse sum follows active's order
-				m.SumColsSparseInto(want, active)
+				m.MulVecInto(want, onesAt(in, active))
 				mt.SumRowsSparseInto(got, active)
 				if !sameBits(got, want) {
-					t.Fatalf("in=%d out=%d: SumRowsSparseInto %v, SumColsSparseInto %v", in, outs, got, want)
+					t.Fatalf("in=%d out=%d: SumRowsSparseInto %v, MulVecInto %v", in, outs, got, want)
 				}
 			}
-		}
-	}
-}
-
-func TestMatSumRowsSparsePanicsLikeSumCols(t *testing.T) {
-	m := NewMat(3, 5)
-	for _, bad := range []int{-1, 5} {
-		var msgs [2]any
-		for k, f := range []func(){
-			func() { m.SumColsSparseInto(NewVec(3), []int{0, 1, 2, 3, bad}) },
-			func() { m.Transpose().SumRowsSparseInto(NewVec(3), []int{0, 1, 2, 3, bad}) },
-		} {
-			func() {
-				defer func() { msgs[k] = recover() }()
-				f()
-			}()
-		}
-		if msgs[0] == nil || msgs[0] != msgs[1] {
-			t.Fatalf("index %d: SumColsSparseInto panics with %v, SumRowsSparseInto with %v", bad, msgs[0], msgs[1])
 		}
 	}
 }

@@ -3,10 +3,12 @@
 // reproduction. Everything is float64 and allocation-conscious: the hot
 // paths (network forward/backward) reuse caller-provided buffers.
 //
-// Layout rule: training keeps output-major weights (Rows outputs x Cols
-// inputs), which AddOuter's gradient update walks row by row; inference
-// reads an input-major copy (Transpose), where SumRowsSparseInto and
-// MulVecTransInto add one contiguous row per active input.
+// Layout rule: weights are stored input-major (Rows inputs x Cols
+// outputs), for training and inference alike. SumRowsSparseInto and
+// MulVecTransInto add one contiguous row per active input or non-zero
+// activation, AddOuter accumulates a weight gradient row by row, and
+// MulVecInto takes the gradient back to the inputs as one dot product per
+// row.
 package tensor
 
 import "math"
