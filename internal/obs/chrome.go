@@ -47,14 +47,7 @@ func batchLanePid(shard int) int { return 1000 + shard }
 // every waiter's exec span — the fan-in of N waiters into one
 // execution. Works on a nil tracer (empty traceEvents array).
 func (t *Tracer) WriteChrome(w io.Writer, n int, tag string) error {
-	var traces []ItemTrace
-	if tag != "" {
-		if tr, ok := t.ByTag(tag); ok {
-			traces = []ItemTrace{tr}
-		}
-	} else {
-		traces = t.Recent(n)
-	}
+	traces := t.choose(n, tag)
 	doc := chromeDoc{Events: []chromeEvent{}, DisplayTimeUnit: "ms"}
 	emit := func(ev chromeEvent) { doc.Events = append(doc.Events, ev) }
 

@@ -3,9 +3,9 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -19,26 +19,23 @@ type Trigger struct {
 }
 
 // RateTrigger adapts a monotonic counter sample into a trigger
-// condition: fires when the counter's growth rate between two polls
-// exceeds perSec. The first poll only establishes the baseline.
-func RateTrigger(sample func() int64, perSec float64) func() (bool, string) {
-	var prev int64
-	var prevAt time.Time
+// condition: fires when the counter grows faster than perSec per second
+// of now's clock between two polls. The first poll only establishes
+// the baseline.
+func RateTrigger(now func() float64, sample func() int64, perSec float64) func() (bool, string) {
+	var (
+		prev   int64
+		prevAt float64
+		primed bool
+	)
 	return func() (bool, string) {
-		now := time.Now()
-		v := sample()
-		if prevAt.IsZero() {
-			prev, prevAt = v, now
+		at, v := now(), sample()
+		dt, delta, baseline := at-prevAt, v-prev, !primed
+		prev, prevAt, primed = v, at, true
+		if baseline || dt <= 0 || delta <= 0 {
 			return false, ""
 		}
-		dt := now.Sub(prevAt).Seconds()
-		delta := v - prev
-		prev, prevAt = v, now
-		if dt <= 0 || delta <= 0 {
-			return false, ""
-		}
-		rate := float64(delta) / dt
-		if rate > perSec {
+		if rate := float64(delta) / dt; rate > perSec {
 			return true, fmt.Sprintf("rate %.1f/s over limit %g/s", rate, perSec)
 		}
 		return false, ""
@@ -67,73 +64,63 @@ type FlightBundle struct {
 	Traces   []ItemTrace `json:"traces"`
 }
 
+// flightCooldownSec is how long, in seconds of the recorder's clock,
+// a written bundle silences the triggers; flightTraces is how many
+// recent traces a bundle carries.
+const (
+	flightCooldownSec = 5
+	flightTraces      = 64
+)
+
 // FlightRecorder polls a set of anomaly triggers against live
 // telemetry and, when one fires, atomically writes a timestamped JSON
 // FlightBundle (recent trace ring + registry snapshot) into its
 // directory — a pre-anomaly black box. Dumps are rate-limited by a
 // cooldown so a sustained incident produces a bounded series of
-// bundles, not one per poll. A nil recorder no-ops everything; Close
-// waits for the poll goroutine so servers embedding one stay leak-test
-// clean.
+// bundles, not one per poll. The poll period is wall time; the cooldown
+// (and the rate triggers) count seconds of the clock the recorder is
+// built with, the one the server's SLOs burn on. A nil recorder no-ops
+// everything; Close waits for the poll goroutine so servers embedding
+// one stay leak-test clean.
 type FlightRecorder struct {
 	dir      string
 	reg      *Registry
 	tr       *Tracer
-	interval time.Duration
-	cooldown time.Duration
-	traceN   int
-
-	mu       sync.Mutex
+	now      func() float64 // clock in seconds
 	triggers []Trigger
-	lastDump time.Time
+	interval time.Duration // wall-clock poll period
+
+	lastDump float64 // clock stamp of the newest bundle; poll's alone
 
 	dumps atomic.Int64
 	errs  atomic.Int64
 
-	startMu  sync.Mutex
-	started  bool
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	stop chan struct{}
+	done chan struct{}
 }
 
-// NewFlightRecorder builds a recorder writing bundles under dir.
-// Defaults: 250 ms poll, 5 s cooldown, 64 traces per bundle.
-func NewFlightRecorder(dir string, reg *Registry, tr *Tracer) *FlightRecorder {
+// NewFlightRecorder builds a recorder writing bundles under dir, polling
+// triggers every 250 ms and measuring its cooldown on now, the clock in
+// seconds.
+func NewFlightRecorder(dir string, reg *Registry, tr *Tracer, now func() float64, triggers ...Trigger) *FlightRecorder {
 	return &FlightRecorder{
 		dir:      dir,
 		reg:      reg,
 		tr:       tr,
+		now:      now,
+		triggers: triggers,
 		interval: 250 * time.Millisecond,
-		cooldown: 5 * time.Second,
-		traceN:   64,
+		lastDump: math.Inf(-1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 }
 
-// AddTrigger registers one named anomaly detector. Safe before or
-// after Start; no-op on nil.
-func (f *FlightRecorder) AddTrigger(name string, fire func() (bool, string)) {
-	if f == nil || fire == nil {
-		return
-	}
-	f.mu.Lock()
-	f.triggers = append(f.triggers, Trigger{Name: name, Fire: fire})
-	f.mu.Unlock()
-}
-
-// Start launches the poll goroutine (idempotent, no-op on nil).
+// Start launches the poll goroutine; call it once (no-op on nil).
 func (f *FlightRecorder) Start() {
 	if f == nil {
 		return
 	}
-	f.startMu.Lock()
-	defer f.startMu.Unlock()
-	if f.started {
-		return
-	}
-	f.started = true
 	go f.run()
 }
 
@@ -153,36 +140,30 @@ func (f *FlightRecorder) run() {
 
 // poll evaluates every trigger once. Each trigger is always sampled
 // (rate triggers need the baseline to advance) even while the cooldown
-// suppresses dumps.
+// suppresses dumps. Only the poll goroutine, and Close after it has
+// exited, run poll.
 func (f *FlightRecorder) poll() {
-	f.mu.Lock()
-	trigs := make([]Trigger, len(f.triggers))
-	copy(trigs, f.triggers)
-	last := f.lastDump
-	f.mu.Unlock()
-	cool := !last.IsZero() && time.Since(last) < f.cooldown
-	for _, tg := range trigs {
+	now := f.now()
+	cool := now-f.lastDump < flightCooldownSec
+	for _, tg := range f.triggers {
 		fired, detail := tg.Fire()
 		if !fired || cool {
 			continue
 		}
 		cool = true // one bundle per poll at most
-		if _, err := f.Snapshot(tg.Name, detail); err != nil {
+		if err := f.write(tg.Name, detail); err != nil {
 			f.errs.Add(1)
+		} else {
+			f.lastDump = now
 		}
 	}
 }
 
-// Snapshot writes one bundle immediately (also the manual seam tests
-// and operators use), returning the bundle path. The write is atomic:
-// a temp file in dir renamed into place, so a reader never sees a torn
-// bundle. Resets the cooldown clock.
-func (f *FlightRecorder) Snapshot(trigger, detail string) (string, error) {
-	if f == nil {
-		return "", nil
-	}
+// write persists one bundle. The write is atomic: a temp file in dir
+// renamed into place, so a reader never sees a torn bundle.
+func (f *FlightRecorder) write(trigger, detail string) error {
 	if err := os.MkdirAll(f.dir, 0o755); err != nil {
-		return "", err
+		return err
 	}
 	now := time.Now()
 	b := FlightBundle{
@@ -191,7 +172,7 @@ func (f *FlightRecorder) Snapshot(trigger, detail string) (string, error) {
 		WallTime: now.Format(time.RFC3339Nano),
 		UnixUS:   now.UnixMicro(),
 		Metrics:  f.reg.Snapshot(),
-		Traces:   f.tr.Recent(f.traceN),
+		Traces:   f.tr.Recent(flightTraces),
 	}
 	if b.Metrics == nil {
 		b.Metrics = []Metric{}
@@ -200,31 +181,27 @@ func (f *FlightRecorder) Snapshot(trigger, detail string) (string, error) {
 		b.Traces = []ItemTrace{}
 	}
 	name := fmt.Sprintf("flight-%s-%s.json", now.UTC().Format("20060102T150405.000000000"), trigger)
-	final := filepath.Join(f.dir, name)
 	tmp, err := os.CreateTemp(f.dir, ".flight-*.tmp")
 	if err != nil {
-		return "", err
+		return err
 	}
 	enc := json.NewEncoder(tmp)
 	enc.SetIndent("", " ")
 	if err := enc.Encode(b); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return "", err
+		return err
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return "", err
+		return err
 	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(f.dir, name)); err != nil {
 		os.Remove(tmp.Name())
-		return "", err
+		return err
 	}
 	f.dumps.Add(1)
-	f.mu.Lock()
-	f.lastDump = now
-	f.mu.Unlock()
-	return final, nil
+	return nil
 }
 
 // Dumps reports how many bundles have been written (0 on nil).
@@ -252,23 +229,16 @@ func (f *FlightRecorder) RegisterViews(reg *Registry) {
 	reg.CounterFunc("ams_flight_errors_total", "flight-recorder bundle write failures", f.Errors)
 }
 
-// Close stops polling and waits for the goroutine to exit. Safe on nil
-// and idempotent; a recorder that was never Started closes cleanly.
+// Close stops the poll goroutine, waits for it to exit, and polls once
+// more: an anomaly that became detectable between the last tick and
+// shutdown (e.g. a shed storm in a short run) is still captured. Call
+// it once, after Start; safe on nil.
 func (f *FlightRecorder) Close() error {
 	if f == nil {
 		return nil
 	}
-	f.stopOnce.Do(func() { close(f.stop) })
-	f.startMu.Lock()
-	started := f.started
-	f.started = true // a Start after Close must not relaunch the goroutine
-	f.startMu.Unlock()
-	if started {
-		<-f.done
-		// One final evaluation after the loop exits: an anomaly that
-		// became detectable between the last tick and shutdown (e.g. a
-		// shed storm in a short run) is still captured.
-		f.poll()
-	}
+	close(f.stop)
+	<-f.done
+	f.poll()
 	return nil
 }

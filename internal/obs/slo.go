@@ -11,6 +11,14 @@ import (
 // granularity without storing per-observation state.
 const sloSlots = 32
 
+// FastBurnSec and SlowBurnSec are the two burn windows every objective
+// keeps, in seconds of its clock: the classic fast/slow pair, a fast
+// window to page on and a slow one to confirm it.
+const (
+	FastBurnSec = 300
+	SlowBurnSec = 3600
+)
+
 // sloSlot is one time bucket of a burn window; stamp is the slot epoch
 // (floor(now / slotWidth)) so stale slots age out lazily.
 type sloSlot struct {
@@ -28,11 +36,12 @@ type burnWindow struct {
 
 // SLO tracks one named latency objective — "target fraction of items
 // complete within ThresholdSec" (so a p99 < 250 ms objective is target
-// 0.99, threshold 0.25) — and exposes multi-window burn rates: the
-// rate at which the error budget is being consumed over each window
-// (burn 1.0 = exactly on budget, >1 = burning faster than the
-// objective allows). The clock is pluggable (virtual or real seconds)
-// so simulated runs account burn identically to real-time ones.
+// 0.99, threshold 0.25) — and exposes burn rates over its fast and slow
+// windows: the rate at which the error budget is being consumed (burn
+// 1.0 = exactly on budget, >1 = burning faster than the objective
+// allows). The windows advance on the clock the SLO is built with (the
+// server's virtual seconds), so simulated runs account burn identically
+// to real-time ones.
 //
 // Observe is safe for concurrent use; a nil SLO no-ops everything.
 type SLO struct {
@@ -40,48 +49,27 @@ type SLO struct {
 	ThresholdSec float64
 	Target       float64
 
-	now     func() float64 // clock in seconds; nil falls back to last observed
-	good    atomic.Int64
-	bad     atomic.Int64
-	lastNow atomic.Uint64 // float bits of the newest Observe stamp
+	now  func() float64 // clock in seconds
+	good atomic.Int64
+	bad  atomic.Int64
 
 	mu      sync.Mutex
-	windows []*burnWindow
+	windows [2]burnWindow
 }
 
-// NewSLO builds an objective. now supplies the accounting clock in
-// seconds (the server's virtual clock; nil freezes burn windows at the
-// last observation). windowsSec lists the burn windows; empty defaults
-// to the classic fast/slow pair 300 s and 3600 s. A target outside
-// (0, 1) becomes 0.99.
-func NewSLO(name string, thresholdSec, target float64, now func() float64, windowsSec ...float64) *SLO {
-	if target <= 0 || target >= 1 {
-		target = 0.99
-	}
-	if len(windowsSec) == 0 {
-		windowsSec = []float64{300, 3600}
-	}
+// NewSLO builds an objective with target in (0, 1), accounting burn on
+// now, the clock in seconds (the server's virtual clock).
+func NewSLO(name string, thresholdSec, target float64, now func() float64) *SLO {
 	s := &SLO{Name: name, ThresholdSec: thresholdSec, Target: target, now: now}
-	for _, w := range windowsSec {
-		if w <= 0 {
-			continue
-		}
-		s.windows = append(s.windows, &burnWindow{span: w, slotW: w / sloSlots})
+	for i, w := range [...]float64{FastBurnSec, SlowBurnSec} {
+		s.windows[i] = burnWindow{span: w, slotW: w / sloSlots}
 	}
 	return s
 }
 
-// clock returns the current accounting time in seconds.
-func (s *SLO) clock() float64 {
-	if s.now != nil {
-		return s.now()
-	}
-	return bitsFloat(s.lastNow.Load())
-}
-
 // Observe classifies one latency (seconds, on the same clock family as
 // ThresholdSec) as within or over the objective and credits it to
-// every burn window. No-op on nil.
+// both burn windows. No-op on nil.
 func (s *SLO) Observe(latencySec float64) {
 	if s == nil {
 		return
@@ -92,15 +80,10 @@ func (s *SLO) Observe(latencySec float64) {
 	} else {
 		s.bad.Add(1)
 	}
-	now := s.clock()
-	for {
-		old := s.lastNow.Load()
-		if bitsFloat(old) >= now || s.lastNow.CompareAndSwap(old, floatBits(now)) {
-			break
-		}
-	}
+	now := s.now()
 	s.mu.Lock()
-	for _, w := range s.windows {
+	for i := range s.windows {
+		w := &s.windows[i]
 		epoch := int64(now / w.slotW)
 		sl := &w.slots[((epoch%sloSlots)+sloSlots)%sloSlots]
 		if sl.stamp != epoch {
@@ -131,40 +114,30 @@ func (s *SLO) Bad() int64 {
 	return s.bad.Load()
 }
 
-// Windows lists the configured burn-window widths in seconds.
-func (s *SLO) Windows() []float64 {
-	if s == nil {
-		return nil
-	}
-	out := make([]float64, len(s.windows))
-	for i, w := range s.windows {
-		out[i] = w.span
-	}
-	return out
-}
-
 // BurnRate reports the error-budget burn over the window of width
-// windowSec: (bad fraction in window) ÷ (1 − target). 0 when the
-// window is empty or unknown. A burn of 1.0 means the objective is
-// being consumed exactly at budget; alerting convention fires on high
-// burn in a fast window confirmed by a slower one.
+// windowSec (FastBurnSec or SlowBurnSec): (bad fraction in window) ÷
+// (1 − target). 0 when the window is empty or unknown. A burn of 1.0
+// means the objective is being consumed exactly at budget; alerting
+// convention fires on high burn in the fast window confirmed by the
+// slow one.
 func (s *SLO) BurnRate(windowSec float64) float64 {
 	if s == nil {
 		return 0
 	}
-	now := s.clock()
+	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, w := range s.windows {
+	for i := range s.windows {
+		w := &s.windows[i]
 		if w.span != windowSec {
 			continue
 		}
 		epoch := int64(now / w.slotW)
 		var good, bad int64
-		for i := range w.slots {
-			if st := w.slots[i].stamp; st > epoch-sloSlots && st <= epoch {
-				good += w.slots[i].good
-				bad += w.slots[i].bad
+		for _, sl := range w.slots {
+			if sl.stamp > epoch-sloSlots && sl.stamp <= epoch {
+				good += sl.good
+				bad += sl.bad
 			}
 		}
 		if good+bad == 0 {
@@ -190,7 +163,8 @@ func (s *SLO) RegisterViews(reg *Registry) {
 		func() float64 { return s.ThresholdSec }, l)
 	reg.GaugeFunc("ams_slo_target", "SLO good-fraction target",
 		func() float64 { return s.Target }, l)
-	for _, span := range s.Windows() {
+	for i := range s.windows {
+		span := s.windows[i].span
 		reg.GaugeFunc("ams_slo_burn_rate", "error-budget burn rate over the window",
 			func() float64 { return s.BurnRate(span) },
 			l, L("window", fmt.Sprintf("%gs", span)))

@@ -395,12 +395,19 @@ func TestStealProvenance(t *testing.T) {
 	}
 }
 
+// fakeClock is a hand-driven clock in seconds, safe to read from the
+// flight recorder's poll goroutine while the test sets it.
+type fakeClock struct{ bits atomic.Uint64 }
+
+func (c *fakeClock) now() float64  { return bitsFloat(c.bits.Load()) }
+func (c *fakeClock) set(s float64) { c.bits.Store(floatBits(s)) }
+
 // TestSLOBurnRate drives the virtual clock by hand: burn is the
 // windowed bad fraction over the error budget, and slots age out once
 // the clock moves a full window past them.
 func TestSLOBurnRate(t *testing.T) {
-	now := 0.0
-	s := NewSLO("p99", 0.25, 0.99, func() float64 { return now }, 300, 3600)
+	var clk fakeClock
+	s := NewSLO("p99", 0.25, 0.99, clk.now)
 	for i := 0; i < 90; i++ {
 		s.Observe(0.1) // good
 	}
@@ -411,7 +418,7 @@ func TestSLOBurnRate(t *testing.T) {
 		t.Fatalf("good/bad = %d/%d, want 90/10", s.Good(), s.Bad())
 	}
 	// 10% bad over a 1% budget: burn 10× in both windows.
-	for _, w := range []float64{300, 3600} {
+	for _, w := range []float64{FastBurnSec, SlowBurnSec} {
 		if burn := s.BurnRate(w); burn < 9.99 || burn > 10.01 {
 			t.Fatalf("burn(%gs) = %g, want 10", w, burn)
 		}
@@ -421,17 +428,17 @@ func TestSLOBurnRate(t *testing.T) {
 	}
 	// Advance past the fast window: its slots age out, the slow window
 	// still remembers.
-	now = 600
+	clk.set(600)
 	s.Observe(0.1)
-	if burn := s.BurnRate(300); burn != 0 {
+	if burn := s.BurnRate(FastBurnSec); burn != 0 {
 		t.Fatalf("aged fast-window burn = %g, want 0", burn)
 	}
-	if burn := s.BurnRate(3600); burn <= 0 {
+	if burn := s.BurnRate(SlowBurnSec); burn <= 0 {
 		t.Fatalf("slow-window burn = %g, want > 0", burn)
 	}
 	var nilSLO *SLO
 	nilSLO.Observe(1)
-	if nilSLO.BurnRate(300) != 0 || nilSLO.Good() != 0 || nilSLO.Bad() != 0 || nilSLO.Windows() != nil {
+	if nilSLO.BurnRate(300) != 0 || nilSLO.Good() != 0 || nilSLO.Bad() != 0 {
 		t.Fatal("nil SLO must no-op")
 	}
 }
@@ -439,7 +446,9 @@ func TestSLOBurnRate(t *testing.T) {
 // TestSLOViews: the ams_slo_* family renders with the slo label and one
 // burn gauge per window.
 func TestSLOViews(t *testing.T) {
-	s := NewSLO("deadline", 0.5, 0.95, nil)
+	var clk fakeClock
+	clk.set(42)
+	s := NewSLO("deadline", 0.5, 0.75, clk.now)
 	s.Observe(0.1)
 	s.Observe(0.9)
 	reg := NewRegistry()
@@ -453,9 +462,9 @@ func TestSLOViews(t *testing.T) {
 		`ams_slo_good_total{slo="deadline"} 1`,
 		`ams_slo_bad_total{slo="deadline"} 1`,
 		`ams_slo_threshold_seconds{slo="deadline"} 0.5`,
-		`ams_slo_target{slo="deadline"} 0.95`,
-		`ams_slo_burn_rate{slo="deadline",window="300s"}`,
-		`ams_slo_burn_rate{slo="deadline",window="3600s"}`,
+		`ams_slo_target{slo="deadline"} 0.75`,
+		`ams_slo_burn_rate{slo="deadline",window="300s"} 2`,
+		`ams_slo_burn_rate{slo="deadline",window="3600s"} 2`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q in:\n%s", want, text)
@@ -464,22 +473,36 @@ func TestSLOViews(t *testing.T) {
 }
 
 // TestRateTrigger: the first sample is only a baseline; a later jump
-// over the per-second limit fires with a human-readable detail.
+// over the per-second limit fires with a human-readable detail. The
+// rate is growth per second of the trigger's clock, not of wall time.
 func TestRateTrigger(t *testing.T) {
+	var clk fakeClock
 	var v int64
-	fire := RateTrigger(func() int64 { return v }, 5)
+	fire := RateTrigger(clk.now, func() int64 { return v }, 5)
 	if fired, _ := fire(); fired {
 		t.Fatal("baseline poll must not fire")
 	}
 	v += 1000
-	time.Sleep(10 * time.Millisecond)
+	clk.set(1)
 	fired, detail := fire()
-	if !fired || !strings.Contains(detail, "over limit 5/s") {
+	if !fired || detail != "rate 1000.0/s over limit 5/s" {
 		t.Fatalf("jump should fire: fired=%v detail=%q", fired, detail)
 	}
-	time.Sleep(10 * time.Millisecond)
+	clk.set(2)
 	if fired, _ := fire(); fired {
 		t.Fatal("flat counter must not fire again")
+	}
+	v += 1000
+	if fired, _ := fire(); fired {
+		t.Fatal("growth with no clock time passed must not fire")
+	}
+	// 40 over 20 clock seconds is 2/s, under the limit however little
+	// wall time the polls are apart. At TimeScale 0.05 those 20 seconds
+	// are one wall second, where a wall-clock rate reads 40/s and fires.
+	v += 40
+	clk.set(22)
+	if fired, detail := fire(); fired {
+		t.Fatalf("2/s under a 5/s limit fired: %q", detail)
 	}
 	if fired, _ := ThresholdTrigger(func() float64 { return 7 }, 8)(); fired {
 		t.Fatal("threshold under limit must not fire")
@@ -489,9 +512,10 @@ func TestRateTrigger(t *testing.T) {
 	}
 }
 
-// TestFlightRecorder: a fired trigger produces exactly one parseable
-// bundle per cooldown; Close is idempotent and performs the final
-// shutdown poll; the nil recorder no-ops.
+// TestFlightRecorder: a fired trigger produces one parseable bundle per
+// cooldown, and the cooldown counts seconds of the recorder's clock: it
+// ends when the clock moves 5 s on, however little wall time passed.
+// Close performs the final shutdown poll; the nil recorder no-ops.
 func TestFlightRecorder(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry()
@@ -501,29 +525,35 @@ func TestFlightRecorder(t *testing.T) {
 	it.Root(time.Now())
 	tr.End(it)
 
-	fr := NewFlightRecorder(dir, reg, tr)
-	fr.interval, fr.cooldown = 5*time.Millisecond, time.Hour // one dump max
+	var clk fakeClock
 	var armed atomic.Bool
-	fr.AddTrigger("shed-storm", func() (bool, string) { return armed.Load(), "rate 41.2/s" })
+	fr := NewFlightRecorder(dir, reg, tr, clk.now,
+		Trigger{Name: "shed-storm", Fire: func() (bool, string) { return armed.Load(), "rate 41.2/s" }})
+	fr.interval = 5 * time.Millisecond
 	fr.Start()
-	fr.Start() // idempotent
 	armed.Store(true)
-	deadline := time.Now().Add(2 * time.Second)
-	for fr.Dumps() == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
+	waitDumps := func(n int64) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for fr.Dumps() < n && time.Now().Before(deadline) {
+			time.Sleep(2 * time.Millisecond)
+		}
+		if fr.Dumps() != n {
+			t.Fatalf("dumps = %d, want %d", fr.Dumps(), n)
+		}
 	}
+	waitDumps(1)
+	clk.set(flightCooldownSec) // the cooldown is over on the clock
+	waitDumps(2)
 	if err := fr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if fr.Dumps() != 1 {
-		t.Fatalf("dumps = %d, want exactly 1 (cooldown)", fr.Dumps())
+	if fr.Dumps() != 2 || fr.Errors() != 0 {
+		t.Fatalf("dumps/errors = %d/%d, want 2/0 (the final poll is still cooling)", fr.Dumps(), fr.Errors())
 	}
 	matches, err := filepath.Glob(filepath.Join(dir, "flight-*-shed-storm.json"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("bundle files = %v (err %v), want 1", matches, err)
+	if err != nil || len(matches) != 2 {
+		t.Fatalf("bundle files = %v (err %v), want 2", matches, err)
 	}
 	raw, err := os.ReadFile(matches[0])
 	if err != nil {
@@ -541,10 +571,10 @@ func TestFlightRecorder(t *testing.T) {
 	}
 
 	var nilFR *FlightRecorder
-	nilFR.AddTrigger("x", nil)
 	nilFR.Start()
-	if p, err := nilFR.Snapshot("x", ""); err != nil || p != "" {
-		t.Fatal("nil recorder Snapshot must no-op")
+	nilFR.RegisterViews(reg)
+	if nilFR.Dumps() != 0 || nilFR.Errors() != 0 {
+		t.Fatal("nil recorder must count nothing")
 	}
 	if err := nilFR.Close(); err != nil {
 		t.Fatal(err)
@@ -554,10 +584,10 @@ func TestFlightRecorder(t *testing.T) {
 // TestFlightRecorderShutdownPoll: an anomaly that becomes detectable
 // only at shutdown is still captured by Close's final poll.
 func TestFlightRecorderShutdownPoll(t *testing.T) {
-	dir := t.TempDir()
-	fr := NewFlightRecorder(dir, NewRegistry(), NewTracer(2))
-	fr.interval, fr.cooldown = time.Hour, time.Hour // the ticker never fires
-	fr.AddTrigger("deadline-burn", func() (bool, string) { return true, "burn 12" })
+	var clk fakeClock
+	fr := NewFlightRecorder(t.TempDir(), NewRegistry(), NewTracer(2), clk.now,
+		Trigger{Name: "deadline-burn", Fire: func() (bool, string) { return true, "burn 12" }})
+	fr.interval = time.Hour // the ticker never fires
 	fr.Start()
 	if err := fr.Close(); err != nil {
 		t.Fatal(err)

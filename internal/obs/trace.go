@@ -230,17 +230,22 @@ func (t *ItemTrace) clone() ItemTrace {
 	return c
 }
 
+// choose returns the traces an export asks for: the most recent one
+// carrying tag when tag is set, else up to n recent ones.
+func (t *Tracer) choose(n int, tag string) []ItemTrace {
+	if tag == "" {
+		return t.Recent(n)
+	}
+	if tr, ok := t.ByTag(tag); ok {
+		return []ItemTrace{tr}
+	}
+	return nil
+}
+
 // WriteJSON dumps up to n recent traces (optionally filtered to one
 // tag) as an indented JSON array — the /tracez payload.
 func (t *Tracer) WriteJSON(w io.Writer, n int, tag string) error {
-	var traces []ItemTrace
-	if tag != "" {
-		if tr, ok := t.ByTag(tag); ok {
-			traces = []ItemTrace{tr}
-		}
-	} else {
-		traces = t.Recent(n)
-	}
+	traces := t.choose(n, tag)
 	if traces == nil {
 		traces = []ItemTrace{}
 	}

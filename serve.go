@@ -146,16 +146,17 @@ type ServeConfig struct {
 	// item against, each spec "p99<250ms" or "name:p95<1s" (quantile is
 	// the good-fraction target, the duration is the threshold on the
 	// simulated clock). A "deadline" objective — p99 within DeadlineSec —
-	// is always present when telemetry is on. Burn rates over 5 m / 1 h
-	// virtual-clock windows export as ams_slo_* series. Implies
-	// Telemetry.
+	// is always present when telemetry is on. Burn rates over two fixed
+	// windows, 300 s and 3600 s of the server's virtual clock, export as
+	// ams_slo_* series. Implies Telemetry.
 	SLOs []string
 	// FlightDir, when non-empty, arms the anomaly flight recorder: the
 	// server polls trigger conditions (shed-rate spike, deadline-burn,
 	// steal storm, reserve-wait stall) and on firing atomically writes a
 	// timestamped JSON bundle — the recent span-trace ring plus the full
 	// metric snapshot, the moments *before* the anomaly — into this
-	// directory. Implies Telemetry.
+	// directory. Trigger rates and the 5 s cooldown count seconds of the
+	// same virtual clock as the SLO windows. Implies Telemetry.
 	FlightDir string
 }
 
@@ -278,7 +279,8 @@ type Server struct {
 	flight   *obs.FlightRecorder
 
 	// start is the one clock epoch: the stats window's records and the
-	// SLO clock read virtual seconds since it (wall elapsed ÷ scale).
+	// server's clock (vnow: the SLOs and the flight recorder) read
+	// virtual seconds since it (wall elapsed ÷ scale).
 	start time.Time
 	scale float64
 
@@ -296,8 +298,12 @@ type Server struct {
 	subscribed atomic.Bool  // Results has made res: publish sends
 	resDropped atomic.Int64
 
-	// life is the context external items resolve under; end, the first
-	// thing Close does, cancels it.
+	// life is the context external items resolve under. end, the first
+	// thing Close does, runs once: it cancels life, then closes the
+	// exporter, so no scrape races the teardown (its Close waits for its
+	// serve goroutine, keeping leak checks clean), and the flight
+	// recorder, whose final poll catches an anomaly still live at
+	// shutdown.
 	life lifetime
 	end  func()
 }
@@ -496,7 +502,11 @@ func (s *System) newServer(cfg ServeConfig, p servePlan) (*Server, error) {
 	sv := &Server{sys: s, corpus: cfg.Corpus, cache: p.cache, placement: p.placement,
 		start: time.Now(), scale: p.shards[0].TimeScale, window: p.window, completed: make([]int64, len(p.shards))}
 	life := make(chan struct{})
-	sv.life, sv.end = life, sync.OnceFunc(func() { close(life) })
+	sv.life, sv.end = life, sync.OnceFunc(func() {
+		close(life)
+		_ = sv.exporter.Close()
+		_ = sv.flight.Close()
+	})
 	if p.telemetry {
 		sv.reg = obs.NewRegistry()
 		sv.tracer = obs.NewTracer(cfg.TraceCapacity)
@@ -609,23 +619,25 @@ func (sv *Server) finishTelemetry(cfg ServeConfig, slos []SLOObjective, shards [
 	return sv, nil
 }
 
+// vnow is the server's clock: virtual seconds since start (wall elapsed
+// ÷ scale). The SLOs' burn windows and the flight recorder's trigger
+// rates and cooldown all advance on it, so a 0.01× test run and a
+// real-time run account burn and fire triggers identically.
+func (sv *Server) vnow() float64 { return obs.SinceSeconds(sv.start) / sv.scale }
+
 // buildSLOs constructs the server's latency objectives — the implicit
 // "deadline" objective (p99 within the scheduling deadline) plus every
-// parsed ServeConfig.SLOs objective — on the virtual clock, registers
+// parsed ServeConfig.SLOs objective — on the server's clock, registers
 // their ams_slo_* views, and threads them into the serve layer's
 // completion hook. Runs before any item is admitted, so the slice is
 // never written concurrently with itemDone reads.
 func (sv *Server) buildSLOs(deadlineSec float64, objectives []SLOObjective) {
-	// Virtual seconds since server start: burn windows advance on the
-	// simulated clock, so a 0.01× test run and a real-time run account
-	// burn identically.
-	vnow := func() float64 { return obs.SinceSeconds(sv.start) / sv.scale }
 	var slos []*obs.SLO
 	if deadlineSec > 0 {
-		slos = append(slos, obs.NewSLO("deadline", deadlineSec, 0.99, vnow))
+		slos = append(slos, obs.NewSLO("deadline", deadlineSec, 0.99, sv.vnow))
 	}
 	for _, o := range objectives {
-		slos = append(slos, obs.NewSLO(o.Name, o.ThresholdSec, o.Quantile, vnow))
+		slos = append(slos, obs.NewSLO(o.Name, o.ThresholdSec, o.Quantile, sv.vnow))
 	}
 	for _, slo := range slos {
 		slo.RegisterViews(sv.reg)
@@ -638,36 +650,29 @@ func (sv *Server) buildSLOs(deadlineSec float64, objectives []SLOObjective) {
 }
 
 // armFlightRecorder builds the anomaly flight recorder with the
-// server's default trigger catalog and starts its poll loop. Triggers
-// only read counters and burn gauges — nothing feeds back into
-// scheduling.
+// server's default trigger catalog, on the server's clock, and starts
+// its poll loop. Triggers only read counters and burn gauges — nothing
+// feeds back into scheduling.
 func (sv *Server) armFlightRecorder(dir string) {
-	fr := obs.NewFlightRecorder(dir, sv.reg, sv.tracer)
-	// Shed storm: sheds at any shard's queue growing faster than 5/s.
-	fr.AddTrigger("shed-storm", obs.RateTrigger(sv.router.ShedTotal, 5))
-	// Deadline burn: any objective's fastest burn window at 8× budget —
-	// the classic page-level fast-burn threshold.
-	if len(sv.metrics.SLOs) > 0 {
-		fr.AddTrigger("deadline-burn", obs.ThresholdTrigger(func() float64 {
+	fr := obs.NewFlightRecorder(dir, sv.reg, sv.tracer, sv.vnow,
+		// Shed storm: sheds at any shard's queue growing faster than 5/s.
+		obs.Trigger{Name: "shed-storm", Fire: obs.RateTrigger(sv.vnow, sv.router.ShedTotal, 5)},
+		// Deadline burn: any objective's fast burn window at 8× budget —
+		// the classic page-level fast-burn threshold.
+		obs.Trigger{Name: "deadline-burn", Fire: obs.ThresholdTrigger(func() float64 {
 			worst := 0.0
 			for _, slo := range sv.metrics.SLOs {
-				ws := slo.Windows()
-				if len(ws) == 0 {
-					continue
-				}
-				if b := slo.BurnRate(slices.Min(ws)); b > worst {
-					worst = b
-				}
+				worst = max(worst, slo.BurnRate(obs.FastBurnSec))
 			}
 			return worst
-		}, 8))
-	}
-	// Steal storm: sustained stealing means placement is fighting the
-	// load instead of spreading it.
-	fr.AddTrigger("steal-storm", obs.RateTrigger(sv.router.StealsTotal, 20))
-	// Reserve stall: executions piling into the memory accountant's
-	// wait queue faster than 50/s.
-	fr.AddTrigger("reserve-stall", obs.RateTrigger(sv.metrics.ReserveWait.Count, 50))
+		}, 8)},
+		// Steal storm: sustained stealing means placement is fighting
+		// the load instead of spreading it.
+		obs.Trigger{Name: "steal-storm", Fire: obs.RateTrigger(sv.vnow, sv.router.StealsTotal, 20)},
+		// Reserve stall: executions piling into the memory accountant's
+		// wait queue faster than 50/s.
+		obs.Trigger{Name: "reserve-stall", Fire: obs.RateTrigger(sv.vnow, sv.metrics.ReserveWait.Count, 50)},
+	)
 	fr.RegisterViews(sv.reg)
 	fr.Start()
 	sv.flight = fr
@@ -983,13 +988,7 @@ func (sv *Server) Stats() ServeStats {
 // items fill the watermark. An item that can be admitted still drains.
 // Replay a reopened corpus (ReplayCorpus) before serving from it.
 func (sv *Server) Close() error {
-	sv.end()
-	// The exporter goes next so no scrape races the teardown; Close
-	// waits for its serve goroutine, keeping leak checks clean. The
-	// flight recorder follows (its final poll catches an anomaly still
-	// live at shutdown), then the shards drain.
-	_ = sv.exporter.Close()
-	_ = sv.flight.Close()
+	sv.end() // then the shards drain
 	err := sv.router.Close()
 	if err != ErrServerClosed {
 		// This call drained every shard, so every publish has happened:

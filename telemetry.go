@@ -100,8 +100,9 @@ func (sv *Server) MetricsAddr() string {
 }
 
 // Traces returns up to n of the most recently completed items' traces,
-// newest first. Nil unless ServeConfig.Telemetry is on. The traces'
-// spans are shared with the ring: read, don't write.
+// newest first. Nil unless ServeConfig.Telemetry is on. The traces are
+// copies that share no span storage with the ring, so they stay valid
+// however many items complete after.
 func (sv *Server) Traces(n int) []DecisionTrace {
 	return sv.tracer.Recent(n)
 }
