@@ -38,6 +38,8 @@ package ams
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"ams/internal/core"
 	"ams/internal/labels"
@@ -73,13 +75,12 @@ func Datasets() []string {
 		DatasetStanford, DatasetVOC}
 }
 
-// Config describes a System: which synthetic dataset to generate and how
-// to split it.
+// Config describes a System: which synthetic dataset to generate. It is
+// split 1:4 into training and held-out images, as in the paper.
 type Config struct {
-	Dataset   string  // profile name; see Datasets()
-	NumImages int     // images to generate (default 1000)
-	TrainFrac float64 // training fraction (default 0.2, the paper's 1:4)
-	Seed      uint64  // determinism seed
+	Dataset   string // profile name; see Datasets()
+	NumImages int    // images to generate (default 1000)
+	Seed      uint64 // determinism seed
 }
 
 // System owns the vocabulary, the model zoo, one generated dataset and
@@ -106,12 +107,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.NumImages < 10 {
 		return nil, fmt.Errorf("ams: NumImages must be at least 10, got %d", cfg.NumImages)
 	}
-	if cfg.TrainFrac == 0 {
-		cfg.TrainFrac = 0.2
-	}
-	if cfg.TrainFrac <= 0 || cfg.TrainFrac >= 1 {
-		return nil, fmt.Errorf("ams: TrainFrac must be in (0,1), got %v", cfg.TrainFrac)
-	}
 	profile, err := synth.ProfileByName(cfg.Dataset)
 	if err != nil {
 		return nil, fmt.Errorf("ams: %w", err)
@@ -119,7 +114,7 @@ func New(cfg Config) (*System, error) {
 	vocab := labels.NewVocabulary()
 	z := zoo.NewZoo(vocab)
 	ds := synth.NewDataset(vocab, profile, cfg.NumImages, cfg.Seed^0x5bd1e995)
-	trainScenes, testScenes := ds.Split(cfg.TrainFrac)
+	trainScenes, testScenes := ds.Split(synth.TrainFrac)
 	return &System{
 		cfg:        cfg,
 		Vocabulary: vocab,
@@ -174,4 +169,46 @@ func (s *System) TrainAgent(opts TrainOptions) (*Agent, error) {
 		return nil, err
 	}
 	return &Agent{inner: core.Train(s.trainStore, cfg)}, nil
+}
+
+// trainConfig validates opts and converts them into the training
+// configuration.
+func (s *System) trainConfig(opts TrainOptions) (core.TrainConfig, error) {
+	if !slices.Contains(rl.Algorithms(), opts.Algorithm) {
+		return core.TrainConfig{}, fmt.Errorf("ams: unknown algorithm %v", opts.Algorithm)
+	}
+	if opts.Epochs < 0 {
+		return core.TrainConfig{}, fmt.Errorf("ams: negative epochs %d", opts.Epochs)
+	}
+	for _, w := range opts.Hidden {
+		if w <= 0 {
+			return core.TrainConfig{}, fmt.Errorf("ams: hidden widths must be positive, got %v", opts.Hidden)
+		}
+	}
+	var theta []float64 // nil: every model has priority 1
+	if len(opts.Priorities) > 0 {
+		theta = make([]float64, len(s.Zoo.Models))
+		for i := range theta {
+			theta[i] = 1
+		}
+	}
+	for name, th := range opts.Priorities {
+		m, ok := s.Zoo.ByName(name)
+		if !ok {
+			return core.TrainConfig{}, fmt.Errorf("ams: unknown model %q in Priorities", name)
+		}
+		if !(th > 0) || math.IsInf(th, 1) {
+			return core.TrainConfig{}, fmt.Errorf("ams: priority for %q must be positive and finite, got %v", name, th)
+		}
+		theta[m.ID] = th
+	}
+	return core.TrainConfig{
+		Algo:     opts.Algorithm,
+		Epochs:   opts.Epochs,
+		Hidden:   opts.Hidden,
+		Theta:    theta,
+		Seed:     opts.Seed,
+		Dataset:  s.cfg.Dataset,
+		Progress: opts.Progress,
+	}, nil
 }

@@ -20,6 +20,15 @@ func mustSystem() *System {
 	return s
 }
 
+// testItems returns testSys.TestItem for each index.
+func testItems(images ...int) []Item {
+	items := make([]Item, len(images))
+	for i, img := range images {
+		items[i] = testSys.TestItem(img)
+	}
+	return items
+}
+
 // testAgent trains once and is reused.
 var testAgent = mustAgent()
 
@@ -40,9 +49,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{NumImages: 5}); err == nil {
 		t.Fatal("tiny dataset accepted")
 	}
-	if _, err := New(Config{NumImages: 100, TrainFrac: 1.5}); err == nil {
-		t.Fatal("bad train fraction accepted")
-	}
 }
 
 func TestDefaults(t *testing.T) {
@@ -50,11 +56,11 @@ func TestDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if s.cfg.Dataset != DatasetMSCOCO || s.cfg.TrainFrac != 0.2 {
+	if s.cfg.Dataset != DatasetMSCOCO {
 		t.Fatalf("defaults not applied: %+v", s.cfg)
 	}
-	if s.NumTrainImages()+s.NumTestImages() != 50 {
-		t.Fatalf("split sizes wrong: %d+%d", s.NumTrainImages(), s.NumTestImages())
+	if s.NumTrainImages() != 10 || s.NumTestImages() != 40 {
+		t.Fatalf("split %d+%d, want the paper's 1:4", s.NumTrainImages(), s.NumTestImages())
 	}
 }
 
@@ -94,9 +100,6 @@ func TestTrainAgentPriorityValidation(t *testing.T) {
 			}
 			if _, err := testSys.TrainAgent(opts); err == nil {
 				t.Errorf("TrainAgent accepted %+v", opts)
-			}
-			if _, err := testSys.NewTrainer(opts); err == nil {
-				t.Errorf("NewTrainer accepted %+v", opts)
 			}
 		})
 	}

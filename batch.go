@@ -45,6 +45,9 @@ func (s *System) LabelBatchWith(ctx context.Context, policy Policy, agent *Agent
 	if err := b.Validate(); err != nil {
 		return nil, BatchStats{}, err
 	}
+	if err := policy.check(agent); err != nil {
+		return nil, BatchStats{}, err
+	}
 	type run struct {
 		ex oracle.Executor
 		i  int
@@ -65,11 +68,6 @@ func (s *System) LabelBatchWith(ctx context.Context, policy Policy, agent *Agent
 	}
 	if workers == 0 {
 		return nil, BatchStats{}, nil
-	}
-	// Validate eagerly so configuration errors surface before any
-	// goroutine starts.
-	if err := policy.check(agent); err != nil {
-		return nil, BatchStats{}, err
 	}
 
 	results := make([]*Result, len(items))

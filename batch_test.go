@@ -8,7 +8,7 @@ import (
 
 func TestLabelBatchMatchesSequential(t *testing.T) {
 	images := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	batch, stats, err := testSys.LabelBatch(bg, testAgent, testSys.TestItems(images...), Budget{DeadlineSec: 1}, 4)
+	batch, stats, err := testSys.LabelBatch(bg, testAgent, testItems(images...), Budget{DeadlineSec: 1}, 4)
 	if err != nil {
 		t.Fatalf("LabelBatch: %v", err)
 	}
@@ -39,14 +39,14 @@ func TestLabelBatchMatchesSequential(t *testing.T) {
 
 func TestLabelBatchUnconstrainedAndMemory(t *testing.T) {
 	images := []int{0, 1, 2, 3}
-	_, stats, err := testSys.LabelBatch(bg, testAgent, testSys.TestItems(images...), Budget{}, 2)
+	_, stats, err := testSys.LabelBatch(bg, testAgent, testItems(images...), Budget{}, 2)
 	if err != nil {
 		t.Fatalf("unconstrained batch: %v", err)
 	}
 	if stats.AvgRecall < 1-1e-9 {
 		t.Fatalf("unconstrained batch recall %v", stats.AvgRecall)
 	}
-	res, _, err := testSys.LabelBatch(bg, testAgent, testSys.TestItems(images...), Budget{DeadlineSec: 0.8, MemoryGB: 8}, 2)
+	res, _, err := testSys.LabelBatch(bg, testAgent, testItems(images...), Budget{DeadlineSec: 0.8, MemoryGB: 8}, 2)
 	if err != nil {
 		t.Fatalf("memory batch: %v", err)
 	}
@@ -58,14 +58,23 @@ func TestLabelBatchUnconstrainedAndMemory(t *testing.T) {
 }
 
 func TestLabelBatchValidation(t *testing.T) {
-	if _, _, err := testSys.LabelBatch(bg, nil, testSys.TestItems(0), Budget{}, 1); err == nil {
+	if _, _, err := testSys.LabelBatch(bg, nil, testItems(0), Budget{}, 1); err == nil {
 		t.Fatal("nil agent accepted")
 	}
-	if _, _, err := testSys.LabelBatch(bg, testAgent, testSys.TestItems(-1), Budget{}, 1); err == nil {
+	if _, _, err := testSys.LabelBatch(bg, testAgent, testItems(-1), Budget{}, 1); err == nil {
 		t.Fatal("bad image accepted")
 	}
-	if _, _, err := testSys.LabelBatch(bg, testAgent, testSys.TestItems(0), Budget{MemoryGB: 4}, 1); err == nil {
+	if _, _, err := testSys.LabelBatch(bg, testAgent, testItems(0), Budget{MemoryGB: 4}, 1); err == nil {
 		t.Fatal("memory-without-deadline accepted")
+	}
+	// A policy is refused for an empty batch as for any other.
+	for _, n := range []int{0, 1} {
+		if _, _, err := testSys.LabelBatchWith(bg, Policy{}, testAgent, testItems(0)[:n], Budget{}, 1); err == nil {
+			t.Fatalf("zero Policy accepted for %d items", n)
+		}
+		if _, _, err := testSys.LabelBatchWith(bg, PolicyQGreedy, nil, testItems(0)[:n], Budget{}, 1); err == nil {
+			t.Fatalf("agent-less qgreedy accepted for %d items", n)
+		}
 	}
 	// Empty batch is fine.
 	res, stats, err := testSys.LabelBatch(bg, testAgent, nil, Budget{}, 3)
@@ -87,7 +96,7 @@ func TestLabelBatchManyWorkers(t *testing.T) {
 		{DeadlineSec: 0.5, MemoryGB: 8},
 		{},
 	} {
-		res, stats, err := testSys.LabelBatch(bg, testAgent, testSys.TestItems(images...), b, 16)
+		res, stats, err := testSys.LabelBatch(bg, testAgent, testItems(images...), b, 16)
 		if err != nil {
 			t.Fatalf("budget %+v: %v", b, err)
 		}
@@ -115,7 +124,7 @@ func TestLabelBatchManyWorkers(t *testing.T) {
 // (slot 0 of a private executor there, a slot after the test split here),
 // identically to a lone LabelWith.
 func TestLabelBatchRandomIndependentOfWorkers(t *testing.T) {
-	items := append(testSys.TestItems(0, 1, 2, 3, 4, 5, 6, 7, 0, 3), testSys.GenerateItems(4, 77)...)
+	items := append(testItems(0, 1, 2, 3, 4, 5, 6, 7, 0, 3), testSys.GenerateItems(4, 77)...)
 	pol := PolicyRandom.WithSeed(5)
 	for _, b := range []Budget{{DeadlineSec: 0.5}, {DeadlineSec: 0.5, MemoryGB: 8}} {
 		want, _, err := testSys.LabelBatchWith(bg, pol, nil, items, b, 1)
@@ -148,7 +157,7 @@ func TestLabelBatchRandomIndependentOfWorkers(t *testing.T) {
 			}
 			if !reflect.DeepEqual(lone, want[i]) || !reflect.DeepEqual(back[len(items)-1-i], want[i]) {
 				t.Fatalf("budget %+v item %d (external %v): LabelWith ran %v, the batch %v, the reversed batch %v",
-					b, i, item.External(), lone.ModelsRun, want[i].ModelsRun, back[len(items)-1-i].ModelsRun)
+					b, i, item.ext != nil, lone.ModelsRun, want[i].ModelsRun, back[len(items)-1-i].ModelsRun)
 			}
 		}
 	}
@@ -156,7 +165,7 @@ func TestLabelBatchRandomIndependentOfWorkers(t *testing.T) {
 
 func TestLabelBatchDefaultWorkers(t *testing.T) {
 	images := []int{0, 1, 2}
-	res, _, err := testSys.LabelBatch(bg, testAgent, testSys.TestItems(images...), Budget{DeadlineSec: 0.5}, 0)
+	res, _, err := testSys.LabelBatch(bg, testAgent, testItems(images...), Budget{DeadlineSec: 0.5}, 0)
 	if err != nil || len(res) != 3 {
 		t.Fatalf("default workers run failed: %v", err)
 	}

@@ -20,7 +20,7 @@ import (
 
 func main() {
 	var (
-		dataset = flag.String("dataset", ams.DatasetMSCOCO, "dataset profile (MSCOCO2017, Places365, MirFlickr25, Stanford40, VOC2012)")
+		dataset = flag.String("dataset", ams.DatasetMSCOCO, "dataset profile ("+strings.Join(ams.Datasets(), ", ")+")")
 		algo    = flag.String("algo", "DuelingDQN", "training algorithm (DQN, DoubleDQN, DuelingDQN, DeepSARSA)")
 		images  = flag.Int("images", 1000, "images to generate")
 		epochs  = flag.Int("epochs", 10, "training epochs")

@@ -146,12 +146,12 @@ func (c *Corpus) Stats() CorpusStats {
 	return total
 }
 
-// Snapshot compacts every journal segment in place — what
+// snapshot compacts every journal segment in place — what
 // Server.Checkpoint calls. Segments compact concurrently; the first
 // error is returned. Safe while a server is running: each segment's
 // compaction is atomic against its own writers, so a sharded server's
 // checkpoint is consistent per segment.
-func (c *Corpus) Snapshot() error {
+func (c *Corpus) snapshot() error {
 	errs := make([]error, len(c.segs))
 	var wg sync.WaitGroup
 	for i, seg := range c.segs {

@@ -117,8 +117,8 @@ func TestServerLabelsNeverSeenItemUnderMemoryBudget(t *testing.T) {
 		if res.Image != -1 {
 			t.Fatalf("item %d: external item reports image index %d", i, res.Image)
 		}
-		if res.ItemID != items[i].ID() {
-			t.Fatalf("item %d: ID %q, want %q", i, res.ItemID, items[i].ID())
+		if res.ItemID != items[i].id {
+			t.Fatalf("item %d: ID %q, want %q", i, res.ItemID, items[i].id)
 		}
 		if len(res.ModelsRun) == 0 {
 			t.Fatalf("item %d: no models executed", i)
@@ -199,7 +199,7 @@ func TestComposeItemLabelsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !item.External() || item.ID() != "composed" {
+	if item.ext == nil || item.id != "composed" {
 		t.Fatalf("composed item misdescribed: %+v", item)
 	}
 	res, err := testSys.Label(bg, testAgent, item, Budget{})
@@ -315,7 +315,7 @@ func TestLabelPreCancelledRunsNothing(t *testing.T) {
 func TestLabelBatchCancellationKeepsCompleted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, stats, err := testSys.LabelBatch(ctx, testAgent, testSys.TestItems(0, 1, 2, 3), Budget{DeadlineSec: 0.5}, 2)
+	results, stats, err := testSys.LabelBatch(ctx, testAgent, testItems(0, 1, 2, 3), Budget{DeadlineSec: 0.5}, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -550,11 +550,11 @@ func assertRetainsNone(t *testing.T, cfg ServeConfig, n int) {
 }
 
 func TestServeRejectsEmptyTrace(t *testing.T) {
-	if _, err := testSys.Serve(bg, testAgent, serveCfg(1), ServeTrace{}, nil); err == nil {
-		t.Fatal("Serve accepted an empty trace")
+	if _, err := replayTrace(bg, testAgent, serveCfg(1), ServeTrace{}, nil); err == nil {
+		t.Fatal("Replay accepted an empty trace")
 	}
-	if _, err := testSys.Serve(bg, testAgent, serveCfg(1), ServeTrace{ArrivalRateHz: 10}, nil); err == nil {
-		t.Fatal("Serve accepted a trace without items")
+	if _, err := replayTrace(bg, testAgent, serveCfg(1), ServeTrace{ArrivalRateHz: 10}, nil); err == nil {
+		t.Fatal("Replay accepted a trace without items")
 	}
 }
 

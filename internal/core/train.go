@@ -140,23 +140,14 @@ func FreshValue(vocab *labels.Vocabulary, fresh []zoo.LabelConf) float64 {
 	return sum
 }
 
-// Trainer runs the DRL training environment of §IV and supports
-// incremental (continual) training: call TrainEpochs repeatedly —
-// possibly against different stores — and snapshot an Agent at any point.
-// The environment: the observation is the binary labeling state, each
-// model is an action, END terminates the episode with zero reward, and
-// executing a model that contributes nothing new is punished with −1.
-type Trainer struct {
-	cfg        TrainConfig
-	numModels  int
-	learner    *rl.Learner
-	rng        *tensor.RNG
-	globalStep int
-	epoch      int
-}
-
-// NewTrainer constructs a trainer for a zoo of numModels models.
-func NewTrainer(numModels int, cfg TrainConfig) *Trainer {
+// Train runs the DRL training environment of §IV over the store's
+// scenes and returns the trained agent. The observation is the binary
+// labeling state, each model is an action, END terminates the episode
+// with zero reward, and executing a model that contributes nothing new
+// is punished with −1. The learner draws its RNG first, then each epoch
+// draws one permutation of the scenes.
+func Train(st *oracle.Store, cfg TrainConfig) *Agent {
+	numModels := st.NumModels()
 	cfg = cfg.withDefaults(numModels)
 	if len(cfg.Theta) != numModels {
 		panic(fmt.Sprintf("core: Theta has %d entries, want %d", len(cfg.Theta), numModels))
@@ -169,52 +160,38 @@ func NewTrainer(numModels int, cfg TrainConfig) *Trainer {
 		Hidden:   cfg.Hidden,
 		Gamma:    cfg.Gamma,
 	}, rng.Split())
-	return &Trainer{cfg: cfg, numModels: numModels, learner: learner, rng: rng}
-}
-
-// GlobalStep returns the number of environment steps taken so far.
-func (tr *Trainer) GlobalStep() int { return tr.globalStep }
-
-// TrainEpochs runs the given number of passes over the store's scenes.
-// The store must use the same zoo size the trainer was built for.
-func (tr *Trainer) TrainEpochs(st *oracle.Store, epochs int) {
-	if st.NumModels() != tr.numModels {
-		panic(fmt.Sprintf("core: store has %d models, trainer expects %d",
-			st.NumModels(), tr.numModels))
-	}
-	end := tr.numModels
+	end := numModels
 	allowedActions := func(t *oracle.Tracker) []int {
 		// Sized for END too, so the append below never copies.
-		un := slices.AppendSeq(make([]int, 0, tr.numModels-t.ExecutedCount()+1), t.Unexecuted())
-		if tr.cfg.DisableEnd {
+		un := slices.AppendSeq(make([]int, 0, numModels-t.ExecutedCount()+1), t.Unexecuted())
+		if cfg.DisableEnd {
 			return un
 		}
 		return append(un, end) // END is always available
 	}
+	step := 0
 	maybeTrain := func(epochLoss *float64, lossN *int) {
-		tr.globalStep++
-		if tr.globalStep%tr.cfg.TrainEvery == 0 {
-			if l := tr.learner.TrainStep(); l > 0 {
+		step++
+		if step%cfg.TrainEvery == 0 {
+			if l := learner.TrainStep(); l > 0 {
 				*epochLoss += l
 				*lossN++
 			}
 		}
 	}
 
-	for e := 0; e < epochs; e++ {
-		// A fresh permutation each epoch keeps incremental training
-		// (TrainEpochs called repeatedly) identical to a single call.
-		order := tr.rng.Perm(st.NumScenes())
+	for e := 0; e < cfg.Epochs; e++ {
+		order := rng.Perm(st.NumScenes())
 		var epochLoss, epochReward float64
 		var lossN, stepN int
 		for _, scene := range order {
 			t := oracle.NewTracker(st, scene)
 			state := append([]int(nil), t.State()...)
-			eps := tr.cfg.Epsilon.At(tr.globalStep)
-			action := tr.learner.SelectAction(state, eps, allowedActions(t))
+			eps := cfg.Epsilon.At(step)
+			action := learner.SelectAction(state, eps, allowedActions(t))
 			for {
 				if action == end {
-					tr.learner.Observe(rl.Transition{
+					learner.Observe(rl.Transition{
 						State: state, Action: end, Reward: 0, Done: true,
 					})
 					stepN++
@@ -222,17 +199,17 @@ func (tr *Trainer) TrainEpochs(st *oracle.Store, epochs int) {
 					break
 				}
 				_, fresh := t.Execute(action)
-				r := RewardWith(tr.cfg.Shape, tr.cfg.Theta[action],
+				r := RewardWith(cfg.Shape, cfg.Theta[action],
 					len(fresh), FreshValue(st.Zoo.Vocab, fresh))
 				epochReward += r
 				next := append([]int(nil), t.State()...)
-				done := t.ExecutedCount() == tr.numModels
+				done := t.ExecutedCount() == numModels
 				var nextAction int
 				if !done {
-					eps = tr.cfg.Epsilon.At(tr.globalStep)
-					nextAction = tr.learner.SelectAction(next, eps, allowedActions(t))
+					eps = cfg.Epsilon.At(step)
+					nextAction = learner.SelectAction(next, eps, allowedActions(t))
 				}
-				tr.learner.Observe(rl.Transition{
+				learner.Observe(rl.Transition{
 					State: state, Action: action, Reward: r,
 					Next: next, NextAction: nextAction, Done: done,
 				})
@@ -244,7 +221,7 @@ func (tr *Trainer) TrainEpochs(st *oracle.Store, epochs int) {
 				state, action = next, nextAction
 			}
 		}
-		if tr.cfg.Progress != nil {
+		if cfg.Progress != nil {
 			meanLoss := 0.0
 			if lossN > 0 {
 				meanLoss = epochLoss / float64(lossN)
@@ -253,27 +230,13 @@ func (tr *Trainer) TrainEpochs(st *oracle.Store, epochs int) {
 			if stepN > 0 {
 				meanReward = epochReward / float64(stepN)
 			}
-			tr.cfg.Progress(tr.epoch, meanLoss, meanReward)
+			cfg.Progress(e, meanLoss, meanReward)
 		}
-		tr.epoch++
 	}
-}
-
-// Agent snapshots the current policy as an independent Agent (the network
-// is cloned, so further training does not mutate the snapshot).
-func (tr *Trainer) Agent() *Agent {
 	return &Agent{
-		Net:       tr.learner.Online().Clone(),
-		NumModels: tr.numModels,
-		Algo:      tr.cfg.Algo,
-		Dataset:   tr.cfg.Dataset,
+		Net:       learner.Online(),
+		NumModels: numModels,
+		Algo:      cfg.Algo,
+		Dataset:   cfg.Dataset,
 	}
-}
-
-// Train runs DRL training over the store's scenes and returns the trained
-// agent — the one-shot convenience wrapper around Trainer.
-func Train(st *oracle.Store, cfg TrainConfig) *Agent {
-	tr := NewTrainer(st.NumModels(), cfg)
-	tr.TrainEpochs(st, tr.cfg.Epochs)
-	return tr.Agent()
 }

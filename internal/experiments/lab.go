@@ -22,8 +22,7 @@ import (
 // minutes on a laptop; Full approaches the paper's training regime.
 type Config struct {
 	Seed        uint64
-	DatasetSize int     // scenes generated per dataset profile
-	TrainFrac   float64 // training split fraction (paper: 1:4 => 0.2)
+	DatasetSize int // scenes generated per dataset profile, split synth.TrainFrac for training
 
 	Epochs int   // DRL training epochs
 	Hidden []int // Q-network hidden widths
@@ -40,7 +39,6 @@ func Quick() Config {
 	return Config{
 		Seed:         1,
 		DatasetSize:  500,
-		TrainFrac:    0.2,
 		Epochs:       8,
 		Hidden:       []int{96},
 		RecallGrid:   []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
@@ -131,9 +129,9 @@ func (l *Lab) store(name, split string) *oracle.Store {
 	case "all":
 		scenes = d.Scenes
 	case "train":
-		scenes, _ = d.Split(l.Cfg.TrainFrac)
+		scenes, _ = d.Split(synth.TrainFrac)
 	case "test":
-		_, scenes = d.Split(l.Cfg.TrainFrac)
+		_, scenes = d.Split(synth.TrainFrac)
 	default:
 		panic(fmt.Sprintf("experiments: unknown split %q", split))
 	}

@@ -31,11 +31,14 @@ func NewDataset(vocab *labels.Vocabulary, profile Profile, n int, seed uint64) *
 // Len returns the number of scenes.
 func (d *Dataset) Len() int { return len(d.Scenes) }
 
+// TrainFrac is the paper's training fraction: "For each dataset, we split
+// it into a training set and a testing set with the ratio of 1:4".
+const TrainFrac = 0.2
+
 // Split partitions the dataset into a training prefix-by-stride sample and
-// a testing remainder with the requested training fraction. The paper uses
-// a 1:4 train:test ratio ("For each dataset, we split it into a training
-// set and a testing set with the ratio of 1:4"). Interleaved sampling
-// keeps both splits representative without shuffling.
+// a testing remainder with the requested training fraction (the paper's
+// is TrainFrac). Interleaved sampling keeps both splits representative
+// without shuffling.
 func (d *Dataset) Split(trainFrac float64) (train, test []Scene) {
 	if trainFrac <= 0 || trainFrac >= 1 {
 		panic(fmt.Sprintf("synth: train fraction must be in (0,1), got %v", trainFrac))

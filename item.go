@@ -28,14 +28,6 @@ type Item struct {
 	valid bool
 }
 
-// ID returns the caller-supplied identifier, echoed in results.
-func (it Item) ID() string { return it.id }
-
-// External reports whether the item was ingested from outside the
-// System's test split (and so has no ground truth: Result.HasRecall will
-// be false).
-func (it Item) External() bool { return it.ext != nil }
-
 // WithID returns a copy of the item carrying the identifier.
 func (it Item) WithID(id string) Item {
 	it.id = id
@@ -47,15 +39,6 @@ func (it Item) WithID(id string) Item {
 // truth. The index is validated when the item is labeled.
 func (s *System) TestItem(i int) Item {
 	return Item{image: i, valid: true}
-}
-
-// TestItems returns TestItem for each index.
-func (s *System) TestItems(images ...int) []Item {
-	items := make([]Item, len(images))
-	for i, img := range images {
-		items[i] = s.TestItem(img)
-	}
-	return items
 }
 
 // SceneSpec describes an external item's content by label names — the
@@ -264,7 +247,8 @@ func (t *testSplitSource) Next() (Item, bool) {
 }
 
 // TestSplitSource returns the built-in source: the held-out images,
-// cycled indefinitely in index order — what Serve historically replayed.
+// cycled indefinitely in index order — what Server.Replay reads when
+// given no source.
 func (s *System) TestSplitSource() SceneSource {
 	return &testSplitSource{sys: s}
 }

@@ -1,9 +1,11 @@
 package ams
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -27,6 +29,20 @@ type ledgerEntry struct {
 	pr      int
 	medians map[string]map[string]ledgerSide // workload -> metric -> medians
 	keys    []string                         // the medians object's own keys
+	runs    map[string]ledgerRuns            // workload -> runs, from ledgerSchemaFrom on
+}
+
+// ledgerRuns is one workload's runs on each side of a comparison.
+type ledgerRuns struct {
+	Parent []ledgerRun `json:"parent"`
+	Change []ledgerRun `json:"change"`
+}
+
+// ledgerRun is what the ledger reads of one run: its seed and metrics.
+type ledgerRun struct {
+	Seed    int                                `json:"seed"`
+	Trace   bool                               `json:"trace"`
+	Metrics map[string]struct{ Value float64 } `json:"metrics"`
 }
 
 // ledgerSide is one metric's median on each side of a comparison.
@@ -103,6 +119,11 @@ func readLedgerFile(path string) (ledgerEntry, error) {
 			e.medians[w] = metrics
 		}
 	}
+	if e.pr >= ledgerSchemaFrom {
+		if err := json.Unmarshal(top["runs"], &e.runs); err != nil {
+			return e, fmt.Errorf("runs: %v", err)
+		}
+	}
 	return e, nil
 }
 
@@ -124,10 +145,13 @@ type benchmarkManifest struct {
 }
 
 // TestLedger reads every BENCH_*.json. Every file carries pr, parent,
-// command, runs and medians; from BENCH_46 on, every medians key is a
-// workload BENCHMARK.json names and carries every end-to-end metric on
-// both sides. Under -v it logs the ledger: per workload and metric, each
-// PR's change median.
+// command, runs and medians; from BENCH_46 on, runs holds each
+// workload's parent and change runs, and every medians key is a workload
+// BENCHMARK.json names and carries every end-to-end metric on both
+// sides. Under -v it logs the ledger: per workload and metric, each PR's
+// change median, then from BENCH_46 on each PR's change/parent median
+// ratio and their product, and each PR's seed-matched pairs that read
+// higher and lower with the sign test's two-sided p-value.
 func TestLedger(t *testing.T) {
 	b, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
@@ -158,33 +182,119 @@ func TestLedger(t *testing.T) {
 		}
 	}
 	if testing.Verbose() {
-		t.Log("change medians per PR:\n" + ledgerTable(ledger, man))
+		paired := slices.DeleteFunc(slices.Clone(ledger), func(e ledgerEntry) bool { return e.pr < ledgerSchemaFrom })
+		t.Log("change medians per PR:\n" + ledgerTable(man, prColumns(ledger), func(w, m string) []string {
+			return perPR(ledger, func(e ledgerEntry) string {
+				if c := e.medians[w][m].Change; c != nil {
+					return fmt.Sprintf("%.4g", *c)
+				}
+				return ""
+			})
+		}))
+		t.Log("change/parent median ratio per PR, chained:\n" + ledgerTable(man, append(prColumns(paired), "chained"), func(w, m string) []string {
+			chain := 1.0
+			row := perPR(paired, func(e ledgerEntry) string {
+				s := e.medians[w][m]
+				if s.Parent == nil || s.Change == nil || *s.Parent == 0 {
+					return ""
+				}
+				r := *s.Change / *s.Parent
+				chain *= r
+				return fmt.Sprintf("%.3f", r)
+			})
+			return append(row, fmt.Sprintf("%.3f", chain))
+		}))
+		t.Log("seed-matched pairs higher/lower per PR, two-sided sign-test p:\n" + ledgerTable(man, prColumns(paired), func(w, m string) []string {
+			return perPR(paired, func(e ledgerEntry) string {
+				hi, lo := pairSigns(e.runs[w], m)
+				return fmt.Sprintf("%d/%d p=%.2g", hi, lo, signTestP(hi, lo))
+			})
+		}))
 	}
 }
 
-// ledgerTable renders one row per workload and end-to-end metric and one
-// column per PR: that PR's change median, "-" where its file has none.
-func ledgerTable(ledger []ledgerEntry, man benchmarkManifest) string {
+// pairSigns counts the seed-matched untraced pairs whose change run read
+// metric m higher and lower than the parent's; ties count in neither.
+func pairSigns(runs ledgerRuns, m string) (hi, lo int) {
+	parent := map[int]float64{}
+	for _, r := range runs.Parent {
+		if v, ok := r.Metrics[m]; ok && !r.Trace {
+			parent[r.Seed] = v.Value
+		}
+	}
+	for _, r := range runs.Change {
+		p, paired := parent[r.Seed]
+		if v, ok := r.Metrics[m]; ok && paired && !r.Trace {
+			switch {
+			case v.Value > p:
+				hi++
+			case v.Value < p:
+				lo++
+			}
+		}
+	}
+	return hi, lo
+}
+
+// signTestP is the exact two-sided sign-test p-value of hi pairs higher
+// and lo lower under a fair coin: twice the smaller tail, at most 1.
+func signTestP(hi, lo int) float64 {
+	n, k := hi+lo, min(hi, lo)
+	tail, c := 0.0, 1.0 // c is n choose i
+	for i := 0; i <= k; i++ {
+		tail += c
+		c = c * float64(n-i) / float64(i+1)
+	}
+	return min(1, 2*tail/math.Pow(2, float64(n)))
+}
+
+// prColumns heads one column per PR.
+func prColumns(ledger []ledgerEntry) []string {
+	cols := make([]string, len(ledger))
+	for i, e := range ledger {
+		cols[i] = fmt.Sprintf("PR %d", e.pr)
+	}
+	return cols
+}
+
+// perPR renders one cell per PR.
+func perPR(ledger []ledgerEntry, cell func(ledgerEntry) string) []string {
+	row := make([]string, len(ledger))
+	for i, e := range ledger {
+		row[i] = cell(e)
+	}
+	return row
+}
+
+// ledgerTable renders one row per workload and end-to-end metric, its
+// cells under the given column heads; an empty cell reads "-".
+func ledgerTable(man benchmarkManifest, cols []string, row func(workload, metric string) []string) string {
 	var sb strings.Builder
 	tw := tabwriter.NewWriter(&sb, 0, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprint(tw, "workload\tmetric\t")
-	for _, e := range ledger {
-		fmt.Fprintf(tw, "PR %d\t", e.pr)
-	}
-	fmt.Fprintln(tw)
+	fmt.Fprintf(tw, "workload\tmetric\t%s\t\n", strings.Join(cols, "\t"))
 	for _, w := range man.Workloads {
 		for _, m := range man.EndToEnd {
 			fmt.Fprintf(tw, "%s\t%s\t", w.Name, m.Name)
-			for _, e := range ledger {
-				if c := e.medians[w.Name][m.Name].Change; c != nil {
-					fmt.Fprintf(tw, "%.4g\t", *c)
-				} else {
-					fmt.Fprint(tw, "-\t")
-				}
+			for _, c := range row(w.Name, m.Name) {
+				fmt.Fprintf(tw, "%s\t", cmp.Or(c, "-"))
 			}
 			fmt.Fprintln(tw)
 		}
 	}
 	tw.Flush()
 	return sb.String()
+}
+
+// TestSignTestP pins the sign test against exact binomial tails.
+func TestSignTestP(t *testing.T) {
+	for _, c := range []struct {
+		hi, lo int
+		want   float64
+	}{
+		{0, 0, 1}, {3, 0, 0.25}, {0, 10, 2.0 / 1024}, {9, 1, 22.0 / 1024}, {2, 8, 112.0 / 1024}, {5, 5, 1},
+	} {
+		if got := signTestP(c.hi, c.lo); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("signTestP(%d, %d) = %v, want %v", c.hi, c.lo, got, c.want)
+		}
+	}
 }

@@ -23,7 +23,7 @@ import (
 // and every delivered result must match the bare one-worker run exactly:
 // executed models, order, nominal times, labels, recall.
 func TestTelemetryBitIdenticalAcrossPolicies(t *testing.T) {
-	stream := append(testSys.TestItems(0, 1, 2, 3, 4, 5), testSys.GenerateItems(4, 31)...)
+	stream := append(testItems(0, 1, 2, 3, 4, 5), testSys.GenerateItems(4, 31)...)
 	modes := []struct {
 		name string
 		mut  func(*ServeConfig)
@@ -114,7 +114,7 @@ func TestTelemetryDisabledInert(t *testing.T) {
 	if trs := srv.Traces(8); trs != nil {
 		t.Fatalf("disabled server recorded traces: %d", len(trs))
 	}
-	if _, ok := srv.TraceFor("inert"); ok {
+	if _, ok := srv.tracer.ByTag("inert"); ok {
 		t.Fatal("disabled server retrieved a trace by tag")
 	}
 }
@@ -285,8 +285,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 			t.Fatalf("trace has no select span that picked a model: %+v", spans)
 		}
 	}
-	if tr, ok := srv.TraceFor("ext-2"); !ok || tr.Tag != "ext-2" {
-		t.Fatalf("TraceFor(ext-2) = %+v, %v", tr, ok)
+	if tr, ok := srv.tracer.ByTag("ext-2"); !ok || tr.Tag != "ext-2" {
+		t.Fatalf("ByTag(ext-2) = %+v, %v", tr, ok)
 	}
 }
 

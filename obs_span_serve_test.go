@@ -253,7 +253,7 @@ func TestServeFlightRecorderShedStorm(t *testing.T) {
 	// polls to take a baseline and then see the storm (Close's final
 	// poll is the backstop), fast enough to stay a unit test.
 	trace := ServeTrace{ArrivalRateHz: 10, Items: 200, Seed: 1, OpenLoop: true}
-	st, err := testSys.Serve(bg, testAgent, cfg, trace, nil)
+	st, err := replayTrace(bg, testAgent, cfg, trace, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,9 +156,9 @@ func TestServePolicyValidation(t *testing.T) {
 func TestServeReportsSelectOverhead(t *testing.T) {
 	cfg := serveCfg(2)
 	trace := ServeTrace{ArrivalRateHz: 1000, Items: 20, Seed: 9}
-	real, err := testSys.Serve(bg, testAgent, cfg, trace, nil)
+	real, err := replayTrace(bg, testAgent, cfg, trace, nil)
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("Replay: %v", err)
 	}
 	if real.AvgSelectSec <= 0 {
 		t.Fatalf("real AvgSelectSec %v, want > 0", real.AvgSelectSec)

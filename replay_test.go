@@ -314,7 +314,7 @@ func TestCorpusEvictionWithLaggingConsumer(t *testing.T) {
 	items := testSys.GenerateItems(24, 11)
 	scenes := make(map[string]Item, len(items))
 	for _, it := range items {
-		scenes[it.ID()] = it
+		scenes[it.id] = it
 	}
 
 	results := srv.Results()

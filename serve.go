@@ -124,11 +124,11 @@ type ServeConfig struct {
 	// tracer: per-stage latency histograms, per-model execution counters,
 	// per-shard live gauges, and a bounded ring of per-item span trees
 	// (each decision's deadline and memory budget on the span that timed
-	// it), snapshotted through ServeStats.Telemetry, Traces, and
-	// TraceFor. Instruments only observe — schedules are bit-identical
-	// with telemetry on or off — and when this is unset (and MetricsAddr
-	// is empty) the whole path is inert: no registry exists and the hot
-	// path allocates nothing.
+	// it), snapshotted through ServeStats.Telemetry and Traces.
+	// Instruments only observe — schedules are bit-identical with
+	// telemetry on or off — and when this is unset (and MetricsAddr is
+	// empty) the whole path is inert: no registry exists and the hot path
+	// allocates nothing.
 	Telemetry bool
 	// MetricsAddr, when non-empty (host:port; ":0" picks a free port),
 	// additionally serves the telemetry over HTTP: /metrics (Prometheus
@@ -160,7 +160,7 @@ type ServeConfig struct {
 	FlightDir string
 }
 
-// ServeTrace describes a Poisson arrival trace for Serve and
+// ServeTrace describes a Poisson arrival trace for Server.Replay and
 // SimulateServe.
 type ServeTrace struct {
 	ArrivalRateHz float64 // mean arrivals per second
@@ -854,7 +854,7 @@ func (sv *Server) Checkpoint() error {
 	if sv.corpus == nil {
 		return fmt.Errorf("ams: server has no corpus to checkpoint")
 	}
-	return sv.corpus.Snapshot()
+	return sv.corpus.snapshot()
 }
 
 // Results subscribes to the server's completion stream: every item
@@ -1018,40 +1018,10 @@ func (sv *Server) WriteChromeTrace(w io.Writer, n int) error {
 	return sv.tracer.WriteChrome(w, n, "")
 }
 
-// Serve replays a Poisson arrival trace through a fresh server, pulling
-// items from src — any SceneSource; nil means the built-in test split,
-// cycled — and returns its statistics: the real-time counterpart of
-// SimulateServe. The replay ends after trace.Items arrivals or when the
-// source is exhausted; cancelling ctx stops admission early and returns
-// the statistics of the items completed, alongside ctx.Err(). It is
-// NewServer, Replay and Close, for a caller that needs nothing else of
-// the server.
-func (s *System) Serve(ctx context.Context, agent *Agent, cfg ServeConfig, trace ServeTrace, src SceneSource) (ServeStats, error) {
-	if cfg.StatsWindow == 0 {
-		cfg.StatsWindow = max(trace.Items, 0) // summarize the whole trace
-	}
-	p, err := s.plan(agent, cfg)
-	if err != nil {
-		return ServeStats{}, err
-	}
-	if err := trace.check(p.shards[0].TimeScale); err != nil {
-		return ServeStats{}, err
-	}
-	srv, err := s.newServer(cfg, p)
-	if err != nil {
-		return ServeStats{}, err
-	}
-	err = srv.Replay(ctx, trace, src)
-	if cerr := srv.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	return srv.Stats(), err
-}
-
 // check validates a trace for a server at the given time scale, the one
-// trace rule of Serve, Replay and SimulateServe. Besides a positive rate
-// and item count, the trace's worst-case horizon must be finite and,
-// scaled, fit the time.Duration Replay sleeps until each arrival: every
+// trace rule of Replay and SimulateServe. Besides a positive rate and
+// item count, the trace's worst-case horizon must be finite and, scaled,
+// fit the time.Duration Replay sleeps until each arrival: every
 // gap is at most 53·ln 2 / rate seconds, since the RNG never draws a
 // uniform below 2⁻⁵³.
 func (trace ServeTrace) check(scale float64) error {
@@ -1122,8 +1092,9 @@ func (sv *Server) Replay(ctx context.Context, trace ServeTrace, src SceneSource)
 }
 
 // SimulateServe runs the virtual-time discrete-event simulation of the
-// same workload — same Config and policy wiring as Serve, no real
-// concurrency or sleeping — so the two can be compared side by side. It
+// same workload — same Config and policy wiring as a Server replaying
+// the trace, no real concurrency or sleeping — so the two can be
+// compared side by side. It
 // resolves cfg exactly as NewServer does, so it refuses every
 // configuration NewServer refuses, with the same error.
 // Each item runs in the mode the configuration selects (Algorithm 2's

@@ -30,8 +30,8 @@ func TestServePacesSubMillisecondArrivals(t *testing.T) {
 	cfg := serveCfg(8)
 	trace := ServeTrace{ArrivalRateHz: 2.5, Items: 300, Seed: 11, OpenLoop: true}
 	src := &stampedSource{SceneSource: testSys.TestSplitSource()}
-	if _, err := testSys.Serve(bg, testAgent, cfg, trace, src); err != nil {
-		t.Fatalf("Serve: %v", err)
+	if _, err := replayTrace(bg, testAgent, cfg, trace, src); err != nil {
+		t.Fatalf("Replay: %v", err)
 	}
 	if len(src.asked) != trace.Items {
 		t.Fatalf("replay asked for %d items, want %d", len(src.asked), trace.Items)

@@ -20,6 +20,21 @@ func serveCfg(workers int) ServeConfig {
 	return ServeConfig{Workers: workers, DeadlineSec: 0.5, TimeScale: 0.001}
 }
 
+// replayTrace replays trace through a fresh server and returns its
+// statistics once every admitted item has completed: NewServer, Replay
+// and Close.
+func replayTrace(ctx context.Context, agent *Agent, cfg ServeConfig, trace ServeTrace, src SceneSource) (ServeStats, error) {
+	srv, err := testSys.NewServer(agent, cfg)
+	if err != nil {
+		return ServeStats{}, err
+	}
+	err = srv.Replay(ctx, trace, src)
+	if cerr := srv.Close(); cerr != nil && err == nil {
+		err = cerr
+	}
+	return srv.Stats(), err
+}
+
 // mustWait waits for a ticket without a cancellation deadline.
 func mustWait(t testing.TB, tk *ServeTicket) *Result {
 	t.Helper()
@@ -148,9 +163,9 @@ func TestServeMatchesSimulateServe(t *testing.T) {
 	alg2.Policy, alg2.MemoryGB = PolicyAlgorithm2, 8
 	for _, cfg := range []ServeConfig{serveCfg(2), alg2} {
 		trace := ServeTrace{ArrivalRateHz: 1000, Items: 40, Seed: 5}
-		real, err := testSys.Serve(bg, testAgent, cfg, trace, nil)
+		real, err := replayTrace(bg, testAgent, cfg, trace, nil)
 		if err != nil {
-			t.Fatalf("Serve: %v", err)
+			t.Fatalf("Replay: %v", err)
 		}
 		sim, err := testSys.SimulateServe(testAgent, cfg, trace)
 		if err != nil {
@@ -248,22 +263,16 @@ func TestServeAdmissionValidation(t *testing.T) {
 			if _, serr := testSys.SimulateServe(testAgent, tc.cfg, trace); serr == nil || serr.Error() != nerr.Error() {
 				t.Fatalf("SimulateServe: %v; NewServer: %v; want one error from both", serr, nerr)
 			}
-			if _, err := testSys.Serve(bg, testAgent, tc.cfg, trace, nil); err == nil || err.Error() != nerr.Error() {
-				t.Fatalf("Serve: %v; NewServer: %v; want one error from both", err, nerr)
-			}
 		})
 	}
 	if _, err := testSys.NewServer(nil, serveCfg(1)); err == nil {
 		t.Fatal("nil agent accepted")
 	}
-	if _, err := testSys.Serve(bg, nil, serveCfg(1), trace, nil); err == nil {
-		t.Fatal("nil agent accepted by Serve")
-	}
 	if _, err := testSys.SimulateServe(nil, serveCfg(1), trace); err == nil {
 		t.Fatal("nil agent accepted by SimulateServe")
 	}
 	// The last two rows' worst-case horizons are +Inf s and, scaled by
-	// serveCfg's TimeScale, past the time.Duration range; Serve runs
+	// serveCfg's TimeScale, past the time.Duration range; Replay runs
 	// under a timeout so a trace that waits forever fails instead.
 	for _, bad := range []ServeTrace{{}, {ArrivalRateHz: nan, Items: 5}, {ArrivalRateHz: inf, Items: 5},
 		{ArrivalRateHz: 1e-320, Items: 3}, {ArrivalRateHz: 1e-300, Items: 3}} {
@@ -272,10 +281,10 @@ func TestServeAdmissionValidation(t *testing.T) {
 			t.Fatalf("SimulateServe accepted trace %+v", bad)
 		}
 		ctx, cancel := context.WithTimeout(bg, 5*time.Second)
-		_, err := testSys.Serve(ctx, testAgent, serveCfg(1), bad, nil)
+		_, err := replayTrace(ctx, testAgent, serveCfg(1), bad, nil)
 		cancel()
 		if err == nil || err.Error() != serr.Error() {
-			t.Fatalf("Serve: %v; SimulateServe: %v; want one error from both for trace %+v", err, serr, bad)
+			t.Fatalf("Replay: %v; SimulateServe: %v; want one error from both for trace %+v", err, serr, bad)
 		}
 	}
 }
@@ -423,11 +432,10 @@ func TestReplayDrawsArrivalsLazily(t *testing.T) {
 }
 
 // FuzzServeConfig: NewServer and SimulateServe accept or refuse every
-// configuration together, with one error text, and neither panics;
-// Serve refuses what they refuse, in the same words. An accepted
-// configuration serves what it accepts: rebuilt at a fast clock (a
-// fuzzed TimeScale may sleep for hours, a batch hold for as long), or at
-// its own when that is faster, a server labels one item exactly as
+// configuration together, with one error text, and neither panics. An
+// accepted configuration serves what it accepts: rebuilt at a fast clock
+// (a fuzzed TimeScale may sleep for hours, a batch hold for as long), or
+// at its own when that is faster, a server labels one item exactly as
 // LabelWith does under one shard's budget, and every float of its stats
 // is finite. The pool-sizing fields are clamped so no input starts a
 // large pool.
@@ -475,9 +483,6 @@ func FuzzServeConfig(f *testing.F) {
 			if serr == nil || serr.Error() != nerr.Error() {
 				t.Fatalf("SimulateServe: %v; NewServer: %v; want one error from both for %+v", serr, nerr, cfg)
 			}
-			if _, err := testSys.Serve(bg, testAgent, cfg, trace, nil); err == nil || err.Error() != nerr.Error() {
-				t.Fatalf("Serve: %v; NewServer: %v; want one error from both for %+v", err, nerr, cfg)
-			}
 			return
 		}
 		if err := srv.Close(); err != nil {
@@ -518,14 +523,11 @@ func FuzzServeConfig(f *testing.F) {
 	})
 }
 
-// FuzzServeTrace: SimulateServe and Serve accept or refuse every arrival
-// trace together, with one error text, and Serve refuses before it
-// builds a server: its refusal allocates about what SimulateServe's
-// does. Building and closing a one-worker server costs some 30
-// allocations more; the slack of 10 absorbs the race detector's own.
-// Every float of an accepted trace's simulated stats is finite. An
-// accepted trace is not served, since a fuzzed rate may pace arrivals
-// hours apart.
+// FuzzServeTrace: SimulateServe and Server.Replay accept or refuse
+// every arrival trace together, with one error text, and a refused
+// Replay admits no item. Every float of an accepted trace's simulated
+// stats is finite. An accepted trace is not served, since a fuzzed rate
+// may pace arrivals hours apart.
 func FuzzServeTrace(f *testing.F) {
 	for _, c := range []struct {
 		trace ServeTrace
@@ -555,14 +557,12 @@ func FuzzServeTrace(f *testing.F) {
 			}
 			return
 		}
-		_, err := testSys.Serve(bg, testAgent, cfg, trace, nil)
+		st, err := replayTrace(bg, testAgent, cfg, trace, nil)
 		if err == nil || err.Error() != serr.Error() {
-			t.Fatalf("Serve: %v; SimulateServe: %v; want one error from both for %+v at time scale %v", err, serr, trace, timeScale)
+			t.Fatalf("Replay: %v; SimulateServe: %v; want one error from both for %+v at time scale %v", err, serr, trace, timeScale)
 		}
-		serve := testing.AllocsPerRun(3, func() { testSys.Serve(bg, testAgent, cfg, trace, nil) })
-		sim := testing.AllocsPerRun(3, func() { testSys.SimulateServe(testAgent, cfg, trace) })
-		if serve > sim+10 {
-			t.Fatalf("Serve's refusal of %+v allocates %v times, SimulateServe's %v: it built something first", trace, serve, sim)
+		if n := st.Completed + st.Rejected + st.Failed; n != 0 {
+			t.Fatalf("a refused replay of %+v admitted %d items", trace, n)
 		}
 	})
 }

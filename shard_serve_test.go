@@ -262,7 +262,7 @@ func TestReplayCommitsIntoTheOwningSegment(t *testing.T) {
 			t.Errorf("item %q relabeled running %v, not as labeled on its own (%v)", res.ItemID, res.ModelsRun, want[res.ItemID].ModelsRun)
 		}
 		fresh += int64(len(res.ModelsRun) - len(journaled[res.ItemID]))
-		tr, ok := srv.TraceFor(res.ItemID)
+		tr, ok := srv.tracer.ByTag(res.ItemID)
 		if !ok {
 			t.Fatalf("no trace for %q", res.ItemID)
 		}
@@ -328,7 +328,7 @@ func TestShardedShedsCountOnce(t *testing.T) {
 	cfg.Shards, cfg.QueueCap, cfg.Telemetry = 2, 2, true
 	cfg.TimeScale = 0.05
 	trace := ServeTrace{ArrivalRateHz: 200, Items: 120, Seed: 3, OpenLoop: true}
-	st, err := testSys.Serve(bg, testAgent, cfg, trace, nil)
+	st, err := replayTrace(bg, testAgent, cfg, trace, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,8 @@ type TelemetryMetric = obs.Metric
 // A DecisionTrace is one completed item's trace record: the span tree of
 // its lifecycle stages from arrival to commit, each scheduling decision
 // carried on the span that timed it. Traces live in a bounded ring (the
-// most recent TraceCapacity items), retrievable by recency (Traces), by
-// submission tag (TraceFor), or over HTTP as JSON (/tracez; add
+// most recent TraceCapacity items), retrievable by recency (Traces), or
+// over HTTP as JSON (/tracez, by submission tag with ?tag=; add
 // ?format=chrome for Perfetto). DroppedSpans counts spans past the
 // per-item cap. Home and Shard differ exactly when the item was stolen
 // across shards. CriticalPath attributes the item's end-to-end latency
@@ -105,12 +105,6 @@ func (sv *Server) MetricsAddr() string {
 // however many items complete after.
 func (sv *Server) Traces(n int) []DecisionTrace {
 	return sv.tracer.Recent(n)
-}
-
-// TraceFor returns the most recent resident decision trace for an item
-// submitted with the given tag (ItemID), if it is still in the ring.
-func (sv *Server) TraceFor(tag string) (DecisionTrace, bool) {
-	return sv.tracer.ByTag(tag)
 }
 
 // SlowestTrace returns the resident trace with the longest end-to-end
