@@ -27,7 +27,6 @@ func tinyTrainConfig(algo rl.Algorithm) TrainConfig {
 		Epochs:     4,
 		Hidden:     []int{32},
 		TrainEvery: 2,
-		Epsilon:    rl.EpsilonSchedule{Start: 1, End: 0.1, DecaySteps: 1500},
 		Seed:       7,
 		Dataset:    "unit",
 	}

@@ -17,10 +17,10 @@ import (
 // kernels, the optimizer or the wire format that moves one bit fails here.
 func TestTrainPinsSavedAgentBytes(t *testing.T) {
 	pins := map[rl.Algorithm]string{
-		rl.DQN:        "ea1b484b5d82ea5b58a1bc548168df662f2117bd3c46e505e916175d5a35b9e2",
-		rl.DoubleDQN:  "f7b744a51e40f523c133518f16f30f5ec6c38167ce784bd825a7cab9dfe9ee9f",
-		rl.DuelingDQN: "0dadedbc4346ecd0e47d156cb18b1207aa5b6b7f21c99db2709b50f913ac0212",
-		rl.DeepSARSA:  "f98f0e307aae220637955abeef4fcebf5e32da4662c9846f75f899b8968b1145",
+		rl.DQN:        "37c4dfdf30a85a3ec6aef50d448724423cb2d0c393dd592f0c71cb973a5fa4b7",
+		rl.DoubleDQN:  "ef02a06e9984b41f9b993ee8d635a52ae3f90a3446570d2f8283f842a65c6141",
+		rl.DuelingDQN: "eb77265dc9ccc5ea28b3677eee611025ec0e9f85293e5b287ed70cb21adca1e8",
+		rl.DeepSARSA:  "2f16ad0a16d951a5a41fa15cfb64c50ed22ff8981dac443c3bb91a0af4db137e",
 	}
 	store := oracle.Build(z, synth.NewDataset(vocab, synth.MirFlickr(), 60, 131).Scenes)
 	for _, algo := range rl.Algorithms() {
