@@ -24,7 +24,8 @@ type Config struct {
 	Addr    int    // written only through &x.F
 	Count   int    // written only by ++
 	Scale   int    // written only by op=
-	Default int    // written only by a default fill
+	Default int    // written only by a default fill in a plain function
+	Fill    int    // unset: written only by a value-receiver default fill
 	hidden  int
 }
 
@@ -60,3 +61,12 @@ func build(o Options, p image.Point) (Config, Pair, local) {
 }
 
 func set(p *int) { *p = 5 }
+
+// withDefaults copies a default into its caller's value, which is not a
+// write of Fill.
+func (c Config) withDefaults() Config {
+	if c.Fill == 0 {
+		c.Fill = 6
+	}
+	return c
+}

@@ -190,6 +190,7 @@ func TestUnsetFieldsFixture(t *testing.T) {
 	})))
 	want := []string{
 		"unsetfield.Config.Dead",
+		"unsetfield.Config.Fill",
 		"unsetfield.Config.Relay",
 		"unsetfield.Options.Dead",
 		"unsetfield.Options.Relay",
@@ -207,7 +208,11 @@ func TestUnsetFieldsFixture(t *testing.T) {
 // x.F.G, x.F[i] or *x.F, and &x.F. A write whose value is a copy of
 // another field, F: y.G or x.F = y.G, writes F only if y.G is set: a
 // field fed only by copies of a field nothing sets is as unset as that
-// field. Fields out of scope count as set.
+// field. A write inside a value-receiver method of the field's own type,
+// the func (c Config) withDefaults() Config idiom, is not a write: it
+// only copies a default into the caller's value, so a field that only
+// such a fill writes holds one value for every caller. Fields out of
+// scope count as set.
 func unsetFields(pkgs []*analysis.Package, inScope func(path string) bool) map[string]token.Pos {
 	fields := map[string]token.Pos{} // every field in scope
 	set := map[string]bool{}
@@ -247,8 +252,13 @@ func unsetFields(pkgs []*analysis.Package, inScope func(path string) bool) map[s
 			}
 			return fieldKey(owner, sel.Sel.Name)
 		}
+		// fill is "path.Type." inside a value-receiver method of Type.
+		var fill string
 		// write records that key is written with val (nil: not a copy).
 		write := func(key string, val ast.Expr) {
+			if fill != "" && strings.HasPrefix(key, fill) {
+				return
+			}
 			if src := selected(val); src != "" {
 				copies[key] = append(copies[key], src)
 			} else {
@@ -273,44 +283,54 @@ func unsetFields(pkgs []*analysis.Package, inScope func(path string) bool) map[s
 				}
 			}
 		}
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CompositeLit:
-					owner := pkg.Info.TypeOf(n)
-					st := structOf(owner)
-					if st == nil {
-						return true
-					}
-					for i, el := range n.Elts {
-						if kv, ok := el.(*ast.KeyValueExpr); ok {
-							write(fieldKey(owner, kv.Key.(*ast.Ident).Name), kv.Value)
-						} else {
-							write(fieldKey(owner, st.Field(i).Name()), nil)
-						}
-					}
-				case *ast.AssignStmt:
-					for i, lhs := range n.Lhs {
-						var val ast.Expr
-						if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
-							val = n.Rhs[i]
-						}
-						writeThrough(lhs, val)
-					}
-				case *ast.IncDecStmt:
-					writeThrough(n.X, nil)
-				case *ast.UnaryExpr:
-					if n.Op == token.AND {
-						writeThrough(n.X, nil)
-					}
-				case *ast.RangeStmt:
-					if n.Tok == token.ASSIGN {
-						writeThrough(n.Key, nil)
-						writeThrough(n.Value, nil)
+		visit := func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				owner := pkg.Info.TypeOf(n)
+				st := structOf(owner)
+				if st == nil {
+					return true
+				}
+				for i, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						write(fieldKey(owner, kv.Key.(*ast.Ident).Name), kv.Value)
+					} else {
+						write(fieldKey(owner, st.Field(i).Name()), nil)
 					}
 				}
-				return true
-			})
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					var val ast.Expr
+					if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+						val = n.Rhs[i]
+					}
+					writeThrough(lhs, val)
+				}
+			case *ast.IncDecStmt:
+				writeThrough(n.X, nil)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					writeThrough(n.X, nil)
+				}
+			case *ast.RangeStmt:
+				if n.Tok == token.ASSIGN {
+					writeThrough(n.Key, nil)
+					writeThrough(n.Value, nil)
+				}
+			}
+			return true
+		}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				fill = ""
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					recv := pkg.Info.Defs[fd.Name].Type().(*types.Signature).Recv().Type()
+					if _, ptr := recv.(*types.Pointer); !ptr {
+						fill = fieldKey(recv, "")
+					}
+				}
+				ast.Inspect(d, visit)
+			}
 		}
 	}
 	isSet := func(k string) bool { _, in := fields[k]; return set[k] || !in }

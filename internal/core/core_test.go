@@ -23,12 +23,11 @@ var (
 // tinyTrainConfig keeps unit-test training fast.
 func tinyTrainConfig(algo rl.Algorithm) TrainConfig {
 	return TrainConfig{
-		Algo:       algo,
-		Epochs:     4,
-		Hidden:     []int{32},
-		TrainEvery: 2,
-		Seed:       7,
-		Dataset:    "unit",
+		Algo:    algo,
+		Epochs:  4,
+		Hidden:  []int{32},
+		Seed:    7,
+		Dataset: "unit",
 	}
 }
 

@@ -18,10 +18,7 @@ type TrainConfig struct {
 	Epochs int   // passes over the training scenes
 	Hidden []int // Q-network hidden widths; the paper uses {256}
 
-	Gamma      float64
-	TrainEvery int // environment steps per optimizer update
-
-	Epsilon rl.EpsilonSchedule // zero value enables the default anneal
+	Gamma float64
 
 	// Theta holds the per-model priority parameters θ_m of Eq. 3 (§IV-A).
 	// Nil means every model has priority 1.
@@ -61,12 +58,6 @@ func (c TrainConfig) withDefaults(numModels int) TrainConfig {
 	if len(c.Hidden) == 0 {
 		c.Hidden = []int{256}
 	}
-	if c.TrainEvery == 0 {
-		c.TrainEvery = 2
-	}
-	if c.Epsilon == (rl.EpsilonSchedule{}) {
-		c.Epsilon = rl.EpsilonSchedule{Start: 1, End: 0.05, DecaySteps: 20000}
-	}
 	if c.Theta == nil {
 		c.Theta = make([]float64, numModels)
 		for i := range c.Theta {
@@ -75,6 +66,13 @@ func (c TrainConfig) withDefaults(numModels int) TrainConfig {
 	}
 	return c
 }
+
+// Every agent takes one optimizer step per trainEvery environment steps
+// and explores ε-greedily, ε annealed from 1 to 0.05 over the first
+// 20 000 steps.
+const trainEvery = 2
+
+var explore = rl.EpsilonSchedule{Start: 1, End: 0.05, DecaySteps: 20000}
 
 // RewardShape selects how the positive reward grows with fresh output
 // value.
@@ -172,7 +170,7 @@ func Train(st *oracle.Store, cfg TrainConfig) *Agent {
 	step := 0
 	maybeTrain := func(epochLoss *float64, lossN *int) {
 		step++
-		if step%cfg.TrainEvery == 0 {
+		if step%trainEvery == 0 {
 			if l := learner.TrainStep(); l > 0 {
 				*epochLoss += l
 				*lossN++
@@ -187,7 +185,7 @@ func Train(st *oracle.Store, cfg TrainConfig) *Agent {
 		for _, scene := range order {
 			t := oracle.NewTracker(st, scene)
 			state := append([]int(nil), t.State()...)
-			eps := cfg.Epsilon.At(step)
+			eps := explore.At(step)
 			action := learner.SelectAction(state, eps, allowedActions(t))
 			for {
 				if action == end {
@@ -206,7 +204,7 @@ func Train(st *oracle.Store, cfg TrainConfig) *Agent {
 				done := t.ExecutedCount() == numModels
 				var nextAction int
 				if !done {
-					eps = cfg.Epsilon.At(step)
+					eps = explore.At(step)
 					nextAction = learner.SelectAction(next, eps, allowedActions(t))
 				}
 				learner.Observe(rl.Transition{

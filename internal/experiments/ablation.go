@@ -6,7 +6,6 @@ import (
 
 	"ams/internal/core"
 	"ams/internal/graph"
-	"ams/internal/metrics"
 	"ams/internal/rl"
 	"ams/internal/sched"
 	"ams/internal/sim"
@@ -76,9 +75,9 @@ func (r AblationENDResult) Format() string {
 	for i := range xs {
 		xs[i] = float64(i)
 	}
-	b.WriteString(metrics.SeriesTable("epoch", xs, []metrics.Series{
-		{Name: "with END", Y: r.RewardWithEnd},
-		{Name: "without END", Y: r.RewardNoEnd},
+	b.WriteString(seriesTable("epoch", xs, []curve{
+		{name: "with END", y: r.RewardWithEnd},
+		{name: "without END", y: r.RewardNoEnd},
 	}, 3))
 	fmt.Fprintf(&b, "avg executed models at full recall: with END %.2f, without %.2f\n",
 		r.ModelsWithEnd, r.ModelsNoEnd)
@@ -127,9 +126,9 @@ func (l *Lab) AblationGamma() AblationGammaResult {
 // Format renders the gamma ablation.
 func (r AblationGammaResult) Format() string {
 	return "Ablation — discount factor for Algorithm 1 (Cost-Q density)\n" +
-		metrics.SeriesTable("gamma", r.Gammas, []metrics.Series{
-			{Name: "recall@0.5s", Y: r.RecallHalfS},
-			{Name: "recall@1.0s", Y: r.RecallOneS},
+		seriesTable("gamma", r.Gammas, []curve{
+			{name: "recall@0.5s", y: r.RecallHalfS},
+			{name: "recall@1.0s", y: r.RecallOneS},
 		}, 3)
 }
 
@@ -179,11 +178,11 @@ func (r AblationRewardResult) Format() string {
 	rows := make([][]string, len(r.Shapes))
 	for i, s := range r.Shapes {
 		rows[i] = []string{s,
-			metrics.Float(r.AvgModels[i], 2),
-			metrics.Float(r.AvgTimeS[i], 2)}
+			ftoa(r.AvgModels[i], 2),
+			ftoa(r.AvgTimeS[i], 2)}
 	}
 	return "Ablation — reward smoothing (§IV-A), full-recall cost\n" +
-		metrics.Table([]string{"shape", "avg models", "avg time (s)"}, rows)
+		table([]string{"shape", "avg models", "avg time (s)"}, rows)
 }
 
 // --- Extension: model-relationship graph (§VIII future work) ---------------
@@ -221,11 +220,11 @@ func (l *Lab) ExtGraph() GraphExtResult {
 
 // Format renders the graph extension.
 func (r GraphExtResult) Format() string {
-	series := make([]metrics.Series, len(r.Sweep.Policies))
+	series := make([]curve, len(r.Sweep.Policies))
 	for i, p := range r.Sweep.Policies {
-		series[i] = metrics.Series{Name: p, Y: r.Sweep.Counts[i]}
+		series[i] = curve{name: p, y: r.Sweep.Counts[i]}
 	}
 	return "Extension — model-relationship graph policy (avg executed models)\n" +
-		metrics.SeriesTable("recall", r.Sweep.Thresholds, series, 2) +
+		seriesTable("recall", r.Sweep.Thresholds, series, 2) +
 		"\n" + r.TopEdges
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ams/internal/metrics"
 	"ams/internal/oracle"
 	"ams/internal/rl"
 	"ams/internal/sched"
@@ -106,16 +105,16 @@ func (l *Lab) Fig10() []DeadlineResult {
 
 // Format renders one dataset's panel of Fig. 10.
 func (r DeadlineResult) Format() string {
-	series := make([]metrics.Series, len(r.Policies))
+	series := make([]curve, len(r.Policies))
 	for i, p := range r.Policies {
-		series[i] = metrics.Series{Name: p, Y: r.Recall[i]}
+		series[i] = curve{name: p, y: r.Recall[i]}
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 10 (%s) — value recall rate under deadline constraints\n", r.Dataset)
-	b.WriteString(metrics.SeriesTable("deadline(s)", r.DeadlinesSec, series, 2))
+	b.WriteString(seriesTable("deadline(s)", r.DeadlinesSec, series, 2))
 	b.WriteString("performance ratio (Cost-Q / Optimal*, reference 1-1/e = 0.632):\n")
-	b.WriteString(metrics.SeriesTable("deadline(s)", r.DeadlinesSec,
-		[]metrics.Series{{Name: "ratio", Y: r.PerfRatio}}, 2))
+	b.WriteString(seriesTable("deadline(s)", r.DeadlinesSec,
+		[]curve{{name: "ratio", y: r.PerfRatio}}, 2))
 	return b.String()
 }
 
@@ -156,13 +155,13 @@ func (l *Lab) Fig12() Fig12Result {
 func (r Fig12Result) Format() string {
 	var b strings.Builder
 	for di, ds := range r.Datasets {
-		series := make([]metrics.Series, len(r.Policies))
+		series := make([]curve, len(r.Policies))
 		for i, p := range r.Policies {
-			series[i] = metrics.Series{Name: p, Y: r.Recall[di][i]}
+			series[i] = curve{name: p, y: r.Recall[di][i]}
 		}
 		fmt.Fprintf(&b, "Fig. 12 (Dataset%d = %s) — recall under deadline, Algorithm 1\n",
 			di+1, ds)
-		b.WriteString(metrics.SeriesTable("deadline(s)", r.DeadlinesSec, series, 2))
+		b.WriteString(seriesTable("deadline(s)", r.DeadlinesSec, series, 2))
 	}
 	return b.String()
 }

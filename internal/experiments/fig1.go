@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ams/internal/metrics"
 	"ams/internal/zoo"
 )
 
@@ -134,7 +133,7 @@ func (r Fig1Result) Format() string {
 		}
 		rows[mi] = row
 	}
-	b.WriteString(metrics.Table(headers, rows))
+	b.WriteString(table(headers, rows))
 	fmt.Fprintf(&b, "corpus: %d/%d executions useful; %.1f%% of all-model compute is waste\n",
 		r.UsefulExecutions, r.TotalExecutions, 100*r.WastedFraction)
 	return b.String()

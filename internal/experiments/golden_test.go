@@ -10,7 +10,6 @@ import (
 
 	"ams/internal/graph"
 	"ams/internal/rl"
-	"ams/internal/rules"
 	"ams/internal/sched"
 	"ams/internal/sim"
 	"ams/internal/tensor"
@@ -28,8 +27,6 @@ func goldenSchedules(l *Lab) string {
 	st := l.TestStore(DSMSCOCO)
 	agent := l.Agent(rl.DuelingDQN, DSMSCOCO)
 	g := graph.Build(l.TrainStore(DSMSCOCO))
-	engine := rules.NewEngine(l.Vocab, l.Zoo, rules.TableII())
-	engine.EnableSiblingDemotion(0.4)
 	rng := tensor.NewRNG(l.seedFor("golden"))
 	policies := []struct {
 		name string
@@ -38,7 +35,7 @@ func goldenSchedules(l *Lab) string {
 		{"Random", sched.NewRandom(l.Zoo, rng.Split())},
 		{"Optimal", sched.NewOptimal(st)},
 		{"QGreedy", sched.NewQGreedy(agent, l.Zoo)},
-		{"Rule", sched.NewRule(engine, l.Zoo, rng.Split())},
+		{"Rule", sched.NewRule(l.Zoo, rng.Split())},
 		{"CostQGreedy", sched.NewCostQGreedy(sched.NewSharedCachedPredictor(agent, nil), l.Zoo)},
 		{"MemoryPacker", sched.NewMemoryPacker(sched.NewSharedCachedPredictor(agent, nil), l.Zoo)},
 		{"RandomPacker", sched.NewRandomPacker(l.Zoo, rng.Split())},

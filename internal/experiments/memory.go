@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ams/internal/metrics"
 	"ams/internal/rl"
 	"ams/internal/sched"
 	"ams/internal/sim"
@@ -52,15 +51,15 @@ func (l *Lab) Fig11() []MemoryResult {
 
 // Format renders one memory budget's panel of Fig. 11.
 func (r MemoryResult) Format() string {
-	series := make([]metrics.Series, len(r.Policies))
+	series := make([]curve, len(r.Policies))
 	for i, p := range r.Policies {
-		series[i] = metrics.Series{Name: p, Y: r.Recall[i]}
+		series[i] = curve{name: p, y: r.Recall[i]}
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 11 (%.0fGB memory) — recall under deadline+memory constraints\n", r.MemGB)
-	b.WriteString(metrics.SeriesTable("deadline(s)", r.DeadlinesSec, series, 2))
+	b.WriteString(seriesTable("deadline(s)", r.DeadlinesSec, series, 2))
 	b.WriteString("performance ratio (Agent / Optimal*, reference 1-1/e = 0.632):\n")
-	b.WriteString(metrics.SeriesTable("deadline(s)", r.DeadlinesSec,
-		[]metrics.Series{{Name: "ratio", Y: r.PerfRatio}}, 2))
+	b.WriteString(seriesTable("deadline(s)", r.DeadlinesSec,
+		[]curve{{name: "ratio", y: r.PerfRatio}}, 2))
 	return b.String()
 }

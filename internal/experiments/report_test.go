@@ -1,4 +1,4 @@
-package metrics
+package experiments
 
 import (
 	"strings"
@@ -8,30 +8,30 @@ import (
 
 func TestMeanStd(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); m != 5 {
+	if m := mean(xs); m != 5 {
 		t.Fatalf("Mean = %v", m)
 	}
-	if Mean(nil) != 0 {
+	if mean(nil) != 0 {
 		t.Fatal("empty-input Mean should be 0")
 	}
 }
 
 func TestCDFMonotone(t *testing.T) {
 	xs := []float64{5, 1, 3, 3, 9, 2, 8, 7}
-	c := NewCDF(xs, 20)
-	if len(c.X) != 20 || len(c.P) != 20 {
+	c := newCDF(xs)
+	if len(c.x) != 21 || len(c.p) != 21 {
 		t.Fatalf("CDF size wrong")
 	}
-	for i := 1; i < len(c.P); i++ {
-		if c.P[i] < c.P[i-1] {
+	for i := 1; i < len(c.p); i++ {
+		if c.p[i] < c.p[i-1] {
 			t.Fatalf("CDF not monotone at %d", i)
 		}
-		if c.X[i] < c.X[i-1] {
+		if c.x[i] < c.x[i-1] {
 			t.Fatalf("CDF X not sorted at %d", i)
 		}
 	}
-	if c.P[len(c.P)-1] < 1-1e-12 {
-		t.Fatalf("CDF does not reach 1: %v", c.P[len(c.P)-1])
+	if c.p[len(c.p)-1] < 1-1e-12 {
+		t.Fatalf("CDF does not reach 1: %v", c.p[len(c.p)-1])
 	}
 }
 
@@ -44,9 +44,9 @@ func TestCDFProperty(t *testing.T) {
 		for i, r := range raw {
 			xs[i] = float64(r)
 		}
-		c := NewCDF(xs, 11)
-		for i := 1; i < len(c.P); i++ {
-			if c.P[i] < c.P[i-1] || c.P[i] > 1 || c.P[i] < 0 {
+		c := newCDF(xs)
+		for i := 1; i < len(c.p); i++ {
+			if c.p[i] < c.p[i-1] || c.p[i] > 1 || c.p[i] < 0 {
 				return false
 			}
 		}
@@ -58,7 +58,7 @@ func TestCDFProperty(t *testing.T) {
 }
 
 func TestTableAlignment(t *testing.T) {
-	out := Table([]string{"name", "value"}, [][]string{
+	out := table([]string{"name", "value"}, [][]string{
 		{"a", "1"},
 		{"longer-name", "2.5"},
 	})
@@ -78,11 +78,11 @@ func TestTableAlignment(t *testing.T) {
 
 func TestSeriesTable(t *testing.T) {
 	xs := []float64{0.5, 1.0}
-	series := []Series{
-		{Name: "A", Y: []float64{0.1, 0.2}},
-		{Name: "B", Y: []float64{0.3}},
+	series := []curve{
+		{name: "A", y: []float64{0.1, 0.2}},
+		{name: "B", y: []float64{0.3}},
 	}
-	out := SeriesTable("deadline", xs, series, 2)
+	out := seriesTable("deadline", xs, series, 2)
 	if !strings.Contains(out, "deadline") || !strings.Contains(out, "0.30") {
 		t.Fatalf("series table missing content:\n%s", out)
 	}
@@ -93,7 +93,7 @@ func TestSeriesTable(t *testing.T) {
 }
 
 func TestFloat(t *testing.T) {
-	if Float(1.23456, 2) != "1.23" {
-		t.Fatalf("Float formatting wrong")
+	if ftoa(1.23456, 2) != "1.23" {
+		t.Fatalf("ftoa formatting wrong")
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"math"
 	"strings"
 
-	"ams/internal/metrics"
 	"ams/internal/oracle"
 	"ams/internal/rl"
-	"ams/internal/rules"
 	"ams/internal/sched"
 	"ams/internal/sim"
 	"ams/internal/tensor"
@@ -24,9 +22,8 @@ type Fig2Result struct {
 	AvgNoPolicySec float64
 	AvgRandomSec   float64
 	AvgOptimalSec  float64
-	CDFNoPolicy    metrics.CDF
-	CDFRandom      metrics.CDF
-	CDFOptimal     metrics.CDF
+	CDFRandom      cdf
+	CDFOptimal     cdf
 }
 
 // Fig2 runs the data-driven analysis on the union of MSCOCO, Places365
@@ -50,12 +47,11 @@ func (l *Lab) Fig2() Fig2Result {
 		}
 	}
 	return Fig2Result{
-		AvgNoPolicySec: metrics.Mean(noPol),
-		AvgRandomSec:   metrics.Mean(random),
-		AvgOptimalSec:  metrics.Mean(optimal),
-		CDFNoPolicy:    metrics.NewCDF(noPol, 21),
-		CDFRandom:      metrics.NewCDF(random, 21),
-		CDFOptimal:     metrics.NewCDF(optimal, 21),
+		AvgNoPolicySec: mean(noPol),
+		AvgRandomSec:   mean(random),
+		AvgOptimalSec:  mean(optimal),
+		CDFRandom:      newCDF(random),
+		CDFOptimal:     newCDF(optimal),
 	}
 }
 
@@ -63,19 +59,19 @@ func (l *Lab) Fig2() Fig2Result {
 func (r Fig2Result) Format() string {
 	var b strings.Builder
 	b.WriteString("Fig. 2 — time cost to obtain all valuable labels per image\n")
-	b.WriteString(metrics.Table(
+	b.WriteString(table(
 		[]string{"policy", "avg time/image (s)"},
 		[][]string{
-			{"No Policy", metrics.Float(r.AvgNoPolicySec, 2)},
-			{"Random Policy", metrics.Float(r.AvgRandomSec, 2)},
-			{"Optimal Policy", metrics.Float(r.AvgOptimalSec, 2)},
+			{"No Policy", ftoa(r.AvgNoPolicySec, 2)},
+			{"Random Policy", ftoa(r.AvgRandomSec, 2)},
+			{"Optimal Policy", ftoa(r.AvgOptimalSec, 2)},
 		}))
 	b.WriteString("\nCDF of time cost per image (s -> P):\n")
-	b.WriteString(metrics.SeriesTable("time", r.CDFOptimal.X, []metrics.Series{
-		{Name: "Optimal", Y: r.CDFOptimal.P},
+	b.WriteString(seriesTable("time", r.CDFOptimal.x, []curve{
+		{name: "Optimal", y: r.CDFOptimal.p},
 	}, 2))
-	b.WriteString(metrics.SeriesTable("time", r.CDFRandom.X, []metrics.Series{
-		{Name: "Random", Y: r.CDFRandom.P},
+	b.WriteString(seriesTable("time", r.CDFRandom.x, []curve{
+		{name: "Random", y: r.CDFRandom.p},
 	}, 2))
 	return b.String()
 }
@@ -210,22 +206,22 @@ func (l *Lab) Fig5() []*SweepResult { return l.Fig4() }
 
 // FormatCounts renders the Fig. 4 view of the sweep.
 func (r *SweepResult) FormatCounts() string {
-	series := make([]metrics.Series, len(r.Policies))
+	series := make([]curve, len(r.Policies))
 	for i, p := range r.Policies {
-		series[i] = metrics.Series{Name: p, Y: r.Counts[i]}
+		series[i] = curve{name: p, y: r.Counts[i]}
 	}
 	return fmt.Sprintf("Fig. 4 (%s) — avg executed models vs recall rate\n%s",
-		r.Dataset, metrics.SeriesTable("recall", r.Thresholds, series, 2))
+		r.Dataset, seriesTable("recall", r.Thresholds, series, 2))
 }
 
 // FormatTimes renders the Fig. 5 view of the sweep.
 func (r *SweepResult) FormatTimes() string {
-	series := make([]metrics.Series, len(r.Policies))
+	series := make([]curve, len(r.Policies))
 	for i, p := range r.Policies {
-		series[i] = metrics.Series{Name: p, Y: r.Times[i]}
+		series[i] = curve{name: p, y: r.Times[i]}
 	}
 	return fmt.Sprintf("Fig. 5 (%s) — avg execution time (s) vs recall rate\n%s",
-		r.Dataset, metrics.SeriesTable("recall", r.Thresholds, series, 2))
+		r.Dataset, seriesTable("recall", r.Thresholds, series, 2))
 }
 
 // PolicyRow returns the Y-series of one named policy (counts or times).
@@ -250,10 +246,8 @@ func (l *Lab) Fig6() *SweepResult {
 	st := l.TestStore(dataset)
 	rng := tensor.NewRNG(l.seedFor("fig6"))
 	agent := l.Agent(rl.DuelingDQN, dataset)
-	engine := rules.NewEngine(l.Vocab, l.Zoo, rules.TableII())
-	engine.EnableSiblingDemotion(0.4)
 	policies := []namedOrderPolicy{
-		{name: "Rule", policy: sched.NewRule(engine, l.Zoo, rng.Split())},
+		{name: "Rule", policy: sched.NewRule(l.Zoo, rng.Split())},
 		{name: "DuelingDQN", policy: sched.NewQGreedy(agent, l.Zoo)},
 		{name: "Random", policy: sched.NewRandom(l.Zoo, rng)},
 		{name: "Optimal", policy: sched.NewOptimal(st)},
@@ -330,10 +324,8 @@ func (r Fig7Result) Format() string {
 type Fig8Result struct {
 	// Rows: Agent1, Agent2, Random, Optimal. Columns: Dataset1, Dataset2.
 	Names   []string
-	AvgSec  [][]float64   // [policy][dataset]
-	CDFs    []metrics.CDF // per policy on Dataset1
-	CDFs2   []metrics.CDF // per policy on Dataset2
-	NoPol   float64       // no-policy seconds, for reference
+	AvgSec  [][]float64 // [policy][dataset]
+	NoPol   float64     // no-policy seconds, for reference
 	Headers []string
 }
 
@@ -367,13 +359,7 @@ func (l *Lab) Fig8() Fig8Result {
 			for i := 0; i < st.NumScenes(); i++ {
 				times = append(times, sim.RunToRecall(st, i, p, 1.0).TimeMS/1000)
 			}
-			res.AvgSec[pi][di] = metrics.Mean(times)
-			cdf := metrics.NewCDF(times, 21)
-			if di == 0 {
-				res.CDFs = append(res.CDFs, cdf)
-			} else {
-				res.CDFs2 = append(res.CDFs2, cdf)
-			}
+			res.AvgSec[pi][di] = mean(times)
 		}
 	}
 	return res
@@ -384,13 +370,13 @@ func (r Fig8Result) Format() string {
 	rows := make([][]string, len(r.Names))
 	for i, n := range r.Names {
 		rows[i] = []string{n,
-			metrics.Float(r.AvgSec[i][0], 2),
-			metrics.Float(r.AvgSec[i][1], 2)}
+			ftoa(r.AvgSec[i][0], 2),
+			ftoa(r.AvgSec[i][1], 2)}
 	}
 	rows = append(rows, []string{"No Policy",
-		metrics.Float(r.NoPol, 2), metrics.Float(r.NoPol, 2)})
+		ftoa(r.NoPol, 2), ftoa(r.NoPol, 2)})
 	return "Fig. 8 — avg time (s) to recall all valuable labels\n" +
-		metrics.Table(append([]string{"policy"}, r.Headers...), rows)
+		table(append([]string{"policy"}, r.Headers...), rows)
 }
 
 // --- Fig. 9: model priority (theta) --------------------------------------
@@ -495,31 +481,31 @@ func (r Fig9Result) Format() string {
 	for i, a := range r.Algos {
 		row := []string{a}
 		for _, v := range r.AvgOrder[i] {
-			row = append(row, metrics.Float(v, 1))
+			row = append(row, ftoa(v, 1))
 		}
 		rows = append(rows, row)
 	}
 	randRow := []string{"Random"}
 	for range r.Thetas {
-		randRow = append(randRow, metrics.Float(r.Random.AvgOrder, 1))
+		randRow = append(randRow, ftoa(r.Random.AvgOrder, 1))
 	}
 	rows = append(rows, randRow)
-	b.WriteString(metrics.Table(hdr, rows))
+	b.WriteString(table(hdr, rows))
 	b.WriteString("(b) average execution time at full recall (s)\n")
 	rows = rows[:0]
 	for i, a := range r.Algos {
 		row := []string{a}
 		for _, v := range r.AvgTime[i] {
-			row = append(row, metrics.Float(v, 2))
+			row = append(row, ftoa(v, 2))
 		}
 		rows = append(rows, row)
 	}
 	randRow = []string{"Random"}
 	for range r.Thetas {
-		randRow = append(randRow, metrics.Float(r.Random.AvgTime, 2))
+		randRow = append(randRow, ftoa(r.Random.AvgTime, 2))
 	}
 	rows = append(rows, randRow)
-	b.WriteString(metrics.Table(hdr, rows))
+	b.WriteString(table(hdr, rows))
 	return b.String()
 }
 
@@ -549,8 +535,8 @@ func (l *Lab) Headline() HeadlineResult {
 		s80 = append(s80, 1-agent[idx80]/random[idx80])
 	}
 	return HeadlineResult{
-		SavedAtFullRecall: metrics.Mean(s100),
-		SavedAt80Recall:   metrics.Mean(s80),
+		SavedAtFullRecall: mean(s100),
+		SavedAt80Recall:   mean(s80),
 	}
 }
 

@@ -6,9 +6,8 @@ import (
 	"time"
 
 	"ams/internal/labels"
-	"ams/internal/metrics"
 	"ams/internal/rl"
-	"ams/internal/rules"
+	"ams/internal/sched"
 	"ams/internal/tensor"
 )
 
@@ -32,13 +31,13 @@ func (l *Lab) TableI() string {
 		fmt.Sprintf("%d Labels", totalLabels),
 		fmt.Sprintf("%d Models", len(l.Zoo.Models))})
 	return "Table I — summary of 10 visual analysis tasks\n" +
-		metrics.Table([]string{"task", "label#", "deployed models"}, rows)
+		table([]string{"task", "label#", "deployed models"}, rows)
 }
 
 // TableII renders the handcrafted rules (paper Table II).
 func (l *Lab) TableII() string {
 	var rows [][]string
-	for _, r := range rules.TableII() {
+	for _, r := range sched.TableII() {
 		factor := "2x"
 		if r.Factor < 1 {
 			factor = "0.5x"
@@ -46,7 +45,7 @@ func (l *Lab) TableII() string {
 		rows = append(rows, []string{r.From.String(), r.Name, factor})
 	}
 	return "Table II — ten handcrafted model execution rules\n" +
-		metrics.Table([]string{"current model task", "rule", "factor"}, rows)
+		table([]string{"current model task", "rule", "factor"}, rows)
 }
 
 // TableIIIResult reports the scheduling overhead measurements.
@@ -103,7 +102,7 @@ func (l *Lab) TableIII() TableIIIResult {
 // Format renders Table III.
 func (r TableIIIResult) Format() string {
 	return "Table III — computing cost of DRL agent vs deployed models\n" +
-		metrics.Table(
+		table(
 			[]string{"", "DRL agent", "deep learning model"},
 			[][]string{
 				{"time", fmt.Sprintf("%.3f ms/selection", r.SelectionMS),

@@ -64,12 +64,14 @@ type FlightBundle struct {
 	Traces   []ItemTrace `json:"traces"`
 }
 
-// flightCooldownSec is how long, in seconds of the recorder's clock,
-// a written bundle silences the triggers; flightTraces is how many
-// recent traces a bundle carries.
+// A written bundle silences the triggers until both flightCooldownSec
+// seconds of the recorder's clock and flightCooldownPolls polls (5 s of
+// wall time at the 250 ms poll period) have passed; flightTraces is how
+// many recent traces a bundle carries.
 const (
-	flightCooldownSec = 5
-	flightTraces      = 64
+	flightCooldownSec   = 5
+	flightCooldownPolls = 20
+	flightTraces        = 64
 )
 
 // FlightRecorder polls a set of anomaly triggers against live
@@ -79,7 +81,10 @@ const (
 // cooldown so a sustained incident produces a bounded series of
 // bundles, not one per poll. The poll period is wall time; the cooldown
 // (and the rate triggers) count seconds of the clock the recorder is
-// built with, the one the server's SLOs burn on. A nil recorder no-ops
+// built with, the one the server's SLOs burn on, and the cooldown also
+// counts polls, so a clock that runs far ahead of wall time (a small
+// TimeScale) still writes at most one bundle per 5 s of wall time. A
+// nil recorder no-ops
 // everything; Close waits for the poll goroutine so servers embedding
 // one stay leak-test clean.
 type FlightRecorder struct {
@@ -90,7 +95,8 @@ type FlightRecorder struct {
 	triggers []Trigger
 	interval time.Duration // wall-clock poll period
 
-	lastDump float64 // clock stamp of the newest bundle; poll's alone
+	lastDump  float64 // clock stamp of the newest bundle; poll's alone
+	sinceDump int     // polls since the newest bundle's; poll's alone
 
 	dumps atomic.Int64
 	errs  atomic.Int64
@@ -104,15 +110,16 @@ type FlightRecorder struct {
 // seconds.
 func NewFlightRecorder(dir string, reg *Registry, tr *Tracer, now func() float64, triggers ...Trigger) *FlightRecorder {
 	return &FlightRecorder{
-		dir:      dir,
-		reg:      reg,
-		tr:       tr,
-		now:      now,
-		triggers: triggers,
-		interval: 250 * time.Millisecond,
-		lastDump: math.Inf(-1),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		dir:       dir,
+		reg:       reg,
+		tr:        tr,
+		now:       now,
+		triggers:  triggers,
+		interval:  250 * time.Millisecond,
+		lastDump:  math.Inf(-1),
+		sinceDump: flightCooldownPolls,
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 }
 
@@ -144,7 +151,8 @@ func (f *FlightRecorder) run() {
 // exited, run poll.
 func (f *FlightRecorder) poll() {
 	now := f.now()
-	cool := now-f.lastDump < flightCooldownSec
+	f.sinceDump++
+	cool := now-f.lastDump < flightCooldownSec || f.sinceDump < flightCooldownPolls
 	for _, tg := range f.triggers {
 		fired, detail := tg.Fire()
 		if !fired || cool {
@@ -154,7 +162,7 @@ func (f *FlightRecorder) poll() {
 		if err := f.write(tg.Name, detail); err != nil {
 			f.errs.Add(1)
 		} else {
-			f.lastDump = now
+			f.lastDump, f.sinceDump = now, 0
 		}
 	}
 }

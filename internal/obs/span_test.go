@@ -581,6 +581,23 @@ func TestFlightRecorder(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderCooldownCountsPolls: at TimeScale 0.001 one 250 ms
+// poll spans 250 s of the recorder's clock, so the clock's cooldown is
+// over at every poll; the poll count still holds a sustained anomaly to
+// one bundle per 20 polls (5 s of wall time).
+func TestFlightRecorderCooldownCountsPolls(t *testing.T) {
+	var clk fakeClock
+	fr := NewFlightRecorder(t.TempDir(), NewRegistry(), NewTracer(2), clk.now,
+		Trigger{Name: "deadline-burn", Fire: func() (bool, string) { return true, "burn 12" }})
+	for i := range 40 {
+		clk.set(250 * float64(i))
+		fr.poll()
+	}
+	if fr.Dumps() != 2 || fr.Errors() != 0 {
+		t.Fatalf("dumps/errors = %d/%d over 40 polls, want 2/0", fr.Dumps(), fr.Errors())
+	}
+}
+
 // TestFlightRecorderShutdownPoll: an anomaly that becomes detectable
 // only at shutdown is still captured by Close's final poll.
 func TestFlightRecorderShutdownPoll(t *testing.T) {

@@ -18,6 +18,7 @@ func BenchmarkTrainStep(b *testing.B) {
 		StateDim: labels.Total,
 		Actions:  zoo.NumModels + 1,
 		Hidden:   []int{256},
+		Gamma:    0.3,
 	}, tensor.NewRNG(1))
 	rng := tensor.NewRNG(2)
 	state := func(n int) []int {
@@ -28,7 +29,7 @@ func BenchmarkTrainStep(b *testing.B) {
 		slices.Sort(s)
 		return slices.Compact(s)
 	}
-	for range 4 * l.cfg.WarmupSize {
+	for range 4 * warmupSize {
 		n := rng.Intn(40)
 		l.Observe(Transition{
 			State: state(n), Action: rng.Intn(zoo.NumModels + 1), Reward: rng.Norm(),

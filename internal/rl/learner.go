@@ -51,49 +51,24 @@ func Algorithms() []Algorithm {
 	return []Algorithm{DQN, DoubleDQN, DuelingDQN, DeepSARSA}
 }
 
-// LearnerConfig configures a Learner.
+// LearnerConfig configures a Learner; Hidden and Gamma have no defaults.
 type LearnerConfig struct {
-	Algo            Algorithm
-	StateDim        int   // labeling-state dimension (|L(M)|)
-	Actions         int   // |M| + 1 (models plus the END action)
-	Hidden          []int // hidden widths; default {256} per the paper
-	Gamma           float64
-	LearningRate    float64
-	BatchSize       int
-	ReplayCapacity  int
-	TargetSyncEvery int // hard target-network sync period (train steps)
-	WarmupSize      int // transitions required before updates begin
-	HuberDelta      float64
+	Algo     Algorithm
+	StateDim int   // labeling-state dimension (|L(M)|)
+	Actions  int   // |M| + 1 (models plus the END action)
+	Hidden   []int // hidden widths; the paper uses {256}
+	Gamma    float64
 }
 
-// withDefaults fills zero fields with sensible paper-aligned defaults.
-func (c LearnerConfig) withDefaults() LearnerConfig {
-	if len(c.Hidden) == 0 {
-		c.Hidden = []int{256}
-	}
-	if c.Gamma == 0 {
-		c.Gamma = 0.9
-	}
-	if c.LearningRate == 0 {
-		c.LearningRate = 3e-4
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 32
-	}
-	if c.ReplayCapacity == 0 {
-		c.ReplayCapacity = 20000
-	}
-	if c.TargetSyncEvery == 0 {
-		c.TargetSyncEvery = 500
-	}
-	if c.WarmupSize == 0 {
-		c.WarmupSize = 16 * c.BatchSize
-	}
-	if c.HuberDelta == 0 {
-		c.HuberDelta = 1
-	}
-	return c
-}
+// The optimizer and replay hyperparameters every agent trains with.
+const (
+	learningRate    = 3e-4
+	batchSize       = 32
+	replayCapacity  = 20000
+	targetSyncEvery = 500            // hard target-network sync period (train steps)
+	warmupSize      = 16 * batchSize // transitions required before updates begin
+	huberDelta      = 1
+)
 
 // Learner trains a Q-network from transitions. It owns the online and
 // target networks, the replay buffer, and the optimizer.
@@ -113,7 +88,6 @@ type Learner struct {
 // NewLearner constructs a learner. The DuelingDQN variant instantiates the
 // dueling network architecture; the others use the plain MLP.
 func NewLearner(cfg LearnerConfig, rng *tensor.RNG) *Learner {
-	cfg = cfg.withDefaults()
 	if cfg.StateDim <= 0 || cfg.Actions <= 1 {
 		panic(fmt.Sprintf("rl: invalid learner dims state=%d actions=%d", cfg.StateDim, cfg.Actions))
 	}
@@ -129,10 +103,10 @@ func NewLearner(cfg LearnerConfig, rng *tensor.RNG) *Learner {
 		cfg:    cfg,
 		online: online,
 		target: target,
-		opt:    nn.NewAdam(cfg.LearningRate),
-		buf:    NewReplayBuffer(cfg.ReplayCapacity, rng.Split()),
+		opt:    nn.NewAdam(learningRate),
+		buf:    NewReplayBuffer(replayCapacity, rng.Split()),
 		rng:    rng,
-		batch:  make([]Transition, cfg.BatchSize),
+		batch:  make([]Transition, batchSize),
 		dQ:     tensor.NewVec(cfg.Actions),
 	}
 }
@@ -167,7 +141,7 @@ func (l *Learner) Observe(tr Transition) { l.buf.Add(tr) }
 // returning the mean Huber loss. It is a no-op (returning 0) until the
 // buffer has finished its warmup.
 func (l *Learner) TrainStep() float64 {
-	if n := l.buf.Len(); n < l.cfg.WarmupSize || n < l.cfg.BatchSize {
+	if l.buf.Len() < warmupSize {
 		return 0
 	}
 	batch := l.buf.SampleInto(l.batch)
@@ -177,7 +151,7 @@ func (l *Learner) TrainStep() float64 {
 		tr := &batch[i]
 		y := l.targetValue(tr)
 		q := l.online.Forward(tr.State)
-		loss, grad := nn.HuberLoss(q[tr.Action], y, l.cfg.HuberDelta)
+		loss, grad := nn.HuberLoss(q[tr.Action], y, huberDelta)
 		totalLoss += loss
 		l.dQ.Zero()
 		l.dQ[tr.Action] = grad / float64(len(batch))
@@ -185,7 +159,7 @@ func (l *Learner) TrainStep() float64 {
 	}
 	l.opt.Step(l.online)
 	l.trainSteps++
-	if l.trainSteps%l.cfg.TargetSyncEvery == 0 {
+	if l.trainSteps%targetSyncEvery == 0 {
 		l.target.CopyWeightsFrom(l.online)
 	}
 	return totalLoss / float64(len(batch))

@@ -108,16 +108,11 @@ func TestAlgorithmStringRoundTrip(t *testing.T) {
 
 func newTestLearner(algo Algorithm, seed uint64) *Learner {
 	return NewLearner(LearnerConfig{
-		Algo:            algo,
-		StateDim:        6,
-		Actions:         4,
-		Hidden:          []int{16},
-		Gamma:           0.9,
-		LearningRate:    0.01,
-		BatchSize:       8,
-		ReplayCapacity:  256,
-		TargetSyncEvery: 20,
-		WarmupSize:      8,
+		Algo:     algo,
+		StateDim: 6,
+		Actions:  4,
+		Hidden:   []int{16},
+		Gamma:    0.9,
 	}, tensor.NewRNG(seed))
 }
 
@@ -194,7 +189,7 @@ func TestLearnersBootstrapChain(t *testing.T) {
 		t.Run(algo.String(), func(t *testing.T) {
 			l := newTestLearner(algo, 11)
 			rng := tensor.NewRNG(13)
-			for ep := 0; ep < 900; ep++ {
+			for ep := 0; ep < 6000; ep++ {
 				// Step 1 (from empty state).
 				a1 := l.SelectAction(nil, 0.25, []int{0, 1, 2, 3})
 				if a1 != 0 {
@@ -244,11 +239,11 @@ func TestDuelingUsesDuelingNet(t *testing.T) {
 
 func TestTargetSyncPeriod(t *testing.T) {
 	l := newTestLearner(DQN, 9)
-	for i := 0; i < 40; i++ {
+	for i := 0; i < warmupSize; i++ {
 		l.Observe(Transition{State: []int{i % 6}, Action: i % 4, Reward: 1, Done: true})
 	}
 	before := l.target.Forward([]int{0}).Clone()
-	for i := 0; i < 19; i++ {
+	for i := 0; i < targetSyncEvery-1; i++ {
 		l.TrainStep()
 	}
 	mid := l.target.Forward([]int{0}).Clone()
@@ -257,7 +252,7 @@ func TestTargetSyncPeriod(t *testing.T) {
 			t.Fatal("target network drifted before sync period")
 		}
 	}
-	l.TrainStep() // 20th step triggers sync
+	l.TrainStep() // the period's last step triggers sync
 	after := l.target.Forward([]int{0}).Clone()
 	same := true
 	for i := range before {
@@ -267,16 +262,5 @@ func TestTargetSyncPeriod(t *testing.T) {
 	}
 	if same {
 		t.Fatal("target network did not sync at the configured period")
-	}
-}
-
-func TestLearnerDefaults(t *testing.T) {
-	l := NewLearner(LearnerConfig{Algo: DQN, StateDim: 4, Actions: 3}, tensor.NewRNG(1))
-	cfg := l.cfg
-	if cfg.Gamma != 0.9 || cfg.BatchSize != 32 || len(cfg.Hidden) != 1 || cfg.Hidden[0] != 256 {
-		t.Fatalf("defaults not applied: %+v", cfg)
-	}
-	if cfg.WarmupSize != 16*cfg.BatchSize {
-		t.Fatalf("warmup default wrong: %d", cfg.WarmupSize)
 	}
 }

@@ -19,7 +19,6 @@ package sched
 
 import (
 	"ams/internal/oracle"
-	"ams/internal/rules"
 	"ams/internal/sim"
 	"ams/internal/tensor"
 	"ams/internal/zoo"
@@ -138,59 +137,3 @@ func (p *QGreedy) Next(t *oracle.Tracker, c sim.Constraints) int {
 
 // Observe implements sim.Policy.
 func (p *QGreedy) Observe(int, zoo.Output) {}
-
-// Rule is the handcrafted-rule policy. Models start with equal
-// weights; fired rules multiply their targets' weights. Selection takes a
-// uniformly random model among those with the current maximum weight, so
-// with no evidence the policy is the random baseline, and once a rule
-// fires its promoted models run immediately — without that sharpening the
-// trigger cascade (detector → pose → action) fires too late in a
-// 30-model pool to move the schedule at all.
-type Rule struct {
-	engine *rules.Engine
-	z      *zoo.Zoo
-	rng    *tensor.RNG
-}
-
-// NewRule returns the rule-based policy.
-func NewRule(engine *rules.Engine, z *zoo.Zoo, rng *tensor.RNG) *Rule {
-	return &Rule{engine: engine, z: z, rng: rng}
-}
-
-// Name implements sim.Policy.
-func (p *Rule) Name() string { return "Rule" }
-
-// Reset implements sim.Policy.
-func (p *Rule) Reset(int) { p.engine.Reset() }
-
-// Next implements sim.Policy.
-func (p *Rule) Next(t *oracle.Tracker, c sim.Constraints) int {
-	var feasible []int
-	for m := range t.Candidates() {
-		if c.Allows(p.z.Models[m]) {
-			feasible = append(feasible, m)
-		}
-	}
-	if len(feasible) == 0 {
-		return -1
-	}
-	const eps = 1e-9
-	best := 0.0
-	for _, m := range feasible {
-		if w := p.engine.Weight(m); w > best {
-			best = w
-		}
-	}
-	var top []int
-	for _, m := range feasible {
-		if p.engine.Weight(m) >= best-eps {
-			top = append(top, m)
-		}
-	}
-	return top[p.rng.Intn(len(top))]
-}
-
-// Observe implements sim.Policy.
-func (p *Rule) Observe(m int, out zoo.Output) {
-	p.engine.ObserveOutput(p.z.Models[m], out.Labels)
-}

@@ -6,7 +6,6 @@ import (
 
 	"ams/internal/labels"
 	"ams/internal/oracle"
-	"ams/internal/rules"
 	"ams/internal/sim"
 	"ams/internal/synth"
 	"ams/internal/tensor"
@@ -93,8 +92,7 @@ func TestQGreedyWithCheatMatchesOptimalCount(t *testing.T) {
 }
 
 func TestRuleOrderValid(t *testing.T) {
-	engine := rules.NewEngine(vocab, z, rules.TableII())
-	p := NewRule(engine, z, tensor.NewRNG(5))
+	p := NewRule(z, tensor.NewRNG(5))
 	for i := 0; i < 10; i++ {
 		res := sim.RunToRecall(store, i, p, 1.0)
 		if res.Recall < 1-1e-9 {

@@ -107,7 +107,7 @@ func (z *Zoo) ModelsForTask(t labels.Task) []*Model {
 	return ms
 }
 
-// SupportingModels returns up to k model IDs ranked by how much of the
+// SupportingModels returns up to four model IDs ranked by how much of the
 // given per-label value mass each model's supported set covers — the
 // "which models would labeling this item run" signal a shard router
 // uses for affinity placement. weights is indexed by label ID and must
@@ -115,12 +115,10 @@ func (z *Zoo) ModelsForTask(t labels.Task) []*Model {
 // toward the lower model ID, so the ranking is deterministic; models
 // covering none of the labels are omitted. The result is the one
 // allocation.
-func (z *Zoo) SupportingModels(weights []float64, k int) []int {
-	if k <= 0 {
-		return nil
-	}
+func (z *Zoo) SupportingModels(weights []float64) []int {
+	const k = 4
 	var ids []int
-	var scoreBuf [8]float64
+	var scoreBuf [k]float64
 	scores := scoreBuf[:0]
 	for _, m := range z.Models {
 		score := 0.0
@@ -140,7 +138,7 @@ func (z *Zoo) SupportingModels(weights []float64, k int) []int {
 			continue
 		}
 		if ids == nil {
-			ids = make([]int, 0, min(k, len(z.Models)))
+			ids = make([]int, 0, k)
 		}
 		if len(ids) < k {
 			ids = append(ids, 0)

@@ -1,17 +1,30 @@
 package ams
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"text/tabwriter"
+)
+
+var updateLedger = flag.Bool("update", false, "rewrite README.md's ledger block from the newest BENCH file")
+
+// ledgerBegin and ledgerEnd mark README.md's ledger block, which quotes
+// the newest BENCH file's change medians of the metrics that repeat run
+// to run (ledgerBlock) so that no quoted figure goes stale.
+const (
+	ledgerBegin = "<!-- ledger: generated by `go test -run TestLedger -update .` from the newest BENCH file; do not edit -->\n"
+	ledgerEnd   = "<!-- end of ledger -->\n"
 )
 
 // ledgerSchemaFrom is the first PR whose BENCH file follows the schema
@@ -151,7 +164,9 @@ type benchmarkManifest struct {
 // sides. Under -v it logs the ledger: per workload and metric, each PR's
 // change median, then from BENCH_46 on each PR's change/parent median
 // ratio and their product, and each PR's seed-matched pairs that read
-// higher and lower with the sign test's two-sided p-value.
+// higher and lower with the sign test's two-sided p-value. README.md's
+// ledger block must read as ledgerBlock renders the newest file; -update
+// rewrites it.
 func TestLedger(t *testing.T) {
 	b, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
@@ -181,6 +196,7 @@ func TestLedger(t *testing.T) {
 			}
 		}
 	}
+	checkReadmeLedger(t, ledgerBlock(man, ledger[len(ledger)-1]))
 	if testing.Verbose() {
 		paired := slices.DeleteFunc(slices.Clone(ledger), func(e ledgerEntry) bool { return e.pr < ledgerSchemaFrom })
 		t.Log("change medians per PR:\n" + ledgerTable(man, prColumns(ledger), func(w, m string) []string {
@@ -210,6 +226,49 @@ func TestLedger(t *testing.T) {
 				return fmt.Sprintf("%d/%d p=%.2g", hi, lo, signTestP(hi, lo))
 			})
 		}))
+	}
+}
+
+// ledgerBlock renders, per workload, the entry's change medians of the
+// allocations per item and the recall, the end-to-end metrics that
+// repeat run to run on one host and across hosts.
+func ledgerBlock(man benchmarkManifest, e ledgerEntry) string {
+	median := func(w, m string, prec int) string {
+		if c := e.medians[w][m].Change; c != nil {
+			return strconv.FormatFloat(*c, 'g', prec, 64)
+		}
+		return "-"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "Change medians of `%s`:\n\n| workload | allocs_per_item | recall |\n|---|---:|---:|\n", e.file)
+	for _, w := range man.Workloads {
+		fmt.Fprintf(&b, "| `%s` | %s | %s |\n", w.Name, median(w.Name, "allocs_per_item", 4), median(w.Name, "recall", -1))
+	}
+	return ledgerBegin + b.String() + ledgerEnd
+}
+
+// checkReadmeLedger fails unless README.md's ledger block is block, or
+// with -update rewrites it.
+func checkReadmeLedger(t *testing.T, block string) {
+	t.Helper()
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	i, j := bytes.Index(readme, []byte(ledgerBegin)), bytes.Index(readme, []byte(ledgerEnd))
+	if i < 0 || j < i {
+		t.Fatal("README.md has no ledger block")
+	}
+	j += len(ledgerEnd)
+	if string(readme[i:j]) == block {
+		return
+	}
+	if !*updateLedger {
+		t.Fatalf("README.md's ledger block is stale; rewrite it with go test -run TestLedger -update .\nwant:\n%s", block)
+	}
+	out := slices.Concat(readme[:i], []byte(block), readme[j:])
+	if err := os.WriteFile("README.md", out, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

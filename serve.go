@@ -751,7 +751,7 @@ func (s *System) affinityHint(item Item, ext *oracle.ExternalItem) []int {
 			h.add(l, 1)
 		}
 	}
-	hint := s.Zoo.SupportingModels(h.weights, 4)
+	hint := s.Zoo.SupportingModels(h.weights)
 	h.reset()
 	hintScratchPool.Put(h)
 	return hint

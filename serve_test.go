@@ -22,7 +22,7 @@ func serveCfg(workers int) ServeConfig {
 
 // replayTrace replays trace through a fresh server and returns its
 // statistics once every admitted item has completed: NewServer, Replay
-// and Close.
+// and Close. Its error also carries whatever auditClosed finds.
 func replayTrace(ctx context.Context, agent *Agent, cfg ServeConfig, trace ServeTrace, src SceneSource) (ServeStats, error) {
 	srv, err := testSys.NewServer(agent, cfg)
 	if err != nil {
@@ -32,7 +32,35 @@ func replayTrace(ctx context.Context, agent *Agent, cfg ServeConfig, trace Serve
 	if cerr := srv.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
-	return srv.Stats(), err
+	return srv.Stats(), errors.Join(err, auditClosed(srv, cfg))
+}
+
+// auditClosed checks the invariants a closed server built from cfg must
+// hold: every placed item completed or failed (the shards' Assigned
+// sum to Completed + Failed), no shard reserved more than its share of
+// the memory budget, no more results were dropped than completed, and
+// the stats window holds at most its capacity.
+func auditClosed(srv *Server, cfg ServeConfig) error {
+	st := srv.Stats()
+	var errs []error
+	var assigned int64
+	share := cfg.MemoryGB / float64(len(st.PerShard)) * 1024
+	for _, ps := range st.PerShard {
+		assigned += ps.Assigned
+		if cfg.MemoryGB > 0 && ps.PeakMemMB > share {
+			errs = append(errs, fmt.Errorf("audit: shard %d peaked at %v MB, over its %v MB share", ps.Shard, ps.PeakMemMB, share))
+		}
+	}
+	if assigned != st.Completed+st.Failed {
+		errs = append(errs, fmt.Errorf("audit: %d items placed, %d completed + %d failed", assigned, st.Completed, st.Failed))
+	}
+	if st.ResultsDropped > st.Completed {
+		errs = append(errs, fmt.Errorf("audit: %d results dropped of %d completed", st.ResultsDropped, st.Completed))
+	}
+	if st.Items > srv.window {
+		errs = append(errs, fmt.Errorf("audit: %d items in a stats window of %d", st.Items, srv.window))
+	}
+	return errors.Join(errs...)
 }
 
 // mustWait waits for a ticket without a cancellation deadline.
