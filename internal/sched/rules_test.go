@@ -173,11 +173,20 @@ func TestReset(t *testing.T) {
 	observe(p, mustModel(t, "objdet-fast"), 0.9, person)
 	p.Reset(1)
 	wantUntouched(t, p)
-	// Rules fire again, and siblings are demoted again, after a reset.
+	// Rules fire again after a reset.
 	observe(p, mustModel(t, "objdet-fast"), 0.9, person)
 	if p.weights[mustModel(t, "pose-openpose").ID] != 2 {
 		t.Fatal("rule did not re-fire after Reset")
 	}
+}
+
+func TestResetKeepsSiblingDemotion(t *testing.T) {
+	p := newRule()
+	det := mustModel(t, "objdet-fast")
+	observe(p, det, 0)
+	p.Reset(1)
+	wantUntouched(t, p)
+	observe(p, det, 0)
 	if p.weights[mustModel(t, "objdet-accurate").ID] != siblingFactor {
 		t.Fatal("sibling demotion lost after Reset")
 	}
