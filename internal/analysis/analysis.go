@@ -3,9 +3,6 @@
 // durability invariants. Each analyzer is grounded in a bug class that
 // has already appeared in this repo and been hand-fixed once:
 //
-//   - reservepair: every memory-accountant Reserve and Grant result is
-//     checked and every successful reserve reaches a Release (the PR-6
-//     ignored Reserve booleans; a grant releases in its callback).
 //   - vtimesleep: simulated-execution packages pace themselves on the
 //     vtime wheel, never on raw time.Sleep/time.After (the PR-6
 //     migration off per-execution sleeps).
@@ -25,6 +22,10 @@
 //     control-flow path — an unclosed item trace never commits to the
 //     /tracez ring and an unclosed child span corrupts the
 //     critical-path attribution (the PR-10 span-tree discipline).
+//
+// The memory accountant's pairing needs no analyzer: a claim above the
+// whole budget panics in the accountant, so no refusal can be dropped,
+// and a server whose Close finds memory still claimed returns an error.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) but is self-contained on the standard library's go/ast and
@@ -95,7 +96,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // All returns the full amsvet suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		ReservePair,
 		VtimeSleep,
 		LockBlock,
 		CtxFlow,

@@ -11,10 +11,6 @@ import (
 	"ams/internal/analysis/analysistest"
 )
 
-func TestReservePair(t *testing.T) {
-	analysistest.Run(t, "testdata/reservepair", analysis.ReservePair)
-}
-
 func TestVtimeSleep(t *testing.T) {
 	analysistest.Run(t, "testdata/vtimesleep", analysis.VtimeSleep)
 }

@@ -76,11 +76,11 @@ import (
 // once; otherwise the later of the instant the grant queued and the at
 // of the Release that served it. fn owns the claim and the batcher
 // releases it when the batch's execution ends, passing the batch's
-// nominal end as at. Grant returns false, without running fn, only when
-// mb exceeds the whole budget. A nil Memory disables the footprint (no
-// budget configured).
+// nominal end as at. mb never exceeds the whole budget: a Memory panics
+// on such a claim, since it could never be served. A nil Memory disables
+// the footprint (no budget configured).
 type Memory interface {
-	Grant(mb float64, fn func(at time.Time)) bool
+	Grant(mb float64, fn func(at time.Time))
 	Release(mb float64, at time.Time)
 }
 
@@ -287,12 +287,7 @@ func (b *Batcher) Stats() Stats {
 // ask puts model m's lane in the grant line for the model's footprint.
 // Called without the lane lock: the grant may arrive at once.
 func (b *Batcher) ask(m int) {
-	if !b.mem.Grant(b.models[m].MemMB, b.lanes[m].onGrant) {
-		// Unreachable through the server: policies only select models that
-		// fit the budget. Kept as a contract assertion, like the
-		// accountant's.
-		panic(fmt.Sprintf("batch: model %d footprint %v MB exceeds the whole memory budget", m, b.models[m].MemMB))
-	}
+	b.mem.Grant(b.models[m].MemMB, b.lanes[m].onGrant)
 }
 
 // held is the hold timer of model m's lane, armed for the generation at

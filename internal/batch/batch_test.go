@@ -41,7 +41,7 @@ type heldGrant struct {
 	fn     func(at time.Time)
 }
 
-func (r *recMem) Grant(mb float64, fn func(at time.Time)) bool {
+func (r *recMem) Grant(mb float64, fn func(at time.Time)) {
 	granted := func(at time.Time) {
 		r.mu.Lock()
 		r.events = append(r.events, mb)
@@ -53,11 +53,10 @@ func (r *recMem) Grant(mb float64, fn func(at time.Time)) bool {
 	if r.held {
 		r.pending = append(r.pending, heldGrant{queued: now, fn: granted})
 		r.mu.Unlock()
-		return true
+		return
 	}
 	r.mu.Unlock()
 	granted(now)
-	return true
 }
 
 func (r *recMem) Release(mb float64, _ time.Time) {

@@ -12,8 +12,8 @@ import (
 // nothing: a Memory that allocates nothing of its own.
 type instantMem struct{}
 
-func (instantMem) Grant(_ float64, fn func(at time.Time)) bool { fn(time.Now()); return true }
-func (instantMem) Release(float64, time.Time)                  {}
+func (instantMem) Grant(_ float64, fn func(at time.Time)) { fn(time.Now()) }
+func (instantMem) Release(float64, time.Time)             {}
 
 // TestSteadyStateAllocatesNothing: once a lane's slices and free list
 // have grown, an enqueue → wait cycle on one reused capacity-1 done
@@ -100,18 +100,17 @@ type lineWait struct {
 	heldGrant
 }
 
-func (l *lineMem) Grant(mb float64, fn func(at time.Time)) bool {
+func (l *lineMem) Grant(mb float64, fn func(at time.Time)) {
 	now := time.Now()
 	l.mu.Lock()
 	if len(l.line) == 0 && l.used+mb <= l.budget {
 		l.used += mb
 		l.mu.Unlock()
 		fn(now)
-		return true
+		return
 	}
 	l.line = append(l.line, lineWait{mb, heldGrant{queued: now, fn: fn}})
 	l.mu.Unlock()
-	return true
 }
 
 func (l *lineMem) Release(mb float64, at time.Time) {

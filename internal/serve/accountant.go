@@ -15,7 +15,7 @@ import (
 // concurrently. It hands memory out two ways.
 //
 // A worker that executes its own models calls reserve, which blocks until
-// the footprint fits right now, and release. reserve (and awaitMore, the
+// the footprint fits right now, and Release. reserve (and awaitMore, the
 // stall of a declined ask) ignores the grant line below on purpose: their
 // callers may already hold reservations, and a strict line would deadlock
 // Algorithm 2. Say X holds 4 of 10 MB and waits, in line, for 5; Z holds
@@ -23,18 +23,26 @@ import (
 // the commit that would release what it holds. Fits-now never deadlocks:
 // the globally last reserver is never blocked (see machine.Start).
 //
-// A batch lane, which holds nothing until its batch runs, calls grant: an
+// A batch lane, which holds nothing until its batch runs, calls Grant: an
 // ordered line. A grant that fits while nobody is queued runs its
 // callback at once; otherwise it joins the back of a FIFO line that
-// release serves strictly from the head, so a large footprint is never
+// Release serves strictly from the head, so a large footprint is never
 // passed over by smaller ones that arrived after it. Queued grants and
-// blocked reservations both count as waits.
+// blocked reservations both count as waits. The accountant is the
+// batcher's batch.Memory.
 //
 // A grant's callback receives the instant its claim counts from. A
 // release carries the instant its memory was freed — a batch's nominal
 // end, which the timer wheel reaches some 70 µs late — and a grant it
 // serves starts at the later of that instant and the one the grant
 // queued at: on the freeing batch's timeline, but never before it asked.
+//
+// A claim above the whole budget could never be served, so reserve and
+// Grant panic on it, as claim does on an over-commit: a contract
+// violation, not a stall. No caller can drop a refusal. The server never
+// makes such a claim: the executor panics, naming the policy, on a
+// selection above the headroom it handed out, and that headroom is at
+// most the budget.
 type accountant struct {
 	mu       sync.Mutex
 	cond     *sync.Cond // reserve/awaitMore waiters
@@ -83,15 +91,20 @@ func (a *accountant) claim(mb float64) {
 	}
 }
 
-// reserve blocks until mb megabytes are available and claims them. It
-// returns false, without blocking, when mb exceeds the total budget and
-// so could never be granted.
-func (a *accountant) reserve(mb float64) bool {
+// mustFit panics when mb exceeds the whole budget. It reads only the
+// budget, which never changes, so it runs before mu is taken: Grant
+// unlocks by hand, and a panic under the lock would leave it held.
+func (a *accountant) mustFit(mb float64) {
+	if mb > a.budgetMB+1e-9 {
+		panic(fmt.Sprintf("serve: memory claim of %v MB exceeds the whole budget of %v MB", mb, a.budgetMB))
+	}
+}
+
+// reserve blocks until mb megabytes are available and claims them.
+func (a *accountant) reserve(mb float64) {
+	a.mustFit(mb)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if mb > a.budgetMB+1e-9 {
-		return false
-	}
 	waited := false
 	var t0 time.Time
 	for !a.fits(mb) {
@@ -104,40 +117,33 @@ func (a *accountant) reserve(mb float64) bool {
 	}
 	a.waitHist.ObserveSince(t0) // no-op unless the reservation blocked
 	a.claim(mb)
-	return true
 }
 
-// grant claims mb megabytes for fn, in line order, and runs fn once they
+// Grant claims mb megabytes for fn, in line order, and runs fn once they
 // are claimed: at once on the caller when nobody is queued and mb fits,
-// otherwise on the goroutine whose release frees enough for it. fn gets
+// otherwise on the goroutine whose Release frees enough for it. fn gets
 // the instant the claim starts: now when it ran at once, otherwise as
-// release says. fn owns the claim and must release it. grant returns
-// false, without running fn, when mb exceeds the whole budget and so
-// could never be granted.
-func (a *accountant) grant(mb float64, fn func(at time.Time)) bool {
+// Release says. fn owns the claim and must release it.
+func (a *accountant) Grant(mb float64, fn func(at time.Time)) {
+	a.mustFit(mb)
 	a.mu.Lock()
-	if mb > a.budgetMB+1e-9 {
-		a.mu.Unlock()
-		return false
-	}
 	now := time.Now()
 	if a.lineHead == len(a.line) && a.fits(mb) { // nobody queued
 		a.claim(mb)
 		a.mu.Unlock()
 		fn(now)
-		return true
+		return
 	}
 	a.waits++
 	a.line = append(a.line, grantWait{mb: mb, fn: fn, queued: now})
 	a.mu.Unlock()
-	return true
 }
 
-// release returns a reservation to the pool, serves the grant line from
+// Release returns a reservation to the pool, serves the grant line from
 // its head while the head fits — running those callbacks, in line
 // order, on the caller after unlocking — and wakes blocked reservers.
 // at is the instant the memory was freed (zero: now).
-func (a *accountant) release(mb float64, at time.Time) {
+func (a *accountant) Release(mb float64, at time.Time) {
 	a.mu.Lock()
 	a.usedMB -= mb
 	if a.usedMB < -1e-9 {
@@ -178,7 +184,7 @@ func (a *accountant) release(mb float64, at time.Time) {
 	}
 }
 
-// start runs a grant that release served, from the later of at (the
+// start runs a grant that Release served, from the later of at (the
 // instant the memory was freed) and the instant the grant queued.
 func (a *accountant) start(g grantWait, at time.Time) {
 	a.waitHist.ObserveSince(g.queued)

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -41,14 +43,6 @@ func sameOrder(got, want []int) bool {
 	return true
 }
 
-// mustGrant asks for a grant the test knows fits the budget.
-func mustGrant(t *testing.T, a *accountant, mb float64, fn func(time.Time)) {
-	t.Helper()
-	if !a.grant(mb, fn) {
-		t.Fatalf("grant of %v MB refused by a %v MB budget", mb, a.budgetMB)
-	}
-}
-
 // TestGrantsServedInFIFOOrder: queued grants are served strictly from
 // the head of the line — a later grant that would fit waits behind an
 // earlier one that does not — and each counts as a wait with its time
@@ -57,19 +51,19 @@ func TestGrantsServedInFIFOOrder(t *testing.T) {
 	a := newAccountant(1000)
 	a.waitHist = obs.NewRegistry().Histogram("wait", "test")
 	var log grantLog
-	mustGrant(t, a, 1000, log.fn(-1)) // the holder: nobody queued, fits, runs at once
+	a.Grant(1000, log.fn(-1)) // the holder: nobody queued, fits, runs at once
 	for i, mb := range []float64{600, 300, 500, 200} {
-		mustGrant(t, a, mb, log.fn(i))
+		a.Grant(mb, log.fn(i))
 	}
 	if got := log.order(); !sameOrder(got, []int{-1}) {
 		t.Fatalf("grants ran %v before any release, want only the holder", got)
 	}
-	a.release(1000, time.Time{})
+	a.Release(1000, time.Time{})
 	// 600 and 300 fit; 500 does not, and 200 must not pass it.
 	if got := log.order(); !sameOrder(got, []int{-1, 0, 1}) {
 		t.Fatalf("after the first release grants ran %v, want [-1 0 1]", got)
 	}
-	a.release(600, time.Time{})
+	a.Release(600, time.Time{})
 	if got := log.order(); !sameOrder(got, []int{-1, 0, 1, 2, 3}) {
 		t.Fatalf("after the second release grants ran %v, want [-1 0 1 2 3]", got)
 	}
@@ -91,31 +85,31 @@ func TestGrantStartInstants(t *testing.T) {
 	record := func(i int) func(time.Time) { return func(at time.Time) { got[i] = at } }
 	inside := func(at, lo, hi time.Time) bool { return !at.Before(lo) && !at.After(hi) }
 	t0 := time.Now()
-	mustGrant(t, a, 1000, record(0)) // fits at once
+	a.Grant(1000, record(0)) // fits at once
 	t1 := time.Now()
-	mustGrant(t, a, 600, record(1)) // queues at some instant in [t1, t2]
+	a.Grant(600, record(1)) // queues at some instant in [t1, t2]
 	t2 := time.Now()
-	mustGrant(t, a, 400, record(2)) // queues at some instant in [t2, t3]
+	a.Grant(400, record(2)) // queues at some instant in [t2, t3]
 	t3 := time.Now()
 	if !inside(got[0], t0, t1) {
 		t.Fatalf("immediate grant started at %v, want the caller's now in [%v, %v]", got[0], t0, t1)
 	}
 	// Freed before either grant asked: each starts when it queued.
-	a.release(1000, t0)
+	a.Release(1000, t0)
 	if !inside(got[1], t1, t2) || !inside(got[2], t2, t3) {
 		t.Fatalf("grants started at %v and %v, want their queueing instants, in [%v, %v] and [%v, %v]",
 			got[1], got[2], t1, t2, t2, t3)
 	}
 	// Freed after the grant asked: it starts at the release's instant.
-	mustGrant(t, a, 600, record(3))
+	a.Grant(600, record(3))
 	freed := time.Now()
-	a.release(600, freed)
+	a.Release(600, freed)
 	if !got[3].Equal(freed) {
 		t.Fatalf("grant started at %v, want the release's instant %v", got[3], freed)
 	}
-	mustGrant(t, a, 400, record(4))
+	a.Grant(400, record(4))
 	t4 := time.Now()
-	a.release(400, time.Time{})
+	a.Release(400, time.Time{})
 	if t5 := time.Now(); !inside(got[4], t4, t5) {
 		t.Fatalf("grant served by a zero-instant release started at %v, want now, in [%v, %v]", got[4], t4, t5)
 	}
@@ -128,34 +122,51 @@ func TestGrantStartInstants(t *testing.T) {
 func TestGrantLineDoesNotStarveLargeFootprint(t *testing.T) {
 	a := newAccountant(1024)
 	var log grantLog
-	mustGrant(t, a, 500, log.fn(0))
-	mustGrant(t, a, 1000, log.fn(1))
+	a.Grant(500, log.fn(0))
+	a.Grant(1000, log.fn(1))
 	for i := 2; i < 6; i++ {
-		mustGrant(t, a, 520, log.fn(i)) // each fits 1024-500, none may jump the line
+		a.Grant(520, log.fn(i)) // each fits 1024-500, none may jump the line
 	}
 	if got := log.order(); !sameOrder(got, []int{0}) {
 		t.Fatalf("grants ran %v while the large one waited, want [0]", got)
 	}
-	a.release(500, time.Time{})
+	a.Release(500, time.Time{})
 	if got := log.order(); !sameOrder(got, []int{0, 1}) {
 		t.Fatalf("first fitting release ran %v, want the 1000 MB grant next: [0 1]", got)
 	}
-	a.release(1000, time.Time{})
+	a.Release(1000, time.Time{})
 	if got := log.order(); !sameOrder(got, []int{0, 1, 2}) {
 		t.Fatalf("grants ran %v, want [0 1 2]", got)
 	}
 }
 
-// TestGrantAboveBudgetRefused: a grant that could never fit returns
-// false, never runs its callback, and leaves the line untouched.
-func TestGrantAboveBudgetRefused(t *testing.T) {
-	a := newAccountant(1000)
-	ran := false
-	if a.grant(1000.5, func(time.Time) { ran = true }) {
-		t.Fatal("grant above the whole budget accepted")
-	}
-	if ran || a.inUse() != 0 || a.waitCount() != 0 || len(a.line) != 0 {
-		t.Fatalf("refused grant left state: ran=%v inUse=%v waits=%d line=%d", ran, a.inUse(), a.waitCount(), len(a.line))
+// TestClaimAboveBudgetPanics: a grant or a reservation that could never
+// fit the budget panics naming the megabytes, never runs the grant's
+// callback, and leaves nothing claimed, counted or queued. The panic
+// comes before the lock, so the accountant stays usable.
+func TestClaimAboveBudgetPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		claim func(a *accountant, ran *bool)
+	}{
+		{"grant", func(a *accountant, ran *bool) { a.Grant(1000.5, func(time.Time) { *ran = true }) }},
+		{"reserve", func(a *accountant, _ *bool) { a.reserve(1000.5) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newAccountant(1000)
+			ran := false
+			func() {
+				defer func() {
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, "1000.5 MB exceeds the whole budget") {
+						t.Errorf("claim of 1000.5 MB panicked with %q, want it to name the MB", msg)
+					}
+				}()
+				tc.claim(a, &ran)
+			}()
+			if ran || a.inUse() != 0 || a.waitCount() != 0 || len(a.line) != 0 {
+				t.Fatalf("refused claim left state: ran=%v inUse=%v waits=%d line=%d", ran, a.inUse(), a.waitCount(), len(a.line))
+			}
+		})
 	}
 }
 
@@ -166,28 +177,23 @@ func TestGrantAboveBudgetRefused(t *testing.T) {
 func TestReserveBypassesGrantLine(t *testing.T) {
 	a := newAccountant(10)
 	var log grantLog
-	mustGrant(t, a, 4, log.fn(0)) // X's holding
-	if !a.reserve(3) {            // Z's holding
-		t.Fatal("reserve refused")
-	}
-	mustGrant(t, a, 5, log.fn(1)) // X waits: 7+5 > 10
-	done := make(chan bool)
-	go func() { done <- a.reserve(2) }()
+	a.Grant(4, log.fn(0)) // X's holding
+	a.reserve(3)          // Z's holding
+	a.Grant(5, log.fn(1)) // X waits: 7+5 > 10
+	done := make(chan struct{})
+	go func() { a.reserve(2); close(done) }()
 	select {
-	case ok := <-done:
-		if !ok {
-			t.Fatal("reserve refused")
-		}
+	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("a holder's fitting reserve queued behind the grant line")
 	}
-	a.release(3, time.Time{})
-	a.release(2, time.Time{})
+	a.Release(3, time.Time{})
+	a.Release(2, time.Time{})
 	if got := log.order(); !sameOrder(got, []int{0, 1}) {
 		t.Fatalf("grants ran %v once Z released, want [0 1]", got)
 	}
-	a.release(4, time.Time{})
-	a.release(5, time.Time{})
+	a.Release(4, time.Time{})
+	a.Release(5, time.Time{})
 	if a.inUse() != 0 {
 		t.Fatalf("%v MB still in use", a.inUse())
 	}
@@ -220,24 +226,18 @@ func TestGrantHammerNeverOvercommits(t *testing.T) {
 				mb := int64(200 + (g*131+i*37)%801)
 				var end time.Time // zero (now) for a reservation
 				if (g+i)%4 == 0 {
-					if !a.reserve(float64(mb)) {
-						t.Errorf("reserve of %d MB refused", mb)
-						return
-					}
+					a.reserve(float64(mb))
 					hold(mb)
 				} else {
 					granted := make(chan time.Time, 1)
-					if !a.grant(float64(mb), func(at time.Time) { hold(mb); granted <- at }) {
-						t.Errorf("grant of %d MB refused", mb)
-						return
-					}
+					a.Grant(float64(mb), func(at time.Time) { hold(mb); granted <- at })
 					end = (<-granted).Add(10 * time.Microsecond)
 				}
 				if i%8 == 0 {
 					time.Sleep(20 * time.Microsecond)
 				}
 				held.Add(-mb)
-				a.release(float64(mb), end)
+				a.Release(float64(mb), end)
 			}
 		}(g)
 	}

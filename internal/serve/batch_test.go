@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 
 	"ams/internal/oracle"
@@ -11,20 +10,24 @@ import (
 	"ams/internal/service"
 	"ams/internal/sim"
 	"ams/internal/tensor"
-	"ams/internal/zoo"
 )
 
 // runSequential serves items 0..n-1 one at a time on a fresh server and
 // returns their results. With one worker and strictly sequential
 // submits the run is deterministic, which makes schedules comparable
-// across server configurations.
+// across server configurations. The server must close holding no
+// memory.
 func runSequential(t *testing.T, cfg Config, factory service.PolicyFactory, n int) []ItemResult {
 	t.Helper()
 	s, err := New(store, factory, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
 	results := make([]ItemResult, n)
 	for i := 0; i < n; i++ {
 		tk, err := s.SubmitWait(context.Background(), i, "")
@@ -133,28 +136,4 @@ func TestBatchingStress(t *testing.T) {
 	if st.Batching.SavedGPUMS <= 0 {
 		t.Fatalf("coalesced batches saved no GPU time: %+v", st.Batching)
 	}
-}
-
-// TestMustReservePanicNamesPolicy is the regression test for the
-// ignored-reserve-result bug: the accountant's "this footprint can
-// never fit the budget" return was silently discarded, letting an
-// execution proceed with no reservation at all. The server now treats
-// it as a policy contract violation and says which policy.
-func TestMustReservePanicNamesPolicy(t *testing.T) {
-	s := &Server{
-		acct: newAccountant(500),
-		cfg:  Config{Config: service.Config{MemoryBudgetMB: 500}},
-	}
-	oversized := &zoo.Model{TimeMS: 100, MemMB: 9999}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("mustReserve swallowed an impossible reservation")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "fixed") || !strings.Contains(msg, "exceeds the whole memory budget") {
-			t.Fatalf("panic %v does not name the policy and the violation", r)
-		}
-	}()
-	s.mustReserve(&fixedPolicy{}, 7, oversized)
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ams/internal/batch"
 	"ams/internal/oracle"
 	"ams/internal/service"
 	"ams/internal/sim"
@@ -52,9 +53,12 @@ func (firstFit) Observe(int, zoo.Output) {}
 
 // TestExecutorContract is the one table of the executor's contract with
 // its policy, run over both machines: the virtual one and the server's
-// real one, uncontended. Every violation must panic naming the policy
-// and the violation; every legal ending must yield the same schedule on
-// both machines. Models: 6 facedet-blaze (50 ms, 500 MB), 1
+// real one, uncontended, plus — for serial rows under a budget — the
+// real one whose batch lanes own the footprint. Every violation must
+// panic in the executor, naming the policy and the violation; every
+// legal ending must yield the same schedule on every machine. A
+// batch-owned machine ends every row with no grant left claimed: above
+// the whole budget, the executor panics before any grant is asked. Models: 6 facedet-blaze (50 ms, 500 MB), 1
 // objdet-accurate (380 ms, 5000 MB), 13 pose-flow (280 ms, 5200 MB),
 // 12 pose-openpose (400 ms, 8000 MB).
 func TestExecutorContract(t *testing.T) {
@@ -90,9 +94,11 @@ func TestExecutorContract(t *testing.T) {
 			lim: sim.Limits{DeadlineMS: 800}, memMB: 8000,
 			executed: []int{0, 2, 6, 3, 8, 15, 4, 16, 17, 7, 1, 10, 19, 18, 20, 29, 11, 26, 5, 14, 23, 28, 25}},
 	} {
-		machines := map[string]func() (sim.Machine, func()){
-			"virtual": func() (sim.Machine, func()) { return sim.NewVirtual(tc.memMB), func() {} },
-			"real": func() (sim.Machine, func()) {
+		// serverMachine builds the server's machine, uncontended; a
+		// batch-owned one runs every execution through a one-request batch
+		// lane whose batch holds the footprint.
+		serverMachine := func(batchOwned bool) func() (sim.Machine, *Server) {
+			return func() (sim.Machine, *Server) {
 				s := &Server{
 					ex:    store,
 					cfg:   Config{Config: service.Config{MemoryBudgetMB: tc.memMB}, TimeScale: 0.001},
@@ -101,15 +107,33 @@ func TestExecutorContract(t *testing.T) {
 				if tc.memMB > 0 {
 					s.acct = newAccountant(tc.memMB)
 				}
-				return &machine{s: s, policy: &scriptPolicy{}}, s.wheel.Stop
-			},
+				if batchOwned {
+					s.batcher = batch.New(store.Zoo.Models, s.acct, s.wheel, batch.Config{MaxBatch: 1, TimeScale: 0.001})
+					s.batchOwnsMem = true
+				}
+				return &machine{s: s}, s
+			}
+		}
+		machines := map[string]func() (sim.Machine, *Server){
+			"virtual": func() (sim.Machine, *Server) { return sim.NewVirtual(tc.memMB), nil },
+			"real":    serverMachine(false),
+		}
+		if tc.lim.InFlight == 1 && tc.memMB > 0 {
+			// Serial under a budget: the server lets the batch own the
+			// footprint, and the policy is shown the whole budget.
+			machines["batched"] = serverMachine(true)
 		}
 		for name, build := range machines {
 			t.Run(tc.name+"/"+name, func(t *testing.T) {
-				mach, stop := build()
-				defer stop()
+				mach, s := build()
+				if s != nil {
+					defer s.wheel.Stop()
+				}
 				defer func() {
 					r := recover()
+					if s != nil && s.batchOwnsMem && s.acct.inUse() != 0 {
+						t.Errorf("schedule ended with %v MB still claimed", s.acct.inUse())
+					}
 					switch {
 					case tc.panics == "" && r != nil:
 						t.Fatalf("legal schedule panicked: %v", r)

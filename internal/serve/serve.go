@@ -396,7 +396,7 @@ func New(ex oracle.Executor, factory service.PolicyFactory, cfg Config) (*Server
 		}
 		var mem batch.Memory
 		if acct != nil {
-			mem = acctMemory{acct}
+			mem = acct
 		}
 		var bm *batch.Metrics
 		if cfg.Metrics != nil {
@@ -556,6 +556,9 @@ func (s *Server) Load() int {
 
 // Close stops admission, drains the queue, and waits for in-flight items
 // to complete. It is safe to call once; later calls return ErrClosed.
+// Once drained, the accountant must hold nothing: every footprint
+// claimed was given back. Close returns an error naming the megabytes
+// still held otherwise.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -570,6 +573,11 @@ func (s *Server) Close() error {
 	// The pool has drained: no execution sleeps or hold timers can be
 	// armed anymore, so the wheel's dispatcher can go.
 	s.wheel.Stop()
+	if s.acct != nil {
+		if held := s.acct.inUse(); held > 1e-9 {
+			return fmt.Errorf("serve: closed with %v MB of memory still held", held)
+		}
+	}
 	return nil
 }
 
@@ -583,7 +591,6 @@ func (s *Server) worker(w int) {
 	defer s.wg.Done()
 	mach := &machine{s: s}
 	sel := &selector{Policy: s.factory(w), mach: mach}
-	mach.policy = sel
 	lim := s.cfg.Limits()
 	run := new(sim.Run) // the per-item state, reused item after item
 	for {
@@ -682,14 +689,6 @@ func (p *selector) Next(t *oracle.Tracker, c sim.Constraints) int {
 	return m
 }
 
-// acctMemory adapts the shared accountant to the batch.Memory contract:
-// an owned lane takes a place in the accountant's grant line and its
-// batch holds one footprint claim.
-type acctMemory struct{ a *accountant }
-
-func (m acctMemory) Grant(mb float64, fn func(time.Time)) bool { return m.a.grant(mb, fn) }
-func (m acctMemory) Release(mb float64, at time.Time)          { m.a.release(mb, at) }
-
 // residualValuer is implemented by the predictor-backed policies
 // (internal/sched): the agent's estimate of the value still available
 // for an item given its executed-set state. Used only for the quality
@@ -740,7 +739,6 @@ type flight struct {
 // uncontended item reproduces the virtual-time schedule bit for bit.
 type machine struct {
 	s      *Server
-	policy sim.Policy     // named when a reservation can never be granted
 	trace  *obs.ItemTrace // the item in hand (nil when tracing is off)
 	flying []flight
 	wakes  []*wake // free wake-ups: as many as this machine's executions ever overlapped
@@ -807,7 +805,7 @@ func (mc *machine) Start(m int, mod *zoo.Model) {
 		// reservation), and its releases wake the blocked one — a
 		// selection always fits the budget minus its own holdings.
 		rw := trace.StartSpan(obs.SpanReserveWait, 0, m)
-		s.mustReserve(mc.policy, m, mod)
+		s.acct.reserve(mod.MemMB)
 		trace.EndSpan(rw)
 	}
 	f.launched = trace.Stamp()
@@ -856,7 +854,7 @@ func (mc *machine) Finish(m int, mod *zoo.Model) {
 	if s.acct != nil && !s.batchOwnsMem {
 		// Freed now (the zero instant): machines that reserve share their
 		// server with no batch lane that asks for grants.
-		s.acct.release(mod.MemMB, time.Time{})
+		s.acct.Release(mod.MemMB, time.Time{})
 	}
 	s.cfg.Metrics.execDone(m, f.started, s.cfg.TimeScale)
 }
@@ -894,20 +892,6 @@ func (mc *machine) Stalled(t *oracle.Tracker, remainingMS, freeMB float64) bool 
 	mc.trace.Annotate(mc.trace.SpanBetween(obs.SpanReserveWait, 0, -1, t0, mc.trace.Stamp()),
 		obs.SpanAttrs{RemainingMS: remainingMS, AvailMemMB: freeMB, Note: "stall"})
 	return true
-}
-
-// mustReserve claims a model's footprint, panicking when the accountant
-// reports it could never fit the whole budget. A selection that passed
-// the executor's headroom check always fits (the observed availability
-// never exceeds the budget), so a false return here means the policy's
-// selection and the constraints it was handed disagree — a contract
-// violation, not a transient stall, and silently ignoring it would let
-// the execution proceed without any reservation at all.
-func (s *Server) mustReserve(policy sim.Policy, m int, mod *zoo.Model) {
-	if !s.acct.reserve(mod.MemMB) {
-		panic(fmt.Sprintf("serve: policy %s selected model %d whose footprint (%v MB) exceeds the whole memory budget (%v MB)",
-			policy.Name(), m, mod.MemMB, s.cfg.MemoryBudgetMB))
-	}
 }
 
 // scaled converts nominal model milliseconds to the real duration slept.

@@ -783,7 +783,7 @@ func TestStallIsAReserveWaitSpan(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	time.Sleep(5 * time.Millisecond)
-	s.acct.release(held, time.Time{})
+	s.acct.Release(held, time.Time{})
 	if res := tk.Wait(); len(res.Executed) != 1 || res.Executed[0] != 6 {
 		t.Fatalf("executed %v, want [6] once the memory freed", res.Executed)
 	}
@@ -822,5 +822,24 @@ func TestStallIsAReserveWaitSpan(t *testing.T) {
 	stages := tr.CriticalPath()
 	if top := stages[0]; top.Name != obs.SpanReserveWait || top.Model != -1 || top.WallUS < 4000 {
 		t.Fatalf("critical path must attribute the stall to reserve-wait: %+v", stages)
+	}
+}
+
+// TestCloseFailsOnHeldMemory: a server that drains with memory still
+// claimed fails Close, naming the megabytes — the release half of the
+// accountant's contract, checked by every test that closes a server.
+func TestCloseFailsOnHeldMemory(t *testing.T) {
+	s, err := New(store, fixedFactory(6), itemParallelConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := s.SubmitWait(context.Background(), 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk.Wait()
+	s.acct.reserve(300) // never released
+	if err := s.Close(); err == nil || !strings.Contains(err.Error(), "300 MB of memory still held") {
+		t.Fatalf("Close = %v, want an error naming the 300 MB still held", err)
 	}
 }

@@ -32,6 +32,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -315,7 +316,9 @@ func (r *Router) steal(thief int) *serve.Ticket {
 }
 
 // Close closes every shard server, each of which stops admission, drains
-// its queue and waits for its admitted tickets to resolve.
+// its queue and waits for its admitted tickets to resolve, and joins the
+// errors the shards' own Close returned: a shard that drained with
+// memory still held.
 func (r *Router) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -324,10 +327,14 @@ func (r *Router) Close() error {
 	}
 	r.closed = true
 	r.mu.Unlock()
+	var errs []error
 	for _, sv := range r.servers {
-		_ = sv.Close() // only ErrClosed: a shard closed on its own has drained too
+		// ErrClosed: a shard closed on its own has drained too.
+		if err := sv.Close(); err != nil && err != serve.ErrClosed {
+			errs = append(errs, err)
+		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // ShardStats is one shard's slice of the server-wide picture. Router.Stats

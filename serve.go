@@ -987,6 +987,9 @@ func (sv *Server) Stats() ServeStats {
 // eviction that may never come, as when a reopened corpus's uncommitted
 // items fill the watermark. An item that can be admitted still drains.
 // Replay a reopened corpus (ReplayCorpus) before serving from it.
+//
+// A shard that drains with GPU memory still claimed fails Close with an
+// error naming the megabytes; the server is closed all the same.
 func (sv *Server) Close() error {
 	sv.end() // then the shards drain
 	err := sv.router.Close()

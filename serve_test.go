@@ -12,6 +12,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ams/internal/oracle"
+	"ams/internal/shard"
+	"ams/internal/zoo"
 )
 
 // serveCfg is the shared fast-clock server configuration: a millisecond
@@ -621,6 +625,54 @@ func TestServerQueueFullSurfacesBackpressure(t *testing.T) {
 	}
 	if srv.Stats().Rejected == 0 {
 		t.Fatal("rejected counter not incremented")
+	}
+}
+
+// shrinkingExecutor is an item's executor whose models claim their
+// footprint when they launch and 1 MB less when they finish, so every
+// release gives back 1 MB less than its reservation claimed. (Giving
+// back nothing would hang the item: a declined ask waits for a release
+// that raises the headroom.) Only the worker running the item calls
+// Model: at launch, then at commit.
+type shrinkingExecutor struct {
+	oracle.Executor
+	launched map[int]bool
+}
+
+func (e *shrinkingExecutor) Model(m int) *zoo.Model {
+	mod := e.Executor.Model(m)
+	if !e.launched[m] {
+		e.launched[m] = true
+		return mod
+	}
+	freed := *mod
+	freed.MemMB--
+	return &freed
+}
+
+// TestCloseSurfacesHeldMemory: a shard that drains with memory still
+// claimed fails the server's Close through the router, naming the
+// megabytes, and the server is closed all the same.
+func TestCloseSurfacesHeldMemory(t *testing.T) {
+	srv, err := testSys.NewServer(testAgent, ServeConfig{Workers: 2, Shards: 2, DeadlineSec: 0.5, MemoryGB: 8, TimeScale: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaky := &shrinkingExecutor{Executor: testSys.GenerateItems(1, 5)[0].ext.Executor(), launched: map[int]bool{}}
+	tk, err := srv.router.SubmitWait(bg, shard.Item{Tag: "leak", Resolve: func(int) (oracle.Executor, error) { return leaky, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := len(tk.Wait().Executed)
+	if held == 0 {
+		t.Fatal("the item ran no model, so it claimed nothing")
+	}
+	want := fmt.Sprintf("%d MB of memory still held", held)
+	if err := srv.Close(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Close = %v, want an error naming the %d MB still held", err, held)
+	}
+	if err := srv.Close(); err != ErrServerClosed {
+		t.Fatalf("second Close = %v, want ErrServerClosed", err)
 	}
 }
 
