@@ -1,8 +1,9 @@
 // Command amsvet runs the repo-specific analyzer suite over the module:
 // invariants this codebase depends on and has already paid to re-learn
-// once — accountant reserve/release pairing, simulated-time discipline,
-// no blocking calls under held mutexes, context propagation — enforced
-// mechanically instead of by review. Run it like vet:
+// once — simulated-time discipline (vtimesleep), no blocking calls under
+// held mutexes (lockblock), context propagation (ctxflow), telemetry
+// hygiene (obsclean) — enforced mechanically instead of by review. Run
+// it like vet:
 //
 //	go run ./cmd/amsvet ./...
 //

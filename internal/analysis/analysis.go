@@ -17,15 +17,13 @@
 //     and simulated-execution packages measure real spans through the
 //     obs seam instead of raw time.Since (the PR-9 instrumentation
 //     discipline: wall and simulated clocks must stay distinguishable).
-//   - spanpair: every span opened on the tracing seam (Tracer.Begin,
-//     ItemTrace.StartSpan/StartSpanAt) reaches its close on every
-//     control-flow path — an unclosed item trace never commits to the
-//     /tracez ring and an unclosed child span corrupts the
-//     critical-path attribution (the PR-10 span-tree discipline).
 //
-// The memory accountant's pairing needs no analyzer: a claim above the
-// whole budget panics in the accountant, so no refusal can be dropped,
-// and a server whose Close finds memory still claimed returns an error.
+// Two pairings need no analyzer. The memory accountant's: a claim above
+// the whole budget panics in the accountant, so no refusal can be
+// dropped, and a server whose Close finds memory still claimed returns
+// an error. The span tree's: the serving path records every child span
+// already closed (ItemTrace.SpanBetween), and a server whose Close finds
+// an item trace begun but never ended returns an error.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) but is self-contained on the standard library's go/ast and
@@ -100,7 +98,6 @@ func All() []*Analyzer {
 		LockBlock,
 		CtxFlow,
 		Obsclean,
-		SpanPair,
 	}
 }
 

@@ -31,17 +31,6 @@ func TestObscleanOutOfScope(t *testing.T) {
 	analysistest.Run(t, "testdata/obsclean_out", analysis.Obsclean)
 }
 
-func TestSpanPair(t *testing.T) {
-	analysistest.Run(t, "testdata/spanpair", analysis.SpanPair)
-}
-
-// TestSpanPairOutOfScope proves the analyzer keys on the obs seam's
-// receiver type names: the corpus's unrelated Begin(seq) lifecycle and
-// span-ish method names on other types produce no diagnostics.
-func TestSpanPairOutOfScope(t *testing.T) {
-	analysistest.Run(t, "testdata/spanpair_out", analysis.SpanPair)
-}
-
 func TestLockBlock(t *testing.T) {
 	analysistest.Run(t, "testdata/lockblock", analysis.LockBlock)
 }

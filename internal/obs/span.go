@@ -143,17 +143,21 @@ func (t *ItemTrace) Root(arrival time.Time) int {
 }
 
 // StartSpan opens a child span at now and returns its id (-1 when the
-// trace is nil or the span cap is hit). Close it with EndSpan.
+// trace is nil or the span cap is hit). Close it with EndSpan. The
+// serving path records every child span already closed, with
+// SpanBetween; this pair stays exported only because the frozen bench/
+// harness times span recording with it, and goes when that harness may
+// change.
 func (t *ItemTrace) StartSpan(name string, parent, model int) int {
 	if t == nil {
 		return -1
 	}
-	return t.StartSpanAt(name, parent, model, time.Now())
+	return t.startSpanAt(name, parent, model, time.Now())
 }
 
-// StartSpanAt opens a child span with an explicit start stamp (e.g. the
-// queue-wait span starts at arrival). A zero stamp means now.
-func (t *ItemTrace) StartSpanAt(name string, parent, model int, start time.Time) int {
+// startSpanAt opens a child span with an explicit start stamp. A zero
+// stamp means now.
+func (t *ItemTrace) startSpanAt(name string, parent, model int, start time.Time) int {
 	if t == nil {
 		return -1
 	}
@@ -175,16 +179,17 @@ func (t *ItemTrace) StartSpanAt(name string, parent, model int, start time.Time)
 }
 
 // EndSpan closes span id at now (no-op on nil, out-of-range, or
-// already-closed spans — a -1 id from a capped StartSpan is safe).
+// already-closed spans — a -1 id from a capped StartSpan is safe). Like
+// StartSpan, it is exported only for bench/.
 func (t *ItemTrace) EndSpan(id int) {
 	if t == nil {
 		return
 	}
-	t.EndSpanAt(id, time.Now())
+	t.endSpanAt(id, time.Now())
 }
 
-// EndSpanAt closes span id with an explicit end stamp.
-func (t *ItemTrace) EndSpanAt(id int, end time.Time) {
+// endSpanAt closes span id with an explicit end stamp.
+func (t *ItemTrace) endSpanAt(id int, end time.Time) {
 	if t == nil || id < 0 || id >= len(t.Spans) || t.Spans[id].EndUS >= 0 {
 		return
 	}
@@ -203,8 +208,8 @@ func (t *ItemTrace) EndSpanAt(id int, end time.Time) {
 // for stages whose boundaries were captured before the span could be
 // opened (batch hold: enqueue → seal). Returns the span id.
 func (t *ItemTrace) SpanBetween(name string, parent, model int, start, end time.Time) int {
-	id := t.StartSpanAt(name, parent, model, start)
-	t.EndSpanAt(id, end)
+	id := t.startSpanAt(name, parent, model, start)
+	t.endSpanAt(id, end)
 	return id
 }
 
@@ -244,7 +249,7 @@ func (t *ItemTrace) closeOpenSpans() {
 	}
 	now := time.Now()
 	for i := range t.Spans {
-		t.EndSpanAt(i, now) // no-op on a closed span
+		t.endSpanAt(i, now) // no-op on a closed span
 	}
 }
 

@@ -166,6 +166,19 @@ func (t *Tracer) Evicted() int64 {
 	return t.evicted
 }
 
+// Unended reports how many traces Begin handed out that End has not
+// published (0 on nil): every publish either grows the ring or evicts
+// one resident trace, so the count needs no field of its own. A drained
+// server reads 0.
+func (t *Tracer) Unended() int64 {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.seq - int64(len(t.ring)) - t.evicted
+}
+
 // DroppedTotal reports the cumulative spans dropped to the per-trace cap
 // across all published traces (0 on nil).
 func (t *Tracer) DroppedTotal() int64 {

@@ -117,6 +117,27 @@ func TestBeginResetsARecycledTrace(t *testing.T) {
 	tr.End(again)
 }
 
+// TestTracerUnended: a trace Begin handed out counts as unended until
+// End publishes it, whether the publish grows the ring or evicts a
+// resident trace; a nil tracer counts none.
+func TestTracerUnended(t *testing.T) {
+	tr := NewTracer(2)
+	for i := 0; i < 5; i++ {
+		publishTrace(tr, i)
+	}
+	if n, ev := tr.Unended(), tr.Evicted(); n != 0 || ev != 3 {
+		t.Fatalf("after five published traces: Unended = %d, Evicted = %d, want 0 and 3", n, ev)
+	}
+	it := tr.Begin(5, "open")
+	if n := tr.Unended(); n != 1 {
+		t.Fatalf("with one trace begun and not ended: Unended = %d, want 1", n)
+	}
+	tr.End(it)
+	if n := (*Tracer)(nil).Unended(); n != 0 {
+		t.Fatalf("nil tracer: Unended = %d, want 0", n)
+	}
+}
+
 // TestTracingAllocatesNothingOnceFull: with the ring full, a traced
 // item's Begin, spans and End reuse an evicted trace and its span array.
 func TestTracingAllocatesNothingOnceFull(t *testing.T) {

@@ -804,9 +804,9 @@ func (mc *machine) Start(m int, mod *zoo.Model) {
 		// is never blocked, always drains its commits (which need no
 		// reservation), and its releases wake the blocked one — a
 		// selection always fits the budget minus its own holdings.
-		rw := trace.StartSpan(obs.SpanReserveWait, 0, m)
+		t0 := trace.Stamp()
 		s.acct.reserve(mod.MemMB)
-		trace.EndSpan(rw)
+		trace.SpanBetween(obs.SpanReserveWait, 0, m, t0, trace.Stamp())
 	}
 	f.launched = trace.Stamp()
 	if s.batcher != nil {
@@ -908,14 +908,14 @@ func (s *Server) scaled(ms float64) time.Duration {
 // evict the item's memo the moment the commit is journaled, before any
 // reader wakes.
 func (s *Server) finish(tk *Ticket, ex oracle.Executor, res sim.Result, selectSec float64, trace *obs.ItemTrace) {
-	commit := trace.StartSpan(obs.SpanCommit, 0, -1)
-	trace.Annotate(commit, obs.SpanAttrs{RemainingMS: s.cfg.Limits().DeadlineMS - res.MakespanMS})
+	t0 := trace.Stamp()
 	if c, ok := ex.(committer); ok && tk.Resolve != nil {
 		// The sticky write error surfaces on the admission path; a worker
 		// completing an item has nowhere to return it.
 		_ = c.Commit(res.Executed, res.MakespanMS)
 	}
-	trace.EndSpan(commit)
+	trace.Annotate(trace.SpanBetween(obs.SpanCommit, 0, -1, t0, trace.Stamp()),
+		obs.SpanAttrs{RemainingMS: s.cfg.Limits().DeadlineMS - res.MakespanMS})
 	tk.res = ItemResult{
 		Image:      tk.image,
 		Tag:        tk.tag,

@@ -55,7 +55,7 @@ func TestTelemetryBitIdenticalAcrossPolicies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer srv.Close()
+				closeAtCleanup(t, srv, cfg)
 				out := make([]*Result, len(stream))
 				for i, item := range stream {
 					tk, err := srv.SubmitWait(bg, item)
@@ -91,13 +91,12 @@ func TestTelemetryBitIdenticalAcrossPolicies(t *testing.T) {
 // TestTelemetryDisabledInert: without ServeConfig.Telemetry there is no
 // registry, no tracer, and no exporter — every surface reports empty.
 func TestTelemetryDisabledInert(t *testing.T) {
-	srv, err := testSys.NewServer(testAgent, ServeConfig{
-		Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001,
-	})
+	cfg := ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001}
+	srv, err := testSys.NewServer(testAgent, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	closeAtCleanup(t, srv, cfg)
 	tk, err := srv.SubmitWait(bg, testSys.TestItem(0).WithID("inert"))
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +124,7 @@ func TestTelemetryDisabledInert(t *testing.T) {
 // surface: /metrics families, /statusz JSON, /tracez by tag, pprof, the
 // ServeStats.Telemetry snapshot, and per-ticket decision traces.
 func TestTelemetryEndToEnd(t *testing.T) {
-	srv, err := testSys.NewServer(testAgent, ServeConfig{
+	cfg := ServeConfig{
 		Workers:        2,
 		Shards:         2,
 		DeadlineSec:    0.5,
@@ -134,11 +133,12 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		BatchSize:      2,
 		PredictorCache: true,
 		MetricsAddr:    "127.0.0.1:0", // implies Telemetry
-	})
+	}
+	srv, err := testSys.NewServer(testAgent, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	closeAtCleanup(t, srv, cfg)
 
 	for i := 0; i < 6; i++ {
 		tk, err := srv.SubmitWait(bg, testSys.TestItem(i).WithID(fmt.Sprintf("item-%d", i)))
@@ -353,12 +353,13 @@ func TestTelemetryAllocationOverhead(t *testing.T) {
 	const bound = 8
 	var srvs [2]*Server // telemetry off, on
 	for i := range srvs {
+		cfg := ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e-6, Telemetry: i == 1}
 		var err error
-		srvs[i], err = testSys.NewServer(testAgent, ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 1e-6, Telemetry: i == 1})
+		srvs[i], err = testSys.NewServer(testAgent, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer srvs[i].Close()
+		closeAtCleanup(t, srvs[i], cfg)
 	}
 	least := leastAllocsPerItem(t, srvs[:]...)
 	t.Logf("allocations per item: %.2f without telemetry, %.2f with", least[0], least[1])

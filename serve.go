@@ -2,6 +2,7 @@ package ams
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -989,7 +990,10 @@ func (sv *Server) Stats() ServeStats {
 // Replay a reopened corpus (ReplayCorpus) before serving from it.
 //
 // A shard that drains with GPU memory still claimed fails Close with an
-// error naming the megabytes; the server is closed all the same.
+// error naming the megabytes, and a drained server whose tracer handed
+// out item traces it never published fails it with an error naming
+// their count; the server is closed all the same. A second Close
+// returns ErrServerClosed alone.
 func (sv *Server) Close() error {
 	sv.end() // then the shards drain
 	err := sv.router.Close()
@@ -1002,6 +1006,9 @@ func (sv *Server) Close() error {
 		}
 		close(sv.res)
 		sv.mu.Unlock()
+		if n := sv.tracer.Unended(); n > 0 {
+			err = errors.Join(err, fmt.Errorf("ams: closed with %d item traces never ended", n))
+		}
 	}
 	return err
 }

@@ -67,6 +67,17 @@ func auditClosed(srv *Server, cfg ServeConfig) error {
 	return errors.Join(errs...)
 }
 
+// closeAtCleanup closes srv, built from cfg, when the test ends, and
+// fails the test on Close's error (memory still held, item traces never
+// ended) and on whatever auditClosed finds.
+func closeAtCleanup(t testing.TB, srv *Server, cfg ServeConfig) {
+	t.Cleanup(func() {
+		if err := errors.Join(srv.Close(), auditClosed(srv, cfg)); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
 // mustWait waits for a ticket without a cancellation deadline.
 func mustWait(t testing.TB, tk *ServeTicket) *Result {
 	t.Helper()
@@ -670,6 +681,29 @@ func TestCloseSurfacesHeldMemory(t *testing.T) {
 	want := fmt.Sprintf("%d MB of memory still held", held)
 	if err := srv.Close(); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("Close = %v, want an error naming the %d MB still held", err, held)
+	}
+	if err := srv.Close(); err != ErrServerClosed {
+		t.Fatalf("second Close = %v, want ErrServerClosed", err)
+	}
+}
+
+// TestCloseReportsUnendedTraces: a traced server whose tracer handed out
+// an item trace that was never ended fails Close with an error naming
+// the count, and the server is closed all the same.
+func TestCloseReportsUnendedTraces(t *testing.T) {
+	srv, err := testSys.NewServer(testAgent, ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001, Telemetry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := srv.SubmitWait(bg, testSys.TestItem(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustWait(t, tk)
+	srv.tracer.Begin(0, "open")
+	const want = "closed with 1 item traces never ended"
+	if err := srv.Close(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Close = %v, want an error containing %q", err, want)
 	}
 	if err := srv.Close(); err != ErrServerClosed {
 		t.Fatalf("second Close = %v, want ErrServerClosed", err)
