@@ -1,9 +1,8 @@
 // Command amsvet runs the repo-specific analyzer suite over the module:
 // invariants this codebase depends on and has already paid to re-learn
-// once — simulated-time discipline (vtimesleep), no blocking calls under
-// held mutexes (lockblock), context propagation (ctxflow), telemetry
-// hygiene (obsclean) — enforced mechanically instead of by review. Run
-// it like vet:
+// once — no blocking calls under held mutexes (lockblock) and context
+// propagation (ctxflow) — enforced mechanically instead of by review.
+// Run it like vet:
 //
 //	go run ./cmd/amsvet ./...
 //

@@ -1,29 +1,25 @@
 // Package analysis is amsvet: a suite of repo-specific static analyzers
-// that mechanically enforce the serving stack's concurrency and
-// durability invariants. Each analyzer is grounded in a bug class that
-// has already appeared in this repo and been hand-fixed once:
+// that mechanically enforce the serving stack's concurrency invariants.
+// Each analyzer is grounded in a bug class that has already appeared in
+// this repo and been hand-fixed once:
 //
-//   - vtimesleep: simulated-execution packages pace themselves on the
-//     vtime wheel, never on raw time.Sleep/time.After (the PR-6
-//     migration off per-execution sleeps).
 //   - lockblock: no blocking operation — channel op, Wait, Sleep, fsync
 //     — while a sync.Mutex acquired in the same function is held (the
 //     PR-7 fsync-under-the-corpus-mutex rework).
 //   - ctxflow: library code propagates the caller's context.Context
 //     instead of minting context.Background, and never drops a ctx
 //     parameter on the floor.
-//   - obsclean: metric names at Registry registration sites are
-//     compile-time constants (variance belongs in labels, not names),
-//     and simulated-execution packages measure real spans through the
-//     obs seam instead of raw time.Since (the PR-9 instrumentation
-//     discipline: wall and simulated clocks must stay distinguishable).
 //
-// Two pairings need no analyzer. The memory accountant's: a claim above
-// the whole budget panics in the accountant, so no refusal can be
+// Four rules need no analyzer. The memory accountant's pairing: a claim
+// above the whole budget panics in the accountant, so no refusal can be
 // dropped, and a server whose Close finds memory still claimed returns
 // an error. The span tree's: the serving path records every child span
 // already closed (ItemTrace.SpanBetween), and a server whose Close finds
-// an item trace begun but never ended returns an error.
+// an item trace begun but never ended returns an error. Virtual-time
+// pacing: ordering tests fail when a model's or a batch's pause blocks
+// its caller instead of arming the vtime wheel. Metric hygiene: the
+// registry's families must equal DESIGN.md §8's catalog, and serving
+// must add no series.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) but is self-contained on the standard library's go/ast and
@@ -94,10 +90,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // All returns the full amsvet suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		VtimeSleep,
 		LockBlock,
 		CtxFlow,
-		Obsclean,
 	}
 }
 
@@ -147,6 +141,25 @@ func Check(pkg *Package, suite []*Analyzer) ([]Diagnostic, error) {
 		return kept[i].Analyzer < kept[j].Analyzer
 	})
 	return kept, nil
+}
+
+// isTestFile reports whether f came from a _test.go file.
+func isTestFile(pass *Pass, f *ast.File) bool {
+	return strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go")
+}
+
+// calleeFunc resolves the *types.Func a call invokes, or nil for calls
+// through function values, built-ins, and conversions.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var obj types.Object
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		obj = info.Uses[fun]
+	case *ast.SelectorExpr:
+		obj = info.Uses[fun.Sel]
+	}
+	fn, _ := obj.(*types.Func)
+	return fn
 }
 
 // allowDirective is the escape-hatch comment marker.

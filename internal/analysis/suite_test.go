@@ -11,26 +11,6 @@ import (
 	"ams/internal/analysis/analysistest"
 )
 
-func TestVtimeSleep(t *testing.T) {
-	analysistest.Run(t, "testdata/vtimesleep", analysis.VtimeSleep)
-}
-
-// TestVtimeSleepOutOfScope proves the analyzer is scoped: the same raw
-// timers in a wall-clock package produce no diagnostics.
-func TestVtimeSleepOutOfScope(t *testing.T) {
-	analysistest.Run(t, "testdata/vtimesleep_out", analysis.VtimeSleep)
-}
-
-func TestObsclean(t *testing.T) {
-	analysistest.Run(t, "testdata/obsclean", analysis.Obsclean)
-}
-
-// TestObscleanOutOfScope proves the time.Since rule is scoped to
-// simulated-execution packages while the constant-name rule is global.
-func TestObscleanOutOfScope(t *testing.T) {
-	analysistest.Run(t, "testdata/obsclean_out", analysis.Obsclean)
-}
-
 func TestLockBlock(t *testing.T) {
 	analysistest.Run(t, "testdata/lockblock", analysis.LockBlock)
 }

@@ -8,7 +8,7 @@
 //amsvet:importpath ams/internal/fixture
 package fixture
 
-//amsvet:allow vtimesleep
+//amsvet:allow lockblock
 
 //amsvet:allow nosuchanalyzer because reasons
 

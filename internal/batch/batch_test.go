@@ -270,6 +270,26 @@ func TestGrantSealsCausalPrefix(t *testing.T) {
 	}
 }
 
+// TestSealedBatchPacesOnTheWheel: Enqueue arms a sealed batch's
+// execution on the timer wheel and returns at once; the batch's done
+// fires no earlier than its scaled cost after the seal. A pause that
+// blocked the enqueuing worker for the cost would serialize every model
+// its item launches at one scheduling point.
+func TestSealedBatchPacesOnTheWheel(t *testing.T) {
+	b, _ := newBatcher(t, nil, Config{MaxBatch: 1, TimeScale: 10}) // model 0's 100 ms cost: 1 s
+	done := make(chan struct{})
+	var ref obs.BatchRef
+	t0 := time.Now()
+	b.Enqueue(0, false, done, &ref)
+	if d := time.Since(t0); d >= 500*time.Millisecond {
+		t.Fatalf("an Enqueue that sealed a 1 s batch returned after %v: the batch paused its caller", d)
+	}
+	<-done
+	if ran := time.Since(ref.Seal); ran < time.Second {
+		t.Fatalf("a 1 s batch woke its member %v after the seal", ran)
+	}
+}
+
 func TestHoldFlushNeverStarvesALoneRequest(t *testing.T) {
 	// The second hold scales to 0.1 ns, a zero time.Duration: its timer
 	// must still fire off the enqueuing goroutine, which holds the lane.

@@ -62,7 +62,7 @@ func (h *Histogram) ObserveSince(t0 time.Time) {
 	if h == nil || t0.IsZero() {
 		return
 	}
-	h.Observe(SinceSeconds(t0))
+	h.Observe(time.Since(t0).Seconds())
 }
 
 // ObserveScaledSince records the span since t0 converted onto the
@@ -74,7 +74,7 @@ func (h *Histogram) ObserveScaledSince(t0 time.Time, scale float64) {
 	if h == nil || t0.IsZero() || scale <= 0 {
 		return
 	}
-	h.Observe(SinceSeconds(t0) / scale)
+	h.Observe(time.Since(t0).Seconds() / scale)
 }
 
 // bucketIndex maps v (seconds) to its bucket.

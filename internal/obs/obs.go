@@ -23,13 +23,10 @@
 //     uninstrumented one (the root package's identity test holds the
 //     layer to this).
 //
-// Timing in the virtual-time packages goes through this package's
-// helpers (Started, SinceSeconds, Histogram.ObserveSince,
-// Histogram.ObserveScaledSince) rather than raw time.Since deltas: the
-// helpers are the one seam that knows whether a measured span is real
-// seconds (scheduler CPU overhead, fsync) or must be rescaled onto the
-// simulated clock (queue wait, batch hold), and the obsclean analyzer
-// enforces the discipline mechanically.
+// A histogram records real seconds (scheduler CPU overhead, fsync) or
+// seconds rescaled onto the simulated clock (queue wait, batch hold)
+// according to the method its call site uses: ObserveSince or
+// ObserveScaledSince. Both pair with Started.
 package obs
 
 import (
@@ -74,12 +71,4 @@ func Started(h *Histogram) time.Time {
 		return time.Time{}
 	}
 	return time.Now()
-}
-
-// SinceSeconds returns the real seconds elapsed since t0. It is the
-// sanctioned wall-clock delta for the virtual-time packages (obsclean
-// flags raw time.Since there): keeping every delta behind one seam
-// makes the real-versus-simulated bookkeeping auditable in one place.
-func SinceSeconds(t0 time.Time) float64 {
-	return time.Since(t0).Seconds()
 }

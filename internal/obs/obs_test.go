@@ -364,12 +364,9 @@ func TestStartedAndSince(t *testing.T) {
 		t.Fatal("Started on a live histogram must stamp the clock")
 	}
 	time.Sleep(time.Millisecond)
-	if SinceSeconds(t0) <= 0 {
-		t.Fatal("SinceSeconds must advance")
-	}
 	h.ObserveSince(t0)
-	if h.Snapshot().Count != 1 {
-		t.Fatal("ObserveSince should record")
+	if s := h.Snapshot(); s.Count != 1 || s.Sum < 1e-3 {
+		t.Fatalf("ObserveSince after a 1 ms sleep recorded %+v, want one span of at least 1 ms", s)
 	}
 	h.ObserveSince(time.Time{}) // zero stamp: span never started
 	if h.Snapshot().Count != 1 {

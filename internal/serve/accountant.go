@@ -49,6 +49,7 @@ type accountant struct {
 	budgetMB float64
 	usedMB   float64
 	peakMB   float64
+	claims   int         // claims not yet released: 0 means nothing runs
 	waits    int64       // reservations and grants that had to wait
 	line     []grantWait // queued grants, head first
 	lineHead int         // line[lineHead:] is the live line
@@ -81,6 +82,7 @@ func (a *accountant) fits(mb float64) bool {
 
 // claim books mb megabytes. Called with mu held, after fits.
 func (a *accountant) claim(mb float64) {
+	a.claims++
 	a.usedMB += mb
 	if a.usedMB > a.peakMB {
 		a.peakMB = a.usedMB
@@ -145,6 +147,7 @@ func (a *accountant) Grant(mb float64, fn func(at time.Time)) {
 // at is the instant the memory was freed (zero: now).
 func (a *accountant) Release(mb float64, at time.Time) {
 	a.mu.Lock()
+	a.claims--
 	a.usedMB -= mb
 	if a.usedMB < -1e-9 {
 		panic(fmt.Sprintf("serve: memory accountant released more than reserved (%v MB in use)", a.usedMB))
@@ -206,19 +209,22 @@ func (a *accountant) available() float64 {
 }
 
 // awaitMore blocks until the available memory differs from what the
-// caller last observed, returning true to ask the policy again. It
-// returns false without blocking when the whole budget was already
-// available: nothing is running, so no release will ever raise it and a
-// policy that declined has genuinely finished its schedule.
+// caller last observed, returning true to ask the policy again. While it
+// does not differ, awaitMore returns false, before waiting or after any
+// wake, once no claim is outstanding: nothing is running, so no release
+// will ever raise the availability (not even when a release gave back
+// less than its claim) and a policy that declined has genuinely finished
+// its schedule. The caller holds no claim of its own: it has nothing in
+// flight.
 func (a *accountant) awaitMore(observedMB float64) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if observedMB >= a.budgetMB-1e-9 {
-		return false
-	}
 	waited := false
 	var t0 time.Time
 	for a.budgetMB-a.usedMB <= observedMB+1e-9 {
+		if a.claims == 0 {
+			return false
+		}
 		if !waited {
 			waited = true
 			a.waits++

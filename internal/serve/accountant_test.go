@@ -170,6 +170,53 @@ func TestClaimAboveBudgetPanics(t *testing.T) {
 	}
 }
 
+// TestAwaitMoreEndsWhenNothingIsClaimed: a stalled ask waits while a
+// claim is outstanding and asks again once a release raises the
+// availability. Once no claim is left it ends, even when the last
+// release gave back less than its claim: no further release can come,
+// so waiting would hang the item.
+func TestAwaitMoreEndsWhenNothingIsClaimed(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		releaseMB float64 // what the 300 MB claim gives back
+		want      bool
+	}{
+		{"release all", 300, true},
+		{"release less", 100, true},
+		{"release nothing", 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newAccountant(1000)
+			ask := func(observedMB float64) <-chan bool {
+				got := make(chan bool, 1)
+				go func() { got <- a.awaitMore(observedMB) }()
+				return got
+			}
+			answer := func(got <-chan bool) bool {
+				select {
+				case ok := <-got:
+					return ok
+				case <-time.After(5 * time.Second):
+					t.Fatalf("awaitMore still waiting 5 s after the only claim gave back %v MB", tc.releaseMB)
+					return false
+				}
+			}
+			a.reserve(300)
+			got := ask(700)
+			for a.waitCount() == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			a.Release(tc.releaseMB, time.Time{})
+			if ok := answer(got); ok != tc.want {
+				t.Fatalf("awaitMore = %v after the claim gave back %v MB, want %v", ok, tc.releaseMB, tc.want)
+			}
+			if answer(ask(1000 - a.inUse())) {
+				t.Fatal("with nothing claimed, awaitMore must decline at once")
+			}
+		})
+	}
+}
+
 // TestReserveBypassesGrantLine is the deadlock case the accountant's
 // comment names: X holds 4 of 10 MB and its 5 MB grant waits in line; Z
 // holds 3 and reserves 2, which fit. A strict line would park Z behind

@@ -9,8 +9,9 @@ import (
 )
 
 // Metrics is the server's hot-path instrument set, registered once at
-// construction (never in the item loop — the obsclean analyzer enforces
-// constant metric names at registration sites). One Metrics is shared
+// construction, never in the item loop: the root package's
+// TestMetricCatalog holds the registry to DESIGN.md §8's catalog and
+// fails when serving adds a series. One Metrics is shared
 // by every shard of a logical server: histograms are concurrency-safe,
 // so per-model series aggregate fleet-wide while per-shard live state
 // is exposed separately through RegisterViews. It owns no counter:

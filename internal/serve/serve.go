@@ -676,7 +676,7 @@ type selector struct {
 func (p *selector) Next(t *oracle.Tracker, c sim.Constraints) int {
 	t0 := time.Now()
 	m := p.Policy.Next(t, c)
-	p.selectSec += obs.SinceSeconds(t0)
+	p.selectSec += time.Since(t0).Seconds()
 	trace := p.mach.trace
 	if trace == nil {
 		return m

@@ -502,6 +502,42 @@ func TestItemParallelConcurrentItemsStayInBudget(t *testing.T) {
 	}
 }
 
+// TestParallelLaunchesPaceOnTheWheel: the models an Algorithm-2 item
+// launches at one scheduling point run concurrently, each paced on the
+// timer wheel. Two 50 ms models at a 20x time scale sleep 1 s each, so
+// the item takes about 1 s of wall clock; a pause that blocked the worker
+// inside Start would run them back to back, in at least 2 s.
+func TestParallelLaunchesPaceOnTheWheel(t *testing.T) {
+	const blaze, genderFast = 6, 19
+	for _, m := range []int{blaze, genderFast} {
+		if z.Models[m].TimeMS != 50 {
+			t.Fatalf("model %d (%s) takes %v ms, want 50", m, z.Models[m].Name, z.Models[m].TimeMS)
+		}
+	}
+	cfg := itemParallelConfig(1)
+	cfg.TimeScale = 20
+	s, err := New(store, fixedFactory(blaze, genderFast), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	tk, err := s.SubmitWait(context.Background(), 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := tk.Wait()
+	wall := time.Since(t0)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Executed) != 2 || res.ScheduleMS != 50 {
+		t.Fatalf("executed %v in %v ms, want both models side by side in 50 ms", res.Executed, res.ScheduleMS)
+	}
+	if wall < time.Second || wall >= 1500*time.Millisecond {
+		t.Fatalf("the item took %v of wall clock, want from 1 s to 1.5 s: its two 1 s executions must overlap", wall)
+	}
+}
+
 // TestSelectOverheadMeasured: the per-item selection overhead must be
 // populated by the real server (it spends real CPU inside policy.Next).
 func TestSelectOverheadMeasured(t *testing.T) {

@@ -114,6 +114,7 @@ func TestServedCacheCountsMatchMapMemo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		closeAtCleanup(t, srv, cfg)
 		for i := 0; i < testSys.NumTestImages(); i++ {
 			refMemo.item = map[string][]float64{}
 			alg.run(i, refP)
@@ -124,7 +125,6 @@ func TestServedCacheCountsMatchMapMemo(t *testing.T) {
 			mustWait(t, tk)
 		}
 		st := srv.Stats()
-		srv.Close()
 		if st.PredCacheHits != refMemo.sharedHits || st.PredCacheMisses != refMemo.sharedMisses {
 			t.Fatalf("%s: served cache %d hits / %d misses, map-memo reference %d / %d",
 				alg.name, st.PredCacheHits, st.PredCacheMisses, refMemo.sharedHits, refMemo.sharedMisses)

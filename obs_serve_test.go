@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -115,6 +118,79 @@ func TestTelemetryDisabledInert(t *testing.T) {
 	}
 	if _, ok := srv.tracer.ByTag("inert"); ok {
 		t.Fatal("disabled server retrieved a trace by tag")
+	}
+}
+
+// TestMetricCatalog holds a fully featured server's registry to
+// DESIGN.md's metric catalog: it registers exactly the families the
+// catalog table lists, and serving 40 items, test-split and external,
+// adds no series. A family name or a label value built per item, per
+// model or per tag would show up as a new family or a new series.
+func TestMetricCatalog(t *testing.T) {
+	catalog, err := metricCatalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	c, err := testSys.OpenCorpusDir(filepath.Join(dir, "corpus.d"), 2, CorpusOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := c.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	cfg := ServeConfig{
+		Workers:        4,
+		Shards:         2,
+		ShardSteal:     true,
+		DeadlineSec:    0.5,
+		MemoryGB:       8,
+		TimeScale:      0.001,
+		BatchSize:      2,
+		Corpus:         c,
+		PredictorCache: true,
+		SLOs:           []string{"p99<250ms"},
+		FlightDir:      filepath.Join(dir, "flight"),
+	}
+	srv, err := testSys.NewServer(testAgent, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeAtCleanup(t, srv, cfg)
+
+	series := func() map[string]bool {
+		set := map[string]bool{}
+		for _, m := range srv.Stats().Telemetry {
+			key := m.Name
+			for _, k := range slices.Sorted(maps.Keys(m.Labels)) {
+				key += fmt.Sprintf(" %s=%q", k, m.Labels[k])
+			}
+			set[key] = true
+		}
+		return set
+	}
+	before := series()
+	items := append(testItems(0, 1, 2, 3, 4, 5, 6, 7, 8, 9), testSys.GenerateItems(30, 55)...)
+	for i, item := range items {
+		tk, err := srv.SubmitWait(bg, item.WithID(fmt.Sprintf("catalog-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.Wait(bg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for key := range series() {
+		if !before[key] {
+			t.Errorf("serving %d items added the series %s", len(items), key)
+		}
+	}
+
+	fams := telemetryFamilies(srv.Stats().Telemetry)
+	if want := slices.Sorted(maps.Keys(catalog)); !slices.Equal(fams, want) {
+		t.Errorf("the registry's families differ from DESIGN.md's metric catalog:\nregistry: %v\ncatalog:  %v", fams, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package ams
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,7 +44,7 @@ func parseChrome(t *testing.T, data []byte) chromeExport {
 // ams_trace_* series in the telemetry snapshot.
 func TestSpanTraceEndToEnd(t *testing.T) {
 	const items = 10
-	srv, err := testSys.NewServer(testAgent, ServeConfig{
+	cfg := ServeConfig{
 		Workers:       2,
 		Shards:        2,
 		ShardSteal:    true,
@@ -54,7 +55,8 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 		Telemetry:     true,
 		TraceCapacity: 64,
 		SLOs:          []string{"p99<400ms"},
-	})
+	}
+	srv, err := testSys.NewServer(testAgent, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := srv.Close(); err != nil {
+	if err := errors.Join(srv.Close(), auditClosed(srv, cfg)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -205,9 +207,8 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 // through WriteChromeTrace as loadable Chrome JSON — what amsserve
 // -trace-out writes after Close.
 func TestServeTraceOutDump(t *testing.T) {
-	srv, err := testSys.NewServer(testAgent, ServeConfig{
-		Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001, Telemetry: true,
-	})
+	cfg := ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001, Telemetry: true}
+	srv, err := testSys.NewServer(testAgent, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestServeTraceOutDump(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := srv.Close(); err != nil {
+	if err := errors.Join(srv.Close(), auditClosed(srv, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder

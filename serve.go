@@ -624,7 +624,7 @@ func (sv *Server) finishTelemetry(cfg ServeConfig, slos []SLOObjective, shards [
 // ÷ scale). The SLOs' burn windows and the flight recorder's trigger
 // rates and cooldown all advance on it, so a 0.01× test run and a
 // real-time run account burn and fire triggers identically.
-func (sv *Server) vnow() float64 { return obs.SinceSeconds(sv.start) / sv.scale }
+func (sv *Server) vnow() float64 { return time.Since(sv.start).Seconds() / sv.scale }
 
 // buildSLOs constructs the server's latency objectives — the implicit
 // "deadline" objective (p99 within the scheduling deadline) plus every

@@ -1,6 +1,7 @@
 package ams
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestBatchSizeOneBitIdenticalAcrossPolicies(t *testing.T) {
 	for _, pol := range registryPolicies() {
 		t.Run(pol.Name(), func(t *testing.T) {
 			run := func(workers int, memoryGB float64, batchSize int) []*Result {
-				srv, err := testSys.NewServer(testAgent, ServeConfig{
+				cfg := ServeConfig{
 					Workers:     workers,
 					Policy:      pol,
 					DeadlineSec: 0.5,
@@ -39,11 +40,12 @@ func TestBatchSizeOneBitIdenticalAcrossPolicies(t *testing.T) {
 					TimeScale:   0.001,
 					BatchSize:   batchSize,
 					BatchHoldMS: 100,
-				})
+				}
+				srv, err := testSys.NewServer(testAgent, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer srv.Close()
+				closeAtCleanup(t, srv, cfg)
 				tickets := make([]*ServeTicket, items)
 				for i := range tickets {
 					if tickets[i], err = srv.SubmitWait(bg, testSys.TestItem(i)); err != nil {
@@ -87,7 +89,7 @@ func TestBatchedServingPreservesOutputs(t *testing.T) {
 	}
 	for _, pol := range registryPolicies() {
 		t.Run(pol.Name(), func(t *testing.T) {
-			srv, err := testSys.NewServer(testAgent, ServeConfig{
+			cfg := ServeConfig{
 				Workers:        4,
 				Policy:         pol,
 				DeadlineSec:    0.5,
@@ -97,7 +99,8 @@ func TestBatchedServingPreservesOutputs(t *testing.T) {
 				BatchHoldMS:    100,
 				PredictorCache: true,
 				QueueCap:       64,
-			})
+			}
+			srv, err := testSys.NewServer(testAgent, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +135,7 @@ func TestBatchedServingPreservesOutputs(t *testing.T) {
 						res.Image, res, pure)
 				}
 			}
-			if err := srv.Close(); err != nil {
+			if err := errors.Join(srv.Close(), auditClosed(srv, cfg)); err != nil {
 				t.Fatal(err)
 			}
 			st := srv.Stats()
@@ -161,7 +164,7 @@ func TestBudgetedBatchingScheduleIndependentOfWorkers(t *testing.T) {
 		}
 		t.Run(pol.Name(), func(t *testing.T) {
 			run := func(workers int, reverse bool) []*Result {
-				srv, err := testSys.NewServer(testAgent, ServeConfig{
+				cfg := ServeConfig{
 					Workers:     workers,
 					Policy:      pol,
 					DeadlineSec: 0.2,
@@ -169,11 +172,12 @@ func TestBudgetedBatchingScheduleIndependentOfWorkers(t *testing.T) {
 					TimeScale:   0.001,
 					BatchSize:   8,
 					QueueCap:    n,
-				})
+				}
+				srv, err := testSys.NewServer(testAgent, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer srv.Close()
+				closeAtCleanup(t, srv, cfg)
 				tickets := make([]*ServeTicket, n)
 				for k := range tickets {
 					i := k

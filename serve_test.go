@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -42,8 +44,9 @@ func replayTrace(ctx context.Context, agent *Agent, cfg ServeConfig, trace Serve
 // auditClosed checks the invariants a closed server built from cfg must
 // hold: every placed item completed or failed (the shards' Assigned
 // sum to Completed + Failed), no shard reserved more than its share of
-// the memory budget, no more results were dropped than completed, and
-// the stats window holds at most its capacity.
+// the memory budget, no more results were dropped than completed, the
+// stats window holds at most its capacity, and every metric family a
+// telemetry server registered is in DESIGN.md's metric catalog.
 func auditClosed(srv *Server, cfg ServeConfig) error {
 	st := srv.Stats()
 	var errs []error
@@ -64,7 +67,58 @@ func auditClosed(srv *Server, cfg ServeConfig) error {
 	if st.Items > srv.window {
 		errs = append(errs, fmt.Errorf("audit: %d items in a stats window of %d", st.Items, srv.window))
 	}
+	if st.Telemetry != nil {
+		if catalog, err := metricCatalog(); err != nil {
+			errs = append(errs, err)
+		} else {
+			for _, fam := range telemetryFamilies(st.Telemetry) {
+				if !catalog[fam] {
+					errs = append(errs, fmt.Errorf("audit: metric family %s is not in DESIGN.md's metric catalog", fam))
+				}
+			}
+		}
+	}
 	return errors.Join(errs...)
+}
+
+// metricCatalog returns the family names DESIGN.md §8's "Metric catalog"
+// table lists: every backticked ams_* name in the table's rows, labels
+// left off.
+var metricCatalog = sync.OnceValues(func() (map[string]bool, error) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		return nil, err
+	}
+	_, sec, ok := strings.Cut(string(design), "\n### Metric catalog\n")
+	if !ok {
+		return nil, errors.New("DESIGN.md has no Metric catalog section")
+	}
+	sec, _, _ = strings.Cut(sec, "\n#")
+	name := regexp.MustCompile("`(ams_[a-z0-9_]+)")
+	catalog := map[string]bool{}
+	for _, line := range strings.Split(sec, "\n") {
+		if strings.HasPrefix(line, "|") {
+			for _, m := range name.FindAllStringSubmatch(line, -1) {
+				catalog[m[1]] = true
+			}
+		}
+	}
+	if len(catalog) == 0 {
+		return nil, errors.New("DESIGN.md's Metric catalog table names no ams_* family")
+	}
+	return catalog, nil
+})
+
+// telemetryFamilies returns the distinct family names of a telemetry
+// snapshot, in its order (sorted by name).
+func telemetryFamilies(ms []TelemetryMetric) []string {
+	var fams []string
+	for _, m := range ms {
+		if len(fams) == 0 || fams[len(fams)-1] != m.Name {
+			fams = append(fams, m.Name)
+		}
+	}
+	return fams
 }
 
 // closeAtCleanup closes srv, built from cfg, when the test ends, and
@@ -640,13 +694,13 @@ func TestServerQueueFullSurfacesBackpressure(t *testing.T) {
 }
 
 // shrinkingExecutor is an item's executor whose models claim their
-// footprint when they launch and 1 MB less when they finish, so every
-// release gives back 1 MB less than its reservation claimed. (Giving
-// back nothing would hang the item: a declined ask waits for a release
-// that raises the headroom.) Only the worker running the item calls
-// Model: at launch, then at commit.
+// footprint when they launch and less when they finish: 1 MB less, or
+// nothing at all with keepAll, so every release gives back less than its
+// reservation claimed. Only the worker running the item calls Model: at
+// launch, then at commit.
 type shrinkingExecutor struct {
 	oracle.Executor
+	keepAll  bool
 	launched map[int]bool
 }
 
@@ -657,33 +711,64 @@ func (e *shrinkingExecutor) Model(m int) *zoo.Model {
 		return mod
 	}
 	freed := *mod
-	freed.MemMB--
+	freed.MemMB -= e.kept(mod)
 	return &freed
+}
+
+// kept returns the megabytes a release of mod's claim keeps back.
+func (e *shrinkingExecutor) kept(mod *zoo.Model) float64 {
+	if e.keepAll {
+		return mod.MemMB
+	}
+	return 1
 }
 
 // TestCloseSurfacesHeldMemory: a shard that drains with memory still
 // claimed fails the server's Close through the router, naming the
-// megabytes, and the server is closed all the same.
+// megabytes, and the server is closed all the same. A release that gives
+// back nothing leaves the item's declined asks with no release to wait
+// for, so the item must still finish for Close to report.
 func TestCloseSurfacesHeldMemory(t *testing.T) {
-	srv, err := testSys.NewServer(testAgent, ServeConfig{Workers: 2, Shards: 2, DeadlineSec: 0.5, MemoryGB: 8, TimeScale: 0.001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaky := &shrinkingExecutor{Executor: testSys.GenerateItems(1, 5)[0].ext.Executor(), launched: map[int]bool{}}
-	tk, err := srv.router.SubmitWait(bg, shard.Item{Tag: "leak", Resolve: func(int) (oracle.Executor, error) { return leaky, nil }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	held := len(tk.Wait().Executed)
-	if held == 0 {
-		t.Fatal("the item ran no model, so it claimed nothing")
-	}
-	want := fmt.Sprintf("%d MB of memory still held", held)
-	if err := srv.Close(); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Close = %v, want an error naming the %d MB still held", err, held)
-	}
-	if err := srv.Close(); err != ErrServerClosed {
-		t.Fatalf("second Close = %v, want ErrServerClosed", err)
+	for _, tc := range []struct {
+		name    string
+		keepAll bool
+	}{
+		{"release 1 MB less", false},
+		{"release nothing", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := testSys.NewServer(testAgent, ServeConfig{Workers: 2, Shards: 2, DeadlineSec: 0.5, MemoryGB: 8, TimeScale: 0.001})
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaky := &shrinkingExecutor{Executor: testSys.GenerateItems(1, 5)[0].ext.Executor(), keepAll: tc.keepAll, launched: map[int]bool{}}
+			tk, err := srv.router.SubmitWait(bg, shard.Item{Tag: "leak", Resolve: func(int) (oracle.Executor, error) { return leaky, nil }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan []int, 1)
+			go func() { done <- tk.Wait().Executed }()
+			var executed []int
+			select {
+			case executed = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the leaking item never finished")
+			}
+			held := 0.0
+			for _, m := range executed {
+				held += leaky.kept(leaky.Executor.Model(m))
+			}
+			if held == 0 {
+				t.Fatal("the item ran no model, so it claimed nothing")
+			}
+			want := fmt.Sprintf("%v MB of memory still held", held)
+			if err := srv.Close(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Close = %v, want an error naming the %v MB still held", err, held)
+			}
+			if err := srv.Close(); err != ErrServerClosed {
+				t.Fatalf("second Close = %v, want ErrServerClosed", err)
+			}
+		})
 	}
 }
 

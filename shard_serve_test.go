@@ -1,6 +1,7 @@
 package ams
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"os"
@@ -32,11 +33,9 @@ func TestShardedServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := testSys.NewServer(testAgent, func() ServeConfig {
-		cfg := shardedCfg(4, 8)
-		cfg.Corpus = c
-		return cfg
-	}())
+	cfg := shardedCfg(4, 8)
+	cfg.Corpus = c
+	srv, err := testSys.NewServer(testAgent, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func TestShardedServerEndToEnd(t *testing.T) {
 		}
 	}
 	st := srv.Stats()
-	if err := srv.Close(); err != nil {
+	if err := errors.Join(srv.Close(), auditClosed(srv, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	if st.Shards != 4 || len(st.PerShard) != 4 {
@@ -119,7 +118,7 @@ func TestShardedCorpusReplayZeroReruns(t *testing.T) {
 			}
 			tks = append(tks, tk)
 		}
-		if err := srv.Close(); err != nil {
+		if err := errors.Join(srv.Close(), auditClosed(srv, cfg)); err != nil {
 			t.Fatal(err)
 		}
 		for _, tk := range tks {
@@ -312,7 +311,7 @@ func TestShardedQueueCapBoundsTheRouter(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	if err := srv.Close(); err != nil {
+	if err := errors.Join(srv.Close(), auditClosed(srv, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	if st := srv.Stats(); st.Completed != 40 || st.Rejected != 0 {
@@ -375,7 +374,7 @@ func TestShardedDispatchFailureReachesWait(t *testing.T) {
 			if res, err := tk.Wait(bg); err == nil {
 				t.Fatalf("Wait returned %+v for an item whose admission could not be journaled", res)
 			}
-			if err := srv.Close(); err != nil {
+			if err := errors.Join(srv.Close(), auditClosed(srv, cfg)); err != nil {
 				t.Fatal(err)
 			}
 			if st := srv.Stats(); st.Completed != 0 || st.Failed != 1 {
