@@ -22,6 +22,7 @@ type Frozen struct {
 	dueling bool
 	layers  []frozenLayer // feature layers, then the head (advantage columns, value last)
 	scratch int           // summed layer widths
+	empty   tensor.Vec    // Q-values of the empty state, which begins every item
 }
 
 type frozenLayer struct {
@@ -63,6 +64,7 @@ func Freeze(n *Net) (*Frozen, error) {
 	for _, l := range f.layers {
 		f.scratch += l.w.Cols
 	}
+	f.empty = f.forward(f.NewScratch(), nil).Clone()
 	return f, nil
 }
 
@@ -77,11 +79,22 @@ func (f *Frozen) NewScratch() tensor.Vec { return tensor.NewVec(f.scratch) }
 // Forward evaluates the network on the sparse binary input whose set bits
 // are listed in active and returns the Q-values. The result aliases
 // scratch, which must come from NewScratch, and is invalidated by the next
-// Forward on it.
+// Forward on it. The empty state's Q-values, which every item's first
+// select asks for, are computed once by Freeze and copied out here.
 func (f *Frozen) Forward(scratch tensor.Vec, active []int) tensor.Vec {
 	if len(scratch) != f.scratch {
 		panic(fmt.Sprintf("nn: scratch has %d floats, want %d", len(scratch), f.scratch))
 	}
+	if len(active) == 0 {
+		head := f.layers[len(f.layers)-1]
+		q := scratch[f.scratch-head.w.Cols:][:f.out]
+		copy(q, f.empty)
+		return q
+	}
+	return f.forward(scratch, active)
+}
+
+func (f *Frozen) forward(scratch tensor.Vec, active []int) tensor.Vec {
 	first := f.layers[0]
 	x := scratch[:first.w.Cols]
 	first.w.SumRowsSparseInto(x, active)

@@ -90,6 +90,29 @@ func TestFrozenIsASnapshot(t *testing.T) {
 	}
 }
 
+// Freeze computes the empty state's Q-values once; Forward hands out a
+// copy in scratch, where the computed path returns them, so a caller that
+// writes into the result cannot reach the next item's first answer.
+func TestFrozenEmptyStateIsComputedOnce(t *testing.T) {
+	for _, dueling := range []bool{false, true} {
+		n := newTestNet(dueling)
+		f := mustFreeze(t, n)
+		scratch := f.NewScratch()
+		want := f.forward(f.NewScratch(), nil)
+		got := f.Forward(scratch, nil)
+		if !sameBits(got, want) || !sameBits(got, n.Forward(nil)) {
+			t.Fatalf("dueling=%v: Q(empty) %v, computed %v", dueling, got, want)
+		}
+		if &got[0] != &f.Forward(scratch, []int{1, 5})[0] {
+			t.Fatalf("dueling=%v: Q(empty) does not sit where Forward returns Q-values", dueling)
+		}
+		f.Forward(scratch, nil)[0] = 99
+		if got := f.Forward(f.NewScratch(), []int{}); !sameBits(got, want) {
+			t.Fatalf("dueling=%v: writing into a returned Q(empty) moved the next one to %v", dueling, got)
+		}
+	}
+}
+
 func TestFrozenRejectsBadLabelIndex(t *testing.T) {
 	n := newTestNet(true)
 	f := mustFreeze(t, n)

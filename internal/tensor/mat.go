@@ -22,13 +22,40 @@ func (m *Mat) Row(i int) Vec { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 // Zero clears all elements.
 func (m *Mat) Zero() { m.Data.Zero() }
 
-// MulVecInto computes out = m * x (out length Rows, x length Cols).
+// MulVecInto computes out = m * x (out length Rows, x length Cols). Each
+// output is one dot product summed by ascending column, as Vec.Dot sums
+// it; four rows run at once so their independent chains overlap instead
+// of each waiting on its own add latency.
 func (m *Mat) MulVecInto(out, x Vec) {
 	assertLen(len(x), m.Cols)
 	assertLen(len(out), m.Rows)
-	for i := 0; i < m.Rows; i++ {
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		ra, rb, rc, rd := m.Row(i)[:len(x)], m.Row(i + 1)[:len(x)], m.Row(i + 2)[:len(x)], m.Row(i + 3)[:len(x)]
+		var a, b, c, d float64
+		for j, xj := range x {
+			a += ra[j] * xj
+			b += rb[j] * xj
+			c += rc[j] * xj
+			d += rd[j] * xj
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = a, b, c, d
+	}
+	for ; i < m.Rows; i++ {
 		out[i] = m.Row(i).Dot(x)
 	}
+}
+
+// blocks16 returns how many of m's leading columns the 16-wide row
+// kernels cover, after proving the bound they rely on: every row's 16
+// floats from any covered column lie inside Data. A matrix without rows
+// has nothing to add and no Data to point the kernels at, so none.
+func (m *Mat) blocks16() int {
+	assertLen(len(m.Data), m.Rows*m.Cols)
+	if m.Rows == 0 {
+		return 0
+	}
+	return m.Cols &^ 15
 }
 
 // MulVecTransInto computes out = m^T * x (out length Cols, x length Rows):
@@ -38,13 +65,17 @@ func (m *Mat) MulVecInto(out, x Vec) {
 //
 // Half of a ReLU layer's activations are zero in no predictable pattern,
 // so a branch per row would mispredict on every other one; instead the
-// non-zero indices of a block are gathered without branching and their
-// rows are added four at a time, which also loads and stores out once per
-// four rows instead of once per row.
+// non-zero indices of a block are gathered without branching. Each
+// 16-column block of out then takes all of them in one mulAddRows16
+// call, and the columns past the last block take them four rows at a
+// time, which loads and stores out once per four rows instead of once
+// per row.
 func (m *Mat) MulVecTransInto(out, x Vec) {
 	assertLen(len(x), m.Rows)
 	assertLen(len(out), m.Cols)
 	out.Zero()
+	blocks := m.blocks16()
+	tail := out[blocks:]
 	var nzBuf [64]int
 	for base := 0; base < len(x); base += len(nzBuf) {
 		block := x[base:min(base+len(nzBuf), len(x))]
@@ -56,35 +87,57 @@ func (m *Mat) MulVecTransInto(out, x Vec) {
 			}
 		}
 		nz := nzBuf[:n]
+		for j := 0; j < blocks; j += 16 {
+			mulAddRows16(out[j:j+16], m.Data[j:], m.Cols, nz, x)
+		}
 		for ; len(nz) >= 4; nz = nz[4:] {
 			a, b, c, d := x[nz[0]], x[nz[1]], x[nz[2]], x[nz[3]]
-			ra, rb, rc, rd := m.Row(nz[0])[:len(out)], m.Row(nz[1])[:len(out)], m.Row(nz[2])[:len(out)], m.Row(nz[3])[:len(out)]
-			for j := range out {
-				out[j] = (((out[j] + a*ra[j]) + b*rb[j]) + c*rc[j]) + d*rd[j]
+			ra, rb, rc, rd := m.Row(nz[0])[blocks:len(out)], m.Row(nz[1])[blocks:len(out)], m.Row(nz[2])[blocks:len(out)], m.Row(nz[3])[blocks:len(out)]
+			for j := range tail {
+				tail[j] = (((tail[j] + a*ra[j]) + b*rb[j]) + c*rc[j]) + d*rd[j]
 			}
 		}
 		for _, i := range nz {
-			a, ra := x[i], m.Row(i)[:len(out)]
-			for j := range out {
-				out[j] += a * ra[j]
+			a, ra := x[i], m.Row(i)[blocks:len(out)]
+			for j := range tail {
+				tail[j] += a * ra[j]
 			}
 		}
 	}
 }
 
 // AddOuter accumulates m += a * x y^T where x has length Rows and y length
-// Cols. It is the rank-1 update used by backprop weight gradients.
+// Cols. It is the rank-1 update used by backprop weight gradients. Rows
+// whose a*x[i] is zero are skipped, gathered without a branch as in
+// MulVecTransInto; every other row adds a*x[i] * y, one 16-column block
+// per mulAddRows16 call, and its columns past the last block in Go.
 func (m *Mat) AddOuter(a float64, x, y Vec) {
 	assertLen(len(x), m.Rows)
 	assertLen(len(y), m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		s := a * x[i]
-		if s == 0 {
-			continue
+	blocks := m.blocks16()
+	var (
+		nzBuf [64]int
+		sBuf  [64]float64
+		only  [1]int // the one addend row: y, at stride 0
+	)
+	for base := 0; base < len(x); base += len(nzBuf) {
+		block := x[base:min(base+len(nzBuf), len(x))]
+		n := 0
+		for i, xi := range block {
+			s := a * xi
+			nzBuf[n], sBuf[n] = base+i, s
+			if s != 0 {
+				n++
+			}
 		}
-		row := m.Row(i)
-		for j, yj := range y {
-			row[j] += s * yj
+		for k, i := range nzBuf[:n] {
+			row := m.Row(i)
+			for j := 0; j < blocks; j += 16 {
+				mulAddRows16(row[j:j+16], y[j:], 0, only[:], sBuf[k:k+1])
+			}
+			for j, yj := range y[blocks:] {
+				row[blocks+j] += sBuf[k] * yj
+			}
 		}
 	}
 }
@@ -92,7 +145,8 @@ func (m *Mat) AddOuter(a float64, x, y Vec) {
 // SumRowsSparseInto computes out = sum over j in active of row j of m, in
 // active order. It is a sparse first layer: m is input-major (Rows inputs
 // x Cols outputs), so a binary input with ones at active adds one
-// contiguous row per active input. out must have length Cols.
+// contiguous row per active input. out must have length Cols. Every
+// index is range-checked before any row is read.
 func (m *Mat) SumRowsSparseInto(out Vec, active []int) {
 	assertLen(len(out), m.Cols)
 	out.Zero()
@@ -101,17 +155,23 @@ func (m *Mat) SumRowsSparseInto(out Vec, active []int) {
 			panicSparse(j, m.Rows)
 		}
 	}
-	// Four rows at a time: out is loaded and stored once per four addends.
+	blocks := m.blocks16()
+	for j := 0; j < blocks; j += 16 {
+		addRows16(out[j:j+16], m.Data[j:], m.Cols, active)
+	}
+	// Four rows at a time: the tail is loaded and stored once per four
+	// addends.
+	tail := out[blocks:]
 	for ; len(active) >= 4; active = active[4:] {
-		ra, rb, rc, rd := m.Row(active[0])[:len(out)], m.Row(active[1])[:len(out)], m.Row(active[2])[:len(out)], m.Row(active[3])[:len(out)]
-		for i := range out {
-			out[i] = (((out[i] + ra[i]) + rb[i]) + rc[i]) + rd[i]
+		ra, rb, rc, rd := m.Row(active[0])[blocks:len(out)], m.Row(active[1])[blocks:len(out)], m.Row(active[2])[blocks:len(out)], m.Row(active[3])[blocks:len(out)]
+		for i := range tail {
+			tail[i] = (((tail[i] + ra[i]) + rb[i]) + rc[i]) + rd[i]
 		}
 	}
 	for _, j := range active {
-		row := m.Row(j)[:len(out)]
-		for i := range out {
-			out[i] += row[i]
+		row := m.Row(j)[blocks:len(out)]
+		for i := range tail {
+			tail[i] += row[i]
 		}
 	}
 }
