@@ -35,3 +35,18 @@ func TestTrainPinsSavedAgentBytes(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkTrain times the benchmark set-up's training: a DuelingDQN agent
+// with one hidden layer of 256, one epoch over the training split of a
+// 400-image MSCOCO system built at seed 1. Its emitted labels reach only
+// part of the first layer's rows, which the optimizer step updates.
+func BenchmarkTrain(b *testing.B) {
+	train, _ := synth.NewDataset(vocab, synth.MSCOCO(), 400, 1^0x5bd1e995).Split(synth.TrainFrac)
+	store := oracle.Build(z, train)
+	cfg := TrainConfig{Algo: rl.DuelingDQN, Epochs: 1, Hidden: []int{256}, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		Train(store, cfg)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -62,7 +63,7 @@ func randomRecord(r *rand.Rand) record {
 			return r.NormFloat64() * math.Pow(10, float64(r.IntN(20)-10))
 		}
 	}
-	rec := record{Kind: 1 + r.IntN(3), Seq: r.IntN(1 << (1 + r.IntN(40)))}
+	rec := record{Kind: 1 + r.IntN(3), Seq: r.IntN(1 << (1 + r.IntN(min(40, bits.UintSize-2))))}
 	switch rec.Kind {
 	case kindAdmit:
 		tag := make([]byte, r.IntN(3)*r.IntN(12))

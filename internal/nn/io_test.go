@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"strings"
 	"testing"
 )
@@ -24,8 +25,8 @@ func TestLoadRejectsMalformedBlobs(t *testing.T) {
 		{"negative hidden width", netBlob{In: 2, Hidden: []int{-2}, Out: 2}, "invalid dims"},
 		{"zero outputs", netBlob{In: 2, Hidden: []int{2}, Out: 0}, "invalid dims"},
 		{"no hidden layer", netBlob{In: 2, Out: 2}, "invalid dims"},
-		{"dims past the values", netBlob{In: 1 << 40, Hidden: []int{1 << 30}, Out: 2}, "expected 4 parameter tensors, got 0"},
-		{"dims past int", netBlob{In: 1 << 40, Hidden: []int{1 << 30}, Out: 2, Values: make([][]float64, 4)}, "overflow int"},
+		{"dims past the values", netBlob{In: math.MaxInt, Hidden: []int{2}, Out: 2}, "expected 4 parameter tensors, got 0"},
+		{"dims past int", netBlob{In: math.MaxInt, Hidden: []int{2}, Out: 2, Values: make([][]float64, 4)}, "overflow int"},
 		{"values short of the dims", netBlob{In: 2, Hidden: []int{3}, Out: 2, Values: [][]float64{make([]float64, 6), make([]float64, 3), make([]float64, 6), {0}}}, "layer 1 has 6 weights and 1 biases"},
 		{"saved", netBlob{}, ""},
 	} {

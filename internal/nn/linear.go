@@ -29,6 +29,12 @@ type Linear struct {
 	B       tensor.Vec  // Out
 	GW      *tensor.Mat // gradient accumulator for W
 	GB      tensor.Vec  // gradient accumulator for B
+
+	// live[j] records that BackwardSparse has added into row j of GW, and
+	// liveRows lists those rows in the order they were first reached.
+	// Both are nil until the first BackwardSparse call and only grow.
+	live     []bool
+	liveRows []int
 }
 
 // NewLinear returns a layer with He-uniform initialised weights, the
@@ -86,29 +92,58 @@ func (l *Linear) BackwardDense(dIn, dOut, x tensor.Vec) {
 // BackwardSparse accumulates gradients for a binary sparse input: the
 // weight gradient adds dOut to the row of each active input, and no input
 // gradient is produced (the input is data, not a learnable activation).
+// It records every row it reaches as live (see Param).
 func (l *Linear) BackwardSparse(dOut tensor.Vec, active []int) {
+	if l.live == nil {
+		l.live = make([]bool, l.In)
+		l.liveRows = make([]int, 0, l.In)
+	}
 	for _, j := range active {
+		if !l.live[j] {
+			l.live[j] = true
+			l.liveRows = append(l.liveRows, j)
+		}
 		l.GW.Row(j).Add(dOut)
 	}
 	l.GB.Add(dOut)
 }
 
-// ZeroGrad clears the accumulated gradients.
+// ZeroGrad clears the accumulated gradients. Once BackwardSparse has
+// been called, only its live rows can hold anything but +0, so only they
+// are cleared.
 func (l *Linear) ZeroGrad() {
-	l.GW.Zero()
+	if l.live == nil {
+		l.GW.Zero()
+	} else {
+		for _, j := range l.liveRows {
+			l.GW.Row(j).Zero()
+		}
+	}
 	l.GB.Zero()
 }
 
 // Params appends this layer's (value, gradient) pairs to dst.
 func (l *Linear) Params(dst []Param) []Param {
 	return append(dst,
-		Param{Val: l.W.Data, Grad: l.GW.Data},
+		Param{Val: l.W.Data, Grad: l.GW.Data, rows: l.liveRows, width: l.Out},
 		Param{Val: l.B, Grad: l.GB},
 	)
 }
 
 // Param is a flattened view of one parameter tensor and its gradient.
+//
+// The weights of a layer that BackwardSparse has been called on carry its
+// live rows: rows lists every row, of width elements, that a gradient has
+// ever reached, and Adam.Step updates only those. Every other row has
+// held Grad = m = v = +0 since the start, and Adam's rule leaves such an
+// element's value with the bits it has, -0 included, so skipping it is
+// exact. That holds only if, once BackwardSparse has been called on a
+// layer, its weight gradient is written only through it. rows is nil for
+// every other tensor, which Step updates whole.
 type Param struct {
 	Val  tensor.Vec
 	Grad tensor.Vec
+
+	rows  []int
+	width int
 }

@@ -17,10 +17,11 @@ type Adam struct {
 	Beta2   float64
 	Epsilon float64
 
-	t  int
-	m  []tensor.Vec
-	v  []tensor.Vec
-	wg sync.WaitGroup // Step's chunks
+	t    int
+	m    []tensor.Vec
+	v    []tensor.Vec
+	coef adamCoef       // the current step's constants
+	wg   sync.WaitGroup // Step's parts
 }
 
 // NewAdam returns an Adam optimizer with standard defaults for the moment
@@ -36,9 +37,12 @@ const adamChunk = 1 << 14
 
 // Step applies one update using the gradients currently accumulated in
 // the network and leaves the gradients untouched (callers usually
-// ZeroGrad afterwards). The update is element-wise, so a large tensor is
-// split into up to GOMAXPROCS contiguous chunks updated in parallel, with
-// the same bits as one pass; Step returns once every chunk is done.
+// ZeroGrad afterwards). A tensor that carries live rows has only those
+// updated (see Param); every other tensor is updated whole. The update is
+// element-wise, so the work of a large tensor is split into up to
+// GOMAXPROCS parts, runs of elements or of live rows, updated in
+// parallel with the same bits as one pass; Step returns once every part
+// is done.
 func (o *Adam) Step(n *Net) {
 	params := n.Params()
 	if o.m == nil {
@@ -46,38 +50,51 @@ func (o *Adam) Step(n *Net) {
 		o.v = makeState(params)
 	}
 	o.t++
-	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	o.coef = adamCoef{
+		beta1: o.Beta1, oneMinusBeta1: 1 - o.Beta1,
+		beta2: o.Beta2, oneMinusBeta2: 1 - o.Beta2,
+		bc1: 1 - math.Pow(o.Beta1, float64(o.t)),
+		bc2: 1 - math.Pow(o.Beta2, float64(o.t)),
+		lr:  o.LR, eps: o.Epsilon,
+	}
+	c := &o.coef
 	procs := runtime.GOMAXPROCS(0)
-	for i, p := range params {
-		k := max(1, min(procs, len(p.Val)/adamChunk))
-		size := (len(p.Val) + k - 1) / k
-		// Chunks after the first go to other goroutines; the first is
+	for i := range params {
+		p, m, v := params[i], o.m[i], o.v[i]
+		// A part is a run of elements, or of live rows.
+		parts, elems := len(p.Val), len(p.Val)
+		if p.rows != nil {
+			parts, elems = len(p.rows), len(p.rows)*p.width
+		}
+		k := max(1, min(procs, elems/adamChunk))
+		size := (parts + k - 1) / k
+		// Parts after the first go to other goroutines; the first is
 		// updated here, while they run.
-		for lo := size; lo < len(p.Val); lo += size {
-			hi := min(lo+size, len(p.Val))
-			val, grad, m, v := p.Val[lo:hi], p.Grad[lo:hi], o.m[i][lo:hi], o.v[i][lo:hi]
+		for lo := size; lo < parts; lo += size {
+			hi := min(lo+size, parts)
 			o.wg.Add(1)
 			go func() {
 				defer o.wg.Done()
-				o.update(val, grad, m, v, bc1, bc2)
+				updatePart(p, m, v, lo, hi, c)
 			}()
 		}
-		o.update(p.Val[:size], p.Grad[:size], o.m[i][:size], o.v[i][:size], bc1, bc2)
+		updatePart(p, m, v, 0, min(size, parts), c)
 	}
 	o.wg.Wait()
 }
 
-// update applies Adam's rule to one run of elements, given the bias
-// corrections bc1 and bc2 of the current step.
-func (o *Adam) update(val, grad, m, v tensor.Vec, bc1, bc2 float64) {
-	for j := range val {
-		g := grad[j]
-		m[j] = o.Beta1*m[j] + (1-o.Beta1)*g
-		v[j] = o.Beta2*v[j] + (1-o.Beta2)*g*g
-		mhat := m[j] / bc1
-		vhat := v[j] / bc2
-		val[j] -= o.LR * mhat / (math.Sqrt(vhat) + o.Epsilon)
+// updatePart applies Adam's rule to part [lo, hi) of p, given its moments
+// m and v: elements lo to hi of a tensor updated whole, or the live rows
+// p.rows[lo:hi].
+func updatePart(p Param, m, v tensor.Vec, lo, hi int, c *adamCoef) {
+	if p.rows == nil {
+		adamUpdate(p.Val[lo:hi], p.Grad[lo:hi], m[lo:hi], v[lo:hi], c)
+		return
+	}
+	w := p.width
+	for _, r := range p.rows[lo:hi] {
+		s, e := r*w, (r+1)*w
+		adamUpdate(p.Val[s:e], p.Grad[s:e], m[s:e], v[s:e], c)
 	}
 }
 

@@ -34,10 +34,10 @@ func (m *Mat) MulVecInto(out, x Vec) {
 		ra, rb, rc, rd := m.Row(i)[:len(x)], m.Row(i + 1)[:len(x)], m.Row(i + 2)[:len(x)], m.Row(i + 3)[:len(x)]
 		var a, b, c, d float64
 		for j, xj := range x {
-			a += ra[j] * xj
-			b += rb[j] * xj
-			c += rc[j] * xj
-			d += rd[j] * xj
+			a += float64(ra[j] * xj)
+			b += float64(rb[j] * xj)
+			c += float64(rc[j] * xj)
+			d += float64(rd[j] * xj)
 		}
 		out[i], out[i+1], out[i+2], out[i+3] = a, b, c, d
 	}
@@ -94,13 +94,13 @@ func (m *Mat) MulVecTransInto(out, x Vec) {
 			a, b, c, d := x[nz[0]], x[nz[1]], x[nz[2]], x[nz[3]]
 			ra, rb, rc, rd := m.Row(nz[0])[blocks:len(out)], m.Row(nz[1])[blocks:len(out)], m.Row(nz[2])[blocks:len(out)], m.Row(nz[3])[blocks:len(out)]
 			for j := range tail {
-				tail[j] = (((tail[j] + a*ra[j]) + b*rb[j]) + c*rc[j]) + d*rd[j]
+				tail[j] = (((tail[j] + float64(a*ra[j])) + float64(b*rb[j])) + float64(c*rc[j])) + float64(d*rd[j])
 			}
 		}
 		for _, i := range nz {
 			a, ra := x[i], m.Row(i)[blocks:len(out)]
 			for j := range tail {
-				tail[j] += a * ra[j]
+				tail[j] += float64(a * ra[j])
 			}
 		}
 	}
@@ -136,7 +136,7 @@ func (m *Mat) AddOuter(a float64, x, y Vec) {
 				mulAddRows16(row[j:j+16], y[j:], 0, only[:], sBuf[k:k+1])
 			}
 			for j, yj := range y[blocks:] {
-				row[blocks+j] += sBuf[k] * yj
+				row[blocks+j] += float64(sBuf[k] * yj)
 			}
 		}
 	}

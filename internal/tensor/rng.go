@@ -11,6 +11,11 @@
 // row. The row additions run 16 outputs at a time through two block
 // functions, SSE2 assembly on amd64 and Go elsewhere, that sum every
 // output in the same order, with the same roundings, as a plain loop.
+//
+// Every product added to something is written float64(a*b): the
+// conversion rounds the product on its own, so no compiler fuses it into
+// the add (arm64's would), and results have the same bits on every
+// architecture.
 package tensor
 
 import "math"
@@ -69,9 +74,11 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
-// Float64 returns a uniform value in [0,1).
+// Float64 returns a uniform value in [0,1). The division by 2^53 is exact
+// and compiles to a multiplication; the outer conversion rounds it on its
+// own, so no caller's add fuses with it.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform integer in [0,n). It panics when n <= 0.
@@ -84,7 +91,7 @@ func (r *RNG) Intn(n int) int {
 
 // Range returns a uniform value in [lo,hi).
 func (r *RNG) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Norm returns a standard normal deviate (Box-Muller with caching).
@@ -95,9 +102,9 @@ func (r *RNG) Norm() float64 {
 	}
 	var u, v, s float64
 	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
+		u = float64(2*r.Float64()) - 1
+		v = float64(2*r.Float64()) - 1
+		s = float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			break
 		}
@@ -105,12 +112,12 @@ func (r *RNG) Norm() float64 {
 	m := math.Sqrt(-2 * math.Log(s) / s)
 	r.spare = v * m
 	r.hasSpare = true
-	return u * m
+	return float64(u * m)
 }
 
 // NormMeanStd returns a normal deviate with the given mean and stddev.
 func (r *RNG) NormMeanStd(mean, std float64) float64 {
-	return mean + std*r.Norm()
+	return mean + float64(std*r.Norm())
 }
 
 // Bool returns true with probability p.

@@ -20,7 +20,7 @@ func mulAddRows16Go(out, m []float64, stride int, rows []int, x []float64) {
 	for _, i := range rows {
 		a, r := x[i], m[i*stride:i*stride+16]
 		for c := range out {
-			out[c] += a * r[c]
+			out[c] += float64(a * r[c])
 		}
 	}
 }

@@ -38,7 +38,7 @@ func (v Vec) Dot(w Vec) float64 {
 	assertLen(len(v), len(w))
 	var s float64
 	for i := range v {
-		s += v[i] * w[i]
+		s += float64(v[i] * w[i])
 	}
 	return s
 }
