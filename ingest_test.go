@@ -127,7 +127,7 @@ func TestServerLabelsNeverSeenItemUnderMemoryBudget(t *testing.T) {
 			t.Fatalf("item %d: schedule %v s over the %v s deadline", i, res.TimeSec, cfg.DeadlineSec)
 		}
 	}
-	if err := srv.Close(); err != nil {
+	if err := errors.Join(srv.Close(), auditClosed(srv, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	stats := srv.Stats()
@@ -227,11 +227,12 @@ func TestZeroItemRejectedEverywhere(t *testing.T) {
 	if _, _, err := testSys.LabelBatch(bg, testAgent, []Item{{}}, Budget{}, 1); err == nil {
 		t.Fatal("LabelBatch accepted the zero Item")
 	}
-	srv, err := testSys.NewServer(testAgent, serveCfg(1))
+	cfg := serveCfg(1)
+	srv, err := testSys.NewServer(testAgent, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	closeAtCleanup(t, srv, cfg)
 	if _, err := srv.Submit(Item{}); err == nil {
 		t.Fatal("Submit accepted the zero Item")
 	}
@@ -335,7 +336,7 @@ func TestSubmitWaitCancelledUnderBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	closeAtCleanup(t, srv, cfg)
 	// Occupy the worker and fill the one-slot queue: the second submit
 	// gets in once the worker has dequeued the first.
 	if _, err := srv.Submit(testSys.TestItem(3)); err != nil {
@@ -359,7 +360,7 @@ func TestTicketWaitHonorsContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	closeAtCleanup(t, srv, cfg)
 	tk, err := srv.Submit(testSys.TestItem(3))
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +393,7 @@ func TestCloseDrainsInFlightExternalItem(t *testing.T) {
 		tickets = append(tickets, tk)
 	}
 	// Close while schedules are mid-flight (each item sleeps ~10 ms).
-	if err := srv.Close(); err != nil {
+	if err := errors.Join(srv.Close(), auditClosed(srv, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	for i, tk := range tickets {
@@ -415,7 +416,8 @@ func TestCloseDrainsInFlightExternalItem(t *testing.T) {
 // alike — is delivered exactly once on the Results channel, which closes
 // after Close.
 func TestServerResultsStream(t *testing.T) {
-	srv, err := testSys.NewServer(testAgent, serveCfg(2))
+	cfg := serveCfg(2)
+	srv, err := testSys.NewServer(testAgent, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,6 +428,7 @@ func TestServerResultsStream(t *testing.T) {
 
 	const testImgs = 6
 	external := testSys.GenerateItems(3, 123)
+	closed := make(chan error, 1)
 	go func() {
 		for i := 0; i < testImgs; i++ {
 			if _, err := srv.SubmitWait(context.Background(), testSys.TestItem(i)); err != nil {
@@ -437,7 +440,7 @@ func TestServerResultsStream(t *testing.T) {
 				t.Errorf("submit external: %v", err)
 			}
 		}
-		srv.Close()
+		closed <- srv.Close()
 	}()
 
 	var oracleBacked, externalSeen int
@@ -458,6 +461,9 @@ func TestServerResultsStream(t *testing.T) {
 		t.Fatalf("stream delivered %d oracle-backed + %d external, want %d + %d",
 			oracleBacked, externalSeen, testImgs, len(external))
 	}
+	if err := errors.Join(<-closed, auditClosed(srv, cfg)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestResubmittedExternalItemReusesExecutorSlot: submitting one external
@@ -465,11 +471,12 @@ func TestServerResultsStream(t *testing.T) {
 // replays the memo the item carries: five submissions run the first
 // one's inferences and no more.
 func TestResubmittedExternalItemReusesExecutorSlot(t *testing.T) {
-	srv, err := testSys.NewServer(testAgent, serveCfg(2))
+	cfg := serveCfg(2)
+	srv, err := testSys.NewServer(testAgent, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	closeAtCleanup(t, srv, cfg)
 	item := testSys.GenerateItems(1, 31)[0]
 	before := zoo.Inferences()
 	var first int64
@@ -504,7 +511,11 @@ func TestServerRetainsNoExternalItem(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close()
+		t.Cleanup(func() { // after the server's close, registered later
+			if err := c.Close(); err != nil {
+				t.Error(err)
+			}
+		})
 		cfg := serveCfg(2)
 		cfg.Corpus = c
 		assertRetainsNone(t, cfg, 40)
@@ -520,7 +531,7 @@ func assertRetainsNone(t *testing.T, cfg ServeConfig, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	closeAtCleanup(t, srv, cfg)
 	weaks := make([]weak.Pointer[oracle.ExternalItem], n)
 	func() {
 		var tickets []*ServeTicket
@@ -581,7 +592,7 @@ func TestServerResultsAbandonedConsumerDoesNotDeadlock(t *testing.T) {
 	go func() { done <- srv.Close() }()
 	select {
 	case err := <-done:
-		if err != nil {
+		if err := errors.Join(err, auditClosed(srv, cfg)); err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
@@ -613,7 +624,7 @@ func TestResultsRingKeepsNewestInOrder(t *testing.T) {
 			}
 			mustWait(t, tk)
 		}
-		if err := srv.Close(); err != nil {
+		if err := errors.Join(srv.Close(), auditClosed(srv, cfg)); err != nil {
 			t.Fatal(err)
 		}
 		var got []int
@@ -657,7 +668,7 @@ func TestShardedResultsBoundIsServerWide(t *testing.T) {
 		}
 		mustWait(t, tk)
 	}
-	if err := srv.Close(); err != nil {
+	if err := errors.Join(srv.Close(), auditClosed(srv, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
@@ -729,7 +740,7 @@ func TestResultsConcurrentConsumer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if err := srv.Close(); err != nil {
+	if err := errors.Join(srv.Close(), auditClosed(srv, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	n := <-received
@@ -766,7 +777,7 @@ func TestResultsStartsNoGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Close(); err != nil {
+	if err := errors.Join(srv.Close(), auditClosed(srv, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
@@ -783,7 +794,7 @@ func TestResultsStartsNoGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := late.Close(); err != nil {
+	if err := errors.Join(late.Close(), auditClosed(late, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -421,9 +421,9 @@ func (b *Batcher) finish(bt *batch) {
 	case flushGrant:
 		b.stats.GrantFlushes++
 	}
-	b.stats.SavedGPUMS += float64(n)*mod.TimeMS - mod.BatchCostMS(n)
+	b.stats.SavedGPUMS += float64(float64(n)*mod.TimeMS) - mod.BatchCostMS(n)
 	if bt.memMB > 0 && ownedReqs > 1 {
-		b.stats.SavedMemMB += float64(ownedReqs-1) * mod.MemMB
+		b.stats.SavedMemMB += float64(float64(ownedReqs-1) * mod.MemMB)
 	}
 	b.statMu.Unlock()
 	for _, r := range bt.reqs {

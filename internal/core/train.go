@@ -124,7 +124,7 @@ func RewardWith(shape RewardShape, theta float64, freshCount int, freshValue flo
 	case RewardAverage:
 		return theta * freshValue / float64(freshCount)
 	default:
-		return math.Log(theta*freshValue + 1)
+		return math.Log(float64(theta*freshValue) + 1)
 	}
 }
 
@@ -133,7 +133,7 @@ func RewardWith(shape RewardShape, theta float64, freshCount int, freshValue flo
 func FreshValue(vocab *labels.Vocabulary, fresh []zoo.LabelConf) float64 {
 	var sum float64
 	for _, lc := range fresh {
-		sum += vocab.Label(lc.ID).Profit * lc.Conf
+		sum += float64(vocab.Label(lc.ID).Profit * lc.Conf)
 	}
 	return sum
 }

@@ -86,9 +86,6 @@ func (c *Corpus) RegisterViews(reg *obs.Registry, labels ...obs.Label) {
 	reg.GaugeFunc("ams_corpus_journal_bytes",
 		"Current journal size including the header",
 		func() float64 { return float64(c.Stats().JournalBytes) }, labels...)
-	reg.CounterFunc("ams_corpus_records_total",
-		"Journal records appended since open",
-		func() int64 { return c.Stats().JournalRecords }, labels...)
 	reg.CounterFunc("ams_corpus_syncs_total",
 		"Group-commit fsync batches since open",
 		func() int64 { return c.Stats().Syncs }, labels...)

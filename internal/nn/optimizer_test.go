@@ -48,8 +48,8 @@ func TestAdamStepMatchesSerialReference(t *testing.T) {
 				m, v := refM[i], refV[i]
 				for j := range p.Val {
 					g := p.Grad[j]
-					m[j] = o.Beta1*m[j] + (1-o.Beta1)*g
-					v[j] = o.Beta2*v[j] + (1-o.Beta2)*g*g
+					m[j] = float64(o.Beta1*m[j]) + float64((1-o.Beta1)*g)
+					v[j] = float64(o.Beta2*v[j]) + float64((1-o.Beta2)*g*g)
 					mhat := m[j] / bc1
 					vhat := v[j] / bc2
 					p.Val[j] -= o.LR * mhat / (math.Sqrt(vhat) + o.Epsilon)

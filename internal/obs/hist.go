@@ -103,23 +103,6 @@ func (h *Histogram) Count() int64 {
 	return total
 }
 
-// Quantile returns the current q-quantile estimate (the containing
-// bucket's upper bound, like Snapshot's P50/P95/P99 but for an
-// arbitrary q). 0 on nil or empty histograms — the SLO layer's
-// current-value view.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	var buckets [histBuckets]int64
-	var total int64
-	for i := range h.buckets {
-		buckets[i] = h.buckets[i].Load()
-		total += buckets[i]
-	}
-	return quantileBound(buckets[:], total, q)
-}
-
 // HistSnapshot is a point-in-time view of a histogram.
 type HistSnapshot struct {
 	Count   int64

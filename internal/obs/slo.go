@@ -150,8 +150,8 @@ func (s *SLO) BurnRate(windowSec float64) float64 {
 }
 
 // RegisterViews exposes the objective on reg as the ams_slo_* family:
-// lifetime good/bad counters, the threshold and target constants, and
-// one burn-rate gauge per window. No-op when either side is nil.
+// lifetime good/bad counters and one burn-rate gauge per window. No-op
+// when either side is nil.
 func (s *SLO) RegisterViews(reg *Registry) {
 	if s == nil || reg == nil {
 		return
@@ -159,10 +159,6 @@ func (s *SLO) RegisterViews(reg *Registry) {
 	l := L("slo", s.Name)
 	reg.CounterFunc("ams_slo_good_total", "items within the SLO threshold", s.Good, l)
 	reg.CounterFunc("ams_slo_bad_total", "items over the SLO threshold", s.Bad, l)
-	reg.GaugeFunc("ams_slo_threshold_seconds", "SLO latency threshold",
-		func() float64 { return s.ThresholdSec }, l)
-	reg.GaugeFunc("ams_slo_target", "SLO good-fraction target",
-		func() float64 { return s.Target }, l)
 	for i := range s.windows {
 		span := s.windows[i].span
 		reg.GaugeFunc("ams_slo_burn_rate", "error-budget burn rate over the window",

@@ -54,7 +54,6 @@ type Tracer struct {
 	next    int
 	seq     int64
 	evicted int64 // ring overwrites: traces lost to capacity
-	dropped int64 // spans dropped inside published traces
 	scale   float64
 	models  []string
 	free    []*ItemTrace // published traces Begin hands out again
@@ -140,7 +139,6 @@ func (t *Tracer) End(tr *ItemTrace) {
 	tr.closeOpenSpans()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.dropped += int64(tr.DroppedSpans)
 	var spare []Span
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, *tr)
@@ -177,17 +175,6 @@ func (t *Tracer) Unended() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.seq - int64(len(t.ring)) - t.evicted
-}
-
-// DroppedTotal reports the cumulative spans dropped to the per-trace cap
-// across all published traces (0 on nil).
-func (t *Tracer) DroppedTotal() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // Capacity reports the ring's trace capacity (0 on nil).

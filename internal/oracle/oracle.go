@@ -106,7 +106,7 @@ func deriveTruth(z *zoo.Zoo, outputs []zoo.Output) (Truth, []float64) {
 			if lc.Conf < zoo.ValuableThreshold {
 				continue
 			}
-			v := z.Vocab.Label(lc.ID).Profit * lc.Conf
+			v := float64(z.Vocab.Label(lc.ID).Profit * lc.Conf)
 			modelValue[mi] += v
 			if v > lv[lc.ID] {
 				lv[lc.ID] = v

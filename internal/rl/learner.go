@@ -180,14 +180,14 @@ func (l *Learner) targetValue(tr *Transition) float64 {
 		qOnline := l.online.Forward(tr.Next)
 		_, argmax := qOnline.Max()
 		qTarget := l.target.Forward(tr.Next)
-		return tr.Reward + l.cfg.Gamma*qTarget[argmax]
+		return tr.Reward + float64(l.cfg.Gamma*qTarget[argmax])
 	case DeepSARSA:
 		// On-policy: evaluate the action the behaviour policy actually took.
 		qTarget := l.target.Forward(tr.Next)
-		return tr.Reward + l.cfg.Gamma*qTarget[tr.NextAction]
+		return tr.Reward + float64(l.cfg.Gamma*qTarget[tr.NextAction])
 	default: // DQN uses the standard max-target.
 		qTarget := l.target.Forward(tr.Next)
 		maxQ, _ := qTarget.Max()
-		return tr.Reward + l.cfg.Gamma*maxQ
+		return tr.Reward + float64(l.cfg.Gamma*maxQ)
 	}
 }

@@ -89,5 +89,5 @@ func (s EpsilonSchedule) At(step int) float64 {
 		step = 0
 	}
 	frac := float64(step) / float64(s.DecaySteps)
-	return s.Start + (s.End-s.Start)*frac
+	return s.Start + float64((s.End-s.Start)*frac)
 }

@@ -10,8 +10,9 @@ import (
 
 // Metrics is the server's hot-path instrument set, registered once at
 // construction, never in the item loop: the root package's
-// TestMetricCatalog holds the registry to DESIGN.md §8's catalog and
-// fails when serving adds a series. One Metrics is shared
+// TestEveryMetricFamilyMoves holds the registry to DESIGN.md §8's
+// catalog and requires a scenario to move each family, and
+// TestMetricCatalog fails when serving adds a series. One Metrics is shared
 // by every shard of a logical server: histograms are concurrency-safe,
 // so per-model series aggregate fleet-wide while per-shard live state
 // is exposed separately through RegisterViews. It owns no counter:
@@ -27,19 +28,7 @@ type Metrics struct {
 	Select      *obs.Histogram   // real seconds of policy.Next per item (Table III overhead)
 	Latency     *obs.Histogram   // simulated seconds from submit to completion
 	ReserveWait *obs.Histogram   // real seconds blocked on the memory accountant
-	ExecLatency []*obs.Histogram // simulated seconds per model execution (incl. batch hold); its count is ams_model_exec_total
-
-	// Quality proxy (ROADMAP's ground-truth-free signal, first half):
-	// on ingested traffic — no ground truth, so no recall — compare what
-	// a schedule banked against what the agent thinks is still on the
-	// table. Mass is the summed confidence of valuable labels actually
-	// produced; Residual is the agent's best remaining Q-value at
-	// schedule end. ams_quality_residual_ratio is the view
-	// Σresidual/(Σmass+Σresidual) over the two sums (near 0: schedules
-	// are exhausting the value the agent can see; near 1: deadlines are
-	// leaving predicted value unharvested).
-	QualityMass     *obs.Histogram
-	QualityResidual *obs.Histogram
+	ExecLatency []*obs.Histogram // simulated seconds per model execution (incl. batch hold); its count is the executions
 
 	// Batch carries the batching runtime's instruments (nil when the
 	// registry is nil), threaded into the batcher at construction.
@@ -69,28 +58,12 @@ func NewMetrics(reg *obs.Registry, models []*zoo.Model) *Metrics {
 			"Simulated seconds from submission to completion"),
 		ReserveWait: reg.Histogram("ams_mem_reserve_wait_seconds",
 			"Real seconds executions blocked waiting for GPU memory"),
-		QualityMass: reg.Histogram("ams_quality_conf_mass",
-			"Per ingested item: summed confidence of valuable labels produced (unitless)"),
-		QualityResidual: reg.Histogram("ams_quality_predicted_residual",
-			"Per ingested item: the agent's best remaining Q-value at schedule end (unitless)"),
 		Batch: batch.NewMetrics(reg),
 	}
-	reg.GaugeFunc("ams_quality_residual_ratio",
-		"All ingested items: summed predicted residual / (summed banked mass + summed residual)",
-		func() float64 {
-			mass, residual := m.QualityMass.Snapshot().Sum, m.QualityResidual.Snapshot().Sum
-			if total := mass + residual; total > 0 {
-				return residual / total
-			}
-			return 0
-		})
 	m.ExecLatency = make([]*obs.Histogram, len(models))
 	for i, mod := range models {
-		label := obs.L("model", mod.Name)
 		m.ExecLatency[i] = reg.Histogram("ams_model_exec_seconds",
-			"Simulated seconds per model execution as seen by the item (includes batch hold)", label)
-		reg.CounterFunc("ams_model_exec_total",
-			"Model executions (batched requests count once per request)", m.ExecLatency[i].Count, label)
+			"Simulated seconds per model execution as seen by the item (includes batch hold)", obs.L("model", mod.Name))
 	}
 	return m
 }
@@ -127,16 +100,6 @@ func (m *Metrics) itemDone(waitSec, latencySec, selectSec float64) {
 	for _, slo := range m.SLOs {
 		slo.Observe(latencySec)
 	}
-}
-
-// quality records the ground-truth-free quality proxy for one ingested
-// item.
-func (m *Metrics) quality(mass, residual float64) {
-	if m == nil {
-		return
-	}
-	m.QualityMass.Observe(mass)
-	m.QualityResidual.Observe(residual)
 }
 
 // RegisterViews exposes this server's live state as labeled series on

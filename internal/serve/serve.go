@@ -615,7 +615,6 @@ func (s *Server) worker(w int) {
 		trace.SpanBetween(obs.SpanQueueWait, root, -1, tk.arrival, tk.dequeued)
 		mach.trace, sel.selectSec = trace, 0
 		res := run.Execute(mach, ex, i, sel, lim)
-		s.observeQuality(sel.Policy, res)
 		run.Release() // the worker keeps the Run, not the item
 		s.finish(tk, ex, res, sel.selectSec, trace)
 	}
@@ -687,35 +686,6 @@ func (p *selector) Next(t *oracle.Tracker, c sim.Constraints) int {
 	}
 	trace.Annotate(trace.SpanBetween(obs.SpanSelect, 0, m, t0, time.Now()), attrs)
 	return m
-}
-
-// residualValuer is implemented by the predictor-backed policies
-// (internal/sched): the agent's estimate of the value still available
-// for an item given its executed-set state. Used only for the quality
-// proxy metric — reading a prediction never alters scheduling state, so
-// bit-identity holds.
-type residualValuer interface {
-	ResidualValue(tr *oracle.Tracker) float64
-}
-
-// observeQuality records the ground-truth-free quality proxy on
-// ingested traffic (items with no ground truth, hence no recall): the
-// valuable-label confidence mass the schedule banked against the
-// agent's predicted residual value at schedule end. Runs only when
-// telemetry is enabled.
-func (s *Server) observeQuality(policy sim.Policy, res sim.Result) {
-	if s.cfg.Metrics == nil || res.HasRecall {
-		return
-	}
-	mass := 0.0
-	for _, out := range res.Outputs {
-		mass += out.Value(zoo.ValuableThreshold)
-	}
-	residual := 0.0
-	if rv, ok := policy.(residualValuer); ok {
-		residual = rv.ResidualValue(res.State)
-	}
-	s.cfg.Metrics.quality(mass, residual)
 }
 
 // flight is one model execution in progress on a machine.

@@ -40,7 +40,7 @@ type Config struct {
 // Limits is the per-item schedule bound the configuration describes:
 // the deadline, and one model in flight unless ItemParallel.
 func (c Config) Limits() sim.Limits {
-	lim := sim.Limits{DeadlineMS: c.DeadlineSec * 1000, InFlight: 1}
+	lim := sim.Limits{DeadlineMS: float64(c.DeadlineSec * 1000), InFlight: 1}
 	if c.ItemParallel {
 		lim.InFlight = 0
 	}

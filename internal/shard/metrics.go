@@ -8,10 +8,11 @@ import (
 )
 
 // RegisterViews exposes the router's live routing state on reg as
-// per-shard labeled series, and the fleet-wide admission, shed and
+// per-shard labeled series, and the fleet-wide shed, failure and
 // batch-flush totals — views over the very counters Stats reads (no
 // double bookkeeping), evaluated at scrape time. A shard's queue depth
-// is its server's ams_queue_depth. No-op on a nil registry.
+// is its server's ams_queue_depth; what was admitted is the sum of
+// ams_shard_assigned_total. No-op on a nil registry.
 func (r *Router) RegisterViews(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -31,17 +32,6 @@ func (r *Router) RegisterViews(reg *obs.Registry) {
 			"Items this shard's workers have taken, not yet finished",
 			func() float64 { return float64(r.servers[s].Live().Running) }, label)
 	}
-	reg.CounterFunc("ams_items_admitted_total",
-		"Items accepted onto the admission queue",
-		func() int64 {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			var n int64
-			for s := range r.per {
-				n += r.per[s].Assigned
-			}
-			return n
-		})
 	reg.CounterFunc("ams_items_shed_total",
 		"Items rejected at admission (queue full)", r.ShedTotal)
 	reg.CounterFunc("ams_shard_failures_total",

@@ -236,7 +236,7 @@ func (r *Router) credit(s int, hint []int) {
 		r.heatSum = 0
 		for _, hs := range r.heat {
 			for m := range hs {
-				hs[m] /= 2
+				hs[m] = float64(hs[m] / 2)
 				r.heatSum += hs[m]
 			}
 		}

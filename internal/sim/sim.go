@@ -102,9 +102,6 @@ type Result struct {
 	// whether Recall measures anything. Precomputed-store items always
 	// have it; externally ingested items usually do not.
 	HasRecall bool
-	// State is the labeling state the schedule ended in. It is the Run's
-	// tracker: valid until that Run executes its next schedule.
-	State *oracle.Tracker
 }
 
 // Limits bounds one schedule.
@@ -190,8 +187,7 @@ func Execute(mach Machine, ex oracle.Executor, item int, p Policy, lim Limits) R
 // Release drops the references the last schedule left in the Run — its
 // tracker's executor and ground truth and the outputs scratch — so a Run
 // kept for the next item does not retain the last one. The Result's
-// State is unusable afterwards; its Executed and Outputs are copies and
-// stay valid.
+// Executed and Outputs are copies and stay valid.
 func (r *Run) Release() {
 	r.tracker.Release()
 	clear(r.outputs)
@@ -208,14 +204,14 @@ func (r *Run) Release() {
 // nominal — now is a sum of model times — so a schedule is a function of
 // (policy, item, limits, observed headroom) and never of wall-clock
 // jitter on a real machine. The Result's Executed and Outputs are
-// exactly-sized copies the caller owns; its State is the Run's tracker.
+// exactly-sized copies the caller owns.
 func (r *Run) Execute(mach Machine, ex oracle.Executor, item int, p Policy, lim Limits) Result {
 	p.Reset(item)
 	t := &r.tracker
 	t.Reset(ex, item)
 	inFly := r.inFly[:0]
 	r.executed, r.outputs = r.executed[:0], r.outputs[:0]
-	res := Result{State: t}
+	var res Result
 	var now float64
 	for {
 		// stalledAt is the headroom at which launching stopped short, so

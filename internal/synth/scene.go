@@ -285,7 +285,7 @@ func (g *Generator) pickObject(indoor bool) int {
 	u := (g.rng.Float64() + g.rng.Float64()) / 2
 	var idx int
 	if indoor {
-		idx = int((0.5 + u/2) * float64(n-1)) // skew to the back half
+		idx = int((0.5 + float64(u/2)) * float64(n-1)) // skew to the back half
 	} else {
 		idx = int((u / 2 * 1.6) * float64(n-1)) // skew to the front
 	}

@@ -71,10 +71,10 @@ func TestRNGNormMoments(t *testing.T) {
 	for i := 0; i < n; i++ {
 		x := r.Norm()
 		sum += x
-		sumsq += x * x
+		sumsq += float64(x * x)
 	}
 	mean := sum / n
-	variance := sumsq/n - mean*mean
+	variance := sumsq/n - float64(mean*mean)
 	if math.Abs(mean) > 0.02 {
 		t.Fatalf("normal mean %v too far from 0", mean)
 	}

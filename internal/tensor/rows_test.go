@@ -65,7 +65,7 @@ func rowKernelBits(t *testing.T) {
 			for j := range want {
 				for i := range x {
 					if x[i] != 0 {
-						want[j] += x[i] * m.Data[i*cols+j]
+						want[j] += float64(x[i] * m.Data[i*cols+j])
 					}
 				}
 			}
@@ -84,7 +84,7 @@ func rowKernelBits(t *testing.T) {
 			wantOut, gotOut := NewVec(rows), NewVec(rows)
 			for i := range wantOut {
 				for j := range y {
-					wantOut[i] += m.Data[i*cols+j] * y[j]
+					wantOut[i] += float64(m.Data[i*cols+j] * y[j])
 				}
 			}
 			m.MulVecInto(gotOut, y)
@@ -95,7 +95,7 @@ func rowKernelBits(t *testing.T) {
 			for i := range x {
 				if s := a * x[i]; s != 0 {
 					for j := range y {
-						wantM[i*cols+j] += s * y[j]
+						wantM[i*cols+j] += float64(s * y[j])
 					}
 				}
 			}

@@ -66,7 +66,7 @@ func (m *Model) emissions(s *synth.Scene, dst []LabelConf) []LabelConf {
 		}
 		c := r.NormMeanStd(m.ConfMean, m.ConfStd)
 		if c < ValuableThreshold {
-			c = ValuableThreshold + (ValuableThreshold-c)*0.2
+			c = ValuableThreshold + float64((ValuableThreshold-c)*0.2)
 		}
 		emit(id, c)
 	}

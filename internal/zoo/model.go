@@ -258,7 +258,7 @@ func (m *Model) BatchCostMS(n int) float64 {
 	if n <= 0 {
 		return 0
 	}
-	return m.BatchLaunchMS + float64(n)*m.BatchMarginalMS
+	return m.BatchLaunchMS + float64(float64(n)*m.BatchMarginalMS)
 }
 
 // NewZoo builds the 30-model registry over the vocabulary.
@@ -283,7 +283,7 @@ func NewZoo(vocab *labels.Vocabulary) *Zoo {
 		}
 		// Subtraction (not a second multiply) keeps the n=1 batch cost
 		// bit-identical to TimeMS.
-		m.BatchMarginalMS = sp.timeMS * batchMarginalFrac
+		m.BatchMarginalMS = float64(sp.timeMS * batchMarginalFrac)
 		m.BatchLaunchMS = sp.timeMS - m.BatchMarginalMS
 		all := vocab.TaskLabels(sp.task)
 		switch sp.subset {

@@ -43,7 +43,7 @@ func runCorpusStream(t *testing.T, c *Corpus, cfg ServeConfig, items []Item) map
 		}
 		tks = append(tks, tk)
 	}
-	if err := srv.Close(); err != nil {
+	if err := errors.Join(srv.Close(), auditClosed(srv, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	results := make(map[string]*Result, len(tks))
@@ -283,7 +283,7 @@ func watermarkOverload(t *testing.T, submit func(*Server, Item) (*ServeTicket, e
 	if !sameResult(again, first) {
 		t.Fatalf("re-served evicted item differs:\n got %+v\nwant %+v", again, first)
 	}
-	if err := srv.Close(); err != nil {
+	if err := errors.Join(srv.Close(), auditClosed(srv, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Items != len(items) {
@@ -358,7 +358,7 @@ func TestCorpusEvictionWithLaggingConsumer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := srv.Close(); err != nil {
+	if err := errors.Join(srv.Close(), auditClosed(srv, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	if n := <-consumed; n != len(items) {
@@ -417,7 +417,7 @@ func TestCheckpointCompactsAndPreservesRecovery(t *testing.T) {
 	for id, res := range runCorpusStreamVia(t, srv, testSys.GenerateItems(4, 6)) {
 		original[id] = res
 	}
-	if err := srv.Close(); err != nil {
+	if err := errors.Join(srv.Close(), auditClosed(srv, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
@@ -509,11 +509,12 @@ func runCorpusStreamVia(t *testing.T, srv *Server, items []Item) map[string]*Res
 
 // TestCheckpointWithoutCorpus fails loudly instead of silently no-oping.
 func TestCheckpointWithoutCorpus(t *testing.T) {
-	srv, err := testSys.NewServer(testAgent, corpusCfg(1))
+	cfg := corpusCfg(1)
+	srv, err := testSys.NewServer(testAgent, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	closeAtCleanup(t, srv, cfg)
 	if err := srv.Checkpoint(); err == nil {
 		t.Fatal("checkpoint without a corpus succeeded")
 	}
@@ -558,7 +559,7 @@ func TestConcurrentResubmissionsJournalOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if err := srv.Close(); err != nil {
+	if err := errors.Join(srv.Close(), auditClosed(srv, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
@@ -674,7 +675,7 @@ func TestCloseCutsAWatermarkWaitShort(t *testing.T) {
 	go func() { closed <- srv.Close() }()
 	select {
 	case err := <-closed:
-		if err != nil {
+		if err := errors.Join(err, auditClosed(srv, cfg)); err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):

@@ -122,7 +122,7 @@ type ServeConfig struct {
 	// items from its most loaded sibling.
 	ShardSteal bool
 	// Telemetry turns on the server's live metric registry and item
-	// tracer: per-stage latency histograms, per-model execution counters,
+	// tracer: per-stage latency histograms, per-model execution histograms,
 	// per-shard live gauges, and a bounded ring of per-item span trees
 	// (each decision's deadline and memory budget on the span that timed
 	// it), snapshotted through ServeStats.Telemetry and Traces.
@@ -140,8 +140,7 @@ type ServeConfig struct {
 	MetricsAddr string
 	// TraceCapacity sets how many completed item traces the tracer
 	// retains in its ring (default 256; negative is refused). Ring
-	// evictions and spans dropped past the per-trace cap are surfaced as
-	// ams_trace_* series.
+	// evictions are surfaced as ams_trace_evicted_total.
 	TraceCapacity int
 	// SLOs lists latency objectives the server accounts every completed
 	// item against, each spec "p99<250ms" or "name:p95<1s" (quantile is
@@ -593,18 +592,10 @@ func (sv *Server) finishTelemetry(cfg ServeConfig, slos []SLOObjective, shards [
 			"Entries resident in the shared Q-prediction cache",
 			func() float64 { _, _, n := sv.cache.Stats(); return float64(n) })
 	}
-	// Tracer health: ring evictions (traces lost to capacity) and span
-	// drops inside published traces, so silent trace loss is itself
-	// observable.
+	// Ring evictions: traces lost to capacity before anyone read them.
 	sv.reg.CounterFunc("ams_trace_evicted_total",
 		"Completed traces overwritten by ring wraparound",
 		sv.tracer.Evicted)
-	sv.reg.CounterFunc("ams_trace_dropped_total",
-		"Spans dropped inside published traces (per-item cap)",
-		sv.tracer.DroppedTotal)
-	sv.reg.GaugeFunc("ams_trace_capacity",
-		"Trace-ring capacity (ServeConfig.TraceCapacity)",
-		func() float64 { return float64(sv.tracer.Capacity()) })
 	sv.buildSLOs(cfg.DeadlineSec, slos)
 	if cfg.FlightDir != "" {
 		sv.armFlightRecorder(cfg.FlightDir)
@@ -642,10 +633,6 @@ func (sv *Server) buildSLOs(deadlineSec float64, objectives []SLOObjective) {
 	}
 	for _, slo := range slos {
 		slo.RegisterViews(sv.reg)
-		sv.reg.GaugeFunc("ams_slo_quantile_seconds",
-			"Observed latency at the SLO's target quantile (lifetime histogram)",
-			func() float64 { return sv.metrics.Latency.Quantile(slo.Target) },
-			obs.L("slo", slo.Name))
 	}
 	sv.metrics.SLOs = slos
 }
