@@ -13,7 +13,9 @@ import (
 // non-zero activation into independent accumulators. Each output is summed
 // in the order Net.Forward sums it (sparse layer in active order, dense
 // layers by ascending input, bias last), so the Q-values are bit-identical
-// to the Net's.
+// to the Net's. A hidden layer's bias, ReLU and the listing of its
+// non-zero activations are one pass over its outputs (activate), and the
+// next layer adds the listed rows in one kernel call per 16 columns.
 //
 // A Frozen is immutable and holds no activations: any number of goroutines
 // may share one, each passing its own scratch to Forward.
@@ -94,19 +96,26 @@ func (f *Frozen) Forward(scratch tensor.Vec, active []int) tensor.Vec {
 	return f.forward(scratch, active)
 }
 
+// activeRows is how many of a hidden layer's units forward lists at a
+// time, on its stack: all of them at the paper's 256.
+const activeRows = 256
+
 func (f *Frozen) forward(scratch tensor.Vec, active []int) tensor.Vec {
 	first := f.layers[0]
 	x := scratch[:first.w.Cols]
 	first.w.SumRowsSparseInto(x, active)
-	x.Add(first.b)
-	off := len(x)
+	b, off := first.b, len(x)
+	var buf [activeRows]int
 	for _, l := range f.layers[1:] {
-		relu(x, x)
 		y := scratch[off : off+l.w.Cols]
-		l.w.MulVecTransInto(y, x)
-		y.Add(l.b)
-		x, off = y, off+len(y)
+		y.Zero()
+		for lo := 0; lo < len(x); lo += len(buf) {
+			hi := min(lo+len(buf), len(x))
+			l.w.AddScaledRows(y, activate(x[lo:hi], b[lo:hi], lo, buf[:]), x)
+		}
+		x, b, off = y, l.b, off+len(y)
 	}
+	x.Add(b) // the head's bias, last
 	if !f.dueling {
 		return x
 	}
@@ -116,4 +125,28 @@ func (f *Frozen) forward(scratch tensor.Vec, active []int) tensor.Vec {
 		adv[i] = v + a - mean
 	}
 	return adv
+}
+
+// activate adds the bias b into the pre-activations x, applies relu in
+// place, and lists in rows the indices, counted from base, of the
+// activations left non-zero, in one pass. Each value is rounded as
+// x.Add(b) then relu would round it, and, as in relu, neither the ReLU
+// nor the listing branches on a sign the branch predictor cannot guess:
+// every index is written and the count advances only past a non-zero
+// one.
+func activate(x, b tensor.Vec, base int, rows []int) []int {
+	b, rows = b[:len(x)], rows[:len(x)]
+	n := 0
+	for i := range x {
+		bits := math.Float64bits(x[i] + b[i])
+		if bits-1 >= math.Float64bits(math.Inf(1)) {
+			bits = 0
+		}
+		x[i] = math.Float64frombits(bits)
+		rows[n] = base + i
+		if bits != 0 {
+			n++
+		}
+	}
+	return rows[:n]
 }

@@ -39,10 +39,38 @@ func sameBits(a, b tensor.Vec) bool {
 	return true
 }
 
+// TestFrozenMatchesNetForwardBitForBit: the frozen view's Q-values are
+// the Net's, bit for bit. The shapes put a dense layer's columns on both
+// sides of the 16-wide blocks (widths 40 and 33, and heads of 3-11
+// columns) and exactly on them (the paper's 256 hidden units and 32-column
+// fused head, which has no tail); they give a dense layer more than 64
+// inputs (96 and 256) and more than the 256 forward lists at a time
+// (270); and a first-layer bias that zeroes every activation sends an
+// empty row list into the next layer.
 func TestFrozenMatchesNetForwardBitForBit(t *testing.T) {
 	rng := tensor.NewRNG(41)
+	check := func(n *Net, trials int, what string) {
+		t.Helper()
+		f := mustFreeze(t, n)
+		scratch := f.NewScratch()
+		all := make([]int, n.In())
+		for i := range all {
+			all[i] = i
+		}
+		states := [][]int{{}, all}
+		for k := 0; k < trials; k++ {
+			states = append(states, randomState(rng, n.In(), rng.Intn(min(n.In(), 40)+1)))
+		}
+		for _, state := range states {
+			want := n.Forward(state)
+			got := f.Forward(scratch, state)
+			if !sameBits(got, want) {
+				t.Fatalf("%s, state %v: frozen %v, net %v", what, state, got, want)
+			}
+		}
+	}
 	for _, dueling := range []bool{false, true} {
-		for _, hidden := range [][]int{{24}, {24, 16}} {
+		for _, hidden := range [][]int{{24}, {24, 16}, {40, 33}, {33, 40}, {96, 20}, {270, 20}} {
 			for trial := 0; trial < 8; trial++ {
 				in, out := 20+rng.Intn(40), 2+rng.Intn(9)
 				n := NewNet(Config{In: in, Hidden: hidden, Out: out, Dueling: dueling}, rng)
@@ -53,25 +81,35 @@ func TestFrozenMatchesNetForwardBitForBit(t *testing.T) {
 						p.Val[i] += rng.Range(-0.5, 0.5)
 					}
 				}
-				f := mustFreeze(t, n)
-				scratch := f.NewScratch()
-				all := make([]int, in)
-				for i := range all {
-					all[i] = i
-				}
-				states := [][]int{{}, all}
-				for k := 0; k < 12; k++ {
-					states = append(states, randomState(rng, in, rng.Intn(in+1)))
-				}
-				for _, state := range states {
-					want := n.Forward(state)
-					got := f.Forward(scratch, state)
-					if !sameBits(got, want) {
-						t.Fatalf("dueling=%v hidden=%v state %v: frozen %v, net %v", dueling, hidden, state, got, want)
-					}
-				}
+				what := fmt.Sprintf("dueling=%v hidden=%v", dueling, hidden)
+				check(n, 12, what)
+				zeroActivations(n)
+				check(n, 4, what+", every activation zero")
 			}
 		}
+	}
+	paper := NewNet(Config{In: 1104, Hidden: []int{256}, Out: 31, Dueling: true}, rng)
+	for _, p := range paper.Params() {
+		for i := range p.Val {
+			p.Val[i] += rng.Range(-0.05, 0.05)
+		}
+	}
+	check(paper, 24, "1104 -> 256 -> 31 dueling")
+	zeroActivations(paper)
+	check(paper, 4, "1104 -> 256 -> 31 dueling, every activation zero")
+}
+
+// zeroActivations sets n's first-layer bias below every sum of its
+// weights, so no input leaves a first-layer activation for the next
+// layer to read.
+func zeroActivations(n *Net) {
+	l := n.feature[0]
+	var most float64
+	for _, w := range l.W.Data {
+		most = max(most, math.Abs(w))
+	}
+	for i := range l.B {
+		l.B[i] = -most*float64(l.In) - 1
 	}
 }
 

@@ -64,10 +64,10 @@ type FlightBundle struct {
 	Traces   []ItemTrace `json:"traces"`
 }
 
-// A written bundle silences the triggers until both flightCooldownSec
-// seconds of the recorder's clock and flightCooldownPolls polls (5 s of
-// wall time at the 250 ms poll period) have passed; flightTraces is how
-// many recent traces a bundle carries.
+// A bundle write, written or failed, silences the triggers until both
+// flightCooldownSec seconds of the recorder's clock and
+// flightCooldownPolls polls (5 s of wall time at the 250 ms poll period)
+// have passed; flightTraces is how many recent traces a bundle carries.
 const (
 	flightCooldownSec   = 5
 	flightCooldownPolls = 20
@@ -95,8 +95,8 @@ type FlightRecorder struct {
 	triggers []Trigger
 	interval time.Duration // wall-clock poll period
 
-	lastDump  float64 // clock stamp of the newest bundle; poll's alone
-	sinceDump int     // polls since the newest bundle's; poll's alone
+	lastDump  float64 // clock stamp of the newest write attempt; poll's alone
+	sinceDump int     // polls since the newest write attempt's; poll's alone
 
 	dumps atomic.Int64
 	errs  atomic.Int64
@@ -158,11 +158,13 @@ func (f *FlightRecorder) poll() {
 		if !fired || cool {
 			continue
 		}
-		cool = true // one bundle per poll at most
+		// One attempt per poll at most, and a failed one cools down as
+		// a written one does: an unwritable directory fails once per
+		// cooldown, not once per poll.
+		cool = true
+		f.lastDump, f.sinceDump = now, 0
 		if err := f.write(tg.Name, detail); err != nil {
 			f.errs.Add(1)
-		} else {
-			f.lastDump, f.sinceDump = now, 0
 		}
 	}
 }

@@ -596,6 +596,26 @@ func TestFlightRecorderCooldownCountsPolls(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderCooldownFollowsFailedWrites: a write that fails
+// starts the cooldown as a written bundle does, so a directory that
+// cannot be made fails twice in 40 polls, not on every poll.
+func TestFlightRecorderCooldownFollowsFailedWrites(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var clk fakeClock
+	fr := NewFlightRecorder(filepath.Join(file, "flight"), NewRegistry(), NewTracer(2), clk.now,
+		Trigger{Name: "deadline-burn", Fire: func() (bool, string) { return true, "burn 12" }})
+	for i := range 40 {
+		clk.set(250 * float64(i))
+		fr.poll()
+	}
+	if fr.Dumps() != 0 || fr.Errors() != 2 {
+		t.Fatalf("dumps/errors = %d/%d over 40 polls, want 0/2", fr.Dumps(), fr.Errors())
+	}
+}
+
 // TestFlightRecorderShutdownPoll: an anomaly that becomes detectable
 // only at shutdown is still captured by Close's final poll.
 func TestFlightRecorderShutdownPoll(t *testing.T) {

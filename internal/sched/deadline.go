@@ -35,7 +35,14 @@ func (p *CostQGreedy) Reset(int) { invalidatePrediction(p.pred) }
 
 // Next implements sim.Policy.
 func (p *CostQGreedy) Next(t *oracle.Tracker, c sim.Constraints) int {
-	q := p.pred.Predict(t.State())
+	if !anyFits(t, p.z, c) {
+		return -1
+	}
+	return p.pick(t, c, p.pred.Predict(t.State()))
+}
+
+// pick is Next's choice given the Q-values q of t's state.
+func (p *CostQGreedy) pick(t *oracle.Tracker, c sim.Constraints, q []float64) int {
 	bestRatio, bestRatioM := 0.0, -1
 	bestQ, bestQM := 0.0, -1
 	for m := range t.Candidates() {

@@ -44,7 +44,14 @@ func (p *MemoryPacker) Reset(int) {
 
 // Next implements sim.Policy.
 func (p *MemoryPacker) Next(t *oracle.Tracker, c sim.Constraints) int {
-	q := p.pred.Predict(t.State())
+	if !anyFits(t, p.z, c) {
+		return -1 // in either phase, and with packing unchanged
+	}
+	return p.pick(t, c, p.pred.Predict(t.State()))
+}
+
+// pick is Next's choice given the Q-values q of t's state.
+func (p *MemoryPacker) pick(t *oracle.Tracker, c sim.Constraints, q []float64) int {
 	candidates := t.Candidates()
 	if !p.packing {
 		// Anchor: highest value per resource area within the budgets.

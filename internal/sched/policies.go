@@ -32,6 +32,21 @@ type Predictor interface {
 	Predict(state []int) []float64
 }
 
+// anyFits reports whether c allows any of t's candidates. The
+// predictor-driven policies ask it before they predict: when nothing
+// fits they return -1 whatever the Q-values say and change no state of
+// their own, so the forward pass would be computed for no reader. Every
+// item's last select is such an ask: after its last commit the
+// remaining deadline fits no model still unexecuted.
+func anyFits(t *oracle.Tracker, z *zoo.Zoo, c sim.Constraints) bool {
+	for m := range t.Candidates() {
+		if c.Allows(z.Models[m]) {
+			return true
+		}
+	}
+	return false
+}
+
 // --- Baseline and serial policies ---------------------------------------
 
 // Random executes a uniformly random feasible model — the paper's
@@ -122,7 +137,14 @@ func (p *QGreedy) Reset(int) { invalidatePrediction(p.pred) }
 
 // Next implements sim.Policy.
 func (p *QGreedy) Next(t *oracle.Tracker, c sim.Constraints) int {
-	q := p.pred.Predict(t.State())
+	if !anyFits(t, p.z, c) {
+		return -1
+	}
+	return p.pick(t, c, p.pred.Predict(t.State()))
+}
+
+// pick is Next's choice given the Q-values q of t's state.
+func (p *QGreedy) pick(t *oracle.Tracker, c sim.Constraints, q []float64) int {
 	best, bestQ := -1, 0.0
 	for m := range t.Candidates() {
 		if !c.Allows(p.z.Models[m]) {

@@ -65,17 +65,12 @@ func (m *Mat) blocks16() int {
 //
 // Half of a ReLU layer's activations are zero in no predictable pattern,
 // so a branch per row would mispredict on every other one; instead the
-// non-zero indices of a block are gathered without branching. Each
-// 16-column block of out then takes all of them in one mulAddRows16
-// call, and the columns past the last block take them four rows at a
-// time, which loads and stores out once per four rows instead of once
-// per row.
+// non-zero indices of each 64 inputs are gathered without branching and
+// added by the kernel behind AddScaledRows.
 func (m *Mat) MulVecTransInto(out, x Vec) {
 	assertLen(len(x), m.Rows)
 	assertLen(len(out), m.Cols)
 	out.Zero()
-	blocks := m.blocks16()
-	tail := out[blocks:]
 	var nzBuf [64]int
 	for base := 0; base < len(x); base += len(nzBuf) {
 		block := x[base:min(base+len(nzBuf), len(x))]
@@ -86,22 +81,50 @@ func (m *Mat) MulVecTransInto(out, x Vec) {
 				n++
 			}
 		}
-		nz := nzBuf[:n]
-		for j := 0; j < blocks; j += 16 {
-			mulAddRows16(out[j:j+16], m.Data[j:], m.Cols, nz, x)
+		m.addScaledRows(out, nzBuf[:n], x)
+	}
+}
+
+// AddScaledRows adds x[i] * row i of m into out for each i in rows, in
+// rows order (out length Cols, x length Rows). It is a dense layer's
+// product over the inputs a caller has already found non-zero. Every
+// index is range-checked before any row is read.
+func (m *Mat) AddScaledRows(out Vec, rows []int, x Vec) {
+	assertLen(len(x), m.Rows)
+	assertLen(len(out), m.Cols)
+	for _, i := range rows {
+		if i < 0 || i >= m.Rows {
+			panicSparse(i, m.Rows)
 		}
-		for ; len(nz) >= 4; nz = nz[4:] {
-			a, b, c, d := x[nz[0]], x[nz[1]], x[nz[2]], x[nz[3]]
-			ra, rb, rc, rd := m.Row(nz[0])[blocks:len(out)], m.Row(nz[1])[blocks:len(out)], m.Row(nz[2])[blocks:len(out)], m.Row(nz[3])[blocks:len(out)]
-			for j := range tail {
-				tail[j] = (((tail[j] + float64(a*ra[j])) + float64(b*rb[j])) + float64(c*rc[j])) + float64(d*rd[j])
-			}
+	}
+	m.addScaledRows(out, rows, x)
+}
+
+// addScaledRows is AddScaledRows without the checks. Each 16-column
+// block of out takes all of rows in one mulAddRows16 call; the columns
+// past the last block, when there are any, take them four rows at a
+// time, which loads and stores out once per four rows instead of once
+// per row.
+func (m *Mat) addScaledRows(out Vec, rows []int, x Vec) {
+	blocks := m.blocks16()
+	for j := 0; j < blocks; j += 16 {
+		mulAddRows16(out[j:j+16], m.Data[j:], m.Cols, rows, x)
+	}
+	if blocks == len(out) {
+		return
+	}
+	tail := out[blocks:]
+	for ; len(rows) >= 4; rows = rows[4:] {
+		a, b, c, d := x[rows[0]], x[rows[1]], x[rows[2]], x[rows[3]]
+		ra, rb, rc, rd := m.Row(rows[0])[blocks:len(out)], m.Row(rows[1])[blocks:len(out)], m.Row(rows[2])[blocks:len(out)], m.Row(rows[3])[blocks:len(out)]
+		for j := range tail {
+			tail[j] = (((tail[j] + float64(a*ra[j])) + float64(b*rb[j])) + float64(c*rc[j])) + float64(d*rd[j])
 		}
-		for _, i := range nz {
-			a, ra := x[i], m.Row(i)[blocks:len(out)]
-			for j := range tail {
-				tail[j] += float64(a * ra[j])
-			}
+	}
+	for _, i := range rows {
+		a, ra := x[i], m.Row(i)[blocks:len(out)]
+		for j := range tail {
+			tail[j] += float64(a * ra[j])
 		}
 	}
 }
@@ -158,6 +181,9 @@ func (m *Mat) SumRowsSparseInto(out Vec, active []int) {
 	blocks := m.blocks16()
 	for j := 0; j < blocks; j += 16 {
 		addRows16(out[j:j+16], m.Data[j:], m.Cols, active)
+	}
+	if blocks == len(out) {
+		return
 	}
 	// Four rows at a time: the tail is loaded and stored once per four
 	// addends.

@@ -4,9 +4,9 @@
 // paths (network forward/backward) reuse caller-provided buffers.
 //
 // Layout rule: weights are stored input-major (Rows inputs x Cols
-// outputs), for training and inference alike. SumRowsSparseInto and
-// MulVecTransInto add one contiguous row per active input or non-zero
-// activation, AddOuter accumulates a weight gradient row by row, and
+// outputs), for training and inference alike. SumRowsSparseInto adds
+// one contiguous row per active input, AddScaledRows one scaled row per
+// listed non-zero activation (MulVecTransInto lists them itself), AddOuter accumulates a weight gradient row by row, and
 // MulVecInto takes the gradient back to the inputs as one dot product per
 // row. The row additions run 16 outputs at a time through two block
 // functions, SSE2 assembly on amd64 and Go elsewhere, that sum every

@@ -81,6 +81,23 @@ func rowKernelBits(t *testing.T) {
 			m.SumRowsSparseInto(got, active)
 			checkBits(t, name+" SumRowsSparseInto", got, want)
 
+			// AddScaledRows accumulates into what out holds, over the
+			// same unordered, repeating rows.
+			start := NewVec(cols)
+			for j := range start {
+				start[j] = edgeValue(r)
+			}
+			want.Zero()
+			for j := range want {
+				want[j] = start[j]
+				for _, i := range active {
+					want[j] += float64(x[i] * m.Data[i*cols+j])
+				}
+			}
+			copy(got, start)
+			m.AddScaledRows(got, active, x)
+			checkBits(t, name+" AddScaledRows", got, want)
+
 			wantOut, gotOut := NewVec(rows), NewVec(rows)
 			for i := range wantOut {
 				for j := range y {
@@ -157,6 +174,7 @@ func rowKernelAllocs(t *testing.T) {
 	for name, kernel := range map[string]func(){
 		"MulVecTransInto":   func() { m.MulVecTransInto(out, x) },
 		"SumRowsSparseInto": func() { m.SumRowsSparseInto(out, active) },
+		"AddScaledRows":     func() { m.AddScaledRows(out, active, x) },
 		"MulVecInto":        func() { m.MulVecInto(outRows, y) },
 		"AddOuter":          func() { m.AddOuter(0.5, x, y) },
 	} {
@@ -168,18 +186,32 @@ func rowKernelAllocs(t *testing.T) {
 
 // An index far outside the matrix would send the assembly to read
 // gigabytes past the weights and fault; the range check must panic
-// first, with the index and the range it left.
+// first, with the index and the range it left, and before out is
+// touched.
 func rowKernelBadIndex(t *testing.T) {
 	m := NewMat(5, 32)
+	for i := range m.Data {
+		m.Data[i] = 1
+	}
+	x := Vec{1, 1, 1, 1, 1}
 	for _, bad := range []int{1 << 30, -1 << 30, 5, -1} {
 		want := fmt.Sprintf("tensor: sparse index %d out of range [0,5)", bad)
-		var got any
-		func() {
-			defer func() { got = recover() }()
-			m.SumRowsSparseInto(NewVec(32), []int{0, 4, bad})
-		}()
-		if got != want {
-			t.Fatalf("index %d: panic %v, want %q", bad, got, want)
+		for name, kernel := range map[string]func(out Vec){
+			"SumRowsSparseInto": func(out Vec) { m.SumRowsSparseInto(out, []int{0, 4, bad}) },
+			"AddScaledRows":     func(out Vec) { m.AddScaledRows(out, []int{0, 4, bad}, x) },
+		} {
+			out := NewVec(32)
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				kernel(out)
+			}()
+			if got != want {
+				t.Fatalf("%s, index %d: panic %v, want %q", name, bad, got, want)
+			}
+			if out[0] != 0 {
+				t.Fatalf("%s, index %d: rows were added before the panic", name, bad)
+			}
 		}
 	}
 }

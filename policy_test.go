@@ -132,21 +132,18 @@ func TestServePolicyValidation(t *testing.T) {
 		t.Fatal("nil agent accepted for the default policy")
 	}
 	// The random policy serves without an agent.
-	srv, err := testSys.NewServer(nil, ServeConfig{
-		Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001, Policy: PolicyRandom.WithSeed(3),
-	})
+	cfg := ServeConfig{Workers: 1, DeadlineSec: 0.5, TimeScale: 0.001, Policy: PolicyRandom.WithSeed(3)}
+	srv, err := testSys.NewServer(nil, cfg)
 	if err != nil {
 		t.Fatalf("random policy without agent: %v", err)
 	}
+	closeAtCleanup(t, srv, cfg)
 	tk, err := srv.Submit(testSys.TestItem(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res := mustWait(t, tk); res.Recall < 0 || res.Recall > 1+1e-9 {
 		t.Fatalf("bad result %+v", res)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
